@@ -72,6 +72,14 @@ class DimMapper:
         return not self.dim_map and self.scale == 1 and self.cap is None
 
 
+#: Relative slack under which two program costs are the same cost: totals of
+#: the same op costs summed in a different order differ in their last bits
+#: (at most ``n * 1.1e-16`` relative for ``n`` nodes).  It must stay far below
+#: one op's fixed overhead relative to a large kernel's total — dropping two
+#: reshapes from a 1.2e7-FLOP contraction saves 1.6e-10 of it, and is real.
+COST_EPSILON = 1e-13
+
+
 class CostModel(abc.ABC):
     """Estimates execution cost of ops and programs."""
 
@@ -82,6 +90,11 @@ class CostModel(abc.ABC):
     #: more than this margin — a measured model's sub-percent "wins" are
     #: indistinguishable from timing noise and would ship regressions.
     decision_margin: float = 0.0
+
+    #: Whether one estimate costs enough (a timing run) that persisting it
+    #: across runs pays.  An analytic estimate is recomputed faster than the
+    #: persistent cache's key for it — a printed expression — can be built.
+    expensive_estimates: bool = False
 
     def __init__(
         self,
@@ -124,6 +137,15 @@ class CostModel(abc.ABC):
         if const_args:
             attrs["__const_args"] = tuple(sorted(const_args.items()))
         return self.op_cost(node.op, arg_types, out_type, attrs)
+
+    def improves(self, candidate_cost: float, original_cost: float) -> bool:
+        """Algorithm 1 line 7: is ``candidate_cost`` a real improvement?
+
+        Cheaper by more than the model's noise floor (``decision_margin``)
+        and by more than float summation noise — a tie is not an improvement.
+        """
+        bound = original_cost * (1.0 - self.decision_margin)
+        return candidate_cost < bound - abs(bound) * COST_EPSILON
 
     def program_cost(self, node: Node) -> float:
         """Total cost of a program tree (every op occurrence counted).

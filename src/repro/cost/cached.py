@@ -5,7 +5,8 @@ duplicate-preference check re-prices the same retained stubs many times —
 with a measured model each call can mean a real timing run.  The wrapper
 memoizes ``program_cost`` per IR node in memory (nodes are immutable and
 hashable) and, when a :class:`~repro.synth.cache.PersistentCache` is
-attached, per expression string across runs.
+attached and the model declares its estimates expensive
+(:attr:`CostModel.expensive_estimates`), per expression string across runs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ class CachingCostModel(CostModel):
         self.name = inner.name
         self.decision_margin = inner.decision_margin
         self.mapper = inner.mapper
-        self.cache = cache
+        self.expensive_estimates = inner.expensive_estimates
+        #: The cross-run store, only where a lookup is cheaper than the estimate.
+        self.cache = cache if inner.expensive_estimates else None
         self.fingerprint = fingerprint
         self._memo: dict[Node, float] = {}
         self.hits = 0

@@ -53,6 +53,7 @@ class MeasuredCostModel(CostModel):
 
     name = "measured"
     decision_margin = 0.04  # min-of-3 timings carry a few percent of noise
+    expensive_estimates = True  # every table miss is a profiling run
 
     def __init__(
         self,

@@ -8,8 +8,8 @@ kernels of a module over worker processes in waves:
 1. before each wave the parent tries the **mined-rule cache** on every
    pending kernel (milliseconds, no search) and resolves kernels whose
    normalized pattern already synthesized to "unchanged" in this batch;
-2. kernels sharing a normalized pattern (same symbolic spec after shrinking
-   and positional input renaming) are deduplicated — one representative per
+2. kernels sharing a normalized pattern (same program after shrinking and
+   positional input renaming) are deduplicated — one representative per
    pattern goes to a worker, duplicates wait for its verdict;
 3. workers run full synthesis with the persistent cache and return their
    outcome, mined rules, and a cache *delta* (entries they added);
@@ -64,15 +64,17 @@ def _batch_key(spec: KernelSpec, config: SynthesisConfig) -> str:
     """Normalized pattern key: two kernels with the same key synthesize alike.
 
     Mirrors ``superoptimize_source``: shrink the input types, parse, rename
-    inputs positionally (so ``A + B`` and ``P + Q`` coincide), and take the
-    canonical symbolic spec.  Any failure yields a unique key — the kernel is
-    simply never deduplicated.
+    inputs positionally (so ``A + B`` and ``P + Q`` coincide), and print the
+    *program* with its input types.  The symbolic spec alone is not a key:
+    ``A**6 / A**4`` and ``A**2`` share one, yet only the second is already
+    optimal, so an "unimproved" verdict on one says nothing about the other.
+    Any failure yields a unique key — the kernel is simply never
+    deduplicated.
     """
     try:
         from repro.ir.nodes import rename_inputs
         from repro.ir.parser import parse
-        from repro.symexec.canonical import canonical, canonical_key
-        from repro.symexec.engine import symbolic_execute
+        from repro.ir.printer import to_expression
         from repro.synth.superoptimizer import _as_type, synthesis_types
 
         types = {n: _as_type(t) for n, t in spec.inputs.items()}
@@ -80,8 +82,10 @@ def _batch_key(spec: KernelSpec, config: SynthesisConfig) -> str:
         program = parse(spec.source, synth_types, name=spec.name)
         mapping = {name: f"__k{i}" for i, name in enumerate(program.input_names)}
         node = rename_inputs(program.node, mapping)
-        tensor = symbolic_execute(node).map(canonical)
-        return repr(canonical_key(tensor))
+        ordered = ";".join(
+            f"{i.type.dtype.value}{i.type.shape}" for i in program.inputs
+        )
+        return f"{to_expression(node)}##{ordered}"
     except Exception:
         return f"__opaque__:{spec.name}:{spec.source}:{sorted(spec.inputs)}"
 

@@ -265,12 +265,11 @@ class ModuleOptimizer:
             return None
         program = spec.parse()
         original_cost = self.cost_model.program_cost(program.node)
-        margin = 1.0 - self.cost_model.decision_margin
         best, _stats = optimize_with_rules(
             program.node, self.rules, self.cost_model, auditor=self.auditor
         )
         best_cost = self.cost_model.program_cost(best)
-        if best_cost < original_cost * margin and verify_candidate(
+        if self.cost_model.improves(best_cost, original_cost) and verify_candidate(
             program, best, self.config
         ):
             return KernelOutcome(
@@ -353,18 +352,21 @@ class ModuleOptimizer:
             cache=self.cache,
         )
         status = "degraded" if result.stats.timed_out else "ok"
-        if result.improved:
-            # Learn before snapshotting so the audit verdict counter lands
-            # in this kernel's metrics.
-            self._learn(result.program, result.optimized, spec.name, stats=result.stats)
-        metrics = result.stats.metrics_snapshot()
-        if result.improved:
+        improved = result.improved
+        if improved:
+            # What ships is the printed program, priced as printed: the
+            # search's running total can sit a rounding error below it.
             optimized_source = to_source(
                 result.optimized, name=spec.name, input_names=program.input_names
             )
             optimized_cost = self.cost_model.program_cost(
                 parse(optimized_source, program.input_types, name=spec.name).node
             )
+            improved = self.cost_model.improves(optimized_cost, original_cost)
+        if improved:
+            # Learn before snapshotting so the audit verdict counter lands
+            # in this kernel's metrics.
+            self._learn(result.program, result.optimized, spec.name, stats=result.stats)
             return KernelOutcome(
                 name=spec.name,
                 improved=True,
@@ -375,7 +377,7 @@ class ModuleOptimizer:
                 optimized_cost=optimized_cost,
                 synthesis_seconds=result.synthesis_seconds,
                 status=status,
-                metrics=metrics,
+                metrics=result.stats.metrics_snapshot(),
             )
         return KernelOutcome(
             name=spec.name,
@@ -387,7 +389,7 @@ class ModuleOptimizer:
             optimized_cost=original_cost,
             synthesis_seconds=result.synthesis_seconds,
             status=status,
-            metrics=metrics,
+            metrics=result.stats.metrics_snapshot(),
         )
 
     def _learn(self, program: Program, optimized, name: str, stats=None) -> None:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ir.nodes import Call, Const, Node
 from repro.ir.types import DType
 from repro.symexec import fingerprint as _fp
 from repro.symexec.fingerprint import _eval, _NonRational, _WeakPoint
@@ -267,8 +268,6 @@ def _c_power(args, attrs, arg_nodes):
     residue registration.  Negative exponents invert the base battery, so a
     vanishing base residue falls back (engine: ``zoo`` → rejected).
     """
-    from repro.ir.nodes import Const  # deferred: nodes imports ir.types only
-
     if arg_nodes is None:
         raise _Unsupported
     exp_node = arg_nodes[1]
@@ -357,3 +356,65 @@ def compose(
 def supported_op(op: str) -> bool:
     """Whether ``op`` has a compositional battery rule."""
     return op == "power" or op in _COMPOSE
+
+
+_NO_ATTRS: dict = {}
+
+
+class BatteryTable:
+    """Batteries of *residue-safe* IR nodes: what :func:`compose` may read.
+
+    The one gate between "this node has a battery" and "candidates built on
+    this node may be priced from it without symbolic execution".  The cold
+    enumerator and the persistent cache's library restore both go through
+    it, so a restored battery is the composition the cold run performed.
+
+    Residue-safe means: inputs, integer-valued constants (where SymPy's
+    53-bit ``Float`` arithmetic and exact mod-q arithmetic agree), and calls
+    whose arguments are all themselves in the table.  Batteries over other
+    constants stay out, so their dependants keep taking the symbolic route
+    and a composed battery always matches what :func:`tensor_residues` of
+    the executed tensor would produce.
+    """
+
+    def __init__(self) -> None:
+        self._by_node: dict[Node, np.ndarray] = {}
+
+    def get(self, node: Node) -> np.ndarray | None:
+        return self._by_node.get(node)
+
+    def compose(self, node: Call) -> np.ndarray | None:
+        """Battery of ``node`` from its arguments' batteries (None = no-go)."""
+        args = []
+        for a in node.args:
+            r = self._by_node.get(a)
+            if r is None:
+                return None
+            args.append(r)
+        # Compose rules only read attrs; share one empty dict for the common
+        # attr-less candidate instead of allocating per candidate.
+        attrs = dict(node.attrs) if node.attrs else _NO_ATTRS
+        res = compose(node.op, attrs, args, arg_nodes=node.args)
+        if res is not None and res.shape[2:] != node.type.shape:
+            return None  # defensive: semantics drift falls back to symexec
+        return res
+
+    def register(self, node: Node, res: np.ndarray) -> None:
+        """Expose ``node``'s battery to :meth:`compose` if it is residue-safe."""
+        if isinstance(node, Const):
+            v = node.value
+            try:
+                ok = bool(
+                    np.all(np.isfinite(v))
+                    and np.all(v == np.round(v))
+                    and np.all(np.abs(v) < 1 << 20)
+                )
+            except TypeError:
+                ok = False
+        elif isinstance(node, Call):
+            by_node = self._by_node
+            ok = all(a in by_node for a in node.args)
+        else:
+            ok = True  # Input
+        if ok:
+            self._by_node[node] = res

@@ -7,10 +7,13 @@ cached and reused indefinitely".  This module makes that concrete: a
 * **solver outcomes** — every ``SketchSolver.solve_all`` result, keyed by the
   sketch's structural signature and the spec's canonical key.  A warm cache
   turns the search's dominant SymPy cost into dictionary lookups;
-* **stub libraries** — the enumerated stubs and sketch sources per program
-  signature, serialized as expression strings and re-parsed on load (the
-  printer/parser round-trip is exact for the synthesis grammar);
-* **program costs** — ``cost_model.program_cost`` results per expression.
+* **stub libraries** — the admitted stubs and sketch sources per program
+  signature, as one hash-consed node table (:func:`dump_library`).  Only IR
+  structure is stored: residue batteries and canonical keys are recomputed on
+  load by replaying admission (see :func:`repro.synth.library.build_library`);
+* **program costs** — ``cost_model.program_cost`` results per expression, for
+  cost models whose estimates are expensive (measured timings); analytic
+  models recompute faster than a key can be built.
 
 Every entry is namespaced by a *fingerprint* of the synthesis configuration
 and the cost model, so changing any search knob (except the pure resource
@@ -38,23 +41,25 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
+from repro.ir.nodes import Call, Const, Input, Node
 from repro.ir.printer import to_expression
+from repro.ir.types import DType, TensorType
 from repro.resilience import FileLock, inject
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cost.base import CostModel
-    from repro.ir.nodes import Node
     from repro.symexec.symtensor import SymTensor
     from repro.synth.config import SynthesisConfig
     from repro.synth.sketch import Sketch
 
 #: Bump when the on-disk format or any key scheme changes.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 _SECTIONS = ("solver", "library", "costs")
 
@@ -169,14 +174,35 @@ def dump_tensor(tensor: "SymTensor") -> dict:
     }
 
 
-def load_tensor(payload: Mapping) -> "SymTensor":
+@lru_cache(maxsize=1)
+def _srepr_namespace() -> dict:
     import sympy as sp
 
-    from repro.ir.types import DType
+    return {**vars(sp), "__builtins__": {}}
+
+
+@lru_cache(maxsize=1 << 16)
+def _load_srepr(text: str):
+    """The expression an ``srepr`` string denotes.
+
+    ``srepr`` output is constructor calls over SymPy's own names, so it is
+    evaluated directly in SymPy's namespace; anything that does not evaluate
+    that way takes ``sympify`` (tokenizer + transformations), which accepts
+    a superset.
+    """
+    try:
+        return eval(text, _srepr_namespace())  # noqa: S307 — our own cache file
+    except Exception:  # noqa: BLE001 — sympify decides what is unreadable
+        import sympy as sp
+
+        return sp.sympify(text)
+
+
+def load_tensor(payload: Mapping) -> "SymTensor":
     from repro.symexec.symtensor import SymTensor
 
     shape = tuple(payload["shape"])
-    entries = [sp.sympify(s) for s in payload["entries"]]
+    entries = [_load_srepr(s) for s in payload["entries"]]
     if shape:
         data = np.empty(shape, dtype=object)
         data.reshape(-1)[:] = entries
@@ -195,6 +221,84 @@ def load_solution(payload: Mapping) -> "tuple[SymTensor, ...] | None":
     if not payload.get("solved"):
         return None
     return tuple(load_tensor(t) for t in payload["tensors"])
+
+
+# ---------------------------------------------------------------------------
+# Library serialization (hash-consed node table)
+# ---------------------------------------------------------------------------
+
+#: Row ops of the two terminal kinds (no grammar op starts with ``$``).
+_INPUT_ROW = "$input"
+_CONST_ROW = "$const"
+
+
+def dump_library(stubs: "Iterable[Node]", sources: "Iterable[Node]") -> dict:
+    """Stub and sketch-source trees as one table of ``[op, arg ids, attrs]``.
+
+    Every distinct subtree gets one row, after the rows of its arguments, so
+    the table decodes in a single forward pass and the massive sharing
+    between stubs and sketch sources is stored once.
+    """
+    ids: dict[Node, int] = {}
+    rows: list[list] = []
+
+    def intern(node: "Node") -> int:
+        i = ids.get(node)
+        if i is None:
+            if isinstance(node, Call):
+                row = [node.op, [intern(a) for a in node.args], dict(node.attrs)]
+            elif isinstance(node, Input):
+                row = [_INPUT_ROW, [], {"name": node.name}]
+            else:
+                row = [
+                    _CONST_ROW,
+                    [],
+                    {
+                        "dtype": node.type.dtype.value,
+                        "shape": list(node.type.shape),
+                        "value": node.value.tolist(),
+                    },
+                ]
+            i = ids[node] = len(rows)
+            rows.append(row)
+        return i
+
+    return {
+        "nodes": rows,
+        "stubs": [intern(n) for n in stubs],
+        "sources": [intern(n) for n in sources],
+    }
+
+
+def load_library(
+    payload: Mapping, input_types: Mapping[str, TensorType]
+) -> "tuple[list[Node], list[Node]]":
+    """Inverse of :func:`dump_library`: ``(stub nodes, source nodes)``.
+
+    Raises on any malformed table (forward or negative arg id, unknown op or
+    input, ill-typed attrs — ``Call`` re-runs type inference on every row);
+    the caller treats that as a cache miss.
+    """
+    nodes: list[Node] = []
+    for op, arg_ids, attrs in payload["nodes"]:
+        if op == _INPUT_ROW:
+            node: Node = Input(attrs["name"], input_types[attrs["name"]])
+        elif op == _CONST_ROW:
+            ctype = TensorType(DType(attrs["dtype"]), tuple(attrs["shape"]))
+            value = np.asarray(
+                attrs["value"], dtype=bool if ctype.dtype is DType.BOOL else float
+            )
+            node = Const(value.reshape(ctype.shape), ctype)
+        else:
+            here = len(nodes)
+            if not all(0 <= i < here for i in arg_ids):
+                raise ValueError(f"node {here}: argument id out of range")
+            node = Call(op, [nodes[i] for i in arg_ids], **attrs)
+        nodes.append(node)
+    return (
+        [nodes[i] for i in payload["stubs"]],
+        [nodes[i] for i in payload["sources"]],
+    )
 
 
 # ---------------------------------------------------------------------------

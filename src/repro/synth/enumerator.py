@@ -170,10 +170,9 @@ class StubEnumerator:
         #: Value tier (fast mode): residue-battery bytes -> class.  Most
         #: candidates are settled here without symbolic execution at all.
         self._by_val: dict[tuple, _StubClass] = {}
-        #: Batteries of admitted champions, keyed by IR node, for the
-        #: compositional evaluator (only *residue-safe* nodes: see
-        #: :meth:`_register_res`).
-        self._res_by_node: dict[Node, "object"] = {}
+        #: Batteries of admitted residue-safe stubs, for the compositional
+        #: evaluator — the gate shared with the library restore.
+        self._batteries = _res.BatteryTable()
         self._use_fp = config.use_fingerprints
         self._seen_nodes: set[Node] = set()
         self._symexec_cache: dict[Node, SymTensor] = {}
@@ -306,7 +305,7 @@ class StubEnumerator:
                 return None
         fast = self._use_fp and _fp.enabled()
         if fast and isinstance(node, Call):
-            res = self._compose_residues(node)
+            res = self._batteries.compose(node)
             if res is not None:
                 return self._admit_value(node, res, None)
             if node.op == "divide" and self._divides_by_zero(node):
@@ -323,24 +322,6 @@ class StubEnumerator:
             return self._admit_fast(node, tensor)
         return self._admit_legacy(node, tensor)
 
-    _EMPTY_ATTRS: dict = {}
-
-    def _compose_residues(self, node: Call):
-        """Battery of ``node`` from its arguments' batteries (None = no-go)."""
-        args = []
-        for a in node.args:
-            r = self._res_by_node.get(a)
-            if r is None:
-                return None
-            args.append(r)
-        # Compose rules only read attrs; share one empty dict for the common
-        # attr-less candidate instead of allocating per candidate.
-        attrs = dict(node.attrs) if node.attrs else self._EMPTY_ATTRS
-        res = _res.compose(node.op, attrs, args, arg_nodes=node.args)
-        if res is not None and res.shape[2:] != node.type.shape:
-            return None  # defensive: semantics drift falls back to symexec
-        return res
-
     def _divides_by_zero(self, node: Call) -> bool:
         """True when the denominator stub is the identically-zero tensor.
 
@@ -349,7 +330,7 @@ class StubEnumerator:
         rather than merely vanishing at the battery points.
         """
         den = node.args[1]
-        r = self._res_by_node.get(den)
+        r = self._batteries.get(den)
         if r is None or r.any():
             return False
         cls = self._by_val.get(_res.residue_key(den.type.shape, den.type.dtype, r))
@@ -408,40 +389,8 @@ class StubEnumerator:
         if raw is not None:
             self._by_raw[raw] = cls
         self._classes.append(cls)
-        if tensor is None:
-            # Composed battery: every argument is registered by construction
-            # (compose read their batteries), so the node is residue-safe.
-            self._res_by_node[node] = res
-        else:
-            self._register_res(node, res)
+        self._batteries.register(node, res)
         return entry
-
-    def _register_res(self, node: Node, res) -> None:
-        """Expose ``node``'s battery to the compositional evaluator.
-
-        Only *residue-safe* nodes join: inputs, integer-valued constants
-        (where SymPy's 53-bit Float arithmetic and exact mod-q arithmetic
-        agree), and calls whose arguments are all themselves registered.
-        Candidates over other constants keep taking the symbolic route, so
-        composed batteries always match what ``tensor_residues`` of the
-        executed tensor would produce.
-        """
-        if isinstance(node, Const):
-            v = node.value
-            try:
-                ok = bool(
-                    np.all(np.isfinite(v))
-                    and np.all(v == np.round(v))
-                    and np.all(np.abs(v) < 1 << 20)
-                )
-            except TypeError:
-                ok = False
-        elif isinstance(node, Call):
-            ok = all(a in self._res_by_node for a in node.args)
-        else:
-            ok = True  # Input
-        if ok:
-            self._res_by_node[node] = res
 
     def _admit_fast(self, node: Node, tensor: SymTensor) -> StubEntry | None:
         """Three-tier dedup: raw structure, residue battery, canonical key.

@@ -12,15 +12,15 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.cost.base import CostModel
-from repro.ir.nodes import Call, Input, Node
-from repro.ir.parser import Program, parse_expression
-from repro.ir.printer import to_expression
+from repro.ir.nodes import Call, Node
+from repro.ir.parser import Program
 from repro.ir.types import DType, TensorType
 from repro.symexec import fingerprint as _fp
 from repro.symexec.canonical import canonical_key
 from repro.symexec.engine import symbolic_execute
-from repro.symexec.residues import residue_key, tensor_residues
+from repro.symexec.residues import BatteryTable, residue_key, tensor_residues
 from repro.symexec.symtensor import SymTensor
+from repro.synth.cache import dump_library, library_key, load_library
 from repro.synth.config import SynthesisConfig
 from repro.synth.enumerator import StubEntry, StubEnumerator
 from repro.synth.sketch import Hole, Sketch, sketches_from_stub
@@ -99,18 +99,16 @@ def build_library(
 ) -> Library:
     """Enumerate stubs for ``program`` and derive the sketch library.
 
-    With a :class:`~repro.synth.cache.PersistentCache`, the enumerated stubs
-    and sketch sources are stored per program signature as expression
-    strings: a warm run skips candidate generation and observational
-    deduplication entirely, re-parsing only the admitted stubs.  A
-    :class:`~repro.resilience.Budget` bounds enumeration: on expiry the
-    partial library is returned (and not cached — it is sound but smaller
-    than a full enumeration would produce).
+    With a :class:`~repro.synth.cache.PersistentCache`, the admitted stubs
+    and sketch sources are stored per program signature as a node table: a
+    warm run skips candidate generation and observational deduplication
+    entirely and only re-derives the admitted stubs' identities (see
+    :func:`_restore_stubs`).  A :class:`~repro.resilience.Budget` bounds
+    enumeration: on expiry the partial library is returned (and not cached —
+    it is sound but smaller than a full enumeration would produce).
     """
     cache_key = None
     if cache is not None:
-        from repro.synth.cache import library_key
-
         cache_key = library_key(fingerprint, program)
         payload = cache.library_get(cache_key)
         if payload is not None:
@@ -123,45 +121,70 @@ def build_library(
     if budget is not None and budget.expired():
         return library  # partial: do not poison the persistent cache with it
     if cache is not None and cache_key is not None:
-        try:
-            payload = {
-                "stubs": [to_expression(e.node) for e in stubs],
-                "sources": [to_expression(n) for n in enumerator.sketch_sources],
-            }
-        except Exception:
-            payload = None  # unprintable node: skip caching this library
-        if payload is not None:
-            cache.library_put(cache_key, payload)
+        cache.library_put(
+            cache_key,
+            dump_library([e.node for e in stubs], enumerator.sketch_sources),
+        )
     return library
 
 
 def _library_from_payload(
     payload: dict, program: Program, config: SynthesisConfig, cost_model: CostModel
 ) -> Library | None:
-    """Rebuild a library from cached expression strings (None on any failure)."""
+    """Rebuild a library from a cached node table (None on any failure)."""
     try:
-        types = program.input_types
-        shared: dict[Node, SymTensor] = {}
-        fast = config.use_fingerprints and _fp.enabled()
-        stubs: list[StubEntry] = []
-        for expr in payload["stubs"]:
-            node = parse_expression(expr, types).node
-            tensor = symbolic_execute(node, cache=shared)
-            if fast:
-                # Warm restore rides the fast path too: residue batteries
-                # instead of canonicalizing every stub; battery-weak ones
-                # fall back to keys, mirroring the cold enumerator exactly.
-                res = tensor_residues(tensor)
-                if res is not None:
-                    stubs.append(StubEntry(node, tensor, res=res))
-                    continue
-            stubs.append(StubEntry(node, tensor, key=canonical_key(tensor)))
-        sources = [parse_expression(expr, types).node for expr in payload["sources"]]
-    except Exception:
+        nodes, sources = load_library(payload, program.input_types)
+        stubs = _restore_stubs(nodes, config)
+    except Exception:  # noqa: BLE001 — the cache is an accelerator: re-enumerate
         return None
     library = _assemble_library(stubs, sources, config, cost_model)
     library.from_cache = True
     return library
+
+
+def _restore_stubs(nodes: list[Node], config: SynthesisConfig) -> list[StubEntry]:
+    """Stub entries for cached stub ``nodes``, identities derived afresh.
+
+    Replays what the cold enumerator did for exactly these nodes, bottom-up:
+    a call whose arguments are all residue-safe gets its battery by
+    composition and keeps its symbolic tensor lazy; terminals and everything
+    :meth:`BatteryTable.compose` has no opinion on (irrational values,
+    booleans, non-integer constants) are symbolically executed and take
+    ``tensor_residues`` or, battery-weak, their canonical key.  Nothing but
+    IR structure is trusted from disk.
+    """
+    shared: dict[Node, SymTensor] = {}
+    if not (config.use_fingerprints and _fp.enabled()):
+        tensors = [symbolic_execute(node, cache=shared) for node in nodes]
+        return [StubEntry(n, t, key=canonical_key(t)) for n, t in zip(nodes, tensors)]
+    batteries = BatteryTable()
+    done: dict[Node, tuple] = {}
+
+    def derive(node: Node) -> tuple:
+        """``(battery | None, executed tensor | None)`` of ``node``."""
+        out = done.get(node)
+        if out is None:
+            res = tensor = None
+            if isinstance(node, Call):
+                for arg in node.args:
+                    derive(arg)
+                res = batteries.compose(node)
+            if res is None:
+                tensor = symbolic_execute(node, cache=shared)
+                res = tensor_residues(tensor)
+            if res is not None:
+                batteries.register(node, res)
+            out = done[node] = (res, tensor)
+        return out
+
+    stubs = []
+    for node in nodes:
+        res, tensor = derive(node)
+        if res is not None:
+            stubs.append(StubEntry(node, tensor, res=res, exec_cache=shared))
+        else:
+            stubs.append(StubEntry(node, tensor, key=canonical_key(tensor)))
+    return stubs
 
 
 def _assemble_library(

@@ -198,8 +198,7 @@ def superoptimize_program(
 
     # Line 7, with the model's noise floor: a measured model only declares
     # victory when the candidate beats the original by more than its margin.
-    threshold = cost_min * (1.0 - cost_model.decision_margin)
-    improved = result is not None and result_cost < threshold
+    improved = result is not None and cost_model.improves(result_cost, cost_min)
     verified = False
     if improved:
         assert result is not None

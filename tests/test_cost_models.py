@@ -109,3 +109,42 @@ class TestFactory:
     def test_kwargs_forwarded(self):
         model = make_cost_model("flops", dim_map={2: 20})
         assert model.mapper.dim(2) == 20
+
+
+class TestPersistedCosts:
+    """The persistent cache's cost section holds only expensive estimates."""
+
+    def test_analytic_models_memoize_in_memory_only(self, tmp_path):
+        from repro.cost.cached import with_caching
+        from repro.synth import PersistentCache
+
+        assert MeasuredCostModel.expensive_estimates
+        assert not FlopsCostModel.expensive_estimates
+        assert not make_cost_model("roofline").expensive_estimates
+
+        cache = PersistentCache(tmp_path)
+        node = node_of("A * B + A")
+        model = with_caching(FlopsCostModel(), cache, "fp")
+        assert model.program_cost(node) == FlopsCostModel().program_cost(node)
+        assert model.program_cost(node) == FlopsCostModel().program_cost(node)
+        assert (model.hits, model.misses) == (1, 1)  # the in-memory memo stays
+        assert cache.delta() == {}
+
+    def test_expensive_estimates_persist_across_runs(self, tmp_path):
+        from repro.cost.cached import with_caching
+        from repro.synth import PersistentCache
+
+        class Timed(FlopsCostModel):
+            expensive_estimates = True
+
+        class MustNotRun(Timed):
+            def program_cost(self, node):
+                raise AssertionError("a persisted estimate was recomputed")
+
+        node = node_of("A * B + A")
+        cache = PersistentCache(tmp_path)
+        cost = with_caching(Timed(), cache, "fp").program_cost(node)
+        assert list(cache.delta()["costs"].values()) == [cost]
+        cache.save()
+        warm = with_caching(MustNotRun(), PersistentCache(tmp_path), "fp")
+        assert warm.program_cost(node) == cost

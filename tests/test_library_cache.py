@@ -1,0 +1,227 @@
+"""The persistent cache's library section: restore by replayed admission.
+
+The contract: a library rebuilt from a saved-and-reloaded cache is the cold
+library — same stubs in the same order with byte-equal residue batteries (or
+equal canonical keys for battery-weak stubs), same sketches in the same
+order — while only terminals and stubs the compositional evaluator has no
+opinion on are symbolically executed; and anything wrong with the stored
+node table costs a cold enumerate, never a different answer.
+"""
+
+import copy
+import json
+
+import numpy as np
+import pytest
+
+from repro.cost import make_cost_model
+from repro.ir.nodes import Call, Const
+from repro.ir.parser import parse
+from repro.ir.types import DType, float_tensor
+from repro.pipeline import KernelSpec, ModuleOptimizer
+from repro.synth import PersistentCache, SynthesisConfig
+from repro.synth import library as library_mod
+from repro.synth.cache import dump_library, load_library
+from repro.synth.library import build_library
+
+CONFIG = SynthesisConfig(timeout_seconds=90)
+
+#: name -> (source, input shapes).  Rational fragment, solver-reaching,
+#: sqrt (battery-weak route) and predicate (boolean stubs) kernels.
+KERNELS = {
+    "matmul": ("np.dot(A, B)", {"A": (2, 2), "B": (2, 2)}),
+    "exp_log": ("np.exp(np.log(A + B))", {"A": (2, 2), "B": (2, 2)}),
+    "diag_dot": ("np.diag(np.dot(A, B))", {"A": (2, 2), "B": (2, 2)}),
+    "synth_11": ("A * A * A * A * A", {"A": (2, 3)}),
+    "synth_3": ("(A + B) / np.sqrt(A + B)", {"A": (2, 2), "B": (2, 2)}),
+    "where_less": ("np.where(A < B, A, B)", {"A": (2,), "B": (2,)}),
+}
+
+
+def _program(name):
+    source, shapes = KERNELS[name]
+    return parse(source, {k: float_tensor(*s) for k, s in shapes.items()}, name=name)
+
+
+def _cold_then_warm(name, tmp_path, tamper=None):
+    """Cold build into a cache, save, reload from disk, build again."""
+    program, model = _program(name), make_cost_model("flops")
+    cache = PersistentCache(tmp_path)
+    cold = build_library(program, CONFIG, model, cache=cache, fingerprint="fp")
+    cache.save()
+    if tamper is not None:
+        file = tmp_path / "library.json"
+        raw = json.loads(file.read_text())
+        tamper(raw)
+        file.write_text(json.dumps(raw))
+    reloaded = PersistentCache(tmp_path)
+    warm = build_library(program, CONFIG, model, cache=reloaded, fingerprint="fp")
+    return cold, warm
+
+
+def _assert_same_library(cold, warm):
+    assert [e.node for e in warm.stubs] == [e.node for e in cold.stubs]
+    for c, w in zip(cold.stubs, warm.stubs):
+        assert (w.res is None) == (c.res is None), c.node
+        if c.res is not None:
+            assert w.res.dtype == c.res.dtype and w.res.shape == c.res.shape
+            assert w.res.tobytes() == c.res.tobytes(), c.node
+        else:
+            assert w.cached_key == c.cached_key and c.cached_key is not None, c.node
+    assert [(s.root, s.cost) for s in warm.sketches] == [
+        (s.root, s.cost) for s in cold.sketches
+    ]
+    assert list(warm.stubs_by_val) == list(cold.stubs_by_val)
+    assert list(warm.weak_by_key) == list(cold.weak_by_key)
+    assert warm.stub_costs == cold.stub_costs
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_restored_library_equals_cold(name, tmp_path):
+    cold, warm = _cold_then_warm(name, tmp_path)
+    assert not cold.from_cache and warm.from_cache
+    _assert_same_library(cold, warm)
+
+
+def test_weak_and_boolean_kernels_exercise_the_key_route(tmp_path):
+    for name in ("synth_3", "where_less"):
+        cold, _ = _cold_then_warm(name, tmp_path / name)
+        assert any(e.res is None for e in cold.stubs), name
+        assert any(e.res is not None for e in cold.stubs), name
+
+
+def test_restore_executes_only_terminals_and_weak_stubs(tmp_path, monkeypatch):
+    program, model = _program("diag_dot"), make_cost_model("flops")
+    cache = PersistentCache(tmp_path)
+    cold = build_library(program, CONFIG, model, cache=cache, fingerprint="fp")
+    cache.save()
+
+    executed = []
+    real = library_mod.symbolic_execute
+
+    def counting(node, cache=None):
+        executed.append(node)
+        return real(node, cache=cache)
+
+    monkeypatch.setattr(library_mod, "symbolic_execute", counting)
+    warm = build_library(
+        program, CONFIG, model, cache=PersistentCache(tmp_path), fingerprint="fp"
+    )
+    assert warm.from_cache
+    compound = [n for n in executed if isinstance(n, Call)]
+    assert len(set(executed)) == len(executed)
+    # Every compound node the restore executed is one composition has no
+    # opinion on; every other stub was priced from its arguments' batteries
+    # and stays lazy, exactly as the cold enumerator leaves it.
+    assert all(_no_opinion(n) for n in compound), [n for n in compound if not _no_opinion(n)]
+    composed = [e for e in warm.stubs if isinstance(e.node, Call) and not _no_opinion(e.node)]
+    assert len(composed) > len(compound)
+    assert all(e.res is not None and e._tensor is None for e in composed)
+    assert not set(compound) & {e.node for e in composed}
+
+
+def _no_opinion(node):
+    """Does ``node`` contain something ``residues.compose`` will not price?"""
+    return any(
+        (isinstance(n, Call) and (n.op == "sqrt" or n.type.dtype is DType.BOOL))
+        or (isinstance(n, Const) and not np.all(n.value == np.round(n.value)))
+        for n in node.walk()
+    )
+
+
+def _dangling(raw):
+    for entry in raw["entries"].values():
+        row = next(r for r in entry["nodes"] if r[1])
+        row[1][0] = len(entry["nodes"]) + 7
+
+
+def _negative(raw):
+    for entry in raw["entries"].values():
+        row = next(r for r in entry["nodes"] if r[1])
+        row[1][0] = -1
+
+
+def _unknown_op(raw):
+    for entry in raw["entries"].values():
+        next(r for r in entry["nodes"] if r[1])[0] = "no_such_op"
+
+
+def _bad_attr(raw):
+    for entry in raw["entries"].values():
+        next(r for r in entry["nodes"] if r[0] == "sum")[2] = {"axis": "x"}
+
+
+def _unknown_input(raw):
+    for entry in raw["entries"].values():
+        next(r for r in entry["nodes"] if r[0] == "$input")[2] = {"name": "Z"}
+
+
+def _v1_format(raw):
+    raw["version"] = 1
+    for key in raw["entries"]:
+        raw["entries"][key] = {"stubs": ["A", "B"], "sources": ["np.add(A, B)"]}
+
+
+def _v1_payload_under_v2(raw):
+    for key in raw["entries"]:
+        raw["entries"][key] = {"stubs": ["A", "B"], "sources": ["np.add(A, B)"]}
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_dangling, _negative, _unknown_op, _bad_attr, _unknown_input, _v1_format,
+     _v1_payload_under_v2],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_malformed_library_falls_back_to_cold_enumerate(tamper, tmp_path):
+    cold, warm = _cold_then_warm("matmul", tmp_path, tamper=tamper)
+    assert not warm.from_cache
+    _assert_same_library(cold, warm)
+
+
+def test_node_table_roundtrip_is_structural():
+    program = parse(
+        "np.sum(np.transpose(A) * 2.5, axis=0) + np.full((2, 2), 3.0)",
+        {"A": float_tensor(2, 2)},
+    )
+    nodes = list(program.node.walk())
+    payload = json.loads(json.dumps(dump_library(nodes[:3], nodes)))
+    stubs, sources = load_library(payload, program.input_types)
+    assert stubs == nodes[:3] and sources == nodes
+    assert [n.type for n in sources] == [n.type for n in nodes]
+    # One row per distinct subtree, arguments first.
+    assert len(payload["nodes"]) == len(set(nodes))
+    for i, (_op, args, _attrs) in enumerate(payload["nodes"]):
+        assert all(a < i for a in args)
+
+
+def test_library_payload_survives_delta_and_absorb(tmp_path):
+    program, model = _program("exp_log"), make_cost_model("flops")
+    worker = PersistentCache(tmp_path / "worker")
+    cold = build_library(program, CONFIG, model, cache=worker, fingerprint="fp")
+    delta = copy.deepcopy(worker.delta())  # what the pool's delta log ships
+    assert set(delta) == {"library"}
+    peer = PersistentCache(tmp_path / "peer")
+    peer.absorb(delta)
+    warm = build_library(program, CONFIG, model, cache=peer, fingerprint="fp")
+    assert warm.from_cache
+    _assert_same_library(cold, warm)
+    assert peer.delta() == {}  # absorbed entries are not the peer's own
+
+
+def test_module_summary_identical_cold_and_warm(tmp_path):
+    module = [
+        KernelSpec("exp_log", "np.exp(np.log(A + B))", {"A": (3, 3), "B": (3, 3)}),
+        KernelSpec("diag_dot", "np.diag(np.dot(A, B))", {"A": (2, 2), "B": (2, 2)}),
+        KernelSpec("synth_3", "(A + B) / np.sqrt(A + B)", {"A": (2, 2), "B": (2, 2)}),
+    ]
+    cold = ModuleOptimizer(config=CONFIG, cache=tmp_path).optimize_module(module)
+    warm_opt = ModuleOptimizer(config=CONFIG, cache=tmp_path)
+    warm = warm_opt.optimize_module(module)
+    assert warm.summary() == cold.summary()
+    assert [o.optimized_source for o in warm.outcomes] == [
+        o.optimized_source for o in cold.outcomes
+    ]
+    stats = warm_opt.cache.stats
+    assert stats.library_hits == 3 and stats.library_misses == 0
+    assert stats.solver_misses == 0

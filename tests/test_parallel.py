@@ -115,15 +115,60 @@ def test_batch_key_normalizes_names_and_shrinkable_shapes():
     assert _batch_key(a, FAST) != _batch_key(c, FAST)
 
 
+def test_batch_key_separates_programs_sharing_a_spec():
+    # np.power(A, 6) / np.power(A, 4) executes to the same symbolic tensor as
+    # np.power(A, 2); an "unimproved" verdict on the latter says nothing
+    # about the former, so the dedup key must tell them apart — and the
+    # parallel driver must then agree with the sequential pipeline whichever
+    # comes first.
+    square = KernelSpec("elem_square", "np.power(A, 2)", {"A": (2, 3)})
+    ratio = KernelSpec("synth_7", "np.power(A, 6) / np.power(A, 4)", {"A": (2, 3)})
+    assert _batch_key(square, FAST) != _batch_key(ratio, FAST)
+    for module in ([square, ratio], [ratio, square]):
+        seq = ModuleOptimizer(config=FAST).optimize_module(module)
+        par = ModuleOptimizer(config=FAST).optimize_module(module, parallel=2)
+        assert _signature(par) == _signature(seq)
+        by = {o.name: o for o in par.outcomes}
+        assert by["synth_7"].improved and not by["elem_square"].improved
+
+
 def test_symbolic_tensor_cache_roundtrip():
+    # The solver section is read back by evaluating srepr strings in SymPy's
+    # namespace; sympify (the slow reader it replaced) is the reference.
+    import numpy as np
+    import sympy as sp
+
+    from repro.ir.types import DType
+    from repro.symexec.symtensor import SymTensor
     from repro.synth.cache import dump_tensor, load_tensor
 
     program = parse("A * B + A", {"A": float_tensor(2, 2), "B": float_tensor(2, 2)})
-    tensor = symbolic_execute(program.node)
-    loaded = load_tensor(dump_tensor(tensor))
-    assert loaded.shape == tensor.shape
-    assert loaded.dtype == tensor.dtype
-    assert [str(e) for e in loaded.entries()] == [str(e) for e in tensor.entries()]
+    x = sp.Symbol("A_0_1", positive=True)
+    y = sp.Symbol("A?", real=True)
+    data = np.empty((2, 3), dtype=object)
+    data.reshape(-1)[:] = [
+        sp.Float("1.5") * x,
+        sp.Rational(3, 7) + x**-2,
+        sp.Max(x, y, 0),
+        sp.Piecewise((x, x < y), (y / 3, True)),
+        sp.sqrt(x * y) - sp.Integer(4),
+        sp.exp(sp.log(x + y)),
+    ]
+    for tensor in (symbolic_execute(program.node), SymTensor(data, DType.FLOAT)):
+        payload = dump_tensor(tensor)
+        loaded = load_tensor(payload)
+        assert loaded.shape == tensor.shape
+        assert loaded.dtype == tensor.dtype
+        for got, text, original in zip(
+            loaded.entries(), payload["entries"], tensor.entries()
+        ):
+            reference = sp.sympify(text)
+            assert got == reference == original
+            assert sp.srepr(got) == sp.srepr(reference) == text
+            assert got.free_symbols == original.free_symbols  # assumptions kept
+    # Not an srepr string at all: the sympify fallback still reads it.
+    plain = load_tensor({"shape": [], "dtype": "float", "entries": ["2*x + 1"]})
+    assert list(plain.entries()) == [sp.sympify("2*x + 1")]
 
 
 def test_cache_delta_merge(tmp_path):

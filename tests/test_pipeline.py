@@ -34,6 +34,62 @@ class TestSingleKernel:
         assert outcome.optimized_source == outcome.original_source
 
 
+class TestCostTieIsNotAnImprovement:
+    def test_improves_needs_more_than_rounding_and_margin(self):
+        class Noisy(FlopsCostModel):
+            decision_margin = 0.04
+
+        exact = FlopsCostModel()
+        assert not exact.improves(40.002, 40.001999999999995)
+        assert not exact.improves(40.001999999999995, 40.002)  # 7e-15 apart: a tie
+        assert not exact.improves(40.002, 40.002)
+        assert exact.improves(40.001, 40.002)  # one 0.001 op overhead is real
+        # ... also against a large total (reshape_dot at timing shapes).
+        assert exact.improves(12582912.001, 12582912.003)
+        assert not exact.improves(0.0, 0.0)
+        assert not Noisy().improves(39.0, 40.0) and Noisy().improves(38.0, 40.0)
+
+    def test_repriced_tie_is_reported_unchanged(self, monkeypatch):
+        # The search claims a win, but the program it hands back — printed,
+        # re-parsed, priced by the model — costs what the original costs.
+        from repro import pipeline
+        from repro.ir.parser import parse
+        from repro.ir.types import float_tensor
+        from repro.synth.search import SearchStats
+        from repro.synth.superoptimizer import SynthesisResult
+
+        types = {"A": float_tensor(3, 3), "B": float_tensor(3, 3)}
+        program = parse("A + B", types, name="k")
+        swapped = parse("B + A", types, name="k").node
+
+        def claims_a_win(source, inputs, **kwargs):
+            cost = kwargs["cost_model"].program_cost(program.node)
+            return SynthesisResult(
+                program=program, optimized=swapped, improved=True,
+                original_cost=cost, optimized_cost=cost - 7e-15, verified=True,
+                stats=SearchStats(), synthesis_seconds=0.0,
+            )
+
+        monkeypatch.setattr(pipeline, "superoptimize_source", claims_a_win)
+        opt = optimizer()
+        outcome = opt.optimize_kernel(KernelSpec("k", "A + B", {"A": (3, 3), "B": (3, 3)}))
+        assert not outcome.improved and outcome.via == "unchanged"
+        assert outcome.optimized_source == outcome.original_source
+        assert outcome.optimized_cost == outcome.original_cost
+        assert opt.rules == []  # a tie teaches the rule cache nothing
+
+    def test_max_stack_is_unchanged(self):
+        # Flagged improved on a 7e-15 summation-order difference before
+        # (original 40.001999999999995, "optimized" 40.002).
+        outcome = optimizer().optimize_kernel(
+            KernelSpec(
+                "max_stack", "np.max(np.stack([A, B]), axis=0)", {"A": (4, 5), "B": (4, 5)}
+            )
+        )
+        assert not outcome.improved and outcome.via == "unchanged"
+        assert outcome.optimized_cost == outcome.original_cost
+
+
 class TestRuleCacheAmortization:
     def test_second_kernel_hits_cache(self):
         """The Section VII-E story: the first kernel pays synthesis, a later

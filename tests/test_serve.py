@@ -113,6 +113,28 @@ class TestResultsMatchPipeline:
         )
         assert all(o.status in ("ok", "degraded") for o in outcomes)
 
+    def test_unimproved_pattern_shortcut_keys_on_the_program(self, tmp_path):
+        # Same symbolic spec, different programs: ``A**2`` coming back
+        # unimproved must not pass ``A**6 / A**4`` through unchanged.
+        square = KernelSpec("elem_square", "np.power(A, 2)", {"A": (2, 3)})
+        ratio = KernelSpec("synth_7", "np.power(A, 6) / np.power(A, 4)", {"A": (2, 3)})
+        baseline = ModuleOptimizer(config=FAST).optimize_module([square, ratio])
+        assert [o.improved for o in baseline.outcomes] == [False, True]
+        with serve(tmp_path, workers=1) as (daemon, client):
+            outcomes = [
+                client.result(client.submit(spec), wait=True, timeout_s=300)
+                for spec in (square, ratio)  # the second only after the first's verdict
+            ]
+            again = client.result(
+                client.submit(KernelSpec("sq2", "np.power(P, 2)", {"P": (2, 3)})),
+                wait=True, timeout_s=300,
+            )
+            assert client.metrics()["counters"].get("serve.pattern_hits") == 1
+        assert [_signature(o) for o in outcomes] == [
+            _signature(o) for o in baseline.outcomes
+        ]
+        assert not again.improved  # the same program, renamed, still shortcuts
+
     def test_status_and_metrics_surface(self, tmp_path):
         with serve(tmp_path, workers=1) as (daemon, client):
             rid = client.submit(EXP_LOG)
