@@ -494,6 +494,14 @@ class PersistentCache:
         self.stats.library_hits += 1
         return hit
 
+    def library_reject(self, key: str) -> None:
+        """Forget an entry :meth:`library_get` returned that would not decode:
+        a miss after all.  The re-enumeration's :meth:`library_put` is then a
+        first write again, and our own entries win the merge in :meth:`save`."""
+        self._load("library").pop(key, None)
+        self.stats.library_hits -= 1
+        self.stats.library_misses += 1
+
     def library_put(self, key: str, payload: dict) -> None:
         self._put("library", key, payload)
 

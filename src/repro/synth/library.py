@@ -2,19 +2,22 @@
 
 A :class:`Library` holds the enumerated stubs — indexed by canonical key for
 the base-case MATCH of Algorithm 2 — and the sketches derived from them,
-indexed by output type for fast filtering in SOLVE.  Costs are attached from
-the active cost model when the library is built.
+indexed by output type for fast filtering in SOLVE.  The sketches are derived
+and priced by the active cost model when SOLVE first asks for them: a search
+that ends at the base-case MATCH never reads one.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
 
 from repro.cost.base import CostModel
 from repro.ir.nodes import Call, Node
 from repro.ir.parser import Program
 from repro.ir.types import DType, TensorType
+from repro.obs.trace import get_tracer
 from repro.symexec import fingerprint as _fp
 from repro.symexec.canonical import canonical_key
 from repro.symexec.engine import symbolic_execute
@@ -32,10 +35,11 @@ class Library:
 
     stubs: list[StubEntry]
     stub_by_key: dict[tuple, StubEntry]
-    stub_costs: dict[Node, float]
     stubs_by_sig: dict[tuple, list[StubEntry]]
-    sketches: list[Sketch]
-    sketches_by_type: dict[TensorType, list[Sketch]]
+    #: What the first SOLVE derives :attr:`sketches` from.
+    sketch_sources: list[Node]
+    multi_hole: bool
+    cost_model: CostModel
     from_cache: bool = False
     #: Fingerprint buckets: fp -> stubs sharing it (fast equivalence path).
     stubs_by_fp: dict[tuple, list[StubEntry]] = field(default_factory=dict)
@@ -45,6 +49,8 @@ class Library:
     weak_by_key: dict[tuple, StubEntry] = field(default_factory=dict)
     #: False while some stubs have no canonical key yet (fingerprint mode).
     key_index_complete: bool = True
+    #: Seconds the sketch derivation took; 0.0 while none has been derived.
+    derive_seconds: float = 0.0
 
     def match_stub(self, key: tuple) -> StubEntry | None:
         """Base-case MATCH: exact canonical-key lookup.
@@ -77,6 +83,37 @@ class Library:
         """Stubs sharing shape/dtype — candidates for slow-path matching."""
         return self.stubs_by_sig.get((shape, dtype), [])
 
+    @cached_property
+    def sketches(self) -> list[Sketch]:
+        """Every sketch, cheapest first — derived and priced on the first read."""
+        start = time.monotonic()
+        sketches: list[Sketch] = []
+        seen_roots: set[Node] = set()
+        for source in self.sketch_sources:
+            if not isinstance(source, Call):
+                continue  # terminals produce no sketches
+            for sk in sketches_from_stub(source, multi_hole=self.multi_hole):
+                if sk.root in seen_roots:
+                    continue
+                seen_roots.add(sk.root)
+                sketches.append(sk.with_cost(self.cost_model.program_cost(sk.root)))
+        sketches.sort(key=lambda s: (s.cost, s.root.num_nodes))
+        self.derive_seconds = time.monotonic() - start
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.complete(
+                "derive-sketches", "enum", start=start, duration=self.derive_seconds,
+                sources=len(self.sketch_sources), sketches=len(sketches),
+            )
+        return sketches
+
+    @cached_property
+    def sketches_by_type(self) -> dict[TensorType, list[Sketch]]:
+        by_type: dict[TensorType, list[Sketch]] = {}
+        for sk in self.sketches:
+            by_type.setdefault(sk.root.type, []).append(sk)
+        return by_type
+
     def sketches_for(self, type: TensorType) -> list[Sketch]:
         return self.sketches_by_type.get(type, [])
 
@@ -86,7 +123,8 @@ class Library:
 
     @property
     def sketch_count(self) -> int:
-        return len(self.sketches)
+        """Sketches derived so far: 0 until a SOLVE has asked for them."""
+        return len(self.__dict__.get("sketches", ()))  # where cached_property keeps it
 
 
 def build_library(
@@ -97,7 +135,7 @@ def build_library(
     fingerprint: str = "",
     budget=None,
 ) -> Library:
-    """Enumerate stubs for ``program`` and derive the sketch library.
+    """Enumerate stubs for ``program``; sketches follow at the first SOLVE.
 
     With a :class:`~repro.synth.cache.PersistentCache`, the admitted stubs
     and sketch sources are stored per program signature as a node table: a
@@ -115,6 +153,7 @@ def build_library(
             library = _library_from_payload(payload, program, config, cost_model)
             if library is not None:
                 return library
+            cache.library_reject(cache_key)  # undecodable: a miss, to be replaced
     enumerator = StubEnumerator(program, config, cost_model=cost_model, budget=budget)
     stubs = enumerator.enumerate()
     library = _assemble_library(stubs, enumerator.sketch_sources, config, cost_model)
@@ -189,12 +228,11 @@ def _restore_stubs(nodes: list[Node], config: SynthesisConfig) -> list[StubEntry
 
 def _assemble_library(
     stubs: list[StubEntry],
-    sketch_sources: Iterable[Node],
+    sketch_sources: list[Node],
     config: SynthesisConfig,
     cost_model: CostModel,
 ) -> Library:
     stub_by_key: dict[tuple, StubEntry] = {}
-    stub_costs: dict[Node, float] = {}
     stubs_by_sig: dict[tuple, list[StubEntry]] = {}
     stubs_by_fp: dict[tuple, list[StubEntry]] = {}
     stubs_by_val: dict[tuple, StubEntry] = {}
@@ -214,34 +252,17 @@ def _assemble_library(
             # Battery/fingerprint-admitted stub: its canonical key is computed
             # only if an exact-key query ever needs it (see Library.match_stub).
             key_index_complete = False
-        stub_costs[entry.node] = cost_model.program_cost(entry.node)
         # Signature from the IR type, not the tensor: residue-admitted stubs
         # keep their symbolic tensors lazy through assembly.
         stubs_by_sig.setdefault(sig, []).append(entry)
 
-    sketches: list[Sketch] = []
-    seen_roots: set[Node] = set()
-    for source in sketch_sources:
-        if not isinstance(source, Call):
-            continue  # terminals produce no sketches
-        for sk in sketches_from_stub(source, multi_hole=config.multi_hole_sketches):
-            if sk.root in seen_roots:
-                continue
-            seen_roots.add(sk.root)
-            sketches.append(sk.with_cost(cost_model.program_cost(sk.root)))
-
-    sketches.sort(key=lambda s: (s.cost, s.root.num_nodes))
-    sketches_by_type: dict[TensorType, list[Sketch]] = {}
-    for sk in sketches:
-        sketches_by_type.setdefault(sk.root.type, []).append(sk)
-
     return Library(
         stubs=stubs,
         stub_by_key=stub_by_key,
-        stub_costs=stub_costs,
         stubs_by_sig=stubs_by_sig,
-        sketches=sketches,
-        sketches_by_type=sketches_by_type,
+        sketch_sources=sketch_sources,
+        multi_hole=config.multi_hole_sketches,
+        cost_model=cost_model,
         stubs_by_fp=stubs_by_fp,
         stubs_by_val=stubs_by_val,
         weak_by_key=weak_by_key,

@@ -51,8 +51,11 @@ class SearchStats:
     ``solver_calls`` counts *actual* ``solve_all`` invocations; queries
     answered by the persistent cache count into ``solver_cache_hits``
     instead.  The ``time_*`` fields are the stage-level profiler: wall-time
-    spent building the stub library, solving sketches, matching base cases,
-    and verifying the final candidate.
+    spent building the stub library, deriving its sketches (at the first
+    SOLVE; zero for a search that ends at MATCH), solving sketches, matching
+    base cases, and verifying the final candidate.  ``sketch_count`` is the
+    number of sketches derived, filled in with ``time_sketches`` when the
+    search ends.
 
     The flat fields are kept for existing consumers; the ``record_*``
     helpers additionally populate ``metrics``, a
@@ -74,6 +77,7 @@ class SearchStats:
     max_depth_reached: int = 0
     # -- stage-level profiler -------------------------------------------------
     time_enumeration: float = 0.0
+    time_sketches: float = 0.0
     time_solver: float = 0.0
     time_base_match: float = 0.0
     time_verification: float = 0.0
@@ -187,6 +191,7 @@ class SearchStats:
         cost = f" | cost cache {self.cost_cache_hits} hits" if self.cost_cache_hits else ""
         return (
             f"enum {self.time_enumeration:.2f}s{lib} | "
+            f"sketches {self.time_sketches:.2f}s | "
             f"solver {self.time_solver:.2f}s ({self.solver_calls} calls{cached}) | "
             f"match {self.time_base_match:.2f}s ({self.base_case_matches} hits{memo}) | "
             f"verify {self.time_verification:.2f}s{cost}"
@@ -217,9 +222,7 @@ class SearchContext:
         self.solver = SketchSolver(config, scope=scope, tracer=self.tracer)
         self.cache = cache  # PersistentCache | None
         self.fingerprint = fingerprint
-        self.stats = SearchStats(
-            stub_count=library.stub_count, sketch_count=library.sketch_count
-        )
+        self.stats = SearchStats(stub_count=library.stub_count)
         self.budget = budget if budget is not None else Budget.for_config(config)
         self.memo: dict[tuple, tuple[Node | None, float]] = {}
         self._retyped: dict[TensorType, list[Sketch]] = {}
@@ -396,7 +399,7 @@ def _match_base_case(spec: SymTensor, key: tuple, ctx: SearchContext):
         for e in ctx.library.stubs_with_signature(spec.shape, spec.dtype)
         if e.tensor.input_names() == names
     ]
-    candidates.sort(key=lambda e: ctx.library.stub_costs[e.node])
+    candidates.sort(key=lambda e: ctx.cost_model.program_cost(e.node))
     for e in candidates[:24]:
         if res is not None and e.res is not None:
             if e.res.shape != res.shape or not (e.res == res).all():
@@ -488,7 +491,7 @@ def _dfs(
         )
     if matched is not None:
         ctx.stats.record_base_match()
-        result = (matched.node, ctx.library.stub_costs[matched.node])
+        result = (matched.node, ctx.cost_model.program_cost(matched.node))
         if ctx.config.memoize:
             ctx.memo[key] = result
         return result

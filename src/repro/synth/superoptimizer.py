@@ -4,7 +4,7 @@
 
 1. estimate the input program's cost (the initial branch-and-bound bound);
 2. symbolically execute it into the target specification Φ;
-3. enumerate stubs and sketches (Section IV-B);
+3. enumerate stubs (Section IV-B); their sketches are derived at the first SOLVE;
 4. run the DFS of Algorithm 2;
 5. verify the winning candidate numerically and symbolically, and return the
    original program unless a strictly cheaper verified candidate was found.
@@ -195,6 +195,9 @@ def superoptimize_program(
         )
     elapsed = time.monotonic() - start
     ctx.stats.elapsed_seconds = elapsed
+    # Sketches exist only if some SOLVE asked for them: known only now.
+    ctx.stats.sketch_count = library.sketch_count
+    ctx.stats.time_sketches = library.derive_seconds
 
     # Line 7, with the model's noise floor: a measured model only declares
     # victory when the candidate beats the original by more than its margin.

@@ -68,12 +68,12 @@ def _assert_same_library(cold, warm):
             assert w.res.tobytes() == c.res.tobytes(), c.node
         else:
             assert w.cached_key == c.cached_key and c.cached_key is not None, c.node
+    assert warm.sketch_sources == cold.sketch_sources
     assert [(s.root, s.cost) for s in warm.sketches] == [
         (s.root, s.cost) for s in cold.sketches
     ]
     assert list(warm.stubs_by_val) == list(cold.stubs_by_val)
     assert list(warm.weak_by_key) == list(cold.weak_by_key)
-    assert warm.stub_costs == cold.stub_costs
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -177,6 +177,25 @@ def test_malformed_library_falls_back_to_cold_enumerate(tamper, tmp_path):
     cold, warm = _cold_then_warm("matmul", tmp_path, tamper=tamper)
     assert not warm.from_cache
     _assert_same_library(cold, warm)
+
+
+def test_undecodable_entry_is_a_miss_and_is_replaced_on_save(tmp_path):
+    program, model = _program("matmul"), make_cost_model("flops")
+    _cold_then_warm("matmul", tmp_path, tamper=_unknown_op)  # its warm cache is never saved
+
+    repairing = PersistentCache(tmp_path)
+    rebuilt = build_library(program, CONFIG, model, cache=repairing, fingerprint="fp")
+    assert not rebuilt.from_cache
+    assert (repairing.stats.library_hits, repairing.stats.library_misses) == (0, 1)
+    assert set(repairing.delta()) == {"library"}  # the replacement is ours
+    repairing.save()
+
+    fresh = PersistentCache(tmp_path)  # another process, after the repair
+    warm = build_library(program, CONFIG, model, cache=fresh, fingerprint="fp")
+    assert warm.from_cache
+    assert (fresh.stats.library_hits, fresh.stats.library_misses) == (1, 0)
+    assert fresh.delta() == {}
+    _assert_same_library(rebuilt, warm)
 
 
 def test_node_table_roundtrip_is_structural():
