@@ -15,17 +15,6 @@ COUNTERS: dict[str, int] = {
     "prescreen_undefined": 0,  # prunes due to provably-undefined candidates
 }
 
-_ENABLED = True
-
-
-def set_enabled(value: bool) -> None:
-    global _ENABLED
-    _ENABLED = bool(value)
-
-
-def enabled() -> bool:
-    return _ENABLED
-
 
 def bump(name: str, n: int = 1) -> None:
     COUNTERS[name] = COUNTERS.get(name, 0) + n

@@ -127,7 +127,51 @@ def decode_line(line: str) -> dict | None:
 
 def read_entries(file: Path) -> tuple[list[dict], int]:
     """All checksum-valid entries of a journal-framed file + dropped count."""
-    return RunJournal._read_entries(file)
+    try:
+        text = file.read_text(errors="replace")
+    except OSError as exc:
+        raise JournalError(f"cannot read journal {file}: {exc}") from exc
+    entries: list[dict] = []
+    dropped = 0
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        if not line:
+            continue
+        payload = decode_line(line)
+        if payload is None:
+            dropped += 1
+            if i == len(lines) - 1:  # nothing after it, not even a newline
+                log.warning("journal dropped torn trailing line", file=str(file))
+            else:
+                log.warning("journal dropped corrupt line", file=str(file), line=i + 1)
+            continue
+        entries.append(payload)
+    return entries, dropped
+
+
+def repair_torn_tail(file: Path) -> None:
+    """Truncate a partial trailing line so appends start on a line boundary.
+
+    Every writer of a journal-framed file calls this before its first
+    append: a record written onto a torn fragment would share its line, fail
+    the checksum and be dropped by the next reader.
+    """
+    try:
+        size = file.stat().st_size
+    except OSError:
+        return
+    if size == 0:
+        return
+    with open(file, "rb+") as fh:
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        keep = fh.read().rfind(b"\n") + 1
+        fh.truncate(keep)
+    log.warning(
+        "journal torn trailing write truncated", file=str(file), bytes=size - keep
+    )
 
 
 def _fingerprint_of(config: "SynthesisConfig", cost_model: "CostModel | str") -> str:
@@ -224,7 +268,7 @@ class RunJournal:
                 f"{expected}; results would not be comparable"
             )
         journal._acquire()
-        journal._repair_torn_tail()
+        repair_torn_tail(journal.file)
         journal.status = "running"
         journal._append(_encode({"type": "status", "status": "running"}))
         return journal
@@ -236,7 +280,7 @@ class RunJournal:
         file = run_dir / "journal.jsonl"
         if not file.exists():
             raise JournalError(f"no journal for run {run_id!r} at {file}")
-        entries, dropped = cls._read_entries(file)
+        entries, dropped = read_entries(file)
         header = next((e for e in entries if e.get("type") == "header"), None)
         if header is None or header.get("version") != JOURNAL_VERSION:
             raise JournalError(
@@ -267,27 +311,6 @@ class RunJournal:
                 f"run {self.run_id!r} is already being written by another process"
             )
         self._lock = lock
-
-    def _repair_torn_tail(self) -> None:
-        """Truncate a partial trailing line so appends start on a boundary."""
-        try:
-            size = self.file.stat().st_size
-        except OSError:
-            return
-        if size == 0:
-            return
-        with open(self.file, "rb+") as fh:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) == b"\n":
-                return
-            data = self.file.read_bytes()
-            keep = data.rfind(b"\n") + 1
-            fh.truncate(keep)
-            log.warning(
-                "journal torn trailing write truncated",
-                file=str(self.file),
-                bytes=size - keep,
-            )
 
     def _append(self, line: str, newline: bool = True) -> None:
         """Atomically append one line (single O_APPEND write + fsync)."""
@@ -382,37 +405,6 @@ class RunJournal:
                 kernel=spec.name,
             )
             return None
-
-    @staticmethod
-    def _read_entries(file: Path) -> tuple[list[dict], int]:
-        """All checksum-valid entries, plus the count of dropped lines."""
-        try:
-            text = file.read_text(errors="replace")
-        except OSError as exc:
-            raise JournalError(f"cannot read journal {file}: {exc}") from exc
-        entries: list[dict] = []
-        dropped = 0
-        lines = text.split("\n")
-        torn_tail = bool(lines and lines[-1])
-        for i, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                want = payload.pop("checksum", None)
-                if want != _checksum(payload):
-                    raise ValueError("checksum mismatch")
-            except Exception:
-                dropped += 1
-                if torn_tail and i == len(lines) - 1:
-                    log.warning("journal dropped torn trailing line", file=str(file))
-                else:
-                    log.warning(
-                        "journal dropped corrupt line", file=str(file), line=i + 1
-                    )
-                continue
-            entries.append(payload)
-        return entries, dropped
 
 
 def list_runs(root: str | Path | None = None) -> list[str]:

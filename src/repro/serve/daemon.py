@@ -61,7 +61,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.errors import ServeError, WireError
-from repro.journal import encode_line, kernel_key, read_entries
+from repro.journal import encode_line, kernel_key, read_entries, repair_torn_tail
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressBoard
 from repro.obs.trace import get_tracer
@@ -108,9 +108,10 @@ class RequestLog:
     """Write-ahead log of requests and results, in journal line framing.
 
     Every line is checksummed; a torn tail (daemon killed mid-append) is
-    dropped on read, corrupt lines are skipped.  The header binds the log to
-    the daemon's synthesis fingerprint — restarting over a state dir written
-    under a different config is refused rather than silently served stale.
+    dropped on read and truncated before the first append, corrupt lines are
+    skipped.  The header binds the log to the daemon's synthesis fingerprint
+    — restarting over a state dir written under a different config is
+    refused rather than silently served stale.
     """
 
     def __init__(self, path: str | Path, fingerprint: str, config=None) -> None:
@@ -145,6 +146,7 @@ class RequestLog:
         return requests, results
 
     def open(self) -> None:
+        repair_torn_tail(self.path)
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         self._fh = os.fdopen(fd, "a")

@@ -72,23 +72,6 @@ COUNTERS: dict[str, int] = {
     "solver_prescreened": 0,
 }
 
-_ENABLED = True
-
-
-def set_enabled(flag: bool) -> None:
-    """Process-wide switch (``SynthesisConfig.use_fingerprints`` sets it).
-
-    When off, every fingerprint is ``None``, so every call site degrades to
-    the exact pre-fingerprint behavior — used by benchmarks to compare the
-    legacy engine against the fast path in one binary.
-    """
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-def enabled() -> bool:
-    return _ENABLED
-
 
 def bump(name: str, n: int = 1) -> None:
     COUNTERS[name] = COUNTERS.get(name, 0) + n
@@ -297,8 +280,6 @@ def expr_fingerprint(expr) -> tuple | None:
     at some point and the caller must use the exact equivalence path.
     Distinct non-None fingerprints prove the expressions inequivalent.
     """
-    if not _ENABLED:
-        return None
     if not isinstance(expr, sp.Basic):
         try:
             expr = sp.sympify(expr)
@@ -313,8 +294,6 @@ def tensor_fingerprint(tensor: SymTensor) -> tuple | None:
     Memoized on the tensor instance (tensors are immutable).  ``None`` when
     any entry is weak.
     """
-    if not _ENABLED:
-        return None
     memo = tensor.__dict__.get("_fingerprint", _UNSET)
     if memo is not _UNSET:
         return memo
@@ -372,12 +351,12 @@ def linear_system_infeasible(eqs: list, unknowns: list) -> bool:
 
     Returns ``False`` (no screening) for nonlinear or non-rational systems.
     """
-    if not _ENABLED or not unknowns:
+    if not unknowns:
         return False
     # ``sp.solve(eqs, unknowns)`` silently ignores equations that contain
     # none of the requested unknowns — even unsatisfiable ones (residual
     # sketch rows outside the hole).  Match that semantics exactly: screening
-    # on those rows would reject systems the legacy engine solves.
+    # on those rows would reject systems ``sp.solve`` goes on to solve.
     unknown_set = set(unknowns)
     eqs = [eq for eq in eqs if unknown_set & eq.free_symbols]
     if not eqs:

@@ -107,8 +107,6 @@ def tensor_residues(tensor: SymTensor) -> np.ndarray | None:
     evaluator (and the same failure modes) as the mod-P fingerprint, just
     with smaller primes.
     """
-    if not _fp.enabled():
-        return None
     memo = tensor.__dict__.get("_residues", _UNSET)
     if memo is not _UNSET:
         return memo

@@ -82,15 +82,10 @@ def default_cache_dir() -> Path:
 
 #: Config fields that cannot change synthesis *outcomes*, only resource use
 #: (or, for ``fault_plan``, deliberately break runs for testing).
-#: ``use_fingerprints`` qualifies: the fingerprint fast path only skips
-#: equivalence work whose outcome it already decides, so warm entries are
-#: interchangeable between modes.
 _NON_SEMANTIC_FIELDS = (
     "timeout_seconds",
     "max_solver_calls",
     "fault_plan",
-    "use_fingerprints",
-    "use_analysis_prescreen",
 )
 
 

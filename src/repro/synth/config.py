@@ -95,23 +95,6 @@ class SynthesisConfig:
     memoize: bool = True
     """Cache DFS results per canonical spec key."""
 
-    use_fingerprints: bool = True
-    """Route equivalence and dedup queries through the value-fingerprint
-    fast path (:mod:`repro.symexec.fingerprint`): random-point evaluation
-    modulo a 61-bit prime refutes inequivalent pairs, hash-consed canonical
-    forms confirm equal ones, and ``sympy.simplify`` runs only on the rare
-    fingerprint collision.  Purely an execution strategy — match results,
-    search outcomes, and summaries are identical with it off — so it is
-    excluded from the cache fingerprint."""
-
-    use_analysis_prescreen: bool = True
-    """Run the static-analysis pre-screen (:mod:`repro.analysis.prescreen`)
-    inside enumeration and base-case matching: abstract interval/definedness
-    facts prune candidates whose rejection is already decided before any
-    symbolic or residue work, counted under ``analysis.*`` metrics.  Purely
-    an execution strategy — search outcomes and summaries are identical
-    with it off — so it is excluded from the cache fingerprint."""
-
     # -- solver ---------------------------------------------------------------
     solver_generic_fallback: bool = True
     """Use the fresh-unknowns + sympy.solve fallback when no chain of local

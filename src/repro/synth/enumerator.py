@@ -39,7 +39,7 @@ from repro.ir.parser import Program
 from repro.ir.types import DType
 from repro.symexec import fingerprint as _fp
 from repro.symexec import residues as _res
-from repro.symexec.canonical import canonical, canonical_key
+from repro.symexec.canonical import canonical_key
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.symtensor import SymTensor
 from repro.synth.config import SynthesisConfig
@@ -49,34 +49,31 @@ _BOOLEAN_TRIGGERS = {"less", "where", "max", "min", "maximum", "minimum", "triu"
 
 
 class StubEntry:
-    """A deduplicated stub: IR tree, symbolic tensor, and its identities.
+    """A deduplicated stub: IR tree, symbolic tensor, and its identity.
 
     ``res`` is the residue battery (value identity over small primes; see
-    :mod:`repro.symexec.residues`) and ``fp`` the mod-P value fingerprint —
-    either may be None for stubs the respective engine cannot tokenize, and
-    both are in legacy no-fingerprint mode.  On the fast path the symbolic
-    tensor itself is **lazy**: residue-admitted stubs are priced without ever
-    running ``symbolic_execute``, and the tensor is materialized only if a
-    slow-path consumer (canonical key, full equivalence) actually asks.
+    :mod:`repro.symexec.residues`), None for stubs the battery cannot
+    tokenize — those are identified by their canonical ``key`` instead.  The
+    symbolic tensor itself is **lazy**: residue-admitted stubs are priced
+    without ever running ``symbolic_execute``, and the tensor is materialized
+    only if a slow-path consumer (canonical key, full equivalence) actually
+    asks.
     """
 
-    __slots__ = ("node", "fp", "res", "_tensor", "_exec_cache", "_key", "_canon")
+    __slots__ = ("node", "res", "_tensor", "_exec_cache", "_key")
 
     def __init__(
         self,
         node: Node,
         tensor: SymTensor | None = None,
         key: tuple | None = None,
-        fp: tuple | None = None,
         res=None,
         exec_cache: dict | None = None,
     ) -> None:
         self.node = node
         self._tensor = tensor
-        self.fp = fp
         self.res = res
         self._key = key
-        self._canon: tuple | None = None
         self._exec_cache = exec_cache
 
     @property
@@ -97,12 +94,6 @@ class StubEntry:
     def cached_key(self) -> tuple | None:
         """The canonical key if already computed, without forcing it."""
         return self._key
-
-    def canon_entries(self) -> tuple:
-        """Interned canonical forms of the tensor's entries (lazy)."""
-        if self._canon is None:
-            self._canon = tuple(canonical(e) for e in self.tensor.entries())
-        return self._canon
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StubEntry({self.node!r})"
@@ -161,19 +152,18 @@ class StubEnumerator:
         self.budget = budget  # repro.resilience.Budget | None
         #: Admission-ordered behavioral classes (the deduped library).
         self._classes: list[_StubClass] = []
-        #: Canonical-key index: every class in legacy mode, weak ones otherwise.
+        #: Canonical-key index of the battery-weak classes.
         self._by_key: dict[tuple, _StubClass] = {}
-        #: Raw-structure tier (fast mode): exact entry tuples already seen.
+        #: Raw-structure tier: exact entry tuples already seen.
         #: SymPy auto-orders Add/Mul args, so most behavioral duplicates
         #: (commutations, re-derivations) collapse here with zero algebra.
         self._by_raw: dict[tuple, _StubClass] = {}
-        #: Value tier (fast mode): residue-battery bytes -> class.  Most
+        #: Value tier: residue-battery bytes -> class.  Most
         #: candidates are settled here without symbolic execution at all.
         self._by_val: dict[tuple, _StubClass] = {}
         #: Batteries of admitted residue-safe stubs, for the compositional
         #: evaluator — the gate shared with the library restore.
         self._batteries = _res.BatteryTable()
-        self._use_fp = config.use_fingerprints
         self._seen_nodes: set[Node] = set()
         self._symexec_cache: dict[Node, SymTensor] = {}
         self._cost_memo: dict[Node, float] = {}
@@ -274,12 +264,12 @@ class StubEnumerator:
     def _admit(self, node: Node) -> StubEntry | None:
         """Type-check, constant-fold, evaluate, and dedupe.
 
-        Fast-path candidates whose arguments all have residue batteries are
-        settled **numerically**: :func:`repro.symexec.residues.compose`
-        prices the candidate with a few vectorized numpy ops and the value
-        tier decides duplicate-vs-new by dict lookup — no symbolic execution,
-        no SymPy.  Everything else (unsupported ops, irrational values,
-        vanishing denominators, legacy mode) takes the symbolic route.
+        Candidates whose arguments all have residue batteries are settled
+        **numerically**: :func:`repro.symexec.residues.compose` prices the
+        candidate with a few vectorized numpy ops and the value tier decides
+        duplicate-vs-new by dict lookup — no symbolic execution, no SymPy.
+        Everything else (unsupported ops, irrational values, vanishing
+        denominators) takes the symbolic route.
         """
         if node in self._seen_nodes:
             return None
@@ -294,7 +284,7 @@ class StubEnumerator:
             if node in self._seen_nodes:
                 return None
             self._seen_nodes.add(node)
-        if isinstance(node, Call) and node.op == "divide" and _an.enabled():
+        if isinstance(node, Call) and node.op == "divide":
             _an.bump("prescreen_checks")
             if _prescreen.divides_by_provable_zero(node):
                 # The denominator is syntactically zero, so every entry is
@@ -303,8 +293,7 @@ class StubEnumerator:
                 _an.bump("prescreen_pruned")
                 _an.bump("prescreen_undefined")
                 return None
-        fast = self._use_fp and _fp.enabled()
-        if fast and isinstance(node, Call):
+        if isinstance(node, Call):
             res = self._batteries.compose(node)
             if res is not None:
                 return self._admit_value(node, res, None)
@@ -318,9 +307,7 @@ class StubEnumerator:
             return None  # e.g. division by a constant zero
         if any(_has_undefined(e) for e in tensor.entries()):
             return None
-        if fast:
-            return self._admit_fast(node, tensor)
-        return self._admit_legacy(node, tensor)
+        return self._admit_fast(node, tensor)
 
     def _divides_by_zero(self, node: Call) -> bool:
         """True when the denominator stub is the identically-zero tensor.
@@ -340,23 +327,6 @@ class StubEnumerator:
             return all(e == 0 for e in cls.entry.tensor.entries())
         except Exception:
             return False
-
-    def _admit_legacy(self, node: Node, tensor: SymTensor) -> StubEntry | None:
-        """Pre-fingerprint dedup: one canonical key per candidate."""
-        try:
-            key = canonical_key(tensor)
-        except Exception:
-            return None
-        self.sketch_sources.append(node)
-        cls = self._by_key.get(key)
-        if cls is not None:
-            self._battle(cls, node, tensor)
-            return None
-        entry = StubEntry(node, tensor, key=key)
-        cls = _StubClass(entry)
-        self._by_key[key] = cls
-        self._classes.append(cls)
-        return entry
 
     def _admit_value(
         self, node: Node, res, tensor: SymTensor | None, raw: tuple | None = None
@@ -400,9 +370,8 @@ class StubEnumerator:
         them.  Tier 1 (residues): rational-valued tensors join the same
         value partition the compositional path uses.  Tier 2 (canonical):
         everything the battery cannot tokenize (irrational values, booleans,
-        vanishing denominators) dedupes by exact canonical key — precisely
-        the legacy partition for precisely the candidates where the cheap
-        tiers have no opinion.
+        vanishing denominators) dedupes by exact canonical key, for
+        precisely the candidates where the cheap tiers have no opinion.
         """
         raw = (tensor.shape, tensor.dtype, tuple(tensor.entries()))
         cls = self._by_raw.get(raw)
@@ -441,29 +410,24 @@ class StubEnumerator:
         cls: _StubClass,
         node: Node,
         tensor: SymTensor | None,
-        canon: tuple | None = None,
     ) -> None:
         """Cost battle against the class champion, replacing it if beaten.
 
-        The class identities (battery, fingerprint, canonical key, canonical
-        entries) transfer to the replacement: class membership *means* those
-        agree.  ``tensor`` may be None (residue-composed challenger): the
-        replacement entry stays lazy.
+        The class identities (battery, canonical key) transfer to the
+        replacement: class membership *means* those agree.  ``tensor`` may be
+        None (residue-composed challenger): the replacement entry stays lazy.
         """
         old = cls.entry
         if self._prefer(node, old.node):
             # Same behaviour, better implementation: replace in place so
             # base-case MATCH always returns the best equivalent stub.
-            entry = StubEntry(
+            cls.entry = StubEntry(
                 node,
                 tensor,
                 key=old.cached_key,
-                fp=old.fp,
                 res=old.res,
                 exec_cache=self._symexec_cache,
             )
-            entry._canon = canon if canon is not None else old._canon
-            cls.entry = entry
 
     def _grow(self) -> Iterator[Node]:
         terminals = [e.node for e in self._levels[0]]

@@ -1,10 +1,11 @@
 """Sketch library construction (the left side of Fig. 2).
 
-A :class:`Library` holds the enumerated stubs — indexed by canonical key for
-the base-case MATCH of Algorithm 2 — and the sketches derived from them,
-indexed by output type for fast filtering in SOLVE.  The sketches are derived
-and priced by the active cost model when SOLVE first asks for them: a search
-that ends at the base-case MATCH never reads one.
+A :class:`Library` holds the enumerated stubs — indexed by residue battery
+(and, for battery-weak stubs, canonical key) for the base-case MATCH of
+Algorithm 2 — and the sketches derived from them, indexed by output type for
+fast filtering in SOLVE.  The sketches are derived and priced by the active
+cost model when SOLVE first asks for them: a search that ends at the
+base-case MATCH never reads one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.ir.nodes import Call, Node
 from repro.ir.parser import Program
 from repro.ir.types import DType, TensorType
 from repro.obs.trace import get_tracer
-from repro.symexec import fingerprint as _fp
 from repro.symexec.canonical import canonical_key
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.residues import BatteryTable, residue_key, tensor_residues
@@ -34,46 +34,18 @@ class Library:
     """Stub and sketch library for one synthesis problem."""
 
     stubs: list[StubEntry]
-    stub_by_key: dict[tuple, StubEntry]
     stubs_by_sig: dict[tuple, list[StubEntry]]
     #: What the first SOLVE derives :attr:`sketches` from.
     sketch_sources: list[Node]
     multi_hole: bool
     cost_model: CostModel
     from_cache: bool = False
-    #: Fingerprint buckets: fp -> stubs sharing it (fast equivalence path).
-    stubs_by_fp: dict[tuple, list[StubEntry]] = field(default_factory=dict)
-    #: Residue-battery index: residue_key -> stub (the value fast path).
+    #: Residue-battery index: residue_key -> stub (the value tier of MATCH).
     stubs_by_val: dict[tuple, StubEntry] = field(default_factory=dict)
-    #: Exact-key index of weak-fingerprint stubs (their only fast lookup).
+    #: Exact-key index of battery-weak stubs (their only keyed lookup).
     weak_by_key: dict[tuple, StubEntry] = field(default_factory=dict)
-    #: False while some stubs have no canonical key yet (fingerprint mode).
-    key_index_complete: bool = True
     #: Seconds the sketch derivation took; 0.0 while none has been derived.
     derive_seconds: float = 0.0
-
-    def match_stub(self, key: tuple) -> StubEntry | None:
-        """Base-case MATCH: exact canonical-key lookup.
-
-        On the fingerprint fast path most stubs never compute a canonical
-        key; the first exact-key query (a weak-fingerprint spec) completes
-        the index lazily, once.
-        """
-        if not self.key_index_complete:
-            for entry in self.stubs:
-                if entry.cached_key is None:
-                    try:
-                        self.stub_by_key.setdefault(entry.key, entry)
-                    except Exception:
-                        continue
-                else:
-                    self.stub_by_key.setdefault(entry.cached_key, entry)
-            self.key_index_complete = True
-        return self.stub_by_key.get(key)
-
-    def match_fingerprint(self, fp: tuple) -> list[StubEntry]:
-        """Stubs whose value fingerprint equals ``fp`` (candidate matches)."""
-        return self.stubs_by_fp.get(fp, [])
 
     def match_value(self, val_key: tuple) -> StubEntry | None:
         """Base-case MATCH, value tier: residue-battery identity lookup."""
@@ -173,7 +145,7 @@ def _library_from_payload(
     """Rebuild a library from a cached node table (None on any failure)."""
     try:
         nodes, sources = load_library(payload, program.input_types)
-        stubs = _restore_stubs(nodes, config)
+        stubs = _restore_stubs(nodes)
     except Exception:  # noqa: BLE001 — the cache is an accelerator: re-enumerate
         return None
     library = _assemble_library(stubs, sources, config, cost_model)
@@ -181,7 +153,7 @@ def _library_from_payload(
     return library
 
 
-def _restore_stubs(nodes: list[Node], config: SynthesisConfig) -> list[StubEntry]:
+def _restore_stubs(nodes: list[Node]) -> list[StubEntry]:
     """Stub entries for cached stub ``nodes``, identities derived afresh.
 
     Replays what the cold enumerator did for exactly these nodes, bottom-up:
@@ -193,9 +165,6 @@ def _restore_stubs(nodes: list[Node], config: SynthesisConfig) -> list[StubEntry
     IR structure is trusted from disk.
     """
     shared: dict[Node, SymTensor] = {}
-    if not (config.use_fingerprints and _fp.enabled()):
-        tensors = [symbolic_execute(node, cache=shared) for node in nodes]
-        return [StubEntry(n, t, key=canonical_key(t)) for n, t in zip(nodes, tensors)]
     batteries = BatteryTable()
     done: dict[Node, tuple] = {}
 
@@ -232,41 +201,27 @@ def _assemble_library(
     config: SynthesisConfig,
     cost_model: CostModel,
 ) -> Library:
-    stub_by_key: dict[tuple, StubEntry] = {}
     stubs_by_sig: dict[tuple, list[StubEntry]] = {}
-    stubs_by_fp: dict[tuple, list[StubEntry]] = {}
     stubs_by_val: dict[tuple, StubEntry] = {}
     weak_by_key: dict[tuple, StubEntry] = {}
-    key_index_complete = True
     for entry in stubs:
-        sig = (entry.node.type.shape, entry.node.type.dtype)
-        if entry.res is not None:
-            stubs_by_val[residue_key(sig[0], sig[1], entry.res)] = entry
-        if entry.fp is not None:
-            stubs_by_fp.setdefault(entry.fp, []).append(entry)
-        if entry.cached_key is not None:
-            stub_by_key[entry.cached_key] = entry
-            if entry.fp is None and entry.res is None:
-                weak_by_key[entry.cached_key] = entry
-        else:
-            # Battery/fingerprint-admitted stub: its canonical key is computed
-            # only if an exact-key query ever needs it (see Library.match_stub).
-            key_index_complete = False
         # Signature from the IR type, not the tensor: residue-admitted stubs
         # keep their symbolic tensors lazy through assembly.
+        sig = (entry.node.type.shape, entry.node.type.dtype)
         stubs_by_sig.setdefault(sig, []).append(entry)
+        if entry.res is not None:
+            stubs_by_val[residue_key(sig[0], sig[1], entry.res)] = entry
+        else:
+            weak_by_key[entry.key] = entry
 
     return Library(
         stubs=stubs,
-        stub_by_key=stub_by_key,
         stubs_by_sig=stubs_by_sig,
         sketch_sources=sketch_sources,
         multi_hole=config.multi_hole_sketches,
         cost_model=cost_model,
-        stubs_by_fp=stubs_by_fp,
         stubs_by_val=stubs_by_val,
         weak_by_key=weak_by_key,
-        key_index_complete=key_index_complete,
     )
 
 

@@ -358,38 +358,27 @@ def _constant_spec_node(spec: SymTensor, ctx: SearchContext) -> Node | None:
 def _match_base_case(spec: SymTensor, key: tuple, ctx: SearchContext):
     """MATCH of Algorithm 2: cheapest stub equivalent to the spec.
 
-    On the fast path the exact tier is a residue-battery lookup (rational
-    specs: one dict probe against the enumerator's value partition), then a
-    fingerprint-bucket lookup confirmed on interned canonical entries; the
-    slow scan then only pays ``equivalent`` for stubs neither the battery
-    nor the fingerprint refutes.  Match results are identical to the legacy
-    flow — both tiers only skip work whose outcome they already decide.
+    Two keyed tiers first — a residue-battery lookup (rational specs: one
+    dict probe against the enumerator's value partition), then a
+    canonical-key probe of the battery-weak stubs; the slow scan then only
+    pays ``equivalent`` for stubs that neither the battery nor the interval
+    pre-screen refutes.  Both tiers only skip work whose outcome they
+    already decide.
     """
-    res = None
-    if ctx.config.use_fingerprints and _fp.enabled():
-        res = tensor_residues(spec)
-        if res is not None:
-            entry = ctx.library.match_value(
-                residue_key(spec.shape, spec.dtype, res)
-            )
-            if entry is not None:
-                _fp.bump("fingerprint_hits")
-                if ctx.tracer.enabled:
-                    ctx.tracer.instant("fingerprint-hit", "equiv")
-                return entry
+    res = tensor_residues(spec)
+    entry = None
+    if res is not None:
+        entry = ctx.library.match_value(residue_key(spec.shape, spec.dtype, res))
+    if entry is None:
         # Exact tier: battery-weak stubs dedupe (and index) by canonical
         # key; a keyed probe is sound for any spec — key equality is
         # equivalence — and it is their only fast lookup.
         entry = ctx.library.weak_by_key.get(key)
-        if entry is not None:
-            _fp.bump("fingerprint_hits")
-            if ctx.tracer.enabled:
-                ctx.tracer.instant("fingerprint-hit", "equiv")
-            return entry
-    else:
-        entry = ctx.library.match_stub(key)
-        if entry is not None:
-            return entry
+    if entry is not None:
+        _fp.bump("fingerprint_hits")
+        if ctx.tracer.enabled:
+            ctx.tracer.instant("fingerprint-hit", "equiv")
+        return entry
     # Slow path: canonical keys can differ for semantically equal tensors
     # (e.g. exp/log combinations); try full equivalence against stubs that
     # agree on signature and referenced inputs.
@@ -408,14 +397,13 @@ def _match_base_case(spec: SymTensor, key: tuple, ctx: SearchContext):
                 # the value tier would already have matched.)
                 _fp.bump("fingerprint_rejects")
                 continue
-        if _an.enabled():
-            # Abstract tier: disjoint entry hulls over the verification box
-            # prove the stub differs from the spec somewhere, so the
-            # ``equivalent`` call below could only return False — skip it.
-            _an.bump("prescreen_checks")
-            if _prescreen.tensors_disjoint(e.tensor, spec):
-                _an.bump("prescreen_pruned")
-                continue
+        # Abstract tier: disjoint entry hulls over the verification box
+        # prove the stub differs from the spec somewhere, so the
+        # ``equivalent`` call below could only return False — skip it.
+        _an.bump("prescreen_checks")
+        if _prescreen.tensors_disjoint(e.tensor, spec):
+            _an.bump("prescreen_pruned")
+            continue
         if equivalent(e.tensor, spec):
             return e
     return None

@@ -583,7 +583,7 @@ def _generic_solve(
         eqs.append(sp.expand(got - want))
     # Fingerprint pre-screen: if the linear system has no solution modulo p
     # at every sampled point, no symbolic solution exists — skip sp.solve.
-    if _fp.enabled() and _fp.linear_system_infeasible(eqs, flat_syms):
+    if _fp.linear_system_infeasible(eqs, flat_syms):
         _fp.bump("solver_prescreened")
         return None
     try:
@@ -625,11 +625,10 @@ def _verified_equal(got: SymTensor, spec: SymTensor) -> bool:
     """
     if got.shape != spec.shape or got.dtype != spec.dtype:
         return False
-    if _fp.enabled():
-        fg, fs = _fp.tensor_fingerprint(got), _fp.tensor_fingerprint(spec)
-        if fg is not None and fs is not None and fg != fs:
-            _fp.bump("fingerprint_rejects")
-            return False
+    fg, fs = _fp.tensor_fingerprint(got), _fp.tensor_fingerprint(spec)
+    if fg is not None and fs is not None and fg != fs:
+        _fp.bump("fingerprint_rejects")
+        return False
     if canonical_entries(got) == canonical_entries(spec):
         return True
     return equivalent(got, spec)

@@ -150,9 +150,7 @@ def superoptimize_program(
     fingerprint = synthesis_fingerprint(config, cost_model) if cache is not None else ""
     cost_model = with_caching(cost_model, cache, fingerprint)
     budget = budget if budget is not None else Budget.for_config(config)
-    _fp.set_enabled(config.use_fingerprints)
     equiv_base = _fp.counters_snapshot()
-    _an.set_enabled(config.use_analysis_prescreen)
     analysis_base = _an.snapshot()
     tracer = get_tracer()
     start = time.monotonic()

@@ -9,6 +9,7 @@ from repro.ir.nodes import Call, Const, Input
 from repro.symexec import canonical_key, symbolic_execute
 from repro.synth import SynthesisConfig, build_library
 from repro.synth.enumerator import StubEnumerator, program_constants
+from repro.synth.search import SearchContext, _match_base_case
 
 TYPES = {"A": float_tensor(2, 2), "B": float_tensor(2, 2)}
 
@@ -117,12 +118,19 @@ class TestLibrary:
             assert sketch.cost >= 0
             assert sketch in lib.sketches_by_type[sketch.root.type]
 
-    def test_match_stub_by_key(self):
-        program = parse("np.dot(A, B)", TYPES)
-        lib = build_library(program, SynthesisConfig(max_depth=1), FlopsCostModel())
-        key = canonical_key(symbolic_execute(parse("A + B", TYPES).node))
-        entry = lib.match_stub(key)
-        assert entry is not None
+    def test_match_base_case_probes_value_then_weak_tier(self):
+        config, model = SynthesisConfig(max_depth=1), FlopsCostModel()
+        lib = build_library(parse("np.dot(A, B)", TYPES), config, model)
+        ctx = SearchContext(lib, model, config, float("inf"))
+
+        def match(source):
+            spec = symbolic_execute(parse(source, TYPES).node)
+            return _match_base_case(spec, canonical_key(spec), ctx)
+
+        rational = match("A + B")
+        assert rational is not None and rational in lib.stubs_by_val.values()
+        weak = match("np.sqrt(A)")
+        assert weak is not None and weak in lib.weak_by_key.values()
 
     def test_sketches_include_const_shadowed_variants(self):
         """power(A, ??) must exist even though mul(A, A) shadows power(A, 2)."""

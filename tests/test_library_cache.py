@@ -21,7 +21,8 @@ from repro.ir.types import DType, float_tensor
 from repro.pipeline import KernelSpec, ModuleOptimizer
 from repro.synth import PersistentCache, SynthesisConfig
 from repro.synth import library as library_mod
-from repro.synth.cache import dump_library, load_library
+from repro.synth.cache import dump_library, load_library, synthesis_fingerprint
+from repro.synth.config import DEFAULT_CONFIG
 from repro.synth.library import build_library
 
 CONFIG = SynthesisConfig(timeout_seconds=90)
@@ -196,6 +197,11 @@ def test_undecodable_entry_is_a_miss_and_is_replaced_on_save(tmp_path):
     assert (fresh.stats.library_hits, fresh.stats.library_misses) == (1, 0)
     assert fresh.delta() == {}
     _assert_same_library(rebuilt, warm)
+
+
+def test_default_fingerprint_is_pinned():
+    """Caches, journals, request logs and stores written so far stay valid."""
+    assert synthesis_fingerprint(DEFAULT_CONFIG, make_cost_model("flops")) == "ab19fa58893ef5ed"
 
 
 def test_node_table_roundtrip_is_structural():

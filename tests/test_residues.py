@@ -8,8 +8,8 @@ Two load-bearing guarantees:
   never disagree.
 * **Fallback soundness** — everything the battery cannot represent
   faithfully (irrational entries, vanishing denominators, unmirrored ops)
-  yields ``None`` rather than a wrong battery, and the enumerator's fast
-  partition coincides exactly with the legacy canonical partition.
+  yields ``None`` rather than a wrong battery, and the enumerator's tiered
+  partition coincides exactly with the canonical-key partition.
 """
 
 import numpy as np
@@ -18,8 +18,7 @@ import pytest
 from repro.cost import FlopsCostModel
 from repro.ir import float_tensor, parse
 from repro.ir.nodes import Call, Const, Input
-from repro.symexec import symbolic_execute
-from repro.symexec.fingerprint import enabled
+from repro.symexec import canonical_key, symbolic_execute
 from repro.symexec.residues import (
     Q1,
     Q2,
@@ -32,8 +31,6 @@ from repro.symexec.residues import (
 )
 from repro.synth import SynthesisConfig
 from repro.synth.enumerator import StubEnumerator
-
-pytestmark = pytest.mark.skipif(not enabled(), reason="fast path disabled")
 
 A = Input("A", float_tensor(2, 2))
 B = Input("B", float_tensor(2, 2))
@@ -181,13 +178,42 @@ class TestFallbacks:
 
 
 class TestPartitionParity:
-    def test_fast_and_legacy_partitions_match(self):
+    """The admitted classes are exactly the canonical keys of the candidates."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param("np.dot(A + B, B) / (A * A + 1)", id="rational"),
+            pytest.param("np.sqrt(A * A + B)", id="sqrt"),  # weak tier: irrational entries
+            pytest.param("np.where(np.less(A, B), A, B)", id="where_less"),  # weak tier: booleans
+        ],
+    )
+    def test_classes_are_the_distinct_canonical_keys(self, source):
         types = {"A": float_tensor(2, 2), "B": float_tensor(2, 2)}
-        program = parse("np.dot(A + B, B) / (A * A + 1)", types)
+        enumerator = StubEnumerator(
+            parse(source, types), SynthesisConfig(max_depth=1), cost_model=FlopsCostModel()
+        )
+        entries = enumerator.enumerate()
+        keys = {canonical_key(symbolic_execute(s)) for s in enumerator.sketch_sources}
+        assert {e.key for e in entries} == keys
+        assert len(entries) == len(keys)
+        assert any(e.res is None for e in entries)  # the weak tier took part
 
-        def partition(use_fp: bool):
-            cfg = SynthesisConfig(max_depth=1, use_fingerprints=use_fp)
-            enumerator = StubEnumerator(program, cfg, cost_model=FlopsCostModel())
-            return {e.key for e in enumerator.enumerate()}
 
-        assert partition(True) == partition(False)
+def test_sympy_fallback_rate_stays_low():
+    """SymPy settles under 20 % of what the fingerprint tiers settle."""
+    from repro.pipeline import KernelSpec, ModuleOptimizer
+
+    module = [
+        KernelSpec("diag_dot", "np.diag(np.dot(A, B))", {"A": (2, 2), "B": (2, 2)}),
+        KernelSpec("exp_log", "np.exp(np.log(A + B))", {"A": (3, 3), "B": (3, 3)}),
+    ]
+    result = ModuleOptimizer(config=SynthesisConfig(timeout_seconds=90)).optimize_module(module)
+    counters = result.metrics_rollup()["counters"]
+    assert counters["solver.calls"] > 0  # the module reaches SOLVE
+    settled = sum(
+        counters.get(f"equiv.fingerprint_{tier}", 0)
+        for tier in ("rejects", "hits", "collisions")
+    )
+    assert settled > 0
+    assert counters.get("equiv.sympy_fallbacks", 0) < 0.2 * settled

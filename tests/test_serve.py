@@ -31,9 +31,10 @@ import pytest
 
 from repro.errors import ServeError
 from repro.journal import read_entries
-from repro.pipeline import KernelSpec, ModuleOptimizer
+from repro.pipeline import KernelOutcome, KernelSpec, ModuleOptimizer
 from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.serve import ServeClient, SynthesisDaemon
+from repro.serve.daemon import RequestLog, ServeRequest
 from repro.synth.config import SynthesisConfig
 
 FAST = SynthesisConfig(timeout_seconds=90)
@@ -322,6 +323,29 @@ def _log_requests(state_dir: Path) -> dict[str, dict]:
 
 
 class TestKillResume:
+    def test_request_acked_after_a_torn_result_survives_the_next_restart(self, tmp_path):
+        """Three daemon lifetimes over one request log, crash mid-append in the first."""
+        path = tmp_path / "requests.jsonl"
+        r1 = ServeRequest("r1", EXP_LOG)
+        r1.outcome = KernelOutcome("exp_log", False, "unchanged", "s", "s", 1.0, 1.0)
+        torn = FAST.replace(fault_plan=FaultPlan.parse("journal[exp_log]:corrupt"))
+
+        first = RequestLog(path, "fp", config=torn)
+        first.open()
+        first.record_request(r1)
+        first.record_result(r1)  # half a line, no newline: the crash
+        first.close()
+        assert not path.read_bytes().endswith(b"\n")
+
+        second = RequestLog(path, "fp")
+        second.open()
+        second.record_request(ServeRequest("r2", MODULE[2]))  # acked as durable
+        second.close()
+
+        requests, results = RequestLog(path, "fp").load()
+        assert [entry["id"] for entry in requests] == ["r1", "r2"]
+        assert results == {}
+
     def test_sigkill_mid_batch_resumes_without_resolving(self, tmp_path):
         state_dir = tmp_path / "state"
         socket_path = _short_socket()
