@@ -105,6 +105,21 @@ def _top_prunes(events: list[dict], top: int) -> list[str]:
     return [f"  {reason:<16} {count} prunes" for reason, count in ranked]
 
 
+def _solver_outcomes(events: list[dict]) -> list[str]:
+    """SOLVE answers by outcome, computed (``solve`` spans) and restored
+    (``solver-cache-hit`` instants) alike — the trace's ``solver.verified``."""
+    counts: dict[str, int] = {}
+    for e in events:
+        if e["name"] in ("solve", "solver-cache-hit"):
+            outcome = (e.get("args") or {}).get("outcome", "?")
+            counts[outcome] = counts.get(outcome, 0) + 1
+    labels = {"hit": "verified", "pruned": "pruned unverified", "miss": "unsolvable"}
+    return [
+        f"  {labels.get(outcome, outcome):<18} {count} sketches"
+        for outcome, count in sorted(counts.items())
+    ]
+
+
 def _deepest_paths(events: list[dict], top: int) -> list[str]:
     """Deepest ``dfs`` chains, reconstructed from parent links per tid."""
     by_tid: dict[str, dict] = {}
@@ -174,6 +189,7 @@ def cmd_summary(path: Path, top: int) -> int:
     sections = (
         ("hottest stages", _hottest_stages(events, top)),
         ("top prune reasons", _top_prunes(events, top)),
+        ("solver outcomes", _solver_outcomes(events)),
         ("deepest search paths", _deepest_paths(events, top)),
         ("per-worker utilization", _worker_timeline(events)),
     )

@@ -148,12 +148,22 @@ class SymTensor:
         """Ratio of non-zero entries to total entries (Section V-A).
 
         ``np.where``/``triu``-style masking lowers density, which the
-        simplification objective rewards.
+        simplification objective rewards.  An entry whose residue battery is
+        non-zero at any point is not identically zero; SymPy is asked only
+        about the entries the battery leaves open.
         """
         if self.size == 0:
             return 0.0
-        nonzero = sum(0 if _is_zero(e) else 1 for e in self.entries())
-        return nonzero / self.size
+        from repro.symexec.residues import tensor_residues
+
+        res = tensor_residues(self)
+        if res is None:
+            open_entries = self.entries()
+        else:
+            proved = res.reshape(-1, self.size).any(axis=0)
+            open_entries = (e for e, nz in zip(self.entries(), proved) if not nz)
+        zeros = sum(1 for e in open_entries if _is_zero(e))
+        return (self.size - zeros) / self.size
 
     def input_symbols(self) -> set[sp.Symbol]:
         """All input element symbols appearing anywhere in the tensor."""
@@ -162,13 +172,18 @@ class SymTensor:
             out |= _input_symbols_of(e)
         return out
 
-    def input_names(self) -> set[str]:
-        """Names of the program inputs referenced by this tensor."""
-        return {
-            origin[0]
-            for s in self.input_symbols()
-            if (origin := symbol_origin(s)) is not None
-        }
+    def input_names(self) -> frozenset[str]:
+        """Names of the program inputs referenced by this tensor (memoized:
+        MATCH asks every same-signature stub at every node)."""
+        names = self.__dict__.get("_input_names")
+        if names is None:
+            names = frozenset(
+                origin[0]
+                for s in self.input_symbols()
+                if (origin := symbol_origin(s)) is not None
+            )
+            object.__setattr__(self, "_input_names", names)
+        return names
 
     def fingerprint(self) -> "tuple | None":
         """Value fingerprint (memoized): see :mod:`repro.symexec.fingerprint`.

@@ -5,8 +5,10 @@ cached and reused indefinitely".  This module makes that concrete: a
 :class:`PersistentCache` stores, on disk under ``results/cache/``,
 
 * **solver outcomes** — every ``SketchSolver.solve_all`` result, keyed by the
-  sketch's structural signature and the spec's canonical key.  A warm cache
-  turns the search's dominant SymPy cost into dictionary lookups;
+  sketch's structural signature and the spec's canonical key: unsolvable,
+  pruned (the mean hole complexity only — hole specs nobody verified are
+  never written), or the verified hole specs.  A warm cache turns the
+  search's dominant SymPy cost into dictionary lookups;
 * **stub libraries** — the admitted stubs and sketch sources per program
   signature, as one hash-consed node table (:func:`dump_library`).  Only IR
   structure is stored: residue batteries and canonical keys are recomputed on
@@ -51,6 +53,7 @@ from repro.ir.nodes import Call, Const, Input, Node
 from repro.ir.printer import to_expression
 from repro.ir.types import DType, TensorType
 from repro.resilience import FileLock, inject
+from repro.synth.solver import Pruned
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cost.base import CostModel
@@ -59,9 +62,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.synth.sketch import Sketch
 
 #: Bump when the on-disk format or any key scheme changes.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 _SECTIONS = ("solver", "library", "costs")
+
+#: Delta-only pseudo-section: library keys the sender found undecodable and
+#: re-enumerated, so a receiver drops its own copy before the replacement.
+_REJECTED = "library_rejected"
 
 #: Sentinel distinguishing "cached None" from "not cached".
 MISS = object()
@@ -206,13 +213,18 @@ def load_tensor(payload: Mapping) -> "SymTensor":
     return SymTensor(data, DType(payload["dtype"]))
 
 
-def dump_solution(solution: "tuple[SymTensor, ...] | None") -> dict:
+def dump_solution(solution: "tuple[SymTensor, ...] | Pruned | None") -> dict:
+    """One of ``{"solved": false}``, ``{"pruned": mean}``, verified tensors."""
     if solution is None:
         return {"solved": False}
+    if isinstance(solution, Pruned):
+        return {"pruned": solution.mean_complexity}
     return {"solved": True, "tensors": [dump_tensor(t) for t in solution]}
 
 
-def load_solution(payload: Mapping) -> "tuple[SymTensor, ...] | None":
+def load_solution(payload: Mapping) -> "tuple[SymTensor, ...] | Pruned | None":
+    if "pruned" in payload:
+        return Pruned(float(payload["pruned"]))
     if not payload.get("solved"):
         return None
     return tuple(load_tensor(t) for t in payload["tensors"])
@@ -316,6 +328,10 @@ class CacheStats:
         return dict(self.__dict__)
 
 
+def _empty_delta() -> dict[str, dict]:
+    return {s: {} for s in _SECTIONS + (_REJECTED,)}
+
+
 class PersistentCache:
     """JSON-backed, versioned store of synthesis intermediates.
 
@@ -329,7 +345,7 @@ class PersistentCache:
         self.stats = CacheStats()
         self._sections: dict[str, dict] = {}
         self._dirty: set[str] = set()
-        self._delta: dict[str, dict] = {s: {} for s in _SECTIONS}
+        self._delta: dict[str, dict] = _empty_delta()
 
     # -- storage ---------------------------------------------------------------
 
@@ -413,7 +429,7 @@ class PersistentCache:
         the worker's whole history with every result.
         """
         out = self.delta()
-        self._delta = {s: {} for s in _SECTIONS}
+        self._delta = _empty_delta()
         return out
 
     def absorb(self, delta: Mapping[str, Mapping]) -> None:
@@ -425,6 +441,7 @@ class PersistentCache:
         delta log, so every worker sees its peers' discoveries without the
         entries bouncing back over the result pipe.
         """
+        self._drop_rejected(delta)
         for section, entries in (delta or {}).items():
             if section not in _SECTIONS:
                 continue
@@ -435,7 +452,10 @@ class PersistentCache:
     def merge_delta(self, delta: Mapping[str, Mapping]) -> None:
         """Merge a worker's delta into this cache (new keys win nothing: the
         first writer's entry is kept, keeping merges order-independent for
-        identical keys)."""
+        identical keys).  The one exception is a library entry the worker
+        found undecodable: our copy of it goes first, so its replacement is
+        a first write again."""
+        self._drop_rejected(delta)
         for section, entries in (delta or {}).items():
             if section not in _SECTIONS:
                 continue
@@ -445,6 +465,10 @@ class PersistentCache:
                     store[key] = value
                     self._delta[section][key] = value
                     self._dirty.add(section)
+
+    def _drop_rejected(self, delta: Mapping[str, Mapping] | None) -> None:
+        for key in (delta or {}).get(_REJECTED, ()):
+            self._load("library").pop(key, None)
 
     def _get(self, section: str, key: str):
         entries = self._load(section)
@@ -461,25 +485,38 @@ class PersistentCache:
 
     # -- typed accessors -------------------------------------------------------
 
-    def solver_get(self, key: str):
-        """Cached ``solve_all`` outcome: MISS, None, or a tuple of tensors."""
+    def solver_get(self, key: str, score: float = float("inf")):
+        """Cached ``solve_all`` outcome: MISS, None, a :class:`Pruned`, or a
+        tuple of verified tensors.
+
+        A pruned entry answers only an asker it would prune again — one whose
+        ``score`` its stored mean reaches; to anyone else it says nothing
+        about the decomposition, which is a miss.
+        """
         hit = self._get("solver", key)
-        if hit is MISS:
+        out = MISS
+        if hit is not MISS:
+            try:
+                out = load_solution(hit)
+            except Exception:
+                pass  # unreadable entry: treat as a miss
+            if isinstance(out, Pruned) and out.mean_complexity < score:
+                out = MISS
+        if out is MISS:
             self.stats.solver_misses += 1
-            return MISS
-        try:
-            out = load_solution(hit)
-        except Exception:
-            self.stats.solver_misses += 1
-            return MISS  # unreadable entry: treat as a miss, will be rewritten
-        self.stats.solver_hits += 1
+        else:
+            self.stats.solver_hits += 1
         return out
 
     def solver_put(self, key: str, solution) -> None:
         try:
-            self._put("solver", key, dump_solution(solution))
+            payload = dump_solution(solution)
         except Exception:
-            pass  # unserializable expression: skip caching this entry
+            return  # unserializable expression: skip caching this entry
+        entries = self._load("solver")
+        if "pruned" in entries.get(key, ()):
+            del entries[key]  # whoever re-solved past a pruned entry knows more
+        self._put("solver", key, payload)
 
     def library_get(self, key: str) -> dict | None:
         hit = self._get("library", key)
@@ -494,6 +531,7 @@ class PersistentCache:
         a miss after all.  The re-enumeration's :meth:`library_put` is then a
         first write again, and our own entries win the merge in :meth:`save`."""
         self._load("library").pop(key, None)
+        self._delta[_REJECTED][key] = True  # lets a pool parent drop its copy too
         self.stats.library_hits -= 1
         self.stats.library_misses += 1
 

@@ -269,7 +269,14 @@ class StubEnumerator:
         candidate with a few vectorized numpy ops and the value tier decides
         duplicate-vs-new by dict lookup — no symbolic execution, no SymPy.
         Everything else (unsupported ops, irrational values, vanishing
-        denominators) takes the symbolic route.
+        denominators) is symbolically executed and dedupes in three tiers.
+        Tier 0 (raw): SymPy's auto-ordering makes most behavioral duplicates
+        *structurally* identical — a dict lookup on the entry tuple settles
+        them.  Tier 1 (residues): rational-valued tensors join the same
+        value partition the compositional path uses.  Tier 2 (canonical):
+        everything the battery cannot tokenize (irrational values, booleans,
+        vanishing denominators) dedupes by exact canonical key, for
+        precisely the candidates where the cheap tiers have no opinion.
         """
         if node in self._seen_nodes:
             return None
@@ -307,7 +314,16 @@ class StubEnumerator:
             return None  # e.g. division by a constant zero
         if any(_has_undefined(e) for e in tensor.entries()):
             return None
-        return self._admit_fast(node, tensor)
+        raw = (tensor.shape, tensor.dtype, tuple(tensor.entries()))
+        cls = self._by_raw.get(raw)
+        if cls is None:
+            res = _res.tensor_residues(tensor)
+            if res is not None:
+                return self._admit_value(node, res, tensor, raw)
+            return self._admit_weak(node, tensor, raw)
+        self.sketch_sources.append(node)
+        self._battle(cls, node, tensor)
+        return None
 
     def _divides_by_zero(self, node: Call) -> bool:
         """True when the denominator stub is the identically-zero tensor.
@@ -361,29 +377,6 @@ class StubEnumerator:
         self._classes.append(cls)
         self._batteries.register(node, res)
         return entry
-
-    def _admit_fast(self, node: Node, tensor: SymTensor) -> StubEntry | None:
-        """Three-tier dedup: raw structure, residue battery, canonical key.
-
-        Tier 0 (raw): SymPy's auto-ordering makes most behavioral duplicates
-        *structurally* identical — a dict lookup on the entry tuple settles
-        them.  Tier 1 (residues): rational-valued tensors join the same
-        value partition the compositional path uses.  Tier 2 (canonical):
-        everything the battery cannot tokenize (irrational values, booleans,
-        vanishing denominators) dedupes by exact canonical key, for
-        precisely the candidates where the cheap tiers have no opinion.
-        """
-        raw = (tensor.shape, tensor.dtype, tuple(tensor.entries()))
-        cls = self._by_raw.get(raw)
-        if cls is None:
-            res = _res.tensor_residues(tensor)
-            if res is not None:
-                return self._admit_value(node, res, tensor, raw)
-            return self._admit_weak(node, tensor, raw)
-        self.sketch_sources.append(node)
-        self._battle(cls, node, tensor)
-        self._by_raw[raw] = cls
-        return None
 
     def _admit_weak(self, node: Node, tensor: SymTensor, raw: tuple) -> StubEntry | None:
         """Battery-weak candidates dedupe exactly, among themselves."""

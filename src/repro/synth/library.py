@@ -47,10 +47,6 @@ class Library:
     #: Seconds the sketch derivation took; 0.0 while none has been derived.
     derive_seconds: float = 0.0
 
-    def match_value(self, val_key: tuple) -> StubEntry | None:
-        """Base-case MATCH, value tier: residue-battery identity lookup."""
-        return self.stubs_by_val.get(val_key)
-
     def stubs_with_signature(self, shape: tuple[int, ...], dtype: DType) -> list[StubEntry]:
         """Stubs sharing shape/dtype — candidates for slow-path matching."""
         return self.stubs_by_sig.get((shape, dtype), [])

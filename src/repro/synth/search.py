@@ -5,8 +5,11 @@ node it first tries the base case — an exact canonical-key match against the
 stub library — then decomposes the spec through sketches returned by the
 symbolic algebra solver, keeping only sketches that *simplify* the spec
 (Section V-A) and whose accumulated cost stays below the best complete
-program found so far (Section V-B).  ``cost_min`` is shared across the whole
-search, mirroring the paper's pass-by-reference bound.
+program found so far (Section V-B).  SOLVE derives the hole specs, PRUNE
+decides on them, and only a survivor's decomposition is proved: a pruned
+sketch is dropped either way, so the proof cannot reach the result.
+``cost_min`` is shared across the whole search, mirroring the paper's
+pass-by-reference bound.
 
 Observability (:mod:`repro.obs`): every node expansion opens a ``dfs`` span
 on the active tracer, prunes emit instant events carrying their reason and
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.analysis import counters as _an
 from repro.analysis import prescreen as _prescreen
@@ -35,11 +39,12 @@ from repro.symexec import fingerprint as _fp
 from repro.symexec.canonical import canonical_key, equivalent
 from repro.symexec.residues import residue_key, tensor_residues
 from repro.symexec.symtensor import SymTensor
+from repro.synth.cache import MISS, solver_key
 from repro.synth.complexity import spec_complexity
 from repro.synth.config import SynthesisConfig
 from repro.synth.library import Library, retype_sketch
 from repro.synth.sketch import Sketch
-from repro.synth.solver import SketchSolver
+from repro.synth.solver import Pruned, SketchSolver
 
 _INF = float("inf")
 
@@ -127,24 +132,31 @@ class SearchStats:
         self.base_case_matches += 1
         self.metrics.counter("search.base_case_matches").inc()
 
-    def record_solver_call(self, seconds: float, hit: bool) -> None:
+    def record_solver_call(self, seconds: float) -> None:
         self.solver_calls += 1
         self.time_solver += seconds
         self.metrics.counter("solver.calls").inc()
-        if hit:
-            self.solver_hits += 1
-            self.metrics.counter("solver.hits").inc()
         self.metrics.histogram("solver.latency_s", LATENCY_BUCKETS_S).observe(seconds)
 
-    def record_solver_cache_hit(self, solved: bool = False) -> None:
+    def record_solver_cache_hit(self) -> None:
         self.solver_cache_hits += 1
         self.metrics.counter("solver.cache_hits").inc()
-        if solved:
-            # A cached *successful* solve is still a hit: keeping the credit
-            # makes ``solver_hits`` invariant under cache state, so warm and
-            # cold runs of the same batch report identical counters.
-            self.solver_hits += 1
-            self.metrics.counter("solver.hits").inc()
+
+    def record_solver_outcome(self, outcome) -> None:
+        """Credit one SOLVE answer, computed or restored alike.
+
+        A hit is any answer that derived hole specs (pruned ones included);
+        ``solver.verified`` counts the decompositions that were also proved,
+        which are the ones the search recurses into.  Crediting restored
+        answers keeps both invariant under cache state, so warm and cold
+        runs of the same batch report identical counters.
+        """
+        if outcome is None:
+            return
+        self.solver_hits += 1
+        self.metrics.counter("solver.hits").inc()
+        if not isinstance(outcome, Pruned):
+            self.metrics.counter("solver.verified").inc()
 
     def record_equiv_counters(self, delta: dict) -> None:
         """Fold one kernel's fingerprint-engine counter delta into the stats."""
@@ -226,6 +238,8 @@ class SearchContext:
         self.budget = budget if budget is not None else Budget.for_config(config)
         self.memo: dict[tuple, tuple[Node | None, float]] = {}
         self._retyped: dict[TensorType, list[Sketch]] = {}
+        self._pools: dict[tuple[TensorType, frozenset[str]], list[Sketch]] = {}
+        self._stubs_by_cost: dict[tuple, list] = {}
         # Per-search sketch-input-name cache (previously a module-level global
         # that grew without bound across runs in a long-lived process).
         self._sketch_inputs: dict[Node, frozenset[str]] = {}
@@ -244,55 +258,94 @@ class SearchContext:
 
     # -- solver with persistent caching -----------------------------------------
 
-    def solve_all(self, sketch: Sketch, spec: SymTensor, spec_key: tuple):
-        """SOLVE with the persistent cache in front of the real solver."""
-        cache_key = None
-        if self.cache is not None:
-            from repro.synth.cache import MISS, solver_key
+    def solve_all(self, sketch: Sketch, spec: SymTensor, spec_key: tuple, score: float):
+        """SOLVE and PRUNE (lines 11-12), the persistent cache in front.
 
+        Returns None (unsolvable), a :class:`Pruned` (the mean hole
+        complexity does not drop below ``score``), or the verified hole
+        specs with their complexities.  The solver runs PRUNE on the hole
+        specs it derived and proves the decomposition only if they survive;
+        restored hole specs were proved when they were stored, and PRUNE
+        decides on them here.
+        """
+        hole_scores: list[float] = []
+
+        def prune(hole_specs) -> Pruned | None:
+            mode = self.config.complexity_mode
+            hole_scores[:] = [spec_complexity(h, mode) for h in hole_specs]
+            # The *average* hole complexity must strictly drop.
+            mean = sum(hole_scores) / len(hole_scores)
+            if self.config.use_simplification and mean >= score:
+                return Pruned(mean)
+            return None
+
+        cache_key = None
+        out = MISS
+        if self.cache is not None:
             cache_key = solver_key(self.fingerprint, sketch, spec_key)
-            hit = self.cache.solver_get(cache_key)
-            if hit is not MISS:
-                self.stats.record_solver_cache_hit(solved=hit is not None)
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "solver-cache-hit", "solver", op=_sketch_op(sketch)
-                    )
-                return hit
-        try:
-            self.budget.charge_solver()
-        except SynthesisTimeout:
-            self.stats.timed_out = True
-            raise
-        start = time.monotonic()
-        out = self.solver.solve_all(sketch, spec)
-        elapsed = time.monotonic() - start
-        self.stats.record_solver_call(elapsed, hit=out is not None)
-        if self.tracer.enabled:
-            self.tracer.complete(
-                "solve",
-                "solver",
-                start=start,
-                duration=elapsed,
-                op=_sketch_op(sketch),
-                outcome="hit" if out is not None else "miss",
-            )
-        if self.cache is not None and cache_key is not None:
-            self.cache.solver_put(cache_key, out)
-        return out
+            out = self.cache.solver_get(cache_key, score)
+        if out is not MISS:
+            self.stats.record_solver_cache_hit()
+            if out is not None and not isinstance(out, Pruned):
+                out = prune(out) or out
+            if self.tracer.enabled:
+                self.tracer.instant(
+                    "solver-cache-hit", "solver",
+                    op=_sketch_op(sketch), outcome=_outcome_name(out),
+                )
+        else:
+            try:
+                self.budget.charge_solver()
+            except SynthesisTimeout:
+                self.stats.timed_out = True
+                raise
+            start = time.monotonic()
+            out = self.solver.solve_all(sketch, spec, prune)
+            elapsed = time.monotonic() - start
+            self.stats.record_solver_call(elapsed)
+            if self.tracer.enabled:
+                self.tracer.complete(
+                    "solve",
+                    "solver",
+                    start=start,
+                    duration=elapsed,
+                    op=_sketch_op(sketch),
+                    outcome=_outcome_name(out),
+                )
+            if cache_key is not None:
+                self.cache.solver_put(cache_key, out)
+        self.stats.record_solver_outcome(out)
+        if out is None or isinstance(out, Pruned):
+            return out
+        return out, hole_scores
 
     # -- candidate sketch pool ---------------------------------------------------
 
     def sketch_pool(self, spec: SymTensor) -> list[Sketch]:
         spec_type = TensorType(spec.dtype, spec.shape)
-        pool = list(self.library.sketches_for(spec_type))
-        pool.extend(self._retyped_pool(spec_type))
         names = spec.input_names()
-        filtered = [
-            sk for sk in pool if self._sketch_input_names(sk) <= names or not names
-        ]
-        filtered.sort(key=lambda s: (s.cost, s.root.num_nodes))
-        return filtered[: self.config.max_candidates_per_node]
+        pool = self._pools.get((spec_type, names))
+        if pool is None:
+            pool = list(self.library.sketches_for(spec_type))
+            pool.extend(self._retyped_pool(spec_type))
+            pool = [
+                sk for sk in pool if self._sketch_input_names(sk) <= names or not names
+            ]
+            pool.sort(key=lambda s: (s.cost, s.root.num_nodes))
+            pool = pool[: self.config.max_candidates_per_node]
+            self._pools[(spec_type, names)] = pool
+        return pool
+
+    def stubs_by_cost(self, shape: tuple[int, ...], dtype) -> list:
+        """Same-signature stubs, cheapest first (stable): MATCH's scan order."""
+        ranked = self._stubs_by_cost.get((shape, dtype))
+        if ranked is None:
+            ranked = sorted(
+                self.library.stubs_with_signature(shape, dtype),
+                key=lambda e: self.cost_model.program_cost(e.node),
+            )
+            self._stubs_by_cost[(shape, dtype)] = ranked
+        return ranked
 
     def _retyped_pool(self, spec_type: TensorType) -> list[Sketch]:
         cached = self._retyped.get(spec_type)
@@ -323,6 +376,12 @@ class SearchContext:
 def _sketch_op(sketch: Sketch) -> str:
     root = sketch.root
     return getattr(root, "op", type(root).__name__)
+
+
+def _outcome_name(out) -> str:
+    if out is None:
+        return "miss"
+    return "pruned" if isinstance(out, Pruned) else "hit"
 
 
 def _constant_spec_node(spec: SymTensor, ctx: SearchContext) -> Node | None:
@@ -368,7 +427,7 @@ def _match_base_case(spec: SymTensor, key: tuple, ctx: SearchContext):
     res = tensor_residues(spec)
     entry = None
     if res is not None:
-        entry = ctx.library.match_value(residue_key(spec.shape, spec.dtype, res))
+        entry = ctx.library.stubs_by_val.get(residue_key(spec.shape, spec.dtype, res))
     if entry is None:
         # Exact tier: battery-weak stubs dedupe (and index) by canonical
         # key; a keyed probe is sound for any spec — key equality is
@@ -380,16 +439,13 @@ def _match_base_case(spec: SymTensor, key: tuple, ctx: SearchContext):
             ctx.tracer.instant("fingerprint-hit", "equiv")
         return entry
     # Slow path: canonical keys can differ for semantically equal tensors
-    # (e.g. exp/log combinations); try full equivalence against stubs that
-    # agree on signature and referenced inputs.
+    # (e.g. exp/log combinations); try full equivalence against the 24
+    # cheapest stubs that agree on signature and referenced inputs.  Cheapest
+    # first and lazily: a stub past the 24th is never symbolically executed.
     names = spec.input_names()
-    candidates = [
-        e
-        for e in ctx.library.stubs_with_signature(spec.shape, spec.dtype)
-        if e.tensor.input_names() == names
-    ]
-    candidates.sort(key=lambda e: ctx.cost_model.program_cost(e.node))
-    for e in candidates[:24]:
+    by_cost = ctx.stubs_by_cost(spec.shape, spec.dtype)
+    candidates = islice((e for e in by_cost if e.tensor.input_names() == names), 24)
+    for e in candidates:
         if res is not None and e.res is not None:
             if e.res.shape != res.shape or not (e.res == res).all():
                 # Different batteries: definitely inequivalent — skip the
@@ -516,14 +572,10 @@ def _dfs(
                 break
             if cost_total >= cost + best_cost:
                 break  # cannot beat the best completion already found here
-            hole_specs = ctx.solve_all(sk, spec, key)
-            if hole_specs is None:
+            solved = ctx.solve_all(sk, spec, key, score)
+            if solved is None:
                 continue
-            hole_scores = [
-                spec_complexity(h, ctx.config.complexity_mode) for h in hole_specs
-            ]
-            # PRUNE (line 12): the *average* hole complexity must strictly drop.
-            if ctx.config.use_simplification and sum(hole_scores) / len(hole_scores) >= score:
+            if isinstance(solved, Pruned):
                 ctx.stats.record_prune("simplification")
                 if tracer.enabled:
                     tracer.instant(
@@ -532,11 +584,10 @@ def _dfs(
                         reason="simplification",
                         depth=level,
                         complexity=round(score, 4),
-                        hole_complexity=round(
-                            sum(hole_scores) / len(hole_scores), 4
-                        ),
+                        hole_complexity=round(solved.mean_complexity, 4),
                     )
                 continue
+            hole_specs, hole_scores = solved
             # Lines 15-22: synthesize each hole, accumulating cost, with the
             # branch-and-bound check before every recursion.
             fills: list[Node] = []

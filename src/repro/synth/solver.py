@@ -19,6 +19,7 @@ the hole, a generic fallback binds the hole to fresh unknowns and calls
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -215,14 +216,16 @@ def _invert_power(call, pos, args, target, hole_type):
     base = args[0]
 
     def invert_exponent(t, o):
-        if _is_zero(o):
+        # log(o) is real only for a provably positive base: ``expand_log``
+        # would otherwise surface log(-a) as log(a) + I*pi.
+        if not o.is_positive:
             return None
-        log_base = sp.log(o)
+        log_base = sp.expand_log(sp.log(o))
         if _is_zero(log_base):
             return None
-        # log(A**5)/log(A) needs an explicit simplify to collapse to 5;
-        # entries are tiny so this stays cheap.
-        return sp.simplify(sp.log(t) / log_base)
+        # Element symbols are positive, so expanding both logs is what
+        # collapses log(A**5)/log(A) to 5.
+        return sp.expand_log(sp.log(t)) / log_base
 
     return _elementwise_invert(invert_exponent, target, base, hole_type)
 
@@ -526,16 +529,10 @@ def _invert_tensordot(call, pos, args, target, hole_type):
         tidx = (hidx + probe) if pos == 0 else (probe + hidx)
         entry = target.data[tidx] if target.shape else target.item()
         value = sp.cancel(entry / o_val)
-        if pos == 0:
-            if hole_type.shape:
-                hole[hidx] = value
-            else:
-                hole = np.array(value, dtype=object)
+        if hole_type.shape:
+            hole[hidx] = value
         else:
-            if hole_type.shape:
-                hole[hidx] = value
-            else:
-                hole = np.array(value, dtype=object)
+            hole = np.array(value, dtype=object)
     product = np.tensordot(hole if pos == 0 else other.data,
                            other.data if pos == 0 else hole, axes=0)
     if not _verify_tensor_equal(product, target):
@@ -639,6 +636,18 @@ def _verified_equal(got: SymTensor, spec: SymTensor) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Pruned:
+    """SOLVE outcome for hole specs the caller's ``keep`` turned down.
+
+    They were derived but never verified, so nothing of them is kept except
+    the mean hole complexity PRUNE compared against the node's score — all a
+    later asker needs to repeat the decision.
+    """
+
+    mean_complexity: float
+
+
 class SketchSolver:
     """Solves ``sketch(??) = spec`` queries with caching of sibling values.
 
@@ -684,39 +693,66 @@ class SketchSolver:
         )
         return result
 
-    def solve_all(self, sketch: Sketch, spec: SymTensor) -> tuple[SymTensor, ...] | None:
-        """One hole specification per hole (Algorithm 2's SOLVE), or None."""
+    def solve_all(
+        self,
+        sketch: Sketch,
+        spec: SymTensor,
+        keep: Callable[[tuple[SymTensor, ...]], Pruned | None] | None = None,
+    ) -> tuple[SymTensor, ...] | Pruned | None:
+        """One hole specification per hole (Algorithm 2's SOLVE), or None.
+
+        ``keep`` sees the derived hole specs *before* they are verified and
+        may turn them down by returning a :class:`Pruned`, which is returned
+        as is: a caller that would drop the sketch anyway need not pay for
+        the proof.  Hole specs that are returned have been verified.
+        """
         inject("solver", key=self.scope, config=self.config)
-        if sketch.num_holes == 1:
-            single = self.solve(sketch, spec)
-            return None if single is None else (single,)
-        if not self.config.solver_generic_fallback:
+        hole_specs, exact = self._derive(sketch, spec)
+        if hole_specs is None:
             return None
-        result = self._traced_generic_solve(sketch, spec)
-        if result is not None and self.config.verify_decompositions:
-            bindings = {h.name: s for h, s in zip(sketch.holes, result)}
-            try:
-                got = symbolic_execute(sketch.root, bindings=bindings)
-            except Exception:
-                return None
-            if not _verified_equal(got, spec):
-                return None
-        return result
+        if keep is not None:
+            pruned = keep(hole_specs)
+            if pruned is not None:
+                return pruned
+        if (
+            not exact
+            and self.config.verify_decompositions
+            and not self._decomposition_holds(sketch, hole_specs, spec)
+        ):
+            return None
+        return hole_specs
 
     def solve(self, sketch: Sketch, spec: SymTensor) -> SymTensor | None:
         """Hole specification making a single-hole sketch equal to ``spec``."""
+        hole_specs = self.solve_all(sketch, spec)
+        return None if hole_specs is None else hole_specs[0]
+
+    def _derive(
+        self, sketch: Sketch, spec: SymTensor
+    ) -> tuple[tuple[SymTensor, ...] | None, bool]:
+        """Unverified hole specs, and whether they are exact as derived.
+
+        A single hole is reached by inverting one op per step of its path;
+        the result is heuristic until :meth:`_decomposition_holds` confirms
+        it.  Several holes go to the generic solve and are confirmed the
+        same way.  Only a single-hole path that meets an op without an
+        inverter hands ``sympy.solve``'s unique solution back as exact.
+        """
+        if sketch.num_holes != 1:
+            if not self.config.solver_generic_fallback:
+                return None, False
+            return self._traced_generic_solve(sketch, spec), False
         target = spec
         node: Node = sketch.root
         tracer = self.tracer
         for step in sketch.hole_path:
             if not isinstance(node, Call):
-                return None
+                return None, False
             inverter = _INVERTERS.get(node.op)
             if inverter is None:
                 if self.config.solver_generic_fallback:
-                    result = self._traced_generic_solve(sketch, spec)
-                    return result[0] if result else None
-                return None
+                    return self._traced_generic_solve(sketch, spec), True
+                return None, False
             siblings: list[SymTensor | None] = []
             for i, arg in enumerate(node.args):
                 siblings.append(None if i == step else self._value(arg))
@@ -732,7 +768,7 @@ class SketchSolver:
                         duration=time.monotonic() - step_start,
                         op=node.op, outcome="error",
                     )
-                return None
+                return None, False
             if tracer.enabled:
                 tracer.complete(
                     "invert", "solver",
@@ -742,26 +778,25 @@ class SketchSolver:
                     outcome="hit" if result is not None else "miss",
                 )
             if result is None:
-                return None
+                return None, False
             target = result
             node = node.args[step]
         if target.shape != sketch.hole.type.shape:
-            return None
-        if self.config.verify_decompositions and not self._decomposition_holds(
-            sketch, target, spec
-        ):
-            return None
-        return target
+            return None, False
+        return (target,), False
 
-    def _decomposition_holds(self, sketch: Sketch, hole_spec: SymTensor, spec: SymTensor) -> bool:
-        """Re-execute the sketch with the hole bound and compare to the spec.
+    def _decomposition_holds(
+        self, sketch: Sketch, hole_specs: tuple[SymTensor, ...], spec: SymTensor
+    ) -> bool:
+        """Re-execute the sketch with its holes bound and compare to the spec.
 
         Local inverters are individually sound, but this end-to-end check is
         the safety net that keeps any heuristic extraction from poisoning
         the branch-and-bound bound with an invalid low-cost candidate.
         """
+        bindings = {h.name: s for h, s in zip(sketch.holes, hole_specs)}
         try:
-            result = symbolic_execute(sketch.root, bindings={sketch.hole.name: hole_spec})
+            result = symbolic_execute(sketch.root, bindings=bindings)
         except Exception:
             return False
         return _verified_equal(result, spec)

@@ -18,6 +18,7 @@ from repro.cost import make_cost_model
 from repro.ir.nodes import Call, Const
 from repro.ir.parser import parse
 from repro.ir.types import DType, float_tensor
+from repro.parallel import ParallelModuleOptimizer
 from repro.pipeline import KernelSpec, ModuleOptimizer
 from repro.synth import PersistentCache, SynthesisConfig
 from repro.synth import library as library_mod
@@ -188,7 +189,8 @@ def test_undecodable_entry_is_a_miss_and_is_replaced_on_save(tmp_path):
     rebuilt = build_library(program, CONFIG, model, cache=repairing, fingerprint="fp")
     assert not rebuilt.from_cache
     assert (repairing.stats.library_hits, repairing.stats.library_misses) == (0, 1)
-    assert set(repairing.delta()) == {"library"}  # the replacement is ours
+    # The replacement is ours, and says which entry it replaces.
+    assert set(repairing.delta()) == {"library", "library_rejected"}
     repairing.save()
 
     fresh = PersistentCache(tmp_path)  # another process, after the repair
@@ -197,6 +199,27 @@ def test_undecodable_entry_is_a_miss_and_is_replaced_on_save(tmp_path):
     assert (fresh.stats.library_hits, fresh.stats.library_misses) == (1, 0)
     assert fresh.delta() == {}
     _assert_same_library(rebuilt, warm)
+
+
+def test_pool_parent_drops_the_undecodable_entry_its_worker_replaced(tmp_path):
+    """The parent of a pool holds the same bad copy as the worker that hit it;
+    first-writer-wins must not keep it over the worker's re-enumeration."""
+    module = [KernelSpec(name, *KERNELS[name]) for name in ("matmul", "exp_log")]
+    ModuleOptimizer(config=CONFIG, cache=tmp_path).optimize_module(module)
+    file = tmp_path / "library.json"
+    raw = json.loads(file.read_text())
+    _unknown_op(raw)
+    file.write_text(json.dumps(raw))
+
+    ParallelModuleOptimizer(config=CONFIG, workers=2, cache=tmp_path).optimize_module(module)
+
+    fresh, model = PersistentCache(tmp_path), make_cost_model("flops")
+    for name in ("matmul", "exp_log"):
+        warm = build_library(
+            _program(name), CONFIG, model, cache=fresh,
+            fingerprint=synthesis_fingerprint(CONFIG, model),
+        )
+        assert warm.from_cache, name
 
 
 def test_default_fingerprint_is_pinned():

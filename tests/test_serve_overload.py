@@ -375,10 +375,11 @@ class TestDeadlines:
     def test_remaining_deadline_bounds_the_worker_budget(self, tmp_path):
         with serve(tmp_path, workers=1) as (daemon, client):
             start = time.monotonic()
-            # Solver-heavy kernel, 2s total life: the worker budget is the
-            # *remaining* time, so it must come back degraded/timeout fast —
-            # not after the config's 90s synthesis budget.
-            rid = client.submit(_diag("diag_budget"), deadline_s=2.0)
+            # Solver-heavy kernel (a good 2s of work), 0.5s total life: the
+            # worker budget is the *remaining* time, so it must come back
+            # degraded/timeout fast — not after the config's 90s synthesis
+            # budget.
+            rid = client.submit(_diag("diag_budget"), deadline_s=0.5)
             outcome = client.result(rid, wait=True, timeout_s=120)
             elapsed = time.monotonic() - start
             assert outcome.status in ("degraded", "timeout")

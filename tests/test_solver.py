@@ -8,7 +8,9 @@ from repro.ir import float_tensor, parse
 from repro.ir.nodes import Call, Input
 from repro.symexec import canonical_key, equivalent, symbolic_execute
 from repro.synth import SketchSolver, SynthesisConfig
+from repro.symexec.symtensor import symbol_origin
 from repro.synth.sketch import Hole, Sketch, iter_paths
+from repro.synth.solver import _INVERTERS
 
 TYPES = {
     "A": float_tensor(2, 3),
@@ -36,6 +38,16 @@ def spec_of(source: str, types=None):
     from repro.symexec.canonical import canonical
 
     return symbolic_execute(parse(source, types or TYPES).node).map(canonical)
+
+
+def _invert_exponent(base: str, target: str):
+    """``power(base, ??) = target`` through the inverter alone (no verification)."""
+    types = {"S": float_tensor(2, 2), "T": float_tensor(2, 2)}
+    sketch = make_sketch(f"np.power({base}, T)", "T", types)
+    base_value = symbolic_execute(sketch.root.args[0])
+    return _INVERTERS["power"](
+        sketch.root, 1, [base_value, None], spec_of(target, types), sketch.hole.type
+    )
 
 
 @pytest.fixture
@@ -88,6 +100,28 @@ class TestElementwiseInverters:
         hole_spec = solver.solve(sketch, spec_of("np.power(A, 3)"))
         assert hole_spec is not None
         assert sp.simplify(hole_spec.item() - 3) == 0
+
+    @pytest.mark.parametrize(
+        "base, target, exponent",
+        [
+            ("S", "np.power(S, 5)", 5),
+            ("np.sqrt(S)", "S * S", 4),
+            ("0 - S", "S", None),  # log of a negative base is not real
+            ("S / S", "S", None),  # base 1: log(1) = 0
+        ],
+    )
+    def test_exponent_inversion_needs_no_simplify(self, base, target, exponent):
+        hole = _invert_exponent(base, target)
+        if exponent is None:
+            assert hole is None
+        else:
+            assert list(hole.entries()) == [exponent] * 4
+
+    def test_exponent_quotient_that_does_not_collapse_stays_a_hit(self):
+        hole = _invert_exponent("S + 4", "2 * T + S * S")
+        assert hole is not None
+        for entry in hole.entries():
+            assert {symbol_origin(s)[0] for s in entry.free_symbols} == {"S", "T"}
 
     def test_broadcast_unification(self, solver):
         # Hole is scalar; candidate entries must all coincide.
