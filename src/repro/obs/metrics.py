@@ -129,6 +129,19 @@ class MetricsRegistry:
         }
 
 
+#: Process-wide event counts under their registry names (``equiv.*``,
+#: ``analysis.*``), for the sites with no ``SearchStats`` at hand: battery
+#: evaluation, the equivalence tiers, the enumerator's admission, the
+#: pre-screens.  ``superoptimize_program`` reads the bag before and after a
+#: kernel and credits the difference to that kernel's registry, so parallel
+#: workers' counts merge through :func:`merge_snapshots`.
+PROCESS_COUNTERS: dict[str, int] = {}
+
+
+def bump(name: str, n: int = 1) -> None:
+    PROCESS_COUNTERS[name] = PROCESS_COUNTERS.get(name, 0) + n
+
+
 def empty_snapshot() -> dict:
     return {"counters": {}, "gauges": {}, "histograms": {}}
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 from typing import Sequence
 
 from repro.cost import CostModel, make_cost_model
@@ -55,7 +56,7 @@ from repro.obs.trace import get_tracer
 from repro.pipeline import KernelOutcome, KernelSpec, ModuleOptimizer, ModuleResult
 from repro.resilience import ResiliencePolicy
 from repro.rules.mining import MinedRule
-from repro.serve.pool import PoolTask, WorkerPool
+from repro.serve.pool import WorkerPool, absorb_trace
 from repro.synth.cache import as_cache
 from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
 
@@ -161,10 +162,6 @@ class ParallelModuleOptimizer:
 
         board = ProgressBoard(len(kernels))
         parent_tracer = get_tracer()
-        node_counts: dict[str, int] = {}
-
-        def on_trace(task: PoolTask, batch) -> None:
-            self._absorb_trace(parent_tracer, task, batch, board, node_counts)
 
         # One persistent pool for the whole module run: workers stay warm
         # across waves.  Forward worker trace events whenever the parent
@@ -176,7 +173,7 @@ class ParallelModuleOptimizer:
             cache=self.cache,
             policy=self.policy,
             trace=parent_tracer.enabled or board.enabled,
-            on_trace=on_trace,
+            on_trace=partial(absorb_trace, board=board, node_counts={}),
         )
         outcomes: list[KernelOutcome | None] = [None] * len(kernels)
         pending: list[tuple[int, KernelSpec]] = []
@@ -273,27 +270,6 @@ class ParallelModuleOptimizer:
     def _journal(journal, spec: KernelSpec, outcome: KernelOutcome | None) -> None:
         if journal is not None and outcome is not None:
             journal.record_outcome(spec, outcome)
-
-    @staticmethod
-    def _absorb_trace(
-        parent_tracer,
-        task: PoolTask,
-        batch,
-        board: ProgressBoard | None,
-        node_counts: dict[str, int],
-    ) -> None:
-        """Merge one forwarded worker event batch (strictly best-effort)."""
-        try:
-            if parent_tracer.enabled:
-                parent_tracer.add_events(batch, worker=task.id)
-            if board is not None:
-                expanded = sum(1 for e in batch if e.get("name") == "dfs")
-                if expanded:
-                    name = task.spec.name
-                    node_counts[name] = node_counts.get(name, 0) + expanded
-                    board.nodes(name, node_counts[name])
-        except Exception:  # noqa: BLE001 — telemetry must never fail the wave
-            pass
 
     # -- wave execution --------------------------------------------------------
 

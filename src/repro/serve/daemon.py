@@ -58,16 +58,16 @@ import socket
 import threading
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from repro.errors import ServeError, WireError
 from repro.journal import encode_line, kernel_key, read_entries, repair_torn_tail
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressBoard
-from repro.obs.trace import get_tracer
 from repro.pipeline import KernelOutcome, KernelSpec, ModuleOptimizer
 from repro.resilience import FileLock, ResiliencePolicy, inject
-from repro.serve.pool import WorkerPool
+from repro.serve.pool import WorkerPool, absorb_trace
 from repro.serve.store import CircuitBreaker, ContentStore, content_key
 from repro.serve.wire import recv_msg, send_msg, spec_from_payload, spec_to_payload
 from repro.synth.cache import PersistentCache, synthesis_fingerprint
@@ -261,6 +261,7 @@ class SynthesisDaemon:
             cache=self._cache,
         )
         self.fingerprint = synthesis_fingerprint(self.config, self._opt.cost_model)
+        self.board = ProgressBoard(0, enabled=progress)
         self.pool = WorkerPool(
             workers,
             cost_model=self._opt.cost_model,
@@ -268,13 +269,12 @@ class SynthesisDaemon:
             cache=self._cache,
             policy=self.policy,
             trace=trace,
-            on_trace=self._on_trace,
+            on_trace=partial(absorb_trace, board=self.board, node_counts={}),
             ctx="spawn",
         )
         self.log = RequestLog(
             self.state_dir / "requests.jsonl", self.fingerprint, config=self.config
         )
-        self.board = ProgressBoard(0, enabled=progress)
         self._lock = threading.RLock()
         self._done_cond = threading.Condition(self._lock)
         self._requests: dict[str, ServeRequest] = {}
@@ -291,7 +291,6 @@ class SynthesisDaemon:
         self._daemon_lock: FileLock | None = None
         self._server_sock: socket.socket | None = None
         self._threads: list[threading.Thread] = []
-        self._node_counts: dict[str, int] = {}
         self._completed_since_save = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -771,20 +770,6 @@ class SynthesisDaemon:
             self._client_inflight[req.client] = left
         else:
             self._client_inflight.pop(req.client, None)
-
-    def _on_trace(self, task, batch) -> None:
-        """Forwarded worker trace events → parent tracer + progress board."""
-        try:
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.add_events(batch, worker=task.id)
-            expanded = sum(1 for e in batch if e.get("name") == "dfs")
-            if expanded:
-                name = task.spec.name
-                self._node_counts[name] = self._node_counts.get(name, 0) + expanded
-                self.board.nodes(name, self._node_counts[name])
-        except Exception:  # noqa: BLE001 — telemetry must never fail dispatch
-            pass
 
     # -- the dispatcher loop ---------------------------------------------------
 

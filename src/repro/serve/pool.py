@@ -55,13 +55,30 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.cost import CostModel, make_cost_model
-from repro.obs.trace import PipeSink, Tracer, install_tracer
+from repro.obs.progress import ProgressBoard
+from repro.obs.trace import PipeSink, Tracer, get_tracer, install_tracer
 from repro.pipeline import KernelSpec, ModuleOptimizer
 from repro.resilience import ResiliencePolicy, inject
 from repro.synth.cache import PersistentCache, as_cache
 from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
 
 _STILL_RUNNING = object()
+
+
+def absorb_trace(
+    task: "PoolTask", batch, board: ProgressBoard, node_counts: dict[str, int]
+) -> None:
+    """``on_trace`` body of both pool owners: forward a worker's event batch
+    to the parent tracer and count its ``dfs`` spans into the progress board.
+    Best-effort — :meth:`WorkerPool._handle_trace` swallows what it raises."""
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.add_events(batch, worker=task.id)
+    expanded = sum(1 for e in batch if e.get("name") == "dfs")
+    if expanded:
+        name = task.spec.name
+        node_counts[name] = node_counts.get(name, 0) + expanded
+        board.nodes(name, node_counts[name])
 
 
 @dataclass

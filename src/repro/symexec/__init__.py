@@ -2,18 +2,12 @@
 
 from repro.symexec.canonical import (
     canonical,
-    canonical_entries,
     canonical_key,
     cached_srepr,
     equivalent,
     equivalent_exprs,
 )
 from repro.symexec.engine import symbolic_execute
-from repro.symexec.fingerprint import (
-    expr_fingerprint,
-    linear_system_infeasible,
-    tensor_fingerprint,
-)
 from repro.symexec.interning import TABLE as INTERN_TABLE
 from repro.symexec.residues import compose, residue_key, tensor_residues
 from repro.symexec.symtensor import (
@@ -29,19 +23,15 @@ __all__ = [
     "SymTensor",
     "cached_srepr",
     "canonical",
-    "canonical_entries",
     "canonical_key",
     "compose",
     "element_symbol",
     "equivalent",
     "equivalent_exprs",
-    "expr_fingerprint",
     "input_symbols_of",
-    "linear_system_infeasible",
     "residue_key",
     "symbol_origin",
     "symbolic_execute",
     "symbols_by_input",
-    "tensor_fingerprint",
     "tensor_residues",
 ]

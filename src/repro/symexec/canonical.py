@@ -1,25 +1,32 @@
 """Canonicalization and equivalence of symbolic expressions.
 
-The synthesizer compares specifications through a three-tier fast path:
+:func:`equivalent` is the one tiered decision of "same function?" for two
+symbolic tensors; each tier only settles what it can settle soundly and hands
+the rest down:
 
-1. **value fingerprints** (:mod:`repro.symexec.fingerprint`) — different
-   fingerprints prove inequivalence without any SymPy rewriting;
+1. **residue batteries** (:mod:`repro.symexec.residues`) — both tensors have
+   one and they differ: inequivalent, without any SymPy rewriting.  A missing
+   or an equal battery decides nothing;
 2. **hash-consed canonical forms** (:mod:`repro.symexec.interning`) — the
-   cheap normal form (``cancel`` + ``expand`` + min/max normalization) and
-   its ``srepr`` are computed at most once per expression identity;
-3. a ``simplify``-based **SymPy fallback**, invoked only when fingerprints
-   collide but canonical forms differ — its invocation count is tracked as
-   the ``equiv.sympy_fallbacks`` metric (court of last resort).
+   cheap normal form (``cancel`` + ``expand`` + min/max normalization) is
+   computed at most once per expression identity; equal forms are equal
+   functions, and forms over different free symbols are different ones;
+3. a ``simplify``-based **SymPy fallback** for entries whose canonical forms
+   differ over the same symbols — its invocation count is tracked as the
+   ``equiv.sympy_fallbacks`` metric (court of last resort).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
 import sympy as sp
 
-from repro.symexec import fingerprint as _fp
+from repro.obs.metrics import bump
+from repro.obs.trace import get_tracer
 from repro.symexec.interning import TABLE as _INTERN
+from repro.symexec.residues import tensor_residues
 from repro.symexec.symtensor import SymTensor
 
 
@@ -115,16 +122,6 @@ def canonical_key(tensor: SymTensor) -> tuple:
     )
 
 
-def canonical_entries(tensor: SymTensor) -> tuple:
-    """Interned canonical forms of every entry (no serialization).
-
-    Two tensors of equal shape/dtype are canonically identical iff these
-    tuples are equal — the same truth value as ``canonical_key`` equality,
-    without paying for ``srepr`` strings.
-    """
-    return tuple(canonical(e) for e in tensor.entries())
-
-
 @lru_cache(maxsize=100_000)
 def _equivalent_exprs_slow(a: sp.Expr, b: sp.Expr) -> bool:
     try:
@@ -147,9 +144,7 @@ def _equivalent_exprs_slow(a: sp.Expr, b: sp.Expr) -> bool:
 
 def _sympy_fallback(ca: sp.Expr, cb: sp.Expr) -> bool:
     """Tier 3: exact ``simplify``-based equivalence, counted and traced."""
-    _fp.bump("sympy_fallbacks")
-    from repro.obs.trace import get_tracer
-
+    bump("equiv.sympy_fallbacks")
     tracer = get_tracer()
     if tracer.enabled:
         tracer.instant("sympy-fallback", "equiv")
@@ -158,28 +153,26 @@ def _sympy_fallback(ca: sp.Expr, cb: sp.Expr) -> bool:
 
 def equivalent_exprs(a: sp.Expr, b: sp.Expr) -> bool:
     """Decide semantic equality of two expressions (sound, may be slow)."""
-    fa, fb = _fp.expr_fingerprint(a), _fp.expr_fingerprint(b)
-    if fa is not None and fb is not None and fa != fb:
-        _fp.bump("fingerprint_rejects")
-        return False
     ca, cb = canonical(a), canonical(b)
     if ca == cb:
         return True
     if ca.free_symbols != cb.free_symbols:
         return False
-    if fa is not None and fb is not None:
-        # Equal fingerprints but distinct canonical forms: a true collision
-        # in the canonical partition — only here does SymPy get involved.
-        _fp.bump("fingerprint_collisions")
     return _sympy_fallback(ca, cb)
 
 
 def equivalent(a: SymTensor, b: SymTensor) -> bool:
-    """Decide elementwise semantic equality of two symbolic tensors."""
+    """Decide elementwise semantic equality of two symbolic tensors.
+
+    ``b``'s battery is only asked for when ``a`` has one, so callers put the
+    tensor whose battery is already memoised (the spec) first.
+    """
     if a.shape != b.shape or a.dtype != b.dtype:
         return False
-    fa, fb = _fp.tensor_fingerprint(a), _fp.tensor_fingerprint(b)
-    if fa is not None and fb is not None and fa != fb:
-        _fp.bump("fingerprint_rejects")
-        return False
+    ra = tensor_residues(a)
+    if ra is not None:
+        rb = tensor_residues(b)
+        if rb is not None and not np.array_equal(ra, rb):
+            bump("equiv.fingerprint_rejects")
+            return False
     return all(equivalent_exprs(ea, eb) for ea, eb in zip(a.entries(), b.entries()))

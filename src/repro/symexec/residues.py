@@ -1,38 +1,48 @@
-"""Vectorized residue batteries: value identity for whole tensors, no SymPy.
+"""Residue batteries: value identity for whole tensors, no SymPy rewriting.
 
-:mod:`repro.symexec.fingerprint` prices one expression at a time through the
-SymPy tree.  For the enumerator that is still too slow: the dominant cost of
-a cold synthesis is *symbolically executing* every grammar candidate just to
-discover it duplicates an existing stub.  This module removes SymPy from that
-loop entirely.
+Following TF-Coder's value-based pruning, the synthesizer identifies a
+candidate by what it evaluates to on a fixed battery of pseudo-random integer
+points rather than by its expression tree.  A tensor's **residue battery** is
+an ``int64`` ndarray of shape ``(2, R_POINTS) + tensor.shape``: the value of
+every entry at :data:`R_POINTS` battery points, reduced mod two primes just
+below ``2**25`` (:data:`Q1`, :data:`Q2`).  It is the one value battery of the
+equivalence fast path — the enumerator's dedup, the warm library restore,
+MATCH's keyed tier, ``SymTensor.density`` and the first tier of
+:func:`repro.symexec.canonical.equivalent` all read it.  Two properties make
+it the workhorse:
 
-A tensor's **residue battery** is an ``int64`` ndarray of shape
-``(2, R_POINTS) + tensor.shape``: the value of every entry at the shared
-:func:`~repro.symexec.fingerprint._point` battery, reduced mod two primes
-just below ``2**25`` (:data:`Q1`, :data:`Q2`).  Two properties make it the
-enumerator's workhorse:
-
-* **Value-determined**: the battery is a function of the mathematical value
-  (same evaluator semantics as the mod-P fingerprint), so equality of
-  ``res.tobytes()`` is observational-equivalence up to Schwartz–Zippel
-  collisions across 8 independent tokens per entry (≈ ``2**-160`` for the
-  rational fragment — never observed, and dedup merges are semantically
-  correct even then).
+* **Value-determined**: the battery is a function of the mathematical value,
+  never of the expression tree, so *different batteries prove two tensors
+  inequivalent* and equality of ``res.tobytes()`` is observational
+  equivalence up to Schwartz–Zippel collisions across 8 independent tokens
+  per entry (≈ ``2**-160`` for the rational fragment — never observed).  The
+  enumerator's dedup and MATCH's keyed probe take an equal battery at its
+  word, and the emitted program is verified either way; ``equivalent`` only
+  lets a battery refute.
 * **Compositional**: :func:`compose` computes the battery of ``op(args)``
   directly from the argument batteries with a handful of vectorized numpy
   operations — matching :mod:`repro.symexec.engine` op semantics exactly on
   the rational fragment — so a grammar candidate is priced *without ever
   building its symbolic tensor*.
 
+Points are derived per symbol name via ``blake2b`` (:func:`_point`), so
+batteries are deterministic across processes, runs and machines with no
+shared registry.  Symbols created by
+:func:`repro.symexec.symtensor.element_symbol` are ``positive=True`` and
+sample positive values; boolean-carrier symbols (names ending in ``?``,
+appearing only under relations) sample a signed range so both branches of a
+predicate are exercised across the battery.
+
 The primes sit below ``2**25`` so any product of two reduced residues stays
 under ``2**50`` and a contraction of up to ``2**12`` such products fits in a
 signed 64-bit accumulator; every stored battery is fully reduced.
 
 Anything the battery cannot represent faithfully returns ``None`` — an op
-outside the supported set, an irrational entry, a division whose denominator
-vanishes at a battery point — and the caller falls back to the exact
-symbolic path, so residues can never manufacture a wrong verdict on their
-own: like fingerprints, a *missing* battery only means "no fast opinion".
+outside the supported set, an entry outside the rational fragment (``sqrt``,
+``exp``/``log``, ``Max``/``Piecewise``, booleans), a division whose
+denominator vanishes at a battery point — and the caller falls back to the
+exact symbolic path, so residues can never manufacture a wrong verdict on
+their own: a *missing* battery only means "no fast opinion".
 
 One documented exactness edge: SymPy evaluates ``Float`` arithmetic with
 53-bit rounding while :func:`compose` is exact over Q.  Composition is
@@ -43,18 +53,19 @@ their candidates on the symbolic path.
 
 from __future__ import annotations
 
+import hashlib
+from functools import lru_cache
+
 import numpy as np
+import sympy as sp
 
 from repro.ir.nodes import Call, Const, Node
 from repro.ir.types import DType
-from repro.symexec import fingerprint as _fp
-from repro.symexec.fingerprint import _eval, _NonRational, _WeakPoint
+from repro.obs.metrics import bump
 from repro.symexec.symtensor import SymTensor
 
-#: Points per prime: the first ``R_POINTS`` of the shared ``_point``
-#: battery.  Four points over two primes give eight independent tokens per
-#: entry — already far beyond any realistic collision budget, at half the
-#: evaluation cost of the full fingerprint battery.
+#: Points per prime.  Four points over two primes give eight independent
+#: tokens per entry — far beyond any realistic collision budget.
 R_POINTS = 4
 
 #: The two battery primes: the largest primes below ``2**25``.
@@ -68,7 +79,81 @@ _QS = np.array(_PRIMES, dtype=np.int64)
 #: Safe contraction width: ``4096 * Q1 * Q2 < 2**63`` (int64 accumulator).
 _MAX_CONTRACTION = 1 << 12
 
+#: Sample range of a battery point: ``[_OFFSET, _OFFSET + _SPAN)``.
+_SPAN = 1 << 16
+_OFFSET = 257
+
 _UNSET = object()
+
+
+# ---------------------------------------------------------------------------
+# The point battery and its scalar evaluator (rational fragment, mod a prime)
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _point(name: str, i: int) -> int:
+    """Deterministic sample value for symbol ``name`` at battery point ``i``."""
+    digest = hashlib.blake2b(f"{i}|{name}".encode(), digest_size=8).digest()
+    value = _OFFSET + (int.from_bytes(digest, "big") % _SPAN)
+    if name.endswith("?"):
+        # Boolean carriers appear only as `sym > 0`: straddle zero so the
+        # battery exercises both predicate branches.
+        return value - _SPAN // 2
+    return value
+
+
+class _NonRational(Exception):
+    """Subtree outside {Add, Mul, Pow^int, Integer, Rational, Float, Symbol}."""
+
+
+class _WeakPoint(Exception):
+    """Value undefined at this point (division by zero mod the prime)."""
+
+
+def _inv(a: int, p: int) -> int:
+    a %= p
+    if a == 0:
+        raise _WeakPoint
+    return pow(a, p - 2, p)
+
+
+def _eval(expr, i: int, memo: dict, p: int) -> int:
+    """Evaluate ``expr`` at battery point ``i`` over F_p (rational fragment).
+
+    Raises :class:`_NonRational` for any op outside the fragment and
+    :class:`_WeakPoint` on division by zero.
+    """
+    hit = memo.get(expr, _UNSET)
+    if hit is not _UNSET:
+        return hit
+    if expr.is_Symbol:
+        value = _point(expr.name, i) % p
+    elif expr.is_Integer:
+        value = int(expr) % p
+    elif expr.is_Rational:
+        value = (int(expr.p) % p) * _inv(int(expr.q), p) % p
+    elif expr.is_Float:
+        q = sp.Rational(expr)  # exact binary expansion
+        value = (int(q.p) % p) * _inv(int(q.q), p) % p
+    elif expr.is_Add:
+        value = 0
+        for arg in expr.args:
+            value = (value + _eval(arg, i, memo, p)) % p
+    elif expr.is_Mul:
+        value = 1
+        for arg in expr.args:
+            value = value * _eval(arg, i, memo, p) % p
+    elif expr.is_Pow and expr.exp.is_Integer:
+        base = _eval(expr.base, i, memo, p)
+        k = int(expr.exp)
+        if k < 0 and base == 0:
+            raise _WeakPoint
+        value = pow(base, k, p)
+    else:
+        raise _NonRational
+    memo[expr] = value
+    return value
 
 
 _QCOLS: dict[int, np.ndarray] = {}
@@ -103,9 +188,7 @@ def tensor_residues(tensor: SymTensor) -> np.ndarray | None:
 
     Memoized on the tensor instance (tensors are immutable).  Non-``None``
     exactly when every entry lies in the rational fragment and every
-    division is invertible mod both primes at all battery points — the same
-    evaluator (and the same failure modes) as the mod-P fingerprint, just
-    with smaller primes.
+    division is invertible mod both primes at all battery points.
     """
     memo = tensor.__dict__.get("_residues", _UNSET)
     if memo is not _UNSET:
@@ -120,9 +203,9 @@ def tensor_residues(tensor: SymTensor) -> np.ndarray | None:
                 for k, q in enumerate(_PRIMES):
                     row = memos[k]
                     for i in range(R_POINTS):
-                        flat[k, i, j] = _eval(e, i, row[i], None, q)
+                        flat[k, i, j] = _eval(e, i, row[i], q)
             out = arr
-            _fp.bump("residue_batteries")
+            bump("equiv.residue_batteries")
         except (_NonRational, _WeakPoint, AttributeError, TypeError):
             out = None
     object.__setattr__(tensor, "_residues", out)
@@ -338,7 +421,7 @@ def compose(
             out = _c_power(args, attrs, arg_nodes)
         except _Unsupported:
             return None
-        _fp.bump("residue_batteries")
+        bump("equiv.residue_batteries")
         return out
     fn = _COMPOSE.get(op)
     if fn is None:
@@ -347,7 +430,7 @@ def compose(
         out = fn(args, attrs)
     except _Unsupported:
         return None
-    _fp.bump("residue_batteries")
+    bump("equiv.residue_batteries")
     return out
 
 

@@ -185,16 +185,6 @@ class SymTensor:
             object.__setattr__(self, "_input_names", names)
         return names
 
-    def fingerprint(self) -> "tuple | None":
-        """Value fingerprint (memoized): see :mod:`repro.symexec.fingerprint`.
-
-        Different non-None fingerprints prove two tensors inequivalent;
-        ``None`` (weak) means the exact equivalence path must decide.
-        """
-        from repro.symexec.fingerprint import tensor_fingerprint
-
-        return tensor_fingerprint(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SymTensor(shape={self.shape}, dtype={self.dtype.value}, data={self.data!r})"
 

@@ -332,6 +332,26 @@ def _empty_delta() -> dict[str, dict]:
     return {s: {} for s in _SECTIONS + (_REJECTED,)}
 
 
+def _is_pruned(value) -> bool:
+    return isinstance(value, dict) and "pruned" in value
+
+
+def _merge_entry(store: dict, key: str, value) -> bool:
+    """The one merge rule, wherever two copies of a key meet; True if taken.
+
+    Entries are content-addressed facts, so the copy already in ``store``
+    stays — except a solver section's pruned marker, which only records that
+    one asker turned the decomposition down: a verified or unsolvable answer
+    for the same key supersedes it, never the reverse.
+    """
+    if key in store:
+        supersedes = _is_pruned(store[key]) and not _is_pruned(value)
+        if not supersedes:
+            return False
+    store[key] = value
+    return True
+
+
 class PersistentCache:
     """JSON-backed, versioned store of synthesis intermediates.
 
@@ -389,18 +409,18 @@ class PersistentCache:
         The read-merge-write under the directory lock is what makes two
         concurrent runs sharing this cache directory end with the *union* of
         their entries: entries another process saved after our load are
-        merged back in rather than overwritten (our own entries win a key
-        conflict, which is harmless — entries are content-addressed facts).
+        merged back in rather than overwritten (:func:`_merge_entry`: our own
+        entry stays on a key conflict, except a pruned marker of ours that the
+        other process has meanwhile solved past).
         """
         if not self._dirty:
             return
         self.path.mkdir(parents=True, exist_ok=True)
         with FileLock(self.path / ".cache.lock"):
             for section in sorted(self._dirty):
-                disk = self._read_file(section)
-                merged = dict(disk)
-                merged.update(self._sections[section])
-                self._sections[section] = merged
+                merged = self._sections[section]
+                for key, value in self._read_file(section).items():
+                    _merge_entry(merged, key, value)
                 payload = {"version": CACHE_VERSION, "entries": merged}
                 fd, tmp = tempfile.mkstemp(
                     dir=self.path, prefix=f".{section}-", suffix=".tmp"
@@ -447,24 +467,19 @@ class PersistentCache:
                 continue
             store = self._load(section)
             for key, value in entries.items():
-                store.setdefault(key, value)
+                _merge_entry(store, key, value)
 
     def merge_delta(self, delta: Mapping[str, Mapping]) -> None:
-        """Merge a worker's delta into this cache (new keys win nothing: the
-        first writer's entry is kept, keeping merges order-independent for
-        identical keys).  The one exception is a library entry the worker
-        found undecodable: our copy of it goes first, so its replacement is
-        a first write again."""
+        """Merge a worker's delta into this cache as our own new entries
+        (:func:`_merge_entry` decides key conflicts).  A library entry the
+        worker found undecodable goes first, so its replacement is a first
+        write again."""
         self._drop_rejected(delta)
         for section, entries in (delta or {}).items():
             if section not in _SECTIONS:
                 continue
-            store = self._load(section)
             for key, value in entries.items():
-                if key not in store:
-                    store[key] = value
-                    self._delta[section][key] = value
-                    self._dirty.add(section)
+                self._put(section, key, value)
 
     def _drop_rejected(self, delta: Mapping[str, Mapping] | None) -> None:
         for key in (delta or {}).get(_REJECTED, ()):
@@ -477,9 +492,7 @@ class PersistentCache:
         return MISS
 
     def _put(self, section: str, key: str, value) -> None:
-        entries = self._load(section)
-        if key not in entries:
-            entries[key] = value
+        if _merge_entry(self._load(section), key, value):
             self._delta[section][key] = value
             self._dirty.add(section)
 
@@ -513,9 +526,6 @@ class PersistentCache:
             payload = dump_solution(solution)
         except Exception:
             return  # unserializable expression: skip caching this entry
-        entries = self._load("solver")
-        if "pruned" in entries.get(key, ()):
-            del entries[key]  # whoever re-solved past a pruned entry knows more
         self._put("solver", key, payload)
 
     def library_get(self, key: str) -> dict | None:

@@ -30,14 +30,13 @@ from typing import Iterator
 import numpy as np
 import sympy as sp
 
-from repro.analysis import counters as _an
 from repro.analysis import prescreen as _prescreen
 from repro.cost.base import CostModel
 from repro.errors import TypeInferenceError
 from repro.ir.nodes import Call, Const, Input, Node
 from repro.ir.parser import Program
 from repro.ir.types import DType
-from repro.symexec import fingerprint as _fp
+from repro.obs.metrics import bump
 from repro.symexec import residues as _res
 from repro.symexec.canonical import canonical_key
 from repro.symexec.engine import symbolic_execute
@@ -292,13 +291,13 @@ class StubEnumerator:
                 return None
             self._seen_nodes.add(node)
         if isinstance(node, Call) and node.op == "divide":
-            _an.bump("prescreen_checks")
+            bump("analysis.prescreen_checks")
             if _prescreen.divides_by_provable_zero(node):
                 # The denominator is syntactically zero, so every entry is
                 # zoo/nan and the undefined-entry check below would reject
                 # the candidate — prune before any residue/symbolic work.
-                _an.bump("prescreen_pruned")
-                _an.bump("prescreen_undefined")
+                bump("analysis.prescreen_pruned")
+                bump("analysis.prescreen_undefined")
                 return None
         if isinstance(node, Call):
             res = self._batteries.compose(node)
@@ -359,14 +358,14 @@ class StubEnumerator:
         self.sketch_sources.append(node)
         cls = self._by_val.get(val_key)
         if cls is not None:
-            _fp.bump("fingerprint_hits")
+            bump("equiv.fingerprint_hits")
             self._battle(cls, node, tensor)
             if raw is not None:
                 self._by_raw[raw] = cls
             return None
         # An unseen battery proves the behavior distinct from every admitted
-        # stub (same Schwartz–Zippel argument as a fingerprint reject).
-        _fp.bump("fingerprint_rejects")
+        # stub (Schwartz–Zippel; counted under the metric's historical name).
+        bump("equiv.fingerprint_rejects")
         entry = StubEntry(
             node, tensor, res=res, exec_cache=self._symexec_cache
         )
@@ -380,7 +379,7 @@ class StubEnumerator:
 
     def _admit_weak(self, node: Node, tensor: SymTensor, raw: tuple) -> StubEntry | None:
         """Battery-weak candidates dedupe exactly, among themselves."""
-        _fp.bump("fingerprint_weak")
+        bump("equiv.fingerprint_weak")
         try:
             key = canonical_key(tensor)
         except Exception:

@@ -26,16 +26,14 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 
-from repro.analysis import counters as _an
 from repro.analysis import prescreen as _prescreen
 from repro.errors import SynthesisTimeout
 from repro.cost.base import CostModel
-from repro.obs.metrics import DEPTH_BUCKETS, LATENCY_BUCKETS_S, MetricsRegistry
+from repro.obs.metrics import DEPTH_BUCKETS, LATENCY_BUCKETS_S, MetricsRegistry, bump
 from repro.obs.trace import get_tracer
 from repro.resilience import Budget
 from repro.ir.nodes import Node
 from repro.ir.types import TensorType
-from repro.symexec import fingerprint as _fp
 from repro.symexec.canonical import canonical_key, equivalent
 from repro.symexec.residues import residue_key, tensor_residues
 from repro.symexec.symtensor import SymTensor
@@ -66,6 +64,8 @@ class SearchStats:
     helpers additionally populate ``metrics``, a
     :class:`~repro.obs.metrics.MetricsRegistry` whose snapshot travels with
     the kernel outcome into the run journal and ``ModuleResult.summary()``.
+    The ``equiv.*`` / ``analysis.*`` process counters have no flat field:
+    ``superoptimize_program`` credits them to ``metrics`` directly.
     """
 
     nodes_expanded: int = 0
@@ -90,16 +90,6 @@ class SearchStats:
     solver_cache_hits: int = 0
     cost_cache_hits: int = 0
     library_cache_hit: bool = False
-    # -- equivalence fast-path counters (see repro.symexec.fingerprint) --------
-    fingerprint_rejects: int = 0
-    fingerprint_hits: int = 0
-    fingerprint_collisions: int = 0
-    sympy_fallbacks: int = 0
-    intern_hits: int = 0
-    solver_prescreened: int = 0
-    # -- static-analysis pre-screen counters (see repro.analysis.prescreen) ----
-    analysis_prescreen_checks: int = 0
-    analysis_prescreen_pruned: int = 0
     # -- typed metrics registry ------------------------------------------------
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry, repr=False)
 
@@ -157,26 +147,6 @@ class SearchStats:
         self.metrics.counter("solver.hits").inc()
         if not isinstance(outcome, Pruned):
             self.metrics.counter("solver.verified").inc()
-
-    def record_equiv_counters(self, delta: dict) -> None:
-        """Fold one kernel's fingerprint-engine counter delta into the stats."""
-        self.fingerprint_rejects += delta.get("fingerprint_rejects", 0)
-        self.fingerprint_hits += delta.get("fingerprint_hits", 0)
-        self.fingerprint_collisions += delta.get("fingerprint_collisions", 0)
-        self.sympy_fallbacks += delta.get("sympy_fallbacks", 0)
-        self.intern_hits += delta.get("intern_hits", 0)
-        self.solver_prescreened += delta.get("solver_prescreened", 0)
-        for name, value in sorted(delta.items()):
-            if value:
-                self.metrics.counter(f"equiv.{name}").inc(int(value))
-
-    def record_analysis_counters(self, delta: dict) -> None:
-        """Fold one kernel's analysis pre-screen counter delta into the stats."""
-        self.analysis_prescreen_checks += delta.get("prescreen_checks", 0)
-        self.analysis_prescreen_pruned += delta.get("prescreen_pruned", 0)
-        for name, value in sorted(delta.items()):
-            if value:
-                self.metrics.counter(f"analysis.{name}").inc(int(value))
 
     def metrics_snapshot(self) -> dict:
         """Registry snapshot with derived cache-hit-ratio gauges refreshed."""
@@ -434,7 +404,7 @@ def _match_base_case(spec: SymTensor, key: tuple, ctx: SearchContext):
         # equivalence — and it is their only fast lookup.
         entry = ctx.library.weak_by_key.get(key)
     if entry is not None:
-        _fp.bump("fingerprint_hits")
+        bump("equiv.fingerprint_hits")
         if ctx.tracer.enabled:
             ctx.tracer.instant("fingerprint-hit", "equiv")
         return entry
@@ -451,16 +421,16 @@ def _match_base_case(spec: SymTensor, key: tuple, ctx: SearchContext):
                 # Different batteries: definitely inequivalent — skip the
                 # simplify-based check.  (Equal batteries cannot reach here:
                 # the value tier would already have matched.)
-                _fp.bump("fingerprint_rejects")
+                bump("equiv.fingerprint_rejects")
                 continue
         # Abstract tier: disjoint entry hulls over the verification box
         # prove the stub differs from the spec somewhere, so the
         # ``equivalent`` call below could only return False — skip it.
-        _an.bump("prescreen_checks")
+        bump("analysis.prescreen_checks")
         if _prescreen.tensors_disjoint(e.tensor, spec):
-            _an.bump("prescreen_pruned")
+            bump("analysis.prescreen_pruned")
             continue
-        if equivalent(e.tensor, spec):
+        if equivalent(spec, e.tensor):
             return e
     return None
 

@@ -29,8 +29,7 @@ from repro.ir.nodes import Call, Input, Node
 from repro.ir.types import DType, TensorType
 from repro.obs.trace import NULL_TRACER
 from repro.resilience import inject
-from repro.symexec import fingerprint as _fp
-from repro.symexec.canonical import canonical, canonical_entries, equivalent
+from repro.symexec.canonical import canonical, equivalent
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.symtensor import SymTensor, input_symbols_of, symbol_origin
 from repro.synth.config import SynthesisConfig
@@ -578,11 +577,6 @@ def _generic_solve(
     eqs = []
     for got, want in zip(result.entries(), spec.entries()):
         eqs.append(sp.expand(got - want))
-    # Fingerprint pre-screen: if the linear system has no solution modulo p
-    # at every sampled point, no symbolic solution exists — skip sp.solve.
-    if _fp.linear_system_infeasible(eqs, flat_syms):
-        _fp.bump("solver_prescreened")
-        return None
     try:
         solutions = sp.solve(eqs, flat_syms, dict=True)
     except Exception:
@@ -611,24 +605,6 @@ def _generic_solve(
             out = np.array(chunk[0], dtype=object)
         out_specs.append(_canonical_tensor(out))
     return tuple(out_specs)
-
-
-def _verified_equal(got: SymTensor, spec: SymTensor) -> bool:
-    """Decomposition verification compare, riding the equivalence fast path.
-
-    Fingerprints refute most bad decompositions without canonicalizing;
-    interned canonical entries confirm the common good case; ``equivalent``
-    (with its own SymPy fallback) settles the rest.
-    """
-    if got.shape != spec.shape or got.dtype != spec.dtype:
-        return False
-    fg, fs = _fp.tensor_fingerprint(got), _fp.tensor_fingerprint(spec)
-    if fg is not None and fs is not None and fg != fs:
-        _fp.bump("fingerprint_rejects")
-        return False
-    if canonical_entries(got) == canonical_entries(spec):
-        return True
-    return equivalent(got, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -707,17 +683,15 @@ class SketchSolver:
         the proof.  Hole specs that are returned have been verified.
         """
         inject("solver", key=self.scope, config=self.config)
-        hole_specs, exact = self._derive(sketch, spec)
+        hole_specs = self._derive(sketch, spec)
         if hole_specs is None:
             return None
         if keep is not None:
             pruned = keep(hole_specs)
             if pruned is not None:
                 return pruned
-        if (
-            not exact
-            and self.config.verify_decompositions
-            and not self._decomposition_holds(sketch, hole_specs, spec)
+        if self.config.verify_decompositions and not self._decomposition_holds(
+            sketch, hole_specs, spec
         ):
             return None
         return hole_specs
@@ -729,30 +703,29 @@ class SketchSolver:
 
     def _derive(
         self, sketch: Sketch, spec: SymTensor
-    ) -> tuple[tuple[SymTensor, ...] | None, bool]:
-        """Unverified hole specs, and whether they are exact as derived.
+    ) -> tuple[SymTensor, ...] | None:
+        """Unverified hole specs, or None.
 
         A single hole is reached by inverting one op per step of its path;
-        the result is heuristic until :meth:`_decomposition_holds` confirms
-        it.  Several holes go to the generic solve and are confirmed the
-        same way.  Only a single-hole path that meets an op without an
-        inverter hands ``sympy.solve``'s unique solution back as exact.
+        several holes, or a path that meets an op without an inverter, go to
+        the generic solve.  Either way the result is heuristic until
+        :meth:`_decomposition_holds` confirms it.
         """
         if sketch.num_holes != 1:
             if not self.config.solver_generic_fallback:
-                return None, False
-            return self._traced_generic_solve(sketch, spec), False
+                return None
+            return self._traced_generic_solve(sketch, spec)
         target = spec
         node: Node = sketch.root
         tracer = self.tracer
         for step in sketch.hole_path:
             if not isinstance(node, Call):
-                return None, False
+                return None
             inverter = _INVERTERS.get(node.op)
             if inverter is None:
                 if self.config.solver_generic_fallback:
-                    return self._traced_generic_solve(sketch, spec), True
-                return None, False
+                    return self._traced_generic_solve(sketch, spec)
+                return None
             siblings: list[SymTensor | None] = []
             for i, arg in enumerate(node.args):
                 siblings.append(None if i == step else self._value(arg))
@@ -768,7 +741,7 @@ class SketchSolver:
                         duration=time.monotonic() - step_start,
                         op=node.op, outcome="error",
                     )
-                return None, False
+                return None
             if tracer.enabled:
                 tracer.complete(
                     "invert", "solver",
@@ -778,12 +751,12 @@ class SketchSolver:
                     outcome="hit" if result is not None else "miss",
                 )
             if result is None:
-                return None, False
+                return None
             target = result
             node = node.args[step]
         if target.shape != sketch.hole.type.shape:
-            return None, False
-        return (target,), False
+            return None
+        return (target,)
 
     def _decomposition_holds(
         self, sketch: Sketch, hole_specs: tuple[SymTensor, ...], spec: SymTensor
@@ -799,4 +772,4 @@ class SketchSolver:
             result = symbolic_execute(sketch.root, bindings=bindings)
         except Exception:
             return False
-        return _verified_equal(result, spec)
+        return equivalent(spec, result)

@@ -22,7 +22,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.analysis import counters as _an
 from repro.cost import CostModel, make_cost_model, with_caching
 from repro.cost.cached import CachingCostModel
 from repro.errors import StensoError, SynthesisTimeout, VerificationError
@@ -31,11 +30,12 @@ from repro.ir.nodes import Call, Node
 from repro.ir.parser import Program, parse
 from repro.ir.printer import to_callable, to_source
 from repro.ir.types import TensorType, shrink_shape
+from repro.obs.metrics import PROCESS_COUNTERS
 from repro.obs.trace import get_tracer
 from repro.resilience import Budget, inject
-from repro.symexec import fingerprint as _fp
 from repro.symexec.canonical import canonical, equivalent
 from repro.symexec.engine import symbolic_execute
+from repro.symexec.interning import TABLE as _INTERN
 from repro.synth.cache import PersistentCache, as_cache, synthesis_fingerprint
 from repro.synth.complexity import spec_complexity
 from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
@@ -125,6 +125,15 @@ def verify_candidate(
     return True
 
 
+def _process_counts() -> dict[str, int]:
+    """The process counter bag, with the intern table's tallies sampled in."""
+    return {
+        **PROCESS_COUNTERS,
+        "equiv.intern_hits": _INTERN.hits,
+        "equiv.intern_misses": _INTERN.misses,
+    }
+
+
 def superoptimize_program(
     program: Program,
     cost_model: CostModel | str = "flops",
@@ -150,8 +159,7 @@ def superoptimize_program(
     fingerprint = synthesis_fingerprint(config, cost_model) if cache is not None else ""
     cost_model = with_caching(cost_model, cache, fingerprint)
     budget = budget if budget is not None else Budget.for_config(config)
-    equiv_base = _fp.counters_snapshot()
-    analysis_base = _an.snapshot()
+    counts_base = _process_counts()
     tracer = get_tracer()
     start = time.monotonic()
 
@@ -219,8 +227,10 @@ def superoptimize_program(
         improved = verified
     if isinstance(cost_model, CachingCostModel):
         ctx.stats.cost_cache_hits = cost_model.hits
-    ctx.stats.record_equiv_counters(_fp.counters_delta(equiv_base))
-    ctx.stats.record_analysis_counters(_an.delta(analysis_base))
+    for name, count in _process_counts().items():
+        delta = count - counts_base.get(name, 0)
+        if delta:
+            ctx.stats.metrics.counter(name).inc(delta)
     if not improved:
         result, result_cost = program.node, cost_min  # line 10
 

@@ -1,8 +1,11 @@
 """Focused unit tests for canonicalization internals and SymTensor helpers."""
 
+import importlib
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ir.types import DType, TensorType, float_tensor
 from repro.symexec.canonical import _needs_cancel, _piecewise_to_minmax, canonical
@@ -108,3 +111,121 @@ class TestSymTensorHelpers:
         assert t.shape == ()
         assert t.item() == element_symbol("s", ())
         assert t.density() == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The battery tier can never change ``equivalent``'s answer
+# ---------------------------------------------------------------------------
+
+_X, _Y = element_symbol("X", (0,)), element_symbol("Y", (0,))
+_LT = sp.Lt(_X, _Y)
+
+
+def _grammar_exprs() -> st.SearchStrategy:
+    """Entries the grammar's operators produce: rational, sqrt, Max / where."""
+    leaves = st.sampled_from([_X, _Y, sp.Integer(2), sp.Rational(1, 2)])
+
+    def combine(children):
+        pair = st.tuples(children, children)
+        return st.one_of(
+            pair.map(lambda ab: ab[0] + ab[1]),
+            pair.map(lambda ab: ab[0] - ab[1]),
+            pair.map(lambda ab: ab[0] * ab[1]),
+            pair.map(lambda ab: ab[0] / (ab[1] * ab[1] + 1)),
+            children.map(lambda a: a**2),
+            children.map(lambda a: sp.sqrt(a * a + 1)),
+            pair.map(lambda ab: sp.Max(ab[0], ab[1])),
+            pair.map(lambda ab: sp.Piecewise((ab[0], _LT), (ab[1], True))),
+        )
+
+    return st.recursive(leaves, combine, max_leaves=5)
+
+
+_REWRITES = (sp.expand, sp.factor, sp.together, lambda e: e + _X - _X, lambda e: e + 1)
+
+
+def _same_function(a: SymTensor, b: SymTensor) -> bool:
+    """Test-local oracle: ``simplify(a - b) == 0`` entry by entry.
+
+    Relations cannot be subtracted; like ``equivalent``, the oracle takes two
+    of them for the same predicate only when they are the same relation."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+
+    def same(ea, eb):
+        if ea == eb:
+            return True
+        try:
+            return sp.simplify(ea - eb) == 0
+        except TypeError:
+            return False
+
+    return all(same(ea, eb) for ea, eb in zip(a.entries(), b.entries()))
+
+
+def _verdicts(a: SymTensor, b: SymTensor, monkeypatch) -> list[bool]:
+    """``equivalent(a, b)`` with batteries as they are, absent, and colliding."""
+    # ``repro.symexec.canonical`` the attribute is the function; get the module.
+    canonical_mod = importlib.import_module("repro.symexec.canonical")
+    collision = np.zeros((2, 4), dtype=np.int64)
+    out = [canonical_mod.equivalent(a, b)]
+    for forced in (lambda t: None, lambda t: collision):
+        with monkeypatch.context() as patch:
+            patch.setattr(canonical_mod, "tensor_residues", forced)
+            out.append(canonical_mod.equivalent(a, b))
+    return out
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(_grammar_exprs(), _grammar_exprs(), st.sampled_from(_REWRITES), st.booleans())
+def test_battery_tier_never_changes_the_verdict(monkeypatch, e1, e2, rewrite, boolean):
+    try:
+        twin = rewrite(e1)
+    except (sp.PolynomialError, NotImplementedError):
+        twin = e1
+    if boolean:
+        # ``less`` outputs: a relation over the generated entries.
+        pairs = [([sp.Lt(e1, e2)], [sp.Lt(e1, e2)]), ([sp.Lt(e1, e2)], [sp.Lt(e2, e1)])]
+        dtype = DType.BOOL
+    else:
+        pairs = [([e1, e2], [twin, e2]), ([e1, e2], [e2, e1]), ([e1], [e1, e2])]
+        dtype = DType.FLOAT
+    for left, right in pairs:
+        a = SymTensor(np.array(left, dtype=object), dtype)
+        b = SymTensor(np.array(right, dtype=object), dtype)
+        as_is, absent, colliding = _verdicts(a, b, monkeypatch)
+        assert as_is == absent == colliding == _same_function(a, b), (left, right)
+
+
+@pytest.mark.parametrize("kernel", ["diag_dot", "synth_11"])
+def test_battery_tier_never_changes_a_match_scan_verdict(kernel, monkeypatch):
+    """Every (spec, stub) pair MATCH's slow scan hands to ``equivalent``."""
+    from repro.bench.suite import get_benchmark
+    from repro.cost import make_cost_model
+    from repro.synth import SynthesisConfig, search
+    from repro.synth.superoptimizer import superoptimize_program
+
+    scanned = []
+    real = search.equivalent
+
+    def recording(spec, stub):
+        scanned.append((spec, stub))
+        return real(spec, stub)
+
+    bench = get_benchmark(kernel)
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "equivalent", recording)
+        result = superoptimize_program(
+            bench.parse_synth(),
+            cost_model=make_cost_model("flops", dim_map=bench.dim_map),
+            config=SynthesisConfig(timeout_seconds=120),
+        )
+    assert result.improved and scanned
+    for spec, stub in scanned:
+        as_is, absent, colliding = _verdicts(spec, stub, monkeypatch)
+        assert as_is == absent == colliding == _same_function(spec, stub)

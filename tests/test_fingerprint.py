@@ -1,12 +1,16 @@
-"""Property and unit tests for the value-fingerprint equivalence fast path.
+"""Property and unit tests for the value-battery equivalence fast path.
 
-The load-bearing guarantee: **fingerprints never produce a false
-"inequivalent" verdict** — if two expressions are semantically equal, their
-fingerprints are equal or at least one is weak (``None``).  Hypothesis
-drives this with random expressions pushed through semantics-preserving
-SymPy transforms.  The rest covers collision fallback, cross-process
-determinism, mod-prime arithmetic (division, negative exponents), weak
-fingerprints, and the generic-solve linear pre-screen.
+The file and test names predate the one-battery engine (they are the suite's
+recorded ids); the subject is :mod:`repro.symexec.residues`, the battery
+``equivalent`` and the enumerator both read.
+
+The load-bearing guarantee: **batteries never produce a false "inequivalent"
+verdict** — if two expressions are semantically equal, their batteries are
+equal or at least one is missing (``None``).  Hypothesis drives this with
+random expressions pushed through semantics-preserving SymPy transforms.  The
+rest covers the exact confirmation of equal batteries, cross-process
+determinism, mod-prime arithmetic (division, negative exponents) and
+undefined values.
 """
 
 import subprocess
@@ -18,15 +22,8 @@ import sympy as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ir.types import DType
-from repro.symexec import (
-    equivalent,
-    equivalent_exprs,
-    expr_fingerprint,
-    linear_system_infeasible,
-    symbolic_execute,
-    tensor_fingerprint,
-)
-from repro.symexec.fingerprint import N_POINTS, P, _point
+from repro.symexec import equivalent, equivalent_exprs, symbolic_execute, tensor_residues
+from repro.symexec.residues import Q1, Q2, R_POINTS, _point
 from repro.symexec.symtensor import SymTensor, element_symbol
 
 _SETTINGS = settings(
@@ -39,6 +36,13 @@ _SETTINGS = settings(
 _X = element_symbol("X", (0, 0))
 _Y = element_symbol("Y", (0, 0))
 _Z = element_symbol("Z", (0, 0))
+
+
+def _battery(*entries):
+    """Battery of the float tensor holding ``entries`` (bytes, or None)."""
+    data = np.array(entries[0] if len(entries) == 1 else entries, dtype=object)
+    res = tensor_residues(SymTensor(data, DType.FLOAT))
+    return None if res is None else res.tobytes()
 
 
 def _exprs() -> st.SearchStrategy[sp.Expr]:
@@ -67,58 +71,47 @@ def _exprs() -> st.SearchStrategy[sp.Expr]:
 @_SETTINGS
 @given(_exprs())
 def test_fingerprint_invariant_under_rewrites(expr):
-    """Semantics-preserving transforms never change a non-weak fingerprint."""
-    fp = expr_fingerprint(expr)
+    """Semantics-preserving transforms never change a battery."""
+    res = _battery(expr)
     for transform in (sp.expand, sp.factor, sp.simplify, sp.cancel):
         try:
             other = transform(expr)
         except (sp.PolynomialError, NotImplementedError):
             continue
-        fp_other = expr_fingerprint(other)
-        if fp is not None and fp_other is not None:
-            assert fp == fp_other, (
+        res_other = _battery(other)
+        if res is not None and res_other is not None:
+            assert res == res_other, (
                 f"{expr} vs {transform.__name__}: {other} — equal semantics, "
-                "different fingerprints (unsound rejection)"
+                "different batteries (unsound rejection)"
             )
 
 
 @_SETTINGS
 @given(_exprs(), _exprs())
 def test_fingerprint_agrees_with_sympy_equivalence(a, b):
-    """fp(a) != fp(b) (both non-weak) must imply SymPy finds a != b."""
-    fa, fb = expr_fingerprint(a), expr_fingerprint(b)
-    if fa is None or fb is None or fa == fb:
+    """Different batteries (both present) must imply SymPy finds a != b."""
+    ra, rb = _battery(a), _battery(b)
+    if ra is None or rb is None or ra == rb:
         return
     assert sp.simplify(a - b) != 0
 
 
-def test_fingerprint_rational_values_share_tokens():
-    # Same value, wildly different trees: sqrt collapse, exp/log, log ratio.
-    pairs = [
-        (sp.sqrt(_Y**2 + 2 * _Y + 1), _Y + 1),
-        (sp.exp(2 * sp.log(_X)), _X**2),
-        (sp.log(sp.Integer(17) ** 5) / sp.log(sp.Integer(17)), sp.Integer(5)),
-        (_X / _Y * _Y, _X),
-        ((_X**2 - 4) / (_X - 2), _X + 2),
-    ]
-    for a, b in pairs:
-        fa, fb = expr_fingerprint(a), expr_fingerprint(b)
-        assert fb is not None
-        if fa is not None:
-            assert fa == fb, f"{a} vs {b}"
-
-
 # ---------------------------------------------------------------------------
-# Collision fallback correctness
+# Equal or missing batteries decide nothing: the exact tiers do
 # ---------------------------------------------------------------------------
 
 
 def test_equal_fingerprints_still_confirmed_exactly():
-    # Equal fingerprints route through canonical/simplify, which must accept
-    # true equivalences whose canonical forms differ.
+    # No battery (sqrt): canonical/simplify must accept a true equivalence
+    # whose canonical forms differ ...
     a, b = sp.sqrt(_Y**2 + 2 * _Y + 1), _Y + 1
+    assert _battery(a) is None
     assert equivalent_exprs(a, b)
-    # ... and reject non-equivalences regardless of any collision.
+    # ... equal batteries over different trees are confirmed, not assumed ...
+    c, d = (_X**2 - _Y**2) / (_X + _Y) + _Y, _X
+    assert _battery(c) == _battery(d) is not None
+    assert equivalent_exprs(c, d)
+    # ... and non-equivalences are rejected whatever the battery says.
     assert not equivalent_exprs(_X + _Y, _X * _Y)
 
 
@@ -126,8 +119,8 @@ def test_tensor_fingerprint_and_equivalent():
     t1 = SymTensor(np.array([[_X + _Y, _X * 2], [_Y, _X]], dtype=object), DType.FLOAT)
     t2 = SymTensor(np.array([[_Y + _X, 2 * _X], [_Y, _X]], dtype=object), DType.FLOAT)
     t3 = SymTensor(np.array([[_X + _Y, _X * 2], [_Y, _Y]], dtype=object), DType.FLOAT)
-    assert tensor_fingerprint(t1) == tensor_fingerprint(t2)
-    assert tensor_fingerprint(t1) != tensor_fingerprint(t3)
+    assert (tensor_residues(t1) == tensor_residues(t2)).all()
+    assert not (tensor_residues(t1) == tensor_residues(t3)).all()
     assert equivalent(t1, t2)
     assert not equivalent(t1, t3)
 
@@ -140,10 +133,13 @@ def test_tensor_fingerprint_and_equivalent():
 def test_points_are_deterministic_across_processes():
     code = (
         "import sys; sys.path.insert(0, %r); "
-        "from repro.symexec.fingerprint import _point, expr_fingerprint; "
-        "from repro.symexec.symtensor import element_symbol; "
+        "import numpy as np; "
+        "from repro.ir.types import DType; "
+        "from repro.symexec.residues import _point, tensor_residues; "
+        "from repro.symexec.symtensor import SymTensor, element_symbol; "
         "x = element_symbol('X', (0, 0)); "
-        "print(_point('A[0,0]', 0), _point('m?', 3), expr_fingerprint(x**2 + 3))"
+        "t = SymTensor(np.array(x**2 + 3, dtype=object), DType.FLOAT); "
+        "print(_point('A[0,0]', 0), _point('m?', 3), tensor_residues(t).tolist())"
     ) % str(Path(__file__).resolve().parents[1] / "src")
     out1 = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -153,39 +149,41 @@ def test_points_are_deterministic_across_processes():
     ).stdout
     assert out1 == out2
     # ... and match this process too.
-    expected = f"{_point('A[0,0]', 0)} {_point('m?', 3)} {expr_fingerprint(_X**2 + 3)}\n"
+    here = tensor_residues(SymTensor(np.array(_X**2 + 3, dtype=object), DType.FLOAT))
+    expected = f"{_point('A[0,0]', 0)} {_point('m?', 3)} {here.tolist()}\n"
     assert out1 == expected
 
 
 def test_boolean_carrier_points_straddle_zero():
-    values = [_point(f"m{i}?", j) for i in range(8) for j in range(N_POINTS)]
+    values = [_point(f"m{i}?", j) for i in range(8) for j in range(R_POINTS)]
     assert any(v > 0 for v in values) and any(v < 0 for v in values)
 
 
 # ---------------------------------------------------------------------------
-# Mod-prime arithmetic: division, negative exponents, weak points
+# Mod-prime arithmetic: division, negative exponents, undefined values
 # ---------------------------------------------------------------------------
 
 
 def test_division_and_negative_exponents_mod_p():
-    assert expr_fingerprint(_X / _Y * _Y) == expr_fingerprint(_X)
-    assert expr_fingerprint(_X**-2 * _X**3) == expr_fingerprint(_X)
-    fp = expr_fingerprint(sp.Rational(3, 7))
-    assert fp is not None
-    assert all(tok == 3 * pow(7, P - 2, P) % P for tok in fp)
+    assert _battery(_X / _Y * _Y) == _battery(_X)
+    assert _battery(_X**-2 * _X**3) == _battery(_X)
+    assert _battery(sp.Rational(1, 2) / _Y) == _battery(1 / (2 * _Y)) is not None
+    res = tensor_residues(SymTensor(np.array(sp.Rational(3, 7), dtype=object), DType.FLOAT))
+    assert res.shape == (2, R_POINTS)
+    for row, q in zip(res, (Q1, Q2)):
+        assert (row == 3 * pow(7, q - 2, q) % q).all()
 
 
 def test_undefined_values_are_weak_not_wrong():
-    assert expr_fingerprint(sp.zoo) is None
-    assert expr_fingerprint(sp.Integer(1) / (_X - _X)) is None
-    # Weak entry poisons the whole tensor fingerprint (sound: no verdict).
-    t = SymTensor(np.array([_X, sp.zoo * _Y], dtype=object), DType.FLOAT)
-    assert tensor_fingerprint(t) is None
+    assert _battery(sp.zoo) is None
+    assert _battery(sp.Integer(1) / (_X - _X)) is None
+    # One entry without a battery leaves the whole tensor without one
+    # (sound: no verdict).
+    assert _battery(_X, sp.zoo * _Y) is None
     # A denominator that vanishes at sample points but not identically must
     # not produce a false inequivalence: (x^2 - y)·z/(x^2 - y) vs z.
     e = (_X**2 - _Y) * _Z / (_X**2 - _Y)
-    fe = expr_fingerprint(e)
-    assert fe is None or fe == expr_fingerprint(_Z)
+    assert _battery(e) in (None, _battery(_Z))
 
 
 def test_fingerprint_through_symbolic_execution():
@@ -195,50 +193,6 @@ def test_fingerprint_through_symbolic_execution():
     a = parse("def k(A, B):\n    return (A + B) * (A - B)\n", types)
     b = parse("def k(A, B):\n    return A * A - B * B\n", types)
     c = parse("def k(A, B):\n    return A * A + B * B\n", types)
-    ta, tb, tc = (symbolic_execute(p.node) for p in (a, b, c))
-    assert tensor_fingerprint(ta) == tensor_fingerprint(tb)
-    assert tensor_fingerprint(ta) != tensor_fingerprint(tc)
-
-
-# ---------------------------------------------------------------------------
-# Generic-solve linear pre-screen
-# ---------------------------------------------------------------------------
-
-
-def test_linear_screen_rejects_infeasible_system():
-    u = [sp.Symbol("_u0", real=True)]
-    # A scalar hole cannot equal two different entries at once: u = x and
-    # u = y is inconsistent at every sample point (x != y there).
-    eqs = [sp.expand(u[0] - _X), sp.expand(u[0] - _Y)]
-    assert linear_system_infeasible(eqs, u)
-    # Note u*x = x + 1 IS solvable (u = 1 + 1/x: hole specs are symbolic),
-    # and the pointwise screen agrees.
-    assert not linear_system_infeasible([sp.expand(u[0] * _X - _X - 1)], u)
-
-
-def test_linear_screen_keeps_feasible_and_nonlinear_systems():
-    u = [sp.Symbol("_u0", real=True), sp.Symbol("_u1", real=True)]
-    # Solvable: u0 = 2, u1 = -1.
-    eqs = [
-        sp.expand(u[0] * _X + u[1] * _Y - 2 * _X + _Y),
-        sp.expand(u[0] - 2),
-    ]
-    assert not linear_system_infeasible(eqs, u)
-    # Nonlinear in the unknowns: screening must decline, never reject.
-    assert not linear_system_infeasible([sp.expand(u[0] ** 2 * _X - _X)], [u[0]])
-    # Solution undefined at some points only (u = 1/x is fine on battery
-    # points since x != 0 there, but be conservative anyway): feasible.
-    assert not linear_system_infeasible([sp.expand(u[0] * _X - 1)], [u[0]])
-
-
-def test_linear_screen_ignores_unknown_free_equations():
-    # sp.solve(eqs, unknowns) silently drops equations that contain none of
-    # the unknowns, even unsatisfiable ones (residual sketch rows outside the
-    # hole — e.g. stack([h, x]) against stack([2x, 2x]) yields a spurious
-    # -x row).  The screen must match that, or it rejects systems the
-    # generic solver solves.
-    u = [sp.Symbol("_u0", real=True)]
-    eqs = [sp.expand(u[0] - 2 * _X), -_X, -_Y]
-    assert not linear_system_infeasible(eqs, u)
-    # All equations unknown-free: nothing to screen.
-    assert not linear_system_infeasible([-_X], u)
+    ra, rb, rc = (tensor_residues(symbolic_execute(p.node)) for p in (a, b, c))
+    assert (ra == rb).all()
+    assert not (ra == rc).all()

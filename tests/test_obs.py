@@ -310,6 +310,40 @@ class TestMetrics:
         )
         assert "search.depth" in snap["histograms"]
 
+    def test_process_counters_reach_the_registry_under_their_names(self):
+        """``equiv.*`` / ``analysis.*`` counts have no flat field, only the
+        registry — which still carries every name it carried before the
+        fingerprint engine went (all but ``equiv.fingerprint_computed``,
+        ``equiv.fingerprint_collisions`` and ``equiv.solver_prescreened``)."""
+        from repro.synth.search import SearchStats
+
+        flat = SearchStats().as_dict()
+        assert flat["metrics"] == empty_snapshot()
+        assert not [
+            k for k in flat
+            if k.startswith(("fingerprint_", "analysis_", "intern_", "sympy_"))
+            or k == "solver_prescreened"
+        ]
+        result = superoptimize_source(
+            PRUNE_SOURCE, {"A": (2, 2), "B": (2, 2)}, config=FAST
+        )
+        counters = result.stats.metrics_snapshot()["counters"]
+        # (intern misses only show when the process-wide table is still cold)
+        counters.setdefault("equiv.intern_misses", 1)
+        assert {k for k in counters if k.startswith(("equiv.", "analysis."))} == {
+            "analysis.prescreen_checks",
+            "analysis.prescreen_pruned",
+            "analysis.prescreen_undefined",
+            "equiv.fingerprint_hits",
+            "equiv.fingerprint_rejects",
+            "equiv.fingerprint_weak",
+            "equiv.intern_hits",
+            "equiv.intern_misses",
+            "equiv.residue_batteries",
+            "equiv.sympy_fallbacks",
+        }
+        assert all(counters[k] > 0 for k in counters if k.startswith(("equiv.", "analysis.")))
+
     def test_profile_summary_reports_memo_and_cost_cache_hits(self):
         result = superoptimize_source(EASY_SOURCE, {"A": (2, 2)}, config=FAST)
         result.stats.memo_hits = 3

@@ -201,7 +201,7 @@ class TestPartitionParity:
 
 
 def test_sympy_fallback_rate_stays_low():
-    """SymPy settles under 20 % of what the fingerprint tiers settle."""
+    """SymPy settles under 20 % of what the battery tier settles."""
     from repro.pipeline import KernelSpec, ModuleOptimizer
 
     module = [
@@ -213,7 +213,7 @@ def test_sympy_fallback_rate_stays_low():
     assert counters["solver.calls"] > 0  # the module reaches SOLVE
     settled = sum(
         counters.get(f"equiv.fingerprint_{tier}", 0)
-        for tier in ("rejects", "hits", "collisions")
+        for tier in ("rejects", "hits")
     )
     assert settled > 0
     assert counters.get("equiv.sympy_fallbacks", 0) < 0.2 * settled

@@ -261,3 +261,35 @@ def test_pruned_entry_answers_only_an_asker_it_would_prune_again(tmp_path):
     assert cache.solver_get("k", 2.0) is None
     cache.solver_put("k", Pruned(9.0))
     assert cache.solver_get("k", 2.0) is None
+
+
+_PRUNED = {"pruned": 1.5}
+_VERIFIED = {"solved": True, "tensors": [{"shape": [], "dtype": "float", "entries": ["Integer(1)"]}]}
+_UNSOLVABLE = {"solved": False}
+
+
+@pytest.mark.parametrize("answer", [_VERIFIED, _UNSOLVABLE], ids=["verified", "unsolvable"])
+@pytest.mark.parametrize("point", ["merge_delta", "absorb", "save"])
+def test_a_solver_answer_supersedes_a_pruned_marker_never_the_reverse(tmp_path, point, answer):
+    from repro.synth.cache import PersistentCache
+
+    def meet(ours, theirs):
+        """The solver entry for one key after our copy met theirs at ``point``."""
+        path = tmp_path / f"{point}-{'pruned' in ours}"
+        cache = PersistentCache(path)
+        if point == "save":
+            # A concurrent run saved its entry after we loaded the section.
+            cache._put("solver", "k", ours)
+            other = PersistentCache(path)
+            other._put("solver", "k", theirs)
+            other.save()
+            cache.save()
+            return _solver_entries(path)["k"]
+        cache._load("solver")["k"] = ours
+        getattr(cache, point)({"solver": {"k": theirs}})
+        if point == "merge_delta" and "pruned" in ours:
+            assert cache.delta() == {"solver": {"k": theirs}}  # ours to save now
+        return cache._get("solver", "k")
+
+    assert meet(_PRUNED, answer) == answer
+    assert meet(answer, _PRUNED) == answer

@@ -245,3 +245,36 @@ class TestSolverSafety:
     def test_shape_mismatch_returns_none(self, solver):
         sketch = make_sketch("np.sum(A, axis=0)", "A")
         assert solver.solve(sketch, spec_of("np.sum(A, axis=1)")) is None
+
+    def test_generic_solution_of_a_single_hole_path_is_verified(self, solver, monkeypatch):
+        """``stack`` has no inverter, so the hole path falls to ``sympy.solve``:
+        what comes back is re-executed and compared like any other hole spec."""
+        from repro.synth import solver as solver_mod
+
+        types = {"x": float_tensor(2)}
+        sketch = make_sketch("np.stack([x, x])", "x", types)  # stack([??, x])
+        proofs = []
+        real_holds = SketchSolver._decomposition_holds
+
+        def counting_holds(self, sk, hole_specs, spec):
+            proofs.append(hole_specs)
+            return real_holds(self, sk, hole_specs, spec)
+
+        monkeypatch.setattr(SketchSolver, "_decomposition_holds", counting_holds)
+        hole = solver.solve(sketch, spec_of("np.stack([x + x, x])", types))
+        assert hole is not None and equivalent(hole, spec_of("x + x", types))
+        assert len(proofs) == 1
+
+        # ``sympy.solve`` drops the rows that mention no unknown, so against
+        # stack([2x, 2x]) it still answers ?? = 2x although row 1 is x, not 2x.
+        wrong = spec_of("np.stack([x + x, x + x])", types)
+        assert solver_mod._generic_solve(sketch, wrong, solver.config) is not None
+        assert solver.solve(sketch, wrong) is None
+        assert len(proofs) == 2
+
+        # A doctored generic solution is turned down the same way.
+        monkeypatch.setattr(
+            solver_mod, "_generic_solve", lambda sk, spec, config: (spec_of("x * x", types),)
+        )
+        assert solver.solve(sketch, spec_of("np.stack([x + x, x])", types)) is None
+        assert len(proofs) == 3

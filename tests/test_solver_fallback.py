@@ -38,8 +38,8 @@ class TestGenericFallback:
         types = {**TYPES}
         solver = SketchSolver(SynthesisConfig(solver_max_unknowns=8))
         sketch = make_sketch("np.stack([x, x])", "x", types)
-        # stack(h, h) == stack(x+x, x+x)  =>  h == x + x
-        spec = spec_of("np.stack([x + x, x + x])", types)
+        # stack(h, x) == stack(x+x, x)  =>  h == x + x
+        spec = spec_of("np.stack([x + x, x])", types)
         hole = solver.solve(sketch, spec)
         assert hole is not None
         assert equivalent(hole, spec_of("x + x", types))
