@@ -8,7 +8,8 @@ Consumes the traces written by ``stenso --trace`` (either format):
 Subcommands::
 
     repro-trace summary results/runs/<id>/trace.json
-        Hottest stages, top prune reasons, deepest search paths, and a
+        Hottest stages, top prune reasons, the ``equiv.*`` counters of the
+        ``metrics.json`` beside the trace, deepest search paths, and a
         per-worker utilization timeline.
 
     repro-trace validate results/runs/<id>/trace.json
@@ -120,6 +121,17 @@ def _solver_outcomes(events: list[dict]) -> list[str]:
     ]
 
 
+def _equiv_counts(trace_path: Path) -> list[str]:
+    """The run's ``equiv.*`` counters, from the ``metrics.json`` a traced run
+    writes beside its trace (spans carry no counter values)."""
+    try:
+        counters = json.loads(trace_path.with_name("metrics.json").read_text())["counters"]
+        ranked = sorted((k, v) for k, v in counters.items() if k.startswith("equiv."))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return []
+    return [f"  {name:<28} {count}" for name, count in ranked]
+
+
 def _deepest_paths(events: list[dict], top: int) -> list[str]:
     """Deepest ``dfs`` chains, reconstructed from parent links per tid."""
     by_tid: dict[str, dict] = {}
@@ -190,6 +202,7 @@ def cmd_summary(path: Path, top: int) -> int:
         ("hottest stages", _hottest_stages(events, top)),
         ("top prune reasons", _top_prunes(events, top)),
         ("solver outcomes", _solver_outcomes(events)),
+        ("equivalence tiers", _equiv_counts(path)),
         ("deepest search paths", _deepest_paths(events, top)),
         ("per-worker utilization", _worker_timeline(events)),
     )

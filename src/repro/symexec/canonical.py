@@ -14,6 +14,12 @@ the rest down:
 3. a ``simplify``-based **SymPy fallback** for entries whose canonical forms
    differ over the same symbols — its invocation count is tracked as the
    ``equiv.sympy_fallbacks`` metric (court of last resort).
+
+Order has its own value tier: a top-level ``x < y`` is canonicalised by
+expanding both sides and rebuilding it through
+:func:`repro.symexec.residues.less`, which lets two exact witnesses refute
+the relation before SymPy's assumption system is asked to prove it
+(``equiv.order_refuted`` / ``equiv.order_asked``).
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import sympy as sp
 
 from repro.obs.metrics import bump
 from repro.obs.trace import get_tracer
+from repro.symexec import residues
 from repro.symexec.interning import TABLE as _INTERN
 from repro.symexec.residues import tensor_residues
 from repro.symexec.symtensor import SymTensor
@@ -87,6 +94,15 @@ def _needs_cancel(expr: sp.Expr) -> bool:
 
 
 def _canonical_impl(expr: sp.Expr) -> sp.Expr:
+    if isinstance(expr, sp.StrictLessThan):
+        # ``cancel`` leaves a relational alone and ``Relational.expand`` is
+        # ``Lt(*expanded sides)``: build that through the order tier, so the
+        # sign proof ``_symbolic_less`` was spared is not attempted here.
+        try:
+            out = residues.less(sp.expand(expr.lhs), sp.expand(expr.rhs))
+        except (AttributeError, NotImplementedError):
+            out = expr
+        return _piecewise_to_minmax(out)
     out = expr
     if _needs_cancel(expr):
         try:

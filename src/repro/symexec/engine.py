@@ -16,6 +16,7 @@ import sympy as sp
 from repro.errors import SymbolicExecutionError
 from repro.ir.nodes import Call, Const, Input, Node
 from repro.ir.types import DType
+from repro.symexec import residues
 from repro.symexec.symtensor import SymTensor
 
 _HANDLERS: dict[str, Callable[[list[SymTensor], dict[str, Any]], SymTensor]] = {}
@@ -115,8 +116,7 @@ def _minimum(args, attrs):
 
 
 def _symbolic_less(x, y):
-    result = sp.Lt(x, y)
-    return result
+    return residues.less(x, y)
 
 
 _less_ufunc = np.frompyfunc(_symbolic_less, 2, 1)

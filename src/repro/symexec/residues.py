@@ -44,6 +44,24 @@ denominator vanishes at a battery point — and the caller falls back to the
 exact symbolic path, so residues can never manufacture a wrong verdict on
 their own: a *missing* battery only means "no fast opinion".
 
+The **order tier** (:func:`less`, :func:`order_witnesses`) applies the same
+rule — values refute cheaply, the symbolic engine is asked only when they
+cannot — to ``x < y``.  Both sides are evaluated *exactly* (``Fraction``, the
+same walker with ``p=None``) at :data:`O_POINTS` order points per symbol.
+The only thing it may conclude is **"undetermined"**: true at one point and
+false at another, so no sound prover can fold the relation, and the
+unevaluated ``Lt(x, y, evaluate=False)`` SymPy would hand back after failing
+to prove the sign of ``x - y`` is built without the attempt.  The same
+outcome at every point proves nothing (it is what ``A < A + B`` looks like,
+but also ``A < A + B - 1/1000``), so then — and for anything outside the
+fragment — ``sp.Lt`` runs as before; the tier never asserts a truth value.
+Order points are not battery points: :func:`_point` samples ``[257, 65793)``,
+where ``A < A*B`` holds and ``A*A < A`` fails at *every* point, so they are
+rationals ``n/d`` with ``n, d`` in ``[1, 97]``, on both sides of 1.  Only
+plain ``positive=True`` symbols have them: a witness must lie in the
+symbol's domain, and positive rationals say nothing about a boolean carrier,
+an integer or a negative symbol.
+
 One documented exactness edge: SymPy evaluates ``Float`` arithmetic with
 53-bit rounding while :func:`compose` is exact over Q.  Composition is
 therefore only offered for sub-values whose constants are integer-valued
@@ -54,6 +72,7 @@ their candidates on the symbolic path.
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -83,12 +102,29 @@ _MAX_CONTRACTION = 1 << 12
 _SPAN = 1 << 16
 _OFFSET = 257
 
+#: Order points per symbol, and the range their numerator and denominator
+#: are drawn from: rationals ``n/d`` with ``n, d`` in ``[1, _ORDER_RANGE]``,
+#: so every symbol takes values on both sides of 1.
+O_POINTS = 8
+_ORDER_RANGE = 97
+
+#: What ``element_symbol`` creates: the only symbols the order tier samples.
+_POSITIVE = sp.Symbol("_", positive=True).assumptions0
+
 _UNSET = object()
 
 
 # ---------------------------------------------------------------------------
-# The point battery and its scalar evaluator (rational fragment, mod a prime)
+# The points and their scalar evaluator (rational fragment; mod a prime or exact)
 # ---------------------------------------------------------------------------
+
+
+class _NonRational(Exception):
+    """Subtree outside {Add, Mul, Pow^int, Integer, Rational, Float, Symbol}."""
+
+
+class _WeakPoint(Exception):
+    """Value undefined at this point (division by zero, mod the prime or exact)."""
 
 
 @lru_cache(maxsize=None)
@@ -103,12 +139,19 @@ def _point(name: str, i: int) -> int:
     return value
 
 
-class _NonRational(Exception):
-    """Subtree outside {Add, Mul, Pow^int, Integer, Rational, Float, Symbol}."""
+@lru_cache(maxsize=None)
+def _order_point(symbol: sp.Symbol, i: int) -> Fraction:
+    """Deterministic positive rational for ``symbol`` at order point ``i``.
 
-
-class _WeakPoint(Exception):
-    """Value undefined at this point (division by zero mod the prime)."""
+    Only a plain ``positive=True`` symbol has order points: they are witnesses
+    about *its* domain, and a boolean carrier, an integer or a negative symbol
+    ranges over another one.
+    """
+    if symbol.assumptions0 != _POSITIVE:
+        raise _NonRational
+    digest = hashlib.blake2b(f"ord|{i}|{symbol.name}".encode(), digest_size=8).digest()
+    n, d = divmod(int.from_bytes(digest, "big") % _ORDER_RANGE**2, _ORDER_RANGE)
+    return Fraction(n + 1, d + 1)
 
 
 def _inv(a: int, p: int) -> int:
@@ -118,42 +161,94 @@ def _inv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def _eval(expr, i: int, memo: dict, p: int) -> int:
-    """Evaluate ``expr`` at battery point ``i`` over F_p (rational fragment).
+def _eval(expr, i: int, memo: dict, p: int | None):
+    """Evaluate ``expr`` at point ``i`` over F_p, or exactly over Q (``p=None``).
 
-    Raises :class:`_NonRational` for any op outside the fragment and
-    :class:`_WeakPoint` on division by zero.
+    Mod a prime the symbols take their battery points (:func:`_point`) and the
+    result is a reduced ``int``; with ``p=None`` they take their *order*
+    points (:func:`_order_point`) and the arithmetic is exact (``Fraction``).
+    Raises :class:`_NonRational` for any op outside the fragment — in exact
+    mode also for a ``Float`` (SymPy rounds its arithmetic to 53 bits, so an
+    exact value is not SymPy's) and for a symbol that is not a plain
+    ``positive=True`` one — and :class:`_WeakPoint` on division by zero.
     """
     hit = memo.get(expr, _UNSET)
     if hit is not _UNSET:
         return hit
+    exact = p is None
     if expr.is_Symbol:
-        value = _point(expr.name, i) % p
+        value = _order_point(expr, i) if exact else _point(expr.name, i)
     elif expr.is_Integer:
-        value = int(expr) % p
+        value = int(expr)
     elif expr.is_Rational:
-        value = (int(expr.p) % p) * _inv(int(expr.q), p) % p
-    elif expr.is_Float:
+        if exact:
+            value = Fraction(int(expr.p), int(expr.q))
+        else:
+            value = int(expr.p) * _inv(int(expr.q), p)
+    elif expr.is_Float and not exact:
         q = sp.Rational(expr)  # exact binary expansion
-        value = (int(q.p) % p) * _inv(int(q.q), p) % p
+        value = int(q.p) * _inv(int(q.q), p)
     elif expr.is_Add:
         value = 0
         for arg in expr.args:
-            value = (value + _eval(arg, i, memo, p)) % p
+            value += _eval(arg, i, memo, p)
     elif expr.is_Mul:
         value = 1
         for arg in expr.args:
-            value = value * _eval(arg, i, memo, p) % p
+            value *= _eval(arg, i, memo, p)
     elif expr.is_Pow and expr.exp.is_Integer:
         base = _eval(expr.base, i, memo, p)
         k = int(expr.exp)
         if k < 0 and base == 0:
             raise _WeakPoint
-        value = pow(base, k, p)
+        value = Fraction(base) ** k if exact else pow(base, k, p)
     else:
         raise _NonRational
+    if not exact:
+        value %= p
     memo[expr] = value
     return value
+
+
+# ---------------------------------------------------------------------------
+# The order tier: refute ``x < y`` at exact points before SymPy tries to prove
+# ---------------------------------------------------------------------------
+
+
+def order_witnesses(x, y) -> tuple[int, int] | None:
+    """Order points ``(i, j)`` with ``x < y`` true at ``i`` and false at ``j``.
+
+    ``None`` is "no opinion": the same outcome at all :data:`O_POINTS`
+    points, or a side the exact walker cannot evaluate (outside the rational
+    fragment, a ``Float``, a symbol that is not plainly positive, a
+    denominator vanishing at a point).
+    """
+    seen: dict[bool, int] = {}
+    try:
+        for i in range(O_POINTS):
+            memo: dict = {}
+            seen.setdefault(_eval(x, i, memo, None) < _eval(y, i, memo, None), i)
+            if len(seen) == 2:
+                return seen[True], seen[False]
+    except (_NonRational, _WeakPoint, AttributeError, TypeError):
+        pass
+    return None
+
+
+def less(x, y):
+    """``x < y`` as SymPy would build it — the one place ``symexec`` and ``synth`` do.
+
+    ``sp.Lt`` asks SymPy's assumption system to prove the sign of ``x - y``
+    and returns ``Lt(x, y, evaluate=False)`` when it cannot.  Two witnesses
+    with opposite outcomes show that no sound prover can, so that object is
+    built directly; without them SymPy is asked exactly as before.  The tier
+    never asserts a truth value.
+    """
+    if order_witnesses(x, y) is not None:
+        bump("equiv.order_refuted")
+        return sp.Lt(x, y, evaluate=False)
+    bump("equiv.order_asked")
+    return sp.Lt(x, y)
 
 
 _QCOLS: dict[int, np.ndarray] = {}

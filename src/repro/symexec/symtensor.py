@@ -49,6 +49,20 @@ def symbol_origin(symbol: sp.Symbol) -> tuple[str, tuple[int, ...]] | None:
     return _SYMBOL_ORIGIN.get(symbol)
 
 
+def _constant(value) -> sp.Expr:
+    """The exact SymPy number of a float constant.
+
+    Integer values below ``2**53`` are taken as they are: ``nsimplify`` goes
+    through mpmath's ``identify`` (milliseconds per constant) and returns a
+    600-digit ``Rational`` for ``282266.0`` and a 15-digit rounding from
+    ``1e15`` up.
+    """
+    v = float(value)
+    if v.is_integer() and abs(v) < 2**53:
+        return sp.Integer(int(v))
+    return sp.nsimplify(v, rational=True)
+
+
 #: Memoized constant tensors: (shape, dtype str, bytes, DType) -> SymTensor.
 _FROM_VALUE_MEMO: dict[tuple, "SymTensor"] = {}
 
@@ -96,11 +110,11 @@ class SymTensor:
         flat = data.reshape(-1) if arr.shape else None
         if arr.shape:
             for i, v in enumerate(arr.reshape(-1)):
-                flat[i] = sp.S(bool(v)) if dtype is DType.BOOL else sp.nsimplify(float(v), rational=True)
+                flat[i] = sp.S(bool(v)) if dtype is DType.BOOL else _constant(v)
         else:
             item = arr.item()
             data = np.array(
-                sp.S(bool(item)) if dtype is DType.BOOL else sp.nsimplify(float(item), rational=True),
+                sp.S(bool(item)) if dtype is DType.BOOL else _constant(item),
                 dtype=object,
             )
         out = SymTensor(data, dtype)

@@ -147,6 +147,12 @@ class TestExports:
         out = capsys.readouterr().out
         assert "hottest stages" in out
         assert "prune" in out
+        assert "equivalence tiers:\n  (none)" in out  # no metrics.json beside it
+        counters = {"equiv.order_refuted": 8352, "equiv.order_asked": 5568, "search.memo_hits": 3}
+        (tmp_path / "metrics.json").write_text(json.dumps({"counters": counters}))
+        assert trace_main(["summary", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "equiv.order_asked" in out and "8352" in out and "search.memo_hits" not in out
 
     def test_validator_rejects_malformed_payloads(self):
         assert validate_chrome({"no": "traceEvents"})

@@ -181,3 +181,24 @@ class TestBindings:
         bad = SymTensor.from_value(np.ones((3,)))
         with pytest.raises(SymbolicExecutionError):
             symbolic_execute(program.node, bindings={"A": bad})
+
+
+class TestConstants:
+    """``SymTensor.from_value``: the symbolic constant *is* the constant."""
+
+    @pytest.mark.parametrize("value", [282266.0, 8007229719566499.0, -3.0, -0.0])
+    def test_integer_valued_constants_are_exact(self, value):
+        # nsimplify(282266.0) is a ~600-digit Rational; from 1e15 up it
+        # rounds to 15 digits (…6499.0 -> …6500).
+        got = SymTensor.from_value(value).item()
+        assert got.is_Integer and got == int(value)
+        tensor = SymTensor.from_value(np.array([value, 1.0]))
+        assert next(tensor.entries()) == int(value)
+
+    @pytest.mark.parametrize(
+        "value", [0.5, 1 / 3, 2.449489742783178, float(2**53), float("nan"), float("inf")]
+    )
+    def test_other_constants_keep_nsimplify(self, value):
+        got = SymTensor.from_value(value).item()
+        want = sp.nsimplify(value, rational=True)
+        assert sp.srepr(got) == sp.srepr(want)
