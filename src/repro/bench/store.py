@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.bench.suite import Benchmark, get_benchmark
 from repro.cost import make_cost_model
+from repro.journal import write_atomic
 from repro.obs.log import get_logger
 from repro.resilience import FileLock
 from repro.synth.config import SynthesisConfig
@@ -63,7 +63,7 @@ class SynthesisStore:
     Robust to concurrent suite runs sharing one store file: :meth:`save`
     holds a cross-process lock over a read-merge-write (records another
     process saved since our load are preserved, not overwritten), the write
-    itself is atomic (tempfile + rename), and a corrupt or torn store file
+    itself is atomic (:func:`repro.journal.write_atomic`), and a corrupt or torn store file
     loads as empty — the store is a memo, never a dependency.
     """
 
@@ -102,19 +102,7 @@ class SynthesisStore:
             merged.update(self._records)
             self._records = merged
             payload = {k: asdict(r) for k, r in sorted(merged.items())}
-            fd, tmp = tempfile.mkstemp(
-                dir=self.path.parent, prefix=f".{self.path.name}-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(json.dumps(payload, indent=1))
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            write_atomic(self.path, json.dumps(payload, indent=1))
         self._dirty = False
 
     def get(self, benchmark: str, cost_model: str, config: str = "default") -> SynthesisRecord | None:

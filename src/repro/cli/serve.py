@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="Recycle a pool worker after N completed requests (lifecycle "
-        "hygiene for long soaks; warm state is preserved via the delta log).",
+        "hygiene for long soaks; warm state is preserved in the cache files).",
     )
     parser.add_argument(
         "--worker-rss-limit-mb",

@@ -34,6 +34,7 @@ from repro.cost.base import CostModel
 from repro.errors import CostModelError
 from repro.ir.ops import get_op
 from repro.ir.types import DType, TensorType
+from repro.journal import write_atomic
 
 
 def _signature(op: str, arg_types: list[TensorType], attrs: Mapping[str, Any]) -> str:
@@ -71,15 +72,18 @@ class MeasuredCostModel(CostModel):
         self._table: dict[str, float] = {}
         self._rng = np.random.default_rng(1234)
         if self.cache_path and self.cache_path.exists():
-            self._table.update(json.loads(self.cache_path.read_text()))
+            try:  # an unreadable or foreign table is an empty one: re-profiled
+                table = json.loads(self.cache_path.read_text())
+            except (OSError, ValueError):
+                table = None
+            self._table.update(table if isinstance(table, dict) else {})
 
     # -- persistence -----------------------------------------------------------
 
     def save(self) -> None:
         if self.cache_path is None:
             raise CostModelError("no cache_path configured")
-        self.cache_path.parent.mkdir(parents=True, exist_ok=True)
-        self.cache_path.write_text(json.dumps(self._table, indent=1, sort_keys=True))
+        write_atomic(self.cache_path, json.dumps(self._table, indent=1, sort_keys=True))
 
     @property
     def table_size(self) -> int:

@@ -1,4 +1,14 @@
-"""Crash-safe run journal: durable, resumable module-synthesis runs.
+"""Durable files: the one append-only log, the one atomic publish, and the
+crash-safe run journal built on them.
+
+:class:`DurableLog` is the framing every append-only file shares — the run
+journal here, the daemon's request log (:mod:`repro.serve.daemon`), the
+persistent cache's sections (:mod:`repro.synth.cache`): a header line
+binding the file to its schema, one checksummed sorted-key JSON line per
+record, a reader that drops torn and corrupt lines and never consumes past
+the last newline, an append that cuts off a torn tail first.
+:func:`write_atomic` is the one way a file replaced whole is published.
+Locking, and what a foreign header means, stay with each schema.
 
 Long STENSO runs (whole-suite sweeps like the paper's Fig. 5/6) die to OOM
 kills, preemption, and Ctrl-C; without durable state every interruption
@@ -7,7 +17,7 @@ log that fixes this:
 
 * one directory per run, ``results/runs/<run_id>/`` (``$STENSO_RUNS``
   overrides the root), holding an append-only ``journal.jsonl``;
-* the first line is a **checksummed header** binding the journal to the
+* the header (the first valid line) binds the journal to the
   :func:`~repro.synth.cache.synthesis_fingerprint` of the run's
   ``(SynthesisConfig, cost model)`` — resuming under a different
   configuration is refused rather than silently mixing incompatible results;
@@ -19,10 +29,10 @@ log that fixes this:
   ``interrupted``).
 
 The reader is torn-write tolerant: a partial trailing line (the classic
-kill-mid-append artifact) is truncated and logged; an interior line that
-fails its checksum is skipped and logged; neither is ever a crash.  A
-per-run ``run.lock`` (:class:`~repro.resilience.FileLock`) guarantees a
-single writer per run id.
+kill-mid-append artifact) is dropped on read and truncated by the next
+append; an interior line that fails its checksum is skipped and logged;
+neither is ever a crash.  A per-run ``run.lock``
+(:class:`~repro.resilience.FileLock`) guarantees a single writer per run id.
 
 ``ModuleOptimizer.optimize_module(..., journal=...)`` and the parallel
 driver thread a journal through a run: already-journaled kernels are
@@ -42,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 import uuid
 from dataclasses import asdict
@@ -97,23 +108,12 @@ def _checksum(payload: Mapping) -> str:
     ).hexdigest()[:12]
 
 
-def _encode(payload: dict) -> str:
-    """One journal line: the payload plus its own checksum."""
+def encode_line(payload: Mapping) -> str:
+    """One durable line: the payload plus its own checksum, sorted-key JSON."""
     return json.dumps({**payload, "checksum": _checksum(payload)}, sort_keys=True)
 
 
-def encode_line(payload: dict) -> str:
-    """Public form of the journal line codec, for sibling write-ahead logs.
-
-    The serve-layer request log (:mod:`repro.serve.daemon`) and the
-    content-addressed result store (:mod:`repro.serve.store`) reuse the exact
-    journal framing — checksummed, sorted-key JSON — so every durable file in
-    the system tolerates torn writes the same way.
-    """
-    return _encode(payload)
-
-
-def decode_line(line: str) -> dict | None:
+def decode_line(line: str | bytes) -> dict | None:
     """Decode one checksummed line; None when torn or corrupt."""
     try:
         payload = json.loads(line)
@@ -125,53 +125,110 @@ def decode_line(line: str) -> dict | None:
         return None
 
 
-def read_entries(file: Path) -> tuple[list[dict], int]:
-    """All checksum-valid entries of a journal-framed file + dropped count."""
+def write_atomic(path: str | Path, text: str) -> None:
+    """Publish ``text`` as the whole content of ``path``: a reader sees the
+    old file or the new one, never a torn one, and a kill leaves no
+    ``*.tmp`` behind a live process (same-dir tempfile, fsync, rename)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}-", suffix=".tmp")
     try:
-        text = file.read_text(errors="replace")
-    except OSError as exc:
-        raise JournalError(f"cannot read journal {file}: {exc}") from exc
-    entries: list[dict] = []
-    dropped = 0
-    lines = text.split("\n")
-    for i, line in enumerate(lines):
-        if not line:
-            continue
-        payload = decode_line(line)
-        if payload is None:
-            dropped += 1
-            if i == len(lines) - 1:  # nothing after it, not even a newline
-                log.warning("journal dropped torn trailing line", file=str(file))
-            else:
-                log.warning("journal dropped corrupt line", file=str(file), line=i + 1)
-            continue
-        entries.append(payload)
-    return entries, dropped
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
-def repair_torn_tail(file: Path) -> None:
-    """Truncate a partial trailing line so appends start on a line boundary.
+class DurableLog:
+    """An append-only file of checksummed lines under one header line.
 
-    Every writer of a journal-framed file calls this before its first
-    append: a record written onto a torn fragment would share its line, fail
-    the checksum and be dropped by the next reader.
+    The header — the first valid line — binds the file to a schema: ``type``,
+    ``version`` and, where the schema has one, a synthesis ``fingerprint``.
+    The log owns framing, torn-tail repair and the single ``O_APPEND`` write.
+    It does not own locking (the run journal holds a per-run lock for its
+    lifetime, the request log lives under the daemon lock, cache sections
+    take a directory lock per save), nor what a foreign header means
+    (:meth:`bound` only says whether it is one: a journal refuses to resume,
+    a daemon refuses to serve, a cache section starts empty).
     """
-    try:
-        size = file.stat().st_size
-    except OSError:
-        return
-    if size == 0:
-        return
-    with open(file, "rb+") as fh:
-        fh.seek(-1, os.SEEK_END)
-        if fh.read(1) == b"\n":
-            return
-        fh.seek(0)
-        keep = fh.read().rfind(b"\n") + 1
-        fh.truncate(keep)
-    log.warning(
-        "journal torn trailing write truncated", file=str(file), bytes=size - keep
-    )
+
+    def __init__(self, path: str | Path, header: Mapping, fsync: bool = True) -> None:
+        self.path = Path(path)
+        self.header = dict(header)
+        self._fsync = fsync
+
+    def bound(self, entry: Mapping) -> bool:
+        """Is ``entry`` (the first of a read from 0) this schema's header?"""
+        return all(
+            entry.get(k) == self.header[k]
+            for k in ("type", "version", "fingerprint")
+            if k in self.header
+        )
+
+    def read(self, offset: int = 0) -> tuple[list[dict], int, int]:
+        """``(entries, end, dropped)`` of the complete lines from ``offset``.
+
+        ``end`` is just past the last complete line: a partial last line (a
+        writer mid-append, or killed there) counts as dropped but is not
+        consumed, so a later read from ``end`` sees it whole.  Lines failing
+        their checksum are dropped and logged; a missing file is empty.
+        """
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(offset)
+                data = fh.read()
+        except FileNotFoundError:
+            return [], offset, 0
+        except OSError as exc:
+            raise JournalError(f"cannot read {self.path}: {exc}") from exc
+        complete = data.rfind(b"\n") + 1
+        decoded = [decode_line(line) for line in data[:complete].split(b"\n") if line]
+        entries = [payload for payload in decoded if payload is not None]
+        dropped = len(decoded) - len(entries) + (complete < len(data))
+        if dropped:
+            log.warning("dropped torn or corrupt lines", file=str(self.path), lines=dropped)
+        return entries, offset + complete, dropped
+
+    def append(self, payloads: Iterable[Mapping], torn: bool = False) -> None:
+        """Durably append one line per payload, in one ``O_APPEND`` write.
+
+        First cuts off a torn tail — a record written onto the fragment would
+        share its line and fail the checksum — and writes the header into an
+        empty file.  ``torn`` (fault injection) writes the first half of the
+        data and no newline: what a kill mid-append leaves behind.
+        """
+        with open(self.path, "ab+") as fh:
+            size = fh.tell()
+            fh.seek(max(size - 1, 0))
+            if fh.read(1) not in (b"", b"\n"):
+                fh.seek(0)
+                size = fh.read().rfind(b"\n") + 1
+                fh.truncate(size)
+                log.warning("torn trailing write truncated", file=str(self.path))
+            lines = [encode_line(p) for p in payloads]
+            if size == 0:
+                lines.insert(0, encode_line(self.header))
+            data = "".join(line + "\n" for line in lines).encode()
+            fh.write(data[: len(data) // 2] if torn else data)
+            fh.flush()
+            if self._fsync:
+                os.fsync(fh.fileno())
+
+
+def read_entries(file: str | Path) -> tuple[list[dict], int]:
+    """All checksum-valid entries of a log of any schema (its header is the
+    first) + the dropped-line count; the file must exist."""
+    if not Path(file).exists():
+        raise JournalError(f"cannot read journal {file}: no such file")
+    entries, _end, dropped = DurableLog(file, {}).read()
+    return entries, dropped
 
 
 def _fingerprint_of(config: "SynthesisConfig", cost_model: "CostModel | str") -> str:
@@ -207,7 +264,16 @@ class RunJournal:
         self._records: dict[str, dict] = {}
         self._config = config
         self._lock: FileLock | None = None
-        self._fh = None
+        self._log = DurableLog(
+            self.run_dir / "journal.jsonl",
+            {
+                "type": "header",
+                "version": JOURNAL_VERSION,
+                "run_id": run_id,
+                "fingerprint": fingerprint,
+                "created_at": time.time(),
+            },
+        )
 
     # -- construction ----------------------------------------------------------
 
@@ -230,18 +296,7 @@ class RunJournal:
                 "resume it instead of re-creating it"
             )
         journal._acquire()
-        journal._append(
-            _encode(
-                {
-                    "type": "header",
-                    "version": JOURNAL_VERSION,
-                    "run_id": run_id,
-                    "fingerprint": journal.fingerprint,
-                    "created_at": time.time(),
-                }
-            )
-        )
-        journal._append(_encode({"type": "status", "status": "running"}))
+        journal._log.append([{"type": "status", "status": "running"}])
         return journal
 
     @classmethod
@@ -268,9 +323,8 @@ class RunJournal:
                 f"{expected}; results would not be comparable"
             )
         journal._acquire()
-        repair_torn_tail(journal.file)
         journal.status = "running"
-        journal._append(_encode({"type": "status", "status": "running"}))
+        journal._log.append([{"type": "status", "status": "running"}])
         return journal
 
     @classmethod
@@ -280,15 +334,15 @@ class RunJournal:
         file = run_dir / "journal.jsonl"
         if not file.exists():
             raise JournalError(f"no journal for run {run_id!r} at {file}")
-        entries, dropped = read_entries(file)
-        header = next((e for e in entries if e.get("type") == "header"), None)
-        if header is None or header.get("version") != JOURNAL_VERSION:
+        any_run = DurableLog(file, {"type": "header", "version": JOURNAL_VERSION})
+        entries, _end, dropped = any_run.read()
+        if not entries or not any_run.bound(entries[0]):
             raise JournalError(
                 f"run {run_id!r} has no readable version-{JOURNAL_VERSION} header"
             )
-        journal = cls(run_dir, run_id, header.get("fingerprint", ""))
+        journal = cls(run_dir, run_id, entries[0].get("fingerprint", ""))
         journal.dropped_lines = dropped
-        for entry in entries:
+        for entry in entries[1:]:
             if entry.get("type") == "kernel" and "key" in entry:
                 journal._records[entry["key"]] = entry.get("outcome") or {}
             elif entry.get("type") == "status":
@@ -301,7 +355,7 @@ class RunJournal:
 
     @property
     def file(self) -> Path:
-        return self.run_dir / "journal.jsonl"
+        return self._log.path
 
     def _acquire(self) -> None:
         self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -311,14 +365,6 @@ class RunJournal:
                 f"run {self.run_id!r} is already being written by another process"
             )
         self._lock = lock
-
-    def _append(self, line: str, newline: bool = True) -> None:
-        """Atomically append one line (single O_APPEND write + fsync)."""
-        if self._fh is None:
-            self._fh = open(self.file, "a")
-        self._fh.write(line + ("\n" if newline else ""))
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def record_outcome(self, spec: "KernelSpec", outcome: "KernelOutcome") -> None:
         """Durably journal one completed kernel (write-ahead of any use)."""
@@ -331,13 +377,10 @@ class RunJournal:
         }
         # Fault site: 'die' here models a crash after synthesis but before
         # the outcome is durable — exactly the window resume must cover.
-        directive = inject("journal", key=spec.name, config=self._config)
-        line = _encode(payload)
-        if directive == "corrupt":
-            self._append(line[: len(line) // 2], newline=False)  # torn write
-            return
-        self._append(line)
-        self._records[key] = payload["outcome"]
+        torn = inject("journal", key=spec.name, config=self._config) == "corrupt"
+        self._log.append([payload], torn=torn)
+        if not torn:
+            self._records[key] = payload["outcome"]
 
     def mark(self, status: str, metrics: Mapping | None = None) -> None:
         """Record a run-state transition (``completed`` / ``interrupted``).
@@ -354,14 +397,9 @@ class RunJournal:
         if metrics is not None:
             payload["metrics"] = dict(metrics)
             self.final_metrics = dict(metrics)
-        self._append(_encode(payload))
+        self._log.append([payload])
 
     def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            finally:
-                self._fh = None
         if self._lock is not None:
             self._lock.release()
             self._lock = None

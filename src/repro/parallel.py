@@ -11,11 +11,11 @@ kernels of a module over worker processes in waves:
 2. kernels sharing a normalized pattern (same program after shrinking and
    positional input renaming) are deduplicated — one representative per
    pattern goes to a worker, duplicates wait for its verdict;
-3. workers run full synthesis with the persistent cache and return their
-   outcome, mined rules, and a cache *delta* (entries they added);
-4. the parent merges rules deterministically in kernel order; deltas are
-   merged by the pool as they arrive and fanned out to peer workers with the
-   next dispatch, so everyone stays warm without a disk round-trip.
+3. workers run full synthesis with the persistent cache — each reads what
+   its peers appended before a task and appends what it found after it —
+   and return their outcome and mined rules;
+4. the parent merges rules deterministically in kernel order, and ends the
+   run by folding the workers' cache entries into its own cache object.
 
 The wave structure is what makes later kernels benefit from earlier
 discoveries exactly as in the sequential pipeline: a duplicate of an
@@ -28,9 +28,9 @@ sequential path).
 Execution rides on the persistent :class:`~repro.serve.pool.WorkerPool`
 (one pool per module run, spawned at the first wave): workers stay warm
 across waves — the persistent cache, the intern table, and SymPy's memo
-caches are loaded once per *run*, not once per kernel — and new cache
-entries fan out to peer workers with the next dispatch instead of a disk
-round-trip per wave.
+caches are loaded once per *run*, not once per kernel — and a worker picks
+up its peers' new cache entries by reading on from where it last stopped
+in the section files.
 
 Resilience (see :mod:`repro.resilience`): each kernel runs in a pool worker
 with a cooperative synthesis budget *and* a hard deadline — a worker stuck
@@ -46,7 +46,6 @@ deterministic).  Every kernel always gets a structured
 from __future__ import annotations
 
 import os
-import time
 from functools import partial
 from typing import Sequence
 
@@ -252,6 +251,9 @@ class ParallelModuleOptimizer:
             pool.stop()
         board.close()
         if self.cache is not None:
+            # The caller's cache object sees what its workers found (a warm
+            # rerun through it makes no solver call), then appends its own.
+            self.cache.refresh()
             self.cache.save()
         done = [o for o in outcomes if o is not None]
         if not interrupted:
@@ -286,46 +288,36 @@ class ParallelModuleOptimizer:
         board: ProgressBoard | None = None,
     ) -> None:
         # Submit the whole wave to the persistent pool (task id = kernel
-        # index).  The pool owns dispatch, hard deadlines, crash retry on a
-        # live replacement worker, and fanning cache deltas out to peers.
-        wave_ids = set()
+        # index).  The pool owns dispatch, hard deadlines and crash retry on
+        # a live replacement worker.
         for idx, spec, key in wave:
             pool.submit(idx, spec, timeout_s=timeout_s)
-            wave_ids.add(idx)
             if board is not None:
                 board.start(spec.name)
 
-        results: dict[int, tuple[str, object]] = {}
-        while len(results) < len(wave):
-            if stop is not None and stop.requested():
-                # Graceful interruption: drop queued tasks, kill+replace busy
-                # workers (their kernels stay un-journaled and are redone on
-                # resume), keep every already-journaled outcome.
-                pool.cancel_all()
-                break
-            events = pool.step()
-            for event in events:
-                if event.task_id not in wave_ids:
-                    continue
-                results[event.task_id] = (event.kind, event.payload)
-                if event.kind == "ok":
-                    # Write-ahead: the outcome is durable the moment the
-                    # parent learns it, not at end-of-wave merge.
-                    self._journal(journal, event.task.spec, event.payload[0])
-                    if board is not None:
-                        board.finish(event.task.spec.name, event.payload[0].status)
-                elif board is not None:
-                    board.finish(event.task.spec.name, event.kind)
-            if not events and len(results) < len(wave):
-                time.sleep(self.policy.poll_interval_s)
+        def on_event(event) -> None:
+            status = event.kind
+            if event.kind == "ok":
+                # Write-ahead: the outcome is durable the moment the parent
+                # learns it, not at end-of-wave merge.
+                self._journal(journal, event.task.spec, event.payload[0])
+                status = event.payload[0].status
+            if board is not None:
+                board.finish(event.task.spec.name, status)
+
+        # On a stop request queued tasks are dropped and busy workers killed
+        # (their kernels stay un-journaled and are redone on resume); every
+        # already-journaled outcome is kept.
+        results = pool.run_until_done(
+            [idx for idx, _, _ in wave], stop=stop, on_event=on_event
+        )
 
         # Merge in submission (kernel) order: rule merging stays deterministic
-        # regardless of completion order.  Cache deltas were already merged by
-        # the pool as each task finished (and fanned out to peer workers).
+        # regardless of completion order.
         for idx, spec, key in wave:
             if idx not in results:
                 continue  # interrupted before this kernel resolved
-            kind, payload = results[idx]
+            kind, payload = results[idx].kind, results[idx].payload
             if kind == "crashed":
                 outcome = self._seq.optimize_kernel_guarded(spec, timeout_s=timeout_s)
                 if outcome.status == "ok":
@@ -341,7 +333,7 @@ class ParallelModuleOptimizer:
             elif kind == "error":
                 outcome = self._seq.failed_outcome(spec, "error", payload)
             else:
-                outcome, rules, _delta = payload
+                outcome, rules = payload
                 for rule in rules:
                     self._seq.absorb_rule(rule)
             if kind != "ok":  # 'ok' outcomes were journaled at arrival

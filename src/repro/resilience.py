@@ -332,8 +332,8 @@ class ResiliencePolicy:
     """Recycle a pool worker after it has completed this many tasks (None =
     never).  Long-soak hygiene: SymPy caches, intern tables, and allocator
     fragmentation grow monotonically inside a worker; recycling caps the
-    growth, and the replacement rejoins with the pool's full shared delta
-    log, so recycling costs no cache warmth."""
+    growth, and the replacement loads the cache files its predecessor
+    appended to, so recycling costs no cache warmth."""
 
     worker_rss_limit_mb: float | None = None
     """Recycle a pool worker whose resident set exceeds this high-watermark

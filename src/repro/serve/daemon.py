@@ -11,8 +11,8 @@ restructures the system so they are paid once per daemon lifetime:
   (``timeout_s`` / ``max_solver_calls``, enforced through the workers'
   cooperative :class:`~repro.resilience.Budget` plus the pool's hard
   deadline);
-* a journal-framed **request log** (``requests.jsonl``, the
-  :mod:`repro.journal` line codec): a submit is acknowledged only after it is
+* a durable **request log** (``requests.jsonl``, a
+  :class:`repro.journal.DurableLog`): a submit is acknowledged only after it is
   durable, results are write-ahead logged on arrival, and a killed daemon
   restarted on the same state dir resumes exactly the pending requests —
   finished ones are served from the log with **zero** re-solving;
@@ -26,11 +26,13 @@ State directory layout::
 
     <state_dir>/daemon.lock      exclusive daemon lock (second daemon refused)
     <state_dir>/daemon.sock      Unix socket (clients)
-    <state_dir>/requests.jsonl   durable request/result log
-    <state_dir>/store/           content-addressed results + shared cache
+    <state_dir>/requests.jsonl   durable request/result log (DurableLog)
+    <state_dir>/store/objects/   content-addressed results (write_atomic)
     <state_dir>/store/quarantine corrupt store objects, moved aside on read
-    <state_dir>/heartbeat        dispatcher liveness beat (watchdog input)
-    <state_dir>/metrics.json     metrics snapshot (final at shutdown)
+    <state_dir>/store/cache/     the pool's PersistentCache: one DurableLog
+                                 per section, appended to by the workers
+    <state_dir>/heartbeat        dispatcher liveness beat (write_atomic)
+    <state_dir>/metrics.json     final metrics snapshot (write_atomic)
 
 Overload behavior: with ``max_queue_depth`` set, a submission that would
 grow the queue past the bound is **shed** with a structured
@@ -62,7 +64,7 @@ from functools import partial
 from pathlib import Path
 
 from repro.errors import ServeError, WireError
-from repro.journal import encode_line, kernel_key, read_entries, repair_torn_tail
+from repro.journal import DurableLog, write_atomic
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressBoard
 from repro.pipeline import KernelOutcome, KernelSpec, ModuleOptimizer
@@ -105,39 +107,31 @@ class ServeRequest:
 
 
 class RequestLog:
-    """Write-ahead log of requests and results, in journal line framing.
-
-    Every line is checksummed; a torn tail (daemon killed mid-append) is
-    dropped on read and truncated before the first append, corrupt lines are
-    skipped.  The header binds the log to the daemon's synthesis fingerprint
-    — restarting over a state dir written under a different config is
-    refused rather than silently served stale.
+    """Write-ahead log of requests and results: a schema over
+    :class:`~repro.journal.DurableLog` (checksummed lines; a torn tail —
+    daemon killed mid-append — is dropped on read and truncated by the next
+    append, corrupt lines are skipped).  The header binds the log to the
+    daemon's synthesis fingerprint — restarting over a state dir written
+    under a different config is refused rather than silently served stale.
     """
 
     def __init__(self, path: str | Path, fingerprint: str, config=None) -> None:
-        self.path = Path(path)
-        self.fingerprint = fingerprint
         self._config = config
-        self._fh = None
+        self._log = DurableLog(
+            path, {"type": "serve-log", "version": _LOG_VERSION, "fingerprint": fingerprint}
+        )
 
     def load(self) -> tuple[list[dict], dict[str, dict]]:
         """Replay the log: (request entries in order, results by request id)."""
         requests: list[dict] = []
         results: dict[str, dict] = {}
-        if not self.path.exists():
-            return requests, results
-        entries, _dropped = read_entries(self.path)
-        if entries:
-            header = entries[0]
-            if (
-                header.get("type") != "serve-log"
-                or header.get("fingerprint") != self.fingerprint
-            ):
-                raise ServeError(
-                    f"request log {self.path} was written under a different "
-                    "synthesis configuration; refusing to serve stale results "
-                    "(use a fresh --state-dir)"
-                )
+        entries, _end, _dropped = self._log.read()
+        if entries and not self._log.bound(entries[0]):
+            raise ServeError(
+                f"request log {self._log.path} was written under a different "
+                "synthesis configuration; refusing to serve stale results "
+                "(use a fresh --state-dir)"
+            )
         for entry in entries[1:]:
             if entry.get("type") == "request":
                 requests.append(entry)
@@ -145,68 +139,29 @@ class RequestLog:
                 results[entry["id"]] = entry["outcome"]
         return requests, results
 
-    def open(self) -> None:
-        repair_torn_tail(self.path)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        self._fh = os.fdopen(fd, "a")
-        if fresh:
-            self._append(
-                encode_line(
-                    {
-                        "type": "serve-log",
-                        "version": _LOG_VERSION,
-                        "fingerprint": self.fingerprint,
-                    }
-                )
-            )
-
-    def _append(self, line: str, newline: bool = True) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(line + ("\n" if newline else ""))
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
     def record_request(self, req: ServeRequest) -> None:
-        self._append(
-            encode_line(
-                {
-                    "type": "request",
-                    "id": req.id,
-                    "spec": spec_to_payload(req.spec),
-                    "priority": req.priority,
-                    "timeout_s": req.timeout_s,
-                    "max_solver_calls": req.max_solver_calls,
-                    "deadline_unix": req.deadline_unix,
-                }
-            )
-        )
+        payload = {
+            "type": "request",
+            "id": req.id,
+            "spec": spec_to_payload(req.spec),
+            "priority": req.priority,
+            "timeout_s": req.timeout_s,
+            "max_solver_calls": req.max_solver_calls,
+            "deadline_unix": req.deadline_unix,
+        }
+        self._log.append([payload])
 
     def record_result(self, req: ServeRequest) -> None:
-        line = encode_line(
-            {
-                "type": "result",
-                "id": req.id,
-                "served_from": req.served_from,
-                "outcome": asdict(req.outcome),
-            }
-        )
+        payload = {
+            "type": "result",
+            "id": req.id,
+            "served_from": req.served_from,
+            "outcome": asdict(req.outcome),
+        }
         # Same fault site as RunJournal.record_outcome: 'corrupt' models a
         # crash mid-append (torn line — dropped and re-derived on restart).
-        directive = inject("journal", key=req.spec.name, config=self._config)
-        if directive == "corrupt":
-            self._append(line[: len(line) // 2], newline=False)
-            return
-        self._append(line)
-
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except Exception:
-                pass
-            self._fh = None
+        torn = inject("journal", key=req.spec.name, config=self._config) == "corrupt"
+        self._log.append([payload], torn=torn)
 
 
 class SynthesisDaemon:
@@ -291,7 +246,6 @@ class SynthesisDaemon:
         self._daemon_lock: FileLock | None = None
         self._server_sock: socket.socket | None = None
         self._threads: list[threading.Thread] = []
-        self._completed_since_save = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -307,7 +261,6 @@ class SynthesisDaemon:
         self._daemon_lock = lock
         try:
             self._restore()
-            self.log.open()
             self.pool.start()
             self._bind()
             self._beat(force=True)
@@ -325,7 +278,7 @@ class SynthesisDaemon:
         Written by the dispatcher loop, so a wedged dispatcher — stalled
         event loop, a journal fsync stuck under ``self._lock``, a deadlock —
         stops the beat even while connection threads still answer pings.
-        Atomic rename: the supervisor never reads a torn beat.
+        Published atomically: the supervisor never reads a torn beat.
         """
         now = time.monotonic()
         if not force and now - self._last_beat < self.heartbeat_interval_s:
@@ -337,10 +290,8 @@ class SynthesisDaemon:
             "queued": len(self._queued_ids),
             "outstanding": self.pool.outstanding if self.pool.started else 0,
         }
-        tmp = self.heartbeat_path.with_suffix(".tmp")
         try:
-            tmp.write_text(json.dumps(payload) + "\n")
-            os.replace(tmp, self.heartbeat_path)
+            write_atomic(self.heartbeat_path, json.dumps(payload) + "\n")
         except OSError:
             pass  # the health probe is the watchdog's second signal
 
@@ -841,13 +792,12 @@ class SynthesisDaemon:
             if req is None:
                 return
             if event.kind == "ok":
-                outcome, rules, _delta = event.payload  # delta already merged
+                outcome, rules = event.payload
                 for rule in rules:
                     self._opt.absorb_rule(rule)
                 if outcome.status == "ok" and not outcome.improved:
                     self._unimproved[batch_key(req.spec, self.config)] = req.id
                 self._complete(req, outcome, served_from="synthesis")
-                self._completed_since_save += 1
             elif event.kind == "timeout":
                 self._complete(
                     req,
@@ -890,8 +840,6 @@ class SynthesisDaemon:
                 events = self.pool.step() if self.pool.started else []
                 for event in events:
                     self._handle_event(event)
-                if self._completed_since_save >= 8:
-                    self._save_cache()
                 if not events and not dispatched:
                     time.sleep(self.policy.poll_interval_s)
         self.close()
@@ -951,23 +899,22 @@ class SynthesisDaemon:
                     n += 1
         return n
 
-    def _save_cache(self) -> None:
-        try:
-            self._cache.save()
-        except Exception:  # noqa: BLE001 — the cache is an accelerator
-            pass
-        self._completed_since_save = 0
-
     def close(self) -> None:
         """Tear down: stop the pool, flush cache + metrics, drop the lock."""
         self._stop.set()
         if not self._drain:
             self.pool.cancel_all()
         self.pool.stop()
-        self._save_cache()
         try:
-            (self.state_dir / "metrics.json").write_text(
-                json.dumps(self.metrics.snapshot(), indent=2, sort_keys=True) + "\n"
+            # The workers saved their own entries; this is what the daemon's
+            # own optimizer added (program costs of an expensive cost model).
+            self._cache.save()
+        except Exception:  # noqa: BLE001 — the cache is an accelerator
+            pass
+        try:
+            write_atomic(
+                self.state_dir / "metrics.json",
+                json.dumps(self.metrics.snapshot(), indent=2, sort_keys=True) + "\n",
             )
         except OSError:
             pass
@@ -981,7 +928,6 @@ class SynthesisDaemon:
             self.socket_path.unlink()
         except OSError:
             pass
-        self.log.close()
         self.board.close()
         self._release_lock()
         with self._done_cond:

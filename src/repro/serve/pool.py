@@ -12,29 +12,29 @@ server, FlexTensor's persistent explorer) do:
   ``PersistentCache`` entries, interned canonical forms, SymPy memo tables,
   and cost-model memos stay hot across tasks, waves, and (for the daemon)
   whole request batches;
-* the parent keeps a **shared delta log** of every cache entry any worker
-  discovers; deltas ride along with the next task dispatched to each worker
-  (watermarked, so nothing is re-sent), giving every worker its peers'
-  discoveries without a disk round-trip;
+* workers own their cache entries end to end: each one folds what its peers
+  appended to the shared :class:`~repro.synth.cache.PersistentCache` logs
+  before a task (``refresh``) and appends what it found after it (``save``)
+  — the file is the only channel, the parent relays nothing;
 * a worker that **crashes** is replaced by a live worker immediately and the
-  task retried with bounded backoff; the replacement's first task carries the
-  *entire* shared delta log, so a crash never costs the pool its warm state;
+  task retried with bounded backoff; the replacement reads the same cache
+  files, so a crash never costs the pool its warm state;
 * a worker that **hangs** past its task's hard deadline is killed and
   replaced, and the task reported ``timeout`` — identical semantics to the
   old per-wave driver, minus the respawn tax for everyone else;
 * a worker that has completed ``max_requests_per_worker`` tasks or grown
   past the ``worker_rss_limit_mb`` high-watermark is **recycled** between
   tasks (lifecycle hygiene for long soaks: SymPy caches and allocator
-  fragmentation grow without bound otherwise) — the replacement's first
-  dispatch carries the full shared delta log, so recycling costs no cache
+  fragmentation grow without bound otherwise) — the replacement loads the
+  cache files its predecessor appended to, so recycling costs no cache
   warmth (``pool.recycled`` counters track it).
 
 Protocol over each worker's duplex pipe::
 
-    parent -> worker   ("task", task_id, spec, overrides, attempt, sync_delta)
+    parent -> worker   ("task", task_id, spec, overrides, attempt)
                        ("stop",)
     worker -> parent   ("trace", event_batch)                    # interleaved
-                       ("done", task_id, "ok", (outcome, rules, delta))
+                       ("done", task_id, "ok", (outcome, rules))
                        ("done", task_id, "error", message)
 
 A crash is a pipe EOF / dead process with no ``done`` message.  Per-task
@@ -97,7 +97,7 @@ class PoolTask:
 class PoolEvent:
     """A terminal task event: ``ok | error | timeout | crashed``.
 
-    ``payload`` is ``(outcome, rules, delta)`` for ``ok``, an error/timeout
+    ``payload`` is ``(outcome, rules)`` for ``ok``, an error/timeout
     message for ``error``/``timeout``, and None for ``crashed`` (retries
     exhausted — the caller decides on a fallback).
     """
@@ -117,8 +117,6 @@ class _Member:
     conn: object
     task: PoolTask | None = None
     hard_deadline: float | None = None
-    #: Position in the shared delta log already shipped to this worker.
-    watermark: int = 0
     tasks_done: int = 0
 
 
@@ -152,7 +150,9 @@ def _pool_worker_main(conn, worker_id, cost_model, config, cache_path, trace) ->
 
     One :class:`~repro.pipeline.ModuleOptimizer` lives for the whole worker —
     its persistent cache, the process-wide intern table, and SymPy's memo
-    caches are the warm state the pool exists to preserve.  Mined rules are
+    caches are the warm state the pool exists to preserve.  The cache is
+    refreshed from its files before a task and saved to them after it (a
+    failing save is swallowed: the cache is an accelerator).  Mined rules are
     cleared per task (the parent owns the rule cache, exactly as in the wave
     driver), and the per-task config override carries the request budget.
     """
@@ -174,24 +174,28 @@ def _pool_worker_main(conn, worker_id, cost_model, config, cache_path, trace) ->
             break
         if not isinstance(msg, tuple) or not msg or msg[0] != "task":
             break  # ("stop",) or garbage: exit cleanly
-        _, task_id, spec, overrides, attempt, sync = msg
-        if cache is not None and sync:
-            cache.absorb(sync)
+        _, task_id, spec, overrides, attempt = msg
         try:
+            if cache is not None:
+                cache.refresh()
             # The fault site fires per (kernel, attempt) exactly as it did in
             # the spawn-per-task driver, so existing plans keep their meaning.
             inject("worker", key=spec.name, index=attempt, config=config)
             optimizer.rules = []
             optimizer.config = config.replace(**overrides) if overrides else config
             outcome = optimizer.optimize_kernel(spec)
-            delta = cache.take_delta() if cache is not None else {}
+            if cache is not None:
+                try:
+                    cache.save()
+                except Exception:  # noqa: BLE001
+                    pass
             if tracer is not None:
                 try:
                     tracer.close_open_spans()
                     tracer.flush()
                 except Exception:
                     pass
-            conn.send(("done", task_id, "ok", (outcome, list(optimizer.rules), delta)))
+            conn.send(("done", task_id, "ok", (outcome, list(optimizer.rules))))
         except BaseException as exc:  # noqa: BLE001 — report, stay alive
             try:
                 conn.send(("done", task_id, "error", f"{type(exc).__name__}: {exc}"))
@@ -207,9 +211,9 @@ class WorkerPool:
     """A fixed-size pool of persistent synthesis workers.
 
     ``cache`` (a :class:`~repro.synth.cache.PersistentCache` or directory
-    path) is shared by every worker: workers load it once at spawn, the
-    parent merges each task's delta back in and fans new entries out with
-    subsequent dispatches.  ``policy`` controls hard deadlines, crash retry,
+    path) names the directory every worker opens its own cache on; the
+    parent's object is only saved at :meth:`start`, so workers load what it
+    held.  ``policy`` controls hard deadlines, crash retry,
     and kill grace.  ``ctx`` selects the multiprocessing start method — the
     parallel driver keeps the platform default (fork on Linux: cheap, no
     threads in the CLI parent), while the daemon passes ``"spawn"`` because
@@ -243,8 +247,6 @@ class WorkerPool:
         self._members: list[_Member] = []
         self._queue: list[PoolTask] = []
         self._tasks: dict[object, PoolTask] = {}
-        self._shared_log: list[tuple[str, str, object]] = []
-        self._seen_keys: set[tuple[str, str]] = set()
         self._next_worker_id = 0
         self.counters: dict[str, int] = {
             "pool.spawned": 0,
@@ -253,7 +255,6 @@ class WorkerPool:
             "pool.crash_retries": 0,
             "pool.replacements": 0,
             "pool.timeouts": 0,
-            "pool.sync_entries": 0,
             "pool.recycled": 0,
             "pool.recycled_requests": 0,
             "pool.recycled_rss": 0,
@@ -311,8 +312,8 @@ class WorkerPool:
 
     def _replace(self, member: _Member, counter: str = "pool.replacements") -> None:
         """Kill (if needed) and replace one member in place, keeping the pool
-        at full strength.  The fresh worker's watermark is 0, so its first
-        dispatch carries the whole shared delta log — no cold-cache loss."""
+        at full strength.  The fresh worker opens the cache files its
+        predecessor saved to — no cold-cache loss."""
         _stop_process(member.proc, self.policy.kill_grace_s)
         try:
             member.conn.close()
@@ -336,9 +337,8 @@ class WorkerPool:
         return None
 
     def _recycle(self, member: _Member, reason: str) -> None:
-        """Retire one *idle* member and replace it in place.  The replacement
-        starts with watermark 0, so its first dispatch ships the entire
-        shared delta log — lifecycle hygiene costs no cache warmth."""
+        """Retire one *idle* member and replace it in place (see
+        :meth:`_replace`: lifecycle hygiene costs no cache warmth)."""
         try:  # ask nicely first; _replace escalates to SIGTERM/SIGKILL
             member.conn.send(("stop",))
         except Exception:
@@ -412,25 +412,12 @@ class WorkerPool:
         self.counters["pool.tasks"] += 1
         return task
 
-    def _sync_payload(self, member: _Member) -> dict | None:
-        if self.cache is None or member.watermark >= len(self._shared_log):
-            return None
-        sync: dict = {}
-        for section, key, value in self._shared_log[member.watermark :]:
-            sync.setdefault(section, {})[key] = value
-            self.counters["pool.sync_entries"] += 1
-        member.watermark = len(self._shared_log)
-        return sync
-
     def _dispatch(self, member: _Member, task: PoolTask) -> bool:
         if not member.proc.is_alive():
             self._replace(member)
             return False  # retry on the fresh member next step
-        sync = self._sync_payload(member)
         try:
-            member.conn.send(
-                ("task", task.id, task.spec, task.overrides, task.attempt, sync)
-            )
+            member.conn.send(("task", task.id, task.spec, task.overrides, task.attempt))
         except (OSError, ValueError):
             self._replace(member)
             return False
@@ -438,17 +425,6 @@ class WorkerPool:
         hard = self.policy.hard_deadline_for(task.effective_timeout)
         member.hard_deadline = time.monotonic() + hard if hard is not None else None
         return True
-
-    def _absorb_delta(self, delta) -> None:
-        """Record a worker's new cache entries into the shared log + cache."""
-        if self.cache is None or not delta:
-            return
-        for section, entries in delta.items():
-            for key, value in entries.items():
-                if (section, key) not in self._seen_keys:
-                    self._seen_keys.add((section, key))
-                    self._shared_log.append((section, key, value))
-        self.cache.merge_delta(delta)
 
     def _handle_trace(self, task: PoolTask | None, batch) -> None:
         if self.on_trace is None or task is None:
@@ -518,7 +494,7 @@ class WorkerPool:
                 continue
             if msg is None:
                 # Crashed worker: replace it so the retry lands on a *live*
-                # worker immediately, with the shared delta log intact.
+                # worker immediately.
                 task = member.task
                 member.task = None
                 self._replace(member)
@@ -540,21 +516,22 @@ class WorkerPool:
             self._tasks.pop(task.id, None)
             self.counters["pool.completed"] += 1
             _, _, kind, payload = msg
-            if kind == "ok":
-                self._absorb_delta(payload[2])
-                events.append(PoolEvent("ok", task.id, payload, task))
-            else:
-                events.append(PoolEvent("error", task.id, payload, task))
+            events.append(PoolEvent("ok" if kind == "ok" else "error", task.id, payload, task))
             reason = self._recycle_reason(member)
             if reason is not None:
                 self._recycle(member, reason)
         return events
 
     def run_until_done(
-        self, task_ids: Sequence[object] | None = None, stop=None
+        self,
+        task_ids: Sequence[object] | None = None,
+        stop=None,
+        on_event: Callable[[PoolEvent], None] | None = None,
     ) -> dict[object, PoolEvent]:
-        """Convenience loop: step until the given tasks (default: all
-        outstanding) are terminal, or ``stop.requested()`` turns true."""
+        """Step until the given tasks (default: all outstanding) are terminal,
+        or ``stop.requested()`` turns true — then queued tasks are dropped
+        and busy workers killed and replaced.  ``on_event`` sees each wanted
+        event the moment it arrives (write-ahead journaling, progress)."""
         wanted = set(task_ids) if task_ids is not None else set(self._tasks)
         done: dict[object, PoolEvent] = {}
         while wanted - set(done):
@@ -565,6 +542,8 @@ class WorkerPool:
             for event in events:
                 if event.task_id in wanted:
                     done[event.task_id] = event
+                    if on_event is not None:
+                        on_event(event)
             if not events and wanted - set(done):
                 time.sleep(self.policy.poll_interval_s)
         return done

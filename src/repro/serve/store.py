@@ -12,8 +12,8 @@ the second one is served from the store without touching a worker.
 
 Objects live under ``<root>/objects/<key[:2]>/<key>.json``, one
 checksum-framed JSON line per file (the :mod:`repro.journal` line codec), and
-are published with a tempfile + atomic rename so concurrent daemons sharing
-the directory never observe a torn object.  Only ``status == "ok"`` outcomes
+are published with :func:`repro.journal.write_atomic` so concurrent daemons
+sharing the directory never observe a torn object.  Only ``status == "ok"`` outcomes
 are published: timeouts and degraded results must be retried, not memoized.
 
 Corruption is contained, never fatal: an object whose checksum, key binding,
@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
-from repro.journal import decode_line, encode_line, kernel_key
+from repro.journal import decode_line, encode_line, kernel_key, write_atomic
 from repro.pipeline import KernelOutcome, KernelSpec
 
 
@@ -199,22 +198,9 @@ class ContentStore:
         accelerator, never a point of failure."""
         if outcome.status != "ok":
             return False
-        path = self._object_path(key)
         line = encode_line({"key": key, "outcome": asdict(outcome)})
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(line + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            write_atomic(self._object_path(key), line + "\n")
         except OSError:
             return False
         return True

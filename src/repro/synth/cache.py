@@ -20,28 +20,33 @@ cached and reused indefinitely".  This module makes that concrete: a
 Every entry is namespaced by a *fingerprint* of the synthesis configuration
 and the cost model, so changing any search knob (except the pure resource
 limit ``timeout_seconds``) or the cost model invalidates the cache without
-explicit bookkeeping.  Files carry a format version and are discarded
-wholesale on mismatch.
+explicit bookkeeping.
 
-Worker processes of :class:`repro.parallel.ParallelModuleOptimizer` each load
-the cache read-mostly and return a *delta* (new entries added during their
-run) which the parent merges and saves once.
+**On disk** each section is one :class:`repro.journal.DurableLog`
+(``solver.json`` / ``library.json`` / ``costs.json``): a header line
+``{"type": "cache-<section>", "version": CACHE_VERSION}``, then one
+``{"k": key, "v": value}`` record per entry.  A section's content is its
+lines folded in file order through :func:`_merge_entry`; a ``{"k": key,
+"drop": true}`` tombstone clears the key for the record behind it.  A file
+that does not start with this version's header is an empty section, replaced
+by the first save — nothing is migrated.
 
-*Concurrent runs* (two independent processes sharing one cache directory)
-are safe too: :meth:`PersistentCache.save` holds a cross-process
-:class:`~repro.resilience.FileLock` across a read-merge-write — on-disk
-entries written by other processes since our load are merged back in before
-the section file is replaced, so the final file is the union of both runs'
-entries rather than last-writer-wins.
+**The file is the only channel between processes.**
+:meth:`PersistentCache.save` appends the records this process added, under a
+cross-process :class:`~repro.resilience.FileLock`, and never re-reads or
+rewrites the file; :meth:`PersistentCache.refresh` reads on from this
+process's per-section offset.  Every reader folds the same lines in the same
+order, so concurrent runs sharing a directory and the workers of a
+:class:`~repro.serve.pool.WorkerPool` (refresh before a task, save after it)
+end with the union of what anyone found without a merge step.  A key is
+written once per process that found it on its own; nothing is compacted.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -49,9 +54,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
+from repro.errors import JournalError
 from repro.ir.nodes import Call, Const, Input, Node
 from repro.ir.printer import to_expression
 from repro.ir.types import DType, TensorType
+from repro.journal import DurableLog
 from repro.resilience import FileLock, inject
 from repro.synth.solver import Pruned
 
@@ -62,13 +69,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.synth.sketch import Sketch
 
 #: Bump when the on-disk format or any key scheme changes.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 _SECTIONS = ("solver", "library", "costs")
-
-#: Delta-only pseudo-section: library keys the sender found undecodable and
-#: re-enumerated, so a receiver drops its own copy before the replacement.
-_REJECTED = "library_rejected"
 
 #: Sentinel distinguishing "cached None" from "not cached".
 MISS = object()
@@ -328,10 +331,6 @@ class CacheStats:
         return dict(self.__dict__)
 
 
-def _empty_delta() -> dict[str, dict]:
-    return {s: {} for s in _SECTIONS + (_REJECTED,)}
-
-
 def _is_pruned(value) -> bool:
     return isinstance(value, dict) and "pruned" in value
 
@@ -353,148 +352,111 @@ def _merge_entry(store: dict, key: str, value) -> bool:
 
 
 class PersistentCache:
-    """JSON-backed, versioned store of synthesis intermediates.
-
-    One directory holds one file per section (``solver.json``,
-    ``library.json``, ``costs.json``).  Sections load lazily on first access;
-    :meth:`save` writes dirty sections atomically (tempfile + rename).
+    """Versioned store of synthesis intermediates, one append-only log per
+    section (see the module docstring for the format).  Sections load lazily
+    on first access; :meth:`save` appends this process's new records,
+    :meth:`refresh` folds in what other processes appended since.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path else default_cache_dir()
         self.stats = CacheStats()
         self._sections: dict[str, dict] = {}
-        self._dirty: set[str] = set()
-        self._delta: dict[str, dict] = _empty_delta()
+        #: Per section: how far into the file the fold has got.
+        self._offsets: dict[str, int] = {}
+        #: Per section: this process's records not yet appended, in order.
+        self._pending: dict[str, list[dict]] = {}
+        #: Sections whose file is not a version-4 log: replaced by the next save.
+        self._foreign: set[str] = set()
 
     # -- storage ---------------------------------------------------------------
 
-    def _file(self, section: str) -> Path:
-        return self.path / f"{section}.json"
+    def _log(self, section: str) -> DurableLog:
+        # No fsync: a record lost to a power cut is recomputed, a torn one is
+        # dropped by its checksum — the cache is an accelerator.
+        return DurableLog(
+            self.path / f"{section}.json",
+            {"type": f"cache-{section}", "version": CACHE_VERSION},
+            fsync=False,
+        )
 
     def _read_file(self, section: str) -> dict:
-        """Read one section straight from disk (tolerant, never an error).
-
-        Another process may have been killed mid-write before the
-        atomic-save era, or the disk may hand back garbage: any unreadable /
-        structurally wrong file is an empty cache — the cache is an
-        accelerator, not a dependency.
-        """
-        entries: dict = {}
-        file = self._file(section)
-        if file.exists():
-            try:
-                text = file.read_text()
-                if inject("cache-read", key=section) == "corrupt":
-                    text = text[: len(text) // 2]  # simulate a torn write
-                raw = json.loads(text)
-                if raw.get("version") == CACHE_VERSION:
-                    entries = raw.get("entries", {})
-                if not isinstance(entries, dict):
-                    entries = {}
-            except Exception:
-                entries = {}
-        return entries
+        """Fold what the section's file holds past our offset into memory:
+        the first record of a key stays, a solved answer supersedes a pruned
+        marker, a tombstone drops the key.  Tolerant, never an error — the
+        cache is an accelerator, and a file without this version's header is
+        an empty section."""
+        store = self._sections.setdefault(section, {})
+        offset = self._offsets.get(section, 0)
+        log = self._log(section)
+        try:
+            records, end, _dropped = log.read(offset)
+        except JournalError:  # unreadable for the OS: as good as absent
+            return store
+        if offset == 0 and end > 0:
+            if not records or not log.bound(records[0]):
+                self._foreign.add(section)
+                return store
+            records = records[1:]
+        if inject("cache-read", key=section) == "corrupt":
+            records = records[: len(records) // 2]  # the rest read back torn
+        self._offsets[section] = end
+        for record in records:
+            key = record.get("k")
+            if record.get("drop"):
+                store.pop(key, None)
+            elif key is not None and "v" in record:
+                _merge_entry(store, key, record["v"])
+        return store
 
     def _load(self, section: str) -> dict:
         entries = self._sections.get(section)
         if entries is None:
             entries = self._read_file(section)
-            self._sections[section] = entries
         return entries
 
     def save(self) -> None:
-        """Persist dirty sections: locked, read-merge-write, atomic replace.
-
-        The read-merge-write under the directory lock is what makes two
-        concurrent runs sharing this cache directory end with the *union* of
-        their entries: entries another process saved after our load are
-        merged back in rather than overwritten (:func:`_merge_entry`: our own
-        entry stays on a key conflict, except a pruned marker of ours that the
-        other process has meanwhile solved past).
-        """
-        if not self._dirty:
+        """Append this process's new records to their section logs — no
+        re-read, no merge: runs sharing the directory end with the *union* of
+        their entries because every reader folds the same lines in the same
+        order.  A key costs one line per process that found it on its own."""
+        if not any(self._pending.values()):
             return
         self.path.mkdir(parents=True, exist_ok=True)
         with FileLock(self.path / ".cache.lock"):
-            for section in sorted(self._dirty):
-                merged = self._sections[section]
-                for key, value in self._read_file(section).items():
-                    _merge_entry(merged, key, value)
-                payload = {"version": CACHE_VERSION, "entries": merged}
-                fd, tmp = tempfile.mkstemp(
-                    dir=self.path, prefix=f".{section}-", suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "w") as fh:
-                        json.dump(payload, fh)
-                    os.replace(tmp, self._file(section))
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-        self._dirty.clear()
+            for section, records in self._pending.items():
+                if not records:
+                    continue
+                log = self._log(section)
+                if section in self._foreign:
+                    # Still foreign, or has a peer replaced it since we looked?
+                    first, _end, _dropped = log.read()
+                    if not first or not log.bound(first[0]):
+                        log.path.unlink(missing_ok=True)
+                    self._foreign.discard(section)
+                log.append(records)
+                records.clear()
 
-    def delta(self) -> dict[str, dict]:
-        """Entries added by this process since load (for worker merge-back)."""
-        return {s: dict(d) for s, d in self._delta.items() if d}
-
-    def take_delta(self) -> dict[str, dict]:
-        """Like :meth:`delta`, but resets the delta tracker afterwards.
-
-        Long-lived pool workers (:mod:`repro.serve.pool`) ship one delta per
-        task; taking it keeps each shipment incremental instead of resending
-        the worker's whole history with every result.
-        """
-        out = self.delta()
-        self._delta = _empty_delta()
-        return out
-
-    def absorb(self, delta: Mapping[str, Mapping]) -> None:
-        """Merge entries from elsewhere *without* claiming them as our own.
-
-        Unlike :meth:`merge_delta`, absorbed entries are neither added to this
-        process's delta nor marked dirty: they are already durable (or owned)
-        somewhere else.  Pool workers use this to ingest the parent's shared
-        delta log, so every worker sees its peers' discoveries without the
-        entries bouncing back over the result pipe.
-        """
-        self._drop_rejected(delta)
-        for section, entries in (delta or {}).items():
-            if section not in _SECTIONS:
+    def refresh(self) -> None:
+        """Fold in what other processes appended to the loaded sections since
+        our offsets (one ``stat`` per section when nothing changed)."""
+        for section in list(self._sections):
+            try:
+                size = os.stat(self._log(section).path).st_size
+            except OSError:
                 continue
-            store = self._load(section)
-            for key, value in entries.items():
-                _merge_entry(store, key, value)
-
-    def merge_delta(self, delta: Mapping[str, Mapping]) -> None:
-        """Merge a worker's delta into this cache as our own new entries
-        (:func:`_merge_entry` decides key conflicts).  A library entry the
-        worker found undecodable goes first, so its replacement is a first
-        write again."""
-        self._drop_rejected(delta)
-        for section, entries in (delta or {}).items():
-            if section not in _SECTIONS:
-                continue
-            for key, value in entries.items():
-                self._put(section, key, value)
-
-    def _drop_rejected(self, delta: Mapping[str, Mapping] | None) -> None:
-        for key in (delta or {}).get(_REJECTED, ()):
-            self._load("library").pop(key, None)
+            offset = self._offsets.get(section, 0)
+            if size < offset:  # replaced under us: fold it from the start
+                self._offsets[section] = 0
+            if size != offset and section not in self._foreign:
+                self._read_file(section)
 
     def _get(self, section: str, key: str):
-        entries = self._load(section)
-        if key in entries:
-            return entries[key]
-        return MISS
+        return self._load(section).get(key, MISS)
 
     def _put(self, section: str, key: str, value) -> None:
         if _merge_entry(self._load(section), key, value):
-            self._delta[section][key] = value
-            self._dirty.add(section)
+            self._pending.setdefault(section, []).append({"k": key, "v": value})
 
     # -- typed accessors -------------------------------------------------------
 
@@ -538,10 +500,11 @@ class PersistentCache:
 
     def library_reject(self, key: str) -> None:
         """Forget an entry :meth:`library_get` returned that would not decode:
-        a miss after all.  The re-enumeration's :meth:`library_put` is then a
-        first write again, and our own entries win the merge in :meth:`save`."""
+        a miss after all.  The tombstone makes the re-enumeration's
+        :meth:`library_put` a first write again, here and in every process
+        that folds the file."""
         self._load("library").pop(key, None)
-        self._delta[_REJECTED][key] = True  # lets a pool parent drop its copy too
+        self._pending.setdefault("library", []).append({"k": key, "drop": True})
         self.stats.library_hits -= 1
         self.stats.library_misses += 1
 

@@ -54,9 +54,6 @@ class SynthesisConfig:
     spelling.  Extension over the paper; empty by default."""
 
     # -- simplification objective (Section V-A) -------------------------------
-    use_simplification: bool = True
-    """Prune sketches whose hole specs are not simpler than the spec."""
-
     complexity_mode: str = "per_entry"
     """'per_entry' (default): mean unique input symbols per element, times
     density.  'global': the paper's literal |var(Φ)|·density(Φ) over the whole
@@ -69,12 +66,6 @@ class SynthesisConfig:
     # -- search limits ----------------------------------------------------------
     max_recursion_depth: int = 6
     """Maximum sketch-nesting depth of a synthesized program."""
-
-    max_candidates_per_node: int = 1024
-    """Maximum sketches explored per DFS node after pruning/sorting.  The
-    pool is cost-sorted and branch-and-bound stops exploration once sketch
-    skeletons alone exceed the bound, so this is a safety valve rather than
-    the primary limiter."""
 
     timeout_seconds: float = 600.0
     """Wall-clock budget for one synthesis run (paper: 10 minutes)."""
@@ -103,16 +94,9 @@ class SynthesisConfig:
     solver_max_unknowns: int = 16
     """Cap on fresh unknowns for the generic solver fallback."""
 
-    verify_decompositions: bool = True
-    """Re-execute each solved sketch against the spec before exploring it.
-    Keeps heuristic inverters from ever poisoning the search bound."""
-
     # -- verification -----------------------------------------------------------
     verify_numeric_trials: int = 3
     """Random-input trials for final candidate verification."""
-
-    verify_symbolic: bool = True
-    """Also verify final candidates by symbolic equivalence."""
 
     def replace(self, **kwargs) -> "SynthesisConfig":
         from dataclasses import replace as _replace

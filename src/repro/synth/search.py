@@ -46,6 +46,10 @@ from repro.synth.solver import Pruned, SketchSolver
 
 _INF = float("inf")
 
+#: Sketches explored per DFS node after cost-sorting.  A safety valve, not the
+#: limiter: branch-and-bound stops once sketch skeletons alone exceed the bound.
+MAX_CANDIDATES_PER_NODE = 1024
+
 
 @dataclass
 class SearchStats:
@@ -245,7 +249,7 @@ class SearchContext:
             hole_scores[:] = [spec_complexity(h, mode) for h in hole_specs]
             # The *average* hole complexity must strictly drop.
             mean = sum(hole_scores) / len(hole_scores)
-            if self.config.use_simplification and mean >= score:
+            if mean >= score:
                 return Pruned(mean)
             return None
 
@@ -302,7 +306,7 @@ class SearchContext:
                 sk for sk in pool if self._sketch_input_names(sk) <= names or not names
             ]
             pool.sort(key=lambda s: (s.cost, s.root.num_nodes))
-            pool = pool[: self.config.max_candidates_per_node]
+            pool = pool[:MAX_CANDIDATES_PER_NODE]
             self._pools[(spec_type, names)] = pool
         return pool
 

@@ -690,9 +690,7 @@ class SketchSolver:
             pruned = keep(hole_specs)
             if pruned is not None:
                 return pruned
-        if self.config.verify_decompositions and not self._decomposition_holds(
-            sketch, hole_specs, spec
-        ):
+        if not self._decomposition_holds(sketch, hole_specs, spec):
             return None
         return hole_specs
 

@@ -93,7 +93,7 @@ def _contains_shape_attrs(node: Node) -> bool:
 def verify_candidate(
     program: Program, candidate: Node, config: SynthesisConfig, budget=None
 ) -> bool:
-    """Check candidate == program numerically (and symbolically if enabled).
+    """Check candidate == program numerically, then symbolically.
 
     With a :class:`~repro.resilience.Budget`, an expiry between trials fails
     the candidate (safe direction: an unverified program is never emitted).
@@ -116,13 +116,10 @@ def verify_candidate(
             rtol=1e-8, atol=1e-10,
         ):
             return False
-    if config.verify_symbolic:
-        try:
-            if not equivalent(symbolic_execute(candidate), symbolic_execute(program.node)):
-                return False
-        except StensoError:
-            return False
-    return True
+    try:
+        return equivalent(symbolic_execute(candidate), symbolic_execute(program.node))
+    except StensoError:
+        return False
 
 
 def _process_counts() -> dict[str, int]:

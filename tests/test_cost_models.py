@@ -7,6 +7,7 @@ import pytest
 from repro.cost import CostModel, DimMapper, FlopsCostModel, MeasuredCostModel, make_cost_model
 from repro.cost.flops import NODE_EPSILON
 from repro.ir import float_tensor, parse
+from tests.cachefile import read_section
 
 TYPES = {"A": float_tensor(4, 4), "B": float_tensor(4, 4), "x": float_tensor(4)}
 
@@ -92,6 +93,24 @@ class TestMeasuredModel:
         assert reloaded.program_cost(node_of("A + B")) == cost
         assert json.loads(path.read_text())
 
+    def test_truncated_table_is_reprofiled_and_saved_whole(self, tmp_path):
+        """A kill mid-save used to leave a torn table that every later
+        ``--cost_estimator measured`` run raised on at construction."""
+        path = tmp_path / "measured_cache.json"
+        model = MeasuredCostModel(cache_path=path)
+        model.program_cost(node_of("A + B"))
+        model.save()
+        whole = path.read_text()
+        for broken in (whole[: len(whole) // 2], "[1, 2, 3]", ""):
+            path.write_text(broken)
+            reloaded = MeasuredCostModel(cache_path=path)  # constructs: empty table
+            assert reloaded.table_size == 0
+            assert reloaded.program_cost(node_of("A + B")) > 0  # re-measured
+            assert reloaded.table_size == model.table_size
+            reloaded.save()
+            assert set(json.loads(path.read_text())) == set(json.loads(whole))
+            assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no *.tmp
+
     def test_save_requires_path(self):
         from repro.errors import CostModelError
 
@@ -128,7 +147,8 @@ class TestPersistedCosts:
         assert model.program_cost(node) == FlopsCostModel().program_cost(node)
         assert model.program_cost(node) == FlopsCostModel().program_cost(node)
         assert (model.hits, model.misses) == (1, 1)  # the in-memory memo stays
-        assert cache.delta() == {}
+        cache.save()
+        assert list(tmp_path.iterdir()) == []  # nothing was the cache's to write
 
     def test_expensive_estimates_persist_across_runs(self, tmp_path):
         from repro.cost.cached import with_caching
@@ -144,7 +164,7 @@ class TestPersistedCosts:
         node = node_of("A * B + A")
         cache = PersistentCache(tmp_path)
         cost = with_caching(Timed(), cache, "fp").program_cost(node)
-        assert list(cache.delta()["costs"].values()) == [cost]
         cache.save()
+        assert [r["v"] for r in read_section(tmp_path, "costs")[1]] == [cost]
         warm = with_caching(MustNotRun(), PersistentCache(tmp_path), "fp")
         assert warm.program_cost(node) == cost

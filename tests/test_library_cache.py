@@ -8,7 +8,7 @@ opinion on are symbolically executed; and anything wrong with the stored
 node table costs a cold enumerate, never a different answer.
 """
 
-import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -25,6 +25,7 @@ from repro.synth import library as library_mod
 from repro.synth.cache import dump_library, load_library, synthesis_fingerprint
 from repro.synth.config import DEFAULT_CONFIG
 from repro.synth.library import build_library
+from tests.cachefile import read_section, rewrite_section
 
 CONFIG = SynthesisConfig(timeout_seconds=90)
 
@@ -52,10 +53,7 @@ def _cold_then_warm(name, tmp_path, tamper=None):
     cold = build_library(program, CONFIG, model, cache=cache, fingerprint="fp")
     cache.save()
     if tamper is not None:
-        file = tmp_path / "library.json"
-        raw = json.loads(file.read_text())
-        tamper(raw)
-        file.write_text(json.dumps(raw))
+        rewrite_section(tmp_path, "library", tamper)
     reloaded = PersistentCache(tmp_path)
     warm = build_library(program, CONFIG, model, cache=reloaded, fingerprint="fp")
     return cold, warm
@@ -189,27 +187,31 @@ def test_undecodable_entry_is_a_miss_and_is_replaced_on_save(tmp_path):
     rebuilt = build_library(program, CONFIG, model, cache=repairing, fingerprint="fp")
     assert not rebuilt.from_cache
     assert (repairing.stats.library_hits, repairing.stats.library_misses) == (0, 1)
-    # The replacement is ours, and says which entry it replaces.
-    assert set(repairing.delta()) == {"library", "library_rejected"}
+    # The replacement is ours, and says which entry it replaces: a tombstone
+    # for the key, then the re-enumerated entry under the same key.
+    before = len(read_section(tmp_path, "library")[1])
     repairing.save()
+    tombstone, replacement = read_section(tmp_path, "library")[1][before:]
+    assert tombstone == {"k": replacement["k"], "drop": True} and "v" in replacement
+    assert not (tmp_path / "solver.json").exists()  # nothing else was ours
 
     fresh = PersistentCache(tmp_path)  # another process, after the repair
     warm = build_library(program, CONFIG, model, cache=fresh, fingerprint="fp")
     assert warm.from_cache
     assert (fresh.stats.library_hits, fresh.stats.library_misses) == (1, 0)
-    assert fresh.delta() == {}
+    size = (tmp_path / "library.json").stat().st_size
+    fresh.save()  # a hit is not ours to write again
+    assert (tmp_path / "library.json").stat().st_size == size
     _assert_same_library(rebuilt, warm)
 
 
 def test_pool_parent_drops_the_undecodable_entry_its_worker_replaced(tmp_path):
-    """The parent of a pool holds the same bad copy as the worker that hit it;
-    first-writer-wins must not keep it over the worker's re-enumeration."""
+    """Every process of a pool run may hold the same bad copy as the worker
+    that hit it; first-writer-wins must not keep it over that worker's
+    re-enumeration — the tombstone goes through the file like the entry."""
     module = [KernelSpec(name, *KERNELS[name]) for name in ("matmul", "exp_log")]
     ModuleOptimizer(config=CONFIG, cache=tmp_path).optimize_module(module)
-    file = tmp_path / "library.json"
-    raw = json.loads(file.read_text())
-    _unknown_op(raw)
-    file.write_text(json.dumps(raw))
+    rewrite_section(tmp_path, "library", _unknown_op)
 
     ParallelModuleOptimizer(config=CONFIG, workers=2, cache=tmp_path).optimize_module(module)
 
@@ -223,8 +225,12 @@ def test_pool_parent_drops_the_undecodable_entry_its_worker_replaced(tmp_path):
 
 
 def test_default_fingerprint_is_pinned():
-    """Caches, journals, request logs and stores written so far stay valid."""
-    assert synthesis_fingerprint(DEFAULT_CONFIG, make_cost_model("flops")) == "ab19fa58893ef5ed"
+    """Caches, journals, request logs and stores written so far stay valid.
+
+    Moved once, with ``CACHE_VERSION`` 4: four never-set fields left the
+    config (21 -> 17), so users saw one invalidation, not two."""
+    assert len(dataclasses.fields(DEFAULT_CONFIG)) == 17
+    assert synthesis_fingerprint(DEFAULT_CONFIG, make_cost_model("flops")) == "0da1238ab77305d7"
 
 
 def test_node_table_roundtrip_is_structural():
@@ -244,17 +250,22 @@ def test_node_table_roundtrip_is_structural():
 
 
 def test_library_payload_survives_delta_and_absorb(tmp_path):
+    """A worker's delta is what its ``save`` appends; a live peer absorbs it
+    with ``refresh``, and what it absorbed is not the peer's own to append."""
     program, model = _program("exp_log"), make_cost_model("flops")
-    worker = PersistentCache(tmp_path / "worker")
+    peer = PersistentCache(tmp_path)
+    assert peer.library_get("warm-up") is None  # loaded before the worker wrote
+    worker = PersistentCache(tmp_path)
     cold = build_library(program, CONFIG, model, cache=worker, fingerprint="fp")
-    delta = copy.deepcopy(worker.delta())  # what the pool's delta log ships
-    assert set(delta) == {"library"}
-    peer = PersistentCache(tmp_path / "peer")
-    peer.absorb(delta)
+    worker.save()
+    assert [p.name for p in tmp_path.glob("*.json")] == ["library.json"]
+    size = (tmp_path / "library.json").stat().st_size
+    peer.refresh()
     warm = build_library(program, CONFIG, model, cache=peer, fingerprint="fp")
     assert warm.from_cache
     _assert_same_library(cold, warm)
-    assert peer.delta() == {}  # absorbed entries are not the peer's own
+    peer.save()
+    assert (tmp_path / "library.json").stat().st_size == size
 
 
 def test_module_summary_identical_cold_and_warm(tmp_path):

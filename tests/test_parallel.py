@@ -12,6 +12,7 @@ from repro.parallel import ParallelModuleOptimizer, _batch_key
 from repro.pipeline import KernelSpec, ModuleOptimizer
 from repro.symexec.engine import symbolic_execute
 from repro.synth import PersistentCache, SynthesisConfig, superoptimize_source
+from tests.cachefile import read_section
 
 FAST = SynthesisConfig(timeout_seconds=90)
 
@@ -172,12 +173,19 @@ def test_symbolic_tensor_cache_roundtrip():
 
 
 def test_cache_delta_merge(tmp_path):
+    """A writer's delta is what its save appends; the parent merges it by
+    reading on from where it stopped, and does not write it a second time."""
+    parent = PersistentCache(tmp_path)
+    assert parent.cost_get("k1") is None  # the section is loaded, and empty
     writer = PersistentCache(tmp_path)
     writer.cost_put("k1", 3.0)
-    delta = writer.delta()
-    assert delta == {"costs": {"k1": 3.0}}
+    writer.save()
+    assert read_section(tmp_path, "costs")[1] == [{"k": "k1", "v": 3.0}]
 
-    parent = PersistentCache(tmp_path)
-    parent.merge_delta(delta)
+    parent.cost_put("k2", 4.0)
+    parent.refresh()
+    assert parent.cost_get("k1") == 3.0
     parent.save()
-    assert PersistentCache(tmp_path).cost_get("k1") == 3.0
+    assert [r["k"] for r in read_section(tmp_path, "costs")[1]] == ["k1", "k2"]
+    fresh = PersistentCache(tmp_path)
+    assert (fresh.cost_get("k1"), fresh.cost_get("k2")) == (3.0, 4.0)

@@ -34,6 +34,7 @@ from repro.resilience import (
 from repro.synth.cache import CACHE_VERSION, PersistentCache
 from repro.synth.config import SynthesisConfig
 from repro.synth.superoptimizer import superoptimize_source
+from tests.cachefile import read_section
 
 FAST = SynthesisConfig(timeout_seconds=60)
 
@@ -213,30 +214,59 @@ class TestCacheResilience:
         cache.save()
         file = tmp_path / "solver.json"
         text = file.read_text()
-        file.write_text(text[: len(text) // 2])  # torn write
+        file.write_text(text[: len(text) // 2])  # torn write, inside the header
         reloaded = PersistentCache(tmp_path)
         from repro.synth.cache import MISS
 
         assert reloaded.solver_get("some-key") is MISS  # empty, not a crash
+        # Torn inside a record: the complete lines before it still count, and
+        # the next save cuts the fragment off before appending.
+        file.write_text(text + text.splitlines()[1][:20])
+        reloaded = PersistentCache(tmp_path)
+        assert reloaded.solver_get("some-key") is None
+        reloaded.solver_put("other-key", None)
+        reloaded.save()
+        assert [r["k"] for r in read_section(tmp_path, "solver")[1]] == ["some-key", "other-key"]
 
     def test_valid_json_wrong_shape_reads_as_empty(self, tmp_path):
-        (tmp_path / "solver.json").write_text(json.dumps([1, 2, 3]))
-        (tmp_path / "costs.json").write_text(
-            json.dumps({"version": CACHE_VERSION, "entries": "not-a-dict"})
-        )
-        cache = PersistentCache(tmp_path)
+        from repro.journal import encode_line
         from repro.synth.cache import MISS
 
+        # Whole lines, none of them this version's header: a foreign file.
+        (tmp_path / "solver.json").write_text(json.dumps([1, 2, 3]) + "\n")
+        (tmp_path / "costs.json").write_text(
+            json.dumps({"version": 3, "entries": {"k": 1.0}}) + "\n"
+        )
+        # The right header, then checksummed lines that are not records.
+        header = {"type": "cache-library", "version": CACHE_VERSION}
+        (tmp_path / "library.json").write_text(
+            "".join(
+                encode_line(p) + "\n"
+                for p in (header, {"entries": "not-a-dict"}, {"k": None, "v": 1}, {"v": 2})
+            )
+        )
+        cache = PersistentCache(tmp_path)
         assert cache.solver_get("k") is MISS
         assert cache.cost_get("k") is None
+        assert cache.library_get("k") is None and cache._load("library") == {}
+        # The first save replaces a foreign file instead of appending to it.
+        cache.cost_put("k", 2.0)
+        cache.save()
+        assert read_section(tmp_path, "costs") == (
+            {"type": "cache-costs", "version": CACHE_VERSION},
+            [{"k": "k", "v": 2.0}],
+        )
+        assert (tmp_path / "solver.json").read_text() == "[1, 2, 3]\n"  # not ours to touch
 
     def test_save_is_atomic_no_temp_droppings(self, tmp_path):
         cache = PersistentCache(tmp_path)
         cache.solver_put("k", None)
         cache.save()
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-        assert leftovers == []
-        assert json.loads((tmp_path / "solver.json").read_text())["version"] == CACHE_VERSION
+        # An append has no temporary to leave: the section file and the lock.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".cache.lock", "solver.json"]
+        header, records = read_section(tmp_path, "solver")
+        assert header == {"type": "cache-solver", "version": CACHE_VERSION}
+        assert records == [{"k": "k", "v": {"solved": False}}]
 
     def test_injected_corrupt_read_degrades_to_cold_cache(self, tmp_path):
         cache = PersistentCache(tmp_path)

@@ -27,6 +27,7 @@ from repro.synth import SynthesisConfig, search
 from repro.synth.cache import CACHE_VERSION
 from repro.synth.solver import SketchSolver
 from repro.synth.superoptimizer import superoptimize_program, superoptimize_source
+from tests.cachefile import read_section
 
 CONFIG = SynthesisConfig(timeout_seconds=120)
 SQUARE = {"A": (2, 2), "B": (2, 2)}
@@ -198,9 +199,11 @@ MODULE = [
 
 
 def _solver_entries(path):
-    raw = json.loads((path / "solver.json").read_text())
-    assert raw["version"] == CACHE_VERSION == 3
-    return raw["entries"]
+    """The solver section as a fresh process folds it."""
+    from repro.synth.cache import PersistentCache
+
+    assert read_section(path, "solver")[0]["version"] == CACHE_VERSION == 4
+    return PersistentCache(path)._load("solver")
 
 
 def test_cold_warm_and_parallel_agree_and_nothing_unverified_is_stored(tmp_path):
@@ -245,7 +248,7 @@ def test_v2_cache_directory_is_ignored_and_replaced(tmp_path):
     opt.optimize_module(MODULE[1:])
     assert opt.cache.stats.solver_hits == 0 and opt.cache.stats.library_hits == 0
     assert "stale-key" not in _solver_entries(tmp_path)
-    assert json.loads((tmp_path / "library.json").read_text())["version"] == CACHE_VERSION
+    assert read_section(tmp_path, "library")[0]["version"] == CACHE_VERSION
 
 
 def test_pruned_entry_answers_only_an_asker_it_would_prune_again(tmp_path):
@@ -271,25 +274,35 @@ _UNSOLVABLE = {"solved": False}
 @pytest.mark.parametrize("answer", [_VERIFIED, _UNSOLVABLE], ids=["verified", "unsolvable"])
 @pytest.mark.parametrize("point", ["merge_delta", "absorb", "save"])
 def test_a_solver_answer_supersedes_a_pruned_marker_never_the_reverse(tmp_path, point, answer):
+    """Two copies of one key now only ever meet in the section file.  The ids
+    keep the names of the three places they used to meet: ``merge_delta`` —
+    we hold ours unsaved when a worker's copy arrives (``refresh``);
+    ``absorb`` — ours is already durable when a peer's arrives behind it;
+    ``save`` — ours is appended behind a concurrent run's, unseen."""
     from repro.synth.cache import PersistentCache
 
     def meet(ours, theirs):
         """The solver entry for one key after our copy met theirs at ``point``."""
         path = tmp_path / f"{point}-{'pruned' in ours}"
+        other = PersistentCache(path)
+        other._load("solver")  # a peer that loaded before ours was anywhere
         cache = PersistentCache(path)
-        if point == "save":
-            # A concurrent run saved its entry after we loaded the section.
-            cache._put("solver", "k", ours)
-            other = PersistentCache(path)
-            other._put("solver", "k", theirs)
-            other.save()
+        cache._put("solver", "k", ours)
+        if point == "absorb":
             cache.save()
-            return _solver_entries(path)["k"]
-        cache._load("solver")["k"] = ours
-        getattr(cache, point)({"solver": {"k": theirs}})
-        if point == "merge_delta" and "pruned" in ours:
-            assert cache.delta() == {"solver": {"k": theirs}}  # ours to save now
-        return cache._get("solver", "k")
+        other._put("solver", "k", theirs)
+        other.save()
+        if point != "save":
+            cache.refresh()
+            live = cache._get("solver", "k")
+        cache.save()
+        assert len(read_section(path, "solver")[1]) == 2  # one line per finder
+        folded = _solver_entries(path)["k"]
+        if point != "save":
+            assert live == folded
+        cache.refresh()  # folding our own lines again changes nothing
+        assert cache._get("solver", "k") == folded
+        return folded
 
     assert meet(_PRUNED, answer) == answer
     assert meet(answer, _PRUNED) == answer

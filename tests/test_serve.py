@@ -10,7 +10,7 @@ The contract under test:
   (in-flight dedup) and both receive the result; a restart serves repeats
   from the content store;
 * a crashed pool worker is retried on a live replacement that inherits the
-  pool's warm cache state (the shared delta log), with the pool back at full
+  pool's warm cache state (the shared cache files), with the pool back at full
   strength;
 * the priority queue releases high-priority requests to workers first, and
   per-request budgets (``max_solver_calls``) degrade gracefully.
@@ -35,6 +35,7 @@ from repro.pipeline import KernelOutcome, KernelSpec, ModuleOptimizer
 from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.serve import ServeClient, SynthesisDaemon
 from repro.serve.daemon import RequestLog, ServeRequest
+from repro.synth.cache import PersistentCache
 from repro.synth.config import SynthesisConfig
 
 FAST = SynthesisConfig(timeout_seconds=90)
@@ -199,15 +200,20 @@ class TestDedup:
 class TestCrashReplacement:
     def test_crashed_worker_retries_on_live_replacement(self, tmp_path):
         # Regression: the task killed with its worker must be retried on a
-        # *replacement* worker whose first dispatch carries the shared cache
-        # delta log — not on a cold pool missing its peers' discoveries.
+        # *replacement* worker that opens the cache files its predecessor
+        # appended to — not on a cold pool missing its peers' discoveries.
         plan = FaultPlan.parse("worker[log_exp]:die@1")
         with serve(tmp_path, workers=1, config=FAST.replace(fault_plan=plan)) as (
             daemon,
             client,
         ):
-            warm = client.submit(EXP_LOG)  # completes first: seeds the delta log
+            warm = client.submit(EXP_LOG)  # completes first: seeds the cache files
             client.result(warm, wait=True, timeout_s=300)
+            # The replacement is not born yet, and what it will inherit is
+            # already on disk: the worker saved before it reported the task.
+            assert daemon.pool.counters["pool.replacements"] == 0
+            on_disk = PersistentCache(daemon.pool.cache.path)
+            assert len(on_disk._load("library")) == 1  # exp_log's library key
             victim = client.submit(LOG_EXP)
             outcome = client.result(victim, wait=True, timeout_s=300)
             counters = daemon.pool.counters
@@ -215,9 +221,7 @@ class TestCrashReplacement:
             assert outcome.improved
             assert counters["pool.crash_retries"] == 1
             assert counters["pool.replacements"] == 1
-            # The replacement inherited the warm entries discovered before it
-            # was born (exp_log's delta shipped with its first dispatch).
-            assert counters["pool.sync_entries"] > 0
+            assert len(PersistentCache(daemon.pool.cache.path)._load("library")) == 2
             assert daemon.pool.alive_workers == daemon.pool.size
 
 
@@ -331,16 +335,12 @@ class TestKillResume:
         torn = FAST.replace(fault_plan=FaultPlan.parse("journal[exp_log]:corrupt"))
 
         first = RequestLog(path, "fp", config=torn)
-        first.open()
         first.record_request(r1)
         first.record_result(r1)  # half a line, no newline: the crash
-        first.close()
         assert not path.read_bytes().endswith(b"\n")
 
         second = RequestLog(path, "fp")
-        second.open()
         second.record_request(ServeRequest("r2", MODULE[2]))  # acked as durable
-        second.close()
 
         requests, results = RequestLog(path, "fp").load()
         assert [entry["id"] for entry in requests] == ["r1", "r2"]

@@ -12,7 +12,7 @@ The contract under test (the robustness layer over :mod:`repro.serve`):
   its remaining time to the worker budget;
 * **worker lifecycle hygiene** — pool workers are recycled after
   ``max_requests_per_worker`` tasks or an RSS high-watermark, with the warm
-  delta log intact on the replacement;
+  cache files there for the replacement;
 * **store quarantine** — a corrupted content-store object is verified on
   read, moved to ``quarantine/``, and reported as a miss (re-synthesis, not
   a crash); repeated corruption opens a circuit breaker;
@@ -44,6 +44,7 @@ from repro.serve import (
     content_key,
 )
 from repro.serve.wire import recv_msg
+from repro.synth.cache import PersistentCache
 from repro.synth.config import SynthesisConfig
 
 FAST = SynthesisConfig(timeout_seconds=90)
@@ -442,18 +443,22 @@ class TestWorkerRecycling:
 
     def test_daemon_serves_across_recycles_with_warm_state(self, tmp_path):
         # Recycling between requests must be invisible to clients: the
-        # replacement's first dispatch carries the shared delta log.
+        # replacement opens the cache files its predecessor appended to.
         policy = ResiliencePolicy(retry_backoff_s=0.05, max_requests_per_worker=1)
         with serve(tmp_path, workers=1, policy=policy) as (daemon, client):
             first = client.result(
                 client.submit(EXP_LOG), wait=True, timeout_s=300
             )
+            # Warm handoff: what the first worker found is on disk before it
+            # reports the task, so before its replacement is spawned.
+            on_disk = PersistentCache(daemon.pool.cache.path)
+            assert len(on_disk._load("library")) == 1  # exp_log's library key
             second = client.result(
                 client.submit(LOG_EXP), wait=True, timeout_s=300
             )
             assert first.status == "ok" and second.status == "ok"
             assert daemon.pool.counters["pool.recycled"] >= 1
-            assert daemon.pool.counters["pool.sync_entries"] > 0  # warm handoff
+            assert len(PersistentCache(daemon.pool.cache.path)._load("library")) == 2
             assert daemon.pool.alive_workers == daemon.pool.size
 
 
