@@ -94,14 +94,8 @@ def evaluate_suite(
     measure: bool = True,
     min_sample_seconds: float = 0.05,
     samples: int = 5,
-    parallel: int = 1,
 ) -> list[BenchmarkEvaluation]:
-    """Evaluate benchmarks, optionally prefilling synthesis in parallel.
-
-    ``parallel > 1`` fans the *synthesis* of store misses across worker
-    processes before the (timing-sensitive, therefore sequential)
-    measurement pass; results land in ``store`` exactly as on the
-    sequential path.
+    """Evaluate benchmarks, synthesizing the store's misses on the way.
 
     Suite sweeps are crash-safe: every synthesis record is saved to the
     store the moment it exists (the store's save is a locked read-merge-
@@ -115,8 +109,6 @@ def evaluate_suite(
     benches = [get_benchmark(n) for n in names] if names else list(ALL_BENCHMARKS)
     evaluations: list[BenchmarkEvaluation] = []
     with InterruptGuard() as stop:
-        if parallel > 1:
-            _prefill_store(store, benches, cost_model, parallel, stop=stop)
         for b in benches:
             if stop.requested():
                 break
@@ -126,40 +118,6 @@ def evaluate_suite(
                 )
             )
     return evaluations
-
-
-def _prefill_store(
-    store: SynthesisStore,
-    benches: Sequence[Benchmark],
-    cost_model: str,
-    workers: int,
-    stop=None,
-) -> None:
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-    from repro.bench.store import run_synthesis
-
-    missing = [b for b in benches if store.get(b.name, cost_model) is None]
-    if not missing:
-        return
-    with ProcessPoolExecutor(max_workers=min(workers, len(missing))) as pool:
-        futures = {
-            pool.submit(run_synthesis, b, cost_model, "default", None) for b in missing
-        }
-        while futures:
-            done, futures = wait(futures, timeout=0.5, return_when=FIRST_COMPLETED)
-            for future in done:
-                try:
-                    store.put(future.result())
-                except Exception:
-                    continue  # evaluate_benchmark re-runs this one sequentially
-                # Incremental persistence: a crash after this point keeps
-                # every completed record.
-                store.save()
-            if stop is not None and stop.requested():
-                for future in futures:
-                    future.cancel()
-                break
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Metrics registry: counters, gauges, and histograms for search telemetry.
 
-The registry is the structured counterpart of the flat
-:class:`~repro.synth.search.SearchStats` counter bag: every recording helper
-on ``SearchStats`` updates both, so existing consumers keep their flat
-fields while traces, journals, and reports get typed metrics (prune-reason
+The registry is where a search's counts are kept: the recording helpers of
+:class:`~repro.synth.search.SearchStats` write it and that class's flat
+counters are read-only views of it, so existing consumers keep their flat
+names while traces, journals, and reports get typed metrics (prune-reason
 counts, DFS depth histograms, solver-latency histograms, cache hit ratios).
 
 Snapshots are plain JSON-native dicts (``{"counters": .., "gauges": ..,
@@ -105,6 +105,11 @@ class MetricsRegistry:
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
+
+    def count(self, name: str) -> int:
+        """A counter's value, 0 when nobody created it (reading creates none)."""
+        c = self._counters.get(name)
+        return c.value if c is not None else 0
 
     def gauge(self, name: str) -> Gauge:
         g = self._gauges.get(name)

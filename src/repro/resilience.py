@@ -303,7 +303,10 @@ def inject(site: str, key: str | None = None, index: int | None = None, config=N
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Failure-handling knobs of :class:`repro.parallel.ParallelModuleOptimizer`."""
+    """Failure-handling knobs of the :class:`repro.serve.pool.WorkerPool` and
+    its two owners, ``optimize_module(parallel=N, policy=...)`` and the
+    daemon; ``kernel_timeout_s`` also bounds the sequential loop, as a
+    cooperative budget."""
 
     kernel_timeout_s: float | None = None
     """Per-kernel wall-clock deadline.  Workers get it as their cooperative

@@ -21,6 +21,7 @@ subtrees.  Constants and attributes must match exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.backends.rewriter import NamedRule
 from repro.ir.nodes import Call, Const, Input, Node, rename_inputs
@@ -38,8 +39,12 @@ class MinedRule:
     lhs: Node
     rhs: Node
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:  # the rule's identity in the rule cache
         return f"{to_expression(self.lhs)}  =>  {to_expression(self.rhs)}"
+
+    def __str__(self) -> str:
+        return self._text
 
     @property
     def metavariables(self) -> list[str]:

@@ -44,6 +44,16 @@ dedup followers are always admitted.  Client-supplied deadlines
 before dispatch) and at dispatch (the worker budget gets only the remaining
 time).
 
+Dispatch: what is tried before a request reaches a worker, and what a
+worker's answer means, is the daemon's :class:`~repro.pipeline.ModuleOptimizer`'s
+resolution ladder, the one a module run climbs: ``_restore`` and a
+content-store hit go through ``readmit`` (a restart re-learns the rules and
+pattern verdicts its log proves before the socket binds), ``_dispatch_one``
+asks ``resolve``, ``_handle_event`` hands every pool event to ``settle`` — with
+no failure-verdict dict: a transient worker crash must not poison a pattern
+for a daemon's lifetime.  This module keeps what is the daemon's own:
+admission, shedding, deadlines, in-flight dedup, durability, ``served_from``.
+
 Threading model: one accept thread plus one short-lived thread per client
 connection mutate daemon state only under ``self._lock``; the dispatcher
 loop (:meth:`serve_forever`, main thread) owns the pool.  The pool uses the
@@ -206,9 +216,9 @@ class SynthesisDaemon:
             on_event=self._on_store_event,
         )
         self._cache = PersistentCache(self.state_dir / "store" / "cache")
-        # The daemon's own optimizer: rule-cache fast path, restored-outcome
-        # re-verification, and structured failure outcomes.  It never runs a
-        # full synthesis in-process — the pool does that.
+        # The daemon's own optimizer: it owns the resolution ladder (readmit /
+        # resolve / settle) and the rules and pattern verdicts behind it.  It
+        # never runs a full synthesis in-process — the pool does that.
         self._opt = ModuleOptimizer(
             cost_model=cost_model,
             config=self.config,
@@ -237,7 +247,6 @@ class SynthesisDaemon:
         self._queued_ids: set[str] = set()  # leaders awaiting dispatch
         self._inflight: dict[str, str] = {}  # content key -> leader request id
         self._client_inflight: dict[str, int] = {}  # client id -> live requests
-        self._unimproved: dict[str, str] = {}  # batch key -> request id
         self._seq = 0
         self._last_tick = 0.0  # dispatcher liveness (monotonic)
         self._last_beat = 0.0
@@ -319,8 +328,9 @@ class SynthesisDaemon:
 
     def _restore(self) -> None:
         """Rebuild state from the request log: finished requests become
-        ``done`` (their outcomes re-served verbatim), pending ones re-enter
-        the queue — the crash cost is exactly the work that was in flight."""
+        ``done`` (their outcomes re-served verbatim, their rules and pattern
+        verdicts re-learned by ``readmit``), pending ones re-enter the queue —
+        the crash cost is exactly the work that was in flight."""
         request_entries, results = self.log.load()
         restored = pending = 0
         for entry in request_entries:
@@ -354,9 +364,7 @@ class SynthesisDaemon:
                     outcome = KernelOutcome(**payload)
                 except TypeError:
                     outcome = None
-            if outcome is not None and (
-                not outcome.improved or self._opt._reverify_restored(spec, outcome)
-            ):
+            if self._opt.readmit(spec, outcome) is not None:
                 req.state = "done"
                 req.outcome = outcome
                 req.served_from = "restored"
@@ -540,23 +548,19 @@ class SynthesisDaemon:
             # Fleet-wide dedup, cheapest first: a finished identical kernel in
             # the content store, else an identical in-flight one.  Both are
             # admitted even under overload — they cost no worker time.
-            served_from = None
             stored = self.store.get(ckey)
-            if stored is not None:
-                if not stored.improved or self._opt._reverify_restored(spec, stored):
-                    served_from = "store"
-                else:
-                    # Decodes cleanly but no longer verifies: semantically
-                    # corrupt.  Quarantine it and re-synthesize.
-                    self.store.quarantine(ckey)
-                    stored = None
+            if stored is not None and self._opt.readmit(spec, stored) is None:
+                # Decodes cleanly but no longer verifies: semantically
+                # corrupt.  Quarantine it and re-synthesize.
+                self.store.quarantine(ckey)
+                stored = None
             leader_id = self._inflight.get(ckey)
             follows = (
                 leader_id is not None
                 and (leader := self._requests.get(leader_id)) is not None
                 and leader.state != "done"
             )
-            if served_from is None and not follows:
+            if stored is None and not follows:
                 shed = self._admit(msg, priority, client)
                 if shed is not None:
                     return shed
@@ -584,7 +588,7 @@ class SynthesisDaemon:
             self.metrics.counter("serve.submitted").inc()
             self.board.grow(1)
 
-            if served_from == "store":
+            if stored is not None:
                 self.metrics.counter("serve.store_hits").inc()
                 self._complete(req, stored, served_from="store")
             else:
@@ -725,36 +729,20 @@ class SynthesisDaemon:
     # -- the dispatcher loop ---------------------------------------------------
 
     def _dispatch_one(self, req: ServeRequest) -> None:
-        """Route one dequeued request (lock held): rule cache and known
-        unimproved patterns resolve instantly, everything else goes to the
-        pool."""
-        from repro.parallel import batch_key
-
-        try:
-            cached = self._opt.try_rule_cache(req.spec)
-        except Exception as exc:  # noqa: BLE001 — classify, don't crash
-            self._complete(
-                req,
-                self._opt.failed_outcome(
-                    req.spec, "error", f"{type(exc).__name__}: {exc}"
-                ),
-                served_from="error",
-            )
-            return
-        if cached is not None:
-            self.metrics.counter("serve.rule_cache_hits").inc()
-            self._complete(req, cached, served_from="rule-cache")
-            return
-        key = batch_key(req.spec, self.config)
-        if key in self._unimproved:
-            try:
-                outcome = self._opt.unchanged_outcome(req.spec)
-            except Exception as exc:  # noqa: BLE001
-                outcome = self._opt.failed_outcome(
-                    req.spec, "error", f"{type(exc).__name__}: {exc}"
-                )
-            self.metrics.counter("serve.pattern_hits").inc()
-            self._complete(req, outcome, served_from="pattern")
+        """Route one dequeued request (lock held): whatever the optimizer
+        resolves short of a search completes instantly, everything else goes
+        to the pool."""
+        resolved = self._opt.resolve(req.spec)
+        if resolved is not None:
+            if resolved.improved:
+                served_from = "rule-cache"
+                self.metrics.counter("serve.rule_cache_hits").inc()
+            elif resolved.status == "ok":
+                served_from = "pattern"
+                self.metrics.counter("serve.pattern_hits").inc()
+            else:
+                served_from = "error"
+            self._complete(req, resolved, served_from=served_from)
             return
         # Deadline propagation, dispatch side: the worker's cooperative
         # Budget gets only the time the caller still has, not the request's
@@ -785,41 +773,18 @@ class SynthesisDaemon:
         )
 
     def _handle_event(self, event) -> None:
-        from repro.parallel import batch_key
-
         with self._lock:
             req = self._requests.get(event.task_id)
             if req is None:
                 return
-            if event.kind == "ok":
-                outcome, rules = event.payload
-                for rule in rules:
-                    self._opt.absorb_rule(rule)
-                if outcome.status == "ok" and not outcome.improved:
-                    self._unimproved[batch_key(req.spec, self.config)] = req.id
-                self._complete(req, outcome, served_from="synthesis")
-            elif event.kind == "timeout":
-                self._complete(
-                    req,
-                    self._opt.failed_outcome(req.spec, "timeout", event.payload),
-                    served_from="timeout",
-                )
-            elif event.kind == "crashed":
-                self._complete(
-                    req,
-                    self._opt.failed_outcome(
-                        req.spec,
-                        "error",
-                        f"worker crashed {self.policy.max_retries + 1}x",
-                    ),
-                    served_from="crashed",
-                )
-            else:  # 'error'
-                self._complete(
-                    req,
-                    self._opt.failed_outcome(req.spec, "error", event.payload),
-                    served_from="error",
-                )
+            # No failure-verdict dict: a transient crash or timeout must not
+            # poison its pattern for this daemon's lifetime.
+            outcome = self._opt.settle(req.spec, event.kind, event.payload)
+            self._complete(
+                req,
+                outcome,
+                served_from="synthesis" if event.kind == "ok" else event.kind,
+            )
 
     def serve_forever(self) -> None:
         """The dispatcher loop; returns after a shutdown request (drained or

@@ -1,6 +1,6 @@
 """Persistent warm worker pool: synthesis workers that outlive their tasks.
 
-The wave-scheduled driver of :mod:`repro.parallel` used to spawn one process
+The wave scheduler of :mod:`repro.parallel` used to spawn one process
 per kernel attempt.  On the project's 1-core bench host that *regressed* the
 batch (0.87x at 2 workers): every spawn re-loaded the persistent cache from
 disk, re-built SymPy's caches, and threw the warm
@@ -41,10 +41,13 @@ A crash is a pipe EOF / dead process with no ``done`` message.  Per-task
 ``overrides`` carry the request's budget (``timeout_seconds`` /
 ``max_solver_calls``) into the worker's :class:`~repro.resilience.Budget`.
 
-Both :class:`repro.parallel.ParallelModuleOptimizer` (one pool per module
-run, waves become task submissions) and the
+Both owners — :func:`repro.parallel.run_waves` (one pool per module run,
+waves become task submissions) and the
 :class:`repro.serve.daemon.SynthesisDaemon` (one pool for the daemon's whole
-lifetime) drive their synthesis through this class.
+lifetime) — only schedule: each asks its
+:class:`~repro.pipeline.ModuleOptimizer` to ``resolve`` a kernel before
+submitting it here, and hands every terminal event's ``(kind, payload)`` to
+its ``settle``.
 """
 
 from __future__ import annotations
@@ -97,9 +100,9 @@ class PoolTask:
 class PoolEvent:
     """A terminal task event: ``ok | error | timeout | crashed``.
 
-    ``payload`` is ``(outcome, rules)`` for ``ok``, an error/timeout
-    message for ``error``/``timeout``, and None for ``crashed`` (retries
-    exhausted — the caller decides on a fallback).
+    ``payload`` is ``(outcome, rules)`` for ``ok`` and a message for
+    ``error``/``timeout``/``crashed`` (retries exhausted — the caller
+    decides on a fallback).
     """
 
     kind: str
@@ -153,8 +156,8 @@ def _pool_worker_main(conn, worker_id, cost_model, config, cache_path, trace) ->
     caches are the warm state the pool exists to preserve.  The cache is
     refreshed from its files before a task and saved to them after it (a
     failing save is swallowed: the cache is an accelerator).  Mined rules are
-    cleared per task (the parent owns the rule cache, exactly as in the wave
-    driver), and the per-task config override carries the request budget.
+    cleared per task (the parent owns the rule cache), and the per-task
+    config override carries the request budget.
     """
     tracer = None
     if trace:
@@ -215,7 +218,7 @@ class WorkerPool:
     parent's object is only saved at :meth:`start`, so workers load what it
     held.  ``policy`` controls hard deadlines, crash retry,
     and kill grace.  ``ctx`` selects the multiprocessing start method — the
-    parallel driver keeps the platform default (fork on Linux: cheap, no
+    wave scheduler keeps the platform default (fork on Linux: cheap, no
     threads in the CLI parent), while the daemon passes ``"spawn"`` because
     it forks from a multi-threaded process.
 
@@ -506,7 +509,11 @@ class WorkerPool:
                     self.counters["pool.crash_retries"] += 1
                 else:
                     self._tasks.pop(task.id, None)
-                    events.append(PoolEvent("crashed", task.id, None, task))
+                    events.append(
+                        PoolEvent(
+                            "crashed", task.id, f"worker crashed {task.attempt}x", task
+                        )
+                    )
                 continue
             # Terminal ("done", id, kind, payload) message.
             task = member.task

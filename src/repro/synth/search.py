@@ -13,11 +13,11 @@ pass-by-reference bound.
 
 Observability (:mod:`repro.obs`): every node expansion opens a ``dfs`` span
 on the active tracer, prunes emit instant events carrying their reason and
-the spec complexity, and :class:`SearchStats` populates a
+the spec complexity, and :class:`SearchStats` keeps its counts in a
 :class:`~repro.obs.metrics.MetricsRegistry` (prune-reason counters, DFS
-depth histogram, solver-latency histogram, cache counters) alongside its
-flat fields.  With the default :data:`~repro.obs.trace.NULL_TRACER` all
-instrumentation reduces to an attribute load and a branch per site.
+depth histogram, solver-latency histogram, cache counters).  With the
+default :data:`~repro.obs.trace.NULL_TRACER` all instrumentation reduces to
+an attribute load and a branch per site.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ _INF = float("inf")
 MAX_CANDIDATES_PER_NODE = 1024
 
 
+def _counter_view(name: str) -> property:
+    """A read-only flat counter of :class:`SearchStats`: ``metrics`` holds it."""
+    return property(lambda self: self.metrics.count(name))
+
+
 @dataclass
 class SearchStats:
     """Counters describing one synthesis run (drives Fig. 5).
@@ -64,26 +69,21 @@ class SearchStats:
     number of sketches derived, filled in with ``time_sketches`` when the
     search ends.
 
-    The flat fields are kept for existing consumers; the ``record_*``
-    helpers additionally populate ``metrics``, a
-    :class:`~repro.obs.metrics.MetricsRegistry` whose snapshot travels with
-    the kernel outcome into the run journal and ``ModuleResult.summary()``.
-    The ``equiv.*`` / ``analysis.*`` process counters have no flat field:
+    ``metrics``, a :class:`~repro.obs.metrics.MetricsRegistry` whose snapshot
+    travels with the kernel outcome into the run journal and
+    ``ModuleResult.summary()``, is the one place a count is kept: the
+    ``record_*`` helpers write it, and the nine flat counters existing
+    consumers read (``nodes_expanded`` … ``max_depth_reached``) are
+    read-only views of it that :meth:`as_dict` still emits under their
+    names.  Timers and flags are plain fields.  The ``equiv.*`` /
+    ``analysis.*`` process counters have no flat name:
     ``superoptimize_program`` credits them to ``metrics`` directly.
     """
 
-    nodes_expanded: int = 0
-    solver_calls: int = 0
-    solver_hits: int = 0
-    pruned_simplification: int = 0
-    pruned_bound: int = 0
-    base_case_matches: int = 0
-    memo_hits: int = 0
     stub_count: int = 0
     sketch_count: int = 0
     elapsed_seconds: float = 0.0
     timed_out: bool = False
-    max_depth_reached: int = 0
     # -- stage-level profiler -------------------------------------------------
     time_enumeration: float = 0.0
     time_sketches: float = 0.0
@@ -91,49 +91,55 @@ class SearchStats:
     time_base_match: float = 0.0
     time_verification: float = 0.0
     # -- persistent-cache counters --------------------------------------------
-    solver_cache_hits: int = 0
     cost_cache_hits: int = 0
     library_cache_hit: bool = False
     # -- typed metrics registry ------------------------------------------------
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry, repr=False)
 
-    def as_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["metrics"] = self.metrics.snapshot()  # JSON-native, not the registry
-        return d
+    nodes_expanded = _counter_view("search.nodes_expanded")
+    solver_calls = _counter_view("solver.calls")
+    solver_hits = _counter_view("solver.hits")
+    pruned_simplification = _counter_view("search.prune.simplification")
+    pruned_bound = _counter_view("search.prune.bound")
+    base_case_matches = _counter_view("search.base_case_matches")
+    memo_hits = _counter_view("search.memo_hits")
+    solver_cache_hits = _counter_view("solver.cache_hits")
 
-    # -- recording helpers (flat fields + metrics registry in lockstep) --------
+    @property
+    def max_depth_reached(self) -> int:
+        depths = self.metrics._histograms.get("search.depth")
+        return (depths.max or 0) if depths is not None else 0
+
+    def as_dict(self) -> dict:
+        views = {
+            name: getattr(self, name)
+            for name, attr in vars(SearchStats).items()
+            if isinstance(attr, property)
+        }
+        # JSON-native: the registry's snapshot, not the registry.
+        return {**views, **self.__dict__, "metrics": self.metrics.snapshot()}
+
+    # -- recording helpers -----------------------------------------------------
 
     def record_expand(self, depth: int) -> None:
-        self.nodes_expanded += 1
-        if depth > self.max_depth_reached:
-            self.max_depth_reached = depth
         self.metrics.counter("search.nodes_expanded").inc()
         self.metrics.histogram("search.depth", DEPTH_BUCKETS).observe(depth)
 
     def record_prune(self, reason: str) -> None:
-        if reason == "simplification":
-            self.pruned_simplification += 1
-        else:
-            self.pruned_bound += 1
         self.metrics.counter(f"search.prune.{reason}").inc()
 
     def record_memo_hit(self) -> None:
-        self.memo_hits += 1
         self.metrics.counter("search.memo_hits").inc()
 
     def record_base_match(self) -> None:
-        self.base_case_matches += 1
         self.metrics.counter("search.base_case_matches").inc()
 
     def record_solver_call(self, seconds: float) -> None:
-        self.solver_calls += 1
         self.time_solver += seconds
         self.metrics.counter("solver.calls").inc()
         self.metrics.histogram("solver.latency_s", LATENCY_BUCKETS_S).observe(seconds)
 
     def record_solver_cache_hit(self) -> None:
-        self.solver_cache_hits += 1
         self.metrics.counter("solver.cache_hits").inc()
 
     def record_solver_outcome(self, outcome) -> None:
@@ -147,7 +153,6 @@ class SearchStats:
         """
         if outcome is None:
             return
-        self.solver_hits += 1
         self.metrics.counter("solver.hits").inc()
         if not isinstance(outcome, Pruned):
             self.metrics.counter("solver.verified").inc()

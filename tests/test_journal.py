@@ -237,7 +237,7 @@ class TestResume:
             journal.record_outcome(SOLVER_KERNEL, wrong)
         resumed = RunJournal.resume("bad", FAST, root=tmp_path)
         optimizer = ModuleOptimizer(config=FAST)
-        assert optimizer.restore_from_journal(SOLVER_KERNEL, resumed) is None
+        assert optimizer.readmit(SOLVER_KERNEL, resumed.restore(SOLVER_KERNEL)) is None
         resumed.close()
 
 

@@ -18,7 +18,6 @@ from repro.cost import make_cost_model
 from repro.ir.nodes import Call, Const
 from repro.ir.parser import parse
 from repro.ir.types import DType, float_tensor
-from repro.parallel import ParallelModuleOptimizer
 from repro.pipeline import KernelSpec, ModuleOptimizer
 from repro.synth import PersistentCache, SynthesisConfig
 from repro.synth import library as library_mod
@@ -213,7 +212,7 @@ def test_pool_parent_drops_the_undecodable_entry_its_worker_replaced(tmp_path):
     ModuleOptimizer(config=CONFIG, cache=tmp_path).optimize_module(module)
     rewrite_section(tmp_path, "library", _unknown_op)
 
-    ParallelModuleOptimizer(config=CONFIG, workers=2, cache=tmp_path).optimize_module(module)
+    ModuleOptimizer(config=CONFIG, cache=tmp_path).optimize_module(module, parallel=2)
 
     fresh, model = PersistentCache(tmp_path), make_cost_model("flops")
     for name in ("matmul", "exp_log"):

@@ -193,15 +193,13 @@ class TestWorkerMerge:
 
     def test_parallel_run_merges_worker_events(self):
         pytest.importorskip("multiprocessing")
-        from repro.parallel import ParallelModuleOptimizer
-
         kernels = [
             KernelSpec("k_a", "def k_a(A):\n    return np.log(np.exp(A))\n", {"A": (2, 2)}),
             KernelSpec("k_b", "def k_b(C):\n    return np.transpose(np.transpose(C))\n", {"C": (2, 3)}),
         ]
         tracer = install_tracer(Tracer())
-        opt = ParallelModuleOptimizer(config=FAST, workers=2)
-        result = opt.optimize_module(kernels, timeout_s=120)
+        opt = ModuleOptimizer(config=FAST)
+        result = opt.optimize_module(kernels, parallel=2, timeout_s=120)
         assert len(result.outcomes) == 2
         worker_tids = {
             e["tid"] for e in tracer.events() if str(e["tid"]).startswith("worker-")
@@ -352,7 +350,7 @@ class TestMetrics:
 
     def test_profile_summary_reports_memo_and_cost_cache_hits(self):
         result = superoptimize_source(EASY_SOURCE, {"A": (2, 2)}, config=FAST)
-        result.stats.memo_hits = 3
+        result.stats.metrics.counter("search.memo_hits").value = 3
         result.stats.cost_cache_hits = 7
         summary = result.stats.profile_summary()
         assert "3 memo" in summary

@@ -1,15 +1,15 @@
 """Parallel batch driver and persistent cross-run caches.
 
-The regression contract: :class:`ParallelModuleOptimizer` must produce the
-same outcomes (names, ``via`` labels, costs, sources) and mined rules as the
-sequential :class:`ModuleOptimizer` on the same module, and a warm persistent
-cache must answer every solver query without invoking the solver.
+The regression contract: ``optimize_module(parallel=2)`` (the wave scheduler)
+must produce the same outcomes (names, ``via`` labels, costs, sources) and
+mined rules as the sequential loop of :class:`ModuleOptimizer` on the same
+module, and a warm persistent cache must answer every solver query without
+invoking the solver.
 """
 
 from repro.ir.parser import parse
 from repro.ir.types import float_tensor
-from repro.parallel import ParallelModuleOptimizer, _batch_key
-from repro.pipeline import KernelSpec, ModuleOptimizer
+from repro.pipeline import KernelSpec, ModuleOptimizer, batch_key
 from repro.symexec.engine import symbolic_execute
 from repro.synth import PersistentCache, SynthesisConfig, superoptimize_source
 from tests.cachefile import read_section
@@ -32,7 +32,7 @@ def _signature(result):
 
 def test_parallel_matches_sequential():
     seq = ModuleOptimizer(config=FAST).optimize_module(MODULE)
-    par = ParallelModuleOptimizer(config=FAST, workers=2).optimize_module(MODULE)
+    par = ModuleOptimizer(config=FAST).optimize_module(MODULE, parallel=2)
     assert _signature(par) == _signature(seq)
     assert sorted(str(r) for r in par.rules) == sorted(str(r) for r in seq.rules)
     # The duplicated improved pattern resolves through the merged rule cache,
@@ -90,13 +90,14 @@ def test_timed_out_kernel_does_not_perturb_the_others():
         KernelSpec("matmul", "np.dot(C, D)", {"C": (2, 2), "D": (2, 2)}),
     ]
     config = FAST.replace(fault_plan=FaultPlan.parse("worker[k_hang]:hang=120"))
-    par = ParallelModuleOptimizer(
-        config=config,
-        workers=2,
+    par = ModuleOptimizer(config=config).optimize_module(
+        [hang] + small_module,
+        parallel=2,
+        timeout_s=12,
         policy=ResiliencePolicy(
             hard_kill_factor=1.0, kill_grace_s=0.5, max_retries=0
         ),
-    ).optimize_module([hang] + small_module, timeout_s=12)
+    )
 
     seq = ModuleOptimizer(config=FAST).optimize_module(small_module)
     by = {o.name: o for o in par.outcomes}
@@ -112,8 +113,8 @@ def test_batch_key_normalizes_names_and_shrinkable_shapes():
     a = KernelSpec("a", "np.exp(np.log(A + B))", {"A": (3, 3), "B": (3, 3)})
     b = KernelSpec("b", "np.exp(np.log(P + Q))", {"P": (4, 4), "Q": (4, 4)})
     c = KernelSpec("c", "np.dot(A, B)", {"A": (3, 3), "B": (3, 3)})
-    assert _batch_key(a, FAST) == _batch_key(b, FAST)
-    assert _batch_key(a, FAST) != _batch_key(c, FAST)
+    assert batch_key(a, FAST) == batch_key(b, FAST)
+    assert batch_key(a, FAST) != batch_key(c, FAST)
 
 
 def test_batch_key_separates_programs_sharing_a_spec():
@@ -124,7 +125,7 @@ def test_batch_key_separates_programs_sharing_a_spec():
     # comes first.
     square = KernelSpec("elem_square", "np.power(A, 2)", {"A": (2, 3)})
     ratio = KernelSpec("synth_7", "np.power(A, 6) / np.power(A, 4)", {"A": (2, 3)})
-    assert _batch_key(square, FAST) != _batch_key(ratio, FAST)
+    assert batch_key(square, FAST) != batch_key(ratio, FAST)
     for module in ([square, ratio], [ratio, square]):
         seq = ModuleOptimizer(config=FAST).optimize_module(module)
         par = ModuleOptimizer(config=FAST).optimize_module(module, parallel=2)

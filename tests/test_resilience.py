@@ -20,7 +20,6 @@ import pytest
 
 from repro.errors import BudgetExhausted, SynthesisTimeout
 from repro.pipeline import KernelSpec, ModuleOptimizer
-from repro.parallel import ParallelModuleOptimizer
 from repro.resilience import (
     Budget,
     FaultInjected,
@@ -292,7 +291,7 @@ class TestParallelResilience:
         plan = FaultPlan.parse("solver[k_solver]:raise")
         config = FAST.replace(fault_plan=plan)
         kernels = [SOLVER_KERNEL] + EASY_KERNELS
-        result = ParallelModuleOptimizer(config=config, workers=2).optimize_module(kernels)
+        result = ModuleOptimizer(config=config).optimize_module(kernels, parallel=2)
         by = {o.name: o for o in result.outcomes}
         assert by["k_solver"].status == "error"
         assert "FaultInjected" in by["k_solver"].error
@@ -304,9 +303,9 @@ class TestParallelResilience:
     def test_transient_worker_death_is_retried(self):
         plan = FaultPlan.parse("worker[k_easy1]:die@1")
         config = FAST.replace(fault_plan=plan)
-        result = ParallelModuleOptimizer(
-            config=config, workers=2, policy=ResiliencePolicy(retry_backoff_s=0.05)
-        ).optimize_module(EASY_KERNELS)
+        result = ModuleOptimizer(config=config).optimize_module(
+            EASY_KERNELS, parallel=2, policy=ResiliencePolicy(retry_backoff_s=0.05)
+        )
         by = {o.name: o for o in result.outcomes}
         assert by["k_easy1"].status == "ok" and by["k_easy1"].improved
         assert by["k_easy2"].status == "ok"
@@ -314,16 +313,31 @@ class TestParallelResilience:
     def test_persistent_worker_death_falls_back_to_parent(self):
         plan = FaultPlan.parse("worker[k_easy1]:die")
         config = FAST.replace(fault_plan=plan)
-        result = ParallelModuleOptimizer(
-            config=config,
-            workers=2,
+        result = ModuleOptimizer(config=config).optimize_module(
+            EASY_KERNELS,
+            parallel=2,
             policy=ResiliencePolicy(max_retries=1, retry_backoff_s=0.05),
-        ).optimize_module(EASY_KERNELS)
+        )
         by = {o.name: o for o in result.outcomes}
         assert by["k_easy1"].status == "degraded"
         assert "crashed" in by["k_easy1"].error
         assert by["k_easy1"].improved  # the in-parent fallback still optimized it
         assert by["k_easy2"].status == "ok"
+
+    def test_policy_kernel_timeout_reaches_every_path(self):
+        # Regression: only the wave scheduler read ``policy.kernel_timeout_s``
+        # — ``parallel=1`` and a one-kernel ``parallel=2`` call (which runs
+        # the sequential loop) searched to completion.  The sequential path
+        # has no worker to kill, so the budget is cooperative: it expires and
+        # the best-so-far program comes back ``degraded``.
+        policy = ResiliencePolicy(kernel_timeout_s=0.01)
+        for parallel in (1, 2):
+            result = ModuleOptimizer(config=FAST).optimize_module(
+                [SOLVER_KERNEL], parallel=parallel, policy=policy
+            )
+            (outcome,) = result.outcomes
+            assert outcome.status == "degraded", (parallel, outcome)
+            assert outcome.optimized_source == outcome.original_source
 
     def test_hung_solver_is_hard_killed_others_finish(self):
         # ISSUE acceptance scenario: a fault plan hangs the solver on one

@@ -18,7 +18,6 @@ from repro.analysis import prescreen
 from repro.bench.suite import get_benchmark
 from repro.cost import make_cost_model
 from repro.ir.types import DType
-from repro.parallel import ParallelModuleOptimizer
 from repro.pipeline import KernelSpec, ModuleOptimizer
 from repro.symexec.canonical import equivalent
 from repro.symexec.residues import residue_key, tensor_residues
@@ -211,7 +210,7 @@ def test_cold_warm_and_parallel_agree_and_nothing_unverified_is_stored(tmp_path)
     cold = ModuleOptimizer(config=CONFIG, cache=seq).optimize_module(MODULE)
     warm_opt = ModuleOptimizer(config=CONFIG, cache=seq)
     warm = warm_opt.optimize_module(MODULE)
-    pooled = ParallelModuleOptimizer(config=CONFIG, workers=2, cache=par).optimize_module(MODULE)
+    pooled = ModuleOptimizer(config=CONFIG, cache=par).optimize_module(MODULE, parallel=2)
 
     assert "simplification" in cold.summary()
     assert warm.summary() == cold.summary() == pooled.summary()

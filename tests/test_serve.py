@@ -401,3 +401,43 @@ class TestKillResume:
             assert proc.wait(60) == 0
         # Every request is terminal in the log after the drain.
         assert set(_log_results(state_dir)) == set(ids)
+
+    def test_restarted_daemon_relearns_what_its_log_proves(self, tmp_path):
+        # Regression: a restart re-verified restored results but forgot the
+        # rules and the unimproved verdicts behind them, so a rename that was
+        # a rule-cache hit before the kill was a pool task after it.
+        state_dir = tmp_path / "state"
+        socket_path = _short_socket()
+        matmul = MODULE[2]
+        proc = _start_daemon(state_dir, socket_path)
+        try:
+            client = ServeClient(socket_path)
+            client.wait_ready()
+            for spec in (EXP_LOG, matmul):
+                outcome = client.result(client.submit(spec), wait=True, timeout_s=300)
+                assert outcome.status == "ok"
+        finally:
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(30)
+
+        proc = _start_daemon(state_dir, socket_path)
+        try:
+            client = ServeClient(socket_path)
+            client.wait_ready()
+            renames = [
+                KernelSpec("exp_log_again", EXP_LOG.source, EXP_LOG.inputs),
+                KernelSpec("matmul_again", matmul.source, matmul.inputs),
+            ]
+            served = []
+            for spec in renames:
+                rid = client.submit(spec)
+                served.append(client.result(rid, wait=True, timeout_s=60))
+                served.append(client.status(rid)["served_from"])
+            assert served[1::2] == ["rule-cache", "pattern"]
+            assert served[0].improved and not served[2].improved
+            assert client.status()["pool"]["pool.tasks"] == 0
+            client.shutdown()
+        finally:
+            if proc.poll() is None:
+                proc.terminate()
+            assert proc.wait(60) == 0
