@@ -62,6 +62,21 @@ plain ``positive=True`` symbols have them: a witness must lie in the
 symbol's domain, and positive rationals say nothing about a boolean carrier,
 an integer or a negative symbol.
 
+The **weak bucket** (:func:`weak_bucket`) is what is left for a tensor with
+no battery — ``sqrt``, ``exp``/``log``, ``Max``/``Piecewise``, booleans: its
+entries evaluated in plain Python float/complex arithmetic at the first
+:data:`W_POINTS` order points (so ``sqrt(A - B)`` and SymPy's ``I*sqrt(A)``
+have a value) and rounded well above float noise.  Floats are not exact, and
+on the predicate fragment the value partition is *coarser* than the
+canonical one (``A < 1``, ``2*A < 2`` and ``A*B < B`` are one predicate and
+three canonical keys), so a bucket **only separates**: different buckets say
+two battery-weak tensors are different classes, an equal bucket says
+nothing.  No code path merges two stubs, or returns a stub from MATCH, on
+bucket equality alone — every merge and every weak MATCH hit still compares
+canonical keys, which are computed only where two buckets collide.  A
+wrong bucket (a rounding straddle between two spellings of one function) can
+therefore cost a redundant class or a slower MATCH, never a wrong merge.
+
 One documented exactness edge: SymPy evaluates ``Float`` arithmetic with
 53-bit rounding while :func:`compose` is exact over Q.  Composition is
 therefore only offered for sub-values whose constants are integer-valued
@@ -71,7 +86,10 @@ their candidates on the symbolic path.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
+import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -107,6 +125,12 @@ _OFFSET = 257
 #: so every symbol takes values on both sides of 1.
 O_POINTS = 8
 _ORDER_RANGE = 97
+
+#: Order points a weak bucket evaluates at, and the precision it keeps:
+#: significant digits of a value's magnitude, never finer than 1e-9 — float
+#: noise left by a cancellation (``1e-16`` of the terms) rounds to zero.
+W_POINTS = 4
+_W_DIGITS = 9
 
 #: What ``element_symbol`` creates: the only symbols the order tier samples.
 _POSITIVE = sp.Symbol("_", positive=True).assumptions0
@@ -249,6 +273,133 @@ def less(x, y):
         return sp.Lt(x, y, evaluate=False)
     bump("equiv.order_asked")
     return sp.Lt(x, y)
+
+
+# ---------------------------------------------------------------------------
+# The weak bucket: float values that tell battery-weak tensors apart
+# ---------------------------------------------------------------------------
+
+_ORDER_RELATIONS = {
+    sp.StrictLessThan: operator.lt,
+    sp.LessThan: operator.le,
+    sp.StrictGreaterThan: operator.gt,
+    sp.GreaterThan: operator.ge,
+}
+
+
+def _value(expr, i: int, memo: dict):
+    """``expr`` at order point ``i`` as a Python ``float``, ``complex`` or ``bool``.
+
+    Positive symbols take their order point, boolean carriers (``name?``)
+    their signed battery point.  Raises :class:`_NonRational` for anything
+    outside the arms below and :class:`_WeakPoint` for a ``Piecewise`` with
+    no true arm; Python raises for the rest (``log(0)``, an overflow, an
+    order comparison of complex values).
+    """
+    hit = memo.get(expr, _UNSET)
+    if hit is not _UNSET:
+        return hit
+    if expr.is_Symbol:
+        if expr.name.endswith("?"):
+            value = float(_point(expr.name, i))
+        else:
+            value = float(_order_point(expr, i))
+    elif expr.is_Rational:
+        value = int(expr.p) / int(expr.q)
+    elif expr.is_Float:
+        value = float(expr)
+    elif expr.is_Add:
+        value = 0.0
+        for arg in expr.args:
+            value += _value(arg, i, memo)
+    elif expr.is_Mul:
+        value = 1.0
+        for arg in expr.args:
+            value *= _value(arg, i, memo)
+    elif expr.is_Pow:
+        # A negative base under a fractional exponent is Python's (and
+        # SymPy's) principal complex root.
+        value = _value(expr.base, i, memo) ** _value(expr.exp, i, memo)
+    elif expr is sp.I:
+        value = 1j
+    elif expr is sp.true or expr is sp.false:
+        value = expr is sp.true
+    elif isinstance(expr, sp.Max):
+        value = max(_value(arg, i, memo) for arg in expr.args)
+    elif isinstance(expr, sp.Min):
+        value = min(_value(arg, i, memo) for arg in expr.args)
+    elif isinstance(expr, sp.Piecewise):
+        for arm, cond in expr.args:
+            if _value(cond, i, memo):
+                value = _value(arm, i, memo)
+                break
+        else:
+            raise _WeakPoint
+    elif type(expr) in _ORDER_RELATIONS:
+        value = _ORDER_RELATIONS[type(expr)](
+            _value(expr.lhs, i, memo), _value(expr.rhs, i, memo)
+        )
+    elif isinstance(expr, sp.And):
+        value = all(_value(arg, i, memo) for arg in expr.args)
+    elif isinstance(expr, sp.Or):
+        value = any(_value(arg, i, memo) for arg in expr.args)
+    elif isinstance(expr, sp.Not):
+        value = not _value(expr.args[0], i, memo)
+    elif isinstance(expr, sp.exp):
+        arg = _value(expr.args[0], i, memo)
+        value = math.exp(arg) if isinstance(arg, float) else cmath.exp(arg)
+    elif isinstance(expr, sp.log):
+        arg = _value(expr.args[0], i, memo)
+        value = math.log(arg) if isinstance(arg, float) and arg > 0 else cmath.log(arg)
+    elif isinstance(expr, sp.Abs):
+        value = abs(_value(expr.args[0], i, memo))
+    else:
+        raise _NonRational
+    if type(value) is complex and value.imag == 0.0:
+        value = value.real
+    memo[expr] = value
+    return value
+
+
+def _rounded(value):
+    """``value`` at :data:`_W_DIGITS` digits of its magnitude (a bool as is)."""
+    if value is True or value is False:
+        return value
+    size = abs(value)
+    if not math.isfinite(size):
+        raise _WeakPoint
+    decimals = _W_DIGITS - 1 - math.floor(math.log10(max(size, 0.1)))
+    if type(value) is complex:
+        return complex(round(value.real, decimals), round(value.imag, decimals))
+    return round(value, decimals)
+
+
+def weak_bucket(tensor: SymTensor) -> tuple | None:
+    """Value bucket of an *executed* tensor, or ``None`` for "no opinion".
+
+    Every entry evaluated by :func:`_value` at :data:`W_POINTS` order points
+    and rounded.  Canonically equal tensors share a bucket, so two different
+    buckets prove two tensors are different classes; an equal bucket proves
+    nothing (see the module docstring) and callers then compare canonical
+    keys.  ``None`` — an entry outside the evaluator's arms, a ``nan``, an
+    overflow, a ``Piecewise`` with no true arm — sends the caller to the
+    keys straight away.  Memoised on the tensor like ``_residues``.
+    """
+    memo = tensor.__dict__.get("_weak_bucket", _UNSET)
+    if memo is not _UNSET:
+        return memo
+    memos: list[dict] = [{} for _ in range(W_POINTS)]
+    try:
+        values = tuple(
+            _rounded(_value(e, i, memos[i]))
+            for e in tensor.entries()
+            for i in range(W_POINTS)
+        )
+        out = (tensor.shape, tensor.dtype, values)
+    except (_NonRational, _WeakPoint, ArithmeticError, ValueError, TypeError, AttributeError):
+        out = None
+    object.__setattr__(tensor, "_weak_bucket", out)
+    return out
 
 
 _QCOLS: dict[int, np.ndarray] = {}

@@ -52,11 +52,13 @@ class StubEntry:
 
     ``res`` is the residue battery (value identity over small primes; see
     :mod:`repro.symexec.residues`), None for stubs the battery cannot
-    tokenize — those are identified by their canonical ``key`` instead.  The
-    symbolic tensor itself is **lazy**: residue-admitted stubs are priced
-    without ever running ``symbolic_execute``, and the tensor is materialized
-    only if a slow-path consumer (canonical key, full equivalence) actually
-    asks.
+    tokenize — those are told apart by their weak bucket and identified by
+    their canonical ``key``.  Both the key and the symbolic tensor are
+    **lazy**: a battery-weak stub is keyed only when another one shares its
+    bucket (in the enumerator or in MATCH), and residue-admitted stubs are
+    priced without ever running ``symbolic_execute`` — the tensor is
+    materialized only if a slow-path consumer (canonical key, full
+    equivalence) actually asks.
     """
 
     __slots__ = ("node", "res", "_tensor", "_exec_cache", "_key")
@@ -151,8 +153,10 @@ class StubEnumerator:
         self.budget = budget  # repro.resilience.Budget | None
         #: Admission-ordered behavioral classes (the deduped library).
         self._classes: list[_StubClass] = []
-        #: Canonical-key index of the battery-weak classes.
-        self._by_key: dict[tuple, _StubClass] = {}
+        #: Battery-weak classes by value bucket (``None``: the evaluator had
+        #: no opinion).  Different buckets are different classes; within one,
+        #: canonical keys decide.
+        self._weak: dict[tuple | None, list[_StubClass]] = {}
         #: Raw-structure tier: exact entry tuples already seen.
         #: SymPy auto-orders Add/Mul args, so most behavioral duplicates
         #: (commutations, re-derivations) collapse here with zero algebra.
@@ -272,10 +276,11 @@ class StubEnumerator:
         Tier 0 (raw): SymPy's auto-ordering makes most behavioral duplicates
         *structurally* identical — a dict lookup on the entry tuple settles
         them.  Tier 1 (residues): rational-valued tensors join the same
-        value partition the compositional path uses.  Tier 2 (canonical):
+        value partition the compositional path uses.  Tier 2 (weak):
         everything the battery cannot tokenize (irrational values, booleans,
-        vanishing denominators) dedupes by exact canonical key, for
-        precisely the candidates where the cheap tiers have no opinion.
+        vanishing denominators) is refuted by its float value bucket where
+        that is unseen, and dedupes by exact canonical key only against the
+        classes sharing its bucket (:meth:`_admit_weak`).
         """
         if node in self._seen_nodes:
             return None
@@ -378,21 +383,38 @@ class StubEnumerator:
         return entry
 
     def _admit_weak(self, node: Node, tensor: SymTensor, raw: tuple) -> StubEntry | None:
-        """Battery-weak candidates dedupe exactly, among themselves."""
+        """Battery-weak candidates dedupe exactly, among themselves.
+
+        Their value bucket (:func:`repro.symexec.residues.weak_bucket`) only
+        separates: an unseen bucket proves the candidate is no admitted weak
+        class, and it joins with its canonical key unset.  A seen bucket
+        proves nothing — the candidate's key is compared with the keys of
+        that bucket's classes (forcing theirs), and only equal keys merge.  A
+        candidate without a bucket is compared with every weak class.
+        """
         bump("equiv.fingerprint_weak")
-        try:
-            key = canonical_key(tensor)
-        except Exception:
-            return None
+        bucket = _res.weak_bucket(tensor)
+        key = None
+        if bucket is None:
+            bump("equiv.weak_unbucketed")
+            peers = [cls for group in self._weak.values() for cls in group]
+        else:
+            peers = self._weak.get(bucket, ())
+            bump("equiv.weak_confirmed" if peers else "equiv.weak_refuted")
+        if peers:
+            try:
+                key = canonical_key(tensor)
+            except Exception:
+                return None
         self.sketch_sources.append(node)
-        cls = self._by_key.get(key)
-        if cls is not None:
-            self._battle(cls, node, tensor)
-            self._by_raw[raw] = cls
-            return None
+        for cls in peers:
+            if cls.entry.key == key:
+                self._battle(cls, node, tensor)
+                self._by_raw[raw] = cls
+                return None
         entry = StubEntry(node, tensor, key=key)
         cls = _StubClass(entry)
-        self._by_key[key] = cls
+        self._weak.setdefault(bucket, []).append(cls)
         self._by_raw[raw] = cls
         self._classes.append(cls)
         return entry

@@ -1,11 +1,11 @@
 """Sketch library construction (the left side of Fig. 2).
 
 A :class:`Library` holds the enumerated stubs — indexed by residue battery
-(and, for battery-weak stubs, canonical key) for the base-case MATCH of
-Algorithm 2 — and the sketches derived from them, indexed by output type for
-fast filtering in SOLVE.  The sketches are derived and priced by the active
-cost model when SOLVE first asks for them: a search that ends at the
-base-case MATCH never reads one.
+(and, for battery-weak stubs, by value bucket on the first weak MATCH probe)
+for the base-case MATCH of Algorithm 2 — and the sketches derived from them,
+indexed by output type for fast filtering in SOLVE.  The sketches are
+derived and priced by the active cost model when SOLVE first asks for them:
+a search that ends at the base-case MATCH never reads one.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from repro.ir.nodes import Call, Node
 from repro.ir.parser import Program
 from repro.ir.types import DType, TensorType
 from repro.obs.trace import get_tracer
-from repro.symexec.canonical import canonical_key
 from repro.symexec.engine import symbolic_execute
-from repro.symexec.residues import BatteryTable, residue_key, tensor_residues
+from repro.symexec.residues import BatteryTable, residue_key, tensor_residues, weak_bucket
 from repro.symexec.symtensor import SymTensor
 from repro.synth.cache import dump_library, library_key, load_library
 from repro.synth.config import SynthesisConfig
@@ -42,14 +41,48 @@ class Library:
     from_cache: bool = False
     #: Residue-battery index: residue_key -> stub (the value tier of MATCH).
     stubs_by_val: dict[tuple, StubEntry] = field(default_factory=dict)
-    #: Exact-key index of battery-weak stubs (their only keyed lookup).
-    weak_by_key: dict[tuple, StubEntry] = field(default_factory=dict)
     #: Seconds the sketch derivation took; 0.0 while none has been derived.
     derive_seconds: float = 0.0
 
     def stubs_with_signature(self, shape: tuple[int, ...], dtype: DType) -> list[StubEntry]:
         """Stubs sharing shape/dtype — candidates for slow-path matching."""
         return self.stubs_by_sig.get((shape, dtype), [])
+
+    @cached_property
+    def weak_by_bucket(self) -> dict[tuple | None, list[StubEntry]]:
+        """Battery-weak stubs by value bucket, built on the first weak probe.
+
+        No canonical key is computed to build it: a restored library keys a
+        weak stub only when a spec lands in its bucket.
+        """
+        buckets: dict[tuple | None, list[StubEntry]] = {}
+        for entry in self.stubs:
+            if entry.res is None:
+                buckets.setdefault(weak_bucket(entry.tensor), []).append(entry)
+        return buckets
+
+    @cached_property
+    def weak_by_key(self) -> dict[tuple, StubEntry]:
+        """Exact-key view of the battery-weak stubs; reading it keys them all.
+
+        MATCH goes through :meth:`match_weak`, which reads it only for a
+        spec that has no bucket.
+        """
+        return {entry.key: entry for entry in self.stubs if entry.res is None}
+
+    def match_weak(self, spec: SymTensor, key: tuple) -> StubEntry | None:
+        """The battery-weak stub whose canonical key is ``key``, if any.
+
+        The spec's bucket only narrows where to look: a hit is always an
+        equal canonical key, never an equal bucket.
+        """
+        bucket = weak_bucket(spec)
+        if bucket is None:
+            return self.weak_by_key.get(key)
+        for entry in self.weak_by_bucket.get(bucket, ()):
+            if entry.key == key:
+                return entry
+        return None
 
     @cached_property
     def sketches(self) -> list[Sketch]:
@@ -157,8 +190,9 @@ def _restore_stubs(nodes: list[Node]) -> list[StubEntry]:
     composition and keeps its symbolic tensor lazy; terminals and everything
     :meth:`BatteryTable.compose` has no opinion on (irrational values,
     booleans, non-integer constants) are symbolically executed and take
-    ``tensor_residues`` or, battery-weak, their canonical key.  Nothing but
-    IR structure is trusted from disk.
+    ``tensor_residues`` or, battery-weak, keep that tensor and leave their
+    canonical key for whoever first asks.  Nothing but IR structure is
+    trusted from disk.
     """
     shared: dict[Node, SymTensor] = {}
     batteries = BatteryTable()
@@ -184,10 +218,7 @@ def _restore_stubs(nodes: list[Node]) -> list[StubEntry]:
     stubs = []
     for node in nodes:
         res, tensor = derive(node)
-        if res is not None:
-            stubs.append(StubEntry(node, tensor, res=res, exec_cache=shared))
-        else:
-            stubs.append(StubEntry(node, tensor, key=canonical_key(tensor)))
+        stubs.append(StubEntry(node, tensor, res=res, exec_cache=shared))
     return stubs
 
 
@@ -199,7 +230,6 @@ def _assemble_library(
 ) -> Library:
     stubs_by_sig: dict[tuple, list[StubEntry]] = {}
     stubs_by_val: dict[tuple, StubEntry] = {}
-    weak_by_key: dict[tuple, StubEntry] = {}
     for entry in stubs:
         # Signature from the IR type, not the tensor: residue-admitted stubs
         # keep their symbolic tensors lazy through assembly.
@@ -207,8 +237,6 @@ def _assemble_library(
         stubs_by_sig.setdefault(sig, []).append(entry)
         if entry.res is not None:
             stubs_by_val[residue_key(sig[0], sig[1], entry.res)] = entry
-        else:
-            weak_by_key[entry.key] = entry
 
     return Library(
         stubs=stubs,
@@ -217,7 +245,6 @@ def _assemble_library(
         multi_hole=config.multi_hole_sketches,
         cost_model=cost_model,
         stubs_by_val=stubs_by_val,
-        weak_by_key=weak_by_key,
     )
 
 

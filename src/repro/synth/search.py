@@ -398,20 +398,20 @@ def _match_base_case(spec: SymTensor, key: tuple, ctx: SearchContext):
 
     Two keyed tiers first — a residue-battery lookup (rational specs: one
     dict probe against the enumerator's value partition), then a
-    canonical-key probe of the battery-weak stubs; the slow scan then only
-    pays ``equivalent`` for stubs that neither the battery nor the interval
-    pre-screen refutes.  Both tiers only skip work whose outcome they
-    already decide.
+    canonical-key probe of the battery-weak stubs that share the spec's
+    value bucket; the slow scan then only pays ``equivalent`` for stubs that
+    neither the battery nor the interval pre-screen refutes.  Both tiers
+    only skip work whose outcome they already decide.
     """
     res = tensor_residues(spec)
     entry = None
     if res is not None:
         entry = ctx.library.stubs_by_val.get(residue_key(spec.shape, spec.dtype, res))
     if entry is None:
-        # Exact tier: battery-weak stubs dedupe (and index) by canonical
-        # key; a keyed probe is sound for any spec — key equality is
-        # equivalence — and it is their only fast lookup.
-        entry = ctx.library.weak_by_key.get(key)
+        # Exact tier: battery-weak stubs dedupe by canonical key; a keyed
+        # probe is sound for any spec — key equality is equivalence — and
+        # the bucket only says which stubs are worth keying.
+        entry = ctx.library.match_weak(spec, key)
     if entry is not None:
         bump("equiv.fingerprint_hits")
         if ctx.tracer.enabled:

@@ -66,7 +66,7 @@ def _assert_same_library(cold, warm):
             assert w.res.dtype == c.res.dtype and w.res.shape == c.res.shape
             assert w.res.tobytes() == c.res.tobytes(), c.node
         else:
-            assert w.cached_key == c.cached_key and c.cached_key is not None, c.node
+            assert w.key == c.key, c.node
     assert warm.sketch_sources == cold.sketch_sources
     assert [(s.root, s.cost) for s in warm.sketches] == [
         (s.root, s.cost) for s in cold.sketches

@@ -345,7 +345,9 @@ class TestMetrics:
             "equiv.intern_misses",
             "equiv.residue_batteries",
             "equiv.sympy_fallbacks",
+            "equiv.weak_refuted",  # every weak candidate here has an unseen bucket
         }
+        assert counters["equiv.weak_refuted"] == counters["equiv.fingerprint_weak"]
         assert all(counters[k] > 0 for k in counters if k.startswith(("equiv.", "analysis.")))
 
     def test_profile_summary_reports_memo_and_cost_cache_hits(self):
