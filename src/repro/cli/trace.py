@@ -107,11 +107,12 @@ def _top_prunes(events: list[dict], top: int) -> list[str]:
 
 
 def _solver_outcomes(events: list[dict]) -> list[str]:
-    """SOLVE answers by outcome, computed (``solve`` spans) and restored
-    (``solver-cache-hit`` instants) alike — the trace's ``solver.verified``."""
+    """SOLVE answers by outcome, computed (``solve`` spans), floor-pruned
+    (``solver-floor`` spans) and restored (``solver-cache-hit`` instants)
+    alike — the trace's ``solver.verified``."""
     counts: dict[str, int] = {}
     for e in events:
-        if e["name"] in ("solve", "solver-cache-hit"):
+        if e["name"] in ("solve", "solver-floor", "solver-cache-hit"):
             outcome = (e.get("args") or {}).get("outcome", "?")
             counts[outcome] = counts.get(outcome, 0) + 1
     labels = {"hit": "verified", "pruned": "pruned unverified", "miss": "unsolvable"}

@@ -212,9 +212,11 @@ class ModuleResult:
         Only counters whose values are identical across warm/cold-cache runs
         appear here (``summary()`` output is byte-compared across separate
         runs in the resume tests): node/prune/match/memo counts, and *total*
-        solver queries — ``solver.calls + solver.cache_hits`` is invariant
-        under cache state even though the split is not.  Wall-time histograms
-        stay in the trace/journal only.
+        solver queries — ``solver.calls + solver.cache_hits +
+        solver.floor_pruned`` is invariant under cache state even though the
+        split is not (a warm run answers from the cache what a cold one
+        solved or floor-pruned).  Wall-time histograms stay in the
+        trace/journal only.
         """
         rollup = self.metrics_rollup()
         counters = rollup.get("counters", {})
@@ -225,7 +227,10 @@ class ModuleResult:
         pruned_simpl = counters.get("search.prune.simplification", 0)
         matches = counters.get("search.base_case_matches", 0)
         memo = counters.get("search.memo_hits", 0)
-        queries = counters.get("solver.calls", 0) + counters.get("solver.cache_hits", 0)
+        queries = sum(
+            counters.get(name, 0)
+            for name in ("solver.calls", "solver.cache_hits", "solver.floor_pruned")
+        )
         return (
             f"  metrics: {nodes} nodes, "
             f"{pruned_bound + pruned_simpl} pruned "

@@ -77,6 +77,18 @@ canonical keys, which are computed only where two buckets collide.  A
 wrong bucket (a rounding straddle between two spellings of one function) can
 therefore cost a redundant class or a slower MATCH, never a wrong merge.
 
+The **dependence values** (:func:`moved_values`) reuse the exact order-point
+walker to prove which symbols an expression *must* mention: its ``Fraction``
+value at a base point, and again with each of its input symbols moved alone
+to another order point.  If moving only ``x`` changes the exact value of a
+function, the function depends on ``x``, so every spelling of it — the
+``cancel``ed one included — mentions ``x``; and a non-zero exact value proves
+a function is not identically zero.  PRUNE's floor
+(:func:`repro.synth.complexity.prune_floor`) is built on exactly these two
+facts.  Equal values prove nothing (a coincidence of two points), so an
+expression outside the rational fragment, over a symbol that is not plainly
+positive, or with a denominator vanishing at a point is "no opinion".
+
 One documented exactness edge: SymPy evaluates ``Float`` arithmetic with
 53-bit rounding while :func:`compose` is exact over Q.  Composition is
 therefore only offered for sub-values whose constants are integer-valued
@@ -273,6 +285,46 @@ def less(x, y):
         return sp.Lt(x, y, evaluate=False)
     bump("equiv.order_asked")
     return sp.Lt(x, y)
+
+
+# ---------------------------------------------------------------------------
+# Dependence values: which symbols every spelling of a function must mention
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _moved_point(symbol: sp.Symbol) -> Fraction:
+    """The first order point of ``symbol`` other than its base point (point 0)."""
+    base = _order_point(symbol, 0)
+    for i in range(1, O_POINTS):
+        value = _order_point(symbol, i)
+        if value != base:
+            return value
+    raise _NonRational
+
+
+@lru_cache(maxsize=1 << 14)
+def moved_values(expr) -> tuple[Fraction, dict] | None:
+    """``expr`` exactly at the base order point, and with each symbol moved alone.
+
+    Returns ``(base, moved)``: ``base`` is the value with every symbol at its
+    order point 0, ``moved[x]`` the value with only ``x`` at its next distinct
+    order point.  ``moved[x] != base`` proves ``expr`` depends on ``x`` — so
+    every expression equal to it mentions ``x`` — and any non-zero value
+    proves it is not identically zero (see the module docstring).  ``None``
+    is "no opinion": outside the rational fragment (or a ``Float``), a symbol
+    that is not plainly positive (a boolean carrier), a denominator that
+    vanishes at one of the points.  Memoised per expression, bounded; the
+    ``moved`` dict is shared and must not be mutated.
+    """
+    try:
+        base = _eval(expr, 0, {}, None)
+        moved = {}
+        for symbol in expr.free_symbols:
+            moved[symbol] = _eval(expr, 0, {symbol: _moved_point(symbol)}, None)
+    except (_NonRational, _WeakPoint, ZeroDivisionError, AttributeError, TypeError):
+        return None
+    return base, moved
 
 
 # ---------------------------------------------------------------------------

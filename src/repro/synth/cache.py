@@ -4,11 +4,12 @@ Section VII-E argues the synthesis cost amortizes because results "can be
 cached and reused indefinitely".  This module makes that concrete: a
 :class:`PersistentCache` stores, on disk under ``results/cache/``,
 
-* **solver outcomes** — every ``SketchSolver.solve_all`` result, keyed by the
-  sketch's structural signature and the spec's canonical key: unsolvable,
-  pruned (the mean hole complexity only — hole specs nobody verified are
-  never written), or the verified hole specs.  A warm cache turns the
-  search's dominant SymPy cost into dictionary lookups;
+* **solver outcomes** — every SOLVE answer, keyed by the sketch's structural
+  signature and the spec's canonical key: unsolvable, pruned (a lower bound
+  of the mean hole complexity only: the mean itself, or PRUNE's floor when
+  nothing was derived — hole specs nobody verified are never written), or
+  the verified hole specs.  A warm cache turns the search's dominant SymPy
+  cost into dictionary lookups;
 * **stub libraries** — the admitted stubs and sketch sources per program
   signature, as one hash-consed node table (:func:`dump_library`).  Only IR
   structure is stored: residue batteries and canonical keys are recomputed on
@@ -217,7 +218,7 @@ def load_tensor(payload: Mapping) -> "SymTensor":
 
 
 def dump_solution(solution: "tuple[SymTensor, ...] | Pruned | None") -> dict:
-    """One of ``{"solved": false}``, ``{"pruned": mean}``, verified tensors."""
+    """One of ``{"solved": false}``, ``{"pruned": bound}``, verified tensors."""
     if solution is None:
         return {"solved": False}
     if isinstance(solution, Pruned):
@@ -464,9 +465,10 @@ class PersistentCache:
         """Cached ``solve_all`` outcome: MISS, None, a :class:`Pruned`, or a
         tuple of verified tensors.
 
-        A pruned entry answers only an asker it would prune again — one whose
-        ``score`` its stored mean reaches; to anyone else it says nothing
-        about the decomposition, which is a miss.
+        A pruned entry stores a lower bound of the mean hole complexity (the
+        mean, or PRUNE's floor) and answers only an asker it would prune
+        again — one whose ``score`` that bound reaches; to anyone else it
+        says nothing about the decomposition, which is a miss.
         """
         hit = self._get("solver", key)
         out = MISS

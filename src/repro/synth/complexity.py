@@ -15,24 +15,38 @@ We support two readings of ``|var(Φ)|``:
   ``sum(A * B.T, axis=1)``.
 * ``global``: the literal whole-tensor unique-symbol count of the paper's
   formula, provided for the ablation benchmarks.
+
+:func:`prune_floor` bounds the complexity of a hole spec from below *before*
+SOLVE derives it, so PRUNE can turn a sketch down without the derivation.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
+import numpy as np
+
+from repro.ir.nodes import Node
+from repro.symexec.residues import moved_values
 from repro.symexec.symtensor import SymTensor, input_symbols_of
+from repro.synth.sketch import Sketch
+from repro.synth.solver import _is_zero, outer_probe
+
+
+def _complexity(symbol_sets: list[set], density: float, mode: str) -> float:
+    """``|var| * density`` from the input symbols of each entry."""
+    if mode == "global":
+        nvars = float(len(set().union(*symbol_sets)))
+    elif mode == "per_entry":
+        nvars = sum(map(len, symbol_sets)) / len(symbol_sets) if symbol_sets else 0.0
+    else:
+        raise ValueError(f"unknown complexity mode {mode!r}")
+    return nvars * density
 
 
 def spec_complexity(spec: SymTensor, mode: str = "per_entry") -> float:
     """Complexity of a specification under the given mode (lower = simpler)."""
-    density = spec.density()
-    if mode == "global":
-        nvars = float(len(spec.input_symbols()))
-    elif mode == "per_entry":
-        sizes = [len(input_symbols_of(e)) for e in spec.entries()]
-        nvars = sum(sizes) / len(sizes) if sizes else 0.0
-    else:
-        raise ValueError(f"unknown complexity mode {mode!r}")
-    return nvars * density
+    return _complexity([input_symbols_of(e) for e in spec.entries()], spec.density(), mode)
 
 
 def simplifies(hole_specs: list[SymTensor], current: float, mode: str = "per_entry") -> bool:
@@ -43,3 +57,171 @@ def simplifies(hole_specs: list[SymTensor], current: float, mode: str = "per_ent
         return True
     avg = sum(spec_complexity(h, mode) for h in hole_specs) / len(hole_specs)
     return avg < current
+
+
+# ---------------------------------------------------------------------------
+# PRUNE's floor
+# ---------------------------------------------------------------------------
+
+#: ``(op, hole position) -> (f, multiplicative, guarded)``: the hole entry
+#: ``h = f(t, o)`` the root's inverter in :mod:`repro.synth.solver` builds
+#: from a spec entry ``t`` and the known argument's entry ``o``, operands in
+#: the same order, and the sides it gives up on when ``_is_zero`` (``multiply``
+#: instead answers a literal zero where both sides are zero).  Under a
+#: product or a quotient a factor that is zero as a function would erase the
+#: other side's dependences.
+_INVERSES: dict[tuple[str, int], tuple[Callable, bool, str]] = {
+    ("add", 0): (lambda t, o: t - o, False, ""),
+    ("add", 1): (lambda t, o: t - o, False, ""),
+    ("subtract", 0): (lambda t, o: t + o, False, ""),
+    ("subtract", 1): (lambda t, o: o - t, False, ""),
+    ("multiply", 0): (lambda t, o: t / o, True, ""),
+    ("multiply", 1): (lambda t, o: t / o, True, ""),
+    ("divide", 0): (lambda t, o: t * o, True, "o"),
+    ("divide", 1): (lambda t, o: o / t, True, "to"),
+    ("tensordot", 0): (lambda t, o: t / o, True, ""),
+    ("tensordot", 1): (lambda t, o: t / o, True, ""),
+}
+
+
+def _nonzero_value(values) -> bool:
+    """Some exact value is non-zero: the function is not identically zero."""
+    base, moved = values
+    return base != 0 or any(v != 0 for v in moved.values())
+
+
+def _is_zero_entry(expr, values) -> bool:
+    """The inverters' ``_is_zero``, answered without SymPy by a non-zero value."""
+    if values is not None and _nonzero_value(values):
+        return False
+    return _is_zero(expr)
+
+
+def _keeps_dependence(expr, values, multiplicative: bool) -> bool:
+    """Whether combining with ``expr`` keeps a dependence ``expr`` lacks:
+    ``expr`` is finite (a rational function with exact values is; ``zoo``
+    would swallow the other side) and, under ``*`` and ``/``, not
+    identically zero."""
+    if values is not None:
+        return not multiplicative or _nonzero_value(values)
+    if getattr(expr, "is_finite", None) is not True:
+        return False
+    return not multiplicative or expr.is_zero is False
+
+
+def _entry_floor(t, o, f, multiplicative: bool) -> tuple[set, bool]:
+    """Symbols every spelling of ``h = f(t, o)`` mentions, and whether ``h``
+    is provably not zero.
+
+    Pair rule: a symbol counts if the exact value of ``h`` changes when only
+    it moves.  Set rule, for the symbols the pair rule cannot decide (a side
+    with no opinion, a vanishing denominator): a proven dependence of one
+    side on a symbol the other side does not mention survives ``f`` if the
+    other side is provably finite — and, under ``*`` and ``/``, provably not
+    zero (:func:`_keeps_dependence`).
+    """
+    t_vals, o_vals = moved_values(t), moved_values(o)
+    t_syms, o_syms = input_symbols_of(t), input_symbols_of(o)
+    proven: set = set()
+    nonzero = False
+    if t_vals is not None and o_vals is not None:
+        (t0, t_moved), (o0, o_moved) = t_vals, o_vals
+        try:
+            h0 = f(t0, o0)
+        except ZeroDivisionError:
+            h0 = None
+        if h0 is not None:
+            nonzero = h0 != 0
+            for x in t_syms | o_syms:
+                try:
+                    if f(t_moved.get(x, t0), o_moved.get(x, o0)) != h0:
+                        proven.add(x)
+                except ZeroDivisionError:
+                    pass
+    for vals, syms, other, other_vals, other_syms in (
+        (t_vals, t_syms, o, o_vals, o_syms),
+        (o_vals, o_syms, t, t_vals, t_syms),
+    ):
+        if vals is None:
+            continue
+        base, moved = vals
+        dependent = {x for x in syms - other_syms - proven if moved[x] != base}
+        if dependent and _keeps_dependence(other, other_vals, multiplicative):
+            proven |= dependent
+    return proven, nonzero or bool(proven)
+
+
+def _entry_pairs(sketch: Sketch, spec: SymTensor, value: Callable[[Node], SymTensor]):
+    """``(t, o)`` per hole entry, as the root's inverter pairs them, or None."""
+    root = sketch.root
+    pos = sketch.hole_path[0]
+    hole_type = root.args[pos].type
+    other = value(root.args[1 - pos])
+    if root.op != "tensordot":
+        if hole_type != spec.type:
+            return None  # the inverter would unbroadcast
+        o_data = np.broadcast_to(other.data, spec.shape)
+        return list(zip(spec.entries(), o_data.reshape(-1) if spec.shape else [o_data.item()]))
+    if root.attr("axes", 2) != 0 or len(spec.shape) != len(hole_type.shape) + len(other.shape):
+        return None
+    probe = outer_probe(other)
+    if probe is None:
+        return None
+    o_val = other.data[probe] if other.shape else other.item()
+    pairs = []
+    for hidx in np.ndindex(*hole_type.shape) if hole_type.shape else [()]:
+        tidx = hidx + probe if pos == 0 else probe + hidx
+        pairs.append((spec.data[tidx] if spec.shape else spec.item(), o_val))
+    return pairs
+
+
+def prune_floor(
+    sketch: Sketch,
+    spec: SymTensor,
+    value: Callable[[Node], SymTensor],
+    mode: str = "per_entry",
+) -> float | None:
+    """A lower bound on the mean hole complexity PRUNE would score, or None.
+
+    Computed before SOLVE derives anything, for a single-hole sketch whose
+    hole is a direct argument of an ``add``/``subtract``/``multiply``/
+    ``divide`` root of the spec's type, or of a ``tensordot(axes=0)`` root.
+    Per hole entry ``h = f(t, o)`` (:data:`_INVERSES`) it counts the symbols
+    exact evaluation proves ``h`` depends on and the entries it proves
+    non-zero (:func:`_entry_floor`).  Every spelling of ``h`` — the
+    ``cancel``ed hole spec PRUNE would score included — mentions each such
+    symbol, and ``density`` counts each such entry, so the bound holds for
+    any normal form.  ``value`` gives the known argument's symbolic value.
+
+    ``None`` is "no opinion": any other op, a multi-step hole path, several
+    holes, or a query the inverter would give up on (a zero divisor, no
+    outer-product probe, an index it cannot reach).
+    """
+    if sketch.num_holes != 1 or len(sketch.hole_path) != 1:
+        return None
+    inverse = _INVERSES.get((sketch.op, sketch.hole_path[0]))
+    if inverse is None:
+        return None
+    f, multiplicative, guarded = inverse
+    try:
+        pairs = _entry_pairs(sketch, spec, value)
+    except (ValueError, IndexError):
+        return None
+    if not pairs:
+        return None
+    symbol_sets: list[set] = []
+    nonzero = 0
+    for t, o in pairs:
+        if sketch.op == "multiply" and _is_zero_entry(o, moved_values(o)):
+            if not _is_zero_entry(t, moved_values(t)):
+                return None
+            symbol_sets.append(set())  # the inverter's literal zero
+            continue
+        if ("t" in guarded and _is_zero_entry(t, moved_values(t))) or (
+            "o" in guarded and _is_zero_entry(o, moved_values(o))
+        ):
+            return None
+        proven, is_nonzero = _entry_floor(t, o, f, multiplicative)
+        symbol_sets.append(proven)
+        nonzero += is_nonzero
+    return _complexity(symbol_sets, nonzero / len(symbol_sets), mode)

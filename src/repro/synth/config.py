@@ -72,7 +72,8 @@ class SynthesisConfig:
 
     max_solver_calls: int | None = None
     """Optional cap on *actual* solver invocations per synthesis run (cache
-    hits are free).  Like ``timeout_seconds`` this is a pure resource limit:
+    hits and queries PRUNE's floor turns down before any derivation are
+    free).  Like ``timeout_seconds`` this is a pure resource limit:
     exceeding it degrades the search to the best program found so far and
     never changes what a completed search would return, so it is excluded
     from the cache fingerprint."""

@@ -38,7 +38,7 @@ from repro.symexec.canonical import canonical_key, equivalent
 from repro.symexec.residues import residue_key, tensor_residues
 from repro.symexec.symtensor import SymTensor
 from repro.synth.cache import MISS, solver_key
-from repro.synth.complexity import spec_complexity
+from repro.synth.complexity import prune_floor, spec_complexity
 from repro.synth.config import SynthesisConfig
 from repro.synth.library import Library, retype_sketch
 from repro.synth.sketch import Sketch
@@ -62,7 +62,11 @@ class SearchStats:
 
     ``solver_calls`` counts *actual* ``solve_all`` invocations; queries
     answered by the persistent cache count into ``solver_cache_hits``
-    instead.  The ``time_*`` fields are the stage-level profiler: wall-time
+    instead, and queries PRUNE's floor turned down before any derivation
+    into ``solver_floor_pruned`` — the three add up to the queries asked.
+    ``solver_hits`` counts the answers that were not "unsolvable": derived
+    hole specs, verified or pruned, and floor prunes, computed or restored.
+    The ``time_*`` fields are the stage-level profiler: wall-time
     spent building the stub library, deriving its sketches (at the first
     SOLVE; zero for a search that ends at MATCH), solving sketches, matching
     base cases, and verifying the final candidate.  ``sketch_count`` is the
@@ -104,6 +108,7 @@ class SearchStats:
     base_case_matches = _counter_view("search.base_case_matches")
     memo_hits = _counter_view("search.memo_hits")
     solver_cache_hits = _counter_view("solver.cache_hits")
+    solver_floor_pruned = _counter_view("solver.floor_pruned")
 
     @property
     def max_depth_reached(self) -> int:
@@ -142,14 +147,20 @@ class SearchStats:
     def record_solver_cache_hit(self) -> None:
         self.metrics.counter("solver.cache_hits").inc()
 
-    def record_solver_outcome(self, outcome) -> None:
-        """Credit one SOLVE answer, computed or restored alike.
+    def record_floor_prune(self) -> None:
+        self.metrics.counter("solver.floor_pruned").inc()
 
-        A hit is any answer that derived hole specs (pruned ones included);
-        ``solver.verified`` counts the decompositions that were also proved,
-        which are the ones the search recurses into.  Crediting restored
-        answers keeps both invariant under cache state, so warm and cold
-        runs of the same batch report identical counters.
+    def record_solver_outcome(self, outcome) -> None:
+        """Credit one SOLVE answer, computed, floor-pruned or restored alike.
+
+        A hit is any answer but "unsolvable": verified hole specs, derived
+        ones PRUNE turned down, and a floor prune (nothing derived — the
+        floor only prunes where the derived hole specs would have been
+        pruned or would not have existed).  ``solver.verified`` counts the
+        decompositions that were also proved, which are the ones the search
+        recurses into.  Crediting restored answers keeps both invariant
+        under cache state, so warm and cold runs of the same batch report
+        identical counters.
         """
         if outcome is None:
             return
@@ -159,7 +170,7 @@ class SearchStats:
 
     def metrics_snapshot(self) -> dict:
         """Registry snapshot with derived cache-hit-ratio gauges refreshed."""
-        solver_total = self.solver_calls + self.solver_cache_hits
+        solver_total = self.solver_calls + self.solver_cache_hits + self.solver_floor_pruned
         if solver_total:
             self.metrics.gauge("solver.cache_hit_ratio").set(
                 round(self.solver_cache_hits / solver_total, 6)
@@ -177,6 +188,8 @@ class SearchStats:
         cached = (
             f", {self.solver_cache_hits} cached" if self.solver_cache_hits else ""
         )
+        if self.solver_floor_pruned:
+            cached += f", {self.solver_floor_pruned} floor-pruned"
         lib = " [lib cache]" if self.library_cache_hit else ""
         memo = f", {self.memo_hits} memo" if self.memo_hits else ""
         cost = f" | cost cache {self.cost_cache_hits} hits" if self.cost_cache_hits else ""
@@ -242,10 +255,11 @@ class SearchContext:
 
         Returns None (unsolvable), a :class:`Pruned` (the mean hole
         complexity does not drop below ``score``), or the verified hole
-        specs with their complexities.  The solver runs PRUNE on the hole
-        specs it derived and proves the decomposition only if they survive;
-        restored hole specs were proved when they were stored, and PRUNE
-        decides on them here.
+        specs with their complexities.  After a cache miss PRUNE's floor is
+        asked first: if it already reaches ``score`` nothing is derived.
+        Otherwise the solver runs PRUNE on the hole specs it derived and
+        proves the decomposition only if they survive; restored hole specs
+        were proved when they were stored, and PRUNE decides on them here.
         """
         hole_scores: list[float] = []
 
@@ -272,6 +286,10 @@ class SearchContext:
                     "solver-cache-hit", "solver",
                     op=_sketch_op(sketch), outcome=_outcome_name(out),
                 )
+        elif (pruned := self._floor_prune(sketch, spec, score)) is not None:
+            out = pruned
+            if cache_key is not None:
+                self.cache.solver_put(cache_key, out)
         else:
             try:
                 self.budget.charge_solver()
@@ -297,6 +315,27 @@ class SearchContext:
         if out is None or isinstance(out, Pruned):
             return out
         return out, hole_scores
+
+    def _floor_prune(self, sketch: Sketch, spec: SymTensor, score: float) -> Pruned | None:
+        """``Pruned(floor)`` if PRUNE's floor already reaches ``score``.
+
+        Free like a cache hit: no solver call is charged or counted.
+        """
+        start = time.monotonic() if self.tracer.enabled else 0.0
+        floor = prune_floor(sketch, spec, self.solver.value, self.config.complexity_mode)
+        if floor is None or floor < score:
+            return None
+        self.stats.record_floor_prune()
+        if self.tracer.enabled:
+            self.tracer.complete(
+                "solver-floor", "solver",
+                start=start,
+                duration=time.monotonic() - start,
+                op=_sketch_op(sketch),
+                outcome="pruned",
+                floor=round(floor, 4),
+            )
+        return Pruned(floor, from_floor=True)
 
     # -- candidate sketch pool ---------------------------------------------------
 
@@ -557,13 +596,15 @@ def _dfs(
             if isinstance(solved, Pruned):
                 ctx.stats.record_prune("simplification")
                 if tracer.enabled:
+                    # A floor prune derived nothing: its bound is all there is.
+                    kind = "floor" if solved.from_floor else "hole_complexity"
                     tracer.instant(
                         "prune",
                         "search",
-                        reason="simplification",
+                        reason="floor" if solved.from_floor else "simplification",
                         depth=level,
                         complexity=round(score, 4),
-                        hole_complexity=round(solved.mean_complexity, 4),
+                        **{kind: round(solved.mean_complexity, 4)},
                     )
                 continue
             hole_specs, hole_scores = solved

@@ -19,7 +19,7 @@ the hole, a generic fallback binds the hole to fresh unknowns and calls
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -502,6 +502,18 @@ def _invert_dot(call, pos, args, target, hole_type):
     return _canonical_tensor(hole)
 
 
+def outer_probe(other: SymTensor) -> tuple[int, ...] | None:
+    """Index of the first entry of ``other`` not provably zero, or None.
+
+    Inverting the outer product ``tensordot(h, other, axes=0)`` divides one
+    slice of the spec by this entry; PRUNE's floor reads the same one.
+    """
+    for oidx in np.ndindex(*other.shape) if other.shape else [()]:
+        if not _is_zero(other.data[oidx] if other.shape else other.item()):
+            return oidx
+    return None
+
+
 @_inverter("tensordot")
 def _invert_tensordot(call, pos, args, target, hole_type):
     axes = call.attr("axes", 2)
@@ -516,11 +528,7 @@ def _invert_tensordot(call, pos, args, target, hole_type):
     if len(target.shape) != h_rank + o_rank:
         return None
     hole = np.empty(hole_type.shape, dtype=object)
-    probe = None
-    for oidx in np.ndindex(*other.shape) if other.shape else [()]:
-        if not _is_zero(other.data[oidx] if other.shape else other.item()):
-            probe = oidx
-            break
+    probe = outer_probe(other)
     if probe is None:
         return None
     o_val = other.data[probe] if other.shape else other.item()
@@ -614,14 +622,18 @@ def _generic_solve(
 
 @dataclass(frozen=True)
 class Pruned:
-    """SOLVE outcome for hole specs the caller's ``keep`` turned down.
+    """SOLVE outcome for hole specs PRUNE turned down.
 
-    They were derived but never verified, so nothing of them is kept except
-    the mean hole complexity PRUNE compared against the node's score — all a
-    later asker needs to repeat the decision.
+    Either the caller's ``keep`` turned down derived, never verified hole
+    specs, and ``mean_complexity`` is their mean hole complexity; or PRUNE's
+    floor (:func:`repro.synth.complexity.prune_floor`, ``from_floor``)
+    already reached the node's score, nothing was derived, and
+    ``mean_complexity`` is that lower bound of the mean.  Either way it is
+    all a later asker needs to repeat the decision.
     """
 
     mean_complexity: float
+    from_floor: bool = field(default=False, compare=False)
 
 
 class SketchSolver:
@@ -646,7 +658,8 @@ class SketchSolver:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._value_cache: dict[Node, SymTensor] = {}
 
-    def _value(self, node: Node) -> SymTensor:
+    def value(self, node: Node) -> SymTensor:
+        """The symbolic value of a known sketch argument, memoised."""
         hit = self._value_cache.get(node)
         if hit is None:
             hit = symbolic_execute(node)
@@ -726,7 +739,7 @@ class SketchSolver:
                 return None
             siblings: list[SymTensor | None] = []
             for i, arg in enumerate(node.args):
-                siblings.append(None if i == step else self._value(arg))
+                siblings.append(None if i == step else self.value(arg))
             hole_like = node.args[step]
             step_start = time.monotonic() if tracer.enabled else 0.0
             try:

@@ -105,7 +105,7 @@ class TestSpanTree:
         assert prunes, "prune-heavy kernel produced no prune instants"
         for prune in prunes:
             assert prune["type"] == "instant"
-            assert prune["args"]["reason"] in {"bound", "simplification", "depth-limit"}
+            assert prune["args"]["reason"] in {"bound", "simplification", "floor", "depth-limit"}
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,14 @@ def test_warm_cache_makes_zero_solver_calls(tmp_path):
     assert second.improved == first.improved
     assert second.optimized_source == first.optimized_source
     # Solver accounting is cache-state-invariant: the warm run answers the
-    # same queries (calls + cache hits) and credits the same successful
-    # solves (restored hits count into solver_hits too).
-    cold_queries = first.stats.solver_calls + first.stats.solver_cache_hits
-    warm_queries = second.stats.solver_calls + second.stats.solver_cache_hits
-    assert warm_queries == cold_queries
+    # same queries (calls + cache hits + floor prunes) and credits the same
+    # successful solves (restored hits count into solver_hits too).
+    def queries(stats):
+        return stats.solver_calls + stats.solver_cache_hits + stats.solver_floor_pruned
+
+    assert first.stats.solver_floor_pruned > 0
+    assert second.stats.solver_floor_pruned == 0
+    assert queries(second.stats) == queries(first.stats)
     assert second.stats.solver_hits == first.stats.solver_hits
     warm_counters = second.stats.metrics_snapshot()["counters"]
     assert warm_counters.get("solver.hits", 0) == second.stats.solver_hits

@@ -218,7 +218,10 @@ def test_cold_warm_and_parallel_agree_and_nothing_unverified_is_stored(tmp_path)
     counters = [r.metrics_rollup()["counters"] for r in (cold, warm, pooled)]
     for name in ("search.prune.simplification", "solver.hits", "solver.verified"):
         assert counters[0][name] == counters[1][name] == counters[2][name] > 0, name
-    assert "solver.calls" not in counters[1]
+    # The floor runs after a cache miss only: the warm run floors nothing,
+    # and the summary's query total counts floor prunes as queries.
+    assert counters[0]["solver.floor_pruned"] > 0
+    assert "solver.calls" not in counters[1] and "solver.floor_pruned" not in counters[1]
 
     for path in (seq, par):
         kinds = {"unsolvable": 0, "pruned": 0, "verified": 0}
