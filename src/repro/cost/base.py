@@ -29,7 +29,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Mapping
 
-from repro.ir.nodes import Call, Node
+from repro.ir.nodes import Call, Const, Node
 from repro.ir.types import TensorType
 
 
@@ -103,6 +103,7 @@ class CostModel(abc.ABC):
         cap: int | None = None,
     ) -> None:
         self.mapper = DimMapper(dim_map, scale, cap)
+        self._op_memo: dict[tuple, float] = {}
 
     @abc.abstractmethod
     def op_cost(
@@ -115,8 +116,17 @@ class CostModel(abc.ABC):
         """Estimated cost of a single op application (pre-mapped types)."""
 
     def call_cost(self, node: Call) -> float:
-        from repro.ir.nodes import Const
+        """Cost of ``node``'s own op, memoised per op signature: op, attrs and
+        argument types, a ``Const`` argument keyed by itself (its value).
+        Out type, mapped types and constant operands follow from these; the
+        measured model keys its timing table the same way."""
+        key = (node.op, node.attrs, tuple(a if isinstance(a, Const) else a.type for a in node.args))
+        cost = self._op_memo.get(key)
+        if cost is None:
+            cost = self._op_memo[key] = self._price(node)
+        return cost
 
+    def _price(self, node: Call) -> float:
         mapper = self.mapper
         if mapper.is_identity:
             attrs = dict(node.attrs)

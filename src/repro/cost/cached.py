@@ -2,10 +2,10 @@
 
 The first SOLVE prices every sketch of the library, the base-case MATCH the
 stubs it ranks or returns, and the enumerator's duplicate-preference check
-re-prices the same retained stubs many times — with a measured model each
-call can mean a real timing run.  The wrapper
-memoizes ``program_cost`` per IR node in memory (nodes are immutable and
-hashable) and, when a :class:`~repro.synth.cache.PersistentCache` is
+re-prices the same retained stubs many times — none of it a timing run: a
+model prices each op signature once (:meth:`CostModel.call_cost`).  The
+wrapper memoizes ``program_cost`` per IR node in memory (nodes are immutable
+and hashable) and, when a :class:`~repro.synth.cache.PersistentCache` is
 attached and the model declares its estimates expensive
 (:attr:`CostModel.expensive_estimates`), per expression string across runs.
 """

@@ -271,6 +271,16 @@ def order_witnesses(x, y) -> tuple[int, int] | None:
     return None
 
 
+@lru_cache(maxsize=1 << 14)
+def _witnessed(x, y) -> bool:
+    return order_witnesses(x, y) is not None
+
+
+@lru_cache(maxsize=1 << 14)
+def _proved(x, y):
+    return sp.Lt(x, y)
+
+
 def less(x, y):
     """``x < y`` as SymPy would build it — the one place ``symexec`` and ``synth`` do.
 
@@ -278,13 +288,21 @@ def less(x, y):
     and returns ``Lt(x, y, evaluate=False)`` when it cannot.  Two witnesses
     with opposite outcomes show that no sound prover can, so that object is
     built directly; without them SymPy is asked exactly as before.  The tier
-    never asserts a truth value.
+    never asserts a truth value.  Both answers are pure functions of the
+    pair and memoised per ``(x, y)``, bounded (a prover error is not
+    cached); the ``equiv.order_*`` counters still count every call.
     """
-    if order_witnesses(x, y) is not None:
+    if _witnessed(x, y):
         bump("equiv.order_refuted")
         return sp.Lt(x, y, evaluate=False)
     bump("equiv.order_asked")
-    return sp.Lt(x, y)
+    return _proved(x, y)
+
+
+def clear_less_memo() -> None:
+    """Forget every memoised :func:`less` pair (for tests that force the tier)."""
+    _witnessed.cache_clear()
+    _proved.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +585,15 @@ def _c_multiply(args, attrs):
     return _mod(a * b)
 
 
-def _c_divide(args, attrs):
-    a, b = _bcast(args[0], args[1])
-    if not b.all():
+def _c_divide(args, inverse):
+    """``a * inverse(1)``: one inverse per denominator node, shared (``BatteryTable``)."""
+    if not args[1].all():
         # A vanishing denominator residue: the symbolic entry is either
         # genuinely undefined or merely weak at this point — both are for
         # the exact path to decide.
         raise _Unsupported
-    return _mod(a * _inv_battery(b))
+    a, b = _bcast(args[0], inverse(1))
+    return _mod(a * b)
 
 
 def _c_negative(args, attrs):
@@ -638,13 +657,14 @@ def _c_sum(args, attrs):
     return _mod(a.sum(axis=reduce_over))
 
 
-def _c_power(args, attrs, arg_nodes):
+def _c_power(args, attrs, arg_nodes, inverse):
     """``power`` composes only for a literal scalar integer exponent.
 
     The exponent must be the *actual* integer, not its residue: ``x**e`` is
     not a function of ``e mod q`` (Fermat), so only a ``Const`` node whose
     true value is visible qualifies — the same integer-valued gate as
-    residue registration.  Negative exponents invert the base battery, so a
+    residue registration.  Negative exponents invert the base battery
+    (``inverse(0)``: the same shared inverse ``divide`` uses), so a
     vanishing base residue falls back (engine: ``zoo`` → rejected).
     """
     if arg_nodes is None:
@@ -660,7 +680,7 @@ def _c_power(args, attrs, arg_nodes):
     if c < 0:
         if not base.all():
             raise _Unsupported
-        base = _inv_battery(base)
+        base = inverse(0)
         c = -c
     out = np.ones_like(base)
     sq = base.copy()
@@ -689,7 +709,6 @@ _COMPOSE = {
     "add": _c_add,
     "subtract": _c_subtract,
     "multiply": _c_multiply,
-    "divide": _c_divide,
     "negative": _c_negative,
     "dot": _c_dot,
     "tensordot": _c_tensordot,
@@ -700,7 +719,7 @@ _COMPOSE = {
 
 
 def compose(
-    op: str, attrs: dict, args: list[np.ndarray], arg_nodes=None
+    op: str, attrs: dict, args: list[np.ndarray], arg_nodes=None, inverse=None
 ) -> np.ndarray | None:
     """Battery of ``op(*args)`` from argument batteries, or ``None``.
 
@@ -712,20 +731,21 @@ def compose(
 
     ``arg_nodes`` optionally passes the argument IR nodes alongside their
     batteries; ops whose result is not a function of residues alone
-    (``power``: the literal exponent matters) require it.
+    (``power``: the literal exponent matters) require it.  ``inverse(k)``,
+    the modular inverse of ``args[k]``, is computed afresh unless supplied.
     """
-    if op == "power":
-        try:
-            out = _c_power(args, attrs, arg_nodes)
-        except _Unsupported:
-            return None
-        bump("equiv.residue_batteries")
-        return out
-    fn = _COMPOSE.get(op)
-    if fn is None:
-        return None
+    if inverse is None:
+        def inverse(k):
+            return _inv_battery(args[k])
     try:
-        out = fn(args, attrs)
+        if op == "power":
+            out = _c_power(args, attrs, arg_nodes, inverse)
+        elif op == "divide":
+            out = _c_divide(args, inverse)
+        elif op in _COMPOSE:
+            out = _COMPOSE[op](args, attrs)
+        else:
+            return None
     except _Unsupported:
         return None
     bump("equiv.residue_batteries")
@@ -734,7 +754,7 @@ def compose(
 
 def supported_op(op: str) -> bool:
     """Whether ``op`` has a compositional battery rule."""
-    return op == "power" or op in _COMPOSE
+    return op in ("power", "divide") or op in _COMPOSE
 
 
 _NO_ATTRS: dict = {}
@@ -758,9 +778,18 @@ class BatteryTable:
 
     def __init__(self) -> None:
         self._by_node: dict[Node, np.ndarray] = {}
+        #: Modular inverse of a registered node's battery, computed the first
+        #: time a ``divide`` or negative ``power`` needs it.
+        self._inverses: dict[Node, np.ndarray] = {}
 
     def get(self, node: Node) -> np.ndarray | None:
         return self._by_node.get(node)
+
+    def _inverse(self, node: Node) -> np.ndarray:
+        inv = self._inverses.get(node)
+        if inv is None:
+            inv = self._inverses[node] = _inv_battery(self._by_node[node])
+        return inv
 
     def compose(self, node: Call) -> np.ndarray | None:
         """Battery of ``node`` from its arguments' batteries (None = no-go)."""
@@ -773,7 +802,10 @@ class BatteryTable:
         # Compose rules only read attrs; share one empty dict for the common
         # attr-less candidate instead of allocating per candidate.
         attrs = dict(node.attrs) if node.attrs else _NO_ATTRS
-        res = compose(node.op, attrs, args, arg_nodes=node.args)
+        res = compose(
+            node.op, attrs, args, arg_nodes=node.args,
+            inverse=lambda k: self._inverse(node.args[k]),
+        )
         if res is not None and res.shape[2:] != node.type.shape:
             return None  # defensive: semantics drift falls back to symexec
         return res

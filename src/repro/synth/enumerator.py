@@ -133,8 +133,18 @@ def _axes_for(rank: int) -> list[int | None]:
     return [None] + list(range(rank))
 
 
-def _is_const_tree(node: Node) -> bool:
-    return all(not isinstance(n, Input) for n in node.walk())
+#: Node facts, one bit each, OR-ed up from the arguments: the tree mentions a
+#: program input; the tree embeds concrete shapes (a ``shape`` attr or a
+#: tensor constant), so it does not transport to other input sizes.
+_HAS_INPUT, _PINNED = 1, 2
+
+
+def _own_facts(node: Node) -> int:
+    if isinstance(node, Input):
+        return _HAS_INPUT
+    if isinstance(node, Const):
+        return 0 if node.is_scalar else _PINNED
+    return _PINNED if node.attr("shape") is not None else 0
 
 
 class StubEnumerator:
@@ -170,6 +180,9 @@ class StubEnumerator:
         self._seen_nodes: set[Node] = set()
         self._symexec_cache: dict[Node, SymTensor] = {}
         self._cost_memo: dict[Node, float] = {}
+        #: Fact bits per candidate (:meth:`_facts`); dropped with the
+        #: enumerator, so no kernel's candidates outlive its enumeration.
+        self._fact_memo: dict[Node, int] = {}
         #: Every well-defined candidate, including behavioural duplicates.
         #: Sketches are derived from these: dedup keeps only one of
         #: ``power(A, 2)`` / ``multiply(A, A)``, but both spawn distinct,
@@ -237,7 +250,8 @@ class StubEnumerator:
 
     def _cost(self, node: Node) -> float:
         # Memoized: _prefer re-prices retained stubs on every duplicate
-        # collision, and with a measured model each call is a timing run.
+        # collision.  None of it is a timing run: a model prices each op
+        # signature once (CostModel.call_cost).
         cost = self._cost_memo.get(node)
         if cost is None:
             if self.cost_model is not None:
@@ -246,6 +260,16 @@ class StubEnumerator:
                 cost = float(node.num_nodes)
             self._cost_memo[node] = cost
         return cost
+
+    def _facts(self, node: Node) -> int:
+        """``node``'s fact bits, from its arguments' in O(1) once they are known."""
+        facts = self._fact_memo.get(node)
+        if facts is None:
+            facts = _own_facts(node)
+            for arg in node.children():
+                facts |= self._facts(arg)
+            self._fact_memo[node] = facts
+        return facts
 
     def _prefer(self, new: Node, old: Node) -> bool:
         """Should ``new`` replace the behaviourally-equal ``old`` stub?
@@ -260,8 +284,8 @@ class StubEnumerator:
             return True
         if new_cost > 1.05 * old_cost:
             return False
-        return (_shape_pinned(new), new.num_nodes, new_cost) < (
-            _shape_pinned(old), old.num_nodes, old_cost
+        return (self._facts(new) & _PINNED, new.num_nodes, new_cost) < (
+            self._facts(old) & _PINNED, old.num_nodes, old_cost
         )
 
     def _admit(self, node: Node) -> StubEntry | None:
@@ -287,7 +311,7 @@ class StubEnumerator:
         self._seen_nodes.add(node)
         if node.type.size > self.config.max_stub_entries:
             return None
-        if _is_const_tree(node) and isinstance(node, Call):
+        if isinstance(node, Call) and not self._facts(node) & _HAS_INPUT:
             folded = _fold_constant(node)
             if folded is None:
                 return None
@@ -509,17 +533,6 @@ class StubEnumerator:
             yield Call(op, args, **attrs)
         except TypeInferenceError:
             return
-
-
-def _shape_pinned(node: Node) -> int:
-    """1 when the program embeds concrete shapes (shape attrs or tensor
-    constants) and therefore is not transportable to other input sizes."""
-    for n in node.walk():
-        if isinstance(n, Call) and n.attr("shape") is not None:
-            return 1
-        if isinstance(n, Const) and not n.is_scalar:
-            return 1
-    return 0
 
 
 def _has_undefined(expr) -> bool:

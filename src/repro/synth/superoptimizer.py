@@ -162,15 +162,18 @@ def superoptimize_program(
 
     cost_min = cost_model.program_cost(program.node)  # line 2
     spec = symbolic_execute(program.node).map(canonical)  # line 3
+    # The enumeration stage is line 4 alone, not the spec before it (which
+    # also pays SymPy's lazy imports on a process's first kernel).
+    enum_start = time.monotonic()
     library = build_library(  # line 4
         program, config, cost_model, cache=cache, fingerprint=fingerprint,
         budget=budget,
     )
-    enum_elapsed = time.monotonic() - start
+    enum_elapsed = time.monotonic() - enum_start
     if tracer.enabled:
         tracer.complete(
             "enumerate", "enum",
-            start=start, duration=enum_elapsed,
+            start=enum_start, duration=enum_elapsed,
             kernel=program.name,
             stubs=library.stub_count, sketches=library.sketch_count,
             cached=library.from_cache,

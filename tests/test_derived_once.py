@@ -1,0 +1,259 @@
+"""Every fact the enumerator derives about a candidate is derived once — and is the fresh one.
+
+Four pure functions of a candidate are memoised, each keyed by exactly what
+it depends on:
+
+* a denominator's modular inverse, per node on the ``BatteryTable``
+  (``divide`` and negative-exponent ``power`` compositions share it);
+* an op's cost, per op signature on the cost model (``CostModel.call_cost``);
+* a candidate's const-tree and shape-pinned bits, from its arguments' bits
+  (``StubEnumerator._facts``);
+* ``residues.less``, per ``(x, y)``.
+
+The oracle throughout is the unmemoised computation: ``_inv_battery``
+afresh, a fresh model's ``_price``, the tree walks the bits replaced, and
+``sp.Lt``.  (a)–(d) check each fact on every library node of three suite
+kernels; (e) builds libraries with every memo bypassed and asserts they are
+the memoised ones node for node, with the same ``equiv.*`` counts.
+"""
+
+import hashlib
+from functools import lru_cache
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from repro.bench.store import CONFIGS
+from repro.bench.suite import benchmark_names, get_benchmark
+from repro.cost import FlopsCostModel, MeasuredCostModel, make_cost_model
+from repro.cost.base import CostModel
+from repro.cost.measured import _signature
+from repro.ir.nodes import Call, Const, Input
+from repro.obs.metrics import PROCESS_COUNTERS
+from repro.symexec import INTERN_TABLE, residues, symtensor
+from repro.symexec.residues import Q1, Q2, BatteryTable, _inv_battery, compose, order_witnesses
+from repro.synth.enumerator import _HAS_INPUT, _PINNED, StubEnumerator
+
+#: The tier-1 subset: negative powers, divisions by stubs, the boolean grammar.
+QUICK = ["power_neg", "synth_7", "max_stack"]
+
+
+def _walked_facts(node) -> int:
+    """The tree walks the fact bits replaced."""
+    walked = list(node.walk())
+    facts = _HAS_INPUT if any(isinstance(n, Input) for n in walked) else 0
+    if any(
+        (isinstance(n, Call) and n.attr("shape") is not None)
+        or (isinstance(n, Const) and not n.is_scalar)
+        for n in walked
+    ):
+        facts |= _PINNED
+    return facts
+
+
+def _bypass_memos(patch) -> None:
+    """Every memo of this file replaced by its unmemoised computation."""
+    patch.setattr(BatteryTable, "_inverse", lambda self, node: _inv_battery(self.get(node)))
+    patch.setattr(CostModel, "call_cost", CostModel._price)
+    patch.setattr(StubEnumerator, "_facts", lambda self, node: _walked_facts(node))
+    for name in ("_witnessed", "_proved"):  # maxsize=0: a cache that keeps nothing
+        patch.setattr(residues, name, lru_cache(maxsize=0)(getattr(residues, name).__wrapped__))
+
+
+def _enumerate(kernel):
+    """A cold enumeration: (enumerator, library identity, ``equiv.*`` counts)."""
+    # Counted hits: intern hits, and constant tensors whose batteries are
+    # memoised on the shared instance.  Start both sides from empty tables.
+    INTERN_TABLE.clear()
+    symtensor._FROM_VALUE_MEMO.clear()
+    residues.clear_less_memo()
+    bench = get_benchmark(kernel)
+    before = dict(PROCESS_COUNTERS)
+    enumerator = StubEnumerator(
+        bench.parse_synth(), CONFIGS["default"], cost_model=FlopsCostModel(dim_map=bench.dim_map)
+    )
+    stubs = enumerator.enumerate()
+    counts = {
+        k: v - before.get(k, 0)
+        for k, v in PROCESS_COUNTERS.items()
+        if k.startswith("equiv.") and v != before.get(k, 0)
+    }
+    identity = (
+        [e.node for e in stubs],
+        [None if e.res is None else e.res.tobytes() for e in stubs],
+        list(enumerator.sketch_sources),
+    )
+    return enumerator, identity, counts
+
+
+@pytest.fixture(scope="module")
+def memoised():
+    """Each QUICK kernel enumerated once with the memos on, ``less`` pairs recorded."""
+    runs, pairs = {}, {}
+    real_less = residues.less
+
+    def recording_less(x, y):
+        pairs[(x, y)] = pairs.get((x, y), 0) + 1
+        return real_less(x, y)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(residues, "less", recording_less)
+        for kernel in QUICK:
+            runs[kernel] = _enumerate(kernel)
+    return runs, pairs
+
+
+def _library_nodes(enumerator) -> list:
+    """Every library node: the champions, every candidate, and their subtrees."""
+    seen: dict = {}
+    for root in [c.entry.node for c in enumerator._classes] + enumerator.sketch_sources:
+        for node in root.walk():
+            seen.setdefault(node)
+    return list(seen)
+
+
+# -- (a) the inverse per denominator node -------------------------------------------
+
+
+@pytest.mark.parametrize("kernel", QUICK)
+def test_every_inverse_is_the_fresh_one(memoised, kernel):
+    enumerator = memoised[0][kernel][0]
+    table = enumerator._batteries
+    inverted = 0
+    for node in _library_nodes(enumerator):
+        if not (isinstance(node, Call) and node.op in ("divide", "power")):
+            continue
+        args = [table.get(a) for a in node.args]
+        if any(r is None for r in args):
+            continue
+        fresh = compose(node.op, dict(node.attrs), args, arg_nodes=node.args)
+        shared = table.compose(node)
+        assert (fresh is None) == (shared is None), node
+        if shared is not None:
+            assert np.array_equal(fresh, shared), node
+            inverted += node.op == "divide" or node.args[1].scalar() < 0
+    assert inverted > 0 and table._inverses
+    for node, inv in table._inverses.items():
+        battery = table.get(node)
+        assert np.array_equal(inv, _inv_battery(battery)), node
+        for k, q in enumerate((Q1, Q2)):
+            assert ((inv[k] * battery[k]) % q == 1).all(), node
+
+
+# -- (b) the op cost per signature ----------------------------------------------------
+
+
+def _hashed_measure(self, op, arg_types, attrs):
+    """A deterministic stand-in for a timing run, distinct per signature."""
+    digest = hashlib.blake2b(_signature(op, arg_types, attrs).encode(), digest_size=4).digest()
+    return 1.0 + int.from_bytes(digest, "big") / 1e3
+
+
+def _must_not_time(self, op, arg_types, attrs):
+    raise AssertionError(f"the preloaded table misses {op}")
+
+
+def _models(kind, dim_map, calls, tmp_path):
+    """Two models of ``kind``: one to memoise, one to recompute afresh."""
+    if kind != "measured":
+        return make_cost_model(kind, dim_map=dim_map), make_cost_model(kind, dim_map=dim_map)
+    path = tmp_path / "table.json"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MeasuredCostModel, "_measure", _hashed_measure)
+        loader = MeasuredCostModel(dim_map=dim_map, cache_path=path)
+        for node in calls:
+            loader._price(node)
+        loader.save()
+    return tuple(MeasuredCostModel(dim_map=dim_map, cache_path=path) for _ in range(2))
+
+
+@pytest.mark.parametrize("kind", ["flops", "roofline", "measured"])
+@pytest.mark.parametrize("mapped", [False, True], ids=["identity", "dim_map"])
+def test_every_op_cost_is_the_fresh_one(memoised, kind, mapped, tmp_path, monkeypatch):
+    calls = [
+        node
+        for kernel in QUICK
+        for node in _library_nodes(memoised[0][kernel][0])
+        if isinstance(node, Call)
+    ]
+    dim_map = get_benchmark("power_neg").dim_map if mapped else None
+    monkeypatch.setattr(MeasuredCostModel, "_measure", _must_not_time)
+    model, fresh = _models(kind, dim_map, calls, tmp_path)
+    assert model.mapper.is_identity is not mapped
+    for node in calls:
+        assert model.call_cost(node) == fresh._price(node), node
+    # Memoised: distinct calls share signatures, and each was priced once.
+    assert len(model._op_memo) < len(calls) // 5
+    assert any(isinstance(a, Const) for key in model._op_memo for a in key[2])
+
+
+# -- (c) const-tree and shape-pinned bits from the arguments' ----------------------------
+
+
+@pytest.mark.parametrize("kernel", QUICK)
+def test_every_fact_is_the_tree_walk(memoised, kernel):
+    enumerator = memoised[0][kernel][0]
+    nodes = _library_nodes(enumerator)
+    memo = enumerator._fact_memo
+    assert len(memo) > len(enumerator._classes)
+    for node in nodes:
+        assert enumerator._facts(node) == _walked_facts(node), node
+    for node, facts in memo.items():
+        assert facts == _walked_facts(node), node
+    assert {f & _PINNED for f in memo.values()} == {0, _PINNED}
+    assert {f & _HAS_INPUT for f in memo.values()} == {0, _HAS_INPUT}
+
+
+# -- (d) less per pair ------------------------------------------------------------------
+
+
+def test_every_memoised_relational_is_sp_lt(memoised):
+    # The pairs asked more than once: a memo hit answered all but the first.
+    repeated = [pair for pair, calls in memoised[1].items() if calls > 1]
+    assert len(repeated) > 1000
+    refuted = 0
+    for x, y in repeated:
+        witnessed = order_witnesses(x, y) is not None
+        assert residues._witnessed(x, y) is witnessed, (x, y)
+        assert sp.srepr(residues.less(x, y)) == sp.srepr(sp.Lt(x, y)), (x, y)
+        refuted += witnessed
+    assert 0 < refuted < len(repeated)
+
+
+def test_less_counts_every_call_and_caches_no_prover_error():
+    A = sp.Symbol("A", positive=True)
+    residues.clear_less_memo()
+    before = dict(PROCESS_COUNTERS)
+    for _ in range(3):
+        residues.less(A, A * A)  # refuted at the order points
+        residues.less(A, A + 1)  # proved by SymPy
+        with pytest.raises(TypeError):
+            residues.less(sp.I * A, A)
+    moved = {k: v - before.get(k, 0) for k, v in PROCESS_COUNTERS.items()}
+    assert moved["equiv.order_refuted"] == 3 and moved["equiv.order_asked"] == 6
+    assert residues._proved.cache_info().currsize == 1
+
+
+# -- (e) the library without the memos --------------------------------------------------
+
+
+@pytest.mark.parametrize("kernel", QUICK)
+def test_library_is_the_one_without_memos(memoised, kernel, monkeypatch):
+    _, identity, counts = memoised[0][kernel]
+    _bypass_memos(monkeypatch)
+    _, bare_identity, bare_counts = _enumerate(kernel)
+    assert bare_identity == identity
+    assert bare_counts == counts
+
+
+@pytest.mark.slow
+def test_every_suite_library_is_the_one_without_memos():
+    """All 33 suite kernels: node for node, battery for battery, count for count."""
+    for kernel in benchmark_names():
+        _, identity, counts = _enumerate(kernel)
+        with pytest.MonkeyPatch.context() as patch:
+            _bypass_memos(patch)
+            _, bare_identity, bare_counts = _enumerate(kernel)
+        assert bare_identity == identity, kernel
+        assert bare_counts == counts, kernel

@@ -31,7 +31,10 @@ A, B = sp.symbols("A B", positive=True)
 
 def _enumerate(kind: str):
     """One cold enumeration: (entries, sketch_sources)."""
-    INTERN_TABLE.clear()  # canonical forms must be rebuilt, not recalled
+    # Canonical forms and relationals must be rebuilt, not recalled: a
+    # memoised pair would skip whatever ``less`` is forced to here.
+    INTERN_TABLE.clear()
+    residues.clear_less_memo()
     if kind == "max_stack":
         bench = get_benchmark("max_stack")
         enumerator = StubEnumerator(

@@ -171,6 +171,7 @@ class _EagerKeys(StubEnumerator):
 
 def _library(enumerator_cls, program, config, model):
     """(champion nodes in admission order, sketch sources, weak-tier counters)."""
+    residues.clear_less_memo()  # each forcing re-derives its relationals
     before = dict(PROCESS_COUNTERS)
     enumerator = enumerator_cls(program, config, cost_model=model)
     stubs = enumerator.enumerate()
