@@ -138,6 +138,16 @@ def canonical_key(tensor: SymTensor) -> tuple:
     )
 
 
+def same_canonical_key(tensor: SymTensor, other: SymTensor | tuple) -> bool:
+    """``canonical_key(tensor) == other`` (a key, or a tensor's key), compared entry by
+    entry and canonicalised no further than the first entry that differs."""
+    if isinstance(other, SymTensor):
+        other = (other.shape, other.dtype, (_srepr(canonical(e)) for e in other.entries()))
+    return (tensor.shape, tensor.dtype) == tuple(other[:2]) and all(
+        _srepr(canonical(e)) == k for e, k in zip(tensor.entries(), other[2])
+    )
+
+
 @lru_cache(maxsize=100_000)
 def _equivalent_exprs_slow(a: sp.Expr, b: sp.Expr) -> bool:
     try:

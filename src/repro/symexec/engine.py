@@ -8,6 +8,7 @@ identical: one comprehensive expression per output element.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -16,8 +17,9 @@ import sympy as sp
 from repro.errors import SymbolicExecutionError
 from repro.ir.nodes import Call, Const, Input, Node
 from repro.ir.types import DType
+from repro.obs.metrics import bump
 from repro.symexec import residues
-from repro.symexec.symtensor import SymTensor
+from repro.symexec.symtensor import SymTensor, representative, rename
 
 _HANDLERS: dict[str, Callable[[list[SymTensor], dict[str, Any]], SymTensor]] = {}
 
@@ -127,12 +129,24 @@ def _less(args, attrs):
     return SymTensor(_obj(_less_ufunc(args[0].data, args[1].data)), DType.BOOL)
 
 
+@lru_cache(maxsize=1 << 14)
+def _piecewise(cond, x, y):
+    return sp.Piecewise((x, cond), (y, True))
+
+
 def _symbolic_where(cond, x, y):
+    """The evaluated ``Piecewise``, built once per index class (on the
+    representative) and renamed back unevaluated: ``equiv.where_by_class``."""
     if cond is sp.true or cond is True:
         return x
     if cond is sp.false or cond is False:
         return y
-    return sp.Piecewise((x, cond), (y, True))
+    found = representative((cond, x, y))
+    out = None if found is None else rename(_piecewise(*found[0]), found[1])
+    if out is None:
+        return _piecewise(cond, x, y)
+    bump("equiv.where_by_class")
+    return out
 
 
 _where_ufunc = np.frompyfunc(_symbolic_where, 3, 1)

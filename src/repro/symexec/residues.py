@@ -111,7 +111,7 @@ import sympy as sp
 from repro.ir.nodes import Call, Const, Node
 from repro.ir.types import DType
 from repro.obs.metrics import bump
-from repro.symexec.symtensor import SymTensor
+from repro.symexec.symtensor import SymTensor, representative
 
 #: Points per prime.  Four points over two primes give eight independent
 #: tokens per entry — far beyond any realistic collision budget.
@@ -287,22 +287,29 @@ def less(x, y):
     ``sp.Lt`` asks SymPy's assumption system to prove the sign of ``x - y``
     and returns ``Lt(x, y, evaluate=False)`` when it cannot.  Two witnesses
     with opposite outcomes show that no sound prover can, so that object is
-    built directly; without them SymPy is asked exactly as before.  The tier
-    never asserts a truth value.  Both answers are pure functions of the
-    pair and memoised per ``(x, y)``, bounded (a prover error is not
-    cached); the ``equiv.order_*`` counters still count every call.
+    built directly; without them SymPy is asked, on the pair's index-class
+    representative where it has one (``equiv.order_by_class``).  The tier never
+    asserts a truth value.  Witnesses are memoised per pair, proofs per representative,
+    bounded (a prover error is not cached); ``equiv.order_*`` count every call.
     """
     if _witnessed(x, y):
         bump("equiv.order_refuted")
         return sp.Lt(x, y, evaluate=False)
     bump("equiv.order_asked")
-    return _proved(x, y)
+    found = representative((x, y))
+    if found is None:
+        return _proved(x, y)
+    bump("equiv.order_by_class")
+    answer = _proved(*found[0])
+    return answer if answer in (sp.true, sp.false) else sp.Lt(x, y, evaluate=False)
 
 
 def clear_less_memo() -> None:
-    """Forget every memoised :func:`less` pair (for tests that force the tier)."""
-    _witnessed.cache_clear()
-    _proved.cache_clear()
+    """Forget every memoised :func:`less` and ``where`` answer (for tests that force the tier)."""
+    from repro.symexec.engine import _piecewise  # engine imports this module
+
+    for memo in (_witnessed, _proved, _piecewise):
+        memo.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 import sympy as sp
+from sympy.functions.elementary.piecewise import ExprCondPair
 
 from repro.ir.types import DType, Shape, TensorType
 
@@ -47,6 +48,57 @@ def element_symbol(input_name: str, index: tuple[int, ...], boolean: bool = Fals
 def symbol_origin(symbol: sp.Symbol) -> tuple[str, tuple[int, ...]] | None:
     """Input name and element index a symbol was created for, if any."""
     return _SYMBOL_ORIGIN.get(symbol)
+
+
+def representative(exprs: tuple) -> tuple[tuple, dict] | None:
+    """``exprs`` renamed to their index class's representative, and the renaming back.
+
+    Entry ``(i, j)`` of an elementwise expression is entry ``(0, 0)`` with
+    every ``X[0,0]`` renamed to ``X[i,j]``, and a one-to-one renaming of
+    positive symbols preserves every truth value.  ``None`` is "no opinion":
+    a symbol that is not a plain ``positive=True`` element symbol (a boolean
+    carrier ``X[i,j]?``, a solver unknown), mixed indices, a scalar input,
+    index 0 itself, no symbol, or a node :func:`rename` does not rebuild.
+    """
+    index, renaming = None, {}
+    try:
+        for expr in exprs:
+            for symbol in expr.free_symbols:
+                origin = _SYMBOL_ORIGIN.get(symbol)
+                if origin is None or not symbol.is_positive or index not in (None, origin[1]):
+                    return None
+                index = origin[1]
+                renaming[symbol] = element_symbol(origin[0], (0,) * len(index))
+    except AttributeError:
+        return None
+    if not any(index or ()):
+        return None
+    rep = tuple(rename(expr, renaming) for expr in exprs)
+    if any(expr is None for expr in rep):
+        return None
+    return rep, {zero: symbol for symbol, zero in renaming.items()}
+
+
+#: What :func:`rename` rebuilds with ``evaluate=False``: the object evaluation builds from
+#: the same arguments.  ``>`` is how ``Piecewise`` spells a condition ``B < A``.
+_REBUILT = (sp.Add, sp.Mul, sp.Pow, sp.StrictLessThan, sp.StrictGreaterThan, sp.Max, sp.Min,
+            sp.Piecewise, ExprCondPair)
+
+
+def rename(expr, renaming: dict):
+    """``expr`` with its symbols renamed, or ``None`` outside :data:`_REBUILT` (never
+    through ``sp.evaluate(False)``: entering and leaving it clears SymPy's whole cache)."""
+    if expr.is_Symbol:
+        return renaming.get(expr)
+    if expr.is_Number or expr is sp.true or expr is sp.false:
+        return expr
+    cls = type(expr)
+    if cls not in _REBUILT:
+        return None
+    args = [rename(arg, renaming) for arg in expr.args]
+    if any(arg is None for arg in args):
+        return None
+    return ExprCondPair(*args) if cls is ExprCondPair else cls(*args, evaluate=False)
 
 
 def _constant(value) -> sp.Expr:

@@ -38,7 +38,7 @@ from repro.ir.parser import Program
 from repro.ir.types import DType
 from repro.obs.metrics import bump
 from repro.symexec import residues as _res
-from repro.symexec.canonical import canonical_key
+from repro.symexec.canonical import canonical_key, same_canonical_key
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.symtensor import SymTensor
 from repro.synth.config import SynthesisConfig
@@ -54,8 +54,8 @@ class StubEntry:
     :mod:`repro.symexec.residues`), None for stubs the battery cannot
     tokenize — those are told apart by their weak bucket and identified by
     their canonical ``key``.  Both the key and the symbolic tensor are
-    **lazy**: a battery-weak stub is keyed only when another one shares its
-    bucket (in the enumerator or in MATCH), and residue-admitted stubs are
+    **lazy**: a weak stub's canonical forms are compared only when another one
+    shares its bucket (in the enumerator or in MATCH), and residue-admitted stubs are
     priced without ever running ``symbolic_execute`` — the tensor is
     materialized only if a slow-path consumer (canonical key, full
     equivalence) actually asks.
@@ -95,6 +95,14 @@ class StubEntry:
     def cached_key(self) -> tuple | None:
         """The canonical key if already computed, without forcing it."""
         return self._key
+
+    def has_key(self, key: tuple) -> bool:
+        """Whether this stub's canonical key is ``key``, computed no further than it agrees."""
+        if self._key is None:
+            if not same_canonical_key(self.tensor, key):
+                return False
+            self._key = key
+        return self._key == key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StubEntry({self.node!r})"
@@ -412,31 +420,28 @@ class StubEnumerator:
         Their value bucket (:func:`repro.symexec.residues.weak_bucket`) only
         separates: an unseen bucket proves the candidate is no admitted weak
         class, and it joins with its canonical key unset.  A seen bucket
-        proves nothing — the candidate's key is compared with the keys of
-        that bucket's classes (forcing theirs), and only equal keys merge.  A
-        candidate without a bucket is compared with every weak class.
+        proves nothing — the candidate's canonical forms are compared with
+        those of that bucket's classes entry by entry, and only equal keys
+        merge.  A candidate without a bucket is compared with every weak class.
         """
         bump("equiv.fingerprint_weak")
         bucket = _res.weak_bucket(tensor)
-        key = None
         if bucket is None:
             bump("equiv.weak_unbucketed")
             peers = [cls for group in self._weak.values() for cls in group]
         else:
             peers = self._weak.get(bucket, ())
             bump("equiv.weak_confirmed" if peers else "equiv.weak_refuted")
-        if peers:
-            try:
-                key = canonical_key(tensor)
-            except Exception:
-                return None
+        try:
+            same = next((c for c in peers if same_canonical_key(tensor, c.entry.tensor)), None)
+        except Exception:
+            return None  # a canonical form that cannot be computed
         self.sketch_sources.append(node)
-        for cls in peers:
-            if cls.entry.key == key:
-                self._battle(cls, node, tensor)
-                self._by_raw[raw] = cls
-                return None
-        entry = StubEntry(node, tensor, key=key)
+        if same is not None:
+            self._battle(same, node, tensor)
+            self._by_raw[raw] = same
+            return None
+        entry = StubEntry(node, tensor)
         cls = _StubClass(entry)
         self._weak.setdefault(bucket, []).append(cls)
         self._by_raw[raw] = cls

@@ -74,13 +74,13 @@ class Library:
         """The battery-weak stub whose canonical key is ``key``, if any.
 
         The spec's bucket only narrows where to look: a hit is always an
-        equal canonical key, never an equal bucket.
+        equal canonical key (compared entry by entry), never an equal bucket.
         """
         bucket = weak_bucket(spec)
         if bucket is None:
             return self.weak_by_key.get(key)
         for entry in self.weak_by_bucket.get(bucket, ()):
-            if entry.key == key:
+            if entry.has_key(key):
                 return entry
         return None
 

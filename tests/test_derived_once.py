@@ -1,6 +1,6 @@
 """Every fact the enumerator derives about a candidate is derived once — and is the fresh one.
 
-Four pure functions of a candidate are memoised, each keyed by exactly what
+Five pure functions of a candidate are memoised, each keyed by exactly what
 it depends on:
 
 * a denominator's modular inverse, per node on the ``BatteryTable``
@@ -8,13 +8,19 @@ it depends on:
 * an op's cost, per op signature on the cost model (``CostModel.call_cost``);
 * a candidate's const-tree and shape-pinned bits, from its arguments' bits
   (``StubEnumerator._facts``);
-* ``residues.less``, per ``(x, y)``.
+* ``residues.less``: its witnesses per ``(x, y)``, its proof per index-class
+  representative (``symtensor.representative``);
+* ``where``'s evaluated ``Piecewise``, per index-class representative.
 
+The weak tier compares canonical forms entry by entry instead of whole keys.
 The oracle throughout is the unmemoised computation: ``_inv_battery``
-afresh, a fresh model's ``_price``, the tree walks the bits replaced, and
-``sp.Lt``.  (a)–(d) check each fact on every library node of three suite
-kernels; (e) builds libraries with every memo bypassed and asserts they are
-the memoised ones node for node, with the same ``equiv.*`` counts.
+afresh, a fresh model's ``_price``, the tree walks the bits replaced,
+``sp.Lt`` and ``sp.Piecewise`` built on the entry itself, and eager
+``canonical_key`` equality.  (a)–(d) check each fact on every library node,
+pair or triple of three suite kernels; (e) builds libraries with every memo
+bypassed and asserts they are the memoised ones node for node, with the same
+``equiv.*`` counts (except the relational calls eager keying adds, and the
+``*_by_class`` counters of the bypassed representatives).
 """
 
 import hashlib
@@ -31,8 +37,9 @@ from repro.cost.base import CostModel
 from repro.cost.measured import _signature
 from repro.ir.nodes import Call, Const, Input
 from repro.obs.metrics import PROCESS_COUNTERS
-from repro.symexec import INTERN_TABLE, residues, symtensor
+from repro.symexec import INTERN_TABLE, canonical_key, engine, residues, symtensor
 from repro.symexec.residues import Q1, Q2, BatteryTable, _inv_battery, compose, order_witnesses
+from repro.synth import enumerator as enumerator_mod
 from repro.synth.enumerator import _HAS_INPUT, _PINNED, StubEnumerator
 
 #: The tier-1 subset: negative powers, divisions by stubs, the boolean grammar.
@@ -57,12 +64,28 @@ def _bypass_memos(patch) -> None:
     patch.setattr(BatteryTable, "_inverse", lambda self, node: _inv_battery(self.get(node)))
     patch.setattr(CostModel, "call_cost", CostModel._price)
     patch.setattr(StubEnumerator, "_facts", lambda self, node: _walked_facts(node))
-    for name in ("_witnessed", "_proved"):  # maxsize=0: a cache that keeps nothing
-        patch.setattr(residues, name, lru_cache(maxsize=0)(getattr(residues, name).__wrapped__))
+    for module, name in ((residues, "_witnessed"), (residues, "_proved"), (engine, "_piecewise")):
+        # maxsize=0: a cache that keeps nothing
+        patch.setattr(module, name, lru_cache(maxsize=0)(getattr(module, name).__wrapped__))
+    for module in (residues, engine):  # every entry asks SymPy itself
+        patch.setattr(module, "representative", lambda exprs: None)
+    patch.setattr(enumerator_mod, "same_canonical_key", _eager_same_key)
+
+
+def _eager_same_key(tensor, other) -> bool:
+    """Whole keys, every entry canonicalised: the comparison before it stopped early."""
+    return canonical_key(tensor) == (other if isinstance(other, tuple) else canonical_key(other))
+
+
+#: Counters that may differ once the memos are bypassed: eager keying
+#: canonicalises more relationals (``equiv.order_*`` count calls), and the
+#: bypassed representatives answer nothing.
+_MOVED_BY_BYPASS = ("equiv.order_", "equiv.where_by_class")
 
 
 def _enumerate(kernel):
-    """A cold enumeration: (enumerator, library identity, ``equiv.*`` counts)."""
+    """A cold enumeration: (enumerator, library identity, ``equiv.*`` counts,
+    the counts :data:`_MOVED_BY_BYPASS` names)."""
     # Counted hits: intern hits, and constant tensors whose batteries are
     # memoised on the shared instance.  Start both sides from empty tables.
     INTERN_TABLE.clear()
@@ -79,29 +102,39 @@ def _enumerate(kernel):
         for k, v in PROCESS_COUNTERS.items()
         if k.startswith("equiv.") and v != before.get(k, 0)
     }
+    moved = {k: counts.pop(k) for k in list(counts) if k.startswith(_MOVED_BY_BYPASS)}
     identity = (
         [e.node for e in stubs],
         [None if e.res is None else e.res.tobytes() for e in stubs],
         list(enumerator.sketch_sources),
     )
-    return enumerator, identity, counts
+    return enumerator, identity, counts, moved
 
 
 @pytest.fixture(scope="module")
 def memoised():
-    """Each QUICK kernel enumerated once with the memos on, ``less`` pairs recorded."""
-    runs, pairs = {}, {}
-    real_less = residues.less
+    """Each QUICK kernel enumerated once with the memos on.
+
+    Every ``less`` pair and every ``where`` triple is recorded with what the
+    memoised path returned for it.
+    """
+    runs, pairs, triples = {}, {}, {}
+    real_less, real_where = residues.less, engine._symbolic_where
 
     def recording_less(x, y):
-        pairs[(x, y)] = pairs.get((x, y), 0) + 1
-        return real_less(x, y)
+        out = pairs[(x, y)] = real_less(x, y)
+        return out
+
+    def recording_where(cond, x, y):
+        out = triples[(cond, x, y)] = real_where(cond, x, y)
+        return out
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(residues, "less", recording_less)
+        patch.setattr(engine, "_where_ufunc", np.frompyfunc(recording_where, 3, 1))
         for kernel in QUICK:
             runs[kernel] = _enumerate(kernel)
-    return runs, pairs
+    return runs, pairs, triples
 
 
 def _library_nodes(enumerator) -> list:
@@ -205,20 +238,48 @@ def test_every_fact_is_the_tree_walk(memoised, kernel):
     assert {f & _HAS_INPUT for f in memo.values()} == {0, _HAS_INPUT}
 
 
-# -- (d) less per pair ------------------------------------------------------------------
+# -- (d) less and where per index class ---------------------------------------------------
 
 
 def test_every_memoised_relational_is_sp_lt(memoised):
-    # The pairs asked more than once: a memo hit answered all but the first.
-    repeated = [pair for pair, calls in memoised[1].items() if calls > 1]
-    assert len(repeated) > 1000
-    refuted = 0
-    for x, y in repeated:
+    """Every pair ``less`` saw, witnessed or proved, per pair or per class."""
+    pairs = memoised[1]
+    assert len(pairs) > 1000
+    refuted = by_class = 0
+    for (x, y), got in pairs.items():
         witnessed = order_witnesses(x, y) is not None
         assert residues._witnessed(x, y) is witnessed, (x, y)
-        assert sp.srepr(residues.less(x, y)) == sp.srepr(sp.Lt(x, y)), (x, y)
+        assert sp.srepr(got) == sp.srepr(sp.Lt(x, y)), (x, y)
         refuted += witnessed
-    assert 0 < refuted < len(repeated)
+        by_class += not witnessed and symtensor.representative((x, y)) is not None
+    assert 0 < refuted < len(pairs) and by_class > 100
+
+
+def test_every_selection_is_the_direct_piecewise(memoised):
+    """Every ``where`` triple, against ``sp.Piecewise`` built on the entry itself."""
+    triples = memoised[2]
+    assert len(triples) > 1000
+    by_class = 0
+    for (cond, x, y), got in triples.items():
+        want = x if cond is sp.true else y if cond is sp.false else sp.Piecewise((x, cond), (y, True))
+        assert sp.srepr(got) == sp.srepr(want), (cond, x, y)
+        by_class += cond not in (sp.true, sp.false) and symtensor.representative((cond, x, y)) is not None
+    assert by_class > len(triples) // 2
+
+
+def test_a_class_is_decided_once():
+    """One SymPy proof and one ``Piecewise`` for the six entries of a (2, 3) class."""
+    residues.clear_less_memo()
+    before = dict(PROCESS_COUNTERS)
+    for idx in np.ndindex(2, 3):
+        a, b = symtensor.element_symbol("A", idx), symtensor.element_symbol("B", idx)
+        assert residues.less(a, a + b) is sp.true  # no witness: proved
+        cond = residues.less(a, b)  # witnessed
+        assert engine._symbolic_where(cond, a, b) == sp.Piecewise((a, a < b), (b, True))
+    moved = {k: v - before.get(k, 0) for k, v in PROCESS_COUNTERS.items()}
+    assert moved["equiv.order_by_class"] == 5 and moved["equiv.where_by_class"] == 5
+    assert residues._proved.cache_info().currsize == 1
+    assert engine._piecewise.cache_info().currsize == 1
 
 
 def test_less_counts_every_call_and_caches_no_prover_error():
@@ -240,20 +301,24 @@ def test_less_counts_every_call_and_caches_no_prover_error():
 
 @pytest.mark.parametrize("kernel", QUICK)
 def test_library_is_the_one_without_memos(memoised, kernel, monkeypatch):
-    _, identity, counts = memoised[0][kernel]
+    _, identity, counts, moved = memoised[0][kernel]
     _bypass_memos(monkeypatch)
-    _, bare_identity, bare_counts = _enumerate(kernel)
+    _, bare_identity, bare_counts, bare_moved = _enumerate(kernel)
     assert bare_identity == identity
     assert bare_counts == counts
+    # Only the boolean grammar has classes to share; bypassed, none is shared.
+    by_class = ("equiv.order_by_class", "equiv.where_by_class")
+    assert all((moved.get(k, 0) > 0) is (kernel == "max_stack") for k in by_class)
+    assert not any(bare_moved.get(k) for k in by_class)
 
 
 @pytest.mark.slow
 def test_every_suite_library_is_the_one_without_memos():
     """All 33 suite kernels: node for node, battery for battery, count for count."""
     for kernel in benchmark_names():
-        _, identity, counts = _enumerate(kernel)
+        _, identity, counts, _ = _enumerate(kernel)
         with pytest.MonkeyPatch.context() as patch:
             _bypass_memos(patch)
-            _, bare_identity, bare_counts = _enumerate(kernel)
+            _, bare_identity, bare_counts, _ = _enumerate(kernel)
         assert bare_identity == identity, kernel
         assert bare_counts == counts, kernel

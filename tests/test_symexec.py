@@ -9,14 +9,14 @@ import pytest
 import sympy as sp
 
 from repro.ir import evaluate, float_tensor, parse, random_inputs
-from repro.ir.types import DType
+from repro.ir.types import DType, TensorType
 from repro.symexec import (
     SymTensor,
     canonical_key,
     equivalent,
     symbolic_execute,
 )
-from repro.symexec.symtensor import element_symbol, symbol_origin
+from repro.symexec.symtensor import element_symbol, rename, representative, symbol_origin
 
 TYPES = {
     "A": float_tensor(2, 3),
@@ -104,6 +104,45 @@ class TestSymbols:
         t = SymTensor.from_input("M", __import__("repro.ir.types", fromlist=["TensorType"]).TensorType(DType.BOOL, (2,)))
         for entry in t.entries():
             assert entry.is_Relational
+
+
+class TestIndexClass:
+    """``representative``: entry ``(i, j)`` renamed to index 0, or no opinion."""
+
+    A12, B12 = element_symbol("A", (1, 2)), element_symbol("B", (1, 2))
+
+    def test_one_shared_index_renames_to_zero_and_back(self):
+        A00, B00 = element_symbol("A", (0, 0)), element_symbol("B", (0, 0))
+        exprs = (self.A12, self.A12 * self.B12 + sp.sqrt(self.B12))
+        rep, back = representative(exprs)
+        assert rep == (A00, A00 * B00 + sp.sqrt(B00))
+        assert back == {A00: self.A12, B00: self.B12}
+        assert tuple(sp.srepr(rename(e, back)) for e in rep) == tuple(map(sp.srepr, exprs))
+
+    @pytest.mark.parametrize(
+        "exprs",
+        [
+            pytest.param((element_symbol("A", (0, 1)), element_symbol("B", (1, 0))), id="mixed-indices"),
+            pytest.param((element_symbol("A", (0, 0)), element_symbol("B", (0, 0))), id="index-0"),
+            pytest.param((element_symbol("a", ()), sp.Integer(2)), id="scalar-input"),
+            pytest.param((A12 + sp.Symbol("_u0", real=True), B12), id="solver-unknown"),
+            pytest.param((element_symbol("M", (1, 2), boolean=True), A12, B12), id="Gt-carrier"),
+            pytest.param((element_symbol("M", (1, 2), boolean=True).lhs, A12), id="bare-carrier"),
+            pytest.param((sp.Integer(2), sp.Rational(1, 3)), id="constants-only"),
+            pytest.param((sp.exp(A12), B12), id="outside-the-node-set"),
+        ],
+    )
+    def test_no_opinion(self, exprs):
+        assert representative(exprs) is None
+
+    def test_boolean_carriers_select_entry_by_entry(self):
+        """A carrier renamed to a positive ``M[0,0]`` would fold ``where`` to ``A``."""
+        types = {"M": TensorType(DType.BOOL, (2, 3)), "A": float_tensor(2, 3), "B": float_tensor(2, 3)}
+        got = symbolic_execute(parse("np.where(M, A, B)", types).node)
+        for idx in np.ndindex(2, 3):
+            a, b = element_symbol("A", idx), element_symbol("B", idx)
+            want = sp.Piecewise((a, element_symbol("M", idx, boolean=True)), (b, True))
+            assert sp.srepr(got.data[idx]) == sp.srepr(want), idx
 
 
 class TestDensityAndComplexityInputs:
