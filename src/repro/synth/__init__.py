@@ -6,7 +6,7 @@ from repro.synth.cache import (
     default_cache_dir,
     synthesis_fingerprint,
 )
-from repro.synth.complexity import simplifies, spec_complexity
+from repro.synth.complexity import prune_verdict, spec_complexity
 from repro.synth.config import DEFAULT_CONFIG, SIMPLIFICATION_ONLY, SynthesisConfig
 from repro.synth.enumerator import StubEntry, StubEnumerator, program_constants
 from repro.synth.library import Library, build_library, retype_sketch
@@ -42,8 +42,8 @@ __all__ = [
     "holes_of",
     "is_hole",
     "program_constants",
+    "prune_verdict",
     "retype_sketch",
-    "simplifies",
     "sketches_from_stub",
     "spec_complexity",
     "superoptimize_program",

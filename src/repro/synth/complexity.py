@@ -24,13 +24,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from repro.ir.nodes import Node
 from repro.symexec.residues import moved_values
 from repro.symexec.symtensor import SymTensor, input_symbols_of
 from repro.synth.sketch import Sketch
-from repro.synth.solver import _is_zero, outer_probe
+from repro.synth.solver import INVERSE_TABLE, Pruned, _is_zero, entry_pairs, entry_rule
 
 
 def _complexity(symbol_sets: list[set], density: float, mode: str) -> float:
@@ -49,39 +47,23 @@ def spec_complexity(spec: SymTensor, mode: str = "per_entry") -> float:
     return _complexity([input_symbols_of(e) for e in spec.entries()], spec.density(), mode)
 
 
-def simplifies(hole_specs: list[SymTensor], current: float, mode: str = "per_entry") -> bool:
-    """The paper's PRUNE criterion: a sketch survives iff the *average*
-    complexity of its hole specifications is strictly below the current
-    specification complexity."""
-    if not hole_specs:
-        return True
-    avg = sum(spec_complexity(h, mode) for h in hole_specs) / len(hole_specs)
-    return avg < current
+def prune_verdict(
+    hole_specs: list[SymTensor], current: float, mode: str = "per_entry"
+) -> tuple[list[float], Pruned | None]:
+    """The paper's PRUNE criterion: each hole spec's complexity, and the
+    verdict — None (the sketch survives) iff the *average* complexity of its
+    hole specifications is strictly below the current specification
+    complexity, else ``Pruned(mean)``."""
+    scores = [spec_complexity(h, mode) for h in hole_specs]
+    if not scores:
+        return scores, None
+    mean = sum(scores) / len(scores)
+    return scores, (Pruned(mean) if mean >= current else None)
 
 
 # ---------------------------------------------------------------------------
 # PRUNE's floor
 # ---------------------------------------------------------------------------
-
-#: ``(op, hole position) -> (f, multiplicative, guarded)``: the hole entry
-#: ``h = f(t, o)`` the root's inverter in :mod:`repro.synth.solver` builds
-#: from a spec entry ``t`` and the known argument's entry ``o``, operands in
-#: the same order, and the sides it gives up on when ``_is_zero`` (``multiply``
-#: instead answers a literal zero where both sides are zero).  Under a
-#: product or a quotient a factor that is zero as a function would erase the
-#: other side's dependences.
-_INVERSES: dict[tuple[str, int], tuple[Callable, bool, str]] = {
-    ("add", 0): (lambda t, o: t - o, False, ""),
-    ("add", 1): (lambda t, o: t - o, False, ""),
-    ("subtract", 0): (lambda t, o: t + o, False, ""),
-    ("subtract", 1): (lambda t, o: o - t, False, ""),
-    ("multiply", 0): (lambda t, o: t / o, True, ""),
-    ("multiply", 1): (lambda t, o: t / o, True, ""),
-    ("divide", 0): (lambda t, o: t * o, True, "o"),
-    ("divide", 1): (lambda t, o: o / t, True, "to"),
-    ("tensordot", 0): (lambda t, o: t / o, True, ""),
-    ("tensordot", 1): (lambda t, o: t / o, True, ""),
-}
 
 
 def _nonzero_value(values) -> bool:
@@ -90,8 +72,9 @@ def _nonzero_value(values) -> bool:
     return base != 0 or any(v != 0 for v in moved.values())
 
 
-def _is_zero_entry(expr, values) -> bool:
+def _is_zero_entry(expr) -> bool:
     """The inverters' ``_is_zero``, answered without SymPy by a non-zero value."""
+    values = moved_values(expr)
     if values is not None and _nonzero_value(values):
         return False
     return _is_zero(expr)
@@ -151,30 +134,6 @@ def _entry_floor(t, o, f, multiplicative: bool) -> tuple[set, bool]:
     return proven, nonzero or bool(proven)
 
 
-def _entry_pairs(sketch: Sketch, spec: SymTensor, value: Callable[[Node], SymTensor]):
-    """``(t, o)`` per hole entry, as the root's inverter pairs them, or None."""
-    root = sketch.root
-    pos = sketch.hole_path[0]
-    hole_type = root.args[pos].type
-    other = value(root.args[1 - pos])
-    if root.op != "tensordot":
-        if hole_type != spec.type:
-            return None  # the inverter would unbroadcast
-        o_data = np.broadcast_to(other.data, spec.shape)
-        return list(zip(spec.entries(), o_data.reshape(-1) if spec.shape else [o_data.item()]))
-    if root.attr("axes", 2) != 0 or len(spec.shape) != len(hole_type.shape) + len(other.shape):
-        return None
-    probe = outer_probe(other)
-    if probe is None:
-        return None
-    o_val = other.data[probe] if other.shape else other.item()
-    pairs = []
-    for hidx in np.ndindex(*hole_type.shape) if hole_type.shape else [()]:
-        tidx = hidx + probe if pos == 0 else probe + hidx
-        pairs.append((spec.data[tidx] if spec.shape else spec.item(), o_val))
-    return pairs
-
-
 def prune_floor(
     sketch: Sketch,
     spec: SymTensor,
@@ -184,44 +143,42 @@ def prune_floor(
     """A lower bound on the mean hole complexity PRUNE would score, or None.
 
     Computed before SOLVE derives anything, for a single-hole sketch whose
-    hole is a direct argument of an ``add``/``subtract``/``multiply``/
-    ``divide`` root of the spec's type, or of a ``tensordot(axes=0)`` root.
-    Per hole entry ``h = f(t, o)`` (:data:`_INVERSES`) it counts the symbols
-    exact evaluation proves ``h`` depends on and the entries it proves
-    non-zero (:func:`_entry_floor`).  Every spelling of ``h`` — the
+    hole is a direct argument of a root with a row in the solver's
+    :data:`~repro.synth.solver.INVERSE_TABLE` (``add``/``subtract``/
+    ``multiply``/``divide`` without unbroadcasting, ``tensordot(axes=0)``).
+    It pairs entries as the inverter does (:func:`entry_pairs`) and takes
+    each hole entry's rule from the same row (:func:`entry_rule`, with an
+    exact-value zero test); per hole entry ``h = f(t, o)`` it counts the
+    symbols exact evaluation proves ``h`` depends on and the entries it
+    proves non-zero (:func:`_entry_floor`).  Every spelling of ``h`` — the
     ``cancel``ed hole spec PRUNE would score included — mentions each such
     symbol, and ``density`` counts each such entry, so the bound holds for
     any normal form.  ``value`` gives the known argument's symbolic value.
 
     ``None`` is "no opinion": any other op, a multi-step hole path, several
     holes, or a query the inverter would give up on (a zero divisor, no
-    outer-product probe, an index it cannot reach).
+    outer-product probe, an index it cannot reach) or unbroadcast.
     """
     if sketch.num_holes != 1 or len(sketch.hole_path) != 1:
         return None
-    inverse = _INVERSES.get((sketch.op, sketch.hole_path[0]))
-    if inverse is None:
+    root, pos = sketch.root, sketch.hole_path[0]
+    row = INVERSE_TABLE.get((root.op, pos))
+    if row is None:
         return None
-    f, multiplicative, guarded = inverse
+    hole_shape = root.args[pos].type.shape
     try:
-        pairs = _entry_pairs(sketch, spec, value)
+        paired = entry_pairs(root, pos, spec, value(root.args[1 - pos]), hole_shape)
     except (ValueError, IndexError):
         return None
-    if not pairs:
-        return None
+    if paired is None or paired[0] != hole_shape or not paired[1]:
+        return None  # no pairing, one the inverter unbroadcasts, no entries
     symbol_sets: list[set] = []
     nonzero = 0
-    for t, o in pairs:
-        if sketch.op == "multiply" and _is_zero_entry(o, moved_values(o)):
-            if not _is_zero_entry(t, moved_values(t)):
-                return None
-            symbol_sets.append(set())  # the inverter's literal zero
-            continue
-        if ("t" in guarded and _is_zero_entry(t, moved_values(t))) or (
-            "o" in guarded and _is_zero_entry(o, moved_values(o))
-        ):
+    for t, o in paired[1]:
+        rule = entry_rule(root.op, pos, t, o, _is_zero_entry)
+        if rule is None:
             return None
-        proven, is_nonzero = _entry_floor(t, o, f, multiplicative)
+        proven, is_nonzero = _entry_floor(t, o, rule, row.multiplicative)
         symbol_sets.append(proven)
         nonzero += is_nonzero
     return _complexity(symbol_sets, nonzero / len(symbol_sets), mode)

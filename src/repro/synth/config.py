@@ -87,14 +87,6 @@ class SynthesisConfig:
     memoize: bool = True
     """Cache DFS results per canonical spec key."""
 
-    # -- solver ---------------------------------------------------------------
-    solver_generic_fallback: bool = True
-    """Use the fresh-unknowns + sympy.solve fallback when no chain of local
-    op inverters reaches the hole."""
-
-    solver_max_unknowns: int = 16
-    """Cap on fresh unknowns for the generic solver fallback."""
-
     # -- verification -----------------------------------------------------------
     verify_numeric_trials: int = 3
     """Random-input trials for final candidate verification."""

@@ -38,7 +38,7 @@ from repro.symexec.canonical import canonical_key, equivalent
 from repro.symexec.residues import residue_key, tensor_residues
 from repro.symexec.symtensor import SymTensor
 from repro.synth.cache import MISS, solver_key
-from repro.synth.complexity import prune_floor, spec_complexity
+from repro.synth.complexity import prune_floor, prune_verdict
 from repro.synth.config import SynthesisConfig
 from repro.synth.library import Library, retype_sketch
 from repro.synth.sketch import Sketch
@@ -236,11 +236,6 @@ class SearchContext:
         # that grew without bound across runs in a long-lived process).
         self._sketch_inputs: dict[Node, frozenset[str]] = {}
 
-    @property
-    def deadline(self) -> float:
-        """Absolute monotonic deadline (kept for backward compatibility)."""
-        return self.budget.deadline if self.budget.deadline is not None else _INF
-
     def check_time(self) -> None:
         try:
             self.budget.check()
@@ -264,13 +259,9 @@ class SearchContext:
         hole_scores: list[float] = []
 
         def prune(hole_specs) -> Pruned | None:
-            mode = self.config.complexity_mode
-            hole_scores[:] = [spec_complexity(h, mode) for h in hole_specs]
-            # The *average* hole complexity must strictly drop.
-            mean = sum(hole_scores) / len(hole_scores)
-            if mean >= score:
-                return Pruned(mean)
-            return None
+            scores, verdict = prune_verdict(hole_specs, score, self.config.complexity_mode)
+            hole_scores[:] = scores
+            return verdict
 
         cache_key = None
         out = MISS

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -116,32 +117,143 @@ def _unbroadcast(full: np.ndarray, target_shape: tuple[int, ...]) -> np.ndarray 
     return out
 
 
-def _broadcast_obj(t: SymTensor, shape: tuple[int, ...]) -> np.ndarray:
-    return np.broadcast_to(t.data, shape)
+# ---------------------------------------------------------------------------
+# One inverse table: the arithmetic and outer-product inverters, PRUNE's floor
+# ---------------------------------------------------------------------------
 
 
-def _elementwise_invert(
-    op_fn: Callable[[object, object], object | None],
+@dataclass(frozen=True)
+class EntryInverse:
+    """One row of :data:`INVERSE_TABLE`: ``op`` solved for one hole entry.
+
+    ``f`` gives the hole entry ``h = f(t, o)`` from the spec entry ``t`` and
+    the known argument's entry ``o``.  ``gives_up`` names the sides (``"t"``,
+    ``"o"``) whose being zero leaves no hole entry: a zero divisor makes the
+    sketch produce ``0/0``, not ``t``.  ``zero_literal`` is ``multiply``'s
+    ``t = h·0``: a zero ``o`` is solved by the literal ``h = 0`` when ``t`` is
+    zero too, and not at all otherwise.
+    """
+
+    f: Callable[[object, object], object]
+    gives_up: str = ""
+    zero_literal: bool = False
+
+    @property
+    def multiplicative(self) -> bool:
+        """``f`` is a product or a quotient: the rows a zero side is special to."""
+        return self.zero_literal or bool(self.gives_up)
+
+
+def _literal_zero(t, o):
+    return sp.S.Zero
+
+
+_QUOTIENT = EntryInverse(lambda t, o: t / o, zero_literal=True)
+
+#: ``(op, hole position) -> row``: the one place these inverses are written.
+#: ``tensordot`` is the outer product (``axes=0``), whose known entry is the
+#: :func:`outer_probe`, never zero.
+INVERSE_TABLE: dict[tuple[str, int], EntryInverse] = {
+    ("add", 0): EntryInverse(lambda t, o: t - o),
+    ("add", 1): EntryInverse(lambda t, o: t - o),
+    ("subtract", 0): EntryInverse(lambda t, o: t + o),
+    ("subtract", 1): EntryInverse(lambda t, o: o - t),
+    ("multiply", 0): _QUOTIENT,
+    ("multiply", 1): _QUOTIENT,
+    ("divide", 0): EntryInverse(lambda t, o: t * o, gives_up="o"),
+    ("divide", 1): EntryInverse(lambda t, o: o / t, gives_up="to"),
+    ("tensordot", 0): _QUOTIENT,
+    ("tensordot", 1): _QUOTIENT,
+}
+
+
+def entry_rule(op: str, pos: int, t, o, is_zero=_is_zero) -> Callable | None:
+    """How ``(op, pos)``'s row solves the entry pair ``(t, o)``: with the
+    row's ``f``, with the literal zero, or not at all (None).
+
+    ``is_zero`` is the zero test: ``_is_zero`` for SOLVE, an exact-value test
+    that answers as it does for PRUNE's floor.
+    """
+    row = INVERSE_TABLE[op, pos]
+    if row.zero_literal and is_zero(o):
+        return _literal_zero if is_zero(t) else None
+    if ("t" in row.gives_up and is_zero(t)) or ("o" in row.gives_up and is_zero(o)):
+        return None
+    return row.f
+
+
+def invert_entry(op: str, pos: int, t, o, is_zero=_is_zero):
+    """The hole entry ``h`` for which ``op`` of ``h`` (at ``pos``) and ``o``
+    is ``t``, or None."""
+    rule = entry_rule(op, pos, t, o, is_zero)
+    return None if rule is None else rule(t, o)
+
+
+def outer_probe(other: SymTensor) -> tuple[int, ...] | None:
+    """Index of the first entry of ``other`` not provably zero, or None.
+
+    Inverting the outer product ``tensordot(h, other, axes=0)`` divides one
+    slice of the spec by this entry.
+    """
+    for oidx in np.ndindex(*other.shape):
+        if not _is_zero(other.data[oidx]):
+            return oidx
+    return None
+
+
+def entry_pairs(
+    call: Call, pos: int, target: SymTensor, other: SymTensor, hole_shape: tuple[int, ...]
+) -> tuple[tuple[int, ...], list[tuple]] | None:
+    """``(shape, pairs)``: the ``(t, o)`` each hole candidate is solved from,
+    in C order over ``shape``, or None where the inverter pairs nothing.
+
+    An elementwise root pairs each spec entry with the known argument
+    broadcast to the spec's shape (unbroadcast onto ``hole_shape`` after);
+    ``tensordot(axes=0)`` pairs each hole entry with its spec entry in the
+    :func:`outer_probe` slice.
+    """
+    if call.op != "tensordot":
+        o_data = np.broadcast_to(other.data, target.shape).reshape(-1)
+        return target.shape, list(zip(target.entries(), o_data))
+    if call.attr("axes", 2) != 0 or len(target.shape) != len(hole_shape) + len(other.shape):
+        return None
+    probe = outer_probe(other)
+    if probe is None:
+        return None
+    o = other.data[probe]
+    return hole_shape, [
+        (target.data[hidx + probe if pos == 0 else probe + hidx], o)
+        for hidx in np.ndindex(*hole_shape)
+    ]
+
+
+def _invert_entries(
+    entry_fn: Callable[[object, object], object | None],
+    call: Call,
+    pos: int,
     target: SymTensor,
     other: SymTensor,
     hole_type: TensorType,
-) -> SymTensor | None:
-    """Generic elementwise inversion with broadcasting on both sides."""
-    spec_shape = target.shape
-    other_b = _broadcast_obj(other, spec_shape) if other.shape != spec_shape else other.data
-    full = np.empty(spec_shape, dtype=object)
-    it = np.ndindex(*spec_shape) if spec_shape else [()]
-    for idx in it:
-        value = op_fn(
-            target.data[idx] if spec_shape else target.item(),
-            other_b[idx] if spec_shape else (other_b.item() if isinstance(other_b, np.ndarray) else other_b),
-        )
+) -> np.ndarray | None:
+    """``entry_fn(t, o)`` over :func:`entry_pairs`, or None if any is None."""
+    paired = entry_pairs(call, pos, target, other, hole_type.shape)
+    if paired is None:
+        return None
+    shape, pairs = paired
+    out = np.empty(len(pairs), dtype=object)
+    for i, (t, o) in enumerate(pairs):
+        value = entry_fn(t, o)
         if value is None:
             return None
-        if spec_shape:
-            full[idx] = value
-        else:
-            full = np.array(value, dtype=object)
+        out[i] = value
+    return out.reshape(shape)
+
+
+def _elementwise_invert(entry_fn, call, pos, target, other, hole_type) -> SymTensor | None:
+    """Generic elementwise inversion with broadcasting on both sides."""
+    full = _invert_entries(entry_fn, call, pos, target, other, hole_type)
+    if full is None:
+        return None
     collapsed = _unbroadcast(full, hole_type.shape)
     if collapsed is None:
         return None
@@ -153,46 +265,15 @@ def _elementwise_invert(
 # ---------------------------------------------------------------------------
 
 
-@_inverter("add")
-def _invert_add(call, pos, args, target, hole_type):
-    other = args[1 - pos]
-    return _elementwise_invert(lambda t, o: t - o, target, other, hole_type)
-
-
-@_inverter("subtract")
-def _invert_subtract(call, pos, args, target, hole_type):
-    if pos == 0:
-        return _elementwise_invert(lambda t, o: t + o, target, args[1], hole_type)
-    return _elementwise_invert(lambda t, o: o - t, target, args[0], hole_type)
-
-
-def _safe_div(t, o):
-    if _is_zero(o):
-        return sp.S.Zero if _is_zero(t) else None
-    return t / o
-
-
-@_inverter("multiply")
-def _invert_multiply(call, pos, args, target, hole_type):
-    other = args[1 - pos]
-    return _elementwise_invert(_safe_div, target, other, hole_type)
-
-
-@_inverter("divide")
-def _invert_divide(call, pos, args, target, hole_type):
-    if pos == 0:
-        # divide(h, o) = t  =>  h = t * o, valid only where o != 0
-        # (a zero divisor would make the sketch produce 0/0, not t).
-        return _elementwise_invert(
-            lambda t, o: None if _is_zero(o) else t * o, target, args[1], hole_type
-        )
-    # divide(o, h) = t  =>  h = o / t; with o = 0 the sketch yields 0/0.
+def _invert_arithmetic(call, pos, args, target, hole_type):
+    """``add``/``subtract``/``multiply``/``divide``: one table row per entry."""
     return _elementwise_invert(
-        lambda t, o: None if _is_zero(t) or _is_zero(o) else o / t,
-        target,
-        args[0],
-        hole_type,
+        partial(invert_entry, call.op, pos), call, pos, target, args[1 - pos], hole_type
     )
+
+
+for _op in ("add", "subtract", "multiply", "divide"):
+    _INVERTERS[_op] = _invert_arithmetic
 
 
 @_inverter("power")
@@ -211,7 +292,7 @@ def _invert_power(call, pos, args, target, hole_type):
                 pass
             return t ** (sp.S.One / o)
 
-        return _elementwise_invert(invert_base, target, exponent, hole_type)
+        return _elementwise_invert(invert_base, call, pos, target, exponent, hole_type)
     base = args[0]
 
     def invert_exponent(t, o):
@@ -226,7 +307,7 @@ def _invert_power(call, pos, args, target, hole_type):
         # collapses log(A**5)/log(A) to 5.
         return sp.expand_log(sp.log(t)) / log_base
 
-    return _elementwise_invert(invert_exponent, target, base, hole_type)
+    return _elementwise_invert(invert_exponent, call, pos, target, base, hole_type)
 
 
 @_inverter("sqrt")
@@ -319,7 +400,7 @@ def _invert_where(call, pos, args, target, hole_type):
     cond = args[0]
     if cond is None or target.shape != hole_type.shape:
         return None
-    cond_b = _broadcast_obj(cond, target.shape) if cond.shape != target.shape else cond.data
+    cond_b = np.broadcast_to(cond.data, target.shape)
     out = np.empty(target.shape, dtype=object)
     it = np.ndindex(*target.shape) if target.shape else [()]
     for idx in it:
@@ -447,7 +528,9 @@ def _invert_dot(call, pos, args, target, hole_type):
     hole_shape = hole_type.shape
     # Scalar-operand dot degenerates to elementwise multiply.
     if other.shape == () or hole_shape == ():
-        return _elementwise_invert(_safe_div, target, other, hole_type)
+        return _elementwise_invert(
+            partial(invert_entry, "multiply", pos), call, pos, target, other, hole_type
+        )
     if not _all_distinct_symbols(other):
         return None  # compound known arg: handled by the generic fallback
     diff_cache: dict[tuple, sp.Expr] = {}
@@ -502,44 +585,20 @@ def _invert_dot(call, pos, args, target, hole_type):
     return _canonical_tensor(hole)
 
 
-def outer_probe(other: SymTensor) -> tuple[int, ...] | None:
-    """Index of the first entry of ``other`` not provably zero, or None.
-
-    Inverting the outer product ``tensordot(h, other, axes=0)`` divides one
-    slice of the spec by this entry; PRUNE's floor reads the same one.
-    """
-    for oidx in np.ndindex(*other.shape) if other.shape else [()]:
-        if not _is_zero(other.data[oidx] if other.shape else other.item()):
-            return oidx
-    return None
-
-
 @_inverter("tensordot")
 def _invert_tensordot(call, pos, args, target, hole_type):
-    axes = call.attr("axes", 2)
     other = args[1 - pos]
     if other is None:
         return None
-    if axes != 0:
-        return None  # contracting tensordots go through the generic fallback
-    # Outer product: target index splits into (hole part, other part).
-    h_rank = len(hole_type.shape)
-    o_rank = len(other.shape)
-    if len(target.shape) != h_rank + o_rank:
+    # Outer product only (a contracting tensordot has no pairing): a hole
+    # entry is its spec entry in the probe slice divided by the probe entry,
+    # which is never zero, so the row never gives up.
+    hole = _invert_entries(
+        lambda t, o: sp.cancel(invert_entry("tensordot", pos, t, o)),
+        call, pos, target, other, hole_type,
+    )
+    if hole is None:
         return None
-    hole = np.empty(hole_type.shape, dtype=object)
-    probe = outer_probe(other)
-    if probe is None:
-        return None
-    o_val = other.data[probe] if other.shape else other.item()
-    for hidx in np.ndindex(*hole_type.shape) if hole_type.shape else [()]:
-        tidx = (hidx + probe) if pos == 0 else (probe + hidx)
-        entry = target.data[tidx] if target.shape else target.item()
-        value = sp.cancel(entry / o_val)
-        if hole_type.shape:
-            hole[hidx] = value
-        else:
-            hole = np.array(value, dtype=object)
     product = np.tensordot(hole if pos == 0 else other.data,
                            other.data if pos == 0 else hole, axes=0)
     if not _verify_tensor_equal(product, target):
@@ -552,9 +611,11 @@ def _invert_tensordot(call, pos, args, target, hole_type):
 # ---------------------------------------------------------------------------
 
 
-def _generic_solve(
-    sketch: Sketch, spec: SymTensor, config: SynthesisConfig
-) -> tuple[SymTensor, ...] | None:
+#: Cap on the fresh unknowns of one generic solve.
+MAX_UNKNOWNS = 16
+
+
+def _generic_solve(sketch: Sketch, spec: SymTensor) -> tuple[SymTensor, ...] | None:
     """Bind every hole to fresh unknowns, execute the sketch symbolically,
     and solve the elementwise equation system for the unknowns.
 
@@ -563,7 +624,7 @@ def _generic_solve(
     multi-hole case)."""
     hole_types = [hole.type for hole in sketch.holes]
     n_unknowns = sum(max(t.size, 1) for t in hole_types)
-    if n_unknowns > config.solver_max_unknowns:
+    if n_unknowns > MAX_UNKNOWNS:
         return None
     flat_syms = [sp.Symbol(f"_u{i}", real=True) for i in range(n_unknowns)]
     bindings = {}
@@ -670,9 +731,9 @@ class SketchSolver:
         self, sketch: Sketch, spec: SymTensor
     ) -> tuple[SymTensor, ...] | None:
         if not self.tracer.enabled:
-            return _generic_solve(sketch, spec, self.config)
+            return _generic_solve(sketch, spec)
         start = time.monotonic()
-        result = _generic_solve(sketch, spec, self.config)
+        result = _generic_solve(sketch, spec)
         self.tracer.complete(
             "generic-solve", "solver",
             start=start,
@@ -723,8 +784,6 @@ class SketchSolver:
         :meth:`_decomposition_holds` confirms it.
         """
         if sketch.num_holes != 1:
-            if not self.config.solver_generic_fallback:
-                return None
             return self._traced_generic_solve(sketch, spec)
         target = spec
         node: Node = sketch.root
@@ -734,9 +793,7 @@ class SketchSolver:
                 return None
             inverter = _INVERTERS.get(node.op)
             if inverter is None:
-                if self.config.solver_generic_fallback:
-                    return self._traced_generic_solve(sketch, spec)
-                return None
+                return self._traced_generic_solve(sketch, spec)
             siblings: list[SymTensor | None] = []
             for i, arg in enumerate(node.args):
                 siblings.append(None if i == step else self.value(arg))

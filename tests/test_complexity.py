@@ -4,7 +4,8 @@ import pytest
 
 from repro.ir import float_tensor, parse
 from repro.symexec import symbolic_execute
-from repro.synth.complexity import simplifies, spec_complexity
+from repro.synth.complexity import prune_verdict, spec_complexity
+from repro.synth.solver import Pruned
 
 TYPES = {
     "A": float_tensor(2, 3),
@@ -61,16 +62,19 @@ class TestGlobalMode:
 
 
 class TestSimplifies:
+    """PRUNE's criterion, ``prune_verdict``: the hole scores and the verdict."""
+
     def test_strictly_less_required(self):
         current = spec_complexity(spec("A * B.T"))
-        assert not simplifies([spec("A * B.T")], current)
-        assert simplifies([spec("A + A")], current)
+        assert prune_verdict([spec("A * B.T")], current) == ([2.0], Pruned(2.0))
+        assert prune_verdict([spec("A + A")], current) == ([1.0], None)
 
     def test_average_over_holes(self):
         current = spec_complexity(spec("A * B.T"))  # 2.0
         cheap, costly = spec("A + A"), spec("np.dot(A, B)")
-        assert simplifies([cheap, cheap], current)
-        assert not simplifies([costly, costly], current)
+        assert prune_verdict([cheap, cheap], current) == ([1.0, 1.0], None)
+        assert prune_verdict([costly, costly], current) == ([6.0, 6.0], Pruned(6.0))
+        assert prune_verdict([cheap, costly], current)[1] == Pruned(3.5)
 
     def test_no_holes_always_simplifies(self):
-        assert simplifies([], 0.0)
+        assert prune_verdict([], 0.0) == ([], None)

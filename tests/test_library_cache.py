@@ -226,10 +226,11 @@ def test_pool_parent_drops_the_undecodable_entry_its_worker_replaced(tmp_path):
 def test_default_fingerprint_is_pinned():
     """Caches, journals, request logs and stores written so far stay valid.
 
-    Moved once, with ``CACHE_VERSION`` 4: four never-set fields left the
-    config (21 -> 17), so users saw one invalidation, not two."""
-    assert len(dataclasses.fields(DEFAULT_CONFIG)) == 17
-    assert synthesis_fingerprint(DEFAULT_CONFIG, make_cost_model("flops")) == "0da1238ab77305d7"
+    Moved with ``CACHE_VERSION`` 4, when four never-set fields left the
+    config (21 -> 17), and again when the two solver knobs became the
+    always-on generic fallback and ``solver.MAX_UNKNOWNS`` (17 -> 15)."""
+    assert len(dataclasses.fields(DEFAULT_CONFIG)) == 15
+    assert synthesis_fingerprint(DEFAULT_CONFIG, make_cost_model("flops")) == "02f40e4f64b5c60c"
 
 
 def test_node_table_roundtrip_is_structural():

@@ -7,6 +7,7 @@ from repro.ir import float_tensor, parse
 from repro.ir.nodes import Call, Input
 from repro.symexec import canonical, equivalent, symbolic_execute
 from repro.synth import SketchSolver, SynthesisConfig, superoptimize_program
+from repro.synth import solver as solver_module
 from repro.synth.sketch import Hole, holes_of, sketches_from_stub
 
 TYPES = {"A": float_tensor(2, 2), "B": float_tensor(2, 2), "x": float_tensor(2)}
@@ -46,25 +47,27 @@ class TestTwoHoleSketchGeneration:
 
 
 class TestTwoHoleSolving:
-    def test_stack_pins_both_holes(self):
+    def test_stack_pins_both_holes(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_UNKNOWNS", 8)
         stub = node_of("np.stack([A, B])")
         sketch = next(
             s for s in sketches_from_stub(stub, multi_hole=True) if s.num_holes == 2
         )
-        solver = SketchSolver(SynthesisConfig(solver_max_unknowns=8))
+        solver = SketchSolver(SynthesisConfig())
         spec = spec_of("np.stack([A + A, B * B])")
         hole_specs = solver.solve_all(sketch, spec)
         assert hole_specs is not None and len(hole_specs) == 2
         assert equivalent(hole_specs[0], spec_of("A + A"))
         assert equivalent(hole_specs[1], spec_of("B * B"))
 
-    def test_budget_covers_all_holes(self):
+    def test_budget_covers_all_holes(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_UNKNOWNS", 6)
         stub = node_of("np.stack([A, B])")
         sketch = next(
             s for s in sketches_from_stub(stub, multi_hole=True) if s.num_holes == 2
         )
         # 4 + 4 unknowns > 6: rejected.
-        solver = SketchSolver(SynthesisConfig(solver_max_unknowns=6))
+        solver = SketchSolver(SynthesisConfig())
         assert solver.solve_all(sketch, spec_of("np.stack([A, B])")) is None
 
     def test_single_hole_solve_all_delegates(self):
@@ -76,11 +79,10 @@ class TestTwoHoleSolving:
 
 
 class TestEndToEnd:
-    def test_search_with_multi_hole_enabled(self):
+    def test_search_with_multi_hole_enabled(self, monkeypatch):
         """The single-hole results are preserved when the feature is on."""
-        config = SynthesisConfig(
-            multi_hole_sketches=True, timeout_seconds=120, solver_max_unknowns=8
-        )
+        monkeypatch.setattr(solver_module, "MAX_UNKNOWNS", 8)
+        config = SynthesisConfig(multi_hole_sketches=True, timeout_seconds=120)
         program = parse("np.exp(np.log(A + B))", TYPES, name="k")
         result = superoptimize_program(program, cost_model=FlopsCostModel(), config=config)
         assert result.improved

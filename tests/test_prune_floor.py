@@ -9,11 +9,15 @@ mentioned by every spelling of it, a non-zero value is counted by
 
 (a) the floor never exceeds the exact mean, and never cuts a query that would
 be solved, on every SOLVE query of the suite_search kernels (and
-``vec_lerp``); (b) a proven dependence survives every rewrite, and a random
-floor is below its derivation; (c) a forced no-opinion floor and a forced
-zero floor reproduce every outcome; (d) what has no opinion; (e) ``global``
+``vec_lerp``); (b) a proven dependence survives every rewrite, a random
+floor is below its derivation, and every row of the inverse table the floor
+shares with the inverters solves its op; (c) a forced no-opinion floor and a
+forced zero floor reproduce every outcome; (d) what has no opinion; (e) ``global``
 mode; and the trace says why a floor-pruned sketch was dropped.
 """
+
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from repro.symexec.symtensor import SymTensor, element_symbol
 from repro.synth import SynthesisConfig, search
 from repro.synth.complexity import prune_floor, spec_complexity
 from repro.synth.sketch import Hole, Sketch
-from repro.synth.solver import SketchSolver, _is_zero
+from repro.synth.solver import INVERSE_TABLE, SketchSolver, _is_zero, invert_entry
 from repro.synth.superoptimizer import superoptimize_program, superoptimize_source
 
 CONFIG = SynthesisConfig(timeout_seconds=300)
@@ -177,6 +181,43 @@ def test_a_random_floor_is_below_its_derivation(t, o):
         mean = _exact_mean(sketch, spec, other)
         if floor is not None and mean is not None:
             assert floor <= mean, (op, pos, t, o, floor, mean)
+
+
+#: Each table op applied to its operands in hole order (``tensordot(axes=0)``
+#: is a product per entry).
+_OP = {"add": operator.add, "subtract": operator.sub, "multiply": operator.mul,
+       "divide": operator.truediv, "tensordot": operator.mul}
+
+
+#: Rational entries with exact values (no ``zoo``), zero among them.
+_RATIONAL = (_EXPRS | st.just(sp.S.Zero)).filter(lambda e: moved_values(e) is not None)
+
+
+@_PROPERTY
+@given(_RATIONAL, _RATIONAL)
+def test_every_table_row_is_an_inverse(t, o):
+    """The one table SOLVE and PRUNE's floor read: ``h`` solves ``op`` for the
+    entry, and its exact values are the row's ``f`` of the operands' values."""
+    zero = {side for side, e in (("t", t), ("o", o)) if _is_zero(e)}
+    for (op, pos), row in INVERSE_TABLE.items():
+        h = invert_entry(op, pos, t, o)
+        if row.zero_literal and "o" in zero:
+            assert (h is None) if "t" not in zero else (h == 0), (op, pos, t, o, h)
+            continue
+        if zero & set(row.gives_up):
+            assert h is None, (op, pos, t, o, h)
+            continue
+        args = (h, o) if pos == 0 else (o, h)
+        assert sp.cancel(_OP[op](*args) - t) == 0, (op, pos, t, o, h)
+        if moved_values(h) is None:
+            continue  # a denominator of h vanishes at an order point
+        (h0, h_moved), (t0, t_moved), (o0, o_moved) = map(moved_values, (h, t, o))
+        for x in {None} | set(h_moved) | set(t_moved) | set(o_moved):  # None: base point
+            try:
+                expected = row.f(Fraction(t_moved.get(x, t0)), Fraction(o_moved.get(x, o0)))
+            except ZeroDivisionError:
+                continue
+            assert h_moved.get(x, h0) == expected, (op, pos, t, o, h, x)
 
 
 # -- (c) forcing the floor changes no outcome ----------------------------------------

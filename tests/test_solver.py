@@ -268,13 +268,13 @@ class TestSolverSafety:
         # ``sympy.solve`` drops the rows that mention no unknown, so against
         # stack([2x, 2x]) it still answers ?? = 2x although row 1 is x, not 2x.
         wrong = spec_of("np.stack([x + x, x + x])", types)
-        assert solver_mod._generic_solve(sketch, wrong, solver.config) is not None
+        assert solver_mod._generic_solve(sketch, wrong) is not None
         assert solver.solve(sketch, wrong) is None
         assert len(proofs) == 2
 
         # A doctored generic solution is turned down the same way.
         monkeypatch.setattr(
-            solver_mod, "_generic_solve", lambda sk, spec, config: (spec_of("x * x", types),)
+            solver_mod, "_generic_solve", lambda sk, spec: (spec_of("x * x", types),)
         )
         assert solver.solve(sketch, spec_of("np.stack([x + x, x])", types)) is None
         assert len(proofs) == 3
