@@ -9,8 +9,8 @@ sources of rules are supported:
   ``AUDIT_WAIVERS``, those waivers are applied and reported.
 * ``--journal PATH`` — a run journal (``journal.jsonl``); rules are re-mined
   from every *improved* kernel outcome and audited.
-* ``--store DIR`` — a content-addressed result store root; same re-mining
-  over every stored outcome.
+* ``--store DIR`` — a daemon state directory; same re-mining over every
+  ``result`` entry of its request log (``DIR/requests.jsonl``).
 
 Exit status is 1 when any audited rule has an unwaivered error-severity
 finding, 0 otherwise.  ``--json PATH`` writes the full findings report
@@ -127,33 +127,19 @@ def _load_catalog(spec: str, notes: list[str]) -> tuple[list[MinedRule], tuple[A
     return mined, waivers
 
 
-def _load_journal(path: str, notes: list[str]) -> list[MinedRule]:
+def _load_log(path: Path, notes: list[str]) -> list[MinedRule]:
+    """Rules re-mined from a run journal's ``kernel`` entries or a request
+    log's ``result`` entries."""
     from repro.journal import read_entries
 
-    entries, dropped = read_entries(Path(path))
+    entries, dropped = read_entries(path)
     if dropped:
-        notes.append(f"journal: {dropped} corrupt/torn line(s) dropped")
+        notes.append(f"{path.name}: {dropped} corrupt/torn line(s) dropped")
     outcomes = [
-        e["outcome"] for e in entries if e.get("type") == "kernel" and e.get("outcome")
+        e["outcome"]
+        for e in entries
+        if e.get("type") in ("kernel", "result") and e.get("outcome")
     ]
-    return _rules_from_outcomes(outcomes, notes)
-
-
-def _load_store(root: str, notes: list[str]) -> list[MinedRule]:
-    from repro.journal import decode_line
-
-    outcomes: list[dict] = []
-    objects = Path(root) / "objects"
-    for file in sorted(objects.glob("*/*.json")) if objects.is_dir() else []:
-        try:
-            payload = decode_line(file.read_text())
-        except OSError:
-            payload = None
-        if payload is None:
-            notes.append(f"store: {file.name} corrupt; skipped")
-            continue
-        if payload.get("outcome"):
-            outcomes.append(payload["outcome"])
     return _rules_from_outcomes(outcomes, notes)
 
 
@@ -173,7 +159,9 @@ def main(argv: list[str] | None = None) -> int:
         "--journal", metavar="PATH", help="re-mine and audit rules from a run journal"
     )
     source.add_argument(
-        "--store", metavar="DIR", help="re-mine and audit rules from a content store root"
+        "--store",
+        metavar="DIR",
+        help="re-mine and audit rules from a daemon state dir's request log",
     )
     parser.add_argument(
         "--policy",
@@ -192,10 +180,10 @@ def main(argv: list[str] | None = None) -> int:
     notes: list[str] = []
     waivers: tuple[AuditWaiver, ...] = ()
     if args.journal:
-        rules = _load_journal(args.journal, notes)
+        rules = _load_log(Path(args.journal), notes)
         origin = f"journal {args.journal}"
     elif args.store:
-        rules = _load_store(args.store, notes)
+        rules = _load_log(Path(args.store) / "requests.jsonl", notes)
         origin = f"store {args.store}"
     else:
         spec = args.catalog or "repro.rules.catalog:DISCOVERED_RULES"

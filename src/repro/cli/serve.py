@@ -34,13 +34,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli serve",
         description="Run the STENSO synthesis daemon (warm worker pool, "
-        "durable request queue, content-addressed result store).",
+        "durable request log, finished syntheses served by content key).",
     )
     parser.add_argument(
         "--state-dir",
         type=Path,
         required=True,
-        help="Daemon state directory (lock, socket, request log, store).",
+        help="Daemon state directory (lock, socket, request log, pool cache).",
     )
     parser.add_argument(
         "--workers", type=int, default=2, help="Persistent synthesis workers."

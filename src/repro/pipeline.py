@@ -9,7 +9,7 @@ amortization is decided, once, for every driver — the sequential loop of
 differ only in the *order* they run kernels in.  The resolution ladder:
 
 1. :meth:`~ModuleOptimizer.readmit` — an outcome somebody recorded (journal
-   line, request-log result, content-store object) is trusted again: an
+   line or request-log result) is trusted again: an
    improved one is re-verified, a synthesized one re-mines its rule, a
    completed unimproved one re-records its pattern verdict;
 2. :meth:`~ModuleOptimizer.resolve` — everything short of a search: the
@@ -117,7 +117,7 @@ class KernelOutcome:
     original_cost: float
     optimized_cost: float
     synthesis_seconds: float = 0.0
-    status: str = "ok"  # 'ok' | 'degraded' | 'timeout' | 'error'
+    status: str = "ok"  # 'ok' | 'degraded' | 'timeout' | 'error' | 'shed'
     error: str | None = None
     #: Metrics-registry snapshot from the synthesis run (see
     #: :mod:`repro.obs.metrics`); empty for rule-cache hits and pass-throughs.
@@ -332,8 +332,8 @@ class ModuleOptimizer:
     def readmit(
         self, spec: KernelSpec, outcome: KernelOutcome | None
     ) -> KernelOutcome | None:
-        """Trust an outcome somebody recorded for ``spec`` (a journal line, a
-        request-log result, a content-store object); None means do it again.
+        """Trust an outcome somebody recorded for ``spec`` (a journal line or
+        a request-log result); None means do it again.
 
         An unimproved outcome is taken as is, and a completed (``ok``) one
         re-records its pattern verdict.  An improved one is cheaply

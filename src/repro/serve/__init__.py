@@ -9,21 +9,24 @@
 * :class:`~repro.serve.client.ServeClient` — thin client API
   (``submit`` / ``status`` / ``result`` / ``health`` / ``metrics`` /
   ``shutdown``) with timeouts and jittered reconnect backoff.
-* :class:`~repro.serve.store.ContentStore` — content-addressed finished
-  results for fleet-wide dedup, with checksum verification, quarantine of
-  corrupt entries, and a :class:`~repro.serve.store.CircuitBreaker`.
+* :class:`~repro.serve.store.ContentStore` — the daemon's in-memory index
+  of finished syntheses by content key, for fleet-wide dedup; rebuilt at
+  restart from the request log, which is the only durable copy.
 * :class:`~repro.serve.watchdog.Supervisor` — self-healing watchdog that
   restarts a wedged daemon from its request journal.
+
+A daemon's state dir holds ``daemon.lock``, ``daemon.sock``,
+``requests.jsonl`` (requests and results), ``store/cache/`` (the pool's
+persistent cache), ``heartbeat`` and ``metrics.json``.
 """
 
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeRequest, SynthesisDaemon
 from repro.serve.pool import PoolEvent, PoolTask, WorkerPool
-from repro.serve.store import CircuitBreaker, ContentStore, content_key
+from repro.serve.store import ContentStore, content_key
 from repro.serve.watchdog import Supervisor, SupervisorPolicy
 
 __all__ = [
-    "CircuitBreaker",
     "ContentStore",
     "PoolEvent",
     "PoolTask",

@@ -20,15 +20,15 @@ restructures the system so they are paid once per daemon lifetime:
   ``(synthesis fingerprint, kernel identity)``: concurrent clients (or
   daemon restarts) submitting the identical kernel trigger one synthesis and
   all receive the result.  In-flight dedup attaches followers to the running
-  request; completed work is served from the store.
+  request; completed work is served from the store, an in-memory index over
+  the log's synthesized ``result`` lines.
 
 State directory layout::
 
     <state_dir>/daemon.lock      exclusive daemon lock (second daemon refused)
     <state_dir>/daemon.sock      Unix socket (clients)
-    <state_dir>/requests.jsonl   durable request/result log (DurableLog)
-    <state_dir>/store/objects/   content-addressed results (write_atomic)
-    <state_dir>/store/quarantine corrupt store objects, moved aside on read
+    <state_dir>/requests.jsonl   durable request/result log (DurableLog); the
+                                 one durable copy of every result
     <state_dir>/store/cache/     the pool's PersistentCache: one DurableLog
                                  per section, appended to by the workers
     <state_dir>/heartbeat        dispatcher liveness beat (write_atomic)
@@ -46,9 +46,10 @@ time).
 
 Dispatch: what is tried before a request reaches a worker, and what a
 worker's answer means, is the daemon's :class:`~repro.pipeline.ModuleOptimizer`'s
-resolution ladder, the one a module run climbs: ``_restore`` and a
-content-store hit go through ``readmit`` (a restart re-learns the rules and
-pattern verdicts its log proves before the socket binds), ``_dispatch_one``
+resolution ladder, the one a module run climbs: ``_restore`` sends every
+logged result through ``readmit`` (a restart re-learns the rules and pattern
+verdicts its log proves before the socket binds, and indexes only what it
+re-verified), a content-store hit is served as indexed, ``_dispatch_one``
 asks ``resolve``, ``_handle_event`` hands every pool event to ``settle`` — with
 no failure-verdict dict: a transient worker crash must not poison a pattern
 for a daemon's lifetime.  This module keeps what is the daemon's own:
@@ -80,7 +81,7 @@ from repro.obs.progress import ProgressBoard
 from repro.pipeline import KernelOutcome, KernelSpec, ModuleOptimizer
 from repro.resilience import FileLock, ResiliencePolicy, inject
 from repro.serve.pool import WorkerPool, absorb_trace
-from repro.serve.store import CircuitBreaker, ContentStore, content_key
+from repro.serve.store import ContentStore, content_key
 from repro.serve.wire import recv_msg, send_msg, spec_from_payload, spec_to_payload
 from repro.synth.cache import PersistentCache, synthesis_fingerprint
 from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
@@ -131,10 +132,11 @@ class RequestLog:
             path, {"type": "serve-log", "version": _LOG_VERSION, "fingerprint": fingerprint}
         )
 
-    def load(self) -> tuple[list[dict], dict[str, dict]]:
-        """Replay the log: (request entries in order, results by request id)."""
+    def load(self) -> tuple[list[dict], dict[str, tuple[dict, str | None]]]:
+        """Replay the log: (request entries in order, ``(outcome,
+        served_from)`` by request id; a later result line wins)."""
         requests: list[dict] = []
-        results: dict[str, dict] = {}
+        results: dict[str, tuple[dict, str | None]] = {}
         entries, _end, _dropped = self._log.read()
         if entries and not self._log.bound(entries[0]):
             raise ServeError(
@@ -146,7 +148,7 @@ class RequestLog:
             if entry.get("type") == "request":
                 requests.append(entry)
             elif entry.get("type") == "result":
-                results[entry["id"]] = entry["outcome"]
+                results[entry["id"]] = (entry["outcome"], entry.get("served_from"))
         return requests, results
 
     def record_request(self, req: ServeRequest) -> None:
@@ -191,7 +193,6 @@ class SynthesisDaemon:
         max_inflight_per_client: int | None = None,
         heartbeat_interval_s: float = 1.0,
         conn_read_timeout_s: float = 60.0,
-        store_breaker: CircuitBreaker | None = None,
     ) -> None:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
@@ -210,11 +211,7 @@ class SynthesisDaemon:
         self.conn_read_timeout_s = conn_read_timeout_s
         self.heartbeat_path = self.state_dir / "heartbeat"
         self.metrics = MetricsRegistry()
-        self.store = ContentStore(
-            self.state_dir / "store",
-            breaker=store_breaker if store_breaker is not None else CircuitBreaker(),
-            on_event=self._on_store_event,
-        )
+        self.store = ContentStore()
         self._cache = PersistentCache(self.state_dir / "store" / "cache")
         # The daemon's own optimizer: it owns the resolution ladder (readmit /
         # resolve / settle) and the rules and pattern verdicts behind it.  It
@@ -277,10 +274,6 @@ class SynthesisDaemon:
             self._release_lock()
             raise
 
-    def _on_store_event(self, name: str) -> None:
-        """Store health events → metrics (quarantined / breaker transitions)."""
-        self.metrics.counter(f"serve.store_{name}").inc()
-
     def _beat(self, force: bool = False) -> None:
         """Refresh the heartbeat file the supervisor watchdog watches.
 
@@ -329,8 +322,11 @@ class SynthesisDaemon:
     def _restore(self) -> None:
         """Rebuild state from the request log: finished requests become
         ``done`` (their outcomes re-served verbatim, their rules and pattern
-        verdicts re-learned by ``readmit``), pending ones re-enter the queue —
-        the crash cost is exactly the work that was in flight."""
+        verdicts re-learned by ``readmit``, their syntheses indexed in the
+        content store), pending ones re-enter the queue — the crash cost is
+        exactly the work that was in flight.  A result line that fails its
+        checksum never gets here, and one ``readmit`` rejects is not served:
+        either way its request runs again."""
         request_entries, results = self.log.load()
         restored = pending = 0
         for entry in request_entries:
@@ -357,7 +353,7 @@ class SynthesisDaemon:
             except ValueError:
                 pass
             self._requests[req.id] = req
-            payload = results.get(req.id)
+            payload, served_from = results.get(req.id, (None, None))
             outcome = None
             if payload is not None:
                 try:
@@ -369,6 +365,8 @@ class SynthesisDaemon:
                 req.outcome = outcome
                 req.served_from = "restored"
                 restored += 1
+                if served_from == "synthesis":
+                    self.store.put(req.content_key, outcome)
                 continue
             pending += 1
             self._enqueue(req)
@@ -547,13 +545,10 @@ class SynthesisDaemon:
 
             # Fleet-wide dedup, cheapest first: a finished identical kernel in
             # the content store, else an identical in-flight one.  Both are
-            # admitted even under overload — they cost no worker time.
+            # admitted even under overload — they cost no worker time.  A hit
+            # is not re-verified: this process's pool produced it, or
+            # ``_restore`` readmitted it.
             stored = self.store.get(ckey)
-            if stored is not None and self._opt.readmit(spec, stored) is None:
-                # Decodes cleanly but no longer verifies: semantically
-                # corrupt.  Quarantine it and re-synthesize.
-                self.store.quarantine(ckey)
-                stored = None
             leader_id = self._inflight.get(ckey)
             follows = (
                 leader_id is not None
@@ -685,7 +680,8 @@ class SynthesisDaemon:
         self, req: ServeRequest, outcome: KernelOutcome, served_from: str
     ) -> None:
         """Terminal transition (caller holds the lock): durably record the
-        result, publish it, update telemetry, cascade to dedup followers."""
+        result, index a synthesis in the content store, update telemetry,
+        cascade to dedup followers."""
         req.state = "done"
         req.outcome = outcome
         req.served_from = served_from

@@ -270,7 +270,9 @@ def test_parent_commit_request_log_still_loads_and_appends(tmp_path):
     assert [(r["id"], r["priority"], r["timeout_s"]) for r in requests] == [
         ("r1", 2, 30.0), ("r2", 0, None)
     ]
-    assert list(results) == ["r1"] and results["r1"]["via"] == "synthesis"
+    assert list(results) == ["r1"]
+    outcome, served_from = results["r1"]
+    assert outcome["via"] == "synthesis" and served_from == "synthesis"
     with pytest.raises(ServeError, match="different synthesis configuration"):
         RequestLog(path, "another-fingerprint").load()
     # Appending to the old file adds lines, not a second header.

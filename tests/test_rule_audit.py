@@ -268,11 +268,16 @@ class TestLintCLI:
         assert "mystery" in err and "skipped" in err
 
     def test_store_mode(self, tmp_path):
-        objects = tmp_path / "objects" / "ab"
-        objects.mkdir(parents=True)
-        (objects / "abcd.json").write_text(
-            encode_line({"key": "abcd", "outcome": _EXP_LOG_OUTCOME}) + "\n"
-        )
+        # A daemon state dir: the result entries of its request log.
+        lines = [
+            encode_line({"type": "serve-log", "version": 1, "fingerprint": "x"}),
+            encode_line({"type": "request", "id": "r1", "spec": {}}),
+            encode_line(
+                {"type": "result", "id": "r1", "served_from": "synthesis",
+                 "outcome": _EXP_LOG_OUTCOME}
+            ),
+        ]
+        (tmp_path / "requests.jsonl").write_text("\n".join(lines) + "\n")
         assert lint_main(["--store", str(tmp_path), "--policy", "positive"]) == 0
         assert lint_main(["--store", str(tmp_path), "--policy", "strict"]) == 1
 

@@ -13,9 +13,11 @@ The contract under test (the robustness layer over :mod:`repro.serve`):
 * **worker lifecycle hygiene** — pool workers are recycled after
   ``max_requests_per_worker`` tasks or an RSS high-watermark, with the warm
   cache files there for the replacement;
-* **store quarantine** — a corrupted content-store object is verified on
-  read, moved to ``quarantine/``, and reported as a miss (re-synthesis, not
-  a crash); repeated corruption opens a circuit breaker;
+* **what a restart trusts** — the request log's result lines are the one
+  durable copy of a served result: a line that fails its checksum is dropped
+  and its request re-runs, one that decodes but no longer verifies is
+  rejected by ``readmit`` and re-synthesized, and a content-store hit is
+  served from the in-memory index without re-verification;
 * **wire hardening** — malformed, truncated, or oversized frames draw a
   structured protocol error, never a dead connection thread.
 """
@@ -27,22 +29,17 @@ import tempfile
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from io import StringIO
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ServeError, ShedError, WireError
-from repro.pipeline import KernelOutcome, KernelSpec
+from repro.journal import decode_line, encode_line
+from repro.pipeline import KernelSpec, ModuleOptimizer
 from repro.resilience import ResiliencePolicy
-from repro.serve import (
-    CircuitBreaker,
-    ContentStore,
-    ServeClient,
-    SynthesisDaemon,
-    WorkerPool,
-    content_key,
-)
+from repro.serve import ServeClient, SynthesisDaemon, WorkerPool, content_key
 from repro.serve.wire import recv_msg
 from repro.synth.cache import PersistentCache
 from repro.synth.config import SynthesisConfig
@@ -155,130 +152,129 @@ class TestWireHardening:
 
 
 # ---------------------------------------------------------------------------
-# Circuit breaker (pure unit)
+# What a restart trusts: the request log's result lines, re-verified once
 # ---------------------------------------------------------------------------
 
 
-class TestCircuitBreaker:
-    def test_opens_after_threshold_and_recloses_after_probe(self):
-        breaker = CircuitBreaker(failure_threshold=3, window_s=60, cooldown_s=0.05)
-        assert breaker.allow()
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
-        assert breaker.record_failure()  # third failure opens it
-        assert not breaker.allow()
-        assert breaker.opens == 1
-        time.sleep(0.06)  # cooldown elapses: half-open
-        assert breaker.allow()
-        breaker.record_success()  # probe succeeded: fully closed
-        assert breaker.allow()
-        assert not breaker.record_failure()  # failure history was cleared
-
-    def test_half_open_failure_reopens_immediately(self):
-        breaker = CircuitBreaker(failure_threshold=1, window_s=60, cooldown_s=0.05)
-        assert breaker.record_failure()
-        time.sleep(0.06)
-        assert breaker.allow()  # half-open
-        assert breaker.record_failure()  # probe failed: re-open, no threshold
-        assert not breaker.allow()
-        assert breaker.opens == 2
+def _edit_result_line(state_dir: Path, rid: str, edit) -> None:
+    """Replace the request-log line holding ``rid``'s result by
+    ``edit(line, payload)``."""
+    log = state_dir / "requests.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        payload = decode_line(line)
+        if payload is not None and payload.get("type") == "result" and payload["id"] == rid:
+            lines[i] = edit(line, payload)
+            log.write_text("".join(lines))
+            return
+    raise AssertionError(f"no result line for {rid}")
 
 
-# ---------------------------------------------------------------------------
-# Content-store corruption: quarantined, never fatal
-# ---------------------------------------------------------------------------
+def _synthesize(tmp_path, spec: KernelSpec):
+    """One daemon lifetime that synthesizes ``spec``: (request id, outcome,
+    the daemon's synthesis fingerprint)."""
+    with serve(tmp_path, workers=1) as (daemon, client):
+        rid = client.submit(spec)
+        outcome = client.result(rid, wait=True, timeout_s=300)
+        assert client.status(rid)["served_from"] == "synthesis"
+    assert outcome.improved
+    return rid, outcome, daemon.fingerprint
 
 
-def _ok_outcome(name: str = "k") -> KernelOutcome:
-    return KernelOutcome(
-        name=name,
-        improved=True,
-        via="synthesis",
-        original_source="np.exp(np.log(A))",
-        optimized_source="A",
-        original_cost=2.0,
-        optimized_cost=1.0,
-        synthesis_seconds=0.1,
-        status="ok",
-    )
-
-
-class TestStoreQuarantine:
-    def test_bit_flipped_entry_is_a_miss_and_quarantined(self, tmp_path):
-        store = ContentStore(tmp_path / "store")
-        key = "ab" + "0" * 38
-        assert store.put(key, _ok_outcome())
-        path = store._object_path(key)
-
-        # Flip one byte in the stored object: the checksum framing must
-        # catch it on read.
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        path.write_bytes(bytes(blob))
-
-        assert store.get(key) is None  # a miss, not a crash
-        assert not path.exists()  # gone from the serving tree...
-        assert list((tmp_path / "store" / "quarantine").iterdir())  # ...not lost
-        assert store.quarantined == 1
-
-        # The key is writable and servable again after re-synthesis.
-        assert store.put(key, _ok_outcome())
-        restored = store.get(key)
-        assert restored is not None and restored.status == "ok"
-
-    def test_wrong_key_binding_is_quarantined(self, tmp_path):
-        # A valid checksummed line filed under the wrong address (a mis-copied
-        # object tree) must not be served as if it answered this key.
-        store = ContentStore(tmp_path / "store")
-        good, bad = "aa" + "0" * 38, "bb" + "0" * 38
-        assert store.put(good, _ok_outcome())
-        target = store._object_path(bad)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(store._object_path(good).read_bytes())
-        assert store.get(bad) is None
-        assert store.quarantined == 1
-        assert store.get(good) is not None  # the honest copy still serves
-
-    def test_repeated_corruption_opens_the_breaker(self, tmp_path):
-        events = []
-        breaker = CircuitBreaker(failure_threshold=2, window_s=60, cooldown_s=60)
-        store = ContentStore(tmp_path / "store", breaker=breaker, on_event=events.append)
-
-        def plant_garbage(key: str) -> None:
-            path = store._object_path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("garbage, not a journal line\n")
-
-        k1, k2, k3 = ("c%d" % i + "0" * 38 for i in range(3))
-        plant_garbage(k1)
-        plant_garbage(k2)
-        assert store.get(k1) is None
-        assert store.get(k2) is None  # second corruption: breaker opens
-        assert events == ["quarantined", "quarantined", "breaker_open"]
-        # While open, reads short-circuit — even for keys that would hit.
-        assert store.put(k3, _ok_outcome())
-        assert store.get(k3) is None
-        assert events[-1] == "breaker_skip"
-
-    def test_daemon_requarantines_and_resynthesizes(self, tmp_path):
-        # End to end: corrupt the stored object for a finished kernel, then
-        # resubmit it.  The daemon must re-synthesize (served_from
-        # 'synthesis', not 'store') and still produce the same program.
+class TestServedResults:
+    def _assert_rerun_then_stored(self, tmp_path, rid, original):
+        # The logged result was not trusted: the request runs again, and a
+        # repeat is answered with what the re-run produced — by following it
+        # while it is in flight, or from the store once it has landed.
         with serve(tmp_path, workers=1) as (daemon, client):
-            rid = client.submit(EXP_LOG)
-            original = client.result(rid, wait=True, timeout_s=300)
-            key = content_key(EXP_LOG, daemon.fingerprint)
-            path = daemon.store._object_path(key)
-            blob = bytearray(path.read_bytes())
-            blob[len(blob) // 2] ^= 0x01
-            path.write_bytes(bytes(blob))
-
-            again = client.submit(EXP_LOG)
-            outcome = client.result(again, wait=True, timeout_s=300)
-            assert client.status(again)["served_from"] != "store"
-            assert outcome.optimized_source == original.optimized_source
             counters = client.metrics()["counters"]
-            assert counters["serve.store_quarantined"] >= 1
+            assert counters.get("serve.restored", 0) == 0
+            assert counters["serve.resumed_pending"] == 1
+            early_id = client.submit(EXP_LOG)
+            rerun = client.result(rid, wait=True, timeout_s=300)
+            assert client.status(rid)["served_from"] == "synthesis"
+            early = client.result(early_id, wait=True, timeout_s=60)
+            assert client.status(early_id)["served_from"] in ("dedup", "store")
+            late_id = client.submit(EXP_LOG)
+            late = client.result(late_id, wait=True, timeout_s=60)
+            assert client.status(late_id)["served_from"] == "store"
+        for outcome in (rerun, early, late):
+            assert outcome.optimized_source == original.optimized_source
+
+    def test_bit_flipped_result_line_is_dropped_and_rerun(self, tmp_path):
+        rid, original, _ = _synthesize(tmp_path, EXP_LOG)
+
+        def flip(line, payload):
+            blob = bytearray(line.encode())
+            blob[line.index('"optimized_source"') + 3] ^= 0x01
+            return blob.decode()
+
+        _edit_result_line(tmp_path / "state", rid, flip)
+        self._assert_rerun_then_stored(tmp_path, rid, original)
+
+    def test_tampered_result_is_rejected_and_resynthesized(self, tmp_path):
+        rid, original, _ = _synthesize(tmp_path, EXP_LOG)
+        assert "+" in original.optimized_source
+        tampered = original.optimized_source.replace("+", "*")
+
+        def tamper(line, payload):
+            # A wrong program under a valid checksum: only readmit's
+            # re-verification can tell.
+            payload["outcome"]["optimized_source"] = tampered
+            return encode_line(payload) + "\n"
+
+        _edit_result_line(tmp_path / "state", rid, tamper)
+        self._assert_rerun_then_stored(tmp_path, rid, original)
+
+    def test_store_hits_are_not_reverified(self, tmp_path, monkeypatch):
+        calls = []
+        readmit = ModuleOptimizer.readmit
+        monkeypatch.setattr(
+            ModuleOptimizer,
+            "readmit",
+            lambda self, spec, outcome: calls.append(spec.name) or readmit(self, spec, outcome),
+        )
+
+        def repeats(client, n=5):
+            for _ in range(n):
+                rid = client.submit(EXP_LOG)
+                outcome = client.result(rid, wait=True, timeout_s=60)
+                yield outcome, client.status(rid)["served_from"]
+
+        with serve(tmp_path, workers=1) as (daemon, client):
+            first = client.result(client.submit(EXP_LOG), wait=True, timeout_s=300)
+            served = list(repeats(client))
+        assert calls == []
+        with serve(tmp_path, workers=1) as (daemon, client):
+            assert len(calls) == 6  # the restart: one per logged result
+            served += list(repeats(client))
+        assert len(calls) == 6
+        assert all(asdict(o) == asdict(first) and src == "store" for o, src in served)
+
+    def test_object_tree_of_an_older_state_dir_is_ignored(self, tmp_path):
+        _, original, fingerprint = _synthesize(tmp_path, EXP_LOG)
+        state = tmp_path / "state"
+        assert not (state / "store" / "objects").exists()
+        assert not (state / "store" / "quarantine").exists()
+        # What earlier versions also wrote: one checksummed object per
+        # synthesized result.  Plant a wrong program under each key.
+        for spec in (EXP_LOG, LOG_EXP):
+            key = content_key(spec, fingerprint)
+            stale = dict(asdict(original), name=spec.name, optimized_source="A * B")
+            path = state / "store" / "objects" / key[:2] / f"{key}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(encode_line({"key": key, "outcome": stale}) + "\n")
+
+        with serve(tmp_path, workers=1) as (daemon, client):
+            assert client.metrics()["counters"]["serve.restored"] == 1
+            repeat_id = client.submit(EXP_LOG)
+            repeat = client.result(repeat_id, wait=True, timeout_s=60)
+            assert client.status(repeat_id)["served_from"] == "store"
+            other_id = client.submit(LOG_EXP)
+            other = client.result(other_id, wait=True, timeout_s=300)
+            assert client.status(other_id)["served_from"] != "store"
+        assert asdict(repeat) == asdict(original)
+        assert other.status == "ok" and other.optimized_source != "A * B"
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ The plain soak pushes 50 requests drawn from a small set of normalized
 patterns through a 2-worker daemon while a fault plan fires at the
 ``solver``, ``worker``, and ``journal`` sites.  The chaos profile adds the
 overload dimension: a burst 3x over the admission bound, client deadlines
-that expire in the queue, a SIGSTOP'd pool worker, corrupted content-store
-entries, and aggressive worker recycling — all at once.  The service-grade
-invariant either way: every accepted request reaches a terminal state
-(``ok | degraded | timeout | error | shed``), every shed submission carries
-a ``retry_after`` hint, the queue drains, no worker is left hung, and the
-daemon answers health probes afterwards.
+that expire in the queue, a SIGSTOP'd pool worker, a torn result-log write,
+and aggressive worker recycling — all at once.  The service-grade invariant
+either way: every accepted request reaches a terminal state (``ok |
+degraded | timeout | error | shed``), every shed submission carries a
+``retry_after`` hint, the queue drains, no worker is left hung, and the
+daemon answers health probes afterwards; after the storm a finished
+synthesis is still served from the content store.
 
 Marked ``slow``: runs only with ``-m slow`` (see pyproject addopts).
 """
@@ -21,6 +22,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import pytest
 
@@ -147,7 +149,7 @@ def test_soak_mixed_priorities_with_faults(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Chaos profile: overload + wedged worker + corruption, simultaneously
+# Chaos profile: overload + wedged worker + torn log write, simultaneously
 # ---------------------------------------------------------------------------
 
 QUEUE_BOUND = 6
@@ -231,32 +233,24 @@ def test_chaos_overload_profile(tmp_path):
         # Lifecycle hygiene kept firing under load.
         assert status["pool"]["pool.recycled"] >= 1
 
-        # Corrupt the stored object of a finished improved kernel and
-        # resubmit it: quarantined + re-served, never crashed.
+        # A finished synthesis resubmitted after the storm is a content-store
+        # hit, identical to what its first client received.
         victim = next(
             (
-                spec
+                rid
                 for rid, spec in accepted.items()
                 if outcomes[rid].status == "ok"
-                and outcomes[rid].improved
-                # Only synthesized results are published to the store;
-                # rule-cache and pattern hits have no object to corrupt.
-                and daemon.store._object_path(
-                    content_key(spec, daemon.fingerprint)
-                ).exists()
+                # Only synthesized results are indexed; rule-cache and
+                # pattern hits re-resolve instead.
+                and daemon.store.get(content_key(spec, daemon.fingerprint)) is not None
             ),
             None,
         )
         assert victim is not None, "chaos killed every single kernel"
-        path = daemon.store._object_path(content_key(victim, daemon.fingerprint))
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        path.write_bytes(bytes(blob))
-        again = client.submit(victim)
-        reserved = client.result(again, wait=True, timeout_s=300)
-        assert reserved.status in TERMINAL
-        assert client.status(again)["served_from"] != "store"
-        assert client.metrics()["counters"]["serve.store_quarantined"] >= 1
+        again = client.submit(accepted[victim])
+        reserved = client.result(again, wait=True, timeout_s=60)
+        assert asdict(reserved) == asdict(outcomes[victim])
+        assert client.status(again)["served_from"] == "store"
 
         # The daemon itself answers health probes after the storm.
         health = client.health()

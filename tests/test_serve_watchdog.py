@@ -164,7 +164,7 @@ class TestSelfHealing:
             client = ServeClient(socket_path)
             client.wait_ready(timeout_s=120)
 
-            # One finished request (durable in the journal + store) and one
+            # One finished request (durable in the request log) and one
             # solver-heavy request still in flight: a genuine mid-batch wedge.
             finished_id = client.submit(EXP_LOG)
             finished = client.result(finished_id, wait=True, timeout_s=300)
