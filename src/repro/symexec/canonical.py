@@ -11,7 +11,12 @@ the rest down:
    cheap normal form (``cancel`` + ``expand`` + min/max normalization) is
    computed at most once per expression identity; equal forms are equal
    functions, and forms over different free symbols are different ones;
-3. a ``simplify``-based **SymPy fallback** for entries whose canonical forms
+3. the **radical tier** — one side is a root ``q**(1/k)``: it equals the
+   other side ``p`` if ``p`` is provably non-negative and ``p**k`` expands to
+   ``q`` (``equiv.radical_confirmed``), and differs from it if ``p**k`` and
+   ``q`` differ exactly at an order point (``equiv.radical_refuted``); any
+   other pair, and a root neither settles, is handed down;
+4. a ``simplify``-based **SymPy fallback** for entries whose canonical forms
    differ over the same symbols — its invocation count is tracked as the
    ``equiv.sympy_fallbacks`` metric (court of last resort).
 
@@ -148,11 +153,16 @@ def same_canonical_key(tensor: SymTensor, other: SymTensor | tuple) -> bool:
     )
 
 
+#: What a SymPy rewrite may raise on an expression it cannot handle: the
+#: answer is then "not proven equal".
+_REWRITE_ERRORS = (TypeError, NotImplementedError, AttributeError, sp.PolynomialError)
+
+
 @lru_cache(maxsize=100_000)
 def _equivalent_exprs_slow(a: sp.Expr, b: sp.Expr) -> bool:
     try:
         diff = sp.simplify(a - b)
-    except (TypeError, NotImplementedError):
+    except _REWRITE_ERRORS:
         return False
     if diff == 0 or diff.is_zero:
         return True
@@ -163,13 +173,47 @@ def _equivalent_exprs_slow(a: sp.Expr, b: sp.Expr) -> bool:
             lambda e: e.is_Pow and not e.exp.is_Integer,
             lambda e: sp.factor(e.base) ** e.exp,
         ))
-    except (TypeError, NotImplementedError, AttributeError, sp.PolynomialError):
+    except _REWRITE_ERRORS:
         return False
     return bool(diff == 0 or diff.is_zero)
 
 
+def _differ_exactly(x: sp.Expr, y: sp.Expr) -> bool:
+    """``x`` and ``y`` take different exact values at an order point (the
+    base point, or one symbol moved: :func:`residues.moved_values`)."""
+    xv, yv = residues.moved_values(x), residues.moved_values(y)
+    if xv is None or yv is None:
+        return False
+    (x0, x_moved), (y0, y_moved) = xv, yv
+    return x0 != y0 or any(
+        x_moved.get(s, x0) != y_moved.get(s, y0) for s in x_moved.keys() | y_moved.keys()
+    )
+
+
+def _radical_tier(ca: sp.Expr, cb: sp.Expr) -> bool | None:
+    """``q**(1/k) == p`` decided by powering, or None (no opinion).
+
+    Confirmed when ``p`` is provably non-negative and ``p**k`` expands to
+    ``q``'s canonical form: then ``q**(1/k)`` is the principal root of
+    ``p**k``, which is ``p``.  Refuted when ``p**k`` and ``q`` differ exactly
+    at an order point: equal functions would give ``q = (q**(1/k))**k = p**k``
+    there, whatever the sign of ``p``.  Anything else goes to ``simplify``.
+    """
+    for root, p in ((ca, cb), (cb, ca)):
+        if not (root.is_Pow and root.exp.is_Rational and root.exp.p == 1 and root.exp.q > 1):
+            continue
+        q, power = root.base, sp.expand(p ** root.exp.q)
+        if _differ_exactly(power, q):
+            bump("equiv.radical_refuted")
+            return False
+        if p.is_nonnegative is True and canonical(power) == canonical(q):
+            bump("equiv.radical_confirmed")
+            return True
+    return None
+
+
 def _sympy_fallback(ca: sp.Expr, cb: sp.Expr) -> bool:
-    """Tier 3: exact ``simplify``-based equivalence, counted and traced."""
+    """Tier 4: exact ``simplify``-based equivalence, counted and traced."""
     bump("equiv.sympy_fallbacks")
     tracer = get_tracer()
     if tracer.enabled:
@@ -184,6 +228,9 @@ def equivalent_exprs(a: sp.Expr, b: sp.Expr) -> bool:
         return True
     if ca.free_symbols != cb.free_symbols:
         return False
+    radical = _radical_tier(ca, cb)
+    if radical is not None:
+        return radical
     return _sympy_fallback(ca, cb)
 
 

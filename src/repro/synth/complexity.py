@@ -17,7 +17,10 @@ We support two readings of ``|var(Φ)|``:
   formula, provided for the ablation benchmarks.
 
 :func:`prune_floor` bounds the complexity of a hole spec from below *before*
-SOLVE derives it, so PRUNE can turn a sketch down without the derivation.
+SOLVE derives it, so PRUNE can turn a sketch down without the derivation;
+:func:`exact_floor` bounds it from the derived hole spec *before*
+``cancel`` normalizes it, so PRUNE can turn a sketch down without the
+``cancel``.
 """
 
 from __future__ import annotations
@@ -72,6 +75,16 @@ def _nonzero_value(values) -> bool:
     return base != 0 or any(v != 0 for v in moved.values())
 
 
+def _pair_rule(values, symbols) -> tuple[set, bool]:
+    """The symbols among ``symbols`` whose move alone changes the exact value
+    (every spelling of the function mentions them), and whether some value is
+    non-zero (``density`` counts the entry).  ``values`` is ``(base, moved)``
+    as :func:`~repro.symexec.residues.moved_values` gives it; a symbol absent
+    from ``moved`` has no opinion."""
+    base, moved = values
+    return {x for x in symbols if moved.get(x, base) != base}, _nonzero_value(values)
+
+
 def _is_zero_entry(expr) -> bool:
     """The inverters' ``_is_zero``, answered without SymPy by a non-zero value."""
     values = moved_values(expr)
@@ -114,13 +127,13 @@ def _entry_floor(t, o, f, multiplicative: bool) -> tuple[set, bool]:
         except ZeroDivisionError:
             h0 = None
         if h0 is not None:
-            nonzero = h0 != 0
+            h_moved = {}
             for x in t_syms | o_syms:
                 try:
-                    if f(t_moved.get(x, t0), o_moved.get(x, o0)) != h0:
-                        proven.add(x)
+                    h_moved[x] = f(t_moved.get(x, t0), o_moved.get(x, o0))
                 except ZeroDivisionError:
                     pass
+            proven, nonzero = _pair_rule((h0, h_moved), h_moved)
     for vals, syms, other, other_vals, other_syms in (
         (t_vals, t_syms, o, o_vals, o_syms),
         (o_vals, o_syms, t, t_vals, t_syms),
@@ -182,3 +195,32 @@ def prune_floor(
         symbol_sets.append(proven)
         nonzero += is_nonzero
     return _complexity(symbol_sets, nonzero / len(symbol_sets), mode)
+
+
+def exact_floor(hole_specs, mode: str = "per_entry") -> float:
+    """A lower bound on the mean hole complexity PRUNE would score, taken on
+    hole specs whose last inverter step has not been through ``cancel`` yet.
+
+    ``cancel`` changes the spelling of an entry, not its value, so
+    :func:`_pair_rule` on the entry's exact values
+    (:func:`~repro.symexec.residues.moved_values`) holds for the normalized
+    entry: each symbol whose move changes the value is mentioned, and an
+    entry with a non-zero value is counted by ``density``.  An entry with no
+    exact values (outside the rational fragment, a vanishing denominator)
+    counts nothing, which keeps the bound a bound.
+    """
+    scores = []
+    for spec in hole_specs:
+        symbol_sets: list[set] = []
+        nonzero = 0
+        for e in spec.entries():
+            values = moved_values(e)
+            if values is None:
+                symbol_sets.append(set())
+                continue
+            proven, is_nonzero = _pair_rule(values, input_symbols_of(e))
+            symbol_sets.append(proven)
+            nonzero += is_nonzero
+        density = nonzero / len(symbol_sets) if symbol_sets else 0.0
+        scores.append(_complexity(symbol_sets, density, mode))
+    return sum(scores) / len(scores)

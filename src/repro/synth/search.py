@@ -38,7 +38,7 @@ from repro.symexec.canonical import canonical_key, equivalent
 from repro.symexec.residues import residue_key, tensor_residues
 from repro.symexec.symtensor import SymTensor
 from repro.synth.cache import MISS, solver_key
-from repro.synth.complexity import prune_floor, prune_verdict
+from repro.synth.complexity import exact_floor, prune_floor, prune_verdict
 from repro.synth.config import SynthesisConfig
 from repro.synth.library import Library, retype_sketch
 from repro.synth.sketch import Sketch
@@ -147,8 +147,13 @@ class SearchStats:
     def record_solver_cache_hit(self) -> None:
         self.metrics.counter("solver.cache_hits").inc()
 
-    def record_floor_prune(self) -> None:
+    def record_floor_prune(self, op: str) -> None:
         self.metrics.counter("solver.floor_pruned").inc()
+        self.metrics.counter(f"solver.floor_pruned.{op}").inc()
+
+    def record_pruned_before_cancel(self, op: str) -> None:
+        self.metrics.counter("solver.pruned_before_cancel").inc()
+        self.metrics.counter(f"solver.pruned_before_cancel.{op}").inc()
 
     def record_solver_outcome(self, outcome) -> None:
         """Credit one SOLVE answer, computed, floor-pruned or restored alike.
@@ -252,16 +257,22 @@ class SearchContext:
         complexity does not drop below ``score``), or the verified hole
         specs with their complexities.  After a cache miss PRUNE's floor is
         asked first: if it already reaches ``score`` nothing is derived.
-        Otherwise the solver runs PRUNE on the hole specs it derived and
+        Otherwise the solver asks the exact floor on the hole specs it derived
+        before ``cancel`` normalizes them, runs PRUNE on the normalized ones, and
         proves the decomposition only if they survive; restored hole specs
         were proved when they were stored, and PRUNE decides on them here.
         """
         hole_scores: list[float] = []
+        mode = self.config.complexity_mode
 
         def prune(hole_specs) -> Pruned | None:
-            scores, verdict = prune_verdict(hole_specs, score, self.config.complexity_mode)
+            scores, verdict = prune_verdict(hole_specs, score, mode)
             hole_scores[:] = scores
             return verdict
+
+        def prune_before_cancel(hole_specs) -> Pruned | None:
+            bound = exact_floor(hole_specs, mode)
+            return Pruned(bound, before_cancel=True) if bound >= score else None
 
         cache_key = None
         out = MISS
@@ -288,9 +299,11 @@ class SearchContext:
                 self.stats.timed_out = True
                 raise
             start = time.monotonic()
-            out = self.solver.solve_all(sketch, spec, prune)
+            out = self.solver.solve_all(sketch, spec, prune, prune_before_cancel)
             elapsed = time.monotonic() - start
             self.stats.record_solver_call(elapsed)
+            if isinstance(out, Pruned) and out.before_cancel:
+                self.stats.record_pruned_before_cancel(_sketch_op(sketch))
             if self.tracer.enabled:
                 self.tracer.complete(
                     "solve",
@@ -316,7 +329,7 @@ class SearchContext:
         floor = prune_floor(sketch, spec, self.solver.value, self.config.complexity_mode)
         if floor is None or floor < score:
             return None
-        self.stats.record_floor_prune()
+        self.stats.record_floor_prune(_sketch_op(sketch))
         if self.tracer.enabled:
             self.tracer.complete(
                 "solver-floor", "solver",
@@ -588,7 +601,10 @@ def _dfs(
                 ctx.stats.record_prune("simplification")
                 if tracer.enabled:
                     # A floor prune derived nothing: its bound is all there is.
+                    # One before ``cancel`` derived the hole spec; its bound
+                    # stands for the mean.
                     kind = "floor" if solved.from_floor else "hole_complexity"
+                    extra = {"before_cancel": True} if solved.before_cancel else {}
                     tracer.instant(
                         "prune",
                         "search",
@@ -596,6 +612,7 @@ def _dfs(
                         depth=level,
                         complexity=round(score, 4),
                         **{kind: round(solved.mean_complexity, 4)},
+                        **extra,
                     )
                 continue
             hole_specs, hole_scores = solved

@@ -30,24 +30,32 @@ from repro.ir.nodes import Call, Input, Node
 from repro.ir.types import DType, TensorType
 from repro.obs.trace import NULL_TRACER
 from repro.resilience import inject
-from repro.symexec.canonical import canonical, equivalent
+from repro.symexec.canonical import _needs_cancel, canonical, equivalent
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.symtensor import SymTensor, input_symbols_of, symbol_origin
 from repro.synth.config import SynthesisConfig
 from repro.synth.sketch import Sketch
 
 # An inverter takes (call, hole_position, sibling values, target, hole_type)
-# and returns the target for the hole subtree, or None if no solution exists.
+# and returns the target for the hole subtree, as built (SOLVE normalizes it
+# afterwards, see _NORMALIZES), or None if no solution exists.
 Inverter = Callable[
     [Call, int, list[SymTensor | None], SymTensor, TensorType], SymTensor | None
 ]
 
 _INVERTERS: dict[str, Inverter] = {}
 
+#: Ops whose inverter builds new entries: SOLVE runs :func:`_normalize` on
+#: the hole spec it returns (see :meth:`SketchSolver._derive_raw`).  The others
+#: only move or mask the target's entries and hand them back as they are.
+_NORMALIZES: set[str] = set()
 
-def _inverter(name: str):
+
+def _inverter(name: str, normalizes: bool = True):
     def deco(fn):
         _INVERTERS[name] = fn
+        if normalizes:
+            _NORMALIZES.add(name)
         return fn
 
     return deco
@@ -68,21 +76,26 @@ def _normalize(expr):
     (``sqrt(y**2+2y+1)`` does not auto-collapse the way ``sqrt((y+1)**2)``
     does).  Key-based matching canonicalizes separately.
     """
-    import sympy as _sp
-
-    from repro.symexec.canonical import _needs_cancel
-
     try:
         if _needs_cancel(expr):
-            return _sp.cancel(expr)
+            return sp.cancel(expr)
     except (AttributeError, TypeError, NotImplementedError):
         pass
     return expr
 
 
-def _canonical_tensor(data: np.ndarray, dtype: DType = DType.FLOAT) -> SymTensor:
-    t = SymTensor(np.asarray(data, dtype=object), dtype)
-    return t.map(_normalize)
+def _normalized(hole_specs: tuple[SymTensor, ...]) -> tuple[SymTensor, ...] | None:
+    """Each hole spec through :func:`_normalize`, or None if that raises
+    (an unsolvable query, as when an inverter raises)."""
+    try:
+        return tuple(h.map(_normalize) for h in hole_specs)
+    except Exception:
+        return None
+
+
+def _hole_tensor(data: np.ndarray, dtype: DType = DType.FLOAT) -> SymTensor:
+    """An inverter's hole spec as built, before :func:`_normalize`."""
+    return SymTensor(np.asarray(data, dtype=object), dtype)
 
 
 def _is_zero(e) -> bool:
@@ -257,7 +270,7 @@ def _elementwise_invert(entry_fn, call, pos, target, other, hole_type) -> SymTen
     collapsed = _unbroadcast(full, hole_type.shape)
     if collapsed is None:
         return None
-    return _canonical_tensor(collapsed)
+    return _hole_tensor(collapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +286,7 @@ def _invert_arithmetic(call, pos, args, target, hole_type):
 
 
 for _op in ("add", "subtract", "multiply", "divide"):
-    _INVERTERS[_op] = _invert_arithmetic
+    _inverter(_op)(_invert_arithmetic)
 
 
 @_inverter("power")
@@ -314,14 +327,14 @@ def _invert_power(call, pos, args, target, hole_type):
 def _invert_sqrt(call, pos, args, target, hole_type):
     if target.shape != hole_type.shape:
         return None
-    return _canonical_tensor(target.data ** 2)
+    return _hole_tensor(target.data ** 2)
 
 
 @_inverter("negative")
 def _invert_negative(call, pos, args, target, hole_type):
     if target.shape != hole_type.shape:
         return None
-    return _canonical_tensor(-target.data)
+    return _hole_tensor(-target.data)
 
 
 @_inverter("exp")
@@ -329,7 +342,7 @@ def _invert_exp(call, pos, args, target, hole_type):
     if target.shape != hole_type.shape:
         return None
     log_u = np.frompyfunc(sp.log, 1, 1)
-    return _canonical_tensor(log_u(target.data))
+    return _hole_tensor(log_u(target.data))
 
 
 @_inverter("log")
@@ -337,7 +350,7 @@ def _invert_log(call, pos, args, target, hole_type):
     if target.shape != hole_type.shape:
         return None
     exp_u = np.frompyfunc(sp.exp, 1, 1)
-    return _canonical_tensor(exp_u(target.data))
+    return _hole_tensor(exp_u(target.data))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +358,7 @@ def _invert_log(call, pos, args, target, hole_type):
 # ---------------------------------------------------------------------------
 
 
-@_inverter("transpose")
+@_inverter("transpose", normalizes=False)
 def _invert_transpose(call, pos, args, target, hole_type):
     axes = call.attr("axes")
     rank = len(hole_type.shape)
@@ -361,14 +374,14 @@ def _invert_transpose(call, pos, args, target, hole_type):
     return SymTensor(np.transpose(target.data, axes=inverse), target.dtype)
 
 
-@_inverter("reshape")
+@_inverter("reshape", normalizes=False)
 def _invert_reshape(call, pos, args, target, hole_type):
     if target.size != hole_type.size:
         return None
     return SymTensor(np.reshape(target.data, hole_type.shape), target.dtype)
 
 
-@_inverter("triu")
+@_inverter("triu", normalizes=False)
 def _invert_triu(call, pos, args, target, hole_type):
     for idx in np.ndindex(*target.shape):
         if idx[-2] > idx[-1] and not _is_zero(target.data[idx]):
@@ -376,7 +389,7 @@ def _invert_triu(call, pos, args, target, hole_type):
     return target
 
 
-@_inverter("tril")
+@_inverter("tril", normalizes=False)
 def _invert_tril(call, pos, args, target, hole_type):
     for idx in np.ndindex(*target.shape):
         if idx[-2] < idx[-1] and not _is_zero(target.data[idx]):
@@ -384,7 +397,7 @@ def _invert_tril(call, pos, args, target, hole_type):
     return target
 
 
-@_inverter("full")
+@_inverter("full", normalizes=False)
 def _invert_full(call, pos, args, target, hole_type):
     entries = [canonical(e) for e in target.entries()]
     first = entries[0]
@@ -424,7 +437,7 @@ def _invert_where(call, pos, args, target, hole_type):
             out[idx] = value
         else:
             out = np.array(value, dtype=object)
-    return _canonical_tensor(out)
+    return _hole_tensor(out)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +507,7 @@ def _invert_sum(call, pos, args, target, hole_type):
             taken.add(slot)
             out[slot] = out[slot] + term
     # Correct by construction: entries at each output index sum to the spec.
-    return _canonical_tensor(out)
+    return _hole_tensor(out)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +595,7 @@ def _invert_dot(call, pos, args, target, hole_type):
         product = np.dot(other.data, hole)
     if not _verify_tensor_equal(product, target):
         return None
-    return _canonical_tensor(hole)
+    return _hole_tensor(hole)
 
 
 @_inverter("tensordot")
@@ -603,7 +616,7 @@ def _invert_tensordot(call, pos, args, target, hole_type):
                            other.data if pos == 0 else hole, axes=0)
     if not _verify_tensor_equal(product, target):
         return None
-    return _canonical_tensor(hole)
+    return _hole_tensor(hole)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +685,7 @@ def _generic_solve(sketch: Sketch, spec: SymTensor) -> tuple[SymTensor, ...] | N
             out.reshape(-1)[:] = chunk
         else:
             out = np.array(chunk[0], dtype=object)
-        out_specs.append(_canonical_tensor(out))
+        out_specs.append(_hole_tensor(out).map(_normalize))
     return tuple(out_specs)
 
 
@@ -685,16 +698,18 @@ def _generic_solve(sketch: Sketch, spec: SymTensor) -> tuple[SymTensor, ...] | N
 class Pruned:
     """SOLVE outcome for hole specs PRUNE turned down.
 
-    Either the caller's ``keep`` turned down derived, never verified hole
-    specs, and ``mean_complexity`` is their mean hole complexity; or PRUNE's
-    floor (:func:`repro.synth.complexity.prune_floor`, ``from_floor``)
-    already reached the node's score, nothing was derived, and
-    ``mean_complexity`` is that lower bound of the mean.  Either way it is
-    all a later asker needs to repeat the decision.
+    ``mean_complexity`` is the mean hole complexity of derived, never
+    verified hole specs, or a lower bound of it that already reached the
+    node's score: PRUNE's floor (:func:`repro.synth.complexity.prune_floor`,
+    ``from_floor``), taken before anything was derived, or the exact floor
+    (:func:`repro.synth.complexity.exact_floor`, ``before_cancel``), taken
+    on hole specs not yet through ``cancel``.  Either way it is all a later asker
+    needs to repeat the decision.
     """
 
     mean_complexity: float
     from_floor: bool = field(default=False, compare=False)
+    before_cancel: bool = field(default=False, compare=False)
 
 
 class SketchSolver:
@@ -748,18 +763,32 @@ class SketchSolver:
         sketch: Sketch,
         spec: SymTensor,
         keep: Callable[[tuple[SymTensor, ...]], Pruned | None] | None = None,
+        keep_raw: Callable[[tuple[SymTensor, ...]], Pruned | None] | None = None,
     ) -> tuple[SymTensor, ...] | Pruned | None:
         """One hole specification per hole (Algorithm 2's SOLVE), or None.
 
         ``keep`` sees the derived hole specs *before* they are verified and
         may turn them down by returning a :class:`Pruned`, which is returned
         as is: a caller that would drop the sketch anyway need not pay for
-        the proof.  Hole specs that are returned have been verified.
+        the proof.  ``keep_raw`` is asked the same even earlier, about hole
+        specs whose last inverter step has not been through
+        :func:`_normalize` (``cancel``) yet: it may only turn down what
+        ``keep`` would turn down after normalizing.  Hole specs that are
+        returned have been verified.
         """
         inject("solver", key=self.scope, config=self.config)
-        hole_specs = self._derive(sketch, spec)
-        if hole_specs is None:
+        derived = self._derive_raw(sketch, spec)
+        if derived is None:
             return None
+        hole_specs, pending = derived
+        if pending:
+            if keep_raw is not None:
+                pruned = keep_raw(hole_specs)
+                if pruned is not None:
+                    return pruned
+            hole_specs = _normalized(hole_specs)
+            if hole_specs is None:
+                return None
         if keep is not None:
             pruned = keep(hole_specs)
             if pruned is not None:
@@ -776,31 +805,49 @@ class SketchSolver:
     def _derive(
         self, sketch: Sketch, spec: SymTensor
     ) -> tuple[SymTensor, ...] | None:
-        """Unverified hole specs, or None.
+        """Unverified, normalized hole specs, or None.
 
         A single hole is reached by inverting one op per step of its path;
         several holes, or a path that meets an op without an inverter, go to
         the generic solve.  Either way the result is heuristic until
         :meth:`_decomposition_holds` confirms it.
         """
+        derived = self._derive_raw(sketch, spec)
+        if derived is None:
+            return None
+        hole_specs, pending = derived
+        return _normalized(hole_specs) if pending else hole_specs
+
+    def _derive_raw(
+        self, sketch: Sketch, spec: SymTensor
+    ) -> tuple[tuple[SymTensor, ...], bool] | None:
+        """:meth:`_derive` with the last step's :func:`_normalize` left
+        pending: ``(hole_specs, pending)``, ``pending`` when the last
+        inverter on the path is one that normalizes (:data:`_NORMALIZES`)."""
         if sketch.num_holes != 1:
-            return self._traced_generic_solve(sketch, spec)
+            specs = self._traced_generic_solve(sketch, spec)
+            return None if specs is None else (specs, False)
         target = spec
         node: Node = sketch.root
         tracer = self.tracer
-        for step in sketch.hole_path:
+        last, pending = len(sketch.hole_path) - 1, False
+        for i, step in enumerate(sketch.hole_path):
             if not isinstance(node, Call):
                 return None
             inverter = _INVERTERS.get(node.op)
             if inverter is None:
-                return self._traced_generic_solve(sketch, spec)
-            siblings: list[SymTensor | None] = []
-            for i, arg in enumerate(node.args):
-                siblings.append(None if i == step else self.value(arg))
+                specs = self._traced_generic_solve(sketch, spec)
+                return None if specs is None else (specs, False)
+            siblings: list[SymTensor | None] = [
+                None if j == step else self.value(arg) for j, arg in enumerate(node.args)
+            ]
             hole_like = node.args[step]
             step_start = time.monotonic() if tracer.enabled else 0.0
             try:
                 result = inverter(node, step, siblings, target, hole_like.type)
+                pending = result is not None and node.op in _NORMALIZES
+                if pending and i < last:  # the next inverter's target
+                    result, pending = result.map(_normalize), False
             except Exception:
                 if tracer.enabled:
                     tracer.complete(
@@ -824,7 +871,7 @@ class SketchSolver:
             node = node.args[step]
         if target.shape != sketch.hole.type.shape:
             return None
-        return (target,)
+        return (target,), pending
 
     def _decomposition_holds(
         self, sketch: Sketch, hole_specs: tuple[SymTensor, ...], spec: SymTensor
@@ -837,7 +884,6 @@ class SketchSolver:
         """
         bindings = {h.name: s for h, s in zip(sketch.holes, hole_specs)}
         try:
-            result = symbolic_execute(sketch.root, bindings=bindings)
+            return equivalent(spec, symbolic_execute(sketch.root, bindings=bindings))
         except Exception:
             return False
-        return equivalent(spec, result)

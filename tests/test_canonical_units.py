@@ -8,7 +8,13 @@ import sympy as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ir.types import DType, TensorType, float_tensor
-from repro.symexec.canonical import _needs_cancel, _piecewise_to_minmax, canonical
+from repro.symexec.canonical import (
+    _equivalent_exprs_slow,
+    _needs_cancel,
+    _piecewise_to_minmax,
+    _radical_tier,
+    canonical,
+)
 from repro.symexec.symtensor import (
     SymTensor,
     element_symbol,
@@ -229,3 +235,56 @@ def test_battery_tier_never_changes_a_match_scan_verdict(kernel, monkeypatch):
     for spec, stub in scanned:
         as_is, absent, colliding = _verdicts(spec, stub, monkeypatch)
         assert as_is == absent == colliding == _same_function(spec, stub)
+
+
+# ---------------------------------------------------------------------------
+# The radical tier never disagrees with simplify
+# ---------------------------------------------------------------------------
+
+
+def _polynomials() -> st.SearchStrategy:
+    """Radicands' roots ``p``, some not provably non-negative (``X - Y``, ``-1``)."""
+    leaves = st.sampled_from([_X, _Y, sp.Integer(1), sp.Integer(-1), sp.Rational(1, 2)])
+
+    def combine(children):
+        pair = st.tuples(children, children)
+        return st.one_of(
+            pair.map(lambda ab: ab[0] + ab[1]),
+            pair.map(lambda ab: ab[0] - ab[1]),
+            pair.map(lambda ab: ab[0] * ab[1]),
+        )
+
+    return st.recursive(leaves, combine, max_leaves=4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    _polynomials(),
+    st.sampled_from([2, 3]),
+    st.sampled_from([sp.S.Zero, sp.S.One, sp.Rational(-1, 2), _X, _X * _Y]),
+    st.booleans(),
+)
+def test_radical_tier_never_disagrees_with_simplify(p, k, delta, swap):
+    """``q**(1/k)`` against ``p`` for ``q = expand(p**k) + delta``: whatever the
+    tier decides, ``simplify`` (the court it spares) decides the same."""
+    root = (sp.expand(p**k) + delta) ** sp.Rational(1, k)
+    ca, cb = canonical(root), canonical(p)
+    if swap:
+        ca, cb = cb, ca
+    if ca == cb or ca.free_symbols != cb.free_symbols:
+        return  # settled before the tier
+    verdict = _radical_tier(ca, cb)
+    if verdict is not None:
+        assert verdict == _equivalent_exprs_slow(ca, cb), (ca, cb)
+
+
+def test_radical_tier_confirms_and_refutes():
+    s = _X * _Y + _X
+    assert _radical_tier(sp.sqrt(sp.expand(s**2)), s) is True
+    assert _radical_tier(s, sp.sqrt(sp.expand(s**2))) is True
+    assert _radical_tier(_X**5, sp.sqrt(_X)) is False  # synth_11's MATCH pair
+    assert _radical_tier(sp.cbrt(sp.expand(s**3) + 1), s) is False
+    # X - Y may be negative: sqrt((X - Y)**2) is |X - Y|, which powering cannot see.
+    assert _radical_tier(sp.sqrt(sp.expand((_X - _Y) ** 2)), _X - _Y) is None
+    assert _radical_tier(sp.exp(_X), _X) is None

@@ -9,9 +9,11 @@ mentioned by every spelling of it, a non-zero value is counted by
 
 (a) the floor never exceeds the exact mean, and never cuts a query that would
 be solved, on every SOLVE query of the suite_search kernels (and
-``vec_lerp``); (b) a proven dependence survives every rewrite, a random
-floor is below its derivation, and every row of the inverse table the floor
-shares with the inverters solves its op; (c) a forced no-opinion floor and a
+``vec_lerp``); the same holds for ``complexity.exact_floor``, asked on the
+derived hole spec before ``cancel`` normalizes it; (b) a proven dependence
+survives every rewrite, a random floor (and a random exact floor) is below
+its derivation, and every row of the inverse table the floor shares with the
+inverters solves its op; (c) a forced no-opinion floor and a
 forced zero floor reproduce every outcome; (d) what has no opinion; (e) ``global``
 mode; and the trace says why a floor-pruned sketch was dropped.
 """
@@ -34,9 +36,15 @@ from repro.symexec.canonical import canonical
 from repro.symexec.residues import _order_point, moved_values
 from repro.symexec.symtensor import SymTensor, element_symbol
 from repro.synth import SynthesisConfig, search
-from repro.synth.complexity import prune_floor, spec_complexity
+from repro.synth.complexity import exact_floor, prune_floor, spec_complexity
 from repro.synth.sketch import Hole, Sketch
-from repro.synth.solver import INVERSE_TABLE, SketchSolver, _is_zero, invert_entry
+from repro.synth.solver import (
+    INVERSE_TABLE,
+    SketchSolver,
+    _is_zero,
+    _normalized,
+    invert_entry,
+)
 from repro.synth.superoptimizer import superoptimize_program, superoptimize_source
 
 CONFIG = SynthesisConfig(timeout_seconds=300)
@@ -47,9 +55,19 @@ B0, B1 = element_symbol("B", (0,)), element_symbol("B", (1,))
 C = element_symbol("C", (0,), boolean=True)  # the relational ``C[0]? > 0``
 
 
+#: Kernels outside the suite: ``(source, shapes)``.  ``common_factor`` asks
+#: ``multiply(A, ??)`` of ``A*B*C + A*C``, whose hole entry
+#: ``(A*B*C + A*C)/A`` mentions ``A`` only until ``cancel`` runs.
+_SOURCES = {
+    "diag_dot_2x2": ("np.diag(np.dot(A, B))", SQUARE),
+    "common_factor": ("A * B * C + A * C", {"A": (2,), "B": (2,), "C": (2,)}),
+}
+
+
 def _run(kernel, config=CONFIG):
-    if kernel == "diag_dot_2x2":
-        return superoptimize_source("np.diag(np.dot(A, B))", SQUARE, config=config)
+    if kernel in _SOURCES:
+        source, shapes = _SOURCES[kernel]
+        return superoptimize_source(source, shapes, config=config)
     bench = get_benchmark(kernel)
     model = make_cost_model("flops", dim_map=bench.dim_map)
     return superoptimize_program(bench.parse_synth(), cost_model=model, config=config)
@@ -127,6 +145,54 @@ def test_floor_never_exceeds_the_exact_mean(kernel, monkeypatch):
     assert seen["queries"] == result.stats.solver_calls + seen["floored"]
 
 
+def _install_cancel_oracle(monkeypatch):
+    """Check every floor taken before ``cancel`` against the normalized hole
+    specs it spares, and every cut against exact PRUNE on them."""
+    seen = {"checked": 0, "cut": 0}
+    real = SketchSolver.solve_all
+
+    def checked_solve_all(self, sketch, spec, keep=None, keep_raw=None):
+        def checked(hole_specs):
+            floor = exact_floor(hole_specs, self.config.complexity_mode)
+            normalized = _normalized(hole_specs)
+            if normalized is not None:
+                mean = sum(
+                    spec_complexity(h, self.config.complexity_mode) for h in normalized
+                ) / len(normalized)
+                assert floor <= mean, (sketch, floor, mean)
+            pruned = keep_raw(hole_specs)
+            seen["checked"] += 1
+            if pruned is not None:
+                # Only what exact PRUNE turns down, or SOLVE cannot solve, is cut.
+                assert normalized is None or keep(normalized) is not None, (sketch, pruned)
+                assert pruned.mean_complexity == floor and pruned.before_cancel
+                seen["cut"] += 1
+            return pruned
+
+        return real(self, sketch, spec, keep, checked if keep_raw else None)
+
+    monkeypatch.setattr(SketchSolver, "solve_all", checked_solve_all)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    ["synth_11", "synth_12", "synth_1", "diag_dot_2x2"]
+    + [pytest.param(k, marks=pytest.mark.slow)
+       for k in ("synth_5", "sum_diag_dot", "diag_dot", "common_factor")],
+)
+def test_floor_before_cancel_never_exceeds_the_exact_mean(kernel, monkeypatch):
+    seen = _install_cancel_oracle(monkeypatch)
+    result = _run(kernel)
+    assert result.improved
+    assert seen["cut"] == _counter(result, "solver.pruned_before_cancel") > 0
+    assert seen["checked"] <= result.stats.solver_calls
+    counters = result.stats.metrics.snapshot()["counters"]
+    for total in ("solver.pruned_before_cancel", "solver.floor_pruned"):
+        per_op = [v for k, v in counters.items() if k.startswith(total + ".")]
+        assert sum(per_op) == counters.get(total, 0), total
+
+
 # -- (b) properties ------------------------------------------------------------------
 
 _LEAVES = st.sampled_from(
@@ -181,6 +247,23 @@ def test_a_random_floor_is_below_its_derivation(t, o):
         mean = _exact_mean(sketch, spec, other)
         if floor is not None and mean is not None:
             assert floor <= mean, (op, pos, t, o, floor, mean)
+
+
+#: A quotient whose denominator divides its expanded numerator, as an
+#: inverter builds it: ``(A0*B0 + B0)/B0`` mentions ``B0`` only until ``cancel``.
+_UNCANCELLED = st.tuples(_MIXED, _MIXED).map(lambda ab: sp.expand(ab[0] * ab[1]) / ab[1])
+
+
+@_PROPERTY
+@given(_UNCANCELLED | _MIXED, _UNCANCELLED)
+def test_a_random_exact_floor_is_below_its_normalization(e1, e2):
+    """``exact_floor`` on entries as an inverter builds them, against PRUNE's
+    score of them after ``cancel``."""
+    raw = (_tensor(e1, e2),)
+    normalized = _normalized(raw)
+    assume(normalized is not None)
+    for mode in ("per_entry", "global"):
+        assert exact_floor(raw, mode) <= spec_complexity(normalized[0], mode), (e1, e2, mode)
 
 
 #: Each table op applied to its operands in hole order (``tensordot(axes=0)``
@@ -400,3 +483,19 @@ def test_floor_prunes_are_traced_without_a_solve_span():
     assert len(spans) == len(floors)
     assert all(e["args"]["outcome"] == "pruned" for e in spans)
     assert sum(e["name"] == "solve" for e in events) == result.stats.solver_calls
+
+
+def test_prunes_before_cancel_are_traced_as_simplification():
+    tracer = install_tracer(Tracer())
+    try:
+        result = _run("synth_1")
+    finally:
+        install_tracer(None)
+    prunes = [e for e in tracer.events() if e["name"] == "prune"]
+    early = [e for e in prunes if e["args"].get("before_cancel")]
+    assert len(early) == _counter(result, "solver.pruned_before_cancel") > 0
+    for e in early:
+        assert e["args"]["reason"] == "simplification"
+        assert e["args"]["hole_complexity"] >= e["args"]["complexity"]
+    simplification = [e for e in prunes if e["args"]["reason"] in ("simplification", "floor")]
+    assert len(simplification) == result.stats.pruned_simplification

@@ -44,9 +44,10 @@ def _run(kernel):
 
 
 def _prove_then_prune(real):
-    """``solve_all`` in the order Algorithm 2 prints: verify every hit, then PRUNE."""
+    """``solve_all`` in the order Algorithm 2 prints: verify every hit, then
+    PRUNE — on normalized hole specs only, so no floor before ``cancel``."""
 
-    def solve_all(self, sketch, spec, keep=None):
+    def solve_all(self, sketch, spec, keep=None, keep_raw=None):
         hole_specs = real(self, sketch, spec)
         if hole_specs is None or keep is None:
             return hole_specs

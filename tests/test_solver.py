@@ -278,3 +278,34 @@ class TestSolverSafety:
         )
         assert solver.solve(sketch, spec_of("np.stack([x + x, x])", types)) is None
         assert len(proofs) == 3
+
+    @pytest.mark.parametrize("forced", ["normalize", "equivalent", "simplify"])
+    def test_a_raising_check_means_unsolvable(self, solver, forced, monkeypatch):
+        """Normalizing the hole spec, comparing the re-executed sketch with the
+        spec, and ``simplify`` inside that comparison may each raise: the
+        query is then unsolvable, not an error."""
+        import importlib
+
+        from repro.synth import solver as solver_mod
+
+        canonical_mod = importlib.import_module("repro.symexec.canonical")
+        types = {"S": float_tensor(2, 2), "T": float_tensor(2, 2)}
+        sketch = make_sketch("np.sqrt(S)", "S", types)  # hole spec (S + T)**2
+
+        def boom(*args, **kwargs):
+            raise sp.PolynomialError("forced")
+
+        target = "S + T"
+        if forced == "normalize":
+            monkeypatch.setattr(solver_mod, "_normalize", boom)
+        elif forced == "equivalent":
+            monkeypatch.setattr(solver_mod, "equivalent", boom)
+        else:
+            # sqrt((S - T)**2) re-executes to Abs(S - T): only simplify compares it.
+            monkeypatch.setattr(canonical_mod.sp, "simplify", boom)
+            target = "S - T"
+        canonical_mod._equivalent_exprs_slow.cache_clear()
+        try:
+            assert solver.solve(sketch, spec_of(target, types)) is None
+        finally:
+            canonical_mod._equivalent_exprs_slow.cache_clear()
