@@ -161,7 +161,14 @@ class _ExprParser:
             raise ParseError(f"unsupported operator {type(node.op).__name__}")
         left, right = self.parse(node.left), self.parse(node.right)
         if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-            return _fold_python_binop(op, left, right)
+            try:
+                folded = _fold_python_binop(op, left, right)
+            except ArithmeticError:
+                folded = None
+            # A scalar Python cannot fold to a real (``0.5 / 0.0``, a negative
+            # base to a fractional power) stays a call, evaluated by NumPy.
+            if isinstance(folded, (int, float)):
+                return folded
         try:
             return Call(op, (self._as_node(left), self._as_node(right)))
         except TypeInferenceError as exc:

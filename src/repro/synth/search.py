@@ -237,9 +237,10 @@ class SearchContext:
         self._retyped: dict[TensorType, list[Sketch]] = {}
         self._pools: dict[tuple[TensorType, frozenset[str]], list[Sketch]] = {}
         self._stubs_by_cost: dict[tuple, list] = {}
-        # Per-search sketch-input-name cache (previously a module-level global
-        # that grew without bound across runs in a long-lived process).
-        self._sketch_inputs: dict[Node, frozenset[str]] = {}
+        # Per-search input-name cache of sketch and stub trees (previously a
+        # module-level global that grew without bound across runs in a
+        # long-lived process).
+        self._node_inputs: dict[Node, frozenset[str]] = {}
 
     def check_time(self) -> None:
         try:
@@ -351,7 +352,7 @@ class SearchContext:
             pool = list(self.library.sketches_for(spec_type))
             pool.extend(self._retyped_pool(spec_type))
             pool = [
-                sk for sk in pool if self._sketch_input_names(sk) <= names or not names
+                sk for sk in pool if self._input_names(sk.root) <= names or not names
             ]
             pool.sort(key=lambda s: (s.cost, s.root.num_nodes))
             pool = pool[:MAX_CANDIDATES_PER_NODE]
@@ -385,14 +386,28 @@ class SearchContext:
         self._retyped[spec_type] = out
         return out
 
-    def _sketch_input_names(self, sk: Sketch) -> frozenset[str]:
-        names = self._sketch_inputs.get(sk.root)
+    def _input_names(self, node: Node) -> frozenset[str]:
+        """The names of the program inputs an IR tree (a sketch's or a stub's)
+        reads, holes left out: a superset of the names its value mentions."""
+        names = self._node_inputs.get(node)
         if names is None:
             from repro.synth.sketch import is_hole
 
-            names = frozenset(i.name for i in sk.root.inputs() if not is_hole(i))
-            self._sketch_inputs[sk.root] = names
+            names = frozenset(i.name for i in node.inputs() if not is_hole(i))
+            self._node_inputs[node] = names
         return names
+
+    def same_inputs(self, stubs, names: frozenset[str]):
+        """The stubs whose value mentions exactly the inputs ``names``.
+
+        A stub whose IR inputs do not cover ``names`` cannot, so it is
+        refuted (``search.match_input_refuted``) without executing it.
+        """
+        for e in stubs:
+            if not names <= self._input_names(e.node):
+                self.stats.metrics.counter("search.match_input_refuted").inc()
+            elif e.tensor.input_names() == names:
+                yield e
 
 
 def _sketch_op(sketch: Sketch) -> str:
@@ -463,10 +478,10 @@ def _match_base_case(spec: SymTensor, key: tuple, ctx: SearchContext):
     # Slow path: canonical keys can differ for semantically equal tensors
     # (e.g. exp/log combinations); try full equivalence against the 24
     # cheapest stubs that agree on signature and referenced inputs.  Cheapest
-    # first and lazily: a stub past the 24th is never symbolically executed.
-    names = spec.input_names()
+    # first and lazily: a stub past the 24th, or one whose IR does not read
+    # every input the spec mentions, is never symbolically executed.
     by_cost = ctx.stubs_by_cost(spec.shape, spec.dtype)
-    candidates = islice((e for e in by_cost if e.tensor.input_names() == names), 24)
+    candidates = islice(ctx.same_inputs(by_cost, spec.input_names()), 24)
     for e in candidates:
         if res is not None and e.res is not None:
             if e.res.shape != res.shape or not (e.res == res).all():

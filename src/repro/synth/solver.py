@@ -20,14 +20,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 import sympy as sp
+from sympy.polys.fields import FracField
+from sympy.polys.polyerrors import CoercionFailed
+from sympy.polys.polyutils import _sort_gens
 
 from repro.ir.nodes import Call, Input, Node
 from repro.ir.types import DType, TensorType
+from repro.obs.metrics import bump
 from repro.obs.trace import NULL_TRACER
 from repro.resilience import inject
 from repro.symexec.canonical import _needs_cancel, canonical, equivalent
@@ -78,10 +82,85 @@ def _normalize(expr):
     """
     try:
         if _needs_cancel(expr):
-            return sp.cancel(expr)
+            return _cancel(expr)
     except (AttributeError, TypeError, NotImplementedError):
         pass
     return expr
+
+
+@lru_cache(maxsize=1 << 14)
+def _cancel(expr):
+    """SymPy's ``cancel`` of ``expr``, derived once per expression.
+
+    In the rational fragment — sums, products and integer powers of symbols,
+    ``log`` atoms and rational numbers — the expression is converted into
+    :func:`_field` over its :func:`_generators`, which keeps it reduced by
+    construction, and read back with the denominator's leading coefficient
+    made positive: the form ``cancel`` gives (DESIGN.md, decision 22).
+    Anything else, or anything that fails to convert, is ``sp.cancel``'s.
+    """
+    gens = _generators(expr)
+    if gens is not None:
+        try:
+            frac = _field(gens).from_expr(expr)
+        except (ValueError, CoercionFailed):
+            pass
+        else:
+            bump("solver.cancel_exact")
+            numer, denom = frac.numer, frac.denom
+            if denom.LC < 0:
+                numer, denom = -numer, -denom
+            return numer.as_expr() / denom.as_expr()
+    bump("solver.cancel_fallback")
+    return sp.cancel(expr)
+
+
+@lru_cache(maxsize=1 << 10)
+def _field(gens: tuple) -> FracField:
+    return FracField(gens, sp.QQ)
+
+
+def _generators(expr) -> tuple | None:
+    """The polynomial generators ``cancel`` takes for ``expr`` — its symbols
+    and ``log`` atoms, in ``cancel``'s own order (``_sort_gens``) — or None
+    outside the fragment :func:`_field` computes exactly (a ``Float``, a
+    radical, another function, a non-rational constant, or a ``log`` that
+    ``cancel`` would rewrite)."""
+    if isinstance(expr, sp.log):
+        return None  # nothing to cancel; :func:`_keeps_log` asks sp.cancel
+    gens, stack = set(), [expr]
+    while stack:
+        e = stack.pop()
+        if e.is_Symbol:
+            gens.add(e)
+        elif e.is_Add or e.is_Mul:
+            stack.extend(e.args)
+        elif e.is_Pow and e.exp.is_Integer:
+            stack.append(e.base)
+        elif isinstance(e, sp.log) and _keeps_log(e):
+            gens.add(e)
+        elif not e.is_Rational:
+            return None
+    return _sort_gens(gens) if gens else None
+
+
+@lru_cache(maxsize=1 << 12)
+def _keeps_log(atom) -> bool:
+    """Whether ``cancel`` keeps ``atom`` as one generator: its argument is
+    symbolic (``log(2)`` is a coefficient to it) and ``cancel``'s rewriting —
+    ``expand``'s ``log(A*B) -> log(A) + log(B)``, ``factor_terms``'
+    ``log(2*A + 2*B) -> log(2*(A + B))`` — leaves it alone."""
+    return bool(atom.args[0].free_symbols) and _cancel(atom) == atom
+
+
+@lru_cache(maxsize=1 << 14)
+def _factored(t):
+    """SymPy's ``factor`` of ``t``, once per entry; ``t`` itself where it
+    cannot be factored."""
+    try:
+        return sp.factor(t)
+    except (sp.PolynomialError, AttributeError):
+        return t
 
 
 def _normalized(hole_specs: tuple[SymTensor, ...]) -> tuple[SymTensor, ...] | None:
@@ -299,11 +378,7 @@ def _invert_power(call, pos, args, target, hole_type):
                 return None
             # Factor first so perfect powers collapse: root of the expanded
             # y**2+2y+1 stays opaque, root of (y+1)**2 simplifies to y+1.
-            try:
-                t = sp.factor(t)
-            except (sp.PolynomialError, AttributeError):
-                pass
-            return t ** (sp.S.One / o)
+            return _factored(t) ** (sp.S.One / o)
 
         return _elementwise_invert(invert_base, call, pos, target, exponent, hole_type)
     base = args[0]
@@ -607,7 +682,7 @@ def _invert_tensordot(call, pos, args, target, hole_type):
     # entry is its spec entry in the probe slice divided by the probe entry,
     # which is never zero, so the row never gives up.
     hole = _invert_entries(
-        lambda t, o: sp.cancel(invert_entry("tensordot", pos, t, o)),
+        lambda t, o: _cancel(invert_entry("tensordot", pos, t, o)),
         call, pos, target, other, hole_type,
     )
     if hole is None:
@@ -654,12 +729,7 @@ def _generic_solve(sketch: Sketch, spec: SymTensor) -> tuple[SymTensor, ...] | N
         bindings[hole.name] = SymTensor(unknowns, hole_type.dtype)
     try:
         result = symbolic_execute(sketch.root, bindings=bindings)
-    except Exception:
-        return None
-    eqs = []
-    for got, want in zip(result.entries(), spec.entries()):
-        eqs.append(sp.expand(got - want))
-    try:
+        eqs = [sp.expand(got - want) for got, want in zip(result.entries(), spec.entries())]
         solutions = sp.solve(eqs, flat_syms, dict=True)
     except Exception:
         return None
@@ -685,8 +755,8 @@ def _generic_solve(sketch: Sketch, spec: SymTensor) -> tuple[SymTensor, ...] | N
             out.reshape(-1)[:] = chunk
         else:
             out = np.array(chunk[0], dtype=object)
-        out_specs.append(_hole_tensor(out).map(_normalize))
-    return tuple(out_specs)
+        out_specs.append(_hole_tensor(out))
+    return _normalized(tuple(out_specs))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,13 @@ pair or triple of three suite kernels; (e) builds libraries with every memo
 bypassed and asserts they are the memoised ones node for node, with the same
 ``equiv.*`` counts (except the relational calls eager keying adds, and the
 ``*_by_class`` counters of the bypassed representatives).
+
+SOLVE's normal forms are derived once too (DESIGN.md, decision 22):
+``solver._cancel`` memoises ``cancel`` per expression and computes it in a
+fraction field, ``solver._factored`` memoises ``power``'s ``factor``, and
+MATCH refutes a stub by its IR inputs before executing it.  (f) checks
+``_cancel`` against ``sp.cancel`` on random rational expressions; (g) runs the
+search kernels with all three bypassed.
 """
 
 import hashlib
@@ -30,7 +37,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from repro.bench.store import CONFIGS
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.bench.store import CONFIGS, run_synthesis
 from repro.bench.suite import benchmark_names, get_benchmark
 from repro.cost import FlopsCostModel, MeasuredCostModel, make_cost_model
 from repro.cost.base import CostModel
@@ -39,8 +48,9 @@ from repro.ir.nodes import Call, Const, Input
 from repro.obs.metrics import PROCESS_COUNTERS
 from repro.symexec import INTERN_TABLE, canonical_key, engine, residues, symtensor
 from repro.symexec.residues import Q1, Q2, BatteryTable, _inv_battery, compose, order_witnesses
-from repro.synth import enumerator as enumerator_mod
+from repro.synth import enumerator as enumerator_mod, solver
 from repro.synth.enumerator import _HAS_INPUT, _PINNED, StubEnumerator
+from repro.synth.search import SearchContext
 
 #: The tier-1 subset: negative powers, divisions by stubs, the boolean grammar.
 QUICK = ["power_neg", "synth_7", "max_stack"]
@@ -322,3 +332,156 @@ def test_every_suite_library_is_the_one_without_memos():
             _, bare_identity, bare_counts, _ = _enumerate(kernel)
         assert bare_identity == identity, kernel
         assert bare_counts == counts, kernel
+
+
+# -- (f) cancel in a fraction field -----------------------------------------------------
+
+
+_X = [symtensor.element_symbol(name, (i,)) for name in "AB" for i in range(2)]
+A0, A1, B0, B1 = _X
+#: ``log`` atoms ``cancel`` keeps as generators, then ones it rewrites
+#: (``expand`` splits products and powers, ``factor_terms`` pulls out content)
+#: and ``log(2)``, a coefficient to it: those take the fallback.
+_LOGS = [sp.log(x) for x in _X] + [
+    sp.log(A0 + B1), sp.log(2 * B0 + A1**2), sp.log(-A0 + 2 * B1), sp.log(A0 / B0 + 1),
+]
+_REWRITTEN_LOGS = [
+    sp.log(A0 * B0), sp.log(A0**2), sp.log(2 * A0 + 2 * B0), sp.log(A0 * B0 + A0 * B1),
+    sp.log(3 * A0 - 6), sp.log(-A0 - B0), sp.log(2),
+]
+#: Outside the rational fragment: a ``Float``, radicals, another function, a constant.
+_OUTSIDE = [sp.Float(0.5), sp.sqrt(A0), 1 / sp.sqrt(B0), sp.exp(B1), sp.pi]
+_CONTENT = st.sampled_from([1, -1, 2, -3, 6, -4, sp.Rational(1, 2), sp.Rational(-2, 3)])
+
+
+def _quotients(atoms):
+    """Quotients of sums of signed products, some sharing a factor with their
+    denominator, and quotients of those."""
+    products = st.tuples(_CONTENT, st.lists(atoms, max_size=3)).map(lambda c: c[0] * sp.Mul(*c[1]))
+    sums = st.lists(products, min_size=1, max_size=3).map(lambda terms: sp.Add(*terms))
+    quotients = st.tuples(sums, sums, sums).filter(lambda t: t[1] != 0 and t[2] != 0).map(
+        lambda t: sp.expand(t[0] * t[1]) / (t[1] * t[2])
+    )
+    nested = st.tuples(quotients, quotients, st.sampled_from("+*/")).filter(lambda t: t[1] != 0).map(
+        lambda t: t[0] + t[1] if t[2] == "+" else t[0] * t[1] if t[2] == "*" else t[0] / t[1]
+    )
+    return quotients | nested
+
+
+def _outside(expr) -> bool:
+    """Whether ``expr`` holds a rewritten ``log``, a ``Float``, a radical, ``exp`` or ``pi``."""
+    return (
+        expr.has(*_REWRITTEN_LOGS)
+        or bool(expr.atoms(sp.Float, sp.exp, sp.NumberSymbol))
+        or any(not p.exp.is_Integer for p in expr.atoms(sp.Pow))
+    )
+
+
+_RATIONAL = _quotients(st.sampled_from(_X + _LOGS))
+#: A rational quotient with one atom outside the fragment, in both halves.
+_FALLBACK = st.tuples(_RATIONAL, st.sampled_from(_REWRITTEN_LOGS + _OUTSIDE)).map(lambda t: t[0] / t[1] + t[1])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_RATIONAL | _FALLBACK)
+def test_cancel_is_sp_cancel(expr):
+    """Equal and spelled alike; the field derives exactly the expressions
+    with a symbol, nothing outside its fragment, and more than one atom."""
+    got, want = solver._cancel(expr), sp.cancel(expr)
+    assert got == want and sp.srepr(got) == sp.srepr(want), (expr, got, want)
+    fallback = _outside(expr) or not expr.free_symbols or isinstance(expr, sp.log)
+    assert (solver._generators(expr) is None) is fallback, expr
+
+
+def test_a_negative_leading_denominator_is_negated():
+    """A negative power is the one field operation that does not normalize
+    the sign: the field keeps ``1/(B0 - A0)`` as built, ``cancel`` gives
+    ``-1/(A0 - B0)`` (``A0`` leads)."""
+    for expr in (1 / (B0 - A0), (B0 - A0) ** -3, A1 / (B0 - A0) + 1 / A0):
+        want = sp.cancel(expr)
+        assert sp.srepr(solver._cancel(expr)) == sp.srepr(want), expr
+        assert sp.Poly(sp.denom(want), A0, B0).LC() > 0
+
+
+def test_each_normal_form_is_derived_once():
+    solver._cancel.cache_clear()
+    solver._factored.cache_clear()
+    before = dict(PROCESS_COUNTERS)
+    quotient, root = (A0 * B0 + A0) / A0, A0**2 + 2 * A0 + 1
+    for _ in range(3):
+        assert solver._cancel(quotient) == B0 + 1
+        assert solver._cancel(sp.sqrt(A0) / A0) == sp.cancel(sp.sqrt(A0) / A0)
+        assert solver._factored(root) == (A0 + 1) ** 2
+    moved = {k: v - before.get(k, 0) for k, v in PROCESS_COUNTERS.items()}
+    assert moved["solver.cancel_exact"] == 1 and moved["solver.cancel_fallback"] == 1
+    assert solver._factored.cache_info().misses == 1
+
+
+# -- (g) the search without SOLVE's memos -----------------------------------------------
+
+
+#: The suite kernels whose search goes past the base-case MATCH, and the
+#: paper's Fig. 5 worst case.
+SEARCH_KERNELS = ("diag_dot", "sum_diag_dot", "synth_1", "synth_5", "synth_11", "synth_12", "vec_lerp")
+
+#: Counted only where a memo or the filter answers.
+_SOLVE_MEMO_COUNTERS = ("solver.cancel_exact", "solver.cancel_fallback", "search.match_input_refuted")
+
+
+def _all_inputs(self, stubs, names):
+    """MATCH's scan before the input filter: every stub executed."""
+    return (e for e in stubs if e.tensor.input_names() == names)
+
+
+def _bypass_solve_memos(patch) -> None:
+    """``_cancel`` is plain ``sp.cancel``, ``_factored`` recomputes, MATCH
+    executes every stub it scans."""
+    patch.setattr(solver, "_cancel", sp.cancel)
+    patch.setattr(solver, "_factored", solver._factored.__wrapped__)
+    patch.setattr(SearchContext, "same_inputs", _all_inputs)
+
+
+def _search(kernel) -> tuple:
+    """A cold search: ((program, costs, counters but the memos' own), the memos' own)."""
+    INTERN_TABLE.clear()
+    symtensor._FROM_VALUE_MEMO.clear()
+    residues.clear_less_memo()
+    record = run_synthesis(get_benchmark(kernel), "flops", "default")
+    counters = {
+        k: v
+        for k, v in record.stats["metrics"]["counters"].items()
+        if k.startswith(("search.", "solver.", "equiv.", "analysis."))
+    }
+    own = {k: counters.pop(k, 0) for k in _SOLVE_MEMO_COUNTERS}
+    return (record.optimized_source, record.original_cost, record.optimized_cost, counters), own
+
+
+@pytest.mark.slow
+def test_every_search_is_the_one_without_solve_memos():
+    """The seven kernels: the same program, costs and search, solver and
+    equivalence counts; every ``_cancel`` input seen is ``sp.cancel``'s."""
+    inputs: set = set()
+    real_cancel = solver._cancel
+
+    def recording_cancel(expr):
+        inputs.add(expr)
+        return real_cancel(expr)
+
+    refuted = 0
+    for kernel in SEARCH_KERNELS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_cancel", recording_cancel)
+            memoised, own = _search(kernel)
+        with pytest.MonkeyPatch.context() as patch:
+            _bypass_solve_memos(patch)
+            bare, bare_own = _search(kernel)
+        assert bare == memoised, kernel
+        assert not any(bare_own.values()), kernel
+        refuted += own["search.match_input_refuted"]
+    assert refuted > 0 and len(inputs) > 200
+    exact = 0
+    for expr in inputs:
+        got, want = real_cancel(expr), sp.cancel(expr)
+        assert got == want and sp.srepr(got) == sp.srepr(want), expr
+        exact += solver._generators(expr) is not None
+    assert exact > len(inputs) // 2

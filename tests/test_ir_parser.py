@@ -51,6 +51,15 @@ class TestExpressions:
         consts = [c for c in program.node.walk() if isinstance(c, Const)]
         assert consts and float(consts[0].value) == 3.0
 
+    def test_unfoldable_scalars_stay_numpy_calls(self):
+        # Python raises on 0.5 / 0.0 and goes complex on (-0.5) ** 0.5;
+        # NumPy gives inf and nan, so the parser leaves both unfolded.
+        with np.errstate(all="ignore"):
+            for source, expected in (("0.5 / (0.5 - 0.5)", np.inf), ("(-0.5) ** 0.5", np.nan)):
+                node = parse(source, TYPES).node
+                assert isinstance(node, Call)
+                assert np.array_equal(evaluate(node, {}), expected, equal_nan=True)
+
     def test_transpose_attribute(self):
         roundtrip("A.T @ A")
 

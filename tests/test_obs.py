@@ -318,8 +318,14 @@ class TestMetrics:
         """``equiv.*`` / ``analysis.*`` counts have no flat field, only the
         registry — which still carries every name it carried before the
         fingerprint engine went (all but ``equiv.fingerprint_computed``,
-        ``equiv.fingerprint_collisions`` and ``equiv.solver_prescreened``)."""
+        ``equiv.fingerprint_collisions`` and ``equiv.solver_prescreened``).
+        SOLVE's ``cancel`` counts its memo misses by the way it derived them,
+        and MATCH counts the stubs it refuted by their IR inputs."""
+        from repro.synth import solver
         from repro.synth.search import SearchStats
+
+        solver._cancel.cache_clear()  # the counts are of memo misses
+        solver._keeps_log.cache_clear()
 
         flat = SearchStats().as_dict()
         assert flat["metrics"] == empty_snapshot()
@@ -351,6 +357,13 @@ class TestMetrics:
         }
         assert counters["equiv.weak_refuted"] == counters["equiv.fingerprint_weak"]
         assert all(counters[k] > 0 for k in counters if k.startswith(("equiv.", "analysis.")))
+        memo_counts = ("solver.cancel_", "search.match_input_")
+        assert {k for k in counters if k.startswith(memo_counts)} == {
+            "solver.cancel_exact",
+            "solver.cancel_fallback",  # the log atoms' own check
+            "search.match_input_refuted",
+        }
+        assert counters["solver.cancel_exact"] > counters["solver.cancel_fallback"] > 0
 
     def test_profile_summary_reports_memo_and_cost_cache_hits(self):
         result = superoptimize_source(EASY_SOURCE, {"A": (2, 2)}, config=FAST)

@@ -37,6 +37,21 @@ class TestBaseCase:
         result, cost, _ = run_search("np.exp(np.log(A + B))")
         assert result == parse("A + B", TYPES).node
 
+    def test_match_refutes_a_stub_by_its_ir_inputs(self):
+        """MATCH's slow scan skips, unexecuted, a stub whose IR does not read
+        every input the spec mentions; one whose IR reads more may still
+        match, since an input can cancel out."""
+        from repro.synth.enumerator import StubEntry
+
+        _, _, ctx = run_search("np.transpose(np.transpose(A))")
+        sources = ("B", "A + B", "(A + B) - B", "A")
+        stubs = [StubEntry(parse(source, TYPES).node) for source in sources]
+        before = ctx.stats.metrics.count("search.match_input_refuted")
+        kept = list(ctx.same_inputs(stubs, frozenset({"A"})))
+        assert [e.node for e in kept] == [stubs[2].node, stubs[3].node]
+        assert stubs[0]._tensor is None  # refuted without symbolic execution
+        assert ctx.stats.metrics.count("search.match_input_refuted") - before == 1
+
     def test_constant_spec(self):
         result, cost, _ = run_search("(A - A) + 2")
         assert isinstance(result, Const)

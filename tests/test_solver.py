@@ -279,11 +279,12 @@ class TestSolverSafety:
         assert solver.solve(sketch, spec_of("np.stack([x + x, x])", types)) is None
         assert len(proofs) == 3
 
-    @pytest.mark.parametrize("forced", ["normalize", "equivalent", "simplify"])
+    @pytest.mark.parametrize("forced", ["normalize", "generic", "equivalent", "simplify"])
     def test_a_raising_check_means_unsolvable(self, solver, forced, monkeypatch):
-        """Normalizing the hole spec, comparing the re-executed sketch with the
-        spec, and ``simplify`` inside that comparison may each raise: the
-        query is then unsolvable, not an error."""
+        """Normalizing the hole spec — after an inverter or after the generic
+        solve — comparing the re-executed sketch with the spec, and
+        ``simplify`` inside that comparison may each raise: the query is then
+        unsolvable, not an error."""
         import importlib
 
         from repro.synth import solver as solver_mod
@@ -296,8 +297,14 @@ class TestSolverSafety:
             raise sp.PolynomialError("forced")
 
         target = "S + T"
-        if forced == "normalize":
+        if forced in ("normalize", "generic"):
             monkeypatch.setattr(solver_mod, "_normalize", boom)
+            if forced == "generic":
+                # diag has no inverter: the generic solve derives x / y, then normalizes it.
+                types = {"x": float_tensor(2), "y": float_tensor(2)}
+                sketch = make_sketch("np.diag(x)", "x", types)
+                target = "np.diag(x / y)"
+                assert solver_mod._generic_solve(sketch, spec_of(target, types)) is None
         elif forced == "equivalent":
             monkeypatch.setattr(solver_mod, "equivalent", boom)
         else:
