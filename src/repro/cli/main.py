@@ -230,14 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verification) under results/runs/<run_id>/; inspect with repro-trace.",
     )
     parser.add_argument(
-        "--trace-format",
-        choices=("chrome", "jsonl"),
-        default="chrome",
-        help="Trace export format: 'chrome' (trace.json, loads in "
-        "chrome://tracing / Perfetto) or 'jsonl' (trace.jsonl, compact; "
-        "both are readable by repro-trace). Default: chrome.",
-    )
-    parser.add_argument(
         "--log-json",
         action="store_true",
         help="Emit structured logs as one JSON object per line on stderr.",
@@ -245,18 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _export_run_telemetry(tracer, run_dir: Path, fmt: str, metrics: dict | None) -> None:
+def _export_run_telemetry(tracer, run_dir: Path, metrics: dict | None) -> None:
     """Write trace + metrics files for a traced run (best-effort)."""
     import json as _json
 
     tracer.close_open_spans()
-    if fmt == "jsonl":
-        trace_path = run_dir / "trace.jsonl"
-        ok = tracer.export_jsonl(trace_path)
-    else:
-        trace_path = run_dir / "trace.json"
-        ok = tracer.export_chrome(trace_path)
-    if ok:
+    trace_path = run_dir / "trace.json"
+    if tracer.export_chrome(trace_path):
         print(f"trace -> {trace_path}", file=sys.stderr)
     if metrics is not None:
         try:
@@ -314,8 +301,7 @@ def _run_module(args: argparse.Namespace, config: SynthesisConfig) -> int:
             from repro.obs.trace import get_tracer
 
             _export_run_telemetry(
-                get_tracer(), journal.run_dir, args.trace_format,
-                result.metrics_rollup(),
+                get_tracer(), journal.run_dir, result.metrics_rollup()
             )
 
     print(result.summary(), file=sys.stderr)
@@ -422,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         run_root = Path(args.runs_dir) if args.runs_dir else default_runs_dir()
         run_dir = run_root / (args.run_id or new_run_id())
         _export_run_telemetry(
-            get_tracer(), run_dir, args.trace_format, result.stats.metrics_snapshot()
+            get_tracer(), run_dir, result.stats.metrics_snapshot()
         )
 
     print(result.summary(), file=sys.stderr)

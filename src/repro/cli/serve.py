@@ -236,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.errors import StensoError
     from repro.obs.log import configure as configure_logging
-    from repro.resilience import ResiliencePolicy
+    from repro.resilience import InterruptGuard, ResiliencePolicy
     from repro.serve.daemon import SynthesisDaemon
     from repro.synth.config import SynthesisConfig
 
@@ -286,14 +286,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"listening on {daemon.socket_path}", flush=True)
-    try:
-        daemon.serve_forever()
-    finally:
-        if tracer is not None:
-            trace_path = daemon.state_dir / "trace.json"
-            tracer.close_open_spans()
-            if tracer.export_chrome(trace_path):
-                print(f"trace -> {trace_path}", file=sys.stderr)
+    # The trace is exported under a guard too: a signal after the daemon's
+    # own teardown must not cut the export short.
+    with InterruptGuard():
+        try:
+            daemon.serve_forever()
+        finally:
+            if tracer is not None:
+                trace_path = daemon.state_dir / "trace.json"
+                tracer.close_open_spans()
+                if tracer.export_chrome(trace_path):
+                    print(f"trace -> {trace_path}", file=sys.stderr)
     return 0
 
 

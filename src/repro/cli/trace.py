@@ -1,9 +1,7 @@
 """``repro-trace``: offline analysis of STENSO run traces.
 
-Consumes the traces written by ``stenso --trace`` (either format):
-
-* ``trace.json`` — Chrome trace-event JSON (the file Perfetto loads);
-* ``trace.jsonl`` — the compact one-event-per-line format.
+Consumes the Chrome trace-event JSON (``trace.json``, the file Perfetto
+loads) written by ``stenso --trace`` and ``stenso serve --trace``.
 
 Subcommands::
 
@@ -28,33 +26,14 @@ _CHROME_PHASES = {"X", "i", "M"}
 
 
 # ---------------------------------------------------------------------------
-# Loading (both formats normalize to the internal event dicts of
-# repro.obs.trace: {type, id, parent, name, cat, tid, ts, dur, args})
+# Loading (normalized to the internal event dicts of repro.obs.trace:
+# {type, id, parent, name, cat, tid, ts, dur, args})
 # ---------------------------------------------------------------------------
 
 
 def load_events(path: Path) -> list[dict]:
-    """Load a trace in either format into internal-format event dicts."""
-    text = path.read_text()
-    if path.suffix == ".jsonl" or text.lstrip().startswith('{"type"'):
-        return _load_jsonl(text)
-    return _load_chrome(text)
-
-
-def _load_jsonl(text: str) -> list[dict]:
-    events: list[dict] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        event = json.loads(line)
-        if event.get("type") in ("span", "instant"):
-            events.append(event)
-    return events
-
-
-def _load_chrome(text: str) -> list[dict]:
-    payload = json.loads(text)
+    """Load a Chrome trace into internal-format event dicts."""
+    payload = json.loads(path.read_text())
     events: list[dict] = []
     for raw in payload.get("traceEvents", []):
         ph = raw.get("ph")
@@ -254,60 +233,24 @@ def validate_chrome(payload: object) -> list[str]:
     return errors
 
 
-def validate_jsonl(text: str) -> list[str]:
-    """Schema violations in a compact JSONL trace ([] = valid)."""
-    errors: list[str] = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        return ["empty file"]
-    try:
-        header = json.loads(lines[0])
-    except ValueError:
-        return ["line 1: not valid JSON"]
-    if header.get("type") != "header" or "version" not in header:
-        errors.append("line 1: missing {type: header, version: ...}")
-    for i, line in enumerate(lines[1:], start=2):
-        try:
-            e = json.loads(line)
-        except ValueError:
-            errors.append(f"line {i}: not valid JSON")
-            continue
-        if e.get("type") not in ("span", "instant"):
-            errors.append(f"line {i}: bad type {e.get('type')!r}")
-            continue
-        if "name" not in e or not isinstance(e.get("ts"), (int, float)):
-            errors.append(f"line {i}: missing 'name' or numeric 'ts'")
-        if e["type"] == "span" and not isinstance(e.get("dur"), (int, float)):
-            errors.append(f"line {i}: span without numeric 'dur'")
-        if len(errors) >= 20:
-            errors.append("... (further errors suppressed)")
-            break
-    return errors
-
-
 def cmd_validate(path: Path) -> int:
     try:
         text = path.read_text()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return 1
-    if path.suffix == ".jsonl" or text.lstrip().startswith('{"type"'):
-        errors = validate_jsonl(text)
-        kind = "jsonl"
-    else:
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            print(f"{path}: INVALID (not JSON: {exc})", file=sys.stderr)
-            return 1
-        errors = validate_chrome(payload)
-        kind = "chrome"
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        print(f"{path}: INVALID (not JSON: {exc})", file=sys.stderr)
+        return 1
+    errors = validate_chrome(payload)
     if errors:
-        print(f"{path}: INVALID ({kind} format)", file=sys.stderr)
+        print(f"{path}: INVALID (chrome format)", file=sys.stderr)
         for err in errors:
             print(f"  {err}", file=sys.stderr)
         return 1
-    print(f"{path}: OK ({kind} format)")
+    print(f"{path}: OK (chrome format)")
     return 0
 
 
@@ -325,12 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_summary = sub.add_parser(
         "summary", help="Hot stages, prune reasons, search depth, worker timeline."
     )
-    p_summary.add_argument("trace", type=Path, help="trace.json or trace.jsonl")
+    p_summary.add_argument("trace", type=Path, help="trace.json")
     p_summary.add_argument(
         "--top", type=int, default=5, help="Rows per section (default: 5)."
     )
     p_validate = sub.add_parser("validate", help="Schema-check a trace file.")
-    p_validate.add_argument("trace", type=Path, help="trace.json or trace.jsonl")
+    p_validate.add_argument("trace", type=Path, help="trace.json")
     return parser
 
 

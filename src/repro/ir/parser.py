@@ -28,44 +28,23 @@ import numpy as np
 
 from repro.errors import ParseError, TypeInferenceError, UnsupportedOpError
 from repro.ir.nodes import Call, Const, Input, Node
+from repro.ir.ops import all_ops
 from repro.ir.types import TensorType
 
-# NumPy function name -> registry op name.
+# NumPy function name -> registry op name: every ``np.*`` op under its own
+# name, plus the NumPy aliases the suite spells.
 _NUMPY_FUNCS = {
-    "add": "add",
-    "subtract": "subtract",
-    "multiply": "multiply",
-    "divide": "divide",
+    spec.numpy_name.removeprefix("np."): spec.name
+    for spec in all_ops()
+    if spec.numpy_name.startswith("np.")
+} | {
     "true_divide": "divide",
-    "power": "power",
-    "sqrt": "sqrt",
-    "exp": "exp",
-    "log": "log",
-    "negative": "negative",
-    "abs": "abs",
     "absolute": "abs",
-    "maximum": "maximum",
-    "minimum": "minimum",
-    "sum": "sum",
-    "max": "max",
     "amax": "max",
-    "min": "min",
     "amin": "min",
-    "dot": "dot",
     "matmul": "dot",
-    "tensordot": "tensordot",
-    "transpose": "transpose",
-    "diag": "diag",
-    "diagonal": "diag",
-    "trace": "trace",
-    "stack": "stack",
-    "reshape": "reshape",
-    "where": "where",
-    "less": "less",
-    "full": "full",
-    "triu": "triu",
-    "tril": "tril",
     "inner": "dot",
+    "diagonal": "diag",
 }
 
 _BINOPS = {

@@ -4,7 +4,7 @@ Three pillars (see ``docs/user_guide.md``, "Observability"):
 
 * :mod:`repro.obs.trace` — span-based tracing of the synthesis DFS, solver,
   enumerator, verifier, and e-graph saturator; exports Chrome trace-event
-  JSON (Perfetto-loadable) and compact JSONL under ``results/runs/<id>/``;
+  JSON (Perfetto-loadable) under ``results/runs/<id>/``;
 * :mod:`repro.obs.metrics` — counters / gauges / histograms populated by
   :class:`~repro.synth.search.SearchStats`, snapshotted into journal
   completion lines and :meth:`repro.pipeline.ModuleResult.summary`;

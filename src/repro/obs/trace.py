@@ -7,12 +7,9 @@ best-effort**: every sink/export failure is swallowed and logged, a failing
 trace file can never fail the synthesis run (the ``trace`` fault-injection
 site of :mod:`repro.resilience` proves this in tests).
 
-Two export formats:
-
-* **Chrome trace-event JSON** (``trace.json``) — loads directly in
-  ``chrome://tracing`` or https://ui.perfetto.dev;
-* **compact JSONL** (``trace.jsonl``) — one event per line, the format
-  ``repro-trace`` (:mod:`repro.cli.trace`) consumes natively.
+One export format: **Chrome trace-event JSON** (``trace.json``), which
+loads directly in ``chrome://tracing`` or https://ui.perfetto.dev and is
+what ``repro-trace`` (:mod:`repro.cli.trace`) reads.
 
 The hot-path contract: call sites guard with ``if tracer.enabled:`` so a
 disabled tracer (:data:`NULL_TRACER`, the default) costs one attribute load
@@ -345,16 +342,6 @@ class Tracer:
             "otherData": {"format": "stenso-trace", "version": TRACE_VERSION},
         }
         return self._write(path, json.dumps(payload))
-
-    def export_jsonl(self, path) -> bool:
-        """Write the compact JSONL trace; False (never an exception) on failure."""
-        lines = [
-            json.dumps(
-                {"type": "header", "version": TRACE_VERSION, "dropped": self.dropped}
-            )
-        ]
-        lines.extend(json.dumps(e) for e in self._events)
-        return self._write(path, "\n".join(lines) + "\n")
 
     def _write(self, path, text: str) -> bool:
         try:

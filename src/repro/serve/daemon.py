@@ -784,7 +784,9 @@ class SynthesisDaemon:
 
     def serve_forever(self) -> None:
         """The dispatcher loop; returns after a shutdown request (drained or
-        not).  Run :meth:`start` first."""
+        not) and :meth:`close`.  Run :meth:`start` first.  A SIGINT/SIGTERM
+        asks for a stop; one during the teardown is absorbed, so the cache,
+        ``metrics.json`` and the lock are always written out."""
         from repro.resilience import InterruptGuard
 
         with InterruptGuard() as guard:
@@ -803,7 +805,7 @@ class SynthesisDaemon:
                     self._handle_event(event)
                 if not events and not dispatched:
                     time.sleep(self.policy.poll_interval_s)
-        self.close()
+            self.close()
 
     def _shed_expired(self) -> None:
         """Deadline propagation, queue side: complete every queued request

@@ -102,7 +102,7 @@ def _canonical_impl(expr: sp.Expr) -> sp.Expr:
     if isinstance(expr, sp.StrictLessThan):
         # ``cancel`` leaves a relational alone and ``Relational.expand`` is
         # ``Lt(*expanded sides)``: build that through the order tier, so the
-        # sign proof ``_symbolic_less`` was spared is not attempted here.
+        # sign proof the engine's ``less`` rule was spared is not attempted here.
         try:
             out = residues.less(sp.expand(expr.lhs), sp.expand(expr.rhs))
         except (AttributeError, NotImplementedError):

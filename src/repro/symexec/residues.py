@@ -109,6 +109,7 @@ import numpy as np
 import sympy as sp
 
 from repro.ir.nodes import Call, Const, Node
+from repro.ir.ops import get_op
 from repro.ir.types import DType
 from repro.obs.metrics import bump
 from repro.symexec.symtensor import SymTensor, representative
@@ -545,51 +546,45 @@ def residue_key(shape: tuple, dtype: DType, res: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _bcast(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bcast(*args: np.ndarray) -> list[np.ndarray]:
     """Numpy trailing-dim broadcasting over the entry dims (prefix fixed)."""
-    ra, rb = a.ndim - 2, b.ndim - 2
-    if ra < rb:
-        a = a.reshape(a.shape[:2] + (1,) * (rb - ra) + a.shape[2:])
-    elif rb < ra:
-        b = b.reshape(b.shape[:2] + (1,) * (ra - rb) + b.shape[2:])
-    return a, b
+    rank = max(a.ndim for a in args)
+    return [
+        a if a.ndim == rank else a.reshape(a.shape[:2] + (1,) * (rank - a.ndim) + a.shape[2:])
+        for a in args
+    ]
+
+
+def _pow_mod(b: np.ndarray, exponents) -> np.ndarray:
+    """``b ** exponents[k]`` mod the ``k``-th prime on its slab (square-and-multiply)."""
+    out = np.ones_like(b)
+    sq = b.copy()
+    for k, (q, e) in enumerate(zip(_PRIMES, exponents)):
+        acc, s = out[k], sq[k]
+        while e:
+            if e & 1:
+                acc *= s
+                acc %= q
+            e >>= 1
+            if e:
+                s *= s
+                s %= q
+    return out
 
 
 def _inv_battery(b: np.ndarray) -> np.ndarray:
-    """Vectorized modular inverse per prime slab (square-and-multiply).
+    """Vectorized modular inverse per prime slab (Fermat: ``b ** (q - 2)``).
 
     Callers must already have checked ``b.all()``: a zero residue has no
     inverse and makes the whole battery unrepresentable.
     """
-    out = np.ones_like(b)
-    base = b.copy()
-    for k, q in enumerate(_PRIMES):
-        acc, sq = out[k], base[k]
-        e = q - 2
-        while e:
-            if e & 1:
-                acc *= sq
-                acc %= q
-            e >>= 1
-            if e:
-                sq *= sq
-                sq %= q
-    return out
+    return _pow_mod(b, [q - 2 for q in _PRIMES])
 
 
-def _c_add(args, attrs):
-    a, b = _bcast(args[0], args[1])
-    return _mod(a + b)
-
-
-def _c_subtract(args, attrs):
-    a, b = _bcast(args[0], args[1])
-    return _mod(a - b)
-
-
-def _c_multiply(args, attrs):
-    a, b = _bcast(args[0], args[1])
-    return _mod(a * b)
+def _c_elementwise(op: str):
+    """``add`` / ``subtract`` / ``multiply`` / ``negative``: the registry rule, reduced."""
+    rule = get_op(op).eval
+    return lambda args, attrs: _mod(rule(_bcast(*args), attrs))
 
 
 def _c_divide(args, inverse):
@@ -599,20 +594,15 @@ def _c_divide(args, inverse):
         # genuinely undefined or merely weak at this point — both are for
         # the exact path to decide.
         raise _Unsupported
-    a, b = _bcast(args[0], inverse(1))
-    return _mod(a * b)
-
-
-def _c_negative(args, attrs):
-    return _mod(-args[0])
+    return _COMPOSE["multiply"]([args[0], inverse(1)], {})
 
 
 def _c_dot(args, attrs):
     a, b = args
     ra, rb = a.ndim - 2, b.ndim - 2
     if ra == 0 or rb == 0:
-        # engine._dot multiplies elementwise when either side is scalar.
-        return _c_multiply(args, attrs)
+        # np.dot multiplies elementwise when either side is scalar.
+        return _COMPOSE["multiply"](args, attrs)
     if ra > 2 or rb > 2:
         raise _Unsupported  # np.dot's stacked-axes semantics: not mirrored
     x = a if ra == 2 else a.reshape(a.shape[:2] + (1,) + a.shape[2:])
@@ -689,19 +679,7 @@ def _c_power(args, attrs, arg_nodes, inverse):
             raise _Unsupported
         base = inverse(0)
         c = -c
-    out = np.ones_like(base)
-    sq = base.copy()
-    for k, q in enumerate(_PRIMES):
-        acc, s, e = out[k], sq[k], c
-        while e:
-            if e & 1:
-                acc *= s
-                acc %= q
-            e >>= 1
-            if e:
-                s *= s
-                s %= q
-    return out
+    return _pow_mod(base, [c] * _NP)
 
 
 def _c_full(args, attrs):
@@ -713,10 +691,7 @@ def _c_full(args, attrs):
 
 
 _COMPOSE = {
-    "add": _c_add,
-    "subtract": _c_subtract,
-    "multiply": _c_multiply,
-    "negative": _c_negative,
+    **{op: _c_elementwise(op) for op in ("add", "subtract", "multiply", "negative")},
     "dot": _c_dot,
     "tensordot": _c_tensordot,
     "transpose": _c_transpose,

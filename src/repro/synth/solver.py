@@ -18,6 +18,7 @@ the hole, a generic fallback binds the hole to fresh unknowns and calls
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -398,34 +399,23 @@ def _invert_power(call, pos, args, target, hole_type):
     return _elementwise_invert(invert_exponent, call, pos, target, base, hole_type)
 
 
-@_inverter("sqrt")
-def _invert_sqrt(call, pos, args, target, hole_type):
+#: ``op -> f``: the hole entry ``f(t)`` of a unary elementwise op's spec entry ``t``.
+UNARY_INVERSES: dict[str, Callable[[object], object]] = {
+    "sqrt": lambda t: t**2,
+    "negative": operator.neg,
+    "exp": sp.log,
+    "log": sp.exp,
+}
+
+
+def _invert_unary(call, pos, args, target, hole_type):
     if target.shape != hole_type.shape:
         return None
-    return _hole_tensor(target.data ** 2)
+    return _hole_tensor(np.frompyfunc(UNARY_INVERSES[call.op], 1, 1)(target.data))
 
 
-@_inverter("negative")
-def _invert_negative(call, pos, args, target, hole_type):
-    if target.shape != hole_type.shape:
-        return None
-    return _hole_tensor(-target.data)
-
-
-@_inverter("exp")
-def _invert_exp(call, pos, args, target, hole_type):
-    if target.shape != hole_type.shape:
-        return None
-    log_u = np.frompyfunc(sp.log, 1, 1)
-    return _hole_tensor(log_u(target.data))
-
-
-@_inverter("log")
-def _invert_log(call, pos, args, target, hole_type):
-    if target.shape != hole_type.shape:
-        return None
-    exp_u = np.frompyfunc(sp.exp, 1, 1)
-    return _hole_tensor(exp_u(target.data))
+for _op in UNARY_INVERSES:
+    _inverter(_op)(_invert_unary)
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +447,14 @@ def _invert_reshape(call, pos, args, target, hole_type):
 
 
 @_inverter("triu", normalizes=False)
-def _invert_triu(call, pos, args, target, hole_type):
-    for idx in np.ndindex(*target.shape):
-        if idx[-2] > idx[-1] and not _is_zero(target.data[idx]):
-            return None
-    return target
-
-
 @_inverter("tril", normalizes=False)
-def _invert_tril(call, pos, args, target, hole_type):
+def _invert_triangle(call, pos, args, target, hole_type):
+    """The target itself, if it is zero where the op masks (below the
+    diagonal for ``triu``, above it for ``tril``)."""
+    below = call.op == "triu"
     for idx in np.ndindex(*target.shape):
-        if idx[-2] < idx[-1] and not _is_zero(target.data[idx]):
+        i, j = idx[-2], idx[-1]
+        if (i > j if below else i < j) and not _is_zero(target.data[idx]):
             return None
     return target
 

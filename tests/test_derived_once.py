@@ -141,7 +141,7 @@ def memoised():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(residues, "less", recording_less)
-        patch.setattr(engine, "_where_ufunc", np.frompyfunc(recording_where, 3, 1))
+        patch.setattr(engine, "_symbolic_where", recording_where)
         for kernel in QUICK:
             runs[kernel] = _enumerate(kernel)
     return runs, pairs, triples

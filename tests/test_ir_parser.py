@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ParseError, UnsupportedOpError
 from repro.ir import evaluate, float_tensor, parse, random_inputs
 from repro.ir.nodes import Call, Const, Input
+from repro.ir.ops import all_ops
 from repro.ir.parser import parse_expression, parse_function
 
 
@@ -115,6 +116,18 @@ class TestExpressions:
 
     def test_inner_alias_to_dot(self):
         roundtrip("np.inner(x, x)")
+
+    @pytest.mark.parametrize(
+        "spec", [s for s in all_ops() if s.numpy_name.startswith("np.")], ids=lambda s: s.name
+    )
+    def test_every_numpy_name_parses_to_its_op(self, spec):
+        args = {
+            "full": "(2, 2), a",
+            "reshape": "S, (9,)",
+            "stack": "[S, S]",
+            "tensordot": "S, S, 1",
+        }.get(spec.name) or ("S", "S, S", "np.less(S, S), S, S")[spec.arity - 1]
+        assert parse(f"{spec.numpy_name}({args})", TYPES).node.op == spec.name
 
 
 class TestFunctions:

@@ -2,8 +2,8 @@
 
 The contract under test: ``repro.obs`` records spans/instants/metrics for a
 synthesis run without ever becoming a dependency of it — a failing sink or
-export degrades to a warning, never to a failed kernel — the Chrome and
-JSONL exports satisfy their documented schemas, worker-forwarded events
+export degrades to a warning, never to a failed kernel — the Chrome
+export satisfies its documented schema, worker-forwarded events
 merge with per-worker monotonic timestamps, and the disabled (null) tracer
 is cheap enough that instrumented hot paths stay within the <5% overhead
 budget.
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.synth.superoptimizer import superoptimize_source
-from repro.cli.trace import load_events, main as trace_main, validate_chrome, validate_jsonl
+from repro.cli.trace import load_events, main as trace_main, validate_chrome
 from repro.journal import RunJournal
 from repro.obs.metrics import MetricsRegistry, empty_snapshot, merge_snapshots
 from repro.obs.progress import ProgressBoard
@@ -123,20 +123,13 @@ class TestExports:
         phases = {e["ph"] for e in payload["traceEvents"]}
         assert "X" in phases and "M" in phases
 
-    def test_jsonl_export_passes_schema_validation(self, tmp_path):
+    def test_load_events_round_trips_the_chrome_export(self, tmp_path):
         tracer, _ = _traced_run(EASY_SOURCE, {"A": (2, 2)})
-        path = tmp_path / "trace.jsonl"
-        assert tracer.export_jsonl(path)
-        assert validate_jsonl(path.read_text()) == []
-
-    def test_load_events_round_trips_both_formats(self, tmp_path):
-        tracer, _ = _traced_run(EASY_SOURCE, {"A": (2, 2)})
-        chrome, jsonl = tmp_path / "t.json", tmp_path / "t.jsonl"
-        assert tracer.export_chrome(chrome) and tracer.export_jsonl(jsonl)
+        chrome = tmp_path / "t.json"
+        assert tracer.export_chrome(chrome)
         from_chrome = load_events(chrome)
-        from_jsonl = load_events(jsonl)
-        assert len(from_chrome) == len(from_jsonl) == len(tracer.events())
-        assert {e["name"] for e in from_chrome} == {e["name"] for e in from_jsonl}
+        assert len(from_chrome) == len(tracer.events())
+        assert {e["name"] for e in from_chrome} == {e["name"] for e in tracer.events()}
 
     def test_trace_cli_summary_and_validate(self, tmp_path, capsys):
         tracer, _ = _traced_run(PRUNE_SOURCE, {"A": (2, 2), "B": (2, 2)})
@@ -157,7 +150,6 @@ class TestExports:
     def test_validator_rejects_malformed_payloads(self):
         assert validate_chrome({"no": "traceEvents"})
         assert validate_chrome({"traceEvents": [{"ph": "Z", "name": "x"}]})
-        assert validate_jsonl("not json\n")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +423,6 @@ class TestTraceFaults:
         tracer = Tracer()
         tracer.instant("x")
         assert tracer.export_chrome(tmp_path / "t.json") is False
-        assert tracer.export_jsonl(tmp_path / "t.jsonl") is False
         assert not (tmp_path / "t.json").exists()
 
     def test_corrupt_export_is_detected_by_validator(self, tmp_path):

@@ -4,13 +4,15 @@ Complements test_ir_ops.py: every grammar/input-side op is exercised at
 several shape combinations — including broadcasting with unit axes, scalars,
 and negative-axis attributes — and checked against the NumPy function it
 names, through all three execution routes (op eval, IR interpreter, printed
-source).
+source), and symbolic execution is checked against the interpreter.
 """
 
 import numpy as np
 import pytest
 
 from repro.ir import evaluate, float_tensor, parse, random_inputs, to_callable
+from repro.symexec import symbolic_execute
+from tests.test_symexec import substitute_numeric
 
 CASES = [
     # (source, input shapes)
@@ -84,6 +86,19 @@ def test_op_semantics(source, shapes):
         printed(*[env[n] for n in program.input_names]), dtype=float
     )
     assert np.allclose(reprinted, reference), "printed source values"
+
+
+@pytest.mark.parametrize(
+    "source, shapes", CASES, ids=[f"{s}-{tuple(sh.values())}" for s, sh in CASES]
+)
+def test_op_symbolic_execution(source, shapes):
+    """The symbolic route: each entry, at the inputs, is the interpreter's value."""
+    types = {name: float_tensor(*shape) for name, shape in shapes.items()}
+    program = parse(source, types)
+    env = random_inputs(program.input_types, rng=np.random.default_rng(77))
+    symbolic = symbolic_execute(program.node)
+    assert symbolic.shape == program.node.type.shape
+    assert np.allclose(substitute_numeric(symbolic, env), evaluate(program.node, env))
 
 
 @pytest.mark.parametrize(

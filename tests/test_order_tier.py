@@ -62,7 +62,7 @@ class _Spy:
     """Records what both call sites hand to / get from the tier."""
 
     def __init__(self, monkeypatch):
-        self.less_pairs: dict = {}  # (x, y) from _symbolic_less -> result
+        self.less_pairs: dict = {}  # (x, y) from the engine's less rule -> result
         self.less_calls = 0
         self.canonical_rels: dict = {}  # top-level relational -> canonical form
         self.canonical_lts = 0

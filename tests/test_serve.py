@@ -16,6 +16,7 @@ The contract under test:
   per-request budgets (``max_solver_calls``) degrade gracefully.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -291,13 +292,13 @@ def _env(**extra) -> dict:
     return env
 
 
-def _start_daemon(state_dir: Path, socket_path: str, **env) -> subprocess.Popen:
+def _start_daemon(
+    state_dir: Path, socket_path: str, entry=("-m", "repro.cli", "serve"), **env
+) -> subprocess.Popen:
     proc = subprocess.Popen(
         [
             sys.executable,
-            "-m",
-            "repro.cli",
-            "serve",
+            *entry,
             "--state-dir",
             str(state_dir),
             "--socket",
@@ -441,3 +442,44 @@ class TestKillResume:
             if proc.poll() is None:
                 proc.terminate()
             assert proc.wait(60) == 0
+
+    def test_sigterm_during_teardown_still_writes_the_state(self, tmp_path):
+        # Regression: the daemon left its interrupt guard before ``close()``
+        # and the CLI exported the trace after that, so a SIGTERM right after
+        # a shutdown request killed it (exit -15) before ``metrics.json``,
+        # the cache, the lock and the trace were written.  Each teardown
+        # step here signals the daemon itself, in the window it used to die.
+        state_dir, socket_path = tmp_path / "state", _short_socket()
+        proc = _start_daemon(
+            state_dir, socket_path, entry=("-c", _SIGTERM_IN_TEARDOWN, "--trace")
+        )
+        try:
+            client = ServeClient(socket_path)
+            client.wait_ready()
+            client.shutdown()
+        finally:
+            code = proc.wait(60)
+        assert code == 0
+        assert "counters" in json.loads((state_dir / "metrics.json").read_text())
+        assert (state_dir / "trace.json").is_file()
+        assert not Path(socket_path).exists()
+
+
+#: ``stenso serve`` with each teardown step (the daemon's ``close()`` and the
+#: trace export) sending SIGTERM to its own process first.
+_SIGTERM_IN_TEARDOWN = """
+import os, signal, sys
+from repro.cli import serve
+from repro.obs.trace import Tracer
+from repro.serve.daemon import SynthesisDaemon
+
+def signalled(step):
+    def run(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGTERM)
+        return step(*args, **kwargs)
+    return run
+
+SynthesisDaemon.close = signalled(SynthesisDaemon.close)
+Tracer.export_chrome = signalled(Tracer.export_chrome)
+sys.exit(serve.main(sys.argv[1:]))
+"""

@@ -16,6 +16,8 @@ from repro.symexec import (
     equivalent,
     symbolic_execute,
 )
+from repro.ir.ops import get_op
+from repro.symexec import engine
 from repro.symexec.symtensor import element_symbol, rename, representative, symbol_origin
 
 TYPES = {
@@ -29,7 +31,11 @@ TYPES = {
 
 
 def substitute_numeric(tensor: SymTensor, env: dict[str, np.ndarray]) -> np.ndarray:
-    """Evaluate each symbolic entry at the concrete inputs."""
+    """Evaluate each symbolic entry at the concrete inputs.
+
+    An entry may be a plain Python number: ``np.diag`` of a vector fills the
+    off-diagonal with ``0``.
+    """
     substitutions = {}
     for name, value in env.items():
         arr = np.asarray(value)
@@ -40,9 +46,9 @@ def substitute_numeric(tensor: SymTensor, env: dict[str, np.ndarray]) -> np.ndar
                 substitutions[element_symbol(name, tuple(idx))] = float(arr[idx])
     out = np.empty(tensor.shape, dtype=float)
     if tensor.shape == ():
-        return np.asarray(float(tensor.item().subs(substitutions)))
+        return np.asarray(float(sp.sympify(tensor.item()).subs(substitutions)))
     for idx in np.ndindex(*tensor.shape):
-        out[idx] = float(tensor.data[idx].subs(substitutions))
+        out[idx] = float(sp.sympify(tensor.data[idx]).subs(substitutions))
     return out
 
 
@@ -85,6 +91,23 @@ def test_symbolic_matches_numeric(source):
     expected = np.asarray(evaluate(program.node, env), dtype=float)
     got = substitute_numeric(spec, env)
     assert np.allclose(got, expected)
+
+
+@pytest.mark.parametrize("op", sorted(engine._RULES))
+def test_every_sympy_rule_is_needed(op):
+    """On element symbols the registry's NumPy rule raises, or yields some
+    entry other than the engine's SymPy rule does."""
+    A, B = (SymTensor.from_input(name, float_tensor(2, 3)).data for name in "AB")
+    args = [engine._RULES["less"]([A, B], {}), A, B] if op == "where" else [A, B]
+    args = args[: get_op(op).arity]
+    want = engine._RULES[op](args, {})
+    try:
+        got = get_op(op).eval(args, {})
+    except TypeError:
+        return
+    assert [sp.srepr(e) for e in np.asarray(got).flat] != [
+        sp.srepr(e) for e in np.asarray(want).flat
+    ]
 
 
 class TestSymbols:
