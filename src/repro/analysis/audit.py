@@ -12,16 +12,18 @@ is defined and equal.  The auditor checks this layer by layer:
    definedness *narrowings* (lhs hazards the rhs lacks — the rewrite
    silently extends the domain) become findings.
 3. **Counterexample search** — concrete probe batteries through
-   ``ir.evaluator``, the residue batteries, and the symbolic
-   ``equivalent()`` check, each of which can only *refute* equivalence and
+   ``ir.evaluator`` and the symbolic ``equivalent()`` check (residue
+   batteries first), each of which can only *refute* equivalence and
    therefore yields sound evidence in every policy.
 
 Two policies ship.  ``STRICT`` audits over all of R (signed and zero
 probes; definedness narrowing is an error) — the right lens for a shared,
 fleet-wide catalog.  ``POSITIVE`` audits over the strictly positive
-verification domain the synthesis pipeline actually promises (probes in
-``[1/2, 2]``; narrowing demotes to a warning) — the admission gate for
-rules mined from verified synthesis results.
+domain of the verifier's random draws (probes in ``[1/2, 2]``; narrowing
+demotes to a warning) — the admission gate for rules mined from verified
+synthesis results.  Its probes are not :mod:`repro.verify`'s: every kernel
+the rule cache rewrites is still re-checked there, adversarial battery
+included.
 
 Reports are cached process-wide per ``(rule, policy)``: rules are frozen
 and hashable, and mined rules recur across kernels, workers, and requests.
@@ -44,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; a module-level import
     from repro.rules.mining import MinedRule
 from repro.symexec.canonical import equivalent
 from repro.symexec.engine import symbolic_execute
-from repro.symexec.residues import tensor_residues
 
 __all__ = [
     "AuditFinding",
@@ -344,10 +345,10 @@ def _audit_findings(rule: MinedRule, policy: AuditPolicy) -> tuple[AuditFinding,
             )
 
     # -- symbolic counterexample search -------------------------------------
-    # Residue-battery disagreement and an ``equivalent() == False`` verdict
-    # are sound inequivalence evidence under every policy: both refute
-    # equality on an open subset of the positive domain, and the rule
-    # language is analytic there.
+    # An ``equivalent() == False`` verdict (its first tier is the residue
+    # batteries) is sound inequivalence evidence under every policy: it
+    # refutes equality on an open subset of the positive domain, and the
+    # rule language is analytic there.
     try:
         lhs_sym = symbolic_execute(rule.lhs)
         rhs_sym = symbolic_execute(rule.rhs)
@@ -360,17 +361,6 @@ def _audit_findings(rule: MinedRule, policy: AuditPolicy) -> tuple[AuditFinding,
             )
         )
         return _dedup(findings)
-    lhs_res = tensor_residues(lhs_sym)
-    rhs_res = tensor_residues(rhs_sym)
-    if lhs_res is not None and rhs_res is not None:
-        if lhs_res.shape != rhs_res.shape or not (lhs_res == rhs_res).all():
-            findings.append(
-                AuditFinding(
-                    code="not-equivalent",
-                    severity="error",
-                    message="residue batteries disagree on the rule prototypes",
-                )
-            )
     try:
         if not equivalent(lhs_sym, rhs_sym):
             findings.append(

@@ -17,7 +17,7 @@ import numpy as np
 from repro.backends import ALL_BACKEND_NAMES, Backend, make_backend
 from repro.bench.suite import Benchmark
 from repro.errors import BenchmarkError
-from repro.ir.evaluator import evaluate, random_inputs
+from repro.ir.evaluator import random_inputs
 from repro.ir.parser import Program, parse
 
 
@@ -73,50 +73,20 @@ def _timing_program(bench: Benchmark, source: str) -> Program:
     )
 
 
-def verify_optimized_at_timing_shapes(
-    bench: Benchmark, optimized_source: str, trials: int = 2
-) -> bool:
-    """Check the synthesized program still agrees at the timing shapes.
-
-    Runs the deterministic adversarial battery (zeros, negatives, mixed
-    signs, large magnitudes — skipping inputs the *original* is undefined
-    on) before the random draws, so a program only valid on the random
-    positive domain never gets timed as "improved".
-    """
-    from repro.verify import adversarial_inputs
+def verify_optimized_at_timing_shapes(bench: Benchmark, optimized_source: str) -> bool:
+    """Check the synthesized program still agrees at the timing shapes, with
+    :func:`repro.verify.verify_equivalence`'s numeric trials — so a program
+    only valid on the random positive domain never gets timed as "improved"."""
+    from repro.verify import verify_equivalence
 
     original = bench.parse_timing()
     try:
         optimized = _timing_program(bench, optimized_source)
     except Exception:
         return False
-
-    def agree(env) -> bool:
-        got = np.asarray(evaluate(optimized.node, env), dtype=float)
-        want = np.asarray(evaluate(original.node, env), dtype=float)
-        return got.shape == want.shape and np.allclose(
-            got, want, rtol=1e-8, atol=1e-10
-        )
-
-    with np.errstate(all="ignore"):  # boundary probes overflow by design
-        for _label, env in adversarial_inputs(original.input_types):
-            try:
-                want = np.asarray(evaluate(original.node, env), dtype=float)
-            except Exception:
-                continue  # original undefined on this input: out of domain
-            if not np.all(np.isfinite(want)):
-                continue
-            try:
-                if not agree(env):
-                    return False
-            except Exception:
-                return False  # optimized failed where the original is defined
-    rng = np.random.default_rng(99)
-    for _ in range(trials):
-        env = random_inputs(original.input_types, rng=rng)
-        if not agree(env):
-            return False
-    return True
+    return verify_equivalence(
+        original, optimized.node, symbolic=False, shape_transport=False
+    ).passed
 
 
 def measure_pair(

@@ -18,23 +18,14 @@ from repro.egraph.saturate import SaturationStats, saturate
 from repro.egraph.unionfind import UnionFind
 
 
-def optimize_with_rules(node, rules, cost_model, max_iterations: int = 8, auditor=None):
+def optimize_with_rules(node, rules, cost_model, max_iterations: int = 8):
     """Saturate ``node``'s e-graph with ``rules`` and extract the cheapest
     equivalent program.  Returns (best IR node, SaturationStats).
 
-    ``auditor`` (a :class:`repro.analysis.audit.RuleAuditor`) gates the rule
-    feed: mined rules it rejects never reach saturation, so an unsound rule
-    slipped into ``rules`` cannot corrupt the e-graph.
+    ``rules`` are applied as given: gating them is the caller's job (the
+    :class:`repro.pipeline.ModuleOptimizer` admits each mined rule once,
+    through its auditor, before it joins the rule cache).
     """
-    rules = list(rules)
-    if auditor is not None:
-        from repro.rules.mining import MinedRule
-
-        rules = [
-            r
-            for r in rules
-            if not isinstance(r, MinedRule) or auditor.admit(r)[0]
-        ]
     egraph = EGraph()
     root = egraph.add_term(node)
     stats = saturate(egraph, rules, max_iterations=max_iterations)

@@ -44,10 +44,6 @@ class BudgetExhausted(SynthesisTimeout):
     """
 
 
-class VerificationError(StensoError):
-    """A synthesized candidate failed semantic verification."""
-
-
 class CostModelError(StensoError):
     """A cost could not be estimated for a program or sketch."""
 

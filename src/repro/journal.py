@@ -93,12 +93,8 @@ def new_run_id() -> str:
 def kernel_key(spec: "KernelSpec") -> str:
     """Stable identity of one kernel: name, source, and input types."""
     parts = [spec.name, spec.source]
-    for name in sorted(spec.inputs):
-        t = spec.inputs[name]
-        if hasattr(t, "dtype"):
-            parts.append(f"{name}:{t.dtype.value}{tuple(t.shape)}")
-        else:
-            parts.append(f"{name}:float{tuple(t)}")
+    for name, t in sorted(spec.types.items()):
+        parts.append(f"{name}:{t.dtype.value}{tuple(t.shape)}")
     return hashlib.sha1("\x1f".join(parts).encode()).hexdigest()[:16]
 
 

@@ -55,15 +55,23 @@ log = get_logger(__name__)
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One kernel to optimize: source plus input types (shapes accepted)."""
+    """One kernel to optimize: source plus input types (shapes accepted).
+
+    ``inputs`` stays as given; ``types`` holds them normalized once, at
+    construction (a bare shape is a float tensor), and is what every key,
+    the wire form and parsing read."""
 
     name: str
     source: str
     inputs: Mapping[str, TensorType | tuple[int, ...]]
+    types: dict[str, TensorType] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        types = {k: _as_type(v) for k, v in self.inputs.items()}
+        object.__setattr__(self, "types", types)
 
     def parse(self) -> Program:
-        types = {k: _as_type(v) for k, v in self.inputs.items()}
-        return parse(self.source, types, name=self.name)
+        return parse(self.source, dict(self.types), name=self.name)
 
 
 def batch_key(spec: KernelSpec, config: SynthesisConfig) -> str:
@@ -78,8 +86,7 @@ def batch_key(spec: KernelSpec, config: SynthesisConfig) -> str:
     deduplicated.
     """
     try:
-        types = {n: _as_type(t) for n, t in spec.inputs.items()}
-        synth_types = synthesis_types(spec.source, types, name=spec.name)
+        synth_types = synthesis_types(spec.source, spec.types, name=spec.name)
         program = parse(spec.source, synth_types, name=spec.name)
         mapping = {name: f"__k{i}" for i, name in enumerate(program.input_names)}
         node = rename_inputs(program.node, mapping)
@@ -262,8 +269,10 @@ class ModuleOptimizer:
         )
         self.config = config or DEFAULT_CONFIG
         # The auditor gates every rule entering the cache — seeded and mined
-        # alike.  The positive policy matches the domain the pipeline
-        # actually verifies on (strictly positive random inputs); pass a
+        # alike — once, in ``absorb_rule``.  The positive policy audits over
+        # the positive box, a narrower domain than ``verify_equivalence``'s
+        # adversarial battery: a rule it admits is re-checked by that
+        # battery on every kernel the rule cache rewrites.  Pass a
         # strict-policy auditor for a fleet-shared catalog.
         self.auditor = auditor if auditor is not None else RuleAuditor(POSITIVE_POLICY)
         self.audit_rejections: list[AuditReport] = []
@@ -440,9 +449,7 @@ class ModuleOptimizer:
             return None
         program = spec.parse()
         original_cost = self.cost_model.program_cost(program.node)
-        best, _stats = optimize_with_rules(
-            program.node, self.rules, self.cost_model, auditor=self.auditor
-        )
+        best, _stats = optimize_with_rules(program.node, self.rules, self.cost_model)
         best_cost = self.cost_model.program_cost(best)
         if self.cost_model.improves(best_cost, original_cost) and verify_candidate(
             program, best, self.config
@@ -498,7 +505,7 @@ class ModuleOptimizer:
         outcome = self.unchanged_outcome(spec, program)
         result = superoptimize_source(
             spec.source,
-            dict(spec.inputs),
+            spec.types,
             cost_model=self.cost_model,
             config=config,
             name=spec.name,
@@ -548,11 +555,7 @@ class ModuleOptimizer:
         except Exception:
             return None
         report = verify_equivalence(
-            program,
-            candidate,
-            numeric_trials=2,
-            symbolic=False,
-            shape_transport=False,
+            program, candidate, symbolic=False, shape_transport=False
         )
         return (program, candidate) if report.passed else None
 

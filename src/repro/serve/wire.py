@@ -62,12 +62,10 @@ def recv_msg(file, max_bytes: int = MAX_FRAME_BYTES) -> dict | None:
 
 
 def spec_to_payload(spec: KernelSpec) -> dict:
-    inputs = {}
-    for name, t in spec.inputs.items():
-        if hasattr(t, "dtype"):
-            inputs[name] = {"dtype": t.dtype.value, "shape": list(t.shape)}
-        else:
-            inputs[name] = list(t)
+    inputs = {
+        name: {"dtype": t.dtype.value, "shape": list(t.shape)}
+        for name, t in spec.types.items()
+    }
     return {"name": spec.name, "source": spec.source, "inputs": inputs}
 
 

@@ -87,10 +87,6 @@ class SynthesisConfig:
     memoize: bool = True
     """Cache DFS results per canonical spec key."""
 
-    # -- verification -----------------------------------------------------------
-    verify_numeric_trials: int = 3
-    """Random-input trials for final candidate verification."""
-
     def replace(self, **kwargs) -> "SynthesisConfig":
         from dataclasses import replace as _replace
 

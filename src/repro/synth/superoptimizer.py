@@ -20,20 +20,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from repro.cost import CostModel, make_cost_model, with_caching
 from repro.cost.cached import CachingCostModel
-from repro.errors import StensoError, SynthesisTimeout, VerificationError
-from repro.ir.evaluator import evaluate, random_inputs
-from repro.ir.nodes import Call, Node
+from repro.errors import StensoError, SynthesisTimeout
+from repro.ir.nodes import Node
 from repro.ir.parser import Program, parse
-from repro.ir.printer import to_callable, to_source
+from repro.ir.printer import to_expression, to_source
 from repro.ir.types import TensorType, shrink_shape
 from repro.obs.metrics import PROCESS_COUNTERS
 from repro.obs.trace import get_tracer
 from repro.resilience import Budget, inject
-from repro.symexec.canonical import canonical, equivalent
+from repro.symexec.canonical import canonical
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.interning import TABLE as _INTERN
 from repro.synth.cache import PersistentCache, as_cache, synthesis_fingerprint
@@ -41,6 +38,7 @@ from repro.synth.complexity import spec_complexity
 from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.synth.library import build_library
 from repro.synth.search import SearchContext, SearchStats, dfs
+from repro.verify import has_shape_attrs, verify_equivalence
 
 
 @dataclass
@@ -84,42 +82,18 @@ class SynthesisResult:
         )
 
 
-def _contains_shape_attrs(node: Node) -> bool:
-    return any(
-        isinstance(n, Call) and n.attr("shape") is not None for n in node.walk()
-    )
-
-
 def verify_candidate(
     program: Program, candidate: Node, config: SynthesisConfig, budget=None
 ) -> bool:
     """Check candidate == program numerically, then symbolically.
 
-    With a :class:`~repro.resilience.Budget`, an expiry between trials fails
-    the candidate (safe direction: an unverified program is never emitted).
+    With a :class:`~repro.resilience.Budget`, an expiry fails the candidate
+    (safe direction: an unverified program is never emitted).
     """
     inject("verify", key=program.name, config=config)
-    rng = np.random.default_rng(2024)
-    for _ in range(max(config.verify_numeric_trials, 1)):
-        if budget is not None and budget.expired():
-            return False
-        env = random_inputs(program.input_types, rng=rng)
-        try:
-            expected = evaluate(program.node, env)
-            got = evaluate(candidate, env)
-        except Exception as exc:
-            raise VerificationError(f"candidate evaluation failed: {exc}") from exc
-        if np.asarray(got).shape != np.asarray(expected).shape:
-            return False
-        if not np.allclose(
-            np.asarray(got, dtype=float), np.asarray(expected, dtype=float),
-            rtol=1e-8, atol=1e-10,
-        ):
-            return False
-    try:
-        return equivalent(symbolic_execute(candidate), symbolic_execute(program.node))
-    except StensoError:
-        return False
+    return verify_equivalence(
+        program, candidate, shape_transport=False, budget=budget
+    ).passed
 
 
 def _process_counts() -> dict[str, int]:
@@ -212,10 +186,7 @@ def superoptimize_program(
     if improved:
         assert result is not None
         verify_start = time.monotonic()
-        try:
-            verified = verify_candidate(program, result, config, budget=budget)
-        except VerificationError:
-            verified = False  # candidate cannot even be evaluated: reject it
+        verified = verify_candidate(program, result, config, budget=budget)
         verify_elapsed = time.monotonic() - verify_start
         ctx.stats.time_verification += verify_elapsed
         if tracer.enabled:
@@ -307,30 +278,23 @@ def superoptimize_source(
     if result.improved and synth_types != types:
         # Re-verify at original shapes; programs with embedded (shrunken)
         # shape attributes cannot be transported and are rejected outright.
-        if _contains_shape_attrs(result.optimized):
-            return _fallback_to_original(result, source, types, name)
         full_program = parse(source, types, name=name)
-        optimized_fn = to_callable(result.optimized, input_names=full_program.input_names)
-        rng = np.random.default_rng(7)
-        for _ in range(max(config.verify_numeric_trials, 1)):
-            env = random_inputs(full_program.input_types, rng=rng)
-            expected = evaluate(full_program.node, env)
-            try:
-                got = optimized_fn(*[env[n] for n in full_program.input_names])
-            except Exception:
-                return _fallback_to_original(result, source, types, name)
-            if np.asarray(got).shape != np.asarray(expected).shape or not np.allclose(
-                np.asarray(got, dtype=float), np.asarray(expected, dtype=float),
-                rtol=1e-8, atol=1e-10,
-            ):
-                return _fallback_to_original(result, source, types, name)
+        try:
+            candidate = parse(to_expression(result.optimized), types).node
+        except StensoError:
+            candidate = None
+        if (
+            candidate is None
+            or has_shape_attrs(candidate)
+            or not verify_equivalence(
+                full_program, candidate, symbolic=False, shape_transport=False
+            ).passed
+        ):
+            return _fallback_to_original(result, full_program)
     return result
 
 
-def _fallback_to_original(
-    result: SynthesisResult, source: str, types: dict[str, TensorType], name: str
-) -> SynthesisResult:
-    program = parse(source, types, name=name)
+def _fallback_to_original(result: SynthesisResult, program: Program) -> SynthesisResult:
     return SynthesisResult(
         program=program,
         optimized=program.node,

@@ -1,14 +1,18 @@
-"""Unified semantic verification of program equivalence.
+"""The one equivalence check on concrete inputs, and the layers around it.
 
-STENSO's outputs are "correct by construction" through symbolic equivalence,
-but this reproduction layers defense in depth (every check independent):
+Every place that asks "does this candidate compute what the original
+computes?" — the final check of synthesis, the mined-rule cache, the
+re-check at the original shapes, restored outcomes and the timing harness —
+calls :func:`verify_equivalence`, so they share one policy (every check
+independent):
 
 1. **numeric trials** — deterministic *adversarial* inputs (all-zeros,
    negatives, mixed signs, large magnitudes) followed by random positive
-   draws, direct interpretation.  The adversarial battery catches rewrites
-   that only hold on the random-draw domain (e.g. ``|A| -> A``, valid for
-   positive inputs only); an adversarial input on which the *reference*
-   itself is undefined (NaN/inf, domain error) is skipped, so rewrites like
+   draws, direct interpretation, one seed, one trial count, one tolerance.
+   The adversarial battery catches rewrites that only hold on the
+   random-draw domain (e.g. ``|A| -> A``, valid for positive inputs only);
+   an adversarial input on which the *reference* itself is undefined
+   (NaN/inf, domain error) is skipped, so rewrites like
    ``log(exp(A)) -> A`` are not spuriously rejected;
 2. **symbolic equivalence** — SymPy specs of both programs compared;
 3. **shape transport** — the candidate re-verified at *other* shape
@@ -16,15 +20,12 @@ but this reproduction layers defense in depth (every check independent):
    (dimension-coincidence rewrites, e.g. one valid only for square inputs,
    cannot survive a mapping that makes the dims differ).
 
-``verify_equivalence`` runs all applicable layers and returns a structured
-:class:`VerificationReport` saying exactly what was checked.  Resumed runs
-(:mod:`repro.journal`) re-verify restored programs with the numeric layer
-alone — cheap, deterministic, and sound in the reject direction.
+A candidate that cannot be evaluated fails verification; it never raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,7 +43,6 @@ class VerificationReport:
     """What was checked, and the verdict."""
 
     passed: bool
-    numeric_trials: int = 0
     symbolic_checked: bool = False
     shape_sets_checked: int = 0
     failure: str | None = None
@@ -74,8 +74,14 @@ def jitter_shapes(
     return out
 
 
-def _has_shape_attrs(node: Node) -> bool:
+def has_shape_attrs(node: Node) -> bool:
+    """Whether ``node`` pins a shape literal (such a program cannot transport)."""
     return any(isinstance(n, Call) and n.attr("shape") is not None for n in node.walk())
+
+
+#: Random positive draws after the adversarial battery, and their seed.
+_TRIALS = 3
+_SEED = 1729
 
 
 def _fill(shape: tuple[int, ...], values: Sequence[float]) -> np.ndarray:
@@ -122,122 +128,95 @@ def adversarial_inputs(
     return out
 
 
+def _input_sets(types: Mapping[str, TensorType]):
+    """The adversarial battery, then the positive random draws."""
+    yield from adversarial_inputs(types)
+    rng = np.random.default_rng(_SEED)
+    for _ in range(_TRIALS):
+        yield "random", random_inputs(types, rng=rng)
+
+
 def _numeric_agree(
-    reference: Node, candidate: Node, types: Mapping[str, TensorType],
-    trials: int, seed: int, budget=None, adversarial: bool = True,
+    reference: Node, candidate: Node, types: Mapping[str, TensorType], budget=None
 ) -> str | None:
-    if adversarial:
-        # Overflow/invalid warnings are *expected* here: the battery probes
-        # the domain boundary, and non-finite reference outputs are skipped.
-        with np.errstate(all="ignore"):
-            for label, env in adversarial_inputs(types):
-                if budget is not None and budget.expired():
-                    return "verification budget exhausted"
-                try:
-                    want = np.asarray(evaluate(reference, env), dtype=float)
-                except Exception:
-                    continue  # reference undefined on this input: out of domain
-                if not np.all(np.isfinite(want)):
-                    continue  # NaN/inf reference output: comparison is undefined
-                try:
-                    got = np.asarray(evaluate(candidate, env), dtype=float)
-                except Exception as exc:
-                    return f"candidate failed on {label} inputs: {exc}"
-                if got.shape != want.shape:
-                    return (
-                        f"shape mismatch on {label} inputs: {got.shape} vs {want.shape}"
-                    )
-                if not np.allclose(got, want, rtol=1e-8, atol=1e-10):
-                    return f"numeric mismatch on {label} inputs"
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        if budget is not None and budget.expired():
-            return "verification budget exhausted"
-        env = random_inputs(types, rng=rng)
-        try:
-            want = np.asarray(evaluate(reference, env), dtype=float)
-            got = np.asarray(evaluate(candidate, env), dtype=float)
-        except Exception as exc:
-            return f"evaluation failed: {exc}"
-        if got.shape != want.shape:
-            return f"shape mismatch: {got.shape} vs {want.shape}"
-        if not np.allclose(got, want, rtol=1e-8, atol=1e-10):
-            return "numeric mismatch"
+    """The one concrete-input trial loop: None when ``candidate`` agrees with
+    ``reference`` on every input set, else the reason it does not."""
+    # Overflow/invalid warnings are *expected* here: the battery probes the
+    # domain boundary, and non-finite reference outputs are skipped.
+    with np.errstate(all="ignore"):
+        for label, env in _input_sets(types):
+            if budget is not None and budget.expired():
+                return "verification budget exhausted"
+            drawn = label == "random"
+            try:
+                want = np.asarray(evaluate(reference, env), dtype=float)
+            except Exception as exc:
+                if drawn:
+                    return f"evaluation failed: {exc}"
+                continue  # reference undefined on this input: out of domain
+            if not drawn and not np.all(np.isfinite(want)):
+                continue  # NaN/inf reference output: comparison is undefined
+            try:
+                got = np.asarray(evaluate(candidate, env), dtype=float)
+            except Exception as exc:
+                return f"candidate failed on {label} inputs: {exc}"
+            if got.shape != want.shape:
+                return f"shape mismatch on {label} inputs: {got.shape} vs {want.shape}"
+            if not np.allclose(got, want, rtol=1e-8, atol=1e-10):
+                return f"numeric mismatch on {label} inputs"
     return None
 
 
 def verify_equivalence(
     reference: Program,
     candidate: Node,
-    numeric_trials: int = 3,
     symbolic: bool = True,
     shape_transport: bool = True,
-    seed: int = 1729,
     budget=None,
-    adversarial: bool = True,
 ) -> VerificationReport:
     """Check that ``candidate`` computes the same function as ``reference``.
 
     ``budget`` (a :class:`repro.resilience.Budget`) bounds the whole check:
     when it expires between trials or layers, the report *fails* with a
     "budget exhausted" reason — verification can be cut short, but a partial
-    verification never reports success.  ``adversarial`` prepends the
-    deterministic :func:`adversarial_inputs` battery to the random trials.
+    verification never reports success.
     """
     types = reference.input_types
-
-    reason = _numeric_agree(
-        reference.node, candidate, types, numeric_trials, seed, budget=budget,
-        adversarial=adversarial,
-    )
+    reason = _numeric_agree(reference.node, candidate, types, budget)
     if reason is not None:
-        return _fail(reason, numeric_trials=numeric_trials)
+        return _fail(reason)
+    if budget is not None and budget.expired():
+        return _fail("verification budget exhausted")
 
     symbolic_checked = False
-    if budget is not None and budget.expired():
-        return _fail("verification budget exhausted", numeric_trials=numeric_trials)
     if symbolic:
         from repro.symexec import equivalent, symbolic_execute
 
         try:
             if not equivalent(symbolic_execute(candidate), symbolic_execute(reference.node)):
-                return _fail("symbolic specs differ", numeric_trials=numeric_trials)
+                return _fail("symbolic specs differ")
             symbolic_checked = True
         except StensoError as exc:
-            return _fail(f"symbolic execution failed: {exc}", numeric_trials=numeric_trials)
+            return _fail(f"symbolic execution failed: {exc}")
 
     shape_sets = 0
-    if shape_transport and reference.source and not _has_shape_attrs(candidate):
+    if shape_transport and reference.source and not has_shape_attrs(candidate):
         candidate_source = to_expression(candidate)
         for alt_types in jitter_shapes(types):
-            if budget is not None and budget.expired():
-                return _fail(
-                    "verification budget exhausted",
-                    numeric_trials=numeric_trials,
-                    symbolic_checked=symbolic_checked,
-                    shape_sets_checked=shape_sets,
-                )
             try:
                 alt_reference = parse(reference.source, alt_types, name=reference.name)
                 alt_candidate = parse(candidate_source, alt_types).node
             except StensoError:
                 continue  # shape-literal sources cannot transport; skip
-            reason = _numeric_agree(
-                alt_reference.node, alt_candidate, alt_types,
-                max(numeric_trials - 1, 1), seed + 1, adversarial=adversarial,
-            )
+            reason = _numeric_agree(alt_reference.node, alt_candidate, alt_types, budget)
             if reason is not None:
                 return _fail(
                     f"failed at transported shapes: {reason}",
-                    numeric_trials=numeric_trials,
                     symbolic_checked=symbolic_checked,
                     shape_sets_checked=shape_sets,
                 )
             shape_sets += 1
 
     return VerificationReport(
-        passed=True,
-        numeric_trials=numeric_trials,
-        symbolic_checked=symbolic_checked,
-        shape_sets_checked=shape_sets,
+        passed=True, symbolic_checked=symbolic_checked, shape_sets_checked=shape_sets
     )

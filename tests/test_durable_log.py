@@ -24,9 +24,12 @@ from pathlib import Path
 import pytest
 
 from repro.errors import JournalError, ServeError
-from repro.journal import DurableLog, RunJournal, encode_line
+from repro.ir.types import float_tensor
+from repro.journal import DurableLog, RunJournal, encode_line, kernel_key
 from repro.pipeline import KernelSpec
 from repro.serve.daemon import RequestLog, ServeRequest
+from repro.serve.store import content_key
+from repro.serve.wire import spec_from_payload, spec_to_payload
 from repro.synth.cache import PersistentCache
 from tests.cachefile import read_section, section_log
 from tests.test_journal import _env
@@ -261,6 +264,21 @@ def test_parent_commit_journal_still_loads(tmp_path):
     restored = journal.restore(K_SOLVER)
     assert restored.improved and restored.via == "synthesis" and restored.optimized_cost == 1.0
     assert journal.restore(K_EASY).improved is False
+
+
+def test_fixture_kernel_and_content_keys_are_pinned():
+    """A spec's keys do not depend on whether its inputs came as shapes or as
+    types: journals and request logs written before keep their addresses."""
+    pinned = {
+        "k_solver": ("655861b17119173e", "18ece1cd3ca41d03e306d9241aeab40dd606c441"),
+        "k_easy1": ("d166567c19f94dfb", "44944903f9a047dab40c22977c573a63a2ca4199"),
+    }
+    for spec in (K_SOLVER, K_EASY):
+        typed = KernelSpec(
+            spec.name, spec.source, {n: float_tensor(*s) for n, s in spec.inputs.items()}
+        )
+        for form in (spec, typed, spec_from_payload(spec_to_payload(spec))):
+            assert (kernel_key(form), content_key(form, PR18_FINGERPRINT)) == pinned[spec.name]
 
 
 def test_parent_commit_request_log_still_loads_and_appends(tmp_path):

@@ -227,10 +227,12 @@ def test_default_fingerprint_is_pinned():
     """Caches, journals, request logs and stores written so far stay valid.
 
     Moved with ``CACHE_VERSION`` 4, when four never-set fields left the
-    config (21 -> 17), and again when the two solver knobs became the
-    always-on generic fallback and ``solver.MAX_UNKNOWNS`` (17 -> 15)."""
-    assert len(dataclasses.fields(DEFAULT_CONFIG)) == 15
-    assert synthesis_fingerprint(DEFAULT_CONFIG, make_cost_model("flops")) == "02f40e4f64b5c60c"
+    config (21 -> 17), again when the two solver knobs became the
+    always-on generic fallback and ``solver.MAX_UNKNOWNS`` (17 -> 15), and
+    again when ``verify_numeric_trials`` left it (15 -> 14): the trial
+    count is fixed inside ``repro.verify``, the one verifier."""
+    assert len(dataclasses.fields(DEFAULT_CONFIG)) == 14
+    assert synthesis_fingerprint(DEFAULT_CONFIG, make_cost_model("flops")) == "ca3b810a5e18e064"
 
 
 def test_node_table_roundtrip_is_structural():

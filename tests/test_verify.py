@@ -3,7 +3,12 @@
 import pytest
 
 from repro.ir import float_tensor, parse
-from repro.verify import VerificationReport, jitter_shapes, verify_equivalence
+from repro.ir.nodes import Input
+from repro.pipeline import KernelSpec, ModuleOptimizer
+from repro.rules.catalog import DIV_SQRT
+from repro.synth.config import DEFAULT_CONFIG
+from repro.synth.superoptimizer import verify_candidate
+from repro.verify import jitter_shapes, verify_equivalence
 
 TYPES = {"A": float_tensor(2, 3), "B": float_tensor(3, 2), "x": float_tensor(3)}
 
@@ -78,7 +83,42 @@ class TestVerifyEquivalence:
     def test_report_counts(self):
         reference = parse("A * 2", TYPES)
         candidate = parse("A + A", TYPES).node
-        report = verify_equivalence(reference, candidate, numeric_trials=5)
+        report = verify_equivalence(reference, candidate)
         assert report.passed
-        assert report.numeric_trials == 5
+        assert report.symbolic_checked
+        assert report.shape_sets_checked == 2
         assert bool(report)
+
+
+class TestOneVerifier:
+    """Synthesis, the rule cache and restore share one policy, so an outcome
+    one of them accepts is never one another rejects."""
+
+    ABS = KernelSpec(
+        "k", "def k(A, B):\n    return np.abs(A) * B + np.abs(A) * B\n",
+        {"A": (3, 3), "B": (3, 3)},
+    )
+
+    def test_positive_only_rewrite_is_not_emitted(self):
+        # (A + A) * B agrees with the kernel on the positive draws only.
+        opt = ModuleOptimizer()
+        outcome = opt.search(self.ABS)
+        assert "(A + A) * B" not in outcome.optimized_source
+        if outcome.improved:
+            assert opt._reverify_restored(self.ABS, outcome) is not None
+
+    def test_unevaluable_candidate_fails_verification(self):
+        program = self.ABS.parse()
+        stray = Input("Z", float_tensor(3, 3))  # not an input of the kernel
+        assert not verify_candidate(program, stray, DEFAULT_CONFIG)
+        report = verify_equivalence(program, stray)
+        assert not report.passed and "missing input" in report.failure
+
+    def test_rule_cache_with_unevaluable_candidate_falls_through(self, monkeypatch):
+        import repro.pipeline as pipeline
+
+        opt = ModuleOptimizer(rules=[DIV_SQRT])
+        stray = Input("Z", float_tensor(3, 3))
+        monkeypatch.setattr(pipeline, "optimize_with_rules", lambda *a, **k: (stray, None))
+        assert opt.try_rule_cache(self.ABS) is None
+        assert opt.resolve(self.ABS) is None  # searched, not an error outcome
