@@ -4,8 +4,6 @@ soundness auditing, and synthesis pre-screening.
 * :mod:`repro.analysis.domains` — the interval/sign/definedness domains.
 * :mod:`repro.analysis.interp` — abstract interpreter over IR trees and
   SymPy entry expressions.
-* :mod:`repro.analysis.loopcheck` — well-formedness checks on lowered
-  :mod:`repro.loopir` nests.
 * :mod:`repro.analysis.audit` — the rule soundness auditor gating rule
   admission (see ``stenso-lint`` for the offline CLI).
 * :mod:`repro.analysis.prescreen` — sound candidate pruning for the
@@ -23,7 +21,6 @@ from repro.analysis.audit import (
 )
 from repro.analysis.domains import AbstractValue, Hazard, Interval
 from repro.analysis.interp import abstract_eval, expr_interval, node_hazards
-from repro.analysis.loopcheck import LoopFinding, check_loop_function
 from repro.analysis.prescreen import (
     divides_by_provable_zero,
     provably_zero,
@@ -38,12 +35,10 @@ __all__ = [
     "AuditWaiver",
     "Hazard",
     "Interval",
-    "LoopFinding",
     "POSITIVE_POLICY",
     "RuleAuditor",
     "STRICT_POLICY",
     "abstract_eval",
-    "check_loop_function",
     "divides_by_provable_zero",
     "expr_interval",
     "node_hazards",

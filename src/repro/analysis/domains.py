@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.ir.types import TensorType
@@ -327,13 +327,6 @@ class AbstractValue:
         if r.hi == 0.0:
             return "0-"
         return "±"
-
-    @property
-    def maybe_undefined(self) -> bool:
-        return bool(self.hazards)
-
-    def with_range(self, range_: Interval) -> "AbstractValue":
-        return replace(self, range=range_)
 
     def describe(self) -> str:
         hazards = ",".join(sorted(h.value for h in self.hazards)) or "none"

@@ -121,7 +121,7 @@ class BottomUpSynthesizer:
                 break
             enumerator._levels.append(new_level)
 
-        improved = best is not None and best_cost < original_cost
+        improved = best is not None and self.cost_model.improves(best_cost, original_cost)
         if not improved:
             best, best_cost = program.node, original_cost
         return BottomUpResult(

@@ -28,10 +28,6 @@ class SymbolicExecutionError(StensoError):
     """Symbolic execution of an IR program failed."""
 
 
-class SolverError(StensoError):
-    """The symbolic algebra solver failed on a well-formed query."""
-
-
 class SynthesisTimeout(StensoError):
     """The synthesis search exceeded its wall-clock budget."""
 

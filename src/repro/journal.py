@@ -414,10 +414,6 @@ class RunJournal:
     def __len__(self) -> int:
         return len(self._records)
 
-    @property
-    def kernel_names(self) -> list[str]:
-        return [r.get("name", "?") for r in self._records.values()]
-
     def restore(self, spec: "KernelSpec") -> "KernelOutcome | None":
         """The journaled :class:`KernelOutcome` for ``spec``, or None.
 

@@ -102,7 +102,3 @@ def configure(
     handler.setFormatter(logging.Formatter("%(message)s"))
     handler._stenso_obs = True  # type: ignore[attr-defined]
     root.addHandler(handler)
-
-
-def json_mode_enabled() -> bool:
-    return _JSON_MODE

@@ -593,7 +593,7 @@ class ModuleOptimizer:
     ) -> ModuleResult:
         """Optimize every kernel; ``parallel > 1`` fans out across processes.
 
-        ``timeout_s`` (default: ``policy.kernel_timeout_s``) is a per-kernel
+        ``timeout_s`` (default: ``config.timeout_seconds``) is a per-kernel
         deadline: a kernel that exhausts it is reported with
         ``status='degraded'``/``'timeout'`` and the rest of the module still
         optimizes.  Both paths climb the same ladder — restore
@@ -615,8 +615,6 @@ class ModuleOptimizer:
 
         from repro.resilience import InterruptGuard
 
-        if timeout_s is None and policy is not None:
-            timeout_s = policy.kernel_timeout_s
         guard = InterruptGuard() if journal is not None else nullcontext()
         self._run_failed = {}
         try:

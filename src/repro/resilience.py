@@ -305,14 +305,11 @@ def inject(site: str, key: str | None = None, index: int | None = None, config=N
 class ResiliencePolicy:
     """Failure-handling knobs of the :class:`repro.serve.pool.WorkerPool` and
     its two owners, ``optimize_module(parallel=N, policy=...)`` and the
-    daemon; ``kernel_timeout_s`` also bounds the sequential loop, as a
-    cooperative budget."""
-
-    kernel_timeout_s: float | None = None
-    """Per-kernel wall-clock deadline.  Workers get it as their cooperative
-    synthesis budget; the parent hard-kills any worker still running at
-    ``kernel_timeout_s * hard_kill_factor + kill_grace_s`` (pathological
-    SymPy calls can blow through cooperative checks)."""
+    daemon.  A task's wall-clock deadline is its ``timeout_s`` (else the
+    config's ``timeout_seconds``): workers get it as their cooperative
+    synthesis budget, and the parent hard-kills any worker still running at
+    ``timeout * hard_kill_factor + kill_grace_s`` (pathological SymPy calls
+    can blow through cooperative checks)."""
 
     max_retries: int = 1
     """Retries for a *crashed* worker process (OOM, injected death).  An

@@ -397,9 +397,8 @@ class WorkerPool:
         if not self._members:
             self.start()
         overrides: dict = {}
-        effective = timeout_s if timeout_s is not None else self.policy.kernel_timeout_s
-        if effective is not None:
-            overrides["timeout_seconds"] = min(effective, self.config.timeout_seconds)
+        if timeout_s is not None:
+            overrides["timeout_seconds"] = min(timeout_s, self.config.timeout_seconds)
         if max_solver_calls is not None:
             overrides["max_solver_calls"] = max_solver_calls
         task = PoolTask(

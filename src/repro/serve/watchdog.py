@@ -25,7 +25,6 @@ the child daemon).
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
@@ -100,12 +99,6 @@ class Supervisor:
         try:
             return max(0.0, time.time() - self.heartbeat_path.stat().st_mtime)
         except OSError:
-            return None
-
-    def read_heartbeat(self) -> dict | None:
-        try:
-            return json.loads(self.heartbeat_path.read_text())
-        except (OSError, ValueError):
             return None
 
     def _probe_healthy(self) -> bool:

@@ -22,13 +22,6 @@ class SynthesisConfig:
     max_stubs: int = 20_000
     """Hard cap on the stub library size (safety valve)."""
 
-    max_stub_entries: int = 128
-    """Reject stubs whose symbolic tensor has more elements than this.
-    Intermediate blow-ups (e.g. a (24,24) outer product while synthesizing a
-    24-row unrolled loop) dominate library-build time without ever being
-    usable — no sub-specification can exceed the program spec's size by
-    much."""
-
     grow_both_args: bool = False
     """If True, depth-2 stubs may combine two depth-1 stubs; if False (the
     default) at most one argument of a depth-2 stub is itself compound, which
@@ -38,14 +31,6 @@ class SynthesisConfig:
     extra_constants: tuple[float, ...] = (0.0, 1.0, 2.0)
     """Constants available to the enumerator in addition to those found in the
     input program (the paper's FCons terminals)."""
-
-    multi_hole_sketches: bool = False
-    """Also derive two-hole sketches from stubs (Algorithm 2's general
-    ``for hole in sk.holes`` case).  Multi-hole decompositions are solved by
-    the generic fresh-unknowns fallback, which only succeeds when the
-    equation system pins both holes — useful for structured specs, but it
-    enlarges the library, so the default matches the evaluated single-hole
-    configuration."""
 
     extra_grammar_ops: tuple[str, ...] = ()
     """Registered elementwise ops added to the synthesis grammar beyond
@@ -64,9 +49,6 @@ class SynthesisConfig:
     """Abandon branches whose accumulated cost exceeds the best found."""
 
     # -- search limits ----------------------------------------------------------
-    max_recursion_depth: int = 6
-    """Maximum sketch-nesting depth of a synthesized program."""
-
     timeout_seconds: float = 600.0
     """Wall-clock budget for one synthesis run (paper: 10 minutes)."""
 

@@ -46,6 +46,12 @@ from repro.synth.config import SynthesisConfig
 #: Ops in the input program that signal predicate/masking/extremum structure.
 _BOOLEAN_TRIGGERS = {"less", "where", "max", "min", "maximum", "minimum", "triu", "tril"}
 
+#: Reject stubs whose symbolic tensor has more elements than this.
+#: Intermediate blow-ups (e.g. a (24,24) outer product while synthesizing a
+#: 24-row unrolled loop) dominate library-build time without ever being
+#: usable — no sub-specification can exceed the program spec's size by much.
+MAX_STUB_ENTRIES = 128
+
 
 class StubEntry:
     """A deduplicated stub: IR tree, symbolic tensor, and its identity.
@@ -317,7 +323,7 @@ class StubEnumerator:
         if node in self._seen_nodes:
             return None
         self._seen_nodes.add(node)
-        if node.type.size > self.config.max_stub_entries:
+        if node.type.size > MAX_STUB_ENTRIES:
             return None
         if isinstance(node, Call) and not self._facts(node) & _HAS_INPUT:
             folded = _fold_constant(node)

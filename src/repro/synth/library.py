@@ -36,7 +36,6 @@ class Library:
     stubs_by_sig: dict[tuple, list[StubEntry]]
     #: What the first SOLVE derives :attr:`sketches` from.
     sketch_sources: list[Node]
-    multi_hole: bool
     cost_model: CostModel
     from_cache: bool = False
     #: Residue-battery index: residue_key -> stub (the value tier of MATCH).
@@ -93,7 +92,7 @@ class Library:
         for source in self.sketch_sources:
             if not isinstance(source, Call):
                 continue  # terminals produce no sketches
-            for sk in sketches_from_stub(source, multi_hole=self.multi_hole):
+            for sk in sketches_from_stub(source):
                 if sk.root in seen_roots:
                     continue
                 seen_roots.add(sk.root)
@@ -151,13 +150,13 @@ def build_library(
         cache_key = library_key(fingerprint, program)
         payload = cache.library_get(cache_key)
         if payload is not None:
-            library = _library_from_payload(payload, program, config, cost_model)
+            library = _library_from_payload(payload, program, cost_model)
             if library is not None:
                 return library
             cache.library_reject(cache_key)  # undecodable: a miss, to be replaced
     enumerator = StubEnumerator(program, config, cost_model=cost_model, budget=budget)
     stubs = enumerator.enumerate()
-    library = _assemble_library(stubs, enumerator.sketch_sources, config, cost_model)
+    library = _assemble_library(stubs, enumerator.sketch_sources, cost_model)
     if budget is not None and budget.expired():
         return library  # partial: do not poison the persistent cache with it
     if cache is not None and cache_key is not None:
@@ -168,16 +167,14 @@ def build_library(
     return library
 
 
-def _library_from_payload(
-    payload: dict, program: Program, config: SynthesisConfig, cost_model: CostModel
-) -> Library | None:
+def _library_from_payload(payload: dict, program: Program, cost_model: CostModel) -> Library | None:
     """Rebuild a library from a cached node table (None on any failure)."""
     try:
         nodes, sources = load_library(payload, program.input_types)
         stubs = _restore_stubs(nodes)
     except Exception:  # noqa: BLE001 — the cache is an accelerator: re-enumerate
         return None
-    library = _assemble_library(stubs, sources, config, cost_model)
+    library = _assemble_library(stubs, sources, cost_model)
     library.from_cache = True
     return library
 
@@ -223,10 +220,7 @@ def _restore_stubs(nodes: list[Node]) -> list[StubEntry]:
 
 
 def _assemble_library(
-    stubs: list[StubEntry],
-    sketch_sources: list[Node],
-    config: SynthesisConfig,
-    cost_model: CostModel,
+    stubs: list[StubEntry], sketch_sources: list[Node], cost_model: CostModel
 ) -> Library:
     stubs_by_sig: dict[tuple, list[StubEntry]] = {}
     stubs_by_val: dict[tuple, StubEntry] = {}
@@ -242,7 +236,6 @@ def _assemble_library(
         stubs=stubs,
         stubs_by_sig=stubs_by_sig,
         sketch_sources=sketch_sources,
-        multi_hole=config.multi_hole_sketches,
         cost_model=cost_model,
         stubs_by_val=stubs_by_val,
     )

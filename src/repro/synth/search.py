@@ -50,6 +50,9 @@ _INF = float("inf")
 #: limiter: branch-and-bound stops once sketch skeletons alone exceed the bound.
 MAX_CANDIDATES_PER_NODE = 1024
 
+#: Maximum sketch-nesting depth of a synthesized program.
+MAX_RECURSION_DEPTH = 6
+
 
 def _counter_view(name: str) -> property:
     """A read-only flat counter of :class:`SearchStats`: ``metrics`` holds it."""
@@ -577,7 +580,7 @@ def _dfs(
             ctx.memo[key] = result
         return result
 
-    if level >= ctx.config.max_recursion_depth:
+    if level >= MAX_RECURSION_DEPTH:
         if tracer.enabled:
             tracer.instant("prune", "search", reason="depth-limit", depth=level)
         return (None, _INF)

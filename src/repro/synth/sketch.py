@@ -12,8 +12,7 @@ must produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.ir.nodes import Call, Const, Input, Node
@@ -86,9 +85,9 @@ class Sketch:
     skeleton (every op in the sketch, with the holes' contributions
     excluded), filled in by the active cost model when the library is built.
 
-    Single-hole sketches (the default library) expose ``hole``/``hole_path``
-    conveniences; Algorithm 2's ``for hole in sk.holes`` loop is the general
-    case (``SynthesisConfig.multi_hole_sketches``).
+    The library derives single-hole sketches, which expose ``hole`` /
+    ``hole_path`` conveniences; the search's ``for hole in sk.holes`` loop
+    (Algorithm 2) and ``fill_many`` take any number of holes.
     """
 
     root: Node
@@ -136,10 +135,8 @@ class Sketch:
         return f"Sketch({self.root!r}, cost={self.cost:g})"
 
 
-def sketches_from_stub(
-    stub: Node, scalar_const_holes: bool = True, multi_hole: bool = False
-) -> list[Sketch]:
-    """Derive single-hole (and optionally two-hole) sketches from a stub.
+def sketches_from_stub(stub: Node, scalar_const_holes: bool = True) -> list[Sketch]:
+    """Derive the single-hole sketches of a stub.
 
     Every occurrence of a program input (not attrs) is replaced — one at a
     time — by a hole of the same type, mirroring the paper's example: from
@@ -155,7 +152,6 @@ def sketches_from_stub(
     """
     out: list[Sketch] = []
     seen: set[Node] = set()
-    replaceable_sites: list[tuple[Path, Node]] = []
     hole_cache = _HOLE_CACHE
     for path, node in iter_paths(stub):
         if not path:
@@ -165,7 +161,6 @@ def sketches_from_stub(
         )
         if not replaceable:
             continue
-        replaceable_sites.append((path, node))
         hole = hole_cache.get(node.type)
         if hole is None:
             hole = Hole(0, node.type)
@@ -175,23 +170,4 @@ def sketches_from_stub(
             continue  # distinct paths can rebuild identical roots
         seen.add(root)
         out.append(Sketch(root=root, holes=(hole,), hole_paths=(path,)))
-    if multi_hole:
-        out.extend(_two_hole_sketches(stub, replaceable_sites, seen))
-    return out
-
-
-def _two_hole_sketches(
-    stub: Node, sites: list[tuple[Path, Node]], seen: set[Node]
-) -> list[Sketch]:
-    """Every pair of distinct replaceable sites becomes a two-hole sketch."""
-    out: list[Sketch] = []
-    for (path_a, node_a), (path_b, node_b) in combinations(sites, 2):
-        if path_a[: len(path_b)] == path_b or path_b[: len(path_a)] == path_a:
-            continue  # nested sites cannot both be holes
-        hole_a, hole_b = Hole(0, node_a.type), Hole(1, node_b.type)
-        root = replace_at(replace_at(stub, path_a, hole_a), path_b, hole_b)
-        if root in seen:
-            continue
-        seen.add(root)
-        out.append(Sketch(root=root, holes=(hole_a, hole_b), hole_paths=(path_a, path_b)))
     return out

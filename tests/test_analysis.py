@@ -1,8 +1,8 @@
 """Tests for the abstract-interpretation analyzer (repro.analysis).
 
 Covers the interval domain, the IR abstract interpreter, the SymPy entry
-walker, the synthesis pre-screen, the loop-nest checker, and the contract
-that the pre-screen's proofs never change an outcome, end to end.
+walker, the synthesis pre-screen, and the contract that the pre-screen's
+proofs never change an outcome, end to end.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.analysis import (
     Hazard,
     Interval,
     abstract_eval,
-    check_loop_function,
     divides_by_provable_zero,
     expr_interval,
     node_hazards,
@@ -31,21 +30,6 @@ from repro.analysis.prescreen import PRESCREEN_BOX
 from repro.ir.evaluator import evaluate
 from repro.ir.nodes import Call, Const, Input, Node
 from repro.ir.types import float_tensor
-from repro.loopir import lower_program
-from repro.loopir.ast import (
-    Accumulate,
-    Alloc,
-    BinOp,
-    IdxAdd,
-    IdxConst,
-    IdxVar,
-    Literal,
-    Loop,
-    LoopFunction,
-    Read,
-    Store,
-    UnaryFn,
-)
 from repro.symexec.engine import symbolic_execute
 
 A = Input("A", float_tensor(3))
@@ -331,135 +315,6 @@ class TestPrescreen:
         risky = symbolic_execute(Call("divide", (Const(1.0), Call("subtract", (A, B)))))
         far = symbolic_execute(Call("add", (A, Const(1000.0))))
         assert not tensors_disjoint(risky, far)
-
-
-# ---------------------------------------------------------------------------
-# Loop-nest checker
-# ---------------------------------------------------------------------------
-
-
-class TestLoopCheck:
-    def test_lowered_programs_are_clean(self):
-        for program in [
-            Call("add", (A, B)),
-            Call("dot", (AM, BM)),
-            Call("sum", (Call("multiply", (A, B)),)),
-            Call("sqrt", (A,)),
-        ]:
-            fn = lower_program(program)
-            assert check_loop_function(fn) == []
-
-    def test_out_of_bounds_access(self):
-        fn = LoopFunction(
-            name="bad",
-            params=("A",),
-            param_shapes={"A": (3,)},
-            body=(
-                Alloc("out", (3,)),
-                Loop(
-                    "i",
-                    3,
-                    (Store("out", (IdxVar("i"),), Read("A", (IdxAdd(IdxVar("i"), IdxConst(1)),))),),
-                ),
-            ),
-            result="out",
-            result_shape=(3,),
-        )
-        findings = check_loop_function(fn)
-        assert any(f.code == "index-out-of-bounds" for f in findings)
-
-    def test_rank_mismatch(self):
-        fn = LoopFunction(
-            name="bad",
-            params=("A",),
-            param_shapes={"A": (3, 3)},
-            body=(
-                Alloc("out", (3,)),
-                Loop("i", 3, (Store("out", (IdxVar("i"),), Read("A", (IdxVar("i"),))),)),
-            ),
-            result="out",
-            result_shape=(3,),
-        )
-        assert any(f.code == "rank-mismatch" for f in check_loop_function(fn))
-
-    def test_unknown_buffer(self):
-        fn = LoopFunction(
-            name="bad",
-            params=("A",),
-            param_shapes={"A": (3,)},
-            body=(
-                Alloc("out", (3,)),
-                Loop("i", 3, (Store("out", (IdxVar("i"),), Read("ghost", (IdxVar("i"),))),)),
-            ),
-            result="out",
-            result_shape=(3,),
-        )
-        assert any(f.code == "unknown-buffer" for f in check_loop_function(fn))
-
-    def test_division_hazard_flagged_over_wide_box(self):
-        fn = LoopFunction(
-            name="div",
-            params=("A", "B"),
-            param_shapes={"A": (3,), "B": (3,)},
-            body=(
-                Alloc("out", (3,)),
-                Loop(
-                    "i",
-                    3,
-                    (
-                        Store(
-                            "out",
-                            (IdxVar("i"),),
-                            BinOp("/", Read("A", (IdxVar("i"),)), Read("B", (IdxVar("i"),))),
-                        ),
-                    ),
-                ),
-            ),
-            result="out",
-            result_shape=(3,),
-        )
-        wide = check_loop_function(fn, input_range=Interval(-1.0, 1.0))
-        assert any(f.code == "division-hazard" for f in wide)
-        assert check_loop_function(fn) == []  # positive default: total
-
-    def test_domain_hazard_sqrt(self):
-        fn = LoopFunction(
-            name="s",
-            params=("A",),
-            param_shapes={"A": (2,)},
-            body=(
-                Alloc("out", (2,)),
-                Loop(
-                    "i",
-                    2,
-                    (Store("out", (IdxVar("i"),), UnaryFn("sqrt", Read("A", (IdxVar("i"),)))),),
-                ),
-            ),
-            result="out",
-            result_shape=(2,),
-        )
-        assert any(
-            f.code == "domain-hazard"
-            for f in check_loop_function(fn, input_range=Interval(-2.0, 2.0))
-        )
-
-    def test_accumulate_widens(self):
-        fn = LoopFunction(
-            name="acc",
-            params=("A",),
-            param_shapes={"A": (3,)},
-            body=(
-                Alloc("out", ()),
-                Loop("i", 3, (Accumulate("out", (), Read("A", (IdxVar("i"),))),)),
-                Alloc("r", ()),
-                Store("r", (), BinOp("/", Literal(1.0), Read("out", ()))),
-            ),
-            result="r",
-            result_shape=(),
-        )
-        # Accumulation from 0 keeps 0 in the hull, so 1/sum may divide by 0
-        # even over the positive input box — must be flagged.
-        assert any(f.code == "division-hazard" for f in check_loop_function(fn))
 
 
 # ---------------------------------------------------------------------------

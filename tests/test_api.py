@@ -1,5 +1,10 @@
 """Public API surface and error-hierarchy tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -80,3 +85,16 @@ class TestSubpackageImports:
         for module in (ir, symexec, loopir, synth, cost, backends, bench, rules, egraph):
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_synthesis_stack_does_not_import_loopir(self):
+        """``repro.loopir`` is the reference oracle the tests compare the
+        engine against; nothing on the synthesis path imports it."""
+        code = (
+            "import sys, repro.pipeline, repro.synth, repro.analysis; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.loopir')))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

@@ -22,6 +22,17 @@ class TestBottomUp:
         assert result.best == parse("A + B", TYPES).node
         assert result.speedup_estimate > 1.0
 
+    def test_improvement_is_decided_by_the_cost_models_margin(self):
+        # Algorithm 1 line 7: a find that does not clear the model's
+        # decision_margin is no improvement, as on every other path.
+        model = FlopsCostModel()
+        model.decision_margin = 0.99
+        synthesizer = BottomUpSynthesizer(cost_model=model, max_depth=1)
+        result = synthesizer.synthesize(parse("np.exp(np.log(A + B))", TYPES))
+        assert not result.improved
+        assert result.best == parse("np.exp(np.log(A + B))", TYPES).node
+        assert result.best_cost == result.original_cost
+
     def test_unimproved_returns_original(self):
         result = synthesize("np.dot(A, B)", max_depth=1)
         assert not result.improved

@@ -8,6 +8,7 @@ from repro.ir import float_tensor, parse
 from repro.ir.nodes import Call, Const, Input
 from repro.symexec import canonical_key, symbolic_execute
 from repro.synth import SynthesisConfig, build_library
+from repro.synth import enumerator as enumerator_module
 from repro.synth.enumerator import StubEnumerator, program_constants
 from repro.synth.search import SearchContext, _match_base_case
 
@@ -72,11 +73,10 @@ class TestGrowth:
         enumerator, stubs = enumerate_for("A @ B + A * B", max_stubs=50)
         assert len(stubs) <= 50
 
-    def test_max_stub_entries(self):
+    def test_max_stub_entries(self, monkeypatch):
+        monkeypatch.setattr(enumerator_module, "MAX_STUB_ENTRIES", 30)
         types = {"A": float_tensor(24,), "x": float_tensor(2,)}
-        _, stubs = enumerate_for(
-            "np.tensordot(A, x, 0)", types, max_depth=1, max_stub_entries=30
-        )
+        _, stubs = enumerate_for("np.tensordot(A, x, 0)", types, max_depth=1)
         assert all(e.tensor.size <= 30 for e in stubs)
 
     def test_boolean_gated_off_for_arithmetic(self):

@@ -230,9 +230,13 @@ def test_default_fingerprint_is_pinned():
     config (21 -> 17), again when the two solver knobs became the
     always-on generic fallback and ``solver.MAX_UNKNOWNS`` (17 -> 15), and
     again when ``verify_numeric_trials`` left it (15 -> 14): the trial
-    count is fixed inside ``repro.verify``, the one verifier."""
-    assert len(dataclasses.fields(DEFAULT_CONFIG)) == 14
-    assert synthesis_fingerprint(DEFAULT_CONFIG, make_cost_model("flops")) == "ca3b810a5e18e064"
+    count is fixed inside ``repro.verify``, the one verifier.  Moved again
+    when three fields only tests set left it (14 -> 11): two-hole sketch
+    derivation was deleted, and the stub-size and recursion-depth limits
+    became the module constants ``enumerator.MAX_STUB_ENTRIES`` and
+    ``search.MAX_RECURSION_DEPTH`` with their old default values."""
+    assert len(dataclasses.fields(DEFAULT_CONFIG)) == 11
+    assert synthesis_fingerprint(DEFAULT_CONFIG, make_cost_model("flops")) == "c7059e36d5bd2994"
 
 
 def test_node_table_roundtrip_is_structural():

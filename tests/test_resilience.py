@@ -325,15 +325,14 @@ class TestParallelResilience:
         assert by["k_easy2"].status == "ok"
 
     def test_policy_kernel_timeout_reaches_every_path(self):
-        # Regression: only the wave scheduler read ``policy.kernel_timeout_s``
-        # — ``parallel=1`` and a one-kernel ``parallel=2`` call (which runs
-        # the sequential loop) searched to completion.  The sequential path
-        # has no worker to kill, so the budget is cooperative: it expires and
-        # the best-so-far program comes back ``degraded``.
-        policy = ResiliencePolicy(kernel_timeout_s=0.01)
+        # Regression: ``parallel=1`` and a one-kernel ``parallel=2`` call
+        # (which runs the sequential loop) once searched to completion past
+        # the per-kernel timeout.  The sequential path has no worker to kill,
+        # so the budget is cooperative: it expires and the best-so-far
+        # program comes back ``degraded``.
         for parallel in (1, 2):
             result = ModuleOptimizer(config=FAST).optimize_module(
-                [SOLVER_KERNEL], parallel=parallel, policy=policy
+                [SOLVER_KERNEL], parallel=parallel, timeout_s=0.01
             )
             (outcome,) = result.outcomes
             assert outcome.status == "degraded", (parallel, outcome)

@@ -8,6 +8,7 @@ from repro.ir import float_tensor, parse
 from repro.ir.nodes import Const
 from repro.symexec import canonical, symbolic_execute
 from repro.synth import SynthesisConfig, build_library
+from repro.synth import search as search_module
 from repro.synth.complexity import spec_complexity
 from repro.synth.search import SearchContext, dfs
 
@@ -96,9 +97,9 @@ class TestPruning:
         )
         assert r_on == r_off
 
-    def test_recursion_depth_limit(self):
-        cfg = SynthesisConfig(max_recursion_depth=0)
-        result, cost, _ = run_search("np.dot(A * B, B) + A", config=cfg)
+    def test_recursion_depth_limit(self, monkeypatch):
+        monkeypatch.setattr(search_module, "MAX_RECURSION_DEPTH", 0)
+        result, cost, _ = run_search("np.dot(A * B, B) + A")
         # Depth 0 means only base-case matches; the compound spec fails.
         assert result is None or result.depth <= 2
 

@@ -163,11 +163,13 @@ CHAOS_FAULTS = (
 
 
 def test_chaos_overload_profile(tmp_path):
-    config = FAST.replace(fault_plan=FaultPlan.parse(CHAOS_FAULTS))
+    config = FAST.replace(
+        fault_plan=FaultPlan.parse(CHAOS_FAULTS),
+        timeout_seconds=10,  # bounds how long a SIGSTOP'd worker wedges a task
+    )
     policy = ResiliencePolicy(
         retry_backoff_s=0.05,
         max_retries=1,
-        kernel_timeout_s=10,  # bounds how long a SIGSTOP'd worker wedges a task
         max_requests_per_worker=2,  # aggressive lifecycle hygiene under load
     )
     with serve(

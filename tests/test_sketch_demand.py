@@ -67,13 +67,13 @@ def test_derivation_is_traced_once():
     assert ended == sorted(ended)
 
 
-def _eager_sketches(library, cost_model, config):
+def _eager_sketches(library, cost_model):
     """The loop ``_assemble_library`` ran at build time before the deferral."""
     sketches, seen_roots = [], set()
     for source in library.sketch_sources:
         if not isinstance(source, Call):
             continue
-        for sk in sketches_from_stub(source, multi_hole=config.multi_hole_sketches):
+        for sk in sketches_from_stub(source):
             if sk.root in seen_roots:
                 continue
             seen_roots.add(sk.root)
@@ -100,7 +100,7 @@ def test_demand_derived_sketches_equal_the_eager_list(name, tmp_path):
     for library in (cold, warm):
         assert library.sketch_count == 0
         # A fresh model prices the oracle: nothing is shared with the library.
-        expected = _eager_sketches(library, make_cost_model("flops"), CONFIG)
+        expected = _eager_sketches(library, make_cost_model("flops"))
         assert _listing(library.sketches) == _listing(expected)
         assert library.sketch_count == len(expected) > 0
         by_type = {}

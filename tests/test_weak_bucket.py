@@ -273,7 +273,7 @@ def test_match_returns_the_stub_the_key_probe_returns(
     def restored():
         stubs = library_mod._restore_stubs([e.node for e in cold.stubs])
         assert not any(e.cached_key for e in stubs)  # a restore never keys
-        return library_mod._assemble_library(stubs, cold.sketch_sources, config, model)
+        return library_mod._assemble_library(stubs, cold.sketch_sources, model)
 
     lib = restored()
     matched = _match_base_case(spec, key, SearchContext(lib, model, config, float("inf")))
