@@ -21,11 +21,7 @@ from repro.analysis.audit import (
 )
 from repro.analysis.domains import AbstractValue, Hazard, Interval
 from repro.analysis.interp import abstract_eval, expr_interval, node_hazards
-from repro.analysis.prescreen import (
-    divides_by_provable_zero,
-    provably_zero,
-    tensors_disjoint,
-)
+from repro.analysis.prescreen import tensors_disjoint
 
 __all__ = [
     "AbstractValue",
@@ -39,9 +35,7 @@ __all__ = [
     "RuleAuditor",
     "STRICT_POLICY",
     "abstract_eval",
-    "divides_by_provable_zero",
     "expr_interval",
     "node_hazards",
-    "provably_zero",
     "tensors_disjoint",
 ]

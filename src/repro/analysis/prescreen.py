@@ -1,24 +1,13 @@
-"""Synthesis pre-screen: abstract checks that run before symbolic work.
+"""Synthesis pre-screen: an abstract check that runs before symbolic work.
 
-Two sound prune sites feed the ``analysis.*`` counters:
-
-* :func:`provably_zero` — a *syntactic* zero proof used by the enumerator's
-  admission path.  ``divide(x, z)`` with ``z`` provably zero has every
-  entry undefined (``zoo``/``nan``), so the admission pipeline would
-  reject it after symbolic execution anyway; proving it from the tree
-  shape skips that work.  The proof is deliberately syntactic rather than
-  interval-based: each accepted pattern (``a - a``, zero constants, and
-  zero-propagating ops) is one SymPy *auto-evaluates* to a literal ``0``
-  entry, which guarantees the skipped symbolic path would have produced
-  the same rejection — the byte-identity contract of the pre-screen.
-
-* :func:`tensors_disjoint` — per-entry interval disjointness of two
-  symbolic tensors over the verification box (inputs in ``[1/2, 2]``, the
-  support of ``random_inputs``).  Disjoint entry hulls prove the tensors
-  differ somewhere on the box, so an ``equivalent()`` call that would
-  return False can be skipped.  Entries that may be undefined evaluate to
-  TOP and therefore never prune (see :func:`expr_interval`), and a
-  relative margin guards against endpoint rounding.
+:func:`tensors_disjoint` is the one prune site feeding the ``analysis.*``
+counters (MATCH's): per-entry interval disjointness of two symbolic tensors
+over the verification box (inputs in ``[1/2, 2]``, the support of
+``random_inputs``).  Disjoint entry hulls prove the tensors differ somewhere
+on the box, so an ``equivalent()`` call that would return False can be
+skipped.  Entries that may be undefined evaluate to TOP and therefore never
+prune (see :func:`expr_interval`), and a relative margin guards against
+endpoint rounding.
 """
 
 from __future__ import annotations
@@ -29,10 +18,9 @@ import sympy as sp
 
 from repro.analysis.domains import TOP, Interval
 from repro.analysis.interp import expr_interval
-from repro.ir.nodes import Call, Const, Node
 from repro.symexec.symtensor import SymTensor
 
-__all__ = ["provably_zero", "divides_by_provable_zero", "tensors_disjoint", "entry_interval"]
+__all__ = ["tensors_disjoint", "entry_interval"]
 
 #: Input box used by the pre-screen: the support of ``random_inputs``
 #: (uniform over ``[0.5, 2)``), a sub-box of the positive verification
@@ -43,43 +31,6 @@ PRESCREEN_BOX = Interval(0.5, 2.0)
 #: Relative gap required before two entry hulls count as disjoint;
 #: absorbs double-rounding in interval endpoint arithmetic.
 DISJOINT_MARGIN = 1e-9
-
-#: Ops through which a zero tensor stays (elementwise or linearly) zero.
-_ZERO_PRESERVING = frozenset(
-    {"negative", "transpose", "reshape", "index", "sum", "trace", "diag",
-     "triu", "tril", "max", "min"}
-)
-
-
-def provably_zero(node: Node) -> bool:
-    """True when every entry of ``node`` is *syntactically* zero.
-
-    Every accepted pattern auto-evaluates to the literal ``0`` under
-    symbolic execution (``x - x``, ``0 * y``, sums of zeros …), for any
-    inputs — not merely zero-valued on the verification box.
-    """
-    if isinstance(node, Const):
-        return bool((node.value == 0).all())
-    if not isinstance(node, Call):
-        return False
-    if node.op == "subtract":
-        return node.args[0] == node.args[1] or (
-            provably_zero(node.args[0]) and provably_zero(node.args[1])
-        )
-    if node.op == "add":
-        return provably_zero(node.args[0]) and provably_zero(node.args[1])
-    if node.op in ("multiply", "dot", "tensordot"):
-        return provably_zero(node.args[0]) or provably_zero(node.args[1])
-    if node.op in _ZERO_PRESERVING:
-        return provably_zero(node.args[0])
-    if node.op == "stack":
-        return all(provably_zero(a) for a in node.args)
-    return False
-
-
-def divides_by_provable_zero(node: Node) -> bool:
-    """True for ``divide`` nodes whose denominator is provably zero."""
-    return isinstance(node, Call) and node.op == "divide" and provably_zero(node.args[1])
 
 
 def _symbol_box(symbol: sp.Symbol) -> Interval:

@@ -24,7 +24,10 @@ Order has its own value tier: a top-level ``x < y`` is canonicalised by
 expanding both sides and rebuilding it through
 :func:`repro.symexec.residues.less`, which lets two exact witnesses refute
 the relation before SymPy's assumption system is asked to prove it
-(``equiv.order_refuted`` / ``equiv.order_asked``).
+(``equiv.order_refuted`` / ``equiv.order_asked``).  The ``Max`` / ``Min``
+that a two-branch ``Piecewise`` normalises to is built the same way: a pair
+with strict witnesses both ways is built unevaluated (:func:`_lattice`), and
+only the rest enter SymPy's lattice search.
 """
 
 from __future__ import annotations
@@ -69,12 +72,28 @@ def _piecewise_to_minmax(expr: sp.Expr) -> sp.Expr:
         small, large = (rhs, lhs) if flipped else (lhs, rhs)
         # cond is (small < large): picking `large` when true is Max, `small` is Min.
         if val_true == large and val_false == small:
-            return sp.Max(small, large)
+            return _lattice(sp.Max, small, large)
         if val_true == small and val_false == large:
-            return sp.Min(small, large)
+            return _lattice(sp.Min, small, large)
         return pw
 
     return expr.replace(lambda e: isinstance(e, sp.Piecewise), rewrite)
+
+
+def _lattice(cls, x: sp.Expr, y: sp.Expr) -> sp.Expr:
+    """``cls(x, y)`` for ``cls`` ``Max`` or ``Min``, unevaluated where SymPy's
+    lattice search provably keeps both arguments.
+
+    ``Max.__new__`` drops an argument only if its ``_find_localzeros`` proves
+    one side ``>=`` the other, and its other filters act only on nested
+    ``Min``/``Max`` and on the infinities.  Strict witnesses both ways
+    (:func:`residues.splits`) show no sound prover can, and without nested
+    ``Min``/``Max`` the unevaluated object, whose arguments are sorted by the
+    same ``ordered()``, is the evaluated one.  Any other pair asks SymPy.
+    """
+    if not (x.has(sp.Min, sp.Max) or y.has(sp.Min, sp.Max)) and residues.splits(x, y):
+        return cls(x, y, evaluate=False)
+    return cls(x, y)
 
 
 def _needs_cancel(expr: sp.Expr) -> bool:

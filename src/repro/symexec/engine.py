@@ -12,6 +12,17 @@ rule fails there: ``sqrt`` / ``exp`` / ``log`` look the function up as a
 method of each entry, ``maximum`` / ``minimum`` / ``less`` / ``where`` and
 the ``max`` / ``min`` reductions force a truth value, and ``triu`` / ``tril``
 fill with a Python ``0`` rather than ``sp.S.Zero``.
+
+Each elementwise op runs once per index class (DESIGN.md, decision 26).
+Unbound float inputs of non-scalar shape are index-class tensors
+(:func:`~repro.symexec.symtensor.index_class`).  An op whose registry entry
+is ``elementwise`` and whose arguments are each an index-class tensor of the
+output shape or a scalar with no symbols runs its rule on the entry-0
+arguments alone; every other entry is that representative renamed
+(:func:`~repro.symexec.symtensor.from_representative`), and the result is
+index-class too (``symexec.classwise``).  Everything else — broadcast or
+transposed arguments, reductions, contractions, bound inputs, boolean
+carriers — runs entry by entry (``symexec.entrywise``).
 """
 
 from __future__ import annotations
@@ -25,9 +36,10 @@ import sympy as sp
 from repro.errors import SymbolicExecutionError
 from repro.ir.nodes import Call, Const, Input, Node
 from repro.ir.ops import get_op
+from repro.ir.types import DType, TensorType
 from repro.obs.metrics import bump
 from repro.symexec import residues
-from repro.symexec.symtensor import SymTensor, representative, rename
+from repro.symexec.symtensor import SymTensor, from_representative, index_class, mark_index_class
 
 
 @lru_cache(maxsize=1 << 14)
@@ -36,18 +48,12 @@ def _piecewise(cond, x, y):
 
 
 def _symbolic_where(cond, x, y):
-    """The evaluated ``Piecewise``, built once per index class (on the
-    representative) and renamed back unevaluated: ``equiv.where_by_class``."""
+    """``np.where`` on one entry: the evaluated ``Piecewise``, memoised."""
     if cond is sp.true or cond is True:
         return x
     if cond is sp.false or cond is False:
         return y
-    found = representative((cond, x, y))
-    out = None if found is None else rename(_piecewise(*found[0]), found[1])
-    if out is None:
-        return _piecewise(cond, x, y)
-    bump("equiv.where_by_class")
-    return out
+    return _piecewise(cond, x, y)
 
 
 def _entrywise(fn, nin: int):
@@ -100,6 +106,28 @@ _RULES = {
 }
 
 
+def _rule(op: str):
+    return _RULES.get(op) or get_op(op).eval
+
+
+def _classwise(op: str, args: list[SymTensor], attrs: dict, out: TensorType) -> SymTensor | None:
+    """``op(*args)`` built on the entry-0 arguments and renamed into every
+    other entry, or ``None`` (no opinion: run the entrywise rule)."""
+    shape = out.shape
+    if not (shape and 0 not in shape and get_op(op).elementwise):
+        return None
+    heads = []
+    for a in args:
+        if a.shape == shape and index_class(a):
+            heads.append(a.data.reshape(-1)[:1])
+        elif a.shape == () and not a.item().free_symbols:
+            heads.append(a.data)
+        else:
+            return None
+    rep = np.asarray(_rule(op)(heads, attrs), dtype=object).reshape(-1)[0]
+    return from_representative(rep, shape, out.dtype)
+
+
 def symbolic_execute(
     node: Node,
     bindings: Mapping[str, SymTensor] | None = None,
@@ -125,6 +153,8 @@ def symbolic_execute(
             value = bindings.get(n.name)
             if value is None:
                 value = SymTensor.from_input(n.name, n.type)
+                if n.type.shape and n.type.dtype is DType.FLOAT:
+                    mark_index_class(value)
             elif value.shape != n.type.shape:
                 raise SymbolicExecutionError(
                     f"binding for {n.name!r} has shape {value.shape}, expected {n.type.shape}"
@@ -133,13 +163,18 @@ def symbolic_execute(
             value = SymTensor.from_value(n.value, n.type.dtype)
         else:
             assert isinstance(n, Call)
-            rule = _RULES.get(n.op) or get_op(n.op).eval
-            data = rule([go(a).data for a in n.args], dict(n.attrs))
-            value = SymTensor(np.asarray(data, dtype=object), n.type.dtype)
-            if value.shape != n.type.shape:
-                raise SymbolicExecutionError(
-                    f"symbolic {n.op} produced shape {value.shape}, typed {n.type.shape}"
-                )
+            args, attrs = [go(a) for a in n.args], dict(n.attrs)
+            value = _classwise(n.op, args, attrs, n.type)
+            if value is not None:
+                bump("symexec.classwise")
+            else:
+                bump("symexec.entrywise")
+                data = _rule(n.op)([a.data for a in args], attrs)
+                value = SymTensor(np.asarray(data, dtype=object), n.type.dtype)
+                if value.shape != n.type.shape:
+                    raise SymbolicExecutionError(
+                        f"symbolic {n.op} produced shape {value.shape}, typed {n.type.shape}"
+                    )
         cache[n] = value
         return value
 

@@ -60,13 +60,20 @@ where ``A < A*B`` holds and ``A*A < A`` fails at *every* point, so they are
 rationals ``n/d`` with ``n, d`` in ``[1, 97]``, on both sides of 1.  Only
 plain ``positive=True`` symbols have them: a witness must lie in the
 symbol's domain, and positive rationals say nothing about a boolean carrier,
-an integer or a negative symbol.
+an integer or a negative symbol.  :func:`splits` asks the same points for a
+strict witness each way, ``x < y`` and ``x > y``: then neither side bounds
+the other, and ``canonical`` builds ``Max(x, y)`` without SymPy's lattice
+search.
 
 The **weak bucket** (:func:`weak_bucket`) is what is left for a tensor with
-no battery — ``sqrt``, ``exp``/``log``, ``Max``/``Piecewise``, booleans: its
-entries evaluated in plain Python float/complex arithmetic at the first
-:data:`W_POINTS` order points (so ``sqrt(A - B)`` and SymPy's ``I*sqrt(A)``
-have a value) and rounded well above float noise.  Floats are not exact, and
+no battery — ``sqrt``, ``exp``/``log``, ``Max``/``Piecewise``, booleans: each
+entry's class index and the values of its index-class representative (every
+symbol ``X[p]`` at ``X[0,…]``'s point) in plain Python float/complex
+arithmetic at the first :data:`W_POINTS` order points (so ``sqrt(A - B)``
+and SymPy's ``I*sqrt(A)`` have a value), rounded well above float noise.
+An entry with mixed indices or a boolean carrier is evaluated as it is.
+One definition for every tensor, so an index-class tensor costs one
+evaluation: its entries are entry 0 renamed.  Floats are not exact, and
 on the predicate fragment the value partition is *coarser* than the
 canonical one (``A < 1``, ``2*A < 2`` and ``A*B < B`` are one predicate and
 three canonical keys), so a bucket **only separates**: different buckets say
@@ -112,7 +119,13 @@ from repro.ir.nodes import Call, Const, Node
 from repro.ir.ops import get_op
 from repro.ir.types import DType
 from repro.obs.metrics import bump
-from repro.symexec.symtensor import SymTensor, representative
+from repro.symexec.symtensor import (
+    SymTensor,
+    class_renaming,
+    index_class,
+    representative,
+    symbol_origin,
+)
 
 #: Points per prime.  Four points over two primes give eight independent
 #: tokens per entry — far beyond any realistic collision budget.
@@ -305,11 +318,45 @@ def less(x, y):
     return answer if answer in (sp.true, sp.false) else sp.Lt(x, y, evaluate=False)
 
 
+#: Order points :func:`splits` searches: any positive point is a witness, and
+#: a pair like ``B`` and ``2`` is one-sided at all eight of ``B[0,0]``'s.
+_SPLIT_POINTS = 4 * O_POINTS
+
+
+@lru_cache(maxsize=1 << 14)
+def _split(x, y) -> bool:
+    seen = set()
+    try:
+        for i in range(_SPLIT_POINTS):
+            memo: dict = {}
+            a, b = _eval(x, i, memo, None), _eval(y, i, memo, None)
+            if a != b:
+                seen.add(a < b)
+                if len(seen) == 2:
+                    return True
+    except (_NonRational, _WeakPoint, AttributeError, TypeError):
+        pass
+    return False
+
+
+def splits(x, y) -> bool:
+    """Whether order points exist with ``x < y`` and with ``x > y``, both strict.
+
+    Then neither ``x >= y`` nor ``y >= x`` holds on the positive domain, so no
+    sound prover shows either.  ``False`` is "no opinion": one-sided or tied
+    at every point, or a side the exact walker cannot evaluate.  Decided on
+    the pair's index-class representative where it has one, memoised there.
+    """
+    found = representative((x, y))
+    return _split(*(found[0] if found is not None else (x, y)))
+
+
 def clear_less_memo() -> None:
-    """Forget every memoised :func:`less` and ``where`` answer (for tests that force the tier)."""
+    """Forget every memoised :func:`less`, :func:`splits` and ``where`` answer (for
+    tests that force the tier)."""
     from repro.symexec.engine import _piecewise  # engine imports this module
 
-    for memo in (_witnessed, _proved, _piecewise):
+    for memo in (_witnessed, _proved, _split, _piecewise):
         memo.cache_clear()
 
 
@@ -455,29 +502,61 @@ def _rounded(value):
 def weak_bucket(tensor: SymTensor) -> tuple | None:
     """Value bucket of an *executed* tensor, or ``None`` for "no opinion".
 
-    Every entry evaluated by :func:`_value` at :data:`W_POINTS` order points
-    and rounded.  Canonically equal tensors share a bucket, so two different
-    buckets prove two tensors are different classes; an equal bucket proves
-    nothing (see the module docstring) and callers then compare canonical
-    keys.  ``None`` — an entry outside the evaluator's arms, a ``nan``, an
-    overflow, a ``Piecewise`` with no true arm — sends the caller to the
-    keys straight away.  Memoised on the tensor like ``_residues``.
+    ``(shape, dtype, values, indices)``: every entry's index-class
+    representative evaluated by :func:`_value` at :data:`W_POINTS` order
+    points and rounded, and every entry's class index
+    (:func:`_bucket_values`).  Canonically equal tensors share a bucket, so
+    two different buckets prove two tensors are different classes; an equal
+    bucket proves nothing (see the module docstring) and callers then
+    compare canonical keys.  ``None`` — an entry outside the evaluator's
+    arms, a ``nan``, an overflow, a ``Piecewise`` with no true arm — sends
+    the caller to the keys straight away.  Memoised on the tensor like
+    ``_residues``.
     """
     memo = tensor.__dict__.get("_weak_bucket", _UNSET)
     if memo is not _UNSET:
         return memo
-    memos: list[dict] = [{} for _ in range(W_POINTS)]
     try:
-        values = tuple(
-            _rounded(_value(e, i, memos[i]))
-            for e in tensor.entries()
-            for i in range(W_POINTS)
-        )
-        out = (tensor.shape, tensor.dtype, values)
+        out = (tensor.shape, tensor.dtype) + _bucket_values(tensor)
     except (_NonRational, _WeakPoint, ArithmeticError, ValueError, TypeError, AttributeError):
         out = None
     object.__setattr__(tensor, "_weak_bucket", out)
     return out
+
+
+def _bucket_values(tensor: SymTensor) -> tuple[tuple, tuple]:
+    """Each entry's rounded values at the :data:`W_POINTS` order points, taken on
+    its index-class representative (every symbol ``X[p]`` at ``X[0,…]``'s
+    point), and each entry's class index.
+
+    The indices tell ``sqrt(A)`` from its transpose, whose representatives
+    agree.  An entry without a representative (:func:`class_renaming` has no
+    opinion) has index ``None`` and is evaluated as it is.  An index-class
+    tensor's entries are entry 0 renamed, so entry 0's values stand for
+    every entry.
+    """
+    if index_class(tensor):
+        head = tensor.item()
+        values = tuple(_rounded(_value(head, i, {})) for i in range(W_POINTS)) * tensor.size
+        if not head.free_symbols:
+            return values, ((),) * tensor.size
+        return values, tuple(np.ndindex(*tensor.shape))
+    own: list[dict] = [{} for _ in range(W_POINTS)]
+    by_class: list[dict] = [{} for _ in range(W_POINTS)]
+    values, indices = [], []
+    for e in tensor.entries():
+        renaming = class_renaming((e,))
+        if renaming is None:
+            memos, index = own, None
+        else:
+            memos = by_class
+            index = symbol_origin(next(iter(renaming)))[1] if renaming else ()
+        indices.append(index)
+        for i in range(W_POINTS):
+            for symbol, zero in (renaming or {}).items():
+                memos[i][symbol] = float(_order_point(zero, i))
+            values.append(_rounded(_value(e, i, memos[i])))
+    return tuple(values), tuple(indices)
 
 
 _QCOLS: dict[int, np.ndarray] = {}

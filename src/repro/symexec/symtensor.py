@@ -12,6 +12,15 @@ perform the simplifications the paper relies on (``sqrt(x)**2 -> x``,
 ``exp(log x) -> x`` …).  Boolean input elements are represented as the
 relational ``Symbol(...) > 0`` so they can appear in ``Piecewise``
 conditions.
+
+An **index-class tensor** (:func:`index_class`) is one whose entry ``p`` is
+entry 0 with every element symbol ``X[0,…]`` renamed to ``X[p]``: the
+engine marks the unbound float inputs of non-scalar shape, and every
+elementwise op over marked arguments, as it creates them
+(:func:`from_representative`).  Its consumers read entry 0 for the whole
+tensor.  The mark lives in ``__dict__`` beside the memoised ``_residues``;
+a tensor restored from a cache or built by :meth:`SymTensor.map` has none
+and is read entry by entry.
 """
 
 from __future__ import annotations
@@ -50,15 +59,13 @@ def symbol_origin(symbol: sp.Symbol) -> tuple[str, tuple[int, ...]] | None:
     return _SYMBOL_ORIGIN.get(symbol)
 
 
-def representative(exprs: tuple) -> tuple[tuple, dict] | None:
-    """``exprs`` renamed to their index class's representative, and the renaming back.
+def class_renaming(exprs: tuple) -> dict | None:
+    """The renaming of ``exprs``' symbols to their index class's index 0, or ``None``.
 
-    Entry ``(i, j)`` of an elementwise expression is entry ``(0, 0)`` with
-    every ``X[0,0]`` renamed to ``X[i,j]``, and a one-to-one renaming of
-    positive symbols preserves every truth value.  ``None`` is "no opinion":
-    a symbol that is not a plain ``positive=True`` element symbol (a boolean
-    carrier ``X[i,j]?``, a solver unknown), mixed indices, a scalar input,
-    index 0 itself, no symbol, or a node :func:`rename` does not rebuild.
+    ``None`` is "no opinion": a symbol that is not a plain ``positive=True``
+    element symbol (a boolean carrier ``X[i,j]?``, a solver unknown), or
+    mixed indices.  The renaming is the identity at index 0 and empty when
+    there is no symbol.
     """
     index, renaming = None, {}
     try:
@@ -71,7 +78,20 @@ def representative(exprs: tuple) -> tuple[tuple, dict] | None:
                 renaming[symbol] = element_symbol(origin[0], (0,) * len(index))
     except AttributeError:
         return None
-    if not any(index or ()):
+    return renaming
+
+
+def representative(exprs: tuple) -> tuple[tuple, dict] | None:
+    """``exprs`` renamed to their index class's representative, and the renaming back.
+
+    Entry ``(i, j)`` of an elementwise expression is entry ``(0, 0)`` with
+    every ``X[0,0]`` renamed to ``X[i,j]``, and a one-to-one renaming of
+    positive symbols preserves every truth value.  ``None`` is "no opinion":
+    :func:`class_renaming` has none, a scalar input, index 0 itself, no
+    symbol, or a node :func:`rename` does not rebuild.
+    """
+    renaming = class_renaming(exprs)
+    if renaming is None or all(symbol is zero for symbol, zero in renaming.items()):
         return None
     rep = tuple(rename(expr, renaming) for expr in exprs)
     if any(expr is None for expr in rep):
@@ -90,7 +110,7 @@ def rename(expr, renaming: dict):
     through ``sp.evaluate(False)``: entering and leaving it clears SymPy's whole cache)."""
     if expr.is_Symbol:
         return renaming.get(expr)
-    if expr.is_Number or expr is sp.true or expr is sp.false:
+    if expr.is_Atom:  # a number, ``zoo``, ``true`` / ``false``
         return expr
     cls = type(expr)
     if cls not in _REBUILT:
@@ -99,6 +119,46 @@ def rename(expr, renaming: dict):
     if any(arg is None for arg in args):
         return None
     return ExprCondPair(*args) if cls is ExprCondPair else cls(*args, evaluate=False)
+
+
+def index_class(tensor: "SymTensor") -> bool:
+    """Whether ``tensor`` is marked index-class: entry ``p`` is entry 0 renamed to ``p``."""
+    return tensor.__dict__.get("_index_class", False)
+
+
+def mark_index_class(tensor: "SymTensor") -> "SymTensor":
+    object.__setattr__(tensor, "_index_class", True)
+    return tensor
+
+
+def from_representative(rep, shape: Shape, dtype: DType) -> "SymTensor | None":
+    """The index-class tensor of ``shape`` whose entry 0 is ``rep``, or ``None``.
+
+    ``rep`` must mention only element symbols at index 0 of inputs of
+    ``shape``; entry ``p`` is ``rep`` with each ``X[0,…]`` renamed to
+    ``X[p]``.  ``None`` (no opinion) when it mentions anything else, or holds
+    a node :func:`rename` does not rebuild.
+    """
+    data = np.empty(shape, dtype=object)
+    flat = data.reshape(-1)
+    names = []
+    try:
+        for symbol in rep.free_symbols:
+            origin = _SYMBOL_ORIGIN.get(symbol)
+            if origin is None or not symbol.is_positive or origin[1] != (0,) * len(shape):
+                return None
+            names.append((symbol, origin[0]))
+    except AttributeError:
+        return None
+    if not names:
+        data.fill(rep)
+        return mark_index_class(SymTensor(data, dtype))
+    for k, idx in enumerate(np.ndindex(*shape)):
+        entry = rename(rep, {symbol: element_symbol(name, idx) for symbol, name in names}) if k else rep
+        if entry is None:
+            return None
+        flat[k] = entry
+    return mark_index_class(SymTensor(data, dtype))
 
 
 def _constant(value) -> sp.Expr:

@@ -30,7 +30,6 @@ from typing import Iterator
 import numpy as np
 import sympy as sp
 
-from repro.analysis import prescreen as _prescreen
 from repro.cost.base import CostModel
 from repro.errors import TypeInferenceError
 from repro.ir.nodes import Call, Const, Input, Node
@@ -40,7 +39,7 @@ from repro.obs.metrics import bump
 from repro.symexec import residues as _res
 from repro.symexec.canonical import canonical_key, same_canonical_key
 from repro.symexec.engine import symbolic_execute
-from repro.symexec.symtensor import SymTensor
+from repro.symexec.symtensor import SymTensor, index_class
 from repro.synth.config import SynthesisConfig
 
 #: Ops in the input program that signal predicate/masking/extremum structure.
@@ -333,15 +332,6 @@ class StubEnumerator:
             if node in self._seen_nodes:
                 return None
             self._seen_nodes.add(node)
-        if isinstance(node, Call) and node.op == "divide":
-            bump("analysis.prescreen_checks")
-            if _prescreen.divides_by_provable_zero(node):
-                # The denominator is syntactically zero, so every entry is
-                # zoo/nan and the undefined-entry check below would reject
-                # the candidate — prune before any residue/symbolic work.
-                bump("analysis.prescreen_pruned")
-                bump("analysis.prescreen_undefined")
-                return None
         if isinstance(node, Call):
             res = self._batteries.compose(node)
             if res is not None:
@@ -354,7 +344,7 @@ class StubEnumerator:
             tensor = symbolic_execute(node, cache=self._symexec_cache)
         except Exception:
             return None  # e.g. division by a constant zero
-        if any(_has_undefined(e) for e in tensor.entries()):
+        if _undefined(tensor):
             return None
         raw = (tensor.shape, tensor.dtype, tuple(tensor.entries()))
         cls = self._by_raw.get(raw)
@@ -546,11 +536,22 @@ class StubEnumerator:
             return
 
 
+#: The atoms of an undefined entry: ``zoo``, ``oo``, ``-oo`` and ``nan``.
+_UNDEFINED = (type(sp.zoo), type(sp.oo), type(-sp.oo), type(sp.nan))
+
+
 def _has_undefined(expr) -> bool:
     try:
-        return expr.has(sp.zoo, sp.oo, -sp.oo, sp.nan)
+        return bool(expr.atoms(*_UNDEFINED))
     except (AttributeError, TypeError):
         return False
+
+
+def _undefined(tensor: SymTensor) -> bool:
+    """Whether an entry is undefined; entry 0 speaks for an index-class tensor,
+    whose other entries are it renamed."""
+    entries = (tensor.item(),) if index_class(tensor) else tensor.entries()
+    return any(_has_undefined(e) for e in entries)
 
 
 def _fold_constant(node: Call) -> Node | None:

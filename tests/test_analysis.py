@@ -19,10 +19,8 @@ from repro.analysis import (
     Hazard,
     Interval,
     abstract_eval,
-    divides_by_provable_zero,
     expr_interval,
     node_hazards,
-    provably_zero,
     tensors_disjoint,
 )
 from repro.analysis.domains import POSITIVE, TOP
@@ -30,7 +28,10 @@ from repro.analysis.prescreen import PRESCREEN_BOX
 from repro.ir.evaluator import evaluate
 from repro.ir.nodes import Call, Const, Input, Node
 from repro.ir.types import float_tensor
+from repro.ir.parser import parse
 from repro.symexec.engine import symbolic_execute
+from repro.synth.config import SynthesisConfig
+from repro.synth.enumerator import StubEnumerator
 
 A = Input("A", float_tensor(3))
 B = Input("B", float_tensor(3))
@@ -280,20 +281,26 @@ def test_expr_interval_sound_on_positive_box(data):
 
 
 class TestPrescreen:
-    def test_provably_zero_syntactic(self):
-        assert provably_zero(Call("subtract", (A, A)))
-        assert provably_zero(Const(np.zeros(3)))
-        assert provably_zero(Call("multiply", (A, Const(np.zeros(3)))))
-        assert provably_zero(Call("sum", (Call("subtract", (B, B)),)))
-        assert not provably_zero(Call("subtract", (A, B)))
-        assert not provably_zero(A)
-        # power is excluded: 0 ** 0 == 1.
-        assert not provably_zero(Call("power", (Call("subtract", (A, A)), Const(2.0))))
-
-    def test_divides_by_provable_zero(self):
-        assert divides_by_provable_zero(Call("divide", (B, Call("subtract", (A, A)))))
-        assert not divides_by_provable_zero(Call("divide", (B, A)))
-        assert not divides_by_provable_zero(Call("add", (A, B)))
+    def test_zero_denominators_rejected_by_admission(self):
+        """The enumerator has no syntactic zero proof of its own: a division
+        by an identically zero stub is declined by battery composition, then
+        rejected by ``_divides_by_zero`` or the undefined-entry check."""
+        enumerator = StubEnumerator(parse("A / B", {"A": A.type, "B": B.type}), SynthesisConfig())
+        zero = Call("subtract", (A, A))
+        for node in (A, B, Const(0.0), zero):
+            assert enumerator._admit(node) is not None
+        denominators = [
+            zero,
+            Const(np.zeros(3)),
+            Call("multiply", (A, Const(np.zeros(3)))),
+            Call("sum", (Call("subtract", (B, B)),)),
+            Call("power", (zero, Const(2.0))),
+        ]
+        for den in denominators:
+            node = Call("divide", (B, den))
+            assert enumerator._admit(node) is None, den
+            assert node not in enumerator.sketch_sources, den
+        assert enumerator._admit(Call("divide", (B, A))) is not None
 
     def test_tensors_disjoint(self):
         # A + B + 10 over [0.5, 2]^2 lies in [11, 14]; A lies in [0.5, 2].
@@ -329,17 +336,18 @@ def _run_batch():
     batch = [
         KernelSpec("exp_log", "np.exp(np.log(A + B))", {"A": (3, 3), "B": (3, 3)}),
         KernelSpec("inner", "np.sum(A * B)", {"A": (3,), "B": (3,)}),
+        # reaches MATCH's scan, where the pre-screen prunes
+        KernelSpec("sum_diag", "np.sum(np.diag(np.dot(A, B)))", {"A": (2, 2), "B": (2, 2)}),
     ]
     config = SynthesisConfig(timeout_seconds=90)
     return ModuleOptimizer(config=config).optimize_module(batch)
 
 
 def test_prescreen_outcomes_byte_identical(monkeypatch):
-    """Baseline: the same batch with both proof predicates never proving."""
+    """Baseline: the same batch with the proof predicate never proving."""
     screened = _run_batch()
     from repro.analysis import prescreen
 
-    monkeypatch.setattr(prescreen, "divides_by_provable_zero", lambda *a: False)
     monkeypatch.setattr(prescreen, "tensors_disjoint", lambda *a: False)
     baseline = _run_batch()
     assert screened.summary() == baseline.summary()

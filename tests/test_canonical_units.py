@@ -8,8 +8,10 @@ import sympy as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ir.types import DType, TensorType, float_tensor
+from repro.symexec import residues
 from repro.symexec.canonical import (
     _equivalent_exprs_slow,
+    _lattice,
     _needs_cancel,
     _piecewise_to_minmax,
     _radical_tier,
@@ -23,6 +25,47 @@ from repro.symexec.symtensor import (
 )
 
 a, b = element_symbol("a", ()), element_symbol("b", ())
+
+
+class TestLattice:
+    """``_lattice`` builds ``Max``/``Min`` unevaluated only where SymPy's
+    lattice search provably keeps both arguments; the oracle is ``sp.Max``."""
+
+    A, B = element_symbol("A", (1, 2)), element_symbol("B", (1, 2))
+
+    @pytest.mark.parametrize("cls", [sp.Max, sp.Min])
+    def test_split_pairs_are_sympys_object(self, cls):
+        A, B = self.A, self.B
+        for x, y in [(A, B), (B, A), (A, A * A), (A * B, A + 1), (sp.Integer(2), B), (A / B, B - A)]:
+            assert residues.splits(x, y), (x, y)
+            got = _lattice(cls, x, y)
+            assert sp.srepr(got) == sp.srepr(cls(x, y)), (x, y)
+            assert got.args == cls(x, y).args
+
+    def test_one_sided_pair_asks_sympy(self):
+        A, B = self.A, self.B
+        assert _lattice(sp.Max, A, A + B) == A + B
+        assert _lattice(sp.Min, A, A + B) == A
+
+    def test_tied_pair_asks_sympy(self):
+        """Equal functions, spelled apart: SymPy keeps one of them."""
+        A, B = self.A, self.B
+        assert not residues.splits(A * B + A, A * (B + 1))
+        assert _lattice(sp.Max, A * B + A, A * (B + 1)) == A * B + A
+
+    def test_nested_min_asks_sympy(self, monkeypatch):
+        """Absorption needs SymPy's evaluation, whatever the witnesses say."""
+        A, B = self.A, self.B
+        monkeypatch.setattr(residues, "splits", lambda x, y: True)
+        assert _lattice(sp.Max, sp.Min(A, B), A) == A
+        assert _lattice(sp.Min, A, sp.Max(A, B)) == A
+
+    def test_through_the_piecewise_rewrite(self):
+        A, B = self.A, self.B
+        pw = sp.Piecewise((B, sp.Lt(A, B, evaluate=False)), (A, True))
+        assert sp.srepr(_piecewise_to_minmax(pw)) == sp.srepr(sp.Max(A, B))
+        one_sided = sp.Piecewise((A + B, sp.Lt(A, A + B, evaluate=False)), (A, True))
+        assert _piecewise_to_minmax(one_sided) == A + B
 
 
 class TestPiecewiseToMinMax:

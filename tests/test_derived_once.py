@@ -10,17 +10,20 @@ it depends on:
   (``StubEnumerator._facts``);
 * ``residues.less``: its witnesses per ``(x, y)``, its proof per index-class
   representative (``symtensor.representative``);
-* ``where``'s evaluated ``Piecewise``, per index-class representative.
+* every elementwise op over index-class tensors — ``less`` and ``where``
+  included — executed once per class and renamed into the other entries
+  (DESIGN.md, decision 26).
 
 The weak tier compares canonical forms entry by entry instead of whole keys.
 The oracle throughout is the unmemoised computation: ``_inv_battery``
 afresh, a fresh model's ``_price``, the tree walks the bits replaced,
 ``sp.Lt`` and ``sp.Piecewise`` built on the entry itself, and eager
 ``canonical_key`` equality.  (a)–(d) check each fact on every library node,
-pair or triple of three suite kernels; (e) builds libraries with every memo
-bypassed and asserts they are the memoised ones node for node, with the same
-``equiv.*`` counts (except the relational calls eager keying adds, and the
-``*_by_class`` counters of the bypassed representatives).
+pair or entry of three suite kernels; (e) builds libraries with every memo
+bypassed and execution entry by entry, and asserts they are the memoised
+ones node for node, with the same ``equiv.*`` counts (except the relational
+calls that entrywise execution and eager keying add, which
+``equiv.order_*`` count).
 
 SOLVE's normal forms are derived once too (DESIGN.md, decision 22):
 ``solver._cancel`` memoises ``cancel`` per expression and computes it in a
@@ -44,6 +47,7 @@ from repro.bench.suite import benchmark_names, get_benchmark
 from repro.cost import FlopsCostModel, MeasuredCostModel, make_cost_model
 from repro.cost.base import CostModel
 from repro.cost.measured import _signature
+from repro.ir import float_tensor, parse
 from repro.ir.nodes import Call, Const, Input
 from repro.obs.metrics import PROCESS_COUNTERS
 from repro.symexec import INTERN_TABLE, canonical_key, engine, residues, symtensor
@@ -74,11 +78,12 @@ def _bypass_memos(patch) -> None:
     patch.setattr(BatteryTable, "_inverse", lambda self, node: _inv_battery(self.get(node)))
     patch.setattr(CostModel, "call_cost", CostModel._price)
     patch.setattr(StubEnumerator, "_facts", lambda self, node: _walked_facts(node))
-    for module, name in ((residues, "_witnessed"), (residues, "_proved"), (engine, "_piecewise")):
+    memos = ((residues, "_witnessed"), (residues, "_proved"), (residues, "_split"), (engine, "_piecewise"))
+    for module, name in memos:
         # maxsize=0: a cache that keeps nothing
         patch.setattr(module, name, lru_cache(maxsize=0)(getattr(module, name).__wrapped__))
-    for module in (residues, engine):  # every entry asks SymPy itself
-        patch.setattr(module, "representative", lambda exprs: None)
+    patch.setattr(residues, "representative", lambda exprs: None)  # every entry asks SymPy itself
+    patch.setattr(engine, "_classwise", lambda *args: None)  # and is executed by itself
     patch.setattr(enumerator_mod, "same_canonical_key", _eager_same_key)
 
 
@@ -87,10 +92,10 @@ def _eager_same_key(tensor, other) -> bool:
     return canonical_key(tensor) == (other if isinstance(other, tuple) else canonical_key(other))
 
 
-#: Counters that may differ once the memos are bypassed: eager keying
-#: canonicalises more relationals (``equiv.order_*`` count calls), and the
-#: bypassed representatives answer nothing.
-_MOVED_BY_BYPASS = ("equiv.order_", "equiv.where_by_class")
+#: Counters that may differ once the memos are bypassed: entrywise execution
+#: and eager keying build more relationals (``equiv.order_*`` count calls), the
+#: bypassed representatives answer nothing, and ``symexec.*`` count the path.
+_MOVED_BY_BYPASS = ("equiv.order_", "symexec.")
 
 
 def _enumerate(kernel):
@@ -110,7 +115,7 @@ def _enumerate(kernel):
     counts = {
         k: v - before.get(k, 0)
         for k, v in PROCESS_COUNTERS.items()
-        if k.startswith("equiv.") and v != before.get(k, 0)
+        if k.startswith(("equiv.", "symexec.")) and v != before.get(k, 0)
     }
     moved = {k: counts.pop(k) for k in list(counts) if k.startswith(_MOVED_BY_BYPASS)}
     identity = (
@@ -125,11 +130,12 @@ def _enumerate(kernel):
 def memoised():
     """Each QUICK kernel enumerated once with the memos on.
 
-    Every ``less`` pair and every ``where`` triple is recorded with what the
-    memoised path returned for it.
+    Every ``less`` pair and every ``where`` triple asked entry by entry is
+    recorded with what the memoised path returned for it, and every
+    ``less`` / ``where`` tensor executed class-wise with its arguments.
     """
-    runs, pairs, triples = {}, {}, {}
-    real_less, real_where = residues.less, engine._symbolic_where
+    runs, pairs, triples, classwise = {}, {}, {}, []
+    real_less, real_where, real_classwise = residues.less, engine._symbolic_where, engine._classwise
 
     def recording_less(x, y):
         out = pairs[(x, y)] = real_less(x, y)
@@ -139,12 +145,29 @@ def memoised():
         out = triples[(cond, x, y)] = real_where(cond, x, y)
         return out
 
+    def recording_classwise(op, args, attrs, type):
+        out = real_classwise(op, args, attrs, type)
+        if out is not None and op in ("less", "where"):
+            classwise.append((op, args, out))
+        return out
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(residues, "less", recording_less)
         patch.setattr(engine, "_symbolic_where", recording_where)
+        patch.setattr(engine, "_classwise", recording_classwise)
         for kernel in QUICK:
             runs[kernel] = _enumerate(kernel)
-    return runs, pairs, triples
+    return runs, pairs, triples, classwise
+
+
+def _classwise_entries(classwise, op):
+    """``(arguments at p, entry p)`` of every ``op`` tensor executed class-wise."""
+    for name, args, out in classwise:
+        if name != op:
+            continue
+        assert symtensor.index_class(out)
+        for idx in np.ndindex(*out.shape):
+            yield tuple(a.data[idx] if a.shape else a.item() for a in args), out.data[idx]
 
 
 def _library_nodes(enumerator) -> list:
@@ -252,8 +275,9 @@ def test_every_fact_is_the_tree_walk(memoised, kernel):
 
 
 def test_every_memoised_relational_is_sp_lt(memoised):
-    """Every pair ``less`` saw, witnessed or proved, per pair or per class."""
-    pairs = memoised[1]
+    """Every pair ``less`` saw, witnessed or proved, per pair or per class,
+    and every entry of a class-wise ``less``."""
+    pairs, classwise = memoised[1], memoised[3]
     assert len(pairs) > 1000
     refuted = by_class = 0
     for (x, y), got in pairs.items():
@@ -263,33 +287,54 @@ def test_every_memoised_relational_is_sp_lt(memoised):
         refuted += witnessed
         by_class += not witnessed and symtensor.representative((x, y)) is not None
     assert 0 < refuted < len(pairs) and by_class > 100
+    renamed = 0
+    for (x, y), got in _classwise_entries(classwise, "less"):
+        assert sp.srepr(got) == sp.srepr(sp.Lt(x, y)), (x, y)
+        renamed += 1
+    assert renamed > 1000
 
 
 def test_every_selection_is_the_direct_piecewise(memoised):
-    """Every ``where`` triple, against ``sp.Piecewise`` built on the entry itself."""
-    triples = memoised[2]
-    assert len(triples) > 1000
-    by_class = 0
-    for (cond, x, y), got in triples.items():
+    """Every ``where`` entry, against ``sp.Piecewise`` built on the entry itself.
+
+    Each is executed class-wise: built once on the class's entry 0 and
+    renamed, so no triple reaches ``where`` off index 0.
+    """
+    triples, classwise = memoised[2], memoised[3]
+    assert triples and not any(symtensor.representative(t) for t in triples)
+    entries = 0
+    for (cond, x, y), got in _classwise_entries(classwise, "where"):
         want = x if cond is sp.true else y if cond is sp.false else sp.Piecewise((x, cond), (y, True))
         assert sp.srepr(got) == sp.srepr(want), (cond, x, y)
-        by_class += cond not in (sp.true, sp.false) and symtensor.representative((cond, x, y)) is not None
-    assert by_class > len(triples) // 2
+        entries += 1
+    assert entries > 1000 and entries >= 10 * len(triples)
 
 
 def test_a_class_is_decided_once():
-    """One SymPy proof and one ``Piecewise`` for the six entries of a (2, 3) class."""
+    """One SymPy proof and one ``Piecewise`` for the six entries of a (2, 3) class.
+
+    Asked entry by entry, ``less`` proves on the representative; executed,
+    ``less`` and ``where`` run once, on entry 0, and are renamed into the rest.
+    """
     residues.clear_less_memo()
     before = dict(PROCESS_COUNTERS)
     for idx in np.ndindex(2, 3):
         a, b = symtensor.element_symbol("A", idx), symtensor.element_symbol("B", idx)
         assert residues.less(a, a + b) is sp.true  # no witness: proved
-        cond = residues.less(a, b)  # witnessed
-        assert engine._symbolic_where(cond, a, b) == sp.Piecewise((a, a < b), (b, True))
     moved = {k: v - before.get(k, 0) for k, v in PROCESS_COUNTERS.items()}
-    assert moved["equiv.order_by_class"] == 5 and moved["equiv.where_by_class"] == 5
+    assert moved["equiv.order_by_class"] == 5
     assert residues._proved.cache_info().currsize == 1
+    residues.clear_less_memo()
+    before = dict(PROCESS_COUNTERS)
+    types = {"A": float_tensor(2, 3), "B": float_tensor(2, 3)}
+    got = engine.symbolic_execute(parse("np.where(np.less(A, B), A, B)", types).node)
+    moved = {k: v - before.get(k, 0) for k, v in PROCESS_COUNTERS.items()}
+    assert moved["symexec.classwise"] == 2 and not moved.get("symexec.entrywise")
+    assert moved["equiv.order_refuted"] == 1 and not moved.get("equiv.order_asked")  # witnessed
     assert engine._piecewise.cache_info().currsize == 1
+    for idx in np.ndindex(2, 3):
+        a, b = symtensor.element_symbol("A", idx), symtensor.element_symbol("B", idx)
+        assert sp.srepr(got.data[idx]) == sp.srepr(sp.Piecewise((a, a < b), (b, True))), idx
 
 
 def test_less_counts_every_call_and_caches_no_prover_error():
@@ -316,10 +361,11 @@ def test_library_is_the_one_without_memos(memoised, kernel, monkeypatch):
     _, bare_identity, bare_counts, bare_moved = _enumerate(kernel)
     assert bare_identity == identity
     assert bare_counts == counts
-    # Only the boolean grammar has classes to share; bypassed, none is shared.
-    by_class = ("equiv.order_by_class", "equiv.where_by_class")
-    assert all((moved.get(k, 0) > 0) is (kernel == "max_stack") for k in by_class)
-    assert not any(bare_moved.get(k) for k in by_class)
+    # Every kernel executes class-wise; only the boolean grammar also asks
+    # ``less`` off index 0.  Bypassed, nothing is shared.
+    assert moved["symexec.classwise"] > 0
+    assert (moved.get("equiv.order_by_class", 0) > 0) is (kernel == "max_stack")
+    assert not any(bare_moved.get(k) for k in ("symexec.classwise", "equiv.order_by_class"))
 
 
 @pytest.mark.slow

@@ -335,7 +335,6 @@ class TestMetrics:
         assert {k for k in counters if k.startswith(("equiv.", "analysis."))} == {
             "analysis.prescreen_checks",
             "analysis.prescreen_pruned",
-            "analysis.prescreen_undefined",
             "equiv.fingerprint_hits",
             "equiv.fingerprint_rejects",
             "equiv.fingerprint_weak",

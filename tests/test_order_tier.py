@@ -19,7 +19,7 @@ from repro.bench.suite import get_benchmark
 from repro.cost import FlopsCostModel
 from repro.ir import float_tensor, parse
 from repro.obs.metrics import PROCESS_COUNTERS
-from repro.symexec import INTERN_TABLE, residues
+from repro.symexec import INTERN_TABLE, engine, residues
 from repro.symexec.residues import O_POINTS, R_POINTS, _order_point, _point, less, order_witnesses
 from repro.synth import SynthesisConfig
 from repro.synth.enumerator import StubEnumerator
@@ -104,6 +104,9 @@ def spied():
     runs = {}
     with pytest.MonkeyPatch.context() as patch:
         spy = _Spy(patch)
+        # Entry by entry, so ``less`` sees every entry's pair; class-wise
+        # execution asks it once per class (tests/refuters.py holds the two equal).
+        patch.setattr(engine, "_classwise", lambda *args: None)
         before = dict(PROCESS_COUNTERS)
         for kind in (p.values[0] for p in PROGRAMS):
             runs[kind] = _identity(_enumerate(kind))

@@ -18,7 +18,9 @@ from repro.symexec import (
 )
 from repro.ir.ops import get_op
 from repro.symexec import engine
-from repro.symexec.symtensor import element_symbol, rename, representative, symbol_origin
+from repro.obs.metrics import PROCESS_COUNTERS
+from repro.symexec.symtensor import element_symbol, index_class, rename, representative, symbol_origin
+from repro.synth.enumerator import _undefined
 
 TYPES = {
     "A": float_tensor(2, 3),
@@ -166,6 +168,72 @@ class TestIndexClass:
             a, b = element_symbol("A", idx), element_symbol("B", idx)
             want = sp.Piecewise((a, element_symbol("M", idx, boolean=True)), (b, True))
             assert sp.srepr(got.data[idx]) == sp.srepr(want), idx
+
+
+class TestClasswise:
+    """Execution once per index class, and its no-opinion edges: each of these
+    runs entry by entry, and every entry is what the entrywise rule builds."""
+
+    @staticmethod
+    def _run(source, types, bindings=None):
+        before = dict(PROCESS_COUNTERS)
+        tensor = symbolic_execute(parse(source, types).node, bindings=bindings)
+        moved = {k: v - before.get(k, 0) for k, v in PROCESS_COUNTERS.items() if v != before.get(k, 0)}
+        return tensor, moved.get("symexec.classwise", 0), moved.get("symexec.entrywise", 0)
+
+    def test_elementwise_ops_run_once_and_rename(self):
+        types = {"A": float_tensor(2, 3), "B": float_tensor(2, 3)}
+        got, classwise, entrywise = self._run("np.sqrt(A * B + 2) / (A - B)", types)
+        assert index_class(got) and (classwise, entrywise) == (5, 0)
+        for idx in np.ndindex(2, 3):
+            a, b = element_symbol("A", idx), element_symbol("B", idx)
+            assert sp.srepr(got.data[idx]) == sp.srepr(sp.sqrt(a * b + 2) / (a - b)), idx
+
+    @pytest.mark.parametrize("shapes", [((3,), (2, 3)), ((1, 3), (2, 3))], ids=["(m,)", "(1,m)"])
+    def test_broadcast_argument_runs_entrywise(self, shapes):
+        types = {"x": float_tensor(*shapes[0]), "A": float_tensor(*shapes[1])}
+        got, classwise, entrywise = self._run("x + A", types)
+        assert not index_class(got) and (classwise, entrywise) == (0, 1)
+        for i, j in np.ndindex(2, 3):
+            x = element_symbol("x", (j,) if len(shapes[0]) == 1 else (0, j))
+            assert got.data[i, j] == x + element_symbol("A", (i, j)), (i, j)
+
+    def test_transposed_argument_runs_entrywise(self):
+        types = {"A": float_tensor(2, 3), "B": float_tensor(3, 2)}
+        got, classwise, entrywise = self._run("np.transpose(A) + B", types)
+        assert not index_class(got) and (classwise, entrywise) == (0, 2)
+        for j, i in np.ndindex(3, 2):
+            assert got.data[j, i] == element_symbol("A", (i, j)) + element_symbol("B", (j, i))
+
+    def test_boolean_input_is_no_index_class(self):
+        types = {"M": TensorType(DType.BOOL, (2, 3)), "A": float_tensor(2, 3)}
+        assert not index_class(symbolic_execute(parse("M", types).node))
+        got, classwise, entrywise = self._run("np.where(M, A, 1.0)", types)
+        assert not index_class(got) and (classwise, entrywise) == (0, 1)
+        for idx in np.ndindex(2, 3):
+            want = sp.Piecewise((element_symbol("A", idx), element_symbol("M", idx, boolean=True)), (1, True))
+            assert sp.srepr(got.data[idx]) == sp.srepr(want), idx
+
+    def test_solver_binding_runs_entrywise(self):
+        """A bound input is whatever it is bound to: here ``A`` read transposed."""
+        types = {"A": float_tensor(2, 2), "B": float_tensor(2, 2)}
+        unbound = SymTensor.from_input("A", types["A"])
+        bound = SymTensor(np.ascontiguousarray(unbound.data.T), DType.FLOAT)
+        got, classwise, entrywise = self._run("A + B", types, bindings={"A": bound})
+        assert not index_class(got) and (classwise, entrywise) == (0, 1)
+        for i, j in np.ndindex(2, 2):
+            assert got.data[i, j] == element_symbol("A", (j, i)) + element_symbol("B", (i, j))
+
+    def test_classwise_divide_by_zero_is_undefined(self):
+        """Entry 0 speaks for a class-wise tensor: ``A / 0`` is rejected;
+        an unmarked tensor is checked entry by entry."""
+        types = {"A": float_tensor(2, 3)}
+        got, classwise, _ = self._run("A / 0.0", types)
+        assert index_class(got) and classwise == 1
+        assert all(e is sp.zoo for e in got.entries())
+        assert _undefined(got)
+        late = SymTensor(np.array([element_symbol("A", (0, 0)), sp.zoo], dtype=object), DType.FLOAT)
+        assert _undefined(late) and not _undefined(symbolic_execute(parse("A / 2.0", types).node))
 
 
 class TestDensityAndComplexityInputs:

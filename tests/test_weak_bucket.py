@@ -22,7 +22,7 @@ from repro.obs.metrics import PROCESS_COUNTERS
 from repro.symexec import canonical_key, residues, symbolic_execute
 from repro.symexec.canonical import canonical
 from repro.symexec.residues import W_POINTS, weak_bucket
-from repro.symexec.symtensor import SymTensor, element_symbol
+from repro.symexec.symtensor import SymTensor, element_symbol, index_class
 from repro.synth import SynthesisConfig, build_library
 from repro.synth import library as library_mod
 from repro.synth.enumerator import StubEntry, StubEnumerator, _StubClass
@@ -49,8 +49,9 @@ def _values(expr, dtype=DType.FLOAT):
 
 class TestEvaluatorArms:
     def test_bucket_carries_signature_and_one_value_per_entry_and_point(self):
-        shape, dtype, values = weak_bucket(_tensor(sp.sqrt(A), sp.sqrt(B)))
+        shape, dtype, values, indices = weak_bucket(_tensor(sp.sqrt(A), sp.sqrt(B)))
         assert (shape, dtype, len(values)) == ((2,), DType.FLOAT, 2 * W_POINTS)
+        assert indices == ((0,), (0,))  # and one class index per entry
 
     def test_sqrt_of_a_negative_is_the_principal_complex_root(self):
         values = _values(sp.sqrt(A - B - 1000))
@@ -143,6 +144,18 @@ def test_equal_canonical_keys_share_a_bucket(left, right):
     a, b = (symbolic_execute(parse(src, TYPES).node) for src in (left, right))
     assert canonical_key(a) == canonical_key(b)
     assert weak_bucket(a) is not None and weak_bucket(a) == weak_bucket(b)
+
+
+def test_an_index_class_tensor_is_bucketed_as_its_entries():
+    """Entry 0 evaluated once stands for every entry: an unmarked copy, read
+    entry by entry, has the same bucket.  Its transpose has the same values
+    and other class indices."""
+    got = symbolic_execute(parse("np.sqrt(A * B) + A", TYPES).node)
+    assert index_class(got)
+    assert weak_bucket(got) == weak_bucket(SymTensor(got.data.copy(), got.dtype))
+    transposed = symbolic_execute(parse("np.transpose(np.sqrt(A * B) + A)", TYPES).node)
+    assert weak_bucket(transposed)[2] == weak_bucket(got)[2]
+    assert weak_bucket(transposed)[3] == ((0, 0), (1, 0), (0, 1), (1, 1)) != weak_bucket(got)[3]
 
 
 # -- the oracle: every weak candidate keyed on arrival --------------------------------
