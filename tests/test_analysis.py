@@ -281,11 +281,15 @@ def test_expr_interval_sound_on_positive_box(data):
 
 
 class TestPrescreen:
-    def test_zero_denominators_rejected_by_admission(self):
-        """The enumerator has no syntactic zero proof of its own: a division
-        by an identically zero stub is declined by battery composition, then
+    @staticmethod
+    def _enumerator():
+        return StubEnumerator(parse("A / B", {"A": A.type, "B": B.type}), SynthesisConfig())
+
+    def test_provably_zero_syntactic(self):
+        """The enumerator has no syntactic zero proof of its own: each zero
+        pattern, as a denominator, is declined by battery composition, then
         rejected by ``_divides_by_zero`` or the undefined-entry check."""
-        enumerator = StubEnumerator(parse("A / B", {"A": A.type, "B": B.type}), SynthesisConfig())
+        enumerator = self._enumerator()
         zero = Call("subtract", (A, A))
         for node in (A, B, Const(0.0), zero):
             assert enumerator._admit(node) is not None
@@ -300,7 +304,15 @@ class TestPrescreen:
             node = Call("divide", (B, den))
             assert enumerator._admit(node) is None, den
             assert node not in enumerator.sketch_sources, den
+        assert enumerator._admit(Call("divide", (B, Call("subtract", (A, B))))) is not None
+
+    def test_divides_by_provable_zero(self):
+        enumerator = self._enumerator()
+        for node in (A, B):
+            assert enumerator._admit(node) is not None
+        assert enumerator._admit(Call("divide", (B, Call("subtract", (A, A))))) is None
         assert enumerator._admit(Call("divide", (B, A))) is not None
+        assert enumerator._admit(Call("add", (A, B))) is not None
 
     def test_tensors_disjoint(self):
         # A + B + 10 over [0.5, 2]^2 lies in [11, 14]; A lies in [0.5, 2].
