@@ -114,8 +114,9 @@ CANDIDATES = [
     ("two-hole sketch derivation (`SynthesisConfig.multi_hole_sketches`, "
      "`sketch._two_hole_sketches`, `Library.multi_hole`)", None, "**deleted**",
      "0 of the 15 function lines of `_two_hole_sketches` reached; the paper evaluates "
-     "single-hole sketches. `Sketch`'s hole tuple, `fill_many` and the search's "
-     "per-hole loop stay."),
+     "single-hole sketches. `Sketch`'s hole tuple, `fill_many`, the search's per-hole "
+     "loop and the multi-hole generic solve followed later (DESIGN.md decision 27): "
+     "a sketch has one hole, end to end."),
     ("`SynthesisConfig.max_stub_entries`, `max_recursion_depth`", None, "**deleted**",
      "Set by nothing but tests; now the constants `enumerator.MAX_STUB_ENTRIES` (128) "
      "and `search.MAX_RECURSION_DEPTH` (6)."),

@@ -11,7 +11,7 @@ from repro.synth.config import DEFAULT_CONFIG, SIMPLIFICATION_ONLY, SynthesisCon
 from repro.synth.enumerator import StubEntry, StubEnumerator, program_constants
 from repro.synth.library import Library, build_library, retype_sketch
 from repro.synth.search import SearchContext, SearchStats, dfs
-from repro.synth.sketch import Hole, Sketch, holes_of, is_hole, sketches_from_stub
+from repro.synth.sketch import Hole, Sketch, is_hole, sketches_from_stub
 from repro.synth.solver import SketchSolver
 from repro.synth.superoptimizer import (
     SynthesisResult,
@@ -39,7 +39,6 @@ __all__ = [
     "build_library",
     "default_cache_dir",
     "dfs",
-    "holes_of",
     "is_hole",
     "program_constants",
     "prune_verdict",

@@ -6,9 +6,9 @@ cached and reused indefinitely".  This module makes that concrete: a
 
 * **solver outcomes** — every SOLVE answer, keyed by the sketch's structural
   signature and the spec's canonical key: unsolvable, pruned (a lower bound
-  of the mean hole complexity only: the mean itself, or PRUNE's floor when
-  nothing was derived — hole specs nobody verified are never written), or
-  the verified hole specs.  A warm cache turns the search's dominant SymPy
+  of the hole complexity only: the complexity itself, or PRUNE's floor when
+  nothing was derived — a hole spec nobody verified is never written), or
+  the verified hole spec.  A warm cache turns the search's dominant SymPy
   cost into dictionary lookups;
 * **stub libraries** — the admitted stubs and sketch sources per program
   signature, as one hash-consed node table (:func:`dump_library`).  Only IR
@@ -141,11 +141,12 @@ def spec_signature(key: tuple) -> str:
 
 
 def sketch_signature(sketch: "Sketch") -> str:
-    """Structural identity of a sketch: expression, input types, hole types."""
-    holes = ";".join(f"{h.type.dtype.value}{h.type.shape}" for h in sketch.holes)
+    """Structural identity of a sketch: expression, input types, hole type
+    and path (written as a one-element tuple, so existing keys stay valid)."""
+    hole = sketch.hole.type
     return (
         f"{to_expression(sketch.root)}|{_input_signature(sketch.root)}"
-        f"|{holes}|{sketch.hole_paths}"
+        f"|{hole.dtype.value}{hole.shape}|{(sketch.hole_path,)}"
     )
 
 
@@ -217,21 +218,24 @@ def load_tensor(payload: Mapping) -> "SymTensor":
     return SymTensor(data, DType(payload["dtype"]))
 
 
-def dump_solution(solution: "tuple[SymTensor, ...] | Pruned | None") -> dict:
-    """One of ``{"solved": false}``, ``{"pruned": bound}``, verified tensors."""
+def dump_solution(solution: "SymTensor | Pruned | None") -> dict:
+    """One of ``{"solved": false}``, ``{"pruned": bound}``, or the verified
+    hole spec as a one-element ``tensors`` list (so existing entries stay
+    readable)."""
     if solution is None:
         return {"solved": False}
     if isinstance(solution, Pruned):
-        return {"pruned": solution.mean_complexity}
-    return {"solved": True, "tensors": [dump_tensor(t) for t in solution]}
+        return {"pruned": solution.complexity}
+    return {"solved": True, "tensors": [dump_tensor(solution)]}
 
 
-def load_solution(payload: Mapping) -> "tuple[SymTensor, ...] | Pruned | None":
+def load_solution(payload: Mapping) -> "SymTensor | Pruned | None":
     if "pruned" in payload:
         return Pruned(float(payload["pruned"]))
     if not payload.get("solved"):
         return None
-    return tuple(load_tensor(t) for t in payload["tensors"])
+    (tensor,) = payload["tensors"]
+    return load_tensor(tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +466,11 @@ class PersistentCache:
     # -- typed accessors -------------------------------------------------------
 
     def solver_get(self, key: str, score: float = float("inf")):
-        """Cached ``solve_all`` outcome: MISS, None, a :class:`Pruned`, or a
-        tuple of verified tensors.
+        """Cached ``solve_all`` outcome: MISS, None, a :class:`Pruned`, or the
+        verified hole spec.
 
-        A pruned entry stores a lower bound of the mean hole complexity (the
-        mean, or PRUNE's floor) and answers only an asker it would prune
+        A pruned entry stores a lower bound of the hole complexity (the
+        complexity, or PRUNE's floor) and answers only an asker it would prune
         again — one whose ``score`` that bound reaches; to anyone else it
         says nothing about the decomposition, which is a miss.
         """
@@ -477,7 +481,7 @@ class PersistentCache:
                 out = load_solution(hit)
             except Exception:
                 pass  # unreadable entry: treat as a miss
-            if isinstance(out, Pruned) and out.mean_complexity < score:
+            if isinstance(out, Pruned) and out.complexity < score:
                 out = MISS
         if out is MISS:
             self.stats.solver_misses += 1

@@ -51,17 +51,13 @@ def spec_complexity(spec: SymTensor, mode: str = "per_entry") -> float:
 
 
 def prune_verdict(
-    hole_specs: list[SymTensor], current: float, mode: str = "per_entry"
-) -> tuple[list[float], Pruned | None]:
-    """The paper's PRUNE criterion: each hole spec's complexity, and the
-    verdict — None (the sketch survives) iff the *average* complexity of its
-    hole specifications is strictly below the current specification
-    complexity, else ``Pruned(mean)``."""
-    scores = [spec_complexity(h, mode) for h in hole_specs]
-    if not scores:
-        return scores, None
-    mean = sum(scores) / len(scores)
-    return scores, (Pruned(mean) if mean >= current else None)
+    hole_spec: SymTensor, current: float, mode: str = "per_entry"
+) -> tuple[float, Pruned | None]:
+    """The paper's PRUNE criterion: the hole spec's complexity, and the
+    verdict — None (the sketch survives) iff it is strictly below the
+    current specification complexity, else ``Pruned(complexity)``."""
+    score = spec_complexity(hole_spec, mode)
+    return score, (Pruned(score) if score >= current else None)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +149,10 @@ def prune_floor(
     value: Callable[[Node], SymTensor],
     mode: str = "per_entry",
 ) -> float | None:
-    """A lower bound on the mean hole complexity PRUNE would score, or None.
+    """A lower bound on the hole complexity PRUNE would score, or None.
 
-    Computed before SOLVE derives anything, for a single-hole sketch whose
-    hole is a direct argument of a root with a row in the solver's
+    Computed before SOLVE derives anything, for a sketch whose hole is a
+    direct argument of a root with a row in the solver's
     :data:`~repro.synth.solver.INVERSE_TABLE` (``add``/``subtract``/
     ``multiply``/``divide`` without unbroadcasting, ``tensordot(axes=0)``).
     It pairs entries as the inverter does (:func:`entry_pairs`) and takes
@@ -168,11 +164,11 @@ def prune_floor(
     symbol, and ``density`` counts each such entry, so the bound holds for
     any normal form.  ``value`` gives the known argument's symbolic value.
 
-    ``None`` is "no opinion": any other op, a multi-step hole path, several
-    holes, or a query the inverter would give up on (a zero divisor, no
+    ``None`` is "no opinion": any other op, a multi-step hole path, or a
+    query the inverter would give up on (a zero divisor, no
     outer-product probe, an index it cannot reach) or unbroadcast.
     """
-    if sketch.num_holes != 1 or len(sketch.hole_path) != 1:
+    if len(sketch.hole_path) != 1:
         return None
     root, pos = sketch.root, sketch.hole_path[0]
     row = INVERSE_TABLE.get((root.op, pos))
@@ -197,9 +193,9 @@ def prune_floor(
     return _complexity(symbol_sets, nonzero / len(symbol_sets), mode)
 
 
-def exact_floor(hole_specs, mode: str = "per_entry") -> float:
-    """A lower bound on the mean hole complexity PRUNE would score, taken on
-    hole specs whose last inverter step has not been through ``cancel`` yet.
+def exact_floor(hole_spec: SymTensor, mode: str = "per_entry") -> float:
+    """A lower bound on the hole complexity PRUNE would score, taken on a
+    hole spec whose last inverter step has not been through ``cancel`` yet.
 
     ``cancel`` changes the spelling of an entry, not its value, so
     :func:`_pair_rule` on the entry's exact values
@@ -209,18 +205,15 @@ def exact_floor(hole_specs, mode: str = "per_entry") -> float:
     exact values (outside the rational fragment, a vanishing denominator)
     counts nothing, which keeps the bound a bound.
     """
-    scores = []
-    for spec in hole_specs:
-        symbol_sets: list[set] = []
-        nonzero = 0
-        for e in spec.entries():
-            values = moved_values(e)
-            if values is None:
-                symbol_sets.append(set())
-                continue
-            proven, is_nonzero = _pair_rule(values, input_symbols_of(e))
-            symbol_sets.append(proven)
-            nonzero += is_nonzero
-        density = nonzero / len(symbol_sets) if symbol_sets else 0.0
-        scores.append(_complexity(symbol_sets, density, mode))
-    return sum(scores) / len(scores)
+    symbol_sets: list[set] = []
+    nonzero = 0
+    for e in hole_spec.entries():
+        values = moved_values(e)
+        if values is None:
+            symbol_sets.append(set())
+            continue
+        proven, is_nonzero = _pair_rule(values, input_symbols_of(e))
+        symbol_sets.append(proven)
+        nonzero += is_nonzero
+    density = nonzero / len(symbol_sets) if symbol_sets else 0.0
+    return _complexity(symbol_sets, density, mode)

@@ -252,11 +252,11 @@ def retype_sketch(sketch: Sketch, spec_type: TensorType, cost_model: CostModel) 
     from repro.ir.ops import get_op
 
     root = sketch.root
-    if sketch.num_holes != 1 or not isinstance(root, Call) or len(sketch.hole_path) != 1:
+    if not isinstance(root, Call) or len(sketch.hole_path) != 1:
         return None
     if not get_op(root.op).elementwise:
         return None
-    new_hole = Hole(0, TensorType(sketch.hole.type.dtype, spec_type.shape))
+    new_hole = Hole(TensorType(sketch.hole.type.dtype, spec_type.shape))
     args = list(root.args)
     args[sketch.hole_path[0]] = new_hole
     try:
@@ -265,6 +265,4 @@ def retype_sketch(sketch: Sketch, spec_type: TensorType, cost_model: CostModel) 
         return None
     if new_root.type != spec_type:
         return None
-    return Sketch(
-        new_root, (new_hole,), sketch.hole_paths, cost_model.program_cost(new_root)
-    )
+    return Sketch(new_root, new_hole, sketch.hole_path, cost_model.program_cost(new_root))

@@ -5,9 +5,10 @@ node it first tries the base case — an exact canonical-key match against the
 stub library — then decomposes the spec through sketches returned by the
 symbolic algebra solver, keeping only sketches that *simplify* the spec
 (Section V-A) and whose accumulated cost stays below the best complete
-program found so far (Section V-B).  SOLVE derives the hole specs, PRUNE
-decides on them, and only a survivor's decomposition is proved: a pruned
-sketch is dropped either way, so the proof cannot reach the result.
+program found so far (Section V-B).  Every sketch has one hole: SOLVE
+derives its hole spec, PRUNE decides on it, and only a survivor's
+decomposition is proved: a pruned sketch is dropped either way, so the proof
+cannot reach the result.
 ``cost_min`` is shared across the whole search, mirroring the paper's
 pass-by-reference bound.
 
@@ -257,25 +258,25 @@ class SearchContext:
     def solve_all(self, sketch: Sketch, spec: SymTensor, spec_key: tuple, score: float):
         """SOLVE and PRUNE (lines 11-12), the persistent cache in front.
 
-        Returns None (unsolvable), a :class:`Pruned` (the mean hole
-        complexity does not drop below ``score``), or the verified hole
-        specs with their complexities.  After a cache miss PRUNE's floor is
-        asked first: if it already reaches ``score`` nothing is derived.
-        Otherwise the solver asks the exact floor on the hole specs it derived
-        before ``cancel`` normalizes them, runs PRUNE on the normalized ones, and
-        proves the decomposition only if they survive; restored hole specs
-        were proved when they were stored, and PRUNE decides on them here.
+        Returns None (unsolvable), a :class:`Pruned` (the hole complexity
+        does not drop below ``score``), or the verified hole spec with its
+        complexity.  After a cache miss PRUNE's floor is asked first: if it
+        already reaches ``score`` nothing is derived.  Otherwise the solver
+        asks the exact floor on the hole spec it derived before ``cancel``
+        normalizes it, runs PRUNE on the normalized one, and proves the
+        decomposition only if it survives; a restored hole spec was proved
+        when it was stored, and PRUNE decides on it here.
         """
-        hole_scores: list[float] = []
+        hole_score = _INF
         mode = self.config.complexity_mode
 
-        def prune(hole_specs) -> Pruned | None:
-            scores, verdict = prune_verdict(hole_specs, score, mode)
-            hole_scores[:] = scores
+        def prune(hole_spec) -> Pruned | None:
+            nonlocal hole_score
+            hole_score, verdict = prune_verdict(hole_spec, score, mode)
             return verdict
 
-        def prune_before_cancel(hole_specs) -> Pruned | None:
-            bound = exact_floor(hole_specs, mode)
+        def prune_before_cancel(hole_spec) -> Pruned | None:
+            bound = exact_floor(hole_spec, mode)
             return Pruned(bound, before_cancel=True) if bound >= score else None
 
         cache_key = None
@@ -322,7 +323,7 @@ class SearchContext:
         self.stats.record_solver_outcome(out)
         if out is None or isinstance(out, Pruned):
             return out
-        return out, hole_scores
+        return out, hole_score
 
     def _floor_prune(self, sketch: Sketch, spec: SymTensor, score: float) -> Pruned | None:
         """``Pruned(floor)`` if PRUNE's floor already reaches ``score``.
@@ -620,7 +621,7 @@ def _dfs(
                 if tracer.enabled:
                     # A floor prune derived nothing: its bound is all there is.
                     # One before ``cancel`` derived the hole spec; its bound
-                    # stands for the mean.
+                    # stands for the complexity.
                     kind = "floor" if solved.from_floor else "hole_complexity"
                     extra = {"before_cancel": True} if solved.before_cancel else {}
                     tracer.instant(
@@ -629,41 +630,18 @@ def _dfs(
                         reason="floor" if solved.from_floor else "simplification",
                         depth=level,
                         complexity=round(score, 4),
-                        **{kind: round(solved.mean_complexity, 4)},
+                        **{kind: round(solved.complexity, 4)},
                         **extra,
                     )
                 continue
-            hole_specs, hole_scores = solved
-            # Lines 15-22: synthesize each hole, accumulating cost, with the
-            # branch-and-bound check before every recursion.
-            fills: list[Node] = []
-            running = cost_total
-            success = True
-            for hole_spec, hole_score in zip(hole_specs, hole_scores):
-                if ctx.config.use_branch_and_bound and running >= ctx.cost_min:
-                    ctx.stats.record_prune("bound")
-                    if tracer.enabled:
-                        tracer.instant(
-                            "prune",
-                            "search",
-                            reason="bound",
-                            depth=level,
-                            cost=round(running, 4),
-                            bound=round(ctx.cost_min, 4),
-                        )
-                    success = False
-                    break
-                sub_program, sub_cost = dfs(hole_spec, hole_score, level + 1, running, ctx)
-                if sub_program is None:
-                    success = False
-                    break
-                fills.append(sub_program)
-                running += sub_cost
-            if not success:
+            hole_spec, hole_score = solved
+            # Lines 15-22: synthesize the hole under the accumulated cost.
+            sub_program, sub_cost = dfs(hole_spec, hole_score, level + 1, cost_total, ctx)
+            if sub_program is None:
                 continue
-            total = running - cost  # sketch skeleton + all hole costs
+            total = (cost_total + sub_cost) - cost  # sketch skeleton + hole cost
             if total < best_cost:
-                best_program = sk.fill_many(fills)
+                best_program = sk.fill(sub_program)
                 best_cost = total
                 # Lines 29-31: a complete program exists once the root's sketch
                 # is filled; tighten the shared bound.

@@ -13,7 +13,7 @@ must produce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.ir.nodes import Call, Const, Input, Node
 from repro.ir.types import TensorType
@@ -24,22 +24,22 @@ Path = tuple[int, ...]
 
 
 class Hole(Input):
-    """A typed hole in a sketch.
+    """The typed hole of a sketch.
 
-    Implemented as an :class:`Input` with a reserved name so the rest of the
-    IR stack (typing, printing, symbolic execution via bindings) works
-    unchanged.
+    Implemented as an :class:`Input` with a reserved name (``__hole0``, which
+    solver cache keys print) so the rest of the IR stack (typing, printing,
+    symbolic execution via bindings) works unchanged.
     """
 
-    def __init__(self, index: int, type: TensorType) -> None:
-        super().__init__(f"{HOLE_PREFIX}{index}", type)
+    def __init__(self, type: TensorType) -> None:
+        super().__init__(f"{HOLE_PREFIX}0", type)
 
     def __repr__(self) -> str:
         return f"??{self.name.removeprefix(HOLE_PREFIX)}:{self.type}"
 
 
-#: Shared ``Hole(0, type)`` instances: all holes of index 0 and equal type
-#: are structurally identical, and sketch derivation creates one per site.
+#: Shared ``Hole(type)`` instances: holes of equal type are structurally
+#: identical, and sketch derivation creates one per site.
 _HOLE_CACHE: dict[TensorType, Hole] = {}
 
 
@@ -47,22 +47,11 @@ def is_hole(node: Node) -> bool:
     return isinstance(node, Input) and node.name.startswith(HOLE_PREFIX)
 
 
-def holes_of(node: Node) -> list[Input]:
-    """All distinct holes in first-occurrence order."""
-    return [inp for inp in node.inputs() if is_hole(inp)]
-
-
 def iter_paths(node: Node, path: Path = ()) -> Iterator[tuple[Path, Node]]:
     """Pre-order traversal yielding (path, node) pairs."""
     yield path, node
     for i, child in enumerate(node.children()):
         yield from iter_paths(child, path + (i,))
-
-
-def node_at(node: Node, path: Path) -> Node:
-    for i in path:
-        node = node.children()[i]
-    return node
 
 
 def replace_at(node: Node, path: Path, replacement: Node) -> Node:
@@ -78,65 +67,32 @@ def replace_at(node: Node, path: Path, replacement: Node) -> Node:
 
 @dataclass(frozen=True)
 class Sketch:
-    """A stub with one or more holes, plus search metadata.
+    """A stub with one hole, plus search metadata.
 
-    ``root`` is the IR tree containing the holes; ``holes``/``hole_paths``
-    list them in a fixed order; ``cost`` is the estimated cost of the sketch
-    skeleton (every op in the sketch, with the holes' contributions
-    excluded), filled in by the active cost model when the library is built.
-
-    The library derives single-hole sketches, which expose ``hole`` /
-    ``hole_path`` conveniences; the search's ``for hole in sk.holes`` loop
-    (Algorithm 2) and ``fill_many`` take any number of holes.
+    ``root`` is the IR tree containing the ``hole``, found at ``hole_path``;
+    ``cost`` is the estimated cost of the sketch skeleton (every op in the
+    sketch, with the hole's contribution excluded), filled in by the active
+    cost model when the library is built.
     """
 
     root: Node
-    holes: tuple[Input, ...]
-    hole_paths: tuple[Path, ...]
+    hole: Input
+    hole_path: Path
     cost: float = 0.0
 
-    @property
-    def op(self) -> str:
-        assert isinstance(self.root, Call)
-        return self.root.op
-
-    @property
-    def num_holes(self) -> int:
-        return len(self.holes)
-
-    @property
-    def hole(self) -> Input:
-        assert len(self.holes) == 1
-        return self.holes[0]
-
-    @property
-    def hole_path(self) -> Path:
-        assert len(self.hole_paths) == 1
-        return self.hole_paths[0]
-
     def fill(self, value: Node) -> Node:
-        """Plug a value into a single-hole sketch."""
+        """Plug a value into the hole."""
         return replace_at(self.root, self.hole_path, value)
 
-    def fill_many(self, values: "Sequence[Node]") -> Node:
-        """Plug one value per hole (paths are disjoint by construction)."""
-        assert len(values) == len(self.hole_paths)
-        out = self.root
-        # Replace deepest-first so shallower paths stay valid.
-        order = sorted(range(len(values)), key=lambda k: -len(self.hole_paths[k]))
-        for k in order:
-            out = replace_at(out, self.hole_paths[k], values[k])
-        return out
-
     def with_cost(self, cost: float) -> "Sketch":
-        return Sketch(self.root, self.holes, self.hole_paths, cost)
+        return Sketch(self.root, self.hole, self.hole_path, cost)
 
     def __repr__(self) -> str:
         return f"Sketch({self.root!r}, cost={self.cost:g})"
 
 
-def sketches_from_stub(stub: Node, scalar_const_holes: bool = True) -> list[Sketch]:
-    """Derive the single-hole sketches of a stub.
+def sketches_from_stub(stub: Node) -> list[Sketch]:
+    """Derive the sketches of a stub.
 
     Every occurrence of a program input (not attrs) is replaced — one at a
     time — by a hole of the same type, mirroring the paper's example: from
@@ -144,11 +100,11 @@ def sketches_from_stub(stub: Node, scalar_const_holes: bool = True) -> list[Sket
     ``np.subtract(A, ??)``.  Replacing the whole stub (empty path) is
     excluded: a bare hole is not a useful sketch.
 
-    With ``scalar_const_holes`` (an extension over the paper's input-only
-    replacement), scalar constants are replaced too: the sketch
-    ``power(A, ??)`` — needed to synthesize strength reductions like
-    ``A*A*A*A*A -> power(A, 5)`` — only exists if the exponent constant of
-    a ``power(A, c)`` stub can become a hole.
+    Scalar constants are replaced too (an extension over the paper's
+    input-only replacement): the sketch ``power(A, ??)`` — needed to
+    synthesize strength reductions like ``A*A*A*A*A -> power(A, 5)`` — only
+    exists if the exponent constant of a ``power(A, c)`` stub can become a
+    hole.
     """
     out: list[Sketch] = []
     seen: set[Node] = set()
@@ -157,17 +113,17 @@ def sketches_from_stub(stub: Node, scalar_const_holes: bool = True) -> list[Sket
         if not path:
             continue
         replaceable = (isinstance(node, Input) and not is_hole(node)) or (
-            scalar_const_holes and isinstance(node, Const) and node.type.is_scalar
+            isinstance(node, Const) and node.type.is_scalar
         )
         if not replaceable:
             continue
         hole = hole_cache.get(node.type)
         if hole is None:
-            hole = Hole(0, node.type)
+            hole = Hole(node.type)
             hole_cache[node.type] = hole
         root = replace_at(stub, path, hole)
         if root in seen:
             continue  # distinct paths can rebuild identical roots
         seen.add(root)
-        out.append(Sketch(root=root, holes=(hole,), hole_paths=(path,)))
+        out.append(Sketch(root=root, hole=hole, hole_path=path))
     return out

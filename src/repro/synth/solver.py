@@ -164,11 +164,11 @@ def _factored(t):
         return t
 
 
-def _normalized(hole_specs: tuple[SymTensor, ...]) -> tuple[SymTensor, ...] | None:
-    """Each hole spec through :func:`_normalize`, or None if that raises
-    (an unsolvable query, as when an inverter raises)."""
+def _normalized(hole_spec: SymTensor) -> SymTensor | None:
+    """The hole spec through :func:`_normalize`, or None if that raises (an
+    unsolvable query, as when an inverter raises)."""
     try:
-        return tuple(h.map(_normalize) for h in hole_specs)
+        return hole_spec.map(_normalize)
     except Exception:
         return None
 
@@ -690,30 +690,15 @@ def _invert_tensordot(call, pos, args, target, hole_type):
 MAX_UNKNOWNS = 16
 
 
-def _generic_solve(sketch: Sketch, spec: SymTensor) -> tuple[SymTensor, ...] | None:
-    """Bind every hole to fresh unknowns, execute the sketch symbolically,
-    and solve the elementwise equation system for the unknowns.
-
-    Handles any number of holes: with several holes, a solution exists only
-    when the system pins them all simultaneously (Algorithm 2's general
-    multi-hole case)."""
-    hole_types = [hole.type for hole in sketch.holes]
-    n_unknowns = sum(max(t.size, 1) for t in hole_types)
-    if n_unknowns > MAX_UNKNOWNS:
+def _generic_solve(sketch: Sketch, spec: SymTensor) -> SymTensor | None:
+    """Bind the hole to fresh unknowns, execute the sketch symbolically,
+    and solve the elementwise equation system for the unknowns."""
+    hole_type = sketch.hole.type
+    count = max(hole_type.size, 1)
+    if count > MAX_UNKNOWNS:
         return None
-    flat_syms = [sp.Symbol(f"_u{i}", real=True) for i in range(n_unknowns)]
-    bindings = {}
-    cursor = 0
-    for hole, hole_type in zip(sketch.holes, hole_types):
-        count = max(hole_type.size, 1)
-        chunk = flat_syms[cursor: cursor + count]
-        cursor += count
-        unknowns = np.empty(hole_type.shape, dtype=object)
-        if hole_type.shape:
-            unknowns.reshape(-1)[:] = chunk
-        else:
-            unknowns = np.array(chunk[0], dtype=object)
-        bindings[hole.name] = SymTensor(unknowns, hole_type.dtype)
+    flat_syms = [sp.Symbol(f"_u{i}", real=True) for i in range(count)]
+    bindings = {sketch.hole.name: SymTensor(_shaped(flat_syms, hole_type), hole_type.dtype)}
     try:
         result = symbolic_execute(sketch.root, bindings=bindings)
         eqs = [sp.expand(got - want) for got, want in zip(result.entries(), spec.entries())]
@@ -731,19 +716,16 @@ def _generic_solve(sketch: Sketch, spec: SymTensor) -> tuple[SymTensor, ...] | N
         if any(u in v.free_symbols for u in flat_syms):
             return None
         values.append(v)
-    out_specs = []
-    cursor = 0
-    for hole_type in hole_types:
-        count = max(hole_type.size, 1)
-        chunk = values[cursor: cursor + count]
-        cursor += count
-        out = np.empty(hole_type.shape, dtype=object)
-        if hole_type.shape:
-            out.reshape(-1)[:] = chunk
-        else:
-            out = np.array(chunk[0], dtype=object)
-        out_specs.append(_hole_tensor(out))
-    return _normalized(tuple(out_specs))
+    return _normalized(_hole_tensor(_shaped(values, hole_type)))
+
+
+def _shaped(entries: list, hole_type: TensorType) -> np.ndarray:
+    """``entries`` (one per hole entry, row-major) as a hole-shaped array."""
+    if not hole_type.shape:
+        return np.array(entries[0], dtype=object)
+    out = np.empty(hole_type.shape, dtype=object)
+    out.reshape(-1)[:] = entries
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -753,18 +735,18 @@ def _generic_solve(sketch: Sketch, spec: SymTensor) -> tuple[SymTensor, ...] | N
 
 @dataclass(frozen=True)
 class Pruned:
-    """SOLVE outcome for hole specs PRUNE turned down.
+    """SOLVE outcome for a hole spec PRUNE turned down.
 
-    ``mean_complexity`` is the mean hole complexity of derived, never
-    verified hole specs, or a lower bound of it that already reached the
-    node's score: PRUNE's floor (:func:`repro.synth.complexity.prune_floor`,
+    ``complexity`` is the complexity of the derived, never verified hole
+    spec, or a lower bound of it that already reached the node's score:
+    PRUNE's floor (:func:`repro.synth.complexity.prune_floor`,
     ``from_floor``), taken before anything was derived, or the exact floor
     (:func:`repro.synth.complexity.exact_floor`, ``before_cancel``), taken
-    on hole specs not yet through ``cancel``.  Either way it is all a later asker
-    needs to repeat the decision.
+    on a hole spec not yet through ``cancel``.  Either way it is all a later
+    asker needs to repeat the decision.
     """
 
-    mean_complexity: float
+    complexity: float
     from_floor: bool = field(default=False, compare=False)
     before_cancel: bool = field(default=False, compare=False)
 
@@ -799,9 +781,7 @@ class SketchSolver:
             self._value_cache[node] = hit
         return hit
 
-    def _traced_generic_solve(
-        self, sketch: Sketch, spec: SymTensor
-    ) -> tuple[SymTensor, ...] | None:
+    def _traced_generic_solve(self, sketch: Sketch, spec: SymTensor) -> SymTensor | None:
         if not self.tracer.enabled:
             return _generic_solve(sketch, spec)
         start = time.monotonic()
@@ -810,7 +790,6 @@ class SketchSolver:
             "generic-solve", "solver",
             start=start,
             duration=time.monotonic() - start,
-            holes=sketch.num_holes,
             outcome="hit" if result is not None else "miss",
         )
         return result
@@ -819,71 +798,51 @@ class SketchSolver:
         self,
         sketch: Sketch,
         spec: SymTensor,
-        keep: Callable[[tuple[SymTensor, ...]], Pruned | None] | None = None,
-        keep_raw: Callable[[tuple[SymTensor, ...]], Pruned | None] | None = None,
-    ) -> tuple[SymTensor, ...] | Pruned | None:
-        """One hole specification per hole (Algorithm 2's SOLVE), or None.
+        keep: Callable[[SymTensor], Pruned | None] | None = None,
+        keep_raw: Callable[[SymTensor], Pruned | None] | None = None,
+    ) -> SymTensor | Pruned | None:
+        """The hole specification (Algorithm 2's SOLVE), or None.
 
-        ``keep`` sees the derived hole specs *before* they are verified and
-        may turn them down by returning a :class:`Pruned`, which is returned
-        as is: a caller that would drop the sketch anyway need not pay for
-        the proof.  ``keep_raw`` is asked the same even earlier, about hole
-        specs whose last inverter step has not been through
+        ``keep`` sees the derived hole spec *before* it is verified and may
+        turn it down by returning a :class:`Pruned`, which is returned as
+        is: a caller that would drop the sketch anyway need not pay for the
+        proof.  ``keep_raw`` is asked the same even earlier, about a hole
+        spec whose last inverter step has not been through
         :func:`_normalize` (``cancel``) yet: it may only turn down what
-        ``keep`` would turn down after normalizing.  Hole specs that are
-        returned have been verified.
+        ``keep`` would turn down after normalizing.  A hole spec that is
+        returned has been verified.
         """
         inject("solver", key=self.scope, config=self.config)
         derived = self._derive_raw(sketch, spec)
         if derived is None:
             return None
-        hole_specs, pending = derived
+        hole_spec, pending = derived
         if pending:
             if keep_raw is not None:
-                pruned = keep_raw(hole_specs)
+                pruned = keep_raw(hole_spec)
                 if pruned is not None:
                     return pruned
-            hole_specs = _normalized(hole_specs)
-            if hole_specs is None:
+            hole_spec = _normalized(hole_spec)
+            if hole_spec is None:
                 return None
         if keep is not None:
-            pruned = keep(hole_specs)
+            pruned = keep(hole_spec)
             if pruned is not None:
                 return pruned
-        if not self._decomposition_holds(sketch, hole_specs, spec):
+        if not self._decomposition_holds(sketch, hole_spec, spec):
             return None
-        return hole_specs
+        return hole_spec
 
-    def solve(self, sketch: Sketch, spec: SymTensor) -> SymTensor | None:
-        """Hole specification making a single-hole sketch equal to ``spec``."""
-        hole_specs = self.solve_all(sketch, spec)
-        return None if hole_specs is None else hole_specs[0]
+    def _derive_raw(self, sketch: Sketch, spec: SymTensor) -> tuple[SymTensor, bool] | None:
+        """The unverified hole spec, or None: ``(hole_spec, pending)``.
 
-    def _derive(
-        self, sketch: Sketch, spec: SymTensor
-    ) -> tuple[SymTensor, ...] | None:
-        """Unverified, normalized hole specs, or None.
-
-        A single hole is reached by inverting one op per step of its path;
-        several holes, or a path that meets an op without an inverter, go to
-        the generic solve.  Either way the result is heuristic until
-        :meth:`_decomposition_holds` confirms it.
+        The hole is reached by inverting one op per step of its path; a path
+        that meets an op without an inverter goes to the generic solve.
+        Either way the result is heuristic until :meth:`_decomposition_holds`
+        confirms it.  ``pending`` is set when the last inverter on the path
+        is one that normalizes (:data:`_NORMALIZES`) and its
+        :func:`_normalize` is left to the caller.
         """
-        derived = self._derive_raw(sketch, spec)
-        if derived is None:
-            return None
-        hole_specs, pending = derived
-        return _normalized(hole_specs) if pending else hole_specs
-
-    def _derive_raw(
-        self, sketch: Sketch, spec: SymTensor
-    ) -> tuple[tuple[SymTensor, ...], bool] | None:
-        """:meth:`_derive` with the last step's :func:`_normalize` left
-        pending: ``(hole_specs, pending)``, ``pending`` when the last
-        inverter on the path is one that normalizes (:data:`_NORMALIZES`)."""
-        if sketch.num_holes != 1:
-            specs = self._traced_generic_solve(sketch, spec)
-            return None if specs is None else (specs, False)
         target = spec
         node: Node = sketch.root
         tracer = self.tracer
@@ -893,8 +852,8 @@ class SketchSolver:
                 return None
             inverter = _INVERTERS.get(node.op)
             if inverter is None:
-                specs = self._traced_generic_solve(sketch, spec)
-                return None if specs is None else (specs, False)
+                hole_spec = self._traced_generic_solve(sketch, spec)
+                return None if hole_spec is None else (hole_spec, False)
             siblings: list[SymTensor | None] = [
                 None if j == step else self.value(arg) for j, arg in enumerate(node.args)
             ]
@@ -928,18 +887,18 @@ class SketchSolver:
             node = node.args[step]
         if target.shape != sketch.hole.type.shape:
             return None
-        return (target,), pending
+        return target, pending
 
     def _decomposition_holds(
-        self, sketch: Sketch, hole_specs: tuple[SymTensor, ...], spec: SymTensor
+        self, sketch: Sketch, hole_spec: SymTensor, spec: SymTensor
     ) -> bool:
-        """Re-execute the sketch with its holes bound and compare to the spec.
+        """Re-execute the sketch with its hole bound and compare to the spec.
 
         Local inverters are individually sound, but this end-to-end check is
         the safety net that keeps any heuristic extraction from poisoning
         the branch-and-bound bound with an invalid low-cost candidate.
         """
-        bindings = {h.name: s for h, s in zip(sketch.holes, hole_specs)}
+        bindings = {sketch.hole.name: hole_spec}
         try:
             return equivalent(spec, symbolic_execute(sketch.root, bindings=bindings))
         except Exception:

@@ -278,15 +278,15 @@ def test_solver_roundtrip_elementwise(op, filler):
     if filler.type.shape != (2, 3):
         return  # fix the hole type for this property
     other = Input("A", float_tensor(2, 3))
-    hole = Hole(0, float_tensor(2, 3))
+    hole = Hole(float_tensor(2, 3))
     try:
         root = Call(op, (hole, other))
     except Exception:
         return
-    sketch = Sketch(root, (hole,), ((0,),))
+    sketch = Sketch(root, hole, (0,))
     filled_spec = symbolic_execute(sketch.fill(filler)).map(canonical)
     solver = SketchSolver(SynthesisConfig())
-    hole_spec = solver.solve(sketch, filled_spec)
+    hole_spec = solver.solve_all(sketch, filled_spec)
     if hole_spec is None:
         return  # divide-by-zero style degeneracies may be unsolvable
     assert equivalent(hole_spec, symbolic_execute(filler))

@@ -1,13 +1,13 @@
 """PRUNE's floor: a sketch is turned down before SOLVE derives anything.
 
-``complexity.prune_floor`` bounds the mean hole complexity of the hole spec
-SOLVE would derive from below, from exact values alone
+``complexity.prune_floor`` bounds the complexity of the hole spec SOLVE
+would derive from below, from exact values alone
 (``residues.moved_values``): a symbol whose move changes an entry's value is
 mentioned by every spelling of it, a non-zero value is counted by
 ``density``.  The oracle throughout is the derivation itself —
-``SketchSolver._derive`` and ``spec_complexity`` of what it produces.
+``SketchSolver._derive_raw`` and ``spec_complexity`` of what it produces.
 
-(a) the floor never exceeds the exact mean, and never cuts a query that would
+(a) the floor never exceeds the exact complexity, and never cuts a query that would
 be solved, on every SOLVE query of the suite_search kernels (and
 ``vec_lerp``); the same holds for ``complexity.exact_floor``, asked on the
 derived hole spec before ``cancel`` normalizes it; (b) a proven dependence
@@ -84,21 +84,28 @@ def _tensor(*entries, shape=None) -> SymTensor:
 
 def _sketch(op, pos, hole_shape, other_shape, **attrs) -> Sketch:
     """``op`` with a hole at ``pos`` and a known input ``K`` at the other side."""
-    hole = Hole(0, TensorType(DType.FLOAT, hole_shape))
+    hole = Hole(TensorType(DType.FLOAT, hole_shape))
     known = Input("K", TensorType(DType.FLOAT, other_shape))
     args = [known, known]
     args[pos] = hole
-    return Sketch(root=Call(op, args, **attrs), holes=(hole,), hole_paths=((pos,),))
+    return Sketch(root=Call(op, args, **attrs), hole=hole, hole_path=(pos,))
 
 
-def _exact_mean(sketch, spec, other, mode="per_entry"):
+def _derived(solver, sketch, spec):
+    """The normalized, unverified hole spec SOLVE derives, or None."""
+    derived = solver._derive_raw(sketch, spec)
+    if derived is None:
+        return None
+    hole_spec, pending = derived
+    return _normalized(hole_spec) if pending else hole_spec
+
+
+def _exact_complexity(sketch, spec, other, mode="per_entry"):
     """What PRUNE scores: ``spec_complexity`` of the derived hole spec, or None."""
     solver = SketchSolver(CONFIG)
     solver.value = lambda node: other
-    derived = solver._derive(sketch, spec)
-    if derived is None:
-        return None
-    return sum(spec_complexity(h, mode) for h in derived) / len(derived)
+    derived = _derived(solver, sketch, spec)
+    return None if derived is None else spec_complexity(derived, mode)
 
 
 # -- (a) the oracle on every SOLVE query ---------------------------------------------
@@ -112,17 +119,17 @@ def _install_oracle(monkeypatch):
     def checked(self, sketch, spec, score):
         mode = self.config.complexity_mode
         floor = prune_floor(sketch, spec, self.solver.value, mode)
-        derived = self.solver._derive(sketch, spec)
-        mean = None
+        derived = _derived(self.solver, sketch, spec)
+        exact = None
         if derived is not None:
-            mean = sum(spec_complexity(h, mode) for h in derived) / len(derived)
-            assert floor is None or floor <= mean, (sketch, floor, mean)
+            exact = spec_complexity(derived, mode)
+            assert floor is None or floor <= exact, (sketch, floor, exact)
         pruned = real(self, sketch, spec, score)
         seen["queries"] += 1
         if pruned is not None:
             # Only what exact PRUNE turns down, or SOLVE cannot solve, is cut.
-            assert mean is None or mean >= score, (sketch, pruned, mean, score)
-            assert pruned.mean_complexity == floor >= score
+            assert exact is None or exact >= score, (sketch, pruned, exact, score)
+            assert pruned.complexity == floor >= score
             seen["floored"] += 1
         return pruned
 
@@ -147,25 +154,23 @@ def test_floor_never_exceeds_the_exact_mean(kernel, monkeypatch):
 
 def _install_cancel_oracle(monkeypatch):
     """Check every floor taken before ``cancel`` against the normalized hole
-    specs it spares, and every cut against exact PRUNE on them."""
+    spec it spares, and every cut against exact PRUNE on it."""
     seen = {"checked": 0, "cut": 0}
     real = SketchSolver.solve_all
 
     def checked_solve_all(self, sketch, spec, keep=None, keep_raw=None):
-        def checked(hole_specs):
-            floor = exact_floor(hole_specs, self.config.complexity_mode)
-            normalized = _normalized(hole_specs)
+        def checked(hole_spec):
+            floor = exact_floor(hole_spec, self.config.complexity_mode)
+            normalized = _normalized(hole_spec)
             if normalized is not None:
-                mean = sum(
-                    spec_complexity(h, self.config.complexity_mode) for h in normalized
-                ) / len(normalized)
-                assert floor <= mean, (sketch, floor, mean)
-            pruned = keep_raw(hole_specs)
+                exact = spec_complexity(normalized, self.config.complexity_mode)
+                assert floor <= exact, (sketch, floor, exact)
+            pruned = keep_raw(hole_spec)
             seen["checked"] += 1
             if pruned is not None:
                 # Only what exact PRUNE turns down, or SOLVE cannot solve, is cut.
                 assert normalized is None or keep(normalized) is not None, (sketch, pruned)
-                assert pruned.mean_complexity == floor and pruned.before_cancel
+                assert pruned.complexity == floor and pruned.before_cancel
                 seen["cut"] += 1
             return pruned
 
@@ -244,9 +249,9 @@ def test_a_random_floor_is_below_its_derivation(t, o):
         else:
             sketch, spec = _sketch(op, pos, (1,), (1,)), _tensor(t)
         floor = prune_floor(sketch, spec, lambda node: other)
-        mean = _exact_mean(sketch, spec, other)
-        if floor is not None and mean is not None:
-            assert floor <= mean, (op, pos, t, o, floor, mean)
+        exact = _exact_complexity(sketch, spec, other)
+        if floor is not None and exact is not None:
+            assert floor <= exact, (op, pos, t, o, floor, exact)
 
 
 #: A quotient whose denominator divides its expanded numerator, as an
@@ -259,11 +264,11 @@ _UNCANCELLED = st.tuples(_MIXED, _MIXED).map(lambda ab: sp.expand(ab[0] * ab[1])
 def test_a_random_exact_floor_is_below_its_normalization(e1, e2):
     """``exact_floor`` on entries as an inverter builds them, against PRUNE's
     score of them after ``cancel``."""
-    raw = (_tensor(e1, e2),)
+    raw = _tensor(e1, e2)
     normalized = _normalized(raw)
     assume(normalized is not None)
     for mode in ("per_entry", "global"):
-        assert exact_floor(raw, mode) <= spec_complexity(normalized[0], mode), (e1, e2, mode)
+        assert exact_floor(raw, mode) <= spec_complexity(normalized, mode), (e1, e2, mode)
 
 
 #: Each table op applied to its operands in hole order (``tensordot(axes=0)``
@@ -396,21 +401,18 @@ def test_no_opinion_sketches(sketch, spec, other):
     assert prune_floor(sketch, spec, lambda node: other) is None
 
 
-def test_multi_step_paths_and_two_holes_have_no_opinion():
+def test_multi_step_paths_have_no_opinion():
     typ = TensorType(DType.FLOAT, (1,))
-    hole, known = Hole(0, typ), Input("K", typ)
-    nested = Sketch(Call("add", [Call("sqrt", [hole]), known]), (hole,), ((0, 0),))
-    two = Sketch(Call("add", [hole, Hole(1, typ)]), (hole, Hole(1, typ)), ((0,), (1,)))
-    spec = _tensor(A0 + B0)
-    assert prune_floor(nested, spec, lambda node: _tensor(B0)) is None
-    assert prune_floor(two, spec, lambda node: _tensor(B0)) is None
+    hole, known = Hole(typ), Input("K", typ)
+    nested = Sketch(Call("add", [Call("sqrt", [hole]), known]), hole, (0, 0))
+    assert prune_floor(nested, _tensor(A0 + B0), lambda node: _tensor(B0)) is None
 
 
 def test_zero_times_zero_is_the_inverters_literal_zero():
     sketch = _sketch("multiply", 0, (2,), (2,))
     spec, other = _tensor(sp.S.Zero, A0 * B1), _tensor(sp.S.Zero, B1)
     # h = [0, A0]: half a symbol per entry, half the entries non-zero.
-    assert prune_floor(sketch, spec, lambda node: other) == 0.25 == _exact_mean(sketch, spec, other)
+    assert prune_floor(sketch, spec, lambda node: other) == 0.25 == _exact_complexity(sketch, spec, other)
 
 
 def test_set_rule_when_a_side_has_no_opinion():
@@ -420,7 +422,7 @@ def test_set_rule_when_a_side_has_no_opinion():
     for op in ("add", "multiply"):
         sketch = _sketch(op, 0, (1,), (1,))
         assert prune_floor(sketch, spec, lambda node: other) == 1.0
-        assert _exact_mean(sketch, spec, other) == 2.0
+        assert _exact_complexity(sketch, spec, other) == 2.0
 
 
 def test_an_infinite_side_keeps_no_dependence():
@@ -428,21 +430,21 @@ def test_an_infinite_side_keeps_no_dependence():
     spec, other = _tensor(A0), _tensor(sp.zoo)
     for op in ("add", "multiply"):
         sketch = _sketch(op, 0, (1,), (1,))
-        assert prune_floor(sketch, spec, lambda node: other) == 0.0 == _exact_mean(sketch, spec, other)
+        assert prune_floor(sketch, spec, lambda node: other) == 0.0 == _exact_complexity(sketch, spec, other)
 
 
 def test_pair_rule_sees_through_shared_symbols():
     # h = (A0*B0 + B0) / B0 = A0 + 1: B0 occurs on both sides and cancels.
     sketch = _sketch("multiply", 0, (1,), (1,))
     spec, other = _tensor(A0 * B0 + B0), _tensor(B0)
-    assert prune_floor(sketch, spec, lambda node: other) == 1.0 == _exact_mean(sketch, spec, other)
+    assert prune_floor(sketch, spec, lambda node: other) == 1.0 == _exact_complexity(sketch, spec, other)
 
 
 def test_known_constant_broadcasts_like_the_inverter():
-    hole = Hole(0, TensorType(DType.FLOAT, (2,)))
-    sketch = Sketch(Call("subtract", [hole, Const(2.0)]), (hole,), ((0,),))
+    hole = Hole(TensorType(DType.FLOAT, (2,)))
+    sketch = Sketch(Call("subtract", [hole, Const(2.0)]), hole, (0,))
     spec, other = _tensor(A0 * B0 - 2, A1 - 2), _tensor(sp.Integer(2), shape=())
-    assert prune_floor(sketch, spec, lambda node: other) == 1.5 == _exact_mean(sketch, spec, other)
+    assert prune_floor(sketch, spec, lambda node: other) == 1.5 == _exact_complexity(sketch, spec, other)
 
 
 # -- (e) global mode -------------------------------------------------------------------
@@ -453,7 +455,7 @@ def test_global_mode_counts_the_union_of_proven_symbols():
     spec, other = _tensor(A0 + B0, A1 + B1), _tensor(B0, B1)
     assert prune_floor(sketch, spec, lambda node: other, "global") == 2.0
     assert prune_floor(sketch, spec, lambda node: other, "per_entry") == 1.0
-    assert _exact_mean(sketch, spec, other, "global") == 2.0
+    assert _exact_complexity(sketch, spec, other, "global") == 2.0
 
 
 @pytest.mark.parametrize(

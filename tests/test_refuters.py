@@ -1,12 +1,14 @@
 """Every refute-only layer of ``tests/refuters.py`` off, in turn, over the suite.
 
-Each row switched to its no-opinion value must leave the 33 suite kernels'
+Each row switched to its no-opinion value must leave its kernels'
 libraries (node for node), sketch sources, ``optimized_source``, costs and
-``search.*`` / ``solver.*`` counters as they are with every layer on.  The
-layer-on run also checks the layers where they answer: every class-wise
-tensor is the entrywise rule's, ``srepr`` for ``srepr``; every unevaluated
-``Max`` / ``Min`` is the evaluated one; and the undefined check on the
-representative agrees with checking every entry.
+``search.*`` / ``solver.*`` counters, but the ones it names as moving, as
+they are with every layer on; a row's ``acted`` counter is non-zero with
+its layer on and zero with it off.  The layer-on run also checks the layers
+of DESIGN.md decision 26 where they answer: every class-wise tensor is the
+entrywise rule's, ``srepr`` for ``srepr``; every unevaluated ``Max`` /
+``Min`` is the evaluated one; and the undefined check on the representative
+agrees with checking every entry.
 """
 
 import numpy as np
@@ -78,6 +80,11 @@ def _checked_layers(patch, seen: dict) -> None:
     patch.setattr(enumerator, "_undefined", undefined)
 
 
+def _unmoved(counters: dict, row) -> dict:
+    """The counters a row may not change."""
+    return {k: v for k, v in counters.items() if not k.startswith(row.moves)}
+
+
 @pytest.mark.slow
 def test_every_refuter_off_gives_the_same_synthesis():
     kernels = benchmark_names()
@@ -88,7 +95,15 @@ def test_every_refuter_off_gives_the_same_synthesis():
         on = {kernel: _synthesize(kernel) for kernel in kernels}
     assert seen["classwise"] > 1000 and seen["lattice"] > 100 and seen["undefined"] > 1000
     for row in REFUTERS:
+        acted = {"on": 0, "off": 0}
         with pytest.MonkeyPatch.context() as patch:
             row.off(patch)
-            for kernel in kernels:
-                assert _synthesize(kernel) == on[kernel], (row.name, kernel)
+            for kernel in row.kernels or kernels:
+                off = _synthesize(kernel)
+                assert off[:4] == on[kernel][:4], (row.name, kernel)
+                assert _unmoved(off[4], row) == _unmoved(on[kernel][4], row), (row.name, kernel)
+                if row.acted:
+                    acted["on"] += on[kernel][4].get(row.acted, 0)
+                    acted["off"] += off[4].get(row.acted, 0)
+        if row.acted:
+            assert acted["on"] > 0 and acted["off"] == 0, (row.name, acted)

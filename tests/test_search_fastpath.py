@@ -45,13 +45,13 @@ def _run(kernel):
 
 def _prove_then_prune(real):
     """``solve_all`` in the order Algorithm 2 prints: verify every hit, then
-    PRUNE — on normalized hole specs only, so no floor before ``cancel``."""
+    PRUNE — on the normalized hole spec only, so no floor before ``cancel``."""
 
     def solve_all(self, sketch, spec, keep=None, keep_raw=None):
-        hole_specs = real(self, sketch, spec)
-        if hole_specs is None or keep is None:
-            return hole_specs
-        return keep(hole_specs) or hole_specs
+        hole_spec = real(self, sketch, spec)
+        if hole_spec is None or keep is None:
+            return hole_spec
+        return keep(hole_spec) or hole_spec
 
     return solve_all
 
@@ -65,9 +65,9 @@ def test_pruning_before_proving_changes_no_outcome(kernel, monkeypatch):
     proofs = []
     real_holds = SketchSolver._decomposition_holds
 
-    def counting_holds(self, sketch, hole_specs, spec):
+    def counting_holds(self, sketch, hole_spec, spec):
         proofs.append(sketch)
-        return real_holds(self, sketch, hole_specs, spec)
+        return real_holds(self, sketch, hole_spec, spec)
 
     monkeypatch.setattr(SketchSolver, "_decomposition_holds", counting_holds)
     fast = _run(kernel)

@@ -83,7 +83,7 @@ def _eager_sketches(library, cost_model):
 
 
 def _listing(sketches):
-    return [(s.root, s.cost, s.hole_paths) for s in sketches]
+    return [(s.root, s.cost, s.hole_path) for s in sketches]
 
 
 @pytest.mark.parametrize("name", ["matmul", "exp_log", "diag_dot", "synth_11", "where_less"])

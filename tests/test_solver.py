@@ -29,8 +29,8 @@ def make_sketch(template: str, hole_name: str, types=None) -> Sketch:
     program = parse(template, types or TYPES)
     for path, node in iter_paths(program.node):
         if isinstance(node, Input) and node.name == hole_name:
-            hole = Hole(0, node.type)
-            return Sketch(replace_at(program.node, path, hole), (hole,), (path,))
+            hole = Hole(node.type)
+            return Sketch(replace_at(program.node, path, hole), hole, path)
     raise AssertionError(f"{hole_name} not found in {template}")
 
 
@@ -57,7 +57,7 @@ def solver():
 
 def assert_solution(solver, sketch, spec, expected_source, types=None):
     """Hole spec must equal the symbolic value of ``expected_source``."""
-    hole_spec = solver.solve(sketch, spec)
+    hole_spec = solver.solve_all(sketch, spec)
     assert hole_spec is not None, "no solution found"
     expected = spec_of(expected_source, types)
     assert equivalent(hole_spec, expected)
@@ -85,7 +85,7 @@ class TestElementwiseInverters:
         sketch = make_sketch("a / S", "S")  # hole in denominator
         zero_spec = spec_of("S - S")
         # 0 / ?? = S - S would need 0/h == 0; inverse is ill-defined -> None
-        assert solver.solve(sketch, zero_spec) is None
+        assert solver.solve_all(sketch, zero_spec) is None
 
     def test_sqrt(self, solver):
         assert_solution(solver, make_sketch("np.sqrt(y)", "y"), spec_of("y + 1"), "(y + 1) ** 2")
@@ -97,7 +97,7 @@ class TestElementwiseInverters:
 
     def test_power_exponent(self, solver):
         sketch = make_sketch("np.power(A, a)", "a")
-        hole_spec = solver.solve(sketch, spec_of("np.power(A, 3)"))
+        hole_spec = solver.solve_all(sketch, spec_of("np.power(A, 3)"))
         assert hole_spec is not None
         assert sp.simplify(hole_spec.item() - 3) == 0
 
@@ -127,7 +127,7 @@ class TestElementwiseInverters:
         # Hole is scalar; candidate entries must all coincide.
         sketch = make_sketch("a * A", "a")
         assert_solution(solver, sketch, spec_of("3 * A"), "a - a + 3")
-        assert solver.solve(sketch, spec_of("A * A")) is None  # no single scalar
+        assert solver.solve_all(sketch, spec_of("A * A")) is None  # no single scalar
 
 
 class TestStructuralInverters:
@@ -142,20 +142,20 @@ class TestStructuralInverters:
 
     def test_full(self, solver):
         sketch = make_sketch("np.full((2, 3), a)", "a")
-        hole_spec = solver.solve(sketch, spec_of("np.full((2, 3), a * 2)"))
+        hole_spec = solver.solve_all(sketch, spec_of("np.full((2, 3), a * 2)"))
         assert hole_spec is not None and sp.simplify(hole_spec.item() / 2).is_Symbol
 
     def test_triu_accepts_upper(self, solver):
         sketch = make_sketch("np.triu(S)", "S")
-        assert solver.solve(sketch, spec_of("np.triu(S + S)")) is not None
-        assert solver.solve(sketch, spec_of("S + S")) is None  # dense target
+        assert solver.solve_all(sketch, spec_of("np.triu(S + S)")) is not None
+        assert solver.solve_all(sketch, spec_of("S + S")) is None  # dense target
 
     def test_where_concrete_condition(self, solver):
         types = {**TYPES}
         sketch = make_sketch("np.where(np.less(np.full((2, 2), a - a), np.full((2, 2), a - a + 1)), S, S * 0)", "S")
         # cond is identically true -> hole spec is the target itself
         target = spec_of("S + 1")
-        hole = solver.solve(sketch, target)
+        hole = solver.solve_all(sketch, target)
         assert hole is not None
         assert equivalent(hole, target)
 
@@ -165,7 +165,7 @@ class TestReductionInverter:
         types = {"A": float_tensor(2, 3), "B": float_tensor(3, 2), "M": float_tensor(2, 3)}
         sketch = make_sketch("np.sum(M, axis=1)", "M", types)
         spec = spec_of("np.diag(np.dot(A, B))", types)
-        hole = solver.solve(sketch, spec)
+        hole = solver.solve_all(sketch, spec)
         assert hole is not None
         # The split must be coherent: equals A * B.T elementwise.
         assert equivalent(hole, spec_of("A * np.transpose(B)", types))
@@ -174,7 +174,7 @@ class TestReductionInverter:
         types = {"A": float_tensor(2, 3), "B": float_tensor(2, 3), "M": float_tensor(2, 3)}
         sketch = make_sketch("np.sum(M)", "M", types)
         spec = spec_of("np.trace(A @ B.T)", types)
-        hole = solver.solve(sketch, spec)
+        hole = solver.solve_all(sketch, spec)
         assert hole is not None
         assert equivalent(hole, spec_of("A * B", types))
 
@@ -182,7 +182,7 @@ class TestReductionInverter:
         types = {"A": float_tensor(2, 3), "x": float_tensor(3), "M": float_tensor(2, 3)}
         sketch = make_sketch("np.sum(M, axis=0)", "M", types)
         spec = spec_of("np.sum(A * x, axis=0)", types)
-        hole = solver.solve(sketch, spec)
+        hole = solver.solve_all(sketch, spec)
         assert hole is not None
         assert equivalent(hole, spec_of("A * x", types))
 
@@ -192,7 +192,7 @@ class TestContractionInverters:
         types = {"A": float_tensor(2, 3), "C": float_tensor(2, 3), "B": float_tensor(3, 2)}
         sketch = make_sketch("np.dot(A, B)", "A", types)
         spec = spec_of("np.dot(A * C, B)", types)
-        hole = solver.solve(sketch, spec)
+        hole = solver.solve_all(sketch, spec)
         assert hole is not None
         assert equivalent(hole, spec_of("A * C", types))
 
@@ -213,7 +213,7 @@ class TestContractionInverters:
         types = {"x": float_tensor(3), "A": float_tensor(3, 3), "h": float_tensor(3)}
         sketch = make_sketch("np.dot(h, x)", "h", types)
         spec = spec_of("np.dot(np.dot(x, A), x)", types)
-        hole = solver.solve(sketch, spec)
+        hole = solver.solve_all(sketch, spec)
         # Either no solution, or a verified one that depends on x (derivative
         # extraction is rejected by verification in the quadratic case).
         if hole is not None:
@@ -237,14 +237,14 @@ class TestSolverSafety:
             (make_sketch("np.sqrt(y)", "y"), spec_of("y - 2 * y")),
         ]
         for sketch, spec in cases:
-            hole = solver.solve(sketch, spec)
+            hole = solver.solve_all(sketch, spec)
             if hole is not None:
                 result = symbolic_execute(sketch.root, bindings={sketch.hole.name: hole})
                 assert equivalent(result, spec)
 
     def test_shape_mismatch_returns_none(self, solver):
         sketch = make_sketch("np.sum(A, axis=0)", "A")
-        assert solver.solve(sketch, spec_of("np.sum(A, axis=1)")) is None
+        assert solver.solve_all(sketch, spec_of("np.sum(A, axis=1)")) is None
 
     def test_generic_solution_of_a_single_hole_path_is_verified(self, solver, monkeypatch):
         """``stack`` has no inverter, so the hole path falls to ``sympy.solve``:
@@ -256,12 +256,12 @@ class TestSolverSafety:
         proofs = []
         real_holds = SketchSolver._decomposition_holds
 
-        def counting_holds(self, sk, hole_specs, spec):
-            proofs.append(hole_specs)
-            return real_holds(self, sk, hole_specs, spec)
+        def counting_holds(self, sk, hole_spec, spec):
+            proofs.append(hole_spec)
+            return real_holds(self, sk, hole_spec, spec)
 
         monkeypatch.setattr(SketchSolver, "_decomposition_holds", counting_holds)
-        hole = solver.solve(sketch, spec_of("np.stack([x + x, x])", types))
+        hole = solver.solve_all(sketch, spec_of("np.stack([x + x, x])", types))
         assert hole is not None and equivalent(hole, spec_of("x + x", types))
         assert len(proofs) == 1
 
@@ -269,14 +269,14 @@ class TestSolverSafety:
         # stack([2x, 2x]) it still answers ?? = 2x although row 1 is x, not 2x.
         wrong = spec_of("np.stack([x + x, x + x])", types)
         assert solver_mod._generic_solve(sketch, wrong) is not None
-        assert solver.solve(sketch, wrong) is None
+        assert solver.solve_all(sketch, wrong) is None
         assert len(proofs) == 2
 
         # A doctored generic solution is turned down the same way.
         monkeypatch.setattr(
-            solver_mod, "_generic_solve", lambda sk, spec: (spec_of("x * x", types),)
+            solver_mod, "_generic_solve", lambda sk, spec: spec_of("x * x", types)
         )
-        assert solver.solve(sketch, spec_of("np.stack([x + x, x])", types)) is None
+        assert solver.solve_all(sketch, spec_of("np.stack([x + x, x])", types)) is None
         assert len(proofs) == 3
 
     @pytest.mark.parametrize("forced", ["normalize", "generic", "equivalent", "simplify"])
@@ -313,6 +313,6 @@ class TestSolverSafety:
             target = "S - T"
         canonical_mod._equivalent_exprs_slow.cache_clear()
         try:
-            assert solver.solve(sketch, spec_of(target, types)) is None
+            assert solver.solve_all(sketch, spec_of(target, types)) is None
         finally:
             canonical_mod._equivalent_exprs_slow.cache_clear()

@@ -22,8 +22,8 @@ def make_sketch(template, hole_name, types=None):
     program = parse(template, types or TYPES)
     for path, node in iter_paths(program.node):
         if isinstance(node, Input) and node.name == hole_name:
-            hole = Hole(0, node.type)
-            return Sketch(replace_at(program.node, path, hole), (hole,), (path,))
+            hole = Hole(node.type)
+            return Sketch(replace_at(program.node, path, hole), hole, path)
     raise AssertionError(hole_name)
 
 
@@ -42,7 +42,7 @@ class TestGenericFallback:
         sketch = make_sketch("np.stack([x, x])", "x", types)
         # stack(h, x) == stack(x+x, x)  =>  h == x + x
         spec = spec_of("np.stack([x + x, x])", types)
-        hole = solver.solve(sketch, spec)
+        hole = solver.solve_all(sketch, spec)
         assert hole is not None
         assert equivalent(hole, spec_of("x + x", types))
 
@@ -51,13 +51,13 @@ class TestGenericFallback:
         solver = SketchSolver(SynthesisConfig())
         sketch = make_sketch("np.stack([a, a])", "a")
         spec = spec_of("np.stack([a, a + 1])")  # rows differ: no single hole
-        assert solver.solve(sketch, spec) is None
+        assert solver.solve_all(sketch, spec) is None
 
     def test_unknown_budget_respected(self, monkeypatch):
         monkeypatch.setattr(solver_module, "MAX_UNKNOWNS", 1)
         solver = SketchSolver(SynthesisConfig())
         sketch = make_sketch("np.stack([x, x])", "x")  # 2 unknowns > 1
-        assert solver.solve(sketch, spec_of("np.stack([x, x])")) is None
+        assert solver.solve_all(sketch, spec_of("np.stack([x, x])")) is None
 
 
 class TestNestedChains:
@@ -66,7 +66,7 @@ class TestNestedChains:
         solver = SketchSolver(SynthesisConfig())
         sketch = make_sketch("np.transpose(A * B)", "A")
         spec = spec_of("np.transpose((A + A) * B)")
-        hole = solver.solve(sketch, spec)
+        hole = solver.solve_all(sketch, spec)
         assert hole is not None
         assert equivalent(hole, spec_of("A + A"))
 
@@ -74,7 +74,7 @@ class TestNestedChains:
         solver = SketchSolver(SynthesisConfig())
         sketch = make_sketch("np.sqrt(np.transpose(A + B))", "A")
         spec = spec_of("np.sqrt(np.transpose((A * A) + B))")
-        hole = solver.solve(sketch, spec)
+        hole = solver.solve_all(sketch, spec)
         assert hole is not None
         assert equivalent(hole, spec_of("A * A"))
 
@@ -83,14 +83,14 @@ class TestScalarConstHoleSolving:
     def test_exponent_hole_synthesizes_constant(self):
         solver = SketchSolver(SynthesisConfig())
         sketch = make_sketch("np.power(A, a)", "a")
-        hole = solver.solve(sketch, spec_of("A * A * A"))
+        hole = solver.solve_all(sketch, spec_of("A * A * A"))
         assert hole is not None
         assert sp.simplify(hole.item() - 3) == 0
 
     def test_scale_hole(self):
         solver = SketchSolver(SynthesisConfig())
         sketch = make_sketch("a * A", "a")
-        hole = solver.solve(sketch, spec_of("A + A + A"))
+        hole = solver.solve_all(sketch, spec_of("A + A + A"))
         assert hole is not None
         assert sp.simplify(hole.item() - 3) == 0
 
@@ -101,7 +101,7 @@ class TestSolverValueCache:
         sketch = make_sketch("A + np.dot(B, B)", "A")
         spec1 = spec_of("(A * A) + np.dot(B, B)")
         spec2 = spec_of("(A + A) + np.dot(B, B)")
-        assert solver.solve(sketch, spec1) is not None
+        assert solver.solve_all(sketch, spec1) is not None
         cached = len(solver._value_cache)
-        assert solver.solve(sketch, spec2) is not None
+        assert solver.solve_all(sketch, spec2) is not None
         assert len(solver._value_cache) == cached  # dot(B,B) value reused
