@@ -68,4 +68,11 @@ class TestSimplifies:
         current = spec_complexity(spec("A * B.T"))
         assert prune_verdict(spec("A * B.T"), current) == (2.0, Pruned(2.0))
         assert prune_verdict(spec("A + A"), current) == (1.0, None)
-        assert prune_verdict(spec("np.dot(A, B)"), current) == (6.0, Pruned(6.0))
+
+    def test_average_over_holes(self):
+        # The paper averages the hole scores; a sketch has one hole, so the
+        # average PRUNE compares is that hole's own complexity.
+        current = spec_complexity(spec("A * B.T"))  # 2.0
+        cheap, costly = spec("A + A"), spec("np.dot(A, B)")
+        assert prune_verdict(cheap, current) == (spec_complexity(cheap), None)
+        assert prune_verdict(costly, current) == (6.0, Pruned(6.0))
