@@ -60,7 +60,6 @@ SUBSYSTEMS = {
     "repro.errors": "the exception hierarchy",
     "repro.ir": "the tensor IR every layer reads",
     "repro.journal": "the durable log under caches, run journals and the request log",
-    "repro.loopir": "the reference oracle of `tests/test_loopir.py`",
     "repro.obs": "one metric namespace, traces and logs",
     "repro.parallel": "the wave scheduler of `optimize_module(parallel=N)`",
     "repro.pipeline": "the module driver and its resolution ladder",
@@ -78,10 +77,6 @@ SUBSYSTEMS = {
 #: decision, reason)``; a directory entry ends in ``/``.  A knob or a deleted
 #: name has no functions to measure here: its selectors are None.
 CANDIDATES = [
-    ("`repro.loopir`", [("loopir/", None)], "keep",
-     "Reference oracle: `tests/test_loopir.py` compares it per op and per suite kernel "
-     "against the evaluator and the symbolic-execution engine. The synthesis stack no "
-     "longer imports it."),
     ("simulated `xla` / `inductor` backends",
      [("backends/xla_sim.py", None), ("backends/inductor_sim.py", None)], "keep",
      "Figs. 4, 7 and 8 time them (the experiments stage)."),
@@ -106,11 +101,16 @@ CANDIDATES = [
      "`equivalent`'s court of last resort. Target for item 1's matrix and item 4's fuzzer."),
     ("`SynthesisConfig.extra_constants`", None, "keep",
      "A documented tuning knob (`docs/user_guide.md`); the enumerator reads it on every run."),
-    # Deleted when this report was first written; measured by this script on
-    # the tree that still had them (commit c6fc6d1).
+    # Deleted, each measured by this script on the tree that still had it
+    # (the first ones at commit c6fc6d1).
     ("`analysis/loopcheck.py` (`check_loop_function`, `LoopFinding`)", None, "**deleted**",
      "0 of its 185 function lines (275 file lines) reached; every synthesis process "
-     "imported it, and through it the five `repro.loopir` modules."),
+     "imported it, and through it the five loop-IR modules."),
+    ("the loop IR (Section IV-A's scalar loop nests: lowering, numeric and symbolic "
+     "interpreters, printer)", None, "**deleted**",
+     "0 of its 542 function lines (998 file lines) reached; only its own test file used "
+     "it, as a reference oracle. NumPy's `eval` of each source is the reference now "
+     "(DESIGN.md decision 28)."),
     ("two-hole sketch derivation (`SynthesisConfig.multi_hole_sketches`, "
      "`sketch._two_hole_sketches`, `Library.multi_hole`)", None, "**deleted**",
      "0 of the 15 function lines of `_two_hole_sketches` reached; the paper evaluates "

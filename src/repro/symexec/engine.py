@@ -1,9 +1,12 @@
 """Symbolic execution of IR programs on SymPy-symbol tensors.
 
-This realizes Section IV-A of the paper.  Instead of lowering to a loop-level
-MLIR representation (the paper's implementation route), we interpret each IR
-operation directly on object ndarrays of SymPy expressions — the result is
-identical: one comprehensive expression per output element.
+This realizes Section IV-A of the paper.  The paper lowers the program to a
+loop-level MLIR representation and executes the loops on SymPy symbols; what
+it needs from that is one comprehensive expression per output element.  This
+engine builds those expressions directly, interpreting each IR operation on
+object ndarrays of SymPy expressions; no loop-level form is built or run.  The
+reference is NumPy itself: the tests hold the evaluator to NumPy's ``eval`` of
+each source, and this engine to the evaluator (DESIGN.md, decision 28).
 
 The op registry is the rule table: NumPy runs an op's :class:`OpSpec` rule
 (a contraction, a reduction, ``a + b`` …) on object arrays of SymPy

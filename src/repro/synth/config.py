@@ -67,7 +67,8 @@ class SynthesisConfig:
     from the cache fingerprint."""
 
     memoize: bool = True
-    """Cache DFS results per canonical spec key."""
+    """Cache the DFS's constant and base-case MATCH answers per canonical
+    spec key; no bound decides them, so a later path may reuse them."""
 
     def replace(self, **kwargs) -> "SynthesisConfig":
         from dataclasses import replace as _replace

@@ -237,7 +237,7 @@ class SearchContext:
         self.fingerprint = fingerprint
         self.stats = SearchStats(stub_count=library.stub_count)
         self.budget = budget if budget is not None else Budget.for_config(config)
-        self.memo: dict[tuple, tuple[Node | None, float]] = {}
+        self.memo: dict[tuple, tuple[Node, float]] = {}  # constant and MATCH answers
         self._retyped: dict[TensorType, list[Sketch]] = {}
         self._pools: dict[tuple[TensorType, frozenset[str]], list[Sketch]] = {}
         self._stubs_by_cost: dict[tuple, list] = {}
@@ -655,8 +655,4 @@ def _dfs(
         # Nothing assembled at this node: unwind so an ancestor (which may
         # hold a complete candidate) degrades instead.
         raise SynthesisTimeout("synthesis search exceeded its budget")
-    result = (best_program, best_cost)
-    # A timed-out partial result may be suboptimal; never memoize it.
-    if ctx.config.memoize and best_program is not None and not timed_out:
-        ctx.memo[key] = result
-    return result
+    return best_program, best_cost

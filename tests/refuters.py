@@ -24,9 +24,9 @@ that shows it acted while on:
 * branch-and-bound — no opinion: ``use_branch_and_bound=False``.  Without
   the bound ``diag_dot`` and ``sum_diag_dot`` run into the time cap, so the
   row leaves them out;
-* the DFS memo — no opinion: ``memoize=False``.  The memo keeps a node's
-  best completion found under the shared ``cost_min``, and a second path
-  reuses it under a looser prefix;
+* the DFS memo — no opinion: ``memoize=False``.  The memo keeps only a
+  node's constant and base-case MATCH answers, which no bound decides, and
+  a second path to the same spec reuses them;
 * PRUNE's floor — no opinion: ``prune_floor`` returns None, and every query
   is derived;
 * the exact floor before ``cancel`` — no opinion: it never prunes, and every
@@ -88,7 +88,7 @@ class Refuter:
             patch.setattr(module, attribute, value)
 
 
-REFUTERS = (
+REFUTERS = {row.name: row for row in (
     Refuter("classwise-execution", ((engine, "_classwise", lambda *args: None),)),
     Refuter("lattice-normal-form", ((canonical, "_lattice", lambda cls, x, y: cls(x, y)),)),
     Refuter("representative-weak-bucket", ((residues, "_bucket_values", _per_entry_values),)),
@@ -122,4 +122,4 @@ REFUTERS = (
         moves=("solver.pruned_before_cancel", "solver.cancel_"),
         acted="solver.pruned_before_cancel",
     ),
-)
+)}

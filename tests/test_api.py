@@ -1,10 +1,5 @@
 """Public API surface and error-hierarchy tests."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 import repro
@@ -55,7 +50,6 @@ class TestSubpackageImports:
         [
             "repro.ir",
             "repro.symexec",
-            "repro.loopir",
             "repro.synth",
             "repro.cost",
             "repro.backends",
@@ -77,24 +71,10 @@ class TestSubpackageImports:
         import repro.cost as cost
         import repro.egraph as egraph
         import repro.ir as ir
-        import repro.loopir as loopir
         import repro.rules as rules
         import repro.symexec as symexec
         import repro.synth as synth
 
-        for module in (ir, symexec, loopir, synth, cost, backends, bench, rules, egraph):
+        for module in (ir, symexec, synth, cost, backends, bench, rules, egraph):
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module.__name__}.{name}"
-
-    def test_synthesis_stack_does_not_import_loopir(self):
-        """``repro.loopir`` is the reference oracle the tests compare the
-        engine against; nothing on the synthesis path imports it."""
-        code = (
-            "import sys, repro.pipeline, repro.synth, repro.analysis; "
-            "print(sorted(m for m in sys.modules if m.startswith('repro.loopir')))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"

@@ -55,6 +55,7 @@ from repro.symexec.residues import Q1, Q2, BatteryTable, _inv_battery, compose, 
 from repro.synth import enumerator as enumerator_mod, solver
 from repro.synth.enumerator import _HAS_INPUT, _PINNED, StubEnumerator
 from repro.synth.search import SearchContext
+from tests.refuters import REFUTERS
 
 #: The tier-1 subset: negative powers, divisions by stubs, the boolean grammar.
 QUICK = ["power_neg", "synth_7", "max_stack"]
@@ -83,7 +84,7 @@ def _bypass_memos(patch) -> None:
         # maxsize=0: a cache that keeps nothing
         patch.setattr(module, name, lru_cache(maxsize=0)(getattr(module, name).__wrapped__))
     patch.setattr(residues, "representative", lambda exprs: None)  # every entry asks SymPy itself
-    patch.setattr(engine, "_classwise", lambda *args: None)  # and is executed by itself
+    REFUTERS["classwise-execution"].off(patch)  # and is executed by itself
     patch.setattr(enumerator_mod, "same_canonical_key", _eager_same_key)
 
 

@@ -1,10 +1,11 @@
-"""Exhaustive per-op semantics: eval vs NumPy across shapes and broadcasts.
+"""Exhaustive per-op semantics: NumPy's own ``eval`` of the source is the reference.
 
 Complements test_ir_ops.py: every grammar/input-side op is exercised at
 several shape combinations — including broadcasting with unit axes, scalars,
-and negative-axis attributes — and checked against the NumPy function it
-names, through all three execution routes (op eval, IR interpreter, printed
-source), and symbolic execution is checked against the interpreter.
+negative-axis attributes, operator spellings, transposed operands and a few
+composites — and checked against NumPy through the evaluator, the inferred
+type and the printed source; symbolic execution is checked against the
+evaluator.
 """
 
 import numpy as np
@@ -61,6 +62,49 @@ CASES = [
     ("np.full((3, 4), A)", {"A": ()}),
     ("A[0]", {"A": (3, 4)}),
     ("A[-1]", {"A": (3, 4)}),
+    # Operator spellings, transposed operands, mixed ranks and composites
+    ("A + B.T", {"A": (2, 3), "B": (3, 2)}),
+    ("A - 2 * A", {"A": (2, 3)}),
+    ("A * A / (A + 1)", {"A": (2, 3)}),
+    ("np.power(A, 3)", {"A": (2, 3)}),
+    ("np.sqrt(A)", {"A": (2, 3)}),
+    ("np.exp(a) + np.log(A)", {"a": (), "A": (2, 3)}),
+    ("-A", {"A": (2, 3)}),
+    ("np.abs(A - 1)", {"A": (2, 3)}),
+    ("np.maximum(A, B.T)", {"A": (2, 3), "B": (3, 2)}),
+    ("np.minimum(A, 2 * A)", {"A": (2, 3)}),
+    ("np.where(np.less(A, B.T), A, B.T)", {"A": (2, 3), "B": (3, 2)}),
+    ("np.where(np.less(A, B.T), B.T, A)", {"A": (2, 3), "B": (3, 2)}),
+    ("np.full((2, 3), a)", {"a": ()}),
+    ("np.triu(S)", {"S": (3, 3)}),
+    ("np.tril(S)", {"S": (3, 3)}),
+    ("np.transpose(A)", {"A": (2, 3)}),
+    ("np.reshape(A, (3, 2))", {"A": (2, 3)}),
+    ("np.reshape(A, (6,))", {"A": (2, 3)}),
+    ("np.diag(S)", {"S": (3, 3)}),
+    ("np.diag(x)", {"x": (3,)}),
+    ("np.trace(S)", {"S": (3, 3)}),
+    ("np.stack([x, x + 1])", {"x": (3,)}),
+    ("np.stack([A, A], axis=1)", {"A": (2, 3)}),
+    ("A[1]", {"A": (2, 3)}),
+    ("np.sum(A)", {"A": (2, 3)}),
+    ("np.sum(A, axis=0)", {"A": (2, 3)}),
+    ("np.sum(A, axis=1)", {"A": (2, 3)}),
+    ("np.max(A, axis=0)", {"A": (2, 3)}),
+    ("np.min(A)", {"A": (2, 3)}),
+    ("np.dot(A, B)", {"A": (2, 3), "B": (3, 2)}),
+    ("np.dot(A, x)", {"A": (2, 3), "x": (3,)}),
+    ("np.dot(x, B)", {"x": (3,), "B": (3, 2)}),
+    ("np.dot(x, x)", {"x": (3,)}),
+    ("np.dot(a, A)", {"a": (), "A": (2, 3)}),
+    ("np.tensordot(x, x, 0)", {"x": (3,)}),
+    ("np.tensordot(A, B, axes=((1,), (0,)))", {"A": (2, 3), "B": (3, 2)}),
+    ("np.diag(np.dot(A, B))", {"A": (2, 3), "B": (3, 2)}),
+    ("np.trace(np.dot(A, B))", {"A": (2, 3), "B": (3, 2)}),
+    ("np.sum(A * x, axis=1)", {"A": (2, 3), "x": (3,)}),
+    ("np.exp(np.log(A + 1))", {"A": (2, 3)}),
+    ("np.max(np.stack([A, B.T]), axis=0)", {"A": (2, 3), "B": (3, 2)}),
+    ("np.power(np.sqrt(A) + np.sqrt(A), 2)", {"A": (2, 3)}),
 ]
 
 

@@ -242,28 +242,6 @@ def test_broadcast_matches_numpy(tree):
 
 
 # ---------------------------------------------------------------------------
-# Loop-level lowering agreement
-# ---------------------------------------------------------------------------
-
-
-@_SETTINGS
-@given(ir_trees())
-def test_loop_lowering_matches_evaluator(tree):
-    """Lowered scalar loops compute the same function as the evaluator."""
-    from repro.loopir import lower_program, run_numeric
-
-    env = _env_for(tree)
-    with np.errstate(all="ignore"):
-        expected = np.asarray(evaluate(tree, env), dtype=float)
-    if not np.all(np.isfinite(expected)):
-        return
-    lowered = lower_program(tree)
-    got = run_numeric(lowered, env)
-    assert got.shape == expected.shape
-    assert np.allclose(got, expected, rtol=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # Solver roundtrip
 # ---------------------------------------------------------------------------
 

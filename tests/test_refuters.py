@@ -94,7 +94,7 @@ def test_every_refuter_off_gives_the_same_synthesis():
         _checked_layers(patch, seen)
         on = {kernel: _synthesize(kernel) for kernel in kernels}
     assert seen["classwise"] > 1000 and seen["lattice"] > 100 and seen["undefined"] > 1000
-    for row in REFUTERS:
+    for row in REFUTERS.values():
         acted = {"on": 0, "off": 0}
         with pytest.MonkeyPatch.context() as patch:
             row.off(patch)

@@ -110,6 +110,16 @@ class TestMemoization:
         _, _, ctx = run_search("(A * B) + (A * B)")
         assert ctx.stats.memo_hits >= 0  # smoke: counter exists and is sane
 
+    def test_memo_keeps_only_bound_free_answers(self):
+        """A recursive answer depends on the prefix cost through the bound,
+        which the memo key omits; only constant and MATCH answers are kept."""
+        types = {"A": float_tensor(2, 3), "B": float_tensor(3, 2)}
+        _, _, ctx = run_search("np.diag(np.dot(A, B))", types)
+        assert ctx.stats.nodes_expanded > 1  # it recursed
+        stubs = {entry.node for entry in ctx.library.stubs}
+        assert ctx.memo
+        assert all(isinstance(node, Const) or node in stubs for node, _ in ctx.memo.values())
+
     def test_memo_can_be_disabled(self):
         _, _, ctx = run_search("A + B", config=SynthesisConfig(memoize=False))
         assert ctx.stats.memo_hits == 0

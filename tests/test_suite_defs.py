@@ -52,11 +52,16 @@ class TestEveryBenchmark:
         assert synth.node.type.dtype == timing.node.type.dtype
         assert synth.node.type.rank == timing.node.type.rank
 
-    def test_evaluates_against_raw_source(self, bench):
-        program = bench.parse_timing()
+    # The timing-shape run keeps the test's unparametrized name.
+    @pytest.mark.parametrize(
+        "synth", [pytest.param(False, id=pytest.HIDDEN_PARAM), pytest.param(True, id="synth")]
+    )
+    def test_evaluates_against_raw_source(self, bench, synth):
+        program = bench.parse_synth() if synth else bench.parse_timing()
+        shapes = bench.synth_shapes if synth else bench.timing_shapes
         env = random_inputs(program.input_types, rng=np.random.default_rng(23))
         expected = eval(  # noqa: S307 - benchmark-controlled source
-            bench.source_for(bench.timing_shapes), {"np": np, **env}
+            bench.source_for(shapes), {"np": np, **env}
         )
         got = evaluate(program.node, env)
         assert np.allclose(np.asarray(got, float), np.asarray(expected, float))
