@@ -138,10 +138,6 @@ class AuditReport:
         return tuple(f for f in self.findings if f.severity == "error")
 
     @property
-    def warnings(self) -> tuple[AuditFinding, ...]:
-        return tuple(f for f in self.findings if f.severity == "warning")
-
-    @property
     def admitted(self) -> bool:
         return not self.errors
 

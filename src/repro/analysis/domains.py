@@ -106,10 +106,6 @@ class Interval:
         return Interval(float(value), float(value))
 
     @staticmethod
-    def top() -> "Interval":
-        return TOP
-
-    @staticmethod
     def positive() -> "Interval":
         """The verification domain: strictly positive reals ``(0, inf)``."""
         return POSITIVE
@@ -135,9 +131,6 @@ class Interval:
 
     def may_be_nonpositive(self) -> bool:
         return self.lo < 0.0 or self.contains(0.0)
-
-    def is_nonnegative(self) -> bool:
-        return self.lo >= 0.0
 
     def disjoint(self, other: "Interval", margin: float = 0.0) -> bool:
         """True when the two intervals share no point.

@@ -373,10 +373,6 @@ class FileLock:
         self.poll_s = poll_s
         self._fh = None
 
-    @property
-    def held(self) -> bool:
-        return self._fh is not None
-
     def acquire(self, blocking: bool = True) -> bool:
         """Take the lock; False when non-blocking and already held elsewhere."""
         if self._fh is not None:

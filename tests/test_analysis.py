@@ -32,6 +32,7 @@ from repro.ir.parser import parse
 from repro.symexec.engine import symbolic_execute
 from repro.synth.config import SynthesisConfig
 from repro.synth.enumerator import StubEnumerator
+from tests.refuters import REFUTERS
 
 A = Input("A", float_tensor(3))
 B = Input("B", float_tensor(3))
@@ -358,9 +359,7 @@ def _run_batch():
 def test_prescreen_outcomes_byte_identical(monkeypatch):
     """Baseline: the same batch with the proof predicate never proving."""
     screened = _run_batch()
-    from repro.analysis import prescreen
-
-    monkeypatch.setattr(prescreen, "tensors_disjoint", lambda *a: False)
+    REFUTERS["match-prescreen"].off(monkeypatch)
     baseline = _run_batch()
     assert screened.summary() == baseline.summary()
     on_counters = screened.metrics_rollup().get("counters", {})

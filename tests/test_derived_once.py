@@ -19,22 +19,20 @@ The oracle throughout is the unmemoised computation: ``_inv_battery``
 afresh, a fresh model's ``_price``, the tree walks the bits replaced,
 ``sp.Lt`` and ``sp.Piecewise`` built on the entry itself, and eager
 ``canonical_key`` equality.  (a)–(d) check each fact on every library node,
-pair or entry of three suite kernels; (e) builds libraries with every memo
-bypassed and execution entry by entry, and asserts they are the memoised
-ones node for node, with the same ``equiv.*`` counts (except the relational
-calls that entrywise execution and eager keying add, which
-``equiv.order_*`` count).
+pair or entry of three suite kernels; (e) builds their libraries with the
+``candidate-fact-memos`` row of ``tests/refuters.py`` off (every memo
+bypassed, execution entry by entry), which ``tests/test_refuters.py`` runs on
+every suite kernel.
 
 SOLVE's normal forms are derived once too (DESIGN.md, decision 22):
 ``solver._cancel`` memoises ``cancel`` per expression and computes it in a
 fraction field, ``solver._factored`` memoises ``power``'s ``factor``, and
 MATCH refutes a stub by its IR inputs before executing it.  (f) checks
-``_cancel`` against ``sp.cancel`` on random rational expressions; (g) runs the
-search kernels with all three bypassed.
+``_cancel`` against ``sp.cancel`` on random rational expressions; the
+``solve-memos`` row runs the search kernels with all three bypassed.
 """
 
 import hashlib
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -42,89 +40,20 @@ import sympy as sp
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bench.store import CONFIGS, run_synthesis
-from repro.bench.suite import benchmark_names, get_benchmark
-from repro.cost import FlopsCostModel, MeasuredCostModel, make_cost_model
-from repro.cost.base import CostModel
+from repro.bench.suite import get_benchmark
+from repro.cost import MeasuredCostModel, make_cost_model
 from repro.cost.measured import _signature
 from repro.ir import float_tensor, parse
-from repro.ir.nodes import Call, Const, Input
+from repro.ir.nodes import Call, Const
 from repro.obs.metrics import PROCESS_COUNTERS
-from repro.symexec import INTERN_TABLE, canonical_key, engine, residues, symtensor
-from repro.symexec.residues import Q1, Q2, BatteryTable, _inv_battery, compose, order_witnesses
-from repro.synth import enumerator as enumerator_mod, solver
-from repro.synth.enumerator import _HAS_INPUT, _PINNED, StubEnumerator
-from repro.synth.search import SearchContext
-from tests.refuters import REFUTERS
+from repro.symexec import engine, residues, symtensor
+from repro.symexec.residues import Q1, Q2, _inv_battery, compose, order_witnesses
+from repro.synth import solver
+from repro.synth.enumerator import _HAS_INPUT, _PINNED
+from tests.refuters import REFUTERS, run, run_off, walked_facts
 
 #: The tier-1 subset: negative powers, divisions by stubs, the boolean grammar.
 QUICK = ["power_neg", "synth_7", "max_stack"]
-
-
-def _walked_facts(node) -> int:
-    """The tree walks the fact bits replaced."""
-    walked = list(node.walk())
-    facts = _HAS_INPUT if any(isinstance(n, Input) for n in walked) else 0
-    if any(
-        (isinstance(n, Call) and n.attr("shape") is not None)
-        or (isinstance(n, Const) and not n.is_scalar)
-        for n in walked
-    ):
-        facts |= _PINNED
-    return facts
-
-
-def _bypass_memos(patch) -> None:
-    """Every memo of this file replaced by its unmemoised computation."""
-    patch.setattr(BatteryTable, "_inverse", lambda self, node: _inv_battery(self.get(node)))
-    patch.setattr(CostModel, "call_cost", CostModel._price)
-    patch.setattr(StubEnumerator, "_facts", lambda self, node: _walked_facts(node))
-    memos = ((residues, "_witnessed"), (residues, "_proved"), (residues, "_split"), (engine, "_piecewise"))
-    for module, name in memos:
-        # maxsize=0: a cache that keeps nothing
-        patch.setattr(module, name, lru_cache(maxsize=0)(getattr(module, name).__wrapped__))
-    patch.setattr(residues, "representative", lambda exprs: None)  # every entry asks SymPy itself
-    REFUTERS["classwise-execution"].off(patch)  # and is executed by itself
-    patch.setattr(enumerator_mod, "same_canonical_key", _eager_same_key)
-
-
-def _eager_same_key(tensor, other) -> bool:
-    """Whole keys, every entry canonicalised: the comparison before it stopped early."""
-    return canonical_key(tensor) == (other if isinstance(other, tuple) else canonical_key(other))
-
-
-#: Counters that may differ once the memos are bypassed: entrywise execution
-#: and eager keying build more relationals (``equiv.order_*`` count calls), the
-#: bypassed representatives answer nothing, and ``symexec.*`` count the path.
-_MOVED_BY_BYPASS = ("equiv.order_", "symexec.")
-
-
-def _enumerate(kernel):
-    """A cold enumeration: (enumerator, library identity, ``equiv.*`` counts,
-    the counts :data:`_MOVED_BY_BYPASS` names)."""
-    # Counted hits: intern hits, and constant tensors whose batteries are
-    # memoised on the shared instance.  Start both sides from empty tables.
-    INTERN_TABLE.clear()
-    symtensor._FROM_VALUE_MEMO.clear()
-    residues.clear_less_memo()
-    bench = get_benchmark(kernel)
-    before = dict(PROCESS_COUNTERS)
-    enumerator = StubEnumerator(
-        bench.parse_synth(), CONFIGS["default"], cost_model=FlopsCostModel(dim_map=bench.dim_map)
-    )
-    stubs = enumerator.enumerate()
-    counts = {
-        k: v - before.get(k, 0)
-        for k, v in PROCESS_COUNTERS.items()
-        if k.startswith(("equiv.", "symexec.")) and v != before.get(k, 0)
-    }
-    moved = {k: counts.pop(k) for k in list(counts) if k.startswith(_MOVED_BY_BYPASS)}
-    identity = (
-        [e.node for e in stubs],
-        [None if e.res is None else e.res.tobytes() for e in stubs],
-        list(enumerator.sketch_sources),
-    )
-    return enumerator, identity, counts, moved
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +86,7 @@ def memoised():
         patch.setattr(engine, "_symbolic_where", recording_where)
         patch.setattr(engine, "_classwise", recording_classwise)
         for kernel in QUICK:
-            runs[kernel] = _enumerate(kernel)
+            runs[kernel] = run(kernel, enumeration_only=True)
     return runs, pairs, triples, classwise
 
 
@@ -185,7 +114,7 @@ def _library_nodes(enumerator) -> list:
 
 @pytest.mark.parametrize("kernel", QUICK)
 def test_every_inverse_is_the_fresh_one(memoised, kernel):
-    enumerator = memoised[0][kernel][0]
+    enumerator = memoised[0][kernel].enumerator
     table = enumerator._batteries
     inverted = 0
     for node in _library_nodes(enumerator):
@@ -241,7 +170,7 @@ def test_every_op_cost_is_the_fresh_one(memoised, kind, mapped, tmp_path, monkey
     calls = [
         node
         for kernel in QUICK
-        for node in _library_nodes(memoised[0][kernel][0])
+        for node in _library_nodes(memoised[0][kernel].enumerator)
         if isinstance(node, Call)
     ]
     dim_map = get_benchmark("power_neg").dim_map if mapped else None
@@ -260,14 +189,14 @@ def test_every_op_cost_is_the_fresh_one(memoised, kind, mapped, tmp_path, monkey
 
 @pytest.mark.parametrize("kernel", QUICK)
 def test_every_fact_is_the_tree_walk(memoised, kernel):
-    enumerator = memoised[0][kernel][0]
+    enumerator = memoised[0][kernel].enumerator
     nodes = _library_nodes(enumerator)
     memo = enumerator._fact_memo
     assert len(memo) > len(enumerator._classes)
     for node in nodes:
-        assert enumerator._facts(node) == _walked_facts(node), node
+        assert enumerator._facts(node) == walked_facts(node), node
     for node, facts in memo.items():
-        assert facts == _walked_facts(node), node
+        assert facts == walked_facts(node), node
     assert {f & _PINNED for f in memo.values()} == {0, _PINNED}
     assert {f & _HAS_INPUT for f in memo.values()} == {0, _HAS_INPUT}
 
@@ -356,29 +285,14 @@ def test_less_counts_every_call_and_caches_no_prover_error():
 
 
 @pytest.mark.parametrize("kernel", QUICK)
-def test_library_is_the_one_without_memos(memoised, kernel, monkeypatch):
-    _, identity, counts, moved = memoised[0][kernel]
-    _bypass_memos(monkeypatch)
-    _, bare_identity, bare_counts, bare_moved = _enumerate(kernel)
-    assert bare_identity == identity
-    assert bare_counts == counts
+def test_library_is_the_one_without_memos(memoised, kernel):
+    on = memoised[0][kernel]
+    off = run_off(REFUTERS["candidate-fact-memos"], kernel, on)
     # Every kernel executes class-wise; only the boolean grammar also asks
     # ``less`` off index 0.  Bypassed, nothing is shared.
-    assert moved["symexec.classwise"] > 0
-    assert (moved.get("equiv.order_by_class", 0) > 0) is (kernel == "max_stack")
-    assert not any(bare_moved.get(k) for k in ("symexec.classwise", "equiv.order_by_class"))
-
-
-@pytest.mark.slow
-def test_every_suite_library_is_the_one_without_memos():
-    """All 33 suite kernels: node for node, battery for battery, count for count."""
-    for kernel in benchmark_names():
-        _, identity, counts, _ = _enumerate(kernel)
-        with pytest.MonkeyPatch.context() as patch:
-            _bypass_memos(patch)
-            _, bare_identity, bare_counts, _ = _enumerate(kernel)
-        assert bare_identity == identity, kernel
-        assert bare_counts == counts, kernel
+    assert on.enumerated["symexec.classwise"] > 0
+    assert (on.enumerated.get("equiv.order_by_class", 0) > 0) is (kernel == "max_stack")
+    assert not any(off.enumerated.get(k) for k in ("symexec.classwise", "equiv.order_by_class"))
 
 
 # -- (f) cancel in a fraction field -----------------------------------------------------
@@ -462,73 +376,3 @@ def test_each_normal_form_is_derived_once():
     moved = {k: v - before.get(k, 0) for k, v in PROCESS_COUNTERS.items()}
     assert moved["solver.cancel_exact"] == 1 and moved["solver.cancel_fallback"] == 1
     assert solver._factored.cache_info().misses == 1
-
-
-# -- (g) the search without SOLVE's memos -----------------------------------------------
-
-
-#: The suite kernels whose search goes past the base-case MATCH, and the
-#: paper's Fig. 5 worst case.
-SEARCH_KERNELS = ("diag_dot", "sum_diag_dot", "synth_1", "synth_5", "synth_11", "synth_12", "vec_lerp")
-
-#: Counted only where a memo or the filter answers.
-_SOLVE_MEMO_COUNTERS = ("solver.cancel_exact", "solver.cancel_fallback", "search.match_input_refuted")
-
-
-def _all_inputs(self, stubs, names):
-    """MATCH's scan before the input filter: every stub executed."""
-    return (e for e in stubs if e.tensor.input_names() == names)
-
-
-def _bypass_solve_memos(patch) -> None:
-    """``_cancel`` is plain ``sp.cancel``, ``_factored`` recomputes, MATCH
-    executes every stub it scans."""
-    patch.setattr(solver, "_cancel", sp.cancel)
-    patch.setattr(solver, "_factored", solver._factored.__wrapped__)
-    patch.setattr(SearchContext, "same_inputs", _all_inputs)
-
-
-def _search(kernel) -> tuple:
-    """A cold search: ((program, costs, counters but the memos' own), the memos' own)."""
-    INTERN_TABLE.clear()
-    symtensor._FROM_VALUE_MEMO.clear()
-    residues.clear_less_memo()
-    record = run_synthesis(get_benchmark(kernel), "flops", "default")
-    counters = {
-        k: v
-        for k, v in record.stats["metrics"]["counters"].items()
-        if k.startswith(("search.", "solver.", "equiv.", "analysis."))
-    }
-    own = {k: counters.pop(k, 0) for k in _SOLVE_MEMO_COUNTERS}
-    return (record.optimized_source, record.original_cost, record.optimized_cost, counters), own
-
-
-@pytest.mark.slow
-def test_every_search_is_the_one_without_solve_memos():
-    """The seven kernels: the same program, costs and search, solver and
-    equivalence counts; every ``_cancel`` input seen is ``sp.cancel``'s."""
-    inputs: set = set()
-    real_cancel = solver._cancel
-
-    def recording_cancel(expr):
-        inputs.add(expr)
-        return real_cancel(expr)
-
-    refuted = 0
-    for kernel in SEARCH_KERNELS:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "_cancel", recording_cancel)
-            memoised, own = _search(kernel)
-        with pytest.MonkeyPatch.context() as patch:
-            _bypass_solve_memos(patch)
-            bare, bare_own = _search(kernel)
-        assert bare == memoised, kernel
-        assert not any(bare_own.values()), kernel
-        refuted += own["search.match_input_refuted"]
-    assert refuted > 0 and len(inputs) > 200
-    exact = 0
-    for expr in inputs:
-        got, want = real_cancel(expr), sp.cancel(expr)
-        assert got == want and sp.srepr(got) == sp.srepr(want), expr
-        exact += solver._generators(expr) is not None
-    assert exact > len(inputs) // 2

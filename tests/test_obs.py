@@ -313,11 +313,10 @@ class TestMetrics:
         ``equiv.fingerprint_collisions`` and ``equiv.solver_prescreened``).
         SOLVE's ``cancel`` counts its memo misses by the way it derived them,
         and MATCH counts the stubs it refuted by their IR inputs."""
-        from repro.synth import solver
         from repro.synth.search import SearchStats
+        from tests.refuters import cold
 
-        solver._cancel.cache_clear()  # the counts are of memo misses
-        solver._keeps_log.cache_clear()
+        cold()  # the counts are of memo misses
 
         flat = SearchStats().as_dict()
         assert flat["metrics"] == empty_snapshot()

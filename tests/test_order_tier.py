@@ -19,11 +19,11 @@ from repro.bench.suite import get_benchmark
 from repro.cost import FlopsCostModel
 from repro.ir import float_tensor, parse
 from repro.obs.metrics import PROCESS_COUNTERS
-from repro.symexec import INTERN_TABLE, residues
+from repro.symexec import residues
 from repro.symexec.residues import O_POINTS, R_POINTS, _order_point, _point, less, order_witnesses
 from repro.synth import SynthesisConfig
 from repro.synth.enumerator import StubEnumerator
-from tests.refuters import REFUTERS
+from tests.refuters import REFUTERS, cold
 
 canonical_mod = importlib.import_module("repro.symexec.canonical")
 
@@ -34,19 +34,14 @@ def _enumerate(kind: str):
     """One cold enumeration: (entries, sketch_sources)."""
     # Canonical forms and relationals must be rebuilt, not recalled: a
     # memoised pair would skip whatever ``less`` is forced to here.
-    INTERN_TABLE.clear()
-    residues.clear_less_memo()
+    cold()
     if kind == "max_stack":
         bench = get_benchmark("max_stack")
-        enumerator = StubEnumerator(
-            bench.parse_synth(), CONFIGS["default"],
-            cost_model=FlopsCostModel(dim_map=bench.dim_map),
-        )
+        program, config, model = bench.parse_synth(), CONFIGS["default"], FlopsCostModel(bench.dim_map)
     else:
         types = {"A": float_tensor(2, 2), "B": float_tensor(2, 2)}
-        enumerator = StubEnumerator(
-            parse(kind, types), SynthesisConfig(max_depth=1), cost_model=FlopsCostModel()
-        )
+        program, config, model = parse(kind, types), SynthesisConfig(max_depth=1), FlopsCostModel()
+    enumerator = StubEnumerator(program, config, cost_model=model)
     return enumerator.enumerate(), enumerator.sketch_sources
 
 
@@ -224,7 +219,7 @@ def test_zero_denominator_case_is_what_it_claims():
 @pytest.mark.parametrize("kind", PROGRAMS)
 def test_library_is_the_one_plain_sp_lt_builds(spied, kind, monkeypatch):
     _, runs, _ = spied
-    monkeypatch.setattr(residues, "less", sp.Lt)
+    REFUTERS["order-tier"].off(monkeypatch)
     nodes, ids, sources = _identity(_enumerate(kind))
     assert any(not isinstance(i, bytes) for i in ids)  # the weak tier took part
     assert (nodes, ids, sources) == runs[kind]

@@ -83,9 +83,7 @@ class TestPruning:
         cfg_on = SynthesisConfig()
         cfg_off = SynthesisConfig(use_branch_and_bound=False, memoize=False)
         _, _, ctx_on = run_search("np.dot(A * B, B)", config=cfg_on)
-        _, _, ctx_off = run_search(
-            "np.dot(A * B, B)", config=cfg_off.replace(memoize=False)
-        )
+        _, _, ctx_off = run_search("np.dot(A * B, B)", config=cfg_off)
         # With the bound active, no more work is done than without it.
         assert ctx_on.stats.solver_calls <= ctx_off.stats.solver_calls
 
@@ -106,9 +104,9 @@ class TestPruning:
 
 class TestMemoization:
     def test_memo_hits_on_repeated_spec(self):
-        # A*B appears twice along different decomposition paths.
-        _, _, ctx = run_search("(A * B) + (A * B)")
-        assert ctx.stats.memo_hits >= 0  # smoke: counter exists and is sane
+        # The search reaches one spec along more than one decomposition path.
+        _, _, ctx = run_search("np.diag(np.dot(A, B))", {"A": float_tensor(2, 3), "B": float_tensor(3, 2)})
+        assert ctx.stats.memo_hits > 0
 
     def test_memo_keeps_only_bound_free_answers(self):
         """A recursive answer depends on the prefix cost through the bound,

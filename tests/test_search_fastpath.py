@@ -15,8 +15,6 @@ import sympy as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import prescreen
-from repro.bench.suite import get_benchmark
-from repro.cost import make_cost_model
 from repro.ir.types import DType
 from repro.pipeline import KernelSpec, ModuleOptimizer
 from repro.symexec.canonical import equivalent
@@ -25,19 +23,10 @@ from repro.symexec.symtensor import SymTensor, element_symbol
 from repro.synth import SynthesisConfig, search
 from repro.synth.cache import CACHE_VERSION
 from repro.synth.solver import SketchSolver
-from repro.synth.superoptimizer import superoptimize_program, superoptimize_source
 from tests.cachefile import read_section
+from tests.test_prune_floor import SQUARE, _run
 
 CONFIG = SynthesisConfig(timeout_seconds=120)
-SQUARE = {"A": (2, 2), "B": (2, 2)}
-
-
-def _run(kernel):
-    if kernel == "diag_dot_2x2":
-        return superoptimize_source("np.diag(np.dot(A, B))", SQUARE, config=CONFIG)
-    bench = get_benchmark(kernel)
-    model = make_cost_model("flops", dim_map=bench.dim_map)
-    return superoptimize_program(bench.parse_synth(), cost_model=model, config=CONFIG)
 
 
 # -- (a) PRUNE before prove ------------------------------------------------------

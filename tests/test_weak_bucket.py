@@ -5,7 +5,7 @@
 unseen bucket admits a candidate with its key unset; a seen one sends it to
 the exact path against that bucket's members only.  The oracle throughout is
 the admission this replaced — ``canonical_key`` of every weak candidate, one
-dict — kept here, test-local, as :class:`_EagerKeys`.
+dict — the ``eager-weak-keys`` row of ``tests/refuters.py``.
 """
 
 import numpy as np
@@ -13,8 +13,6 @@ import pytest
 import sympy as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bench.store import CONFIGS
-from repro.bench.suite import benchmark_names, get_benchmark
 from repro.cost import FlopsCostModel
 from repro.ir import float_tensor, parse
 from repro.ir.types import DType
@@ -25,8 +23,9 @@ from repro.symexec.residues import W_POINTS, weak_bucket
 from repro.symexec.symtensor import SymTensor, element_symbol, index_class
 from repro.synth import SynthesisConfig, build_library
 from repro.synth import library as library_mod
-from repro.synth.enumerator import StubEntry, StubEnumerator, _StubClass
+from repro.synth.enumerator import StubEnumerator
 from repro.synth.search import SearchContext, _match_base_case
+from tests.refuters import REFUTERS, cold, run, run_off
 from tests.test_canonical_units import _grammar_exprs
 
 A, B = element_symbol("A", (0,)), element_symbol("B", (0,))
@@ -158,47 +157,18 @@ def test_an_index_class_tensor_is_bucketed_as_its_entries():
     assert weak_bucket(transposed)[3] == ((0, 0), (1, 0), (0, 1), (1, 1)) != weak_bucket(got)[3]
 
 
-# -- the oracle: every weak candidate keyed on arrival --------------------------------
+# -- the oracle: every weak candidate keyed on arrival (the eager-weak-keys row) --------
 
 
-class _EagerKeys(StubEnumerator):
-    """``_admit_weak`` as it was: one ``canonical_key`` per candidate, one dict."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._by_key = {}
-
-    def _admit_weak(self, node, tensor, raw):
-        key = canonical_key(tensor)
-        self.sketch_sources.append(node)
-        cls = self._by_key.get(key)
-        if cls is not None:
-            self._battle(cls, node, tensor)
-            self._by_raw[raw] = cls
-            return None
-        entry = StubEntry(node, tensor, key=key)
-        cls = self._by_key[key] = self._by_raw[raw] = _StubClass(entry)
-        self._classes.append(cls)
-        return entry
-
-
-def _library(enumerator_cls, program, config, model):
-    """(champion nodes in admission order, sketch sources, weak-tier counters)."""
-    residues.clear_less_memo()  # each forcing re-derives its relationals
+def _library(program, config, model):
+    """A cold enumeration: (champion nodes in admission order, sketch sources, weak-tier counters)."""
+    cold()  # each forcing re-derives its relationals
     before = dict(PROCESS_COUNTERS)
-    enumerator = enumerator_cls(program, config, cost_model=model)
+    enumerator = StubEnumerator(program, config, cost_model=model)
     stubs = enumerator.enumerate()
-    counts = {
-        k: PROCESS_COUNTERS.get(k, 0) - before.get(k, 0)
-        for k in WEAK_COUNTERS + ("equiv.fingerprint_weak",)
-    }
+    weak = WEAK_COUNTERS + ("equiv.fingerprint_weak",)
+    counts = {k: PROCESS_COUNTERS.get(k, 0) - before.get(k, 0) for k in weak}
     return [e.node for e in stubs], list(enumerator.sketch_sources), counts
-
-
-def _suite_library(enumerator_cls, kernel):
-    bench = get_benchmark(kernel)
-    model = FlopsCostModel(dim_map=bench.dim_map)
-    return _library(enumerator_cls, bench.parse_synth(), CONFIGS["default"], model)
 
 
 # -- (c) whatever the bucket says, the library is the same -----------------------------
@@ -213,50 +183,39 @@ def _suite_library(enumerator_cls, kernel):
 )
 def test_forcing_the_bucket_never_changes_the_library(source, monkeypatch):
     program, config, model = parse(source, TYPES), SynthesisConfig(max_depth=1), FlopsCostModel()
-    as_is = _library(StubEnumerator, program, config, model)
+    as_is = _library(program, config, model)
     weak = as_is[2]["equiv.fingerprint_weak"]
     assert weak > 0 and as_is[2]["equiv.weak_unbucketed"] == 0
     assert sum(as_is[2][k] for k in WEAK_COUNTERS) == weak
 
     # No opinion: every candidate is keyed against every weak class.
     monkeypatch.setattr(residues, "weak_bucket", lambda tensor: None)
-    absent = _library(StubEnumerator, program, config, model)
+    absent = _library(program, config, model)
     assert absent[2]["equiv.weak_unbucketed"] == weak
 
     # One bucket for everything: only equal keys may merge, so nothing changes.
     monkeypatch.setattr(residues, "weak_bucket", lambda tensor: ("same",))
-    colliding = _library(StubEnumerator, program, config, model)
+    colliding = _library(program, config, model)
     assert (colliding[2]["equiv.weak_refuted"], colliding[2]["equiv.weak_confirmed"]) == (1, weak - 1)
 
-    eager = _library(_EagerKeys, program, config, model)
+    REFUTERS["eager-weak-keys"].off(monkeypatch)
+    eager = _library(program, config, model)
     assert as_is[:2] == absent[:2] == colliding[:2] == eager[:2]
 
 
 # -- (d) library identity against the eager-key oracle ----------------------------------
 
 
-def _assert_identical_to_eager(kernel):
-    nodes, sources, counts = _suite_library(StubEnumerator, kernel)
-    eager_nodes, eager_sources, _ = _suite_library(_EagerKeys, kernel)
-    assert nodes == eager_nodes and sources == eager_sources, kernel
-    assert counts["equiv.weak_unbucketed"] == 0, kernel
-    assert sum(counts[k] for k in WEAK_COUNTERS) == counts["equiv.fingerprint_weak"] > 0, kernel
-    return counts
-
-
 @pytest.mark.parametrize(
     "kernel", ["sum_stack", "synth_7", "euclidian_dist", "log_exp_1", "power_neg"]
 )
 def test_library_is_what_eager_keys_produce(kernel):
-    _assert_identical_to_eager(kernel)
-
-
-@pytest.mark.slow
-def test_every_suite_library_is_what_eager_keys_produce():
-    """All suite kernels; a key is only ever computed under the boolean grammar."""
-    confirmed = {k: _assert_identical_to_eager(k)["equiv.weak_confirmed"] for k in benchmark_names()}
-    assert confirmed.pop("max_stack") > 0
-    assert not any(confirmed.values()), confirmed
+    """All suite kernels, with every counter: ``tests/test_refuters.py``."""
+    on = run(kernel, enumeration_only=True)
+    counts = on.enumerated
+    assert not counts.get("equiv.weak_unbucketed")
+    assert sum(counts.get(k, 0) for k in WEAK_COUNTERS) == counts["equiv.fingerprint_weak"] > 0
+    run_off(REFUTERS["eager-weak-keys"], kernel, on)
 
 
 # -- (e) MATCH on a weak spec ---------------------------------------------------------
