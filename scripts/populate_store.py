@@ -1,8 +1,7 @@
 """Populate the synthesis-result store, optionally in parallel.
 
 The store (results/synthesis.json) memoizes one record per (benchmark, cost
-model, configuration); the benchmark harness and EXPERIMENTS.md generator
-read from it.  This script fills it:
+model, configuration); ``scripts/generate_experiments.py`` reads from it.  This script fills it:
 
     python scripts/populate_store.py                      # measured, default
     python scripts/populate_store.py --cost-model flops

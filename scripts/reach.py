@@ -209,14 +209,9 @@ def run_stages(recorder: Recorder, scratch: Path) -> None:
         server.join(120)
 
     with recorder.stage("generate_experiments"):
-        argv = sys.argv
-        sys.argv = [
-            "generate_experiments.py", "--samples", "1", "--output", str(scratch / "exp.md"),
-        ]
-        try:
-            runpy.run_path(str(ROOT / "scripts" / "generate_experiments.py"), run_name="__main__")
-        finally:
-            sys.argv = argv
+        # Its exit status is the paper's claims' verdict, not a reach question.
+        experiments = runpy.run_path(str(ROOT / "scripts" / "generate_experiments.py"))
+        experiments["main"](["--samples", "1", "--output", str(scratch / "exp.md")])
 
     from repro.cli import lint, main, trace
 

@@ -10,11 +10,6 @@ from repro.bench.figures import (
     fig6_class_counts,
     fig7_class_speedups,
     fig8_detailed,
-    format_fig4,
-    format_fig5,
-    format_fig6,
-    format_fig7,
-    format_fig8,
 )
 from repro.bench.runner import Measurement, geomean, measure_pair, time_callable
 from repro.bench.store import CONFIGS, SynthesisRecord, SynthesisStore
@@ -49,11 +44,6 @@ __all__ = [
     "fig6_class_counts",
     "fig7_class_speedups",
     "fig8_detailed",
-    "format_fig4",
-    "format_fig5",
-    "format_fig6",
-    "format_fig7",
-    "format_fig8",
     "geomean",
     "get_benchmark",
     "measure_pair",

@@ -1,15 +1,14 @@
-"""Regenerators for every figure of the paper's evaluation (Figs. 4-8).
+"""The data behind every figure of the paper's evaluation (Figs. 4-8).
 
-Each ``figN_*`` function returns plain data (dict / list of rows) plus a
-``format_*`` helper that renders the same series the paper plots.  The
-benchmark harness under ``benchmarks/`` drives these and prints the tables;
-EXPERIMENTS.md records paper-vs-measured values.
+Each ``figN_*`` function returns plain data (dict / list of rows);
+``scripts/generate_experiments.py`` renders them, with the paper's values,
+into EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.backends import ALL_BACKEND_NAMES
 from repro.bench.classify import classify
@@ -133,22 +132,6 @@ def fig4_speedups(evaluations: Sequence[BenchmarkEvaluation]) -> dict[str, float
     return out
 
 
-#: The paper's Fig. 4 values on the AMD platform, for EXPERIMENTS.md.
-FIG4_PAPER = {"numpy": 3.8, "jax": 1.9, "pytorch": 1.6}
-
-
-def format_fig4(speedups: Mapping[str, float]) -> str:
-    from repro.bench.plots import bar_chart
-
-    lines = ["Fig. 4 — geomean speedup of STENSO-optimized programs (host platform)"]
-    lines.append(f"{'framework':<10} {'measured':>9} {'paper (AMD)':>12}")
-    for backend, value in speedups.items():
-        lines.append(f"{backend:<10} {value:>8.2f}x {FIG4_PAPER.get(backend, float('nan')):>11.1f}x")
-    lines.append("")
-    lines.append(bar_chart(dict(speedups), reference=FIG4_PAPER))
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Fig. 5 — synthesis times per synthesizer variant
 # ---------------------------------------------------------------------------
@@ -156,21 +139,16 @@ def format_fig4(speedups: Mapping[str, float]) -> str:
 
 def fig5_synthesis_times(
     store: SynthesisStore,
-    cost_model: str = "measured",
-    names: Iterable[str] | None = None,
-    timeout_seconds: float = 600.0,
-    include_bottom_up: bool = True,
-    bottom_up_budget: float = 60.0,
+    cost_model: str,
+    timeout_seconds: float,
+    bottom_up_budget: float,
 ) -> list[dict]:
-    """Synthesis time per benchmark for B&B, simplification-only, bottom-up."""
+    """Synthesis time per benchmark for B&B, simplification-only, bottom-up;
+    a store miss synthesizes with the given budgets."""
     rows: list[dict] = []
-    benches = [get_benchmark(n) for n in names] if names else list(ALL_BENCHMARKS)
-    configs = ["default", "simplification_only"] + (
-        ["bottom_up"] if include_bottom_up else []
-    )
-    for bench in benches:
+    for bench in ALL_BENCHMARKS:
         row: dict = {"benchmark": bench.name}
-        for config in configs:
+        for config in ("default", "simplification_only", "bottom_up"):
             budget = bottom_up_budget if config == "bottom_up" else timeout_seconds
             record = store.get_or_run(
                 bench, cost_model=cost_model, config=config, timeout_seconds=budget
@@ -182,42 +160,9 @@ def fig5_synthesis_times(
     return rows
 
 
-def format_fig5(rows: Sequence[dict]) -> str:
-    lines = ["Fig. 5 — synthesis times (seconds; * = timed out / budget hit)"]
-    header = f"{'benchmark':<15} {'B&B':>8} {'simp-only':>10} {'bottom-up':>10}"
-    lines.append(header)
-    for row in rows:
-        def cell(key):
-            value = row.get(key)
-            if value is None:
-                return "-".rjust(8)
-            mark = "*" if row.get(f"{key}_timed_out") else " "
-            return f"{value:7.1f}{mark}"
-
-        lines.append(
-            f"{row['benchmark']:<15} {cell('default'):>8} {cell('simplification_only'):>10} "
-            f"{cell('bottom_up'):>10}"
-        )
-    from repro.bench.plots import log_bar_chart
-
-    series = {row["benchmark"]: row.get("default", 0.0) for row in rows}
-    markers = {
-        row["benchmark"]: " *" if row.get("default_timed_out") else ""
-        for row in rows
-    }
-    lines.append("")
-    lines.append(
-        log_bar_chart(series, title="B&B synthesis time (log scale)", markers=markers)
-    )
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Fig. 6 — benchmarks per transformation class
 # ---------------------------------------------------------------------------
-
-#: The paper's stated counts (Section VII-C names two explicitly).
-FIG6_PAPER = {"Algebraic Simplification": 9, "Strength Reduction": 8}
 
 
 def fig6_class_counts(evaluations: Sequence[BenchmarkEvaluation]) -> dict[str, int]:
@@ -233,33 +178,9 @@ def fig6_class_counts(evaluations: Sequence[BenchmarkEvaluation]) -> dict[str, i
     return counts
 
 
-def format_fig6(counts: Mapping[str, int]) -> str:
-    from repro.bench.plots import bar_chart
-
-    lines = ["Fig. 6 — number of benchmarks per transformation class"]
-    for cls, count in sorted(counts.items(), key=lambda kv: -kv[1]):
-        paper = FIG6_PAPER.get(cls)
-        suffix = f" (paper: {paper})" if paper is not None else ""
-        lines.append(f"{cls:<26} {count:>3}{suffix}")
-    lines.append("")
-    ordered = dict(sorted(counts.items(), key=lambda kv: -kv[1]))
-    lines.append(bar_chart({k: float(v) for k, v in ordered.items()}, unit="", width=30))
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Fig. 7 — geomean speedup per transformation class per framework
 # ---------------------------------------------------------------------------
-
-#: Paper values quoted in Section VII-C (AMD platform).
-FIG7_PAPER = {
-    ("Vectorization", "numpy"): 10.7,
-    ("Vectorization", "jax"): 2.9,
-    ("Vectorization", "pytorch"): 4.4,
-    ("Identity Replacement", "numpy"): 6.1,
-    ("Identity Replacement", "jax"): 3.5,
-    ("Identity Replacement", "pytorch"): 2.1,
-}
 
 
 def fig7_class_speedups(
@@ -275,19 +196,6 @@ def fig7_class_speedups(
             for backend in ALL_BACKEND_NAMES
         }
     return out
-
-
-def format_fig7(speedups: Mapping[str, Mapping[str, float]]) -> str:
-    from repro.bench.plots import grouped_bar_chart
-
-    lines = ["Fig. 7 — geomean speedup per transformation class"]
-    lines.append(f"{'class':<26} " + " ".join(f"{b:>9}" for b in ALL_BACKEND_NAMES))
-    for cls, per_backend in speedups.items():
-        cells = " ".join(f"{per_backend[b]:>8.2f}x" for b in ALL_BACKEND_NAMES)
-        lines.append(f"{cls:<26} {cells}")
-    lines.append("")
-    lines.append(grouped_bar_chart({k: dict(v) for k, v in speedups.items()}))
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +215,3 @@ def fig8_detailed(evaluations: Sequence[BenchmarkEvaluation]) -> list[dict]:
             row[m.backend] = m.speedup
         rows.append(row)
     return rows
-
-
-def format_fig8(rows: Sequence[dict]) -> str:
-    lines = ["Fig. 8 — per-benchmark speedups"]
-    lines.append(
-        f"{'benchmark':<15} {'class':<26} " + " ".join(f"{b:>9}" for b in ALL_BACKEND_NAMES)
-    )
-    for row in sorted(rows, key=lambda r: (r["class"], r["benchmark"])):
-        cells = " ".join(
-            f"{row.get(b, float('nan')):>8.2f}x" for b in ALL_BACKEND_NAMES
-        )
-        lines.append(f"{row['benchmark']:<15} {row['class']:<26} {cells}")
-    return "\n".join(lines)

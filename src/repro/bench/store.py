@@ -3,8 +3,9 @@
 Synthesis takes seconds-to-minutes per benchmark (Fig. 5), while the timing
 harness wants to re-measure cheaply.  The store memoizes one record per
 (benchmark, cost model, synthesizer configuration) in a JSON file, so
-``pytest benchmarks/`` only pays synthesis cost on first run — mirroring the
-paper's observation that superoptimization is a cacheable one-time cost.
+``scripts/generate_experiments.py`` pays synthesis cost only on a miss —
+mirroring the paper's observation that superoptimization is a cacheable
+one-time cost.
 """
 
 from __future__ import annotations

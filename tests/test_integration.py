@@ -1,7 +1,7 @@
 """Cross-module integration tests: full pipeline on selected benchmarks.
 
 These are the fast representatives of each transformation class; the full
-33-benchmark sweep lives in the benchmark harness (``pytest benchmarks/``).
+33-benchmark sweep is ``scripts/generate_experiments.py``.
 Every case runs parse -> symexec -> enumerate -> search -> verify and checks
 the synthesized program end to end on real arrays at the timing shapes.
 """
