@@ -68,7 +68,7 @@ def render_report(result: SynthesisResult, cost_model: CostModel) -> str:
         f"search   : {result.synthesis_seconds:.2f}s, "
         f"{result.stats.nodes_expanded} nodes, "
         f"{result.stats.solver_calls} solver calls, "
-        f"{result.stats.stub_count} stubs / {result.stats.sketch_count} sketches"
+        f"{result.stats.stub_count} stubs / {result.stats.sketch_count} sketches derived"
     )
     w(f"stages   : {result.stats.profile_summary()}")
     w(

@@ -9,7 +9,7 @@ from repro.synth.cache import (
 from repro.synth.complexity import prune_verdict, spec_complexity
 from repro.synth.config import DEFAULT_CONFIG, SIMPLIFICATION_ONLY, SynthesisConfig
 from repro.synth.enumerator import StubEntry, StubEnumerator, program_constants
-from repro.synth.library import Library, build_library, retype_sketch
+from repro.synth.library import Library, build_library
 from repro.synth.search import SearchContext, SearchStats, dfs
 from repro.synth.sketch import Hole, Sketch, is_hole, sketches_from_stub
 from repro.synth.solver import SketchSolver
@@ -42,7 +42,6 @@ __all__ = [
     "is_hole",
     "program_constants",
     "prune_verdict",
-    "retype_sketch",
     "sketches_from_stub",
     "spec_complexity",
     "superoptimize_program",

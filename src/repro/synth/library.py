@@ -2,20 +2,26 @@
 
 A :class:`Library` holds the enumerated stubs — indexed by residue battery
 (and, for battery-weak stubs, by value bucket on the first weak MATCH probe)
-for the base-case MATCH of Algorithm 2 — and the sketches derived from them,
-indexed by output type for fast filtering in SOLVE.  The sketches are
-derived and priced by the active cost model when SOLVE first asks for them:
-a search that ends at the base-case MATCH never reads one.
+for the base-case MATCH of Algorithm 2 — and the sources the sketches are
+derived from.  The sketches of a type are derived and priced by the active
+cost model as SOLVE reads them, cheapest first: a search that ends at the
+base-case MATCH derives none, and one that stops at the bound derives little
+past it.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
+from typing import Iterable, Iterator
 
 from repro.cost.base import CostModel
-from repro.ir.nodes import Call, Node
+from repro.errors import TypeInferenceError
+from repro.ir.nodes import Call, Const, Node
+from repro.ir.ops import get_op
 from repro.ir.parser import Program
 from repro.ir.types import DType, TensorType
 from repro.obs.trace import get_tracer
@@ -25,7 +31,38 @@ from repro.symexec.symtensor import SymTensor
 from repro.synth.cache import dump_library, library_key, load_library
 from repro.synth.config import SynthesisConfig
 from repro.synth.enumerator import StubEntry, StubEnumerator
-from repro.synth.sketch import Hole, Sketch, sketches_from_stub
+from repro.synth.sketch import Sketch, hole_of, hole_sites, is_site, replace_at, sketches_from_stub
+
+
+class Growing:
+    """A list filled from ``source`` as far as it is read.  Every iteration
+    keeps its own cursor, so a DFS node may read the pool an ancestor is
+    still reading."""
+
+    def __init__(self, source: Iterable) -> None:
+        self.items: list = []
+        self._source = iter(source)
+
+    def __iter__(self) -> Iterator:
+        i = 0
+        while self.reaches(i):
+            yield self.items[i]
+            i += 1
+
+    def reaches(self, i: int) -> bool:
+        """Whether item ``i`` exists, read from the source if need be."""
+        self.items.extend(islice(self._source, max(0, i + 1 - len(self.items))))
+        return i < len(self.items)
+
+
+def _fits(shape: tuple[int, ...], into: tuple[int, ...]) -> bool:
+    """Whether ``shape`` broadcasts into ``into`` without widening it."""
+    return len(shape) <= len(into) and all(d in (1, e) for d, e in zip(shape[::-1], into[::-1]))
+
+
+def rank(sketch: Sketch) -> tuple[float, int]:
+    """The order SOLVE tries sketches in: cheapest, then smallest, first."""
+    return sketch.cost, sketch.root.num_nodes
 
 
 @dataclass
@@ -34,14 +71,17 @@ class Library:
 
     stubs: list[StubEntry]
     stubs_by_sig: dict[tuple, list[StubEntry]]
-    #: What the first SOLVE derives :attr:`sketches` from.
+    #: What :meth:`sketches_of` derives sketches from, in enumeration order.
     sketch_sources: list[Node]
     cost_model: CostModel
     from_cache: bool = False
     #: Residue-battery index: residue_key -> stub (the value tier of MATCH).
     stubs_by_val: dict[tuple, StubEntry] = field(default_factory=dict)
-    #: Seconds the sketch derivation took; 0.0 while none has been derived.
+    #: Sketches derived so far and the seconds it took: 0 until a SOLVE reads one.
+    sketch_count: int = 0
     derive_seconds: float = 0.0
+    _streams: dict = field(default_factory=dict, repr=False)
+    _retyped: dict = field(default_factory=dict, repr=False)
 
     def stubs_with_signature(self, shape: tuple[int, ...], dtype: DType) -> list[StubEntry]:
         """Stubs sharing shape/dtype — candidates for slow-path matching."""
@@ -84,47 +124,95 @@ class Library:
         return None
 
     @cached_property
-    def sketches(self) -> list[Sketch]:
-        """Every sketch, cheapest first — derived and priced on the first read."""
-        start = time.monotonic()
-        sketches: list[Sketch] = []
-        seen_roots: set[Node] = set()
-        for source in self.sketch_sources:
-            if not isinstance(source, Call):
-                continue  # terminals produce no sketches
-            for sk in sketches_from_stub(source):
-                if sk.root in seen_roots:
-                    continue
-                seen_roots.add(sk.root)
-                sketches.append(sk.with_cost(self.cost_model.program_cost(sk.root)))
-        sketches.sort(key=lambda s: (s.cost, s.root.num_nodes))
-        self.derive_seconds = time.monotonic() - start
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.complete(
-                "derive-sketches", "enum", start=start, duration=self.derive_seconds,
-                sources=len(self.sketch_sources), sketches=len(sketches),
-            )
-        return sketches
-
-    @cached_property
-    def sketches_by_type(self) -> dict[TensorType, list[Sketch]]:
-        by_type: dict[TensorType, list[Sketch]] = {}
-        for sk in self.sketches:
-            by_type.setdefault(sk.root.type, []).append(sk)
+    def _sources_by_type(self) -> dict[TensorType, list[tuple[int, Call]]]:
+        """The call sources with their indices, by type: their sketches' type."""
+        by_type: dict[TensorType, list[tuple[int, Call]]] = {}
+        for index, source in enumerate(self.sketch_sources):
+            if isinstance(source, Call):
+                by_type.setdefault(source.type, []).append((index, source))
         return by_type
 
-    def sketches_for(self, type: TensorType) -> list[Sketch]:
-        return self.sketches_by_type.get(type, [])
+    def sketches_of(self, type: TensorType) -> Growing:
+        """The sketches rooted at ``type`` by :func:`rank`, ties in source then
+        path order, derived as read; a repeated root is the reader's to drop."""
+        if type not in self._streams:
+            self._streams[type] = Growing(self._derive(type))
+        return self._streams[type]
+
+    def _derive(self, type: TensorType) -> Iterator[Sketch]:
+        """Merge the sources of ``type`` by the cheapest sketch each may have
+        (:meth:`_floor`), expanding one only when that floor reaches the front."""
+        price = self.cost_model.program_cost
+        start = time.monotonic()  # the floors count toward the first expansion
+        sources = self._sources_by_type.get(type, ())
+        heap = [(self._floor(src), src.num_nodes, i, (), src) for i, src in sources]
+        heapq.heapify(heap)
+        while heap:
+            _, size, index, _, item = heapq.heappop(heap)
+            if isinstance(item, Sketch):
+                yield item
+            else:
+                sketches = sketches_from_stub(item)
+                for sk in sketches:
+                    cost = price(sk.root)
+                    heapq.heappush(heap, (cost, size, index, sk.hole_path, sk.with_cost(cost)))
+                self._record(start, 1, len(sketches))
+            start = time.monotonic()
+
+    def _floor(self, source: Call) -> float:
+        """The cost of ``source``'s cheapest sketch.  A hole is an ``Input`` of
+        its site's type, so only one at a scalar constant may reprice an op
+        (a measured model times constant operands): only those are priced."""
+        price = self.cost_model.program_cost
+        sites = hole_sites(source)
+        consts = [replace_at(source, p, hole_of(n.type)) for p, n in sites if isinstance(n, Const)]
+        return min([price(source), *map(price, consts)])
+
+    def retyped(self, type: TensorType) -> list[Sketch]:
+        """Sketches of other types whose hole, a direct argument of an
+        elementwise root, widens to ``type`` (vec_lerp's (n, m) spec needs
+        ``add(??, y)`` of ``add(x, y)`` with x (m,)), by :func:`rank`, ties in
+        the order of the sketch widened."""
+        if type in self._retyped:
+            return self._retyped[type]
+        start, price, ranked = time.monotonic(), self.cost_model.program_cost, []
+        for other, group in self._sources_by_type.items():
+            if other == type or other.dtype != type.dtype:
+                continue  # the root's dtype follows its op and argument dtypes
+            for index, source in group:
+                if not get_op(source.op).elementwise:
+                    continue
+                # Widening one argument to ``type`` leaves every other as it is.
+                fits = [_fits(a.type.shape, type.shape) for a in source.args]
+                for k, arg in enumerate(source.args):
+                    if not is_site(arg) or not all(fits[:k] + fits[k + 1 :]):
+                        continue
+                    hole = hole_of(TensorType(arg.type.dtype, type.shape))
+                    args = source.args[:k] + (hole,) + source.args[k + 1 :]
+                    try:
+                        root = Call.with_args(source, args)
+                    except TypeInferenceError:
+                        continue
+                    if root.type == type:
+                        sk = Sketch(root, hole, (k,), price(root))
+                        origin = price(replace_at(source, (k,), hole_of(arg.type)))
+                        ranked.append((*rank(sk), origin, index, k, sk))
+        ranked.sort(key=lambda r: r[:5])
+        self._retyped[type] = [r[-1] for r in ranked]
+        self._record(start, 0, len(ranked))
+        return self._retyped[type]
+
+    def _record(self, start: float, sources: int, sketches: int) -> None:
+        seconds = time.monotonic() - start
+        self.derive_seconds += seconds
+        self.sketch_count += sketches
+        if (tracer := get_tracer()).enabled:
+            counts = {"sources": sources, "sketches": sketches}
+            tracer.complete("derive-sketches", "enum", start=start, duration=seconds, **counts)
 
     @property
     def stub_count(self) -> int:
         return len(self.stubs)
-
-    @property
-    def sketch_count(self) -> int:
-        """Sketches derived so far: 0 until a SOLVE has asked for them."""
-        return len(self.__dict__.get("sketches", ()))  # where cached_property keeps it
 
 
 def build_library(
@@ -135,7 +223,7 @@ def build_library(
     fingerprint: str = "",
     budget=None,
 ) -> Library:
-    """Enumerate stubs for ``program``; sketches follow at the first SOLVE.
+    """Enumerate stubs for ``program``; sketches follow as SOLVE reads them.
 
     With a :class:`~repro.synth.cache.PersistentCache`, the admitted stubs
     and sketch sources are stored per program signature as a node table: a
@@ -239,30 +327,3 @@ def _assemble_library(
         cost_model=cost_model,
         stubs_by_val=stubs_by_val,
     )
-
-
-def retype_sketch(sketch: Sketch, spec_type: TensorType, cost_model: CostModel) -> Sketch | None:
-    """Rebuild an elementwise-rooted sketch so its hole matches ``spec_type``.
-
-    ``add(??, y)`` derived from ``add(x, y)`` has a hole typed like ``x``;
-    against a larger (broadcast-compatible) spec the hole must widen — e.g.
-    vec_lerp's spec is (n, m) while ``x`` is (m,).  Only sketches whose hole
-    is a direct child of an elementwise root are retyped.
-    """
-    from repro.ir.ops import get_op
-
-    root = sketch.root
-    if not isinstance(root, Call) or len(sketch.hole_path) != 1:
-        return None
-    if not get_op(root.op).elementwise:
-        return None
-    new_hole = Hole(TensorType(sketch.hole.type.dtype, spec_type.shape))
-    args = list(root.args)
-    args[sketch.hole_path[0]] = new_hole
-    try:
-        new_root = Call(root.op, tuple(args), **dict(root.attrs))
-    except Exception:
-        return None
-    if new_root.type != spec_type:
-        return None
-    return Sketch(new_root, new_hole, sketch.hole_path, cost_model.program_cost(new_root))

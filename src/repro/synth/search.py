@@ -23,6 +23,7 @@ an attribute load and a branch per site.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -41,14 +42,15 @@ from repro.symexec.symtensor import SymTensor
 from repro.synth.cache import MISS, solver_key
 from repro.synth.complexity import exact_floor, prune_floor, prune_verdict
 from repro.synth.config import SynthesisConfig
-from repro.synth.library import Library, retype_sketch
+from repro.synth.library import Growing, Library, rank
 from repro.synth.sketch import Sketch
 from repro.synth.solver import Pruned, SketchSolver
 
 _INF = float("inf")
 
-#: Sketches explored per DFS node after cost-sorting.  A safety valve, not the
-#: limiter: branch-and-bound stops once sketch skeletons alone exceed the bound.
+#: Sketches a DFS node tries at most, cheapest first.  Branch-and-bound mostly
+#: stops a node before; where the cap does (``synth_5``'s root, 1,024 of 4,517
+#: candidates), it is counted as the prune reason ``cap``.
 MAX_CANDIDATES_PER_NODE = 1024
 
 #: Maximum sketch-nesting depth of a synthesized program.
@@ -71,8 +73,8 @@ class SearchStats:
     ``solver_hits`` counts the answers that were not "unsolvable": derived
     hole specs, verified or pruned, and floor prunes, computed or restored.
     The ``time_*`` fields are the stage-level profiler: wall-time
-    spent building the stub library, deriving its sketches (at the first
-    SOLVE; zero for a search that ends at MATCH), solving sketches, matching
+    spent building the stub library, deriving sketches (as SOLVE reads
+    them; zero for a search that ends at MATCH), solving sketches, matching
     base cases, and verifying the final candidate.  ``sketch_count`` is the
     number of sketches derived, filled in with ``time_sketches`` when the
     search ends.
@@ -238,12 +240,9 @@ class SearchContext:
         self.stats = SearchStats(stub_count=library.stub_count)
         self.budget = budget if budget is not None else Budget.for_config(config)
         self.memo: dict[tuple, tuple[Node, float]] = {}  # constant and MATCH answers
-        self._retyped: dict[TensorType, list[Sketch]] = {}
-        self._pools: dict[tuple[TensorType, frozenset[str]], list[Sketch]] = {}
+        self._pools: dict[tuple[TensorType, frozenset[str]], Growing] = {}
         self._stubs_by_cost: dict[tuple, list] = {}
-        # Per-search input-name cache of sketch and stub trees (previously a
-        # module-level global that grew without bound across runs in a
-        # long-lived process).
+        # Per-search input-name cache of sketch and stub trees.
         self._node_inputs: dict[Node, frozenset[str]] = {}
 
     def check_time(self) -> None:
@@ -348,20 +347,30 @@ class SearchContext:
 
     # -- candidate sketch pool ---------------------------------------------------
 
-    def sketch_pool(self, spec: SymTensor) -> list[Sketch]:
+    def sketch_pool(self, spec: SymTensor) -> Growing:
+        """The sketches a node of ``spec``'s type and inputs tries, cheapest first
+        (the library's before the widened ones at a tie), derived as read."""
         spec_type = TensorType(spec.dtype, spec.shape)
         names = spec.input_names()
         pool = self._pools.get((spec_type, names))
         if pool is None:
-            pool = list(self.library.sketches_for(spec_type))
-            pool.extend(self._retyped_pool(spec_type))
-            pool = [
-                sk for sk in pool if self._input_names(sk.root) <= names or not names
-            ]
-            pool.sort(key=lambda s: (s.cost, s.root.num_nodes))
-            pool = pool[:MAX_CANDIDATES_PER_NODE]
-            self._pools[(spec_type, names)] = pool
+            lib = self.library
+            merged = heapq.merge(lib.sketches_of(spec_type), lib.retyped(spec_type), key=rank)
+            pool = self._pools[(spec_type, names)] = Growing(self._usable(merged, names))
         return pool
+
+    def _usable(self, sketches, names: frozenset[str]):
+        """``sketches`` but a repeated root and one reading an input outside ``names``."""
+        seen: set[Node] = set()
+        for sk in sketches:
+            if sk.root not in seen and (not names or self._input_names(sk.root) <= names):
+                seen.add(sk.root)
+                yield sk
+
+    def close(self) -> None:
+        """Drop the pools and streams: their generators hold this context and the library."""
+        self._pools.clear()
+        self.library._streams.clear()
 
     def stubs_by_cost(self, shape: tuple[int, ...], dtype) -> list:
         """Same-signature stubs, cheapest first (stable): MATCH's scan order."""
@@ -373,22 +382,6 @@ class SearchContext:
             )
             self._stubs_by_cost[(shape, dtype)] = ranked
         return ranked
-
-    def _retyped_pool(self, spec_type: TensorType) -> list[Sketch]:
-        cached = self._retyped.get(spec_type)
-        if cached is not None:
-            return cached
-        out: list[Sketch] = []
-        seen: set[Node] = {sk.root for sk in self.library.sketches_for(spec_type)}
-        for sk in self.library.sketches:
-            if sk.root.type == spec_type:
-                continue
-            widened = retype_sketch(sk, spec_type, self.cost_model)
-            if widened is not None and widened.root not in seen:
-                seen.add(widened.root)
-                out.append(widened)
-        self._retyped[spec_type] = out
-        return out
 
     def _input_names(self, node: Node) -> frozenset[str]:
         """The names of the program inputs an IR tree (a sketch's or a stub's)
@@ -590,7 +583,8 @@ def _dfs(
     best_program: Node | None = None
     best_cost = _INF
     timed_out = False
-    for sk in ctx.sketch_pool(spec):
+    pool = ctx.sketch_pool(spec)
+    for sk in islice(pool, MAX_CANDIDATES_PER_NODE):
         # Graceful degradation: a budget expiring mid-sketch abandons the
         # remaining candidates but keeps the best completion found at this
         # node, so the run returns "best program so far" instead of nothing.
@@ -650,6 +644,11 @@ def _dfs(
         except SynthesisTimeout:
             timed_out = True
             break
+    else:
+        if pool.reaches(MAX_CANDIDATES_PER_NODE):  # the cap, not the bound, ended this node
+            ctx.stats.record_prune("cap")
+            if tracer.enabled:
+                tracer.instant("prune", "search", reason="cap", depth=level)
 
     if timed_out and best_program is None:
         # Nothing assembled at this node: unwind so an ancestor (which may

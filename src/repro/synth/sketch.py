@@ -91,39 +91,40 @@ class Sketch:
         return f"Sketch({self.root!r}, cost={self.cost:g})"
 
 
-def sketches_from_stub(stub: Node) -> list[Sketch]:
-    """Derive the sketches of a stub.
+def hole_of(type: TensorType) -> Hole:
+    """The shared hole of ``type``."""
+    hole = _HOLE_CACHE.get(type)
+    if hole is None:
+        hole = _HOLE_CACHE[type] = Hole(type)
+    return hole
 
-    Every occurrence of a program input (not attrs) is replaced — one at a
-    time — by a hole of the same type, mirroring the paper's example: from
-    ``np.subtract(A, B)`` we derive ``np.subtract(??, B)`` and
-    ``np.subtract(A, ??)``.  Replacing the whole stub (empty path) is
-    excluded: a bare hole is not a useful sketch.
 
-    Scalar constants are replaced too (an extension over the paper's
-    input-only replacement): the sketch ``power(A, ??)`` — needed to
-    synthesize strength reductions like ``A*A*A*A*A -> power(A, 5)`` — only
-    exists if the exponent constant of a ``power(A, c)`` stub can become a
-    hole.
+def is_site(node: Node) -> bool:
+    """Whether a hole may replace ``node``.
+
+    Every occurrence of a program input (not attrs) may, mirroring the
+    paper's example: from ``np.subtract(A, B)`` we derive
+    ``np.subtract(??, B)`` and ``np.subtract(A, ??)``.
+
+    Scalar constants may too (an extension over the paper's input-only
+    replacement): the sketch ``power(A, ??)`` — needed to synthesize strength
+    reductions like ``A*A*A*A*A -> power(A, 5)`` — only exists if the
+    exponent constant of a ``power(A, c)`` stub can become a hole.
     """
-    out: list[Sketch] = []
-    seen: set[Node] = set()
-    hole_cache = _HOLE_CACHE
-    for path, node in iter_paths(stub):
-        if not path:
-            continue
-        replaceable = (isinstance(node, Input) and not is_hole(node)) or (
-            isinstance(node, Const) and node.type.is_scalar
-        )
-        if not replaceable:
-            continue
-        hole = hole_cache.get(node.type)
-        if hole is None:
-            hole = Hole(node.type)
-            hole_cache[node.type] = hole
-        root = replace_at(stub, path, hole)
-        if root in seen:
-            continue  # distinct paths can rebuild identical roots
-        seen.add(root)
-        out.append(Sketch(root=root, hole=hole, hole_path=path))
-    return out
+    return (isinstance(node, Input) and not is_hole(node)) or (
+        isinstance(node, Const) and node.type.is_scalar
+    )
+
+
+def hole_sites(stub: Node) -> list[tuple[Path, Node]]:
+    """``(path, site)`` for every :func:`is_site` node of ``stub``, in pre-order,
+    but the whole stub: a bare hole is not a useful sketch."""
+    return [(path, node) for path, node in iter_paths(stub) if path and is_site(node)]
+
+
+def sketches_from_stub(stub: Node) -> list[Sketch]:
+    """The sketches of a stub: one per :func:`hole_sites` site, in its order."""
+    return [
+        Sketch(replace_at(stub, path, hole_of(site.type)), hole_of(site.type), path)
+        for path, site in hole_sites(stub)
+    ]

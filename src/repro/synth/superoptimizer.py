@@ -4,7 +4,7 @@
 
 1. estimate the input program's cost (the initial branch-and-bound bound);
 2. symbolically execute it into the target specification Φ;
-3. enumerate stubs (Section IV-B); their sketches are derived at the first SOLVE;
+3. enumerate stubs (Section IV-B); their sketches are derived as SOLVE reads them;
 4. run the DFS of Algorithm 2;
 5. verify the winning candidate numerically and symbolically, and return the
    original program unless a strictly cheaper verified candidate was found.
@@ -175,9 +175,10 @@ def superoptimize_program(
         )
     elapsed = time.monotonic() - start
     ctx.stats.elapsed_seconds = elapsed
-    # Sketches exist only if some SOLVE asked for them: known only now.
+    # Sketches exist only as far as the SOLVEs read them: known only now.
     ctx.stats.sketch_count = library.sketch_count
     ctx.stats.time_sketches = library.derive_seconds
+    ctx.close()
 
     # Line 7, with the model's noise floor: a measured model only declares
     # victory when the candidate beats the original by more than its margin.

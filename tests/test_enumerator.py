@@ -11,6 +11,7 @@ from repro.synth import SynthesisConfig, build_library
 from repro.synth import enumerator as enumerator_module
 from repro.synth.enumerator import StubEnumerator, program_constants
 from repro.synth.search import SearchContext, _match_base_case
+from tests.test_library_cache import drained
 
 TYPES = {"A": float_tensor(2, 2), "B": float_tensor(2, 2)}
 
@@ -106,17 +107,23 @@ class TestGrowth:
                 assert np.isfinite(float(e.node.value))
 
 
+def _all_sketches(lib):
+    """``(type, sketch)`` for every sketch of every source type, derived by draining."""
+    return [(t, sk) for t, sketches in drained(lib).items() for sk in sketches]
+
+
 class TestLibrary:
     def test_build_library_indexes(self):
         program = parse("np.dot(A, B)", TYPES)
         lib = build_library(program, SynthesisConfig(max_depth=1), FlopsCostModel())
         assert lib.stub_count > 0
         assert lib.sketch_count == 0  # nothing derived until somebody asks
-        assert len(lib.sketches) > 0
-        assert lib.sketch_count == len(lib.sketches)
-        for sketch in lib.sketches:
+        derived = _all_sketches(lib)
+        assert len(derived) > 0
+        assert lib.sketch_count == len(derived)
+        for type, sketch in derived:
             assert sketch.cost >= 0
-            assert sketch in lib.sketches_by_type[sketch.root.type]
+            assert sketch.root.type == type
 
     def test_match_base_case_probes_value_then_weak_tier(self):
         config, model = SynthesisConfig(max_depth=1), FlopsCostModel()
@@ -138,6 +145,6 @@ class TestLibrary:
         lib = build_library(program, SynthesisConfig(max_depth=1), FlopsCostModel())
         assert any(
             s.root.op == "power" and s.hole.type.is_scalar and s.hole_path == (1,)
-            for s in lib.sketches
+            for _, s in _all_sketches(lib)
             if isinstance(s.root, Call)
         )

@@ -3,9 +3,10 @@
 The contract: a library rebuilt from a saved-and-reloaded cache is the cold
 library — same stubs in the same order with byte-equal residue batteries (or
 equal canonical keys for battery-weak stubs), same sketches in the same
-order — while only terminals and stubs the compositional evaluator has no
-opinion on are symbolically executed; and anything wrong with the stored
-node table costs a cold enumerate, never a different answer.
+order, type by type, as a search reads them — while only terminals and
+stubs the compositional evaluator has no opinion on are symbolically
+executed; and anything wrong with the stored node table costs a cold
+enumerate, never a different answer.
 """
 
 import dataclasses
@@ -58,6 +59,21 @@ def _cold_then_warm(name, tmp_path, tamper=None):
     return cold, warm
 
 
+def drained(library):
+    """Each source type's sketches, drained in the order a search reads them."""
+    types = sorted({s.type for s in library.sketch_sources if isinstance(s, Call)}, key=repr)
+    return {t: list(library.sketches_of(t)) for t in types}
+
+
+def _pools(library):
+    """Every source type's sketches and the ones widened to it: all a pool of
+    that type may read, in its order."""
+    return [
+        (t, [(s.root, s.cost, s.hole_path) for s in (*sketches, *library.retyped(t))])
+        for t, sketches in drained(library).items()
+    ]
+
+
 def _assert_same_library(cold, warm):
     assert [e.node for e in warm.stubs] == [e.node for e in cold.stubs]
     for c, w in zip(cold.stubs, warm.stubs):
@@ -68,9 +84,7 @@ def _assert_same_library(cold, warm):
         else:
             assert w.key == c.key, c.node
     assert warm.sketch_sources == cold.sketch_sources
-    assert [(s.root, s.cost) for s in warm.sketches] == [
-        (s.root, s.cost) for s in cold.sketches
-    ]
+    assert _pools(warm) == _pools(cold)
     assert list(warm.stubs_by_val) == list(cold.stubs_by_val)
     assert list(warm.weak_by_key) == list(cold.weak_by_key)
 
