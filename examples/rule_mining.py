@@ -7,19 +7,22 @@ that loop end to end:
 
 1. superoptimize ``trace(A @ B.T)`` (the trace_dot benchmark);
 2. mine the (original, optimized) pair into a metavariable rewrite rule;
-3. extend the simulated XLA compiler's rule set with the mined rule;
-4. show the extended compiler now optimizes a *different* program matching
+3. put an equality-saturation pass with the mined rule in front of the
+   stock simulated XLA compiler;
+4. show the extended pipeline now optimizes a *different* program matching
    the same pattern — no further synthesis required.
 
 Run:  python examples/rule_mining.py
 """
 
+import dataclasses
+
 import numpy as np
 
 import repro
 from repro.backends import XLASimBackend
-from repro.backends.rewriter import RewritePass
-from repro.backends.xla_sim import XLA_RULES
+from repro.cost import FlopsCostModel
+from repro.egraph import optimize_with_rules
 from repro.ir import float_tensor, parse, to_expression
 from repro.rules import mine_rule
 
@@ -44,10 +47,12 @@ def main() -> None:
     rule = mine_rule(original, result.optimized, name="trace-dot-mined")
     print(f"mined rule : {rule}")
 
-    # 3. Extend the simulated XLA compiler with the mined rule.
+    # 3. An e-graph pass with the mined rule, in front of the stock XLA-sim.
     stock = XLASimBackend()
-    extended = XLASimBackend()
-    extended.rewriter = RewritePass(XLA_RULES + (rule.as_named_rule(),))
+
+    def extended(program):
+        rewritten, _ = optimize_with_rules(program.node, [rule], FlopsCostModel())
+        return dataclasses.replace(program, node=rewritten)
 
     # 4. A different program with the same shape of inefficiency — note the
     #    different size and input names; the rule is shape-polymorphic.
@@ -57,7 +62,8 @@ def main() -> None:
         name="user_kernel",
     )
     before = stock.optimize(program.node)
-    after = extended.optimize(program.node)
+    rewritten = extended(program)
+    after = stock.optimize(rewritten.node)
     print(f"stock XLA-sim output   : {to_expression(before)}")
     print(f"extended XLA-sim output: {to_expression(after)}")
     assert before != after, "mined rule did not fire"
@@ -66,7 +72,7 @@ def main() -> None:
     rng = np.random.default_rng(0)
     P, Q = rng.random((256, 320)), rng.random((256, 320))
     want = np.trace(P @ Q.T)
-    got = extended.run(program, {"P": P, "Q": Q})
+    got = stock.run(rewritten, {"P": P, "Q": Q})
     assert np.allclose(want, got)
     print(f"verified on random inputs: trace = {got:.4f}")
 

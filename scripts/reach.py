@@ -1,6 +1,6 @@
 """Measure which ``src/repro`` functions the workloads reach; write docs/reach.md.
 
-Usage:  python scripts/reach.py [--output docs/reach.md]
+Usage:  python scripts/reach.py [--with-tests] [--output docs/reach.md]
 
 Records function-level reach with the stdlib only (``sys.setprofile`` on
 every thread of this process) while one process runs, in order:
@@ -13,10 +13,18 @@ every thread of this process) while one process runs, in order:
   ``daemon_mixed`` to a ``ServeClient``;
 * ``scripts/generate_experiments.py --samples 1`` writing to a temp file;
 * the entry points CI runs: ``stenso --module``, ``repro-trace`` and
-  ``stenso-lint``.
+  ``stenso-lint`` (the catalog, the ``--module`` run's journal and the
+  daemon's request log).
 
-Pool worker processes are not traced: they run ``ModuleOptimizer.search``,
-which the suite and batch stages reach in this process.  ``results/`` and
+``--with-tests`` then runs the tier-1 suite (``pytest tests``) in the same
+process as one more stage, last, so that its warm caches cannot hide a call
+from a workload stage.  Its reach is a column of its own, never part of the
+union: the report tells a function reached by tests only from one reached by
+nothing.
+
+Pool worker processes, and the subprocesses tests start, are not traced:
+the workers run ``ModuleOptimizer.search``, which the suite and batch stages
+reach in this process.  ``results/`` and
 ``EXPERIMENTS.md`` are hashed before and after; the script fails if the run
 changed either.  The report lists, per subsystem, the lines of its
 top-level functions and methods, how many of those lines belong to a
@@ -65,7 +73,7 @@ SUBSYSTEMS = {
     "repro.pipeline": "the module driver and its resolution ladder",
     "repro.report": "the CLI's documented `--report` flag; no stage passes it",
     "repro.resilience": "budgets, fault injection and the worker policy",
-    "repro.rules": "rule mining and the shipped catalog",
+    "repro.rules": "rule mining and the finite catalog; the e-graph matches",
     "repro.serve": "the daemon, its worker pool, content store and watchdog",
     "repro.symexec": "symbolic execution and the tiered equivalence check",
     "repro.synth": "Algorithms 1 and 2: enumeration, SOLVE, PRUNE and the DFS",
@@ -130,7 +138,24 @@ CANDIDATES = [
     ("`Interval.top` / `is_nonnegative`, `FileLock.held`, `AuditReport.warnings`", None,
      "**deleted**", "Called by nothing, not even a test; none of the four functions' 11 lines "
      "reached."),
+    ("the tree matcher (`MinedRule.match` / `apply` / `as_named_rule` / `metavariables`, "
+     "`mining._match` / `_instantiate`)", None, "**deleted**",
+     "0 of its 51 function lines reached; only tests used it, beside the e-graph's "
+     "e-matching. Equality saturation is the only rule matcher (DESIGN.md decision 32)."),
+    ("the catalog's vectorization rule (`VECTORIZE_STACK`, `_vectorize_stack`, "
+     "`_split_body`, `_indexes`)", None, "**deleted**",
+     "0 of its 55 function lines reached: no stage applied it and the auditor skipped it. "
+     "Synthesis finds vectorization by itself (`synth_10`, `vec_lerp`)."),
+    ("`stenso-lint`'s second miner (`_remine`, `_input_names`, `_CANDIDATE_SHAPES`)", None,
+     "**deleted**",
+     "0 of its 44 function lines reached; it guessed 3x3 inputs and mined other rules than "
+     "the run. Both lint modes call `repro.pipeline.synthesized_rule`, as `readmit` does."),
+    ("`backends.rewriter.is_const_scalar`", None, "**deleted**",
+     "Called by nothing but its own test; 4 function lines."),
 ]
+
+#: The stage ``--with-tests`` adds; it never counts toward the union.
+TESTS = "tier-1 tests"
 
 #: The same stages on commit c6fc6d1, before the deletions.
 BEFORE = "635 of 964 functions reached, 9,126 of 12,372 function lines"
@@ -226,6 +251,17 @@ def run_stages(recorder: Recorder, scratch: Path) -> None:
             trace.main([command, str(runs / "reach" / "trace.json")])
     with recorder.stage("stenso-lint"):
         lint.main(["--policy", "strict", "--json", str(scratch / "lint.json")])
+        lint.main(["--journal", str(runs / "reach" / "journal.jsonl"), "--policy", "positive"])
+        lint.main(["--store", str(scratch / "state"), "--policy", "positive"])
+
+
+def run_tests(recorder: Recorder) -> int:
+    """The tier-1 suite under the recorder; its exit status."""
+    import pytest
+
+    os.chdir(ROOT)
+    with recorder.stage(TESTS):
+        return int(pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]))
 
 
 # ---------------------------------------------------------------------------
@@ -298,26 +334,41 @@ def digest(paths: list[Path]) -> dict[str, str]:
     return {str(p.relative_to(ROOT)): hashlib.sha1(p.read_bytes()).hexdigest() for p in files}
 
 
-def render(rows: list[dict], recorder: Recorder) -> str:
+def render(rows: list[dict], recorder: Recorder, tests_exit: int | None) -> str:
     reached_by_stage = {
         stage: {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in codes}
         for stage, codes in recorder.reached.items()
     }
+    by_tests = reached_by_stage.pop(TESTS, set())
     keys = {(r["filename"], r["start"]): r for r in rows}
     union: set = set().union(*reached_by_stage.values()) & keys.keys()
     for row in rows:
-        row["reached"] = (row["filename"], row["start"]) in union
+        key = (row["filename"], row["start"])
+        row["reached"] = key in union
+        row["tests_only"] = key in by_tests and not row["reached"]
     total_lines, total_reached = tally(rows)
+    stage_seconds = sum(t for stage, t in recorder.seconds.items() if stage != TESTS)
 
+    command = "python scripts/reach.py" + (" --with-tests" if tests_exit is not None else "")
     lines = [
         "# Reach report",
         "",
-        "Generated by `python scripts/reach.py` (Python "
+        f"Generated by `{command}` (Python "
         f"{platform.python_version()}, {os.cpu_count()} CPUs, "
-        f"{sum(recorder.seconds.values()):.0f} s with the profiler on). A function is "
+        f"{stage_seconds:.0f} s with the profiler on). A function is "
         "*reached* when some stage called it at least once; its lines are those of the "
         "top-level function or method, nested functions included.",
         "",
+    ]
+    if tests_exit is not None:
+        lines += [
+            f"The tier-1 suite ran after the stages, in the same process, in "
+            f"{recorder.seconds[TESTS]:.0f} s wall time with the profiler on (pytest exit "
+            f"status {tests_exit}). It is a column of its own: *tests only* counts what it "
+            "reached and no stage did; the subprocesses tests start are not traced.",
+            "",
+        ]
+    lines += [
         "## Stages",
         "",
         "All stages run in one process. Pool worker processes are not traced: they run "
@@ -337,8 +388,8 @@ def render(rows: list[dict], recorder: Recorder) -> str:
         "",
         "## Subsystems",
         "",
-        "| subsystem | function lines | reached | share | decision | reason |",
-        "|---|---:|---:|---:|---|---|",
+        "| subsystem | function lines | reached | share | tests only | decision | reason |",
+        "|---|---:|---:|---:|---:|---|---|",
     ]
     by_subsystem: dict[str, list[dict]] = {}
     for row in rows:
@@ -349,7 +400,13 @@ def render(rows: list[dict], recorder: Recorder) -> str:
     for name, reason in SUBSYSTEMS.items():
         fn_lines, reached = tally(by_subsystem.get(name, []))
         share = f"{100 * reached / fn_lines:.0f} %" if fn_lines else "—"
-        lines.append(f"| `{name}` | {fn_lines:,} | {reached:,} | {share} | keep | {reason} |")
+        tests_only = (
+            f"{sum(r['lines'] for r in by_subsystem.get(name, []) if r['tests_only']):,}"
+            if tests_exit is not None else "—"
+        )
+        lines.append(
+            f"| `{name}` | {fn_lines:,} | {reached:,} | {share} | {tests_only} | keep | {reason} |"
+        )
     lines += [
         "",
         "## ROADMAP item 13's candidates and the named paths",
@@ -364,25 +421,35 @@ def render(rows: list[dict], recorder: Recorder) -> str:
             counts = f"{fn_lines:,} | {reached:,}"
         lines.append(f"| {label} | {counts} | {decision} | {reason} |")
     lines += ["", f"Before the deletions (commit c6fc6d1) the same stages gave: {BEFORE}."]
-    lines += [
-        "",
-        "## Functions no stage reached",
-        "",
-        "Tests may reach them; no workload, paper table or CI entry point does.",
-        "",
-    ]
-    unreached: dict[str, list[str]] = {}
-    for row in rows:
-        if not row["reached"]:
-            unreached.setdefault(row["file"], []).append(row["qualname"])
-    for file, names in unreached.items():
-        lines.append(f"- `{file}`: " + ", ".join(f"`{n}`" for n in names))
-    return "\n".join(lines) + "\n"
+    lines += ["", "## Functions no stage reached", ""]
+    if tests_exit is None:
+        sections = [("Tests may reach them; no workload, paper table or CI entry point does.",
+                     lambda row: True)]
+    else:
+        sections = [
+            ("### Reached by tests only", lambda row: row["tests_only"]),
+            ("### Reached by nothing\n\nBesides dead code, this lists what runs only at import "
+             "time (op registration, module loggers) or only in a process the profiler does not "
+             "follow (pool workers, `stenso-serve`'s supervisor).",
+             lambda row: not row["tests_only"]),
+        ]
+    for title, keep in sections:
+        unreached: dict[str, list[str]] = {}
+        for row in rows:
+            if not row["reached"] and keep(row):
+                unreached.setdefault(row["file"], []).append(row["qualname"])
+        lines += [title, ""]
+        lines += [f"- `{f}`: " + ", ".join(f"`{n}`" for n in ns) for f, ns in unreached.items()]
+        lines.append("")
+    return "\n".join(lines).rstrip("\n") + "\n"
 
 
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--output", type=Path, default=ROOT / "docs" / "reach.md")
+    parser.add_argument(
+        "--with-tests", action="store_true", help="add the tier-1 suite as its own column"
+    )
     args = parser.parse_args()
 
     guarded = [ROOT / "results", ROOT / "EXPERIMENTS.md"]
@@ -390,9 +457,10 @@ def main() -> None:
     recorder = Recorder()
     with tempfile.TemporaryDirectory(prefix="reach") as scratch:
         run_stages(recorder, Path(scratch))
+    tests_exit = run_tests(recorder) if args.with_tests else None
     if digest(guarded) != before:
         raise SystemExit("the run changed results/ or EXPERIMENTS.md")
-    args.output.write_text(render(function_table(), recorder))
+    args.output.write_text(render(function_table(), recorder, tests_exit))
     print(f"wrote {args.output}")
 
 

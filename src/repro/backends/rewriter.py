@@ -6,8 +6,9 @@ This module provides the rule engine both simulated backends are built on:
 a rule is a function from a :class:`Call` to a replacement node (or None),
 and a :class:`RewritePass` applies a rule set bottom-up to a fixed point.
 
-The same engine is reused by :mod:`repro.rules` to express and apply the
-rewrite rules STENSO discovers (paper Section VII-D).
+It holds only the compilers' own hand-written rules.  The rules STENSO
+discovers (paper Section VII-D, :mod:`repro.rules`) are matched by equality
+saturation instead (:mod:`repro.egraph`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ Rule = Callable[[Call], Node | None]
 
 @dataclass(frozen=True)
 class NamedRule:
-    """A rewrite rule with a name (for pass statistics and rule mining)."""
+    """A rewrite rule with a name (for pass statistics)."""
 
     name: str
     apply: Rule
@@ -83,12 +84,6 @@ class RewritePass:
 # ---------------------------------------------------------------------------
 # Pattern helpers shared by rule definitions
 # ---------------------------------------------------------------------------
-
-
-def is_const_scalar(node: Node, value: float | None = None) -> bool:
-    if not (isinstance(node, Const) and node.is_scalar):
-        return False
-    return value is None or float(node.value) == value
 
 
 def const_value(node: Node) -> float | None:

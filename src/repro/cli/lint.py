@@ -7,10 +7,15 @@ sources of rules are supported:
 * ``--catalog MOD[:ATTR]`` (default ``repro.rules.catalog:DISCOVERED_RULES``)
   — a Python module attribute holding rules.  When the module also defines
   ``AUDIT_WAIVERS``, those waivers are applied and reported.
-* ``--journal PATH`` — a run journal (``journal.jsonl``); rules are re-mined
-  from every *improved* kernel outcome and audited.
-* ``--store DIR`` — a daemon state directory; same re-mining over every
-  ``result`` entry of its request log (``DIR/requests.jsonl``).
+* ``--journal PATH`` — a run journal (``journal.jsonl``): the rule each
+  synthesized kernel outcome teaches, mined as the run mined it
+  (:func:`repro.pipeline.synthesized_rule`, at the spec the line records).
+* ``--store DIR`` — a daemon state directory; the same over every
+  ``result`` entry of its request log (``DIR/requests.jsonl``), each with
+  its ``request`` entry's spec.
+
+A log written before kernel lines carried their spec has none to mine at;
+such an outcome is skipped with a note.
 
 Exit status is 1 when any audited rule has an unwaivered error-severity
 finding, 0 otherwise.  ``--json PATH`` writes the full findings report
@@ -20,7 +25,6 @@ finding, 0 otherwise.  ``--json PATH`` writes the full findings report
 from __future__ import annotations
 
 import argparse
-import ast
 import importlib
 import json
 import sys
@@ -33,80 +37,10 @@ from repro.analysis.audit import (
     AuditWaiver,
     RuleAuditor,
 )
-from repro.rules.mining import MinedRule, mine_rule
-
-#: Prototype input shapes tried (in order) when re-mining a rule from
-#: journaled sources, which do not record input types.  The first assignment
-#: under which both sides parse and mine is used.
-_CANDIDATE_SHAPES: tuple[tuple[int, ...], ...] = ((3, 3), (3,), (2, 3), (4, 4), ())
+from repro.errors import StensoError
+from repro.rules.mining import MinedRule
 
 _POLICIES = {"strict": STRICT_POLICY, "positive": POSITIVE_POLICY}
-
-
-def _input_names(source: str) -> list[str]:
-    """Best-effort free input names of a kernel source (function or expr)."""
-    tree = ast.parse(source.strip())
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return [a.arg for a in node.args.args]
-    assigned = {
-        t.id
-        for n in ast.walk(tree)
-        if isinstance(n, ast.Assign)
-        for t in n.targets
-        if isinstance(t, ast.Name)
-    }
-    names: list[str] = []
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Name)
-            and isinstance(node.ctx, ast.Load)
-            and node.id not in ("np", "numpy")
-            and node.id not in assigned
-            and node.id not in names
-        ):
-            names.append(node.id)
-    return names
-
-
-def _remine(name: str, original: str, optimized: str, notes: list[str]) -> MinedRule | None:
-    """Reconstruct a MinedRule from an outcome's source pair, or None."""
-    from repro.ir.parser import parse
-    from repro.ir.types import float_tensor
-
-    try:
-        inputs = _input_names(original)
-    except SyntaxError:
-        notes.append(f"{name}: unparseable original source; skipped")
-        return None
-    for shape in _CANDIDATE_SHAPES:
-        types = {n: float_tensor(*shape) for n in inputs}
-        try:
-            lhs = parse(original, types, name=name)
-            rhs = parse(optimized, types, name=name)
-            return mine_rule(lhs.node, rhs.node, name=name)
-        except Exception:
-            continue
-    notes.append(f"{name}: no candidate input shapes type-check; skipped")
-    return None
-
-
-def _rules_from_outcomes(outcomes: list[dict], notes: list[str]) -> list[MinedRule]:
-    rules: list[MinedRule] = []
-    seen: set[MinedRule] = set()
-    for outcome in outcomes:
-        if not outcome.get("improved"):
-            continue
-        rule = _remine(
-            outcome.get("name", "?"),
-            outcome.get("original_source", ""),
-            outcome.get("optimized_source", ""),
-            notes,
-        )
-        if rule is not None and rule not in seen:
-            seen.add(rule)
-            rules.append(rule)
-    return rules
 
 
 def _load_catalog(spec: str, notes: list[str]) -> tuple[list[MinedRule], tuple[AuditWaiver, ...]]:
@@ -128,19 +62,39 @@ def _load_catalog(spec: str, notes: list[str]) -> tuple[list[MinedRule], tuple[A
 
 
 def _load_log(path: Path, notes: list[str]) -> list[MinedRule]:
-    """Rules re-mined from a run journal's ``kernel`` entries or a request
-    log's ``result`` entries."""
+    """The rules :meth:`~repro.pipeline.ModuleOptimizer.readmit` learns from
+    a run journal's ``kernel`` lines or a request log's ``result`` entries:
+    one per synthesized outcome, mined at its spec's synthesis types (a
+    journal line carries its spec; a result takes its ``request``'s)."""
     from repro.journal import read_entries
+    from repro.pipeline import KernelOutcome, spec_from_payload, synthesized_rule
 
     entries, dropped = read_entries(path)
     if dropped:
         notes.append(f"{path.name}: {dropped} corrupt/torn line(s) dropped")
-    outcomes = [
-        e["outcome"]
-        for e in entries
-        if e.get("type") in ("kernel", "result") and e.get("outcome")
-    ]
-    return _rules_from_outcomes(outcomes, notes)
+    requested = {e.get("id"): e.get("spec") for e in entries if e.get("type") == "request"}
+    rules: list[MinedRule] = []
+    seen: set[str] = set()
+    for entry in entries:
+        kind, outcome = entry.get("type"), entry.get("outcome")
+        if kind not in ("kernel", "result") or not outcome:
+            continue
+        if not outcome.get("improved") or outcome.get("via") != "synthesis":
+            continue
+        name = outcome.get("name", "?")
+        spec = entry.get("spec") if kind == "kernel" else requested.get(entry.get("id"))
+        if spec is None:
+            notes.append(f"{name}: no recorded spec (written before logs carried one); skipped")
+            continue
+        try:
+            rule = synthesized_rule(spec_from_payload(spec), KernelOutcome(**outcome))
+        except (StensoError, TypeError) as exc:  # unparseable, or another outcome schema
+            notes.append(f"{name}: {type(exc).__name__}: {exc}; skipped")
+            continue
+        if rule is not None and str(rule) not in seen:  # the rule cache's identity
+            seen.add(str(rule))
+            rules.append(rule)
+    return rules
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -156,12 +110,14 @@ def main(argv: list[str] | None = None) -> int:
         help="audit a rule catalog attribute (default repro.rules.catalog:DISCOVERED_RULES)",
     )
     source.add_argument(
-        "--journal", metavar="PATH", help="re-mine and audit rules from a run journal"
+        "--journal",
+        metavar="PATH",
+        help="audit the rules a run journal's synthesized kernels teach",
     )
     source.add_argument(
         "--store",
         metavar="DIR",
-        help="re-mine and audit rules from a daemon state dir's request log",
+        help="audit the rules a daemon state dir's request log teaches",
     )
     parser.add_argument(
         "--policy",

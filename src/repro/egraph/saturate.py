@@ -3,7 +3,9 @@
 Rules are :class:`repro.rules.MinedRule` values — exactly what
 :func:`repro.rules.mine_rule` extracts from STENSO's synthesis results — so
 the paper's pipeline "discover with STENSO, deploy via equality saturation"
-runs end to end in this package.
+runs end to end in this package.  This is the only code that matches a mined
+rule; the simulated compilers' :class:`~repro.backends.rewriter.RewritePass`
+runs their own hand-written rules only.
 
 E-matching is structural: a pattern :class:`Input` (metavariable) binds an
 e-class id of the same dtype; repeated metavariables must bind the same

@@ -21,10 +21,10 @@ log that fixes this:
   :func:`~repro.synth.cache.synthesis_fingerprint` of the run's
   ``(SynthesisConfig, cost model)`` — resuming under a different
   configuration is refused rather than silently mixing incompatible results;
-* each kernel's :class:`~repro.pipeline.KernelOutcome` is appended **the
-  moment it completes**, as one checksummed JSON line, flushed and
-  ``fsync``\\ ed before the run moves on (a crash can lose at most the
-  in-flight kernel, never a completed one);
+* each kernel's :class:`~repro.pipeline.KernelOutcome`, with its spec, is
+  appended **the moment it completes**, as one checksummed JSON line,
+  flushed and ``fsync``\\ ed before the run moves on (a crash can lose at
+  most the in-flight kernel, never a completed one);
 * ``status`` lines record run transitions (``running`` → ``completed`` /
   ``interrupted``).
 
@@ -363,12 +363,18 @@ class RunJournal:
         self._lock = lock
 
     def record_outcome(self, spec: "KernelSpec", outcome: "KernelOutcome") -> None:
-        """Durably journal one completed kernel (write-ahead of any use)."""
+        """Durably journal one completed kernel (write-ahead of any use).
+
+        The line carries the spec in its wire form, so ``stenso-lint`` mines
+        the kernel's rule at the types the run mined it at."""
+        from repro.pipeline import spec_to_payload
+
         key = kernel_key(spec)
         payload = {
             "type": "kernel",
             "key": key,
             "name": spec.name,
+            "spec": spec_to_payload(spec),
             "outcome": asdict(outcome),
         }
         # Fault site: 'die' here models a crash after synthesis but before

@@ -34,11 +34,11 @@ from typing import Mapping, Sequence
 from repro.analysis.audit import POSITIVE_POLICY, AuditReport, RuleAuditor
 from repro.cost import CostModel, make_cost_model
 from repro.egraph import optimize_with_rules
-from repro.errors import StensoError
+from repro.errors import StensoError, WireError
 from repro.ir.nodes import rename_inputs
 from repro.ir.parser import Program, parse
 from repro.ir.printer import to_expression, to_source
-from repro.ir.types import TensorType
+from repro.ir.types import DType, TensorType
 from repro.obs.log import get_logger
 from repro.rules.mining import MinedRule, mine_rule
 from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
@@ -72,6 +72,34 @@ class KernelSpec:
 
     def parse(self) -> Program:
         return parse(self.source, dict(self.types), name=self.name)
+
+
+def spec_to_payload(spec: KernelSpec) -> dict:
+    """``spec`` as plain JSON, the form the wire, the daemon's request log
+    and the run journal carry: each input is ``{"dtype": "float", "shape":
+    [3, 3]}`` (:func:`spec_from_payload` also reads a bare shape list
+    ``[3, 3]`` as a float tensor)."""
+    inputs = {
+        name: {"dtype": t.dtype.value, "shape": list(t.shape)}
+        for name, t in spec.types.items()
+    }
+    return {"name": spec.name, "source": spec.source, "inputs": inputs}
+
+
+def spec_from_payload(payload: Mapping) -> KernelSpec:
+    try:
+        raw_inputs = payload["inputs"]
+        name = payload["name"]
+        source = payload["source"]
+    except (KeyError, TypeError) as exc:
+        raise WireError(f"kernel spec payload is missing {exc}") from exc
+    inputs = {}
+    for in_name, t in raw_inputs.items():
+        if isinstance(t, Mapping):
+            inputs[in_name] = TensorType(DType(t["dtype"]), tuple(t["shape"]))
+        else:
+            inputs[in_name] = tuple(t)
+    return KernelSpec(name=name, source=source, inputs=inputs)
 
 
 def batch_key(spec: KernelSpec, config: SynthesisConfig) -> str:
@@ -134,6 +162,32 @@ class KernelOutcome:
     @property
     def speedup_estimate(self) -> float:
         return self.original_cost / self.optimized_cost if self.optimized_cost else 1.0
+
+
+def synthesized_rule(spec: KernelSpec, outcome: KernelOutcome) -> MinedRule | None:
+    """The rule a synthesized outcome teaches, named ``mined-<kernel>``; None
+    for any other outcome, or when the pair does not generalize.
+
+    Mined as the search mined it, from both programs parsed at
+    :func:`synthesis_types`: a loop unrolled over a shrunken dimension gives
+    another rule than the full-size one.  :meth:`ModuleOptimizer.readmit` and
+    ``stenso-lint`` both call this, so the lint audits exactly the rule a
+    restart learns.  Raises :class:`StensoError` when either program does not
+    parse at those types.
+    """
+    if not outcome.improved or outcome.via != "synthesis":
+        return None
+    types = synthesis_types(spec.source, spec.types, name=spec.name)
+    program = parse(spec.source, types, name=spec.name)
+    optimized = parse(outcome.optimized_source, types, name=spec.name)
+    return _mine(program.node, optimized.node, spec.name)
+
+
+def _mine(original, optimized, kernel: str) -> MinedRule | None:
+    try:
+        return mine_rule(original, optimized, name=f"mined-{kernel}")
+    except ValueError:
+        return None
 
 
 @dataclass
@@ -358,25 +412,14 @@ class ModuleOptimizer:
             if outcome.status == "ok":
                 self.exhausted.add(batch_key(spec, self.config))
             return outcome
-        verified = self._reverify_restored(spec, outcome)
-        if verified is None:
+        if self._reverify_restored(spec, outcome) is None:
             return None
-        if outcome.via == "synthesis":
-            # Mined as the search mined it, from the program at its synthesis
-            # shapes: a loop unrolled over a shrunken dimension gives another
-            # rule than the full-size one, and a restart must not know more
-            # (or less) than the run it continues.
-            program, optimized = verified
-            types = synthesis_types(spec.source, program.input_types, name=spec.name)
-            if types != program.input_types:
-                try:
-                    program = parse(spec.source, types, name=spec.name)
-                    optimized = parse(
-                        outcome.optimized_source, types, name=spec.name
-                    ).node
-                except StensoError:
-                    return None
-            self._learn(program, optimized, spec.name)
+        # A restart must not know more (or less) than the run it continues.
+        try:
+            rule = synthesized_rule(spec, outcome)
+        except StensoError:
+            return None
+        self._learn(rule)
         return outcome
 
     def resolve(
@@ -528,15 +571,14 @@ class ModuleOptimizer:
                 # Learn before snapshotting so the audit verdict counter
                 # lands in this kernel's metrics.
                 self._learn(
-                    result.program, result.optimized, spec.name, stats=result.stats
+                    _mine(result.program.node, result.optimized, spec.name),
+                    stats=result.stats,
                 )
         outcome.metrics = result.stats.metrics_snapshot()
         return outcome
 
-    def _learn(self, program: Program, optimized, name: str, stats=None) -> None:
-        try:
-            rule = mine_rule(program.node, optimized, name=f"mined-{name}")
-        except ValueError:
+    def _learn(self, rule: MinedRule | None, stats=None) -> None:
+        if rule is None:
             return
         verdict = self.absorb_rule(rule)
         if stats is not None and verdict != "duplicate":

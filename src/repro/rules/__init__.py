@@ -7,7 +7,6 @@ from repro.rules.catalog import (
     POW2_TO_MUL,
     POW_NEG1_TO_DIV,
     TRACE_DOT_IDENTITY,
-    VECTORIZE_STACK,
 )
 from repro.rules.mining import MinedRule, mine_rule
 
@@ -19,6 +18,5 @@ __all__ = [
     "POW2_TO_MUL",
     "POW_NEG1_TO_DIV",
     "TRACE_DOT_IDENTITY",
-    "VECTORIZE_STACK",
     "mine_rule",
 ]

@@ -12,17 +12,16 @@ the paper's three highlighted examples:
 * *Trace Identity* (from trace_dot / sum_diag_dot):
   ``trace(X @ Y.T) => sum(X * Y)``
 
-The paper's *Vectorization* rule (``stack([c ⊙ x for x in X]) => c ⊙ X``)
-is over an unbounded family of loop bodies, so it is provided as a direct
-:class:`~repro.backends.rewriter.NamedRule` pattern instead of a finite
-``MinedRule``.
+The catalog holds finite pattern rules only.  The paper's *Vectorization*
+rule (``stack([c ⊙ x for x in X]) => c ⊙ X``) ranges over an unbounded
+family of loop bodies, so it is no pattern; synthesis finds each instance
+by itself (``synth_10``, ``vec_lerp``).
 """
 
 from __future__ import annotations
 
 from repro.analysis.audit import AuditWaiver
-from repro.backends.rewriter import NamedRule
-from repro.ir.nodes import Call, Const, Input, Node
+from repro.ir.nodes import Call, Const, Input
 from repro.ir.types import float_tensor
 from repro.rules.mining import MinedRule
 
@@ -87,67 +86,3 @@ AUDIT_WAIVERS = (
         ),
     ),
 )
-
-
-def _vectorize_stack(node: Call) -> Node | None:
-    """``stack([index(X, 0) ⊙ c, index(X, 1) ⊙ c, ...]) => X ⊙ c``.
-
-    Matches a stack whose i-th operand applies the *same* elementwise op to
-    ``X[i]`` and a loop-invariant operand — the unrolled trace a Python
-    comprehension leaves behind — and replaces the whole stack with one
-    broadcasted operation.  This is the paper's Vectorization rule with
-    ``⊙ ∈ {add, subtract, multiply, divide}``.
-    """
-    if node.op != "stack" or node.attr("axis", 0) != 0 or len(node.args) < 2:
-        return None
-    first = node.args[0]
-    if not isinstance(first, Call) or first.op not in ("add", "subtract", "multiply", "divide"):
-        return None
-    for index_pos in (0, 1):
-        base, invariant = _split_body(first, index_pos)
-        if base is None:
-            continue
-        ok = True
-        for i, arg in enumerate(node.args):
-            if not (
-                isinstance(arg, Call)
-                and arg.op == first.op
-                and _split_body(arg, index_pos) == (base, invariant)
-                and _indexes(arg.args[index_pos], base, i)
-            ):
-                ok = False
-                break
-        if not ok:
-            continue
-        # Broadcasting X (n, ...) against the invariant reproduces the stack
-        # when the invariant's rank does not exceed the row rank.
-        if invariant.type.rank > base.type.rank - 1:
-            continue
-        operands = [base, invariant] if index_pos == 0 else [invariant, base]
-        try:
-            replacement = Call(first.op, tuple(operands))
-        except Exception:
-            return None
-        if replacement.type == node.type:
-            return replacement
-    return None
-
-
-def _split_body(body: Call, index_pos: int):
-    """(iterated tensor, invariant operand) of one loop-body application."""
-    indexed = body.args[index_pos]
-    if not (isinstance(indexed, Call) and indexed.op == "index"):
-        return None, None
-    return indexed.args[0], body.args[1 - index_pos]
-
-
-def _indexes(node: Node, base: Node, i: int) -> bool:
-    return (
-        isinstance(node, Call)
-        and node.op == "index"
-        and node.args[0] == base
-        and node.attr("i") == i
-    )
-
-
-VECTORIZE_STACK = NamedRule("vectorize-stack", _vectorize_stack)

@@ -11,9 +11,8 @@ the daemon turns that into a structured error reply, so one garbage client
 can never take down a connection thread (and a slow-loris half-frame is
 bounded by the server's per-connection read timeout, not held forever).
 
-Kernel specs cross the wire as plain JSON: each input is either a bare shape
-list (``[3, 3]`` — float tensor, the common case) or an object
-``{"dtype": "float", "shape": [3, 3]}`` for explicit dtypes.
+Kernel specs cross the wire in the form :func:`repro.pipeline.spec_to_payload`
+writes (the request log and the run journal store the same form).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import json
 from typing import Mapping
 
 from repro.errors import WireError
-from repro.pipeline import KernelSpec
+from repro.pipeline import spec_from_payload, spec_to_payload  # noqa: F401
 
 #: Upper bound on one accepted frame.  Outcomes carry kernel sources — a few
 #: KB in practice; 4 MiB leaves three orders of magnitude of headroom while
@@ -59,29 +58,3 @@ def recv_msg(file, max_bytes: int = MAX_FRAME_BYTES) -> dict | None:
             f"protocol messages must be JSON objects, got {type(msg).__name__}"
         )
     return msg
-
-
-def spec_to_payload(spec: KernelSpec) -> dict:
-    inputs = {
-        name: {"dtype": t.dtype.value, "shape": list(t.shape)}
-        for name, t in spec.types.items()
-    }
-    return {"name": spec.name, "source": spec.source, "inputs": inputs}
-
-
-def spec_from_payload(payload: Mapping) -> KernelSpec:
-    from repro.ir.types import DType, TensorType
-
-    try:
-        raw_inputs = payload["inputs"]
-        name = payload["name"]
-        source = payload["source"]
-    except (KeyError, TypeError) as exc:
-        raise WireError(f"kernel spec payload is missing {exc}") from exc
-    inputs = {}
-    for in_name, t in raw_inputs.items():
-        if isinstance(t, Mapping):
-            inputs[in_name] = TensorType(DType(t["dtype"]), tuple(t["shape"]))
-        else:
-            inputs[in_name] = tuple(t)
-    return KernelSpec(name=name, source=source, inputs=inputs)

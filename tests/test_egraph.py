@@ -7,7 +7,16 @@ from repro.cost import FlopsCostModel
 from repro.egraph import EGraph, UnionFind, extract_best, optimize_with_rules, saturate
 from repro.errors import StensoError
 from repro.ir import evaluate, float_tensor, parse, random_inputs
-from repro.rules import DIAG_IDENTITY, DISCOVERED_RULES, DIV_SQRT, MinedRule, mine_rule
+from repro.rules import (
+    DIAG_IDENTITY,
+    DISCOVERED_RULES,
+    DIV_SQRT,
+    POW2_TO_MUL,
+    POW_NEG1_TO_DIV,
+    TRACE_DOT_IDENTITY,
+    MinedRule,
+    mine_rule,
+)
 
 TYPES = {"A": float_tensor(4, 4), "B": float_tensor(4, 4), "x": float_tensor(4)}
 
@@ -109,6 +118,49 @@ class TestSaturation:
         eg.add_term(node_of("A + B"))
         stats = saturate(eg, [grow], max_iterations=50, max_nodes=200)
         assert stats.nodes <= 220  # budget plus the last batch
+
+
+class TestRuleMatching:
+    """Saturation is the only rule matcher: each catalog rule fires at shapes
+    other than its 3x3 / (3,) prototypes (4x4 and (4,) here)."""
+
+    @pytest.mark.parametrize(
+        "rule, source, rewritten",
+        [
+            pytest.param(*case, id=case[0].name)
+            for case in (
+                (DIAG_IDENTITY, "np.diag(np.dot(A, B))", "np.sum(A * np.transpose(B), axis=1)"),
+                (DIV_SQRT, "(A + B) / np.sqrt(A + B)", "np.sqrt(A + B)"),
+                (POW2_TO_MUL, "np.power(x, 2)", "x * x"),
+                (POW_NEG1_TO_DIV, "np.power(A, -1)", "1 / A"),
+                (TRACE_DOT_IDENTITY, "np.trace(np.dot(A, np.transpose(B)))", "np.sum(A * B)"),
+            )
+        ],
+    )
+    def test_rhs_joins_lhs_class(self, rule, source, rewritten):
+        eg = EGraph()
+        root = eg.add_term(node_of(source))
+        saturate(eg, [rule])
+        assert eg.contains_term(node_of(rewritten), root)
+
+    @pytest.mark.parametrize(
+        "source, rewritten",
+        [
+            ("A + A", "2 * A"),
+            ("(A * B) + (A * B)", "2 * (A * B)"),
+            ("A + B", None),
+        ],
+        ids=["same-input", "equal-subtrees", "distinct"],
+    )
+    def test_repeated_metavariable_binds_equal_subtrees(self, source, rewritten):
+        double = mine_rule(node_of("A + A"), node_of("2 * A"), "double")
+        eg = EGraph()
+        root = eg.add_term(node_of(source))
+        stats = saturate(eg, [double])
+        if rewritten is None:
+            assert stats.matches == 0
+        else:
+            assert eg.contains_term(node_of(rewritten), root)
 
 
 class TestExtraction:

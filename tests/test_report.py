@@ -66,4 +66,4 @@ class TestRenderReport:
         result, _ = improved_result
         rule = try_mine_rule(result)
         assert rule is not None
-        assert set(rule.metavariables) == {"X", "Y"}
+        assert {i.name for i in rule.lhs.inputs()} == {"X", "Y"}

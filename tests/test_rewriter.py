@@ -1,6 +1,5 @@
 """Tests for the rewrite-pass engine shared by the simulated compilers."""
 
-import numpy as np
 import pytest
 
 from repro.backends.rewriter import (
@@ -9,7 +8,6 @@ from repro.backends.rewriter import (
     all_const,
     const_value,
     constant_fold,
-    is_const_scalar,
     named_rule,
 )
 from repro.ir import float_tensor, parse
@@ -23,13 +21,6 @@ def node_of(source):
 
 
 class TestHelpers:
-    def test_is_const_scalar(self):
-        assert is_const_scalar(Const(2.0))
-        assert is_const_scalar(Const(2.0), 2.0)
-        assert not is_const_scalar(Const(2.0), 3.0)
-        assert not is_const_scalar(Const(np.ones(3)))
-        assert not is_const_scalar(Input("A", float_tensor()))
-
     def test_const_value(self):
         assert const_value(Const(1.5)) == 1.5
         assert const_value(Input("A", float_tensor())) is None

@@ -3,12 +3,15 @@
 Covers the shipped catalog (clean under the strict policy with its declared
 waivers), a battery of deliberately unsound rules the auditor must reject
 with structured diagnoses, the strict/positive policy duality, the pipeline
-and e-graph admission gates, and the ``stenso-lint`` CLI.
+and e-graph admission gates, and the ``stenso-lint`` CLI, which audits
+exactly the rules ``readmit`` learns from a journal or a request log.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +22,16 @@ from repro.analysis import (
     AuditWaiver,
     RuleAuditor,
 )
+from repro.bench.suite import get_benchmark
+from repro.cli.lint import _load_log
 from repro.cli.lint import main as lint_main
 from repro.ir.nodes import Call, Const, Input
 from repro.ir.types import float_tensor
-from repro.journal import encode_line
+from repro.journal import RunJournal, encode_line
+from repro.pipeline import KernelOutcome, KernelSpec, ModuleOptimizer, spec_to_payload
 from repro.rules.catalog import AUDIT_WAIVERS, DISCOVERED_RULES, DIV_SQRT
 from repro.rules.mining import MinedRule, mine_rule
+from repro.synth.config import DEFAULT_CONFIG
 
 X = Input("X", float_tensor(3))
 Y = Input("Y", float_tensor(3))
@@ -190,6 +197,15 @@ class TestAdmissionGates:
 # ---------------------------------------------------------------------------
 
 
+def _spec(outcome):
+    """The spec a kernel line or request entry records, in its wire form."""
+    return {
+        "name": outcome["name"],
+        "source": outcome["original_source"],
+        "inputs": {"A": [3, 3], "B": [3, 3]},
+    }
+
+
 def _write_journal(tmp_path, outcomes):
     lines = [
         encode_line(
@@ -198,7 +214,10 @@ def _write_journal(tmp_path, outcomes):
     ]
     for i, outcome in enumerate(outcomes):
         lines.append(
-            encode_line({"type": "kernel", "key": f"k{i}", "name": outcome["name"], "outcome": outcome})
+            encode_line(
+                {"type": "kernel", "key": f"k{i}", "name": outcome["name"],
+                 "spec": _spec(outcome), "outcome": outcome}
+            )
         )
     file = tmp_path / "journal.jsonl"
     file.write_text("\n".join(lines) + "\n")
@@ -256,7 +275,7 @@ class TestLintCLI:
         # A daemon state dir: the result entries of its request log.
         lines = [
             encode_line({"type": "serve-log", "version": 1, "fingerprint": "x"}),
-            encode_line({"type": "request", "id": "r1", "spec": {}}),
+            encode_line({"type": "request", "id": "r1", "spec": _spec(_EXP_LOG_OUTCOME)}),
             encode_line(
                 {"type": "result", "id": "r1", "served_from": "synthesis",
                  "outcome": _EXP_LOG_OUTCOME}
@@ -276,6 +295,94 @@ class TestLintCLI:
             f["code"] for r in payload["reports"] for f in r["findings"]
         }
         assert "definedness-narrowing" in codes
+
+    def test_journal_without_specs_is_skipped_with_a_note(self, tmp_path, capsys):
+        journal = _write_journal(tmp_path, [_EXP_LOG_OUTCOME])
+        lines = journal.read_text().splitlines()
+        kernel = json.loads(lines[1])
+        del kernel["spec"], kernel["checksum"]
+        journal.write_text(f"{lines[0]}\n{encode_line(kernel)}\n")
+        assert lint_main(["--journal", str(journal), "--policy", "strict"]) == 0
+        assert "exp_log: no recorded spec" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The lint audits what readmit learns
+# ---------------------------------------------------------------------------
+
+_RECORDS = json.loads(
+    (Path(__file__).resolve().parents[1] / "results" / "synthesis.json").read_text()
+)
+
+#: Kernels whose rules a lint that guessed 3x3 inputs mined at other shapes:
+#: two sound rules it rejected, one it skipped, one at a wrong type.
+_LEARNED = ("scale_dot", "dot_trans", "mat_vec_prod", "reshape_dot")
+
+
+def _recorded(kernel, via="synthesis"):
+    """A suite kernel at its synthesis shapes and its recorded FLOPs result."""
+    bench = get_benchmark(kernel)
+    record = _RECORDS[f"{kernel}|flops|default"]
+    source = bench.source_for(bench.synth_shapes)
+    spec = KernelSpec(kernel, source, dict(bench.synth_shapes))
+    outcome = KernelOutcome(
+        kernel, True, via, source, record["optimized_source"],
+        record["original_cost"], record["optimized_cost"],
+    )
+    return spec, outcome
+
+
+def _signature(rule):
+    return str(rule), [(i.name, i.type) for i in rule.lhs.inputs()]
+
+
+@pytest.fixture(scope="module")
+def learned():
+    """What a restart learns from the recorded outcomes, plus a rule-cache
+    hit that teaches nothing."""
+    recorded = [_recorded(k) for k in _LEARNED]
+    recorded.append(_recorded("sum_diag_dot", via="rule-cache"))
+    opt = ModuleOptimizer(cost_model="flops")
+    for spec, outcome in recorded:
+        assert opt.readmit(spec, outcome) is outcome
+    assert [r.name for r in opt.rules] == [f"mined-{k}" for k in _LEARNED]
+    return recorded, opt.rules
+
+
+class TestLintMinesAsReadmit:
+    def test_journal(self, tmp_path, learned):
+        recorded, rules = learned
+        with RunJournal.create(DEFAULT_CONFIG, "flops", run_id="t", root=tmp_path) as journal:
+            for spec, outcome in recorded:
+                journal.record_outcome(spec, outcome)
+        self._check(["--journal", str(journal.file)], journal.file, rules, tmp_path)
+
+    def test_store(self, tmp_path, learned):
+        recorded, rules = learned
+        lines = [encode_line({"type": "serve-log", "version": 1, "fingerprint": "x"})]
+        for i, (spec, outcome) in enumerate(recorded):
+            lines.append(
+                encode_line({"type": "request", "id": f"r{i}", "spec": spec_to_payload(spec)})
+            )
+            lines.append(
+                encode_line({"type": "result", "id": f"r{i}", "served_from": "synthesis",
+                             "outcome": asdict(outcome)})
+            )
+        log = tmp_path / "requests.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        self._check(["--store", str(tmp_path)], log, rules, tmp_path)
+
+    @staticmethod
+    def _check(source_args, log, rules, tmp_path):
+        notes = []
+        audited = _load_log(log, notes)
+        assert notes == []
+        assert [_signature(r) for r in audited] == [_signature(r) for r in rules]
+        out = tmp_path / "findings.json"
+        assert lint_main(source_args + ["--policy", "positive", "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert [r["rule"] for r in payload["reports"]] == [str(r) for r in rules]
+        assert payload["notes"] == []
 
 
 # ---------------------------------------------------------------------------
