@@ -10,7 +10,7 @@ dimensions are plain attribute values on IR nodes, not first-class tensors.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import TypeInferenceError
 
@@ -39,10 +39,27 @@ class TensorType:
 
     dtype: DType
     shape: Shape
+    #: The hash, computed on first use: every ``call_cost`` key and type-memo
+    #: probe hashes types, and the field-wise hash goes through
+    #: ``Enum.__hash__`` in Python each time.  It is the field-wise hash's
+    #: value, so equal types hash equal under any ``PYTHONHASHSEED``.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not all(isinstance(d, int) and d >= 0 for d in self.shape):
             raise TypeInferenceError(f"shape must be non-negative ints, got {self.shape!r}")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.dtype, self.shape))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        # Rebuilt from its fields: a hash is only good in the process that took it.
+        return TensorType, (self.dtype, self.shape)
 
     @property
     def rank(self) -> int:

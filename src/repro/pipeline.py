@@ -114,8 +114,7 @@ def batch_key(spec: KernelSpec, config: SynthesisConfig) -> str:
     deduplicated.
     """
     try:
-        synth_types = synthesis_types(spec.source, spec.types, name=spec.name)
-        program = parse(spec.source, synth_types, name=spec.name)
+        program = synthesis_types(spec.source, spec.types, name=spec.name)
         mapping = {name: f"__k{i}" for i, name in enumerate(program.input_names)}
         node = rename_inputs(program.node, mapping)
         ordered = ";".join(
@@ -177,9 +176,8 @@ def synthesized_rule(spec: KernelSpec, outcome: KernelOutcome) -> MinedRule | No
     """
     if not outcome.improved or outcome.via != "synthesis":
         return None
-    types = synthesis_types(spec.source, spec.types, name=spec.name)
-    program = parse(spec.source, types, name=spec.name)
-    optimized = parse(outcome.optimized_source, types, name=spec.name)
+    program = synthesis_types(spec.source, spec.types, name=spec.name)
+    optimized = parse(outcome.optimized_source, program.input_types, name=spec.name)
     return _mine(program.node, optimized.node, spec.name)
 
 

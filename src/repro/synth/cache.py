@@ -154,12 +154,14 @@ def solver_key(fingerprint: str, sketch: "Sketch", spec_key: tuple) -> str:
     return f"{fingerprint}##{sketch_signature(sketch)}##{spec_signature(spec_key)}"
 
 
-def library_key(fingerprint: str, program) -> str:
-    """Program signature: expression + ordered input types + fingerprint."""
+def library_key(fingerprint: str, program, cut: bool = False) -> str:
+    """Program signature: expression + ordered input types + fingerprint; a
+    library cut to the program's own spec (``cut``) is marked apart."""
     ordered = ";".join(
         f"{n}:{t.dtype.value}{t.shape}" for n, t in program.input_types.items()
     )
-    return f"{fingerprint}##{to_expression(program.node)}##{ordered}"
+    mark = "##goal-cut" if cut else ""
+    return f"{fingerprint}##{to_expression(program.node)}##{ordered}{mark}"
 
 
 def cost_key(fingerprint: str, node: "Node") -> str:

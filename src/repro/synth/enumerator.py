@@ -21,6 +21,17 @@ Growth policy
   skipping them cuts the library by an order of magnitude.
 * ``power`` exponents are restricted to scalar *constants* (the paper's
   ``FCons`` terminals).
+
+Goal-directed last level
+------------------------
+
+Given the value-tier key of the search's goal Φ (:func:`goal_key`), the
+enumerator notes Φ's class when it is admitted.  From then on the last level
+skips every candidate that could not beat that class's champion, and every
+argument pair or unary operand whose summed cost already exceeds that bound:
+such a candidate would lose its one battle in Φ's class, seeds nothing at
+the last level in any other, and the DFS ends at the root's MATCH, which
+reads Φ's class alone (DESIGN.md decision 33).
 """
 
 from __future__ import annotations
@@ -142,6 +153,16 @@ def _terminals(program: Program, config: SynthesisConfig) -> list[Node]:
     return nodes
 
 
+def goal_key(goal: SymTensor | None) -> tuple | None:
+    """The value-tier key of the search's goal Φ; None where no cut may use it:
+    no goal, a constant Φ (the DFS builds it before any MATCH) or a Φ without
+    a residue battery (MATCH then reads more than one class)."""
+    if goal is None or not goal.input_names():
+        return None
+    res = _res.tensor_residues(goal)
+    return None if res is None else _res.residue_key(goal.shape, goal.dtype, res)
+
+
 def _axes_for(rank: int) -> list[int | None]:
     return [None] + list(range(rank))
 
@@ -169,11 +190,19 @@ class StubEnumerator:
         config: SynthesisConfig,
         cost_model: CostModel | None = None,
         budget=None,
+        goal: tuple | None = None,
     ) -> None:
         self.program = program
         self.config = config
         self.cost_model = cost_model
         self.budget = budget  # repro.resilience.Budget | None
+        #: Φ's value-tier key (:func:`goal_key`), and its class once admitted.
+        self._goal_key = goal
+        self._goal: _StubClass | None = None
+        #: A bound on the last-level candidates skipped as unable to beat
+        #: Φ's champion; each might have been a class of its own.
+        self.goal_cut = 0
+        self._last_level = False
         #: Admission-ordered behavioral classes (the deduped library).
         self._classes: list[_StubClass] = []
         #: Battery-weak classes by value bucket (``None``: the evaluator had
@@ -233,8 +262,12 @@ class StubEnumerator:
             )
             new_level: list[StubEntry] = []
             expired = False
+            self._last_level = depth == self.config.max_depth - 1
+            cut = self.goal_cut
             for i, candidate in enumerate(self._grow()):
-                if self.stub_count >= self.config.max_stubs:
+                # A skipped candidate counts toward the cap: the goal-less
+                # enumeration it stands for might have stopped there.
+                if self.stub_count + self.goal_cut >= self.config.max_stubs:
                     break
                 # Graceful degradation: an expired budget stops enumeration
                 # with a partial (still sound) library rather than raising.
@@ -246,7 +279,10 @@ class StubEnumerator:
                     new_level.append(entry)
             if level_span is not None:
                 tracer.end(
-                    level_span, admitted=len(new_level), stubs=self.stub_count
+                    level_span,
+                    admitted=len(new_level),
+                    stubs=self.stub_count,
+                    cut=self.goal_cut - cut,
                 )
             if expired:
                 return [c.entry for c in self._classes]
@@ -301,6 +337,15 @@ class StubEnumerator:
             self._facts(old) & _PINNED, old.num_nodes, old_cost
         )
 
+    def _cut(self, cost: float, candidates: int = 1) -> bool:
+        """Whether last-level work costing at least ``cost`` is skipped, as
+        ``candidates`` candidates: :meth:`_prefer` would keep Φ's champion
+        against any of them.  Only called once Φ's class exists."""
+        if cost <= 1.05 * self._cost(self._goal.entry.node):
+            return False
+        self.goal_cut += candidates
+        return True
+
     def _admit(self, node: Node) -> StubEntry | None:
         """Type-check, constant-fold, evaluate, and dedupe.
 
@@ -332,6 +377,8 @@ class StubEnumerator:
             if node in self._seen_nodes:
                 return None
             self._seen_nodes.add(node)
+        if self._goal is not None and self._last_level and self._cut(self._cost(node)):
+            return None  # seen, as a lost battle leaves it
         if isinstance(node, Call):
             res = self._batteries.compose(node)
             if res is not None:
@@ -403,6 +450,8 @@ class StubEnumerator:
             node, tensor, res=res, exec_cache=self._symexec_cache
         )
         cls = _StubClass(entry)
+        if val_key == self._goal_key:
+            self._goal = cls
         self._by_val[val_key] = cls
         if raw is not None:
             self._by_raw[raw] = cls
@@ -469,7 +518,15 @@ class StubEnumerator:
             )
 
     def _grow(self) -> Iterator[Node]:
+        """The candidates of the next level.  At the last level, once Φ's
+        class exists, an argument pair or unary operand whose summed cost
+        already fails :meth:`_cut` is skipped before any call is built: a
+        program's cost is its non-negative op costs summed.  That needs each
+        pair and operand to come once, so that one skipped stays skipped even
+        if an in-band replacement raises the bound: true past the terminal
+        level unless ``grow_both_args``."""
         terminals = [e.node for e in self._levels[0]]
+        cut = self._last_level and not self.config.grow_both_args and len(self._levels) > 1
         new = [e.node for e in self._levels[-1]]
         if self.config.grow_both_args:
             old = [e.node for level in self._levels for e in level]
@@ -502,7 +559,10 @@ class StubEnumerator:
         binary_ops = ("add", "subtract", "multiply", "divide", "dot") + tuple(
             self.config.extra_grammar_ops
         )
+        per_pair = len(binary_ops) + 2  # and tensordot, less
         for a, b in pairs():
+            if cut and self._goal is not None and self._cut(self._cost(a) + self._cost(b), per_pair):
+                continue
             for op in binary_ops:
                 yield from self._try(op, (a, b))
             if a.type.rank + b.type.rank == self.program.node.type.rank:
@@ -510,6 +570,9 @@ class StubEnumerator:
             if self.enable_boolean:
                 yield from self._try("less", (a, b))
         for a in float_new:
+            per_operand = len(const_scalars) + 5 + a.type.rank + len(self.shapes)
+            if cut and self._goal is not None and self._cut(self._cost(a), per_operand):
+                continue
             for c in const_scalars:
                 yield from self._try("power", (a, c))
             yield from self._try("sqrt", (a,))

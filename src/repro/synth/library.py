@@ -24,13 +24,14 @@ from repro.ir.nodes import Call, Const, Node
 from repro.ir.ops import get_op
 from repro.ir.parser import Program
 from repro.ir.types import DType, TensorType
+from repro.obs.metrics import bump
 from repro.obs.trace import get_tracer
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.residues import BatteryTable, residue_key, tensor_residues, weak_bucket
 from repro.symexec.symtensor import SymTensor
 from repro.synth.cache import dump_library, library_key, load_library
 from repro.synth.config import SynthesisConfig
-from repro.synth.enumerator import StubEntry, StubEnumerator
+from repro.synth.enumerator import StubEntry, StubEnumerator, goal_key
 from repro.synth.sketch import Sketch, hole_of, hole_sites, is_site, replace_at, sketches_from_stub
 
 
@@ -222,8 +223,16 @@ def build_library(
     cache=None,
     fingerprint: str = "",
     budget=None,
+    goal: SymTensor | None = None,
 ) -> Library:
     """Enumerate stubs for ``program``; sketches follow as SOLVE reads them.
+
+    ``goal`` is the search's spec Φ: the last level then skips what cannot
+    beat the champion of Φ's class (:mod:`repro.synth.enumerator`), so the
+    library is only good for a search of Φ itself and is cached under a key
+    of its own.  A model whose estimates are timing runs prices only what
+    battles, so it gets no cut.  Where the skipped candidates could have
+    filled ``max_stubs``, the library is enumerated again without the goal.
 
     With a :class:`~repro.synth.cache.PersistentCache`, the admitted stubs
     and sketch sources are stored per program signature as a node table: a
@@ -233,17 +242,23 @@ def build_library(
     enumeration: on expiry the partial library is returned (and not cached —
     it is sound but smaller than a full enumeration would produce).
     """
+    key = None if cost_model.expensive_estimates else goal_key(goal)
     cache_key = None
     if cache is not None:
-        cache_key = library_key(fingerprint, program)
+        cache_key = library_key(fingerprint, program, cut=key is not None)
         payload = cache.library_get(cache_key)
         if payload is not None:
             library = _library_from_payload(payload, program, cost_model)
             if library is not None:
                 return library
             cache.library_reject(cache_key)  # undecodable: a miss, to be replaced
-    enumerator = StubEnumerator(program, config, cost_model=cost_model, budget=budget)
+    enumerator = StubEnumerator(program, config, cost_model=cost_model, budget=budget, goal=key)
     stubs = enumerator.enumerate()
+    if enumerator.goal_cut and enumerator.stub_count + enumerator.goal_cut >= config.max_stubs:
+        enumerator = StubEnumerator(program, config, cost_model=cost_model, budget=budget)
+        stubs = enumerator.enumerate()
+    if enumerator.goal_cut:
+        bump("enum.goal_cut", enumerator.goal_cut)
     library = _assemble_library(stubs, enumerator.sketch_sources, cost_model)
     if budget is not None and budget.expired():
         return library  # partial: do not poison the persistent cache with it

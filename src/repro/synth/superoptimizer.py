@@ -4,7 +4,9 @@
 
 1. estimate the input program's cost (the initial branch-and-bound bound);
 2. symbolically execute it into the target specification Φ;
-3. enumerate stubs (Section IV-B); their sketches are derived as SOLVE reads them;
+3. enumerate stubs toward Φ (Section IV-B): once Φ's class is in, the last
+   level skips what cannot beat its champion; sketches are derived as SOLVE
+   reads them;
 4. run the DFS of Algorithm 2;
 5. verify the winning candidate numerically and symbolically, and return the
    original program unless a strictly cheaper verified candidate was found.
@@ -139,9 +141,9 @@ def superoptimize_program(
     # The enumeration stage is line 4 alone, not the spec before it (which
     # also pays SymPy's lazy imports on a process's first kernel).
     enum_start = time.monotonic()
-    library = build_library(  # line 4
+    library = build_library(  # line 4, toward Φ
         program, config, cost_model, cache=cache, fingerprint=fingerprint,
-        budget=budget,
+        budget=budget, goal=spec,
     )
     enum_elapsed = time.monotonic() - enum_start
     if tracer.enabled:
@@ -233,23 +235,23 @@ def synthesis_types(
     types: Mapping[str, TensorType],
     shrink: int | None = 3,
     name: str = "program",
-) -> dict[str, TensorType]:
-    """The input types actually used for synthesis: shrunken when possible.
+) -> Program:
+    """The program as synthesis sees it: parsed at shrunken input types when
+    it parses there, else at ``types``; its ``input_types`` are the types used.
 
     Shared between :func:`superoptimize_source` and the parallel batch
     driver's deduplication key, so both see the same normalized problem.
+    Raises :class:`StensoError` when the source does not parse at ``types``.
     """
-    types = dict(types)
-    if shrink is None:
-        return types
-    candidate_types = {
-        n: t.with_shape(shrink_shape(t.shape, shrink)) for n, t in types.items()
-    }
-    try:
-        parse(source, candidate_types, name=name)
-        return candidate_types
-    except StensoError:
-        return types  # literal shape attrs forbid shrinking
+    if shrink is not None:
+        candidate_types = {
+            n: t.with_shape(shrink_shape(t.shape, shrink)) for n, t in types.items()
+        }
+        try:
+            return parse(source, candidate_types, name=name)
+        except StensoError:
+            pass  # literal shape attrs forbid shrinking
+    return parse(source, types, name=name)
 
 
 def superoptimize_source(
@@ -269,14 +271,15 @@ def superoptimize_source(
     """
     config = config or DEFAULT_CONFIG
     types = {n: _as_type(t) for n, t in inputs.items()}
-    synth_types = synthesis_types(source, types, shrink, name=name)
-
-    synth_program = parse(source, synth_types, name=name)
+    synth_program = synthesis_types(source, types, shrink, name=name)
     result = superoptimize_program(
         synth_program, cost_model=cost_model, config=config, cache=cache
     )
 
-    if result.improved and synth_types != types:
+    # Shrunken where the program's own inputs are: an entry of ``inputs``
+    # that no parameter reads shrinks nothing the search saw.
+    shrunk = any(t != types[n] for n, t in synth_program.input_types.items())
+    if result.improved and shrunk:
         # Re-verify at original shapes; programs with embedded (shrunken)
         # shape attributes cannot be transported and are rejected outright.
         full_program = parse(source, types, name=name)

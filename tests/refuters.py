@@ -10,7 +10,9 @@ batteries, sketch sources), the program and its costs, and every counter of
 :data:`COUNTERS` but those the row ``moves``.  Each ``acted`` counter is
 non-zero over the row's kernels with the layer on and zero with it off; a
 ``checked.*`` one is counted by ``tests/test_refuters.py``'s layer-on checks.
-A library row runs only enumeration with its layer off.  A row leaves out
+A library row runs only enumeration, on and off, and builds the whole library
+as a caller without a goal does; a row that cuts the library is compared on
+everything but the library.  A row leaves out
 only kernels where its ``acted`` counters read zero with every layer on (the
 test checks it; ``TIME_CAPPED`` aside): there its layer never answered but
 as its no-opinion value would.  Each row below: no-opinion value; kernels;
@@ -57,10 +59,15 @@ moves; acted.
 * ``order-tier`` (library): ``residues.less`` is ``sp.Lt``; ``max_stack``,
   the one kernel that calls it; ``equiv.order_*``; ``equiv.order_asked``
   and ``equiv.order_refuted``, which count every call.
+* ``goal-cut`` (cuts the library): no goal passed to ``build_library``, the
+  last level enumerated whole; all; ``equiv.*``, ``symexec.*``,
+  ``enum.goal_cut``; ``enum.goal_cut``.  The stubs it leaves out are ones
+  the search never reads, so its library is not compared; the program, its
+  costs and every ``search.*`` / ``solver.*`` counter are.
 * ``all-off``: every row's targets at once; the kernels every row runs or
   never acts on (``synth_1``, ``synth_5``, ``synth_11``, ``synth_12``,
-  ``vec_lerp``); the union of the rows' ``moves``; every row's ``acted`` is
-  zero.
+  ``vec_lerp``); the union of the rows' ``moves`` but ``goal-cut``'s, which
+  never acts on a search kernel; every row's ``acted`` is zero.
 """
 
 from __future__ import annotations
@@ -80,19 +87,20 @@ from repro.ir.nodes import Call, Const, Input
 from repro.obs.metrics import PROCESS_COUNTERS
 from repro.symexec import INTERN_TABLE, canonical_key, engine, residues, symtensor
 from repro.symexec.residues import BatteryTable, _inv_battery
-from repro.synth import enumerator, search, solver
+from repro.synth import enumerator, library, search, solver
 from repro.synth.enumerator import _HAS_INPUT, _PINNED, StubEntry, StubEnumerator, _StubClass
 from repro.synth.search import SearchContext
 
-#: The module; ``repro.symexec.canonical`` is also the function it exports.
+#: The modules; ``repro.symexec.canonical`` is also the function it exports.
 canonical = importlib.import_module("repro.symexec.canonical")
+superoptimizer = importlib.import_module("repro.synth.superoptimizer")
 
 #: The suite kernels whose search goes past the base-case MATCH, and the
 #: paper's Fig. 5 worst case.
 SEARCH_KERNELS = ("diag_dot", "sum_diag_dot", "synth_1", "synth_5", "synth_11", "synth_12", "vec_lerp")
 
 #: The counters a run reports and a row is compared on.
-COUNTERS = ("search.", "solver.", "equiv.", "analysis.", "symexec.")
+COUNTERS = ("search.", "solver.", "equiv.", "analysis.", "symexec.", "enum.goal_cut")
 
 
 # -- the no-opinion values -----------------------------------------------------------
@@ -153,6 +161,11 @@ def _keeps_nothing(function):
     return lru_cache(maxsize=0)(function.__wrapped__)
 
 
+def _goalless_build(*args, goal=None, **kwargs):
+    """``build_library`` as a caller without a goal calls it."""
+    return library.build_library(*args, **kwargs)
+
+
 def _every_stub_executed(self, stubs, names):
     """MATCH's scan before the input filter: every stub executed."""
     return (e for e in stubs if e.tensor.input_names() == names)
@@ -164,7 +177,8 @@ def _every_stub_executed(self, stubs, names):
 @dataclass(frozen=True)
 class Refuter:
     """One layer: ``targets`` are ``(module, attribute, no-opinion value)``;
-    ``kernels`` None is every suite kernel; ``moves`` are counter prefixes."""
+    ``kernels`` None is every suite kernel; ``moves`` are counter prefixes;
+    ``cuts_library``: the layer leaves out stubs the search never reads."""
 
     name: str
     targets: tuple
@@ -172,6 +186,7 @@ class Refuter:
     moves: tuple[str, ...] = ()
     acted: tuple[str, ...] = ()
     library: bool = False
+    cuts_library: bool = False
 
     def off(self, patch) -> None:
         """Switch the layer off through ``patch`` (a ``pytest.MonkeyPatch``)."""
@@ -252,13 +267,15 @@ _ROWS = (
     ),
     Refuter("order-tier", ((residues, "less", sp.Lt),), ("max_stack",), ("equiv.order_",),
             ("equiv.order_asked", "equiv.order_refuted"), library=True),
+    Refuter("goal-cut", ((superoptimizer, "build_library", _goalless_build),), None,
+            ("equiv.", "symexec.", "enum.goal_cut"), ("enum.goal_cut",), cuts_library=True),
 )
 REFUTERS = {row.name: row for row in _ROWS}
 REFUTERS["all-off"] = Refuter(
     "all-off",
     tuple(t for row in _ROWS for t in row.targets),
     UNBOUNDED,
-    tuple(m for row in _ROWS for m in row.moves),
+    tuple(m for row in _ROWS if not row.cuts_library for m in row.moves),
     tuple(a for row in _ROWS for a in row.acted),
 )
 
@@ -298,7 +315,8 @@ class _Enumerated(BaseException):
 
 def run(kernel: str, enumeration_only: bool = False) -> Run:
     """Synthesize a suite kernel cold under the default configuration and FLOPs;
-    enumeration only stops once the library is built, after the same work."""
+    enumeration only builds the whole library, with no goal to cut it to, and
+    stops once it is built."""
     cold()
     found: list = []
     real_enumerate = StubEnumerator.enumerate
@@ -316,6 +334,8 @@ def run(kernel: str, enumeration_only: bool = False) -> Run:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StubEnumerator, "enumerate", recording_enumerate)
+        if enumeration_only:
+            patch.setattr(superoptimizer, "build_library", _goalless_build)
         try:
             record = run_synthesis(get_benchmark(kernel), "flops", "default")
         except _Enumerated:
@@ -343,7 +363,8 @@ def run_off(row: Refuter, kernel: str, on: Run) -> Run:
     with pytest.MonkeyPatch.context() as patch:
         row.off(patch)
         off = run(kernel, enumeration_only=row.library)
-    assert off.library == on.library and off.program in (None, on.program), (row.name, kernel)
+    assert row.cuts_library or off.library == on.library, (row.name, kernel)
+    assert off.program in (None, on.program), (row.name, kernel)
     want = on.enumerated if off.program is None else on.counters
     assert unmoved(row, off.counters) == unmoved(row, want), (row.name, kernel)
     return off

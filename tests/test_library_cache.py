@@ -20,6 +20,8 @@ from repro.ir.nodes import Call, Const
 from repro.ir.parser import parse
 from repro.ir.types import DType, float_tensor
 from repro.pipeline import KernelSpec, ModuleOptimizer
+from repro.symexec.canonical import canonical
+from repro.symexec.engine import symbolic_execute
 from repro.synth import PersistentCache, SynthesisConfig
 from repro.synth import library as library_mod
 from repro.synth.cache import dump_library, load_library, synthesis_fingerprint
@@ -230,9 +232,11 @@ def test_pool_parent_drops_the_undecodable_entry_its_worker_replaced(tmp_path):
 
     fresh, model = PersistentCache(tmp_path), make_cost_model("flops")
     for name in ("matmul", "exp_log"):
-        warm = build_library(
-            _program(name), CONFIG, model, cache=fresh,
+        program = _program(name)
+        warm = build_library(  # as the search builds it: toward its spec
+            program, CONFIG, model, cache=fresh,
             fingerprint=synthesis_fingerprint(CONFIG, model),
+            goal=symbolic_execute(program.node).map(canonical),
         )
         assert warm.from_cache, name
 

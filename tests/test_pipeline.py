@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cost import FlopsCostModel
-from repro.pipeline import KernelSpec, ModuleOptimizer, ModuleResult
+from repro.pipeline import KernelOutcome, KernelSpec, ModuleOptimizer, ModuleResult, batch_key
 from repro.synth import SynthesisConfig
 
 FAST = SynthesisConfig(timeout_seconds=90)
@@ -163,3 +163,43 @@ class TestModule:
         assert result.synthesis_runs == 1
         assert result.cache_hits == 1
         assert "rule cache" in result.summary()
+
+
+class TestParseOnce:
+    """``synthesis_types`` hands its parse to the caller, who parses no further."""
+
+    SPEC = KernelSpec("k", "np.exp(np.log(A + B))", {"A": (6, 6), "B": (6, 6)})
+
+    @staticmethod
+    def counting(monkeypatch) -> list:
+        import repro.ir.parser as parser
+
+        real, calls = parser.parse, []
+
+        def parse(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        for module in ("repro.ir.parser", "repro.pipeline", "repro.synth.superoptimizer", "repro.verify"):
+            monkeypatch.setattr(f"{module}.parse", parse)
+        return calls
+
+    def test_batch_key(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        batch_key(self.SPEC, FAST)
+        assert len(calls) == 1
+
+    def test_readmit(self, monkeypatch):
+        outcome = KernelOutcome(
+            name="k", improved=True, via="synthesis",
+            original_source="def k(A, B):\n    return np.exp(np.log((A + B)))\n",
+            optimized_source="def k(A, B):\n    return (A + B)\n",
+            original_cost=3.0, optimized_cost=1.0,
+        )
+        opt = optimizer()
+        calls = self.counting(monkeypatch)
+        assert opt.readmit(self.SPEC, outcome) is outcome
+        assert len(opt.rules) == 1
+        # Re-verification parses both programs at the spec's types, the rule
+        # both at the synthesis types.
+        assert len(calls) == 4
