@@ -551,6 +551,7 @@ class ModuleOptimizer:
             config=config,
             name=spec.name,
             cache=self.cache,
+            program=program,
         )
         outcome.synthesis_seconds = result.synthesis_seconds
         outcome.status = "degraded" if result.stats.timed_out else "ok"

@@ -64,11 +64,12 @@ def render_report(result: SynthesisResult, cost_model: CostModel) -> str:
         f"cost     : {result.original_cost:,.4g} -> {result.optimized_cost:,.4g} "
         f"({result.speedup_estimate:.2f}x estimated, model: {cost_model.name})"
     )
-    # A positive ``cut`` means the last level skipped what could not beat the
-    # champion of the spec's class: the search ended at the root's MATCH, and
-    # the stub count is the cut library's, not the whole depth-bounded one.
+    # A positive ``cut`` means the last level dropped what is not in the
+    # spec's class or could not beat its champion: the search ended at the
+    # root's MATCH, and the stub count is the cut library's, not the whole
+    # depth-bounded one.
     cut = result.stats.metrics.count("enum.goal_cut")
-    stubs = f"{result.stats.stub_count} stubs" + (f" (cut={cut}: cut to the spec's champion)" if cut else "")
+    stubs = f"{result.stats.stub_count} stubs" + (f" (cut={cut}: cut to the spec's class)" if cut else "")
     w(
         f"search   : {result.synthesis_seconds:.2f}s, "
         f"{result.stats.nodes_expanded} nodes, "

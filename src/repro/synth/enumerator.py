@@ -25,25 +25,35 @@ Growth policy
 Goal-directed last level
 ------------------------
 
-Given the value-tier key of the search's goal Φ (:func:`goal_key`), the
-enumerator notes Φ's class when it is admitted.  From then on the last level
-skips every candidate that could not beat that class's champion, and every
-argument pair or unary operand whose summed cost already exceeds that bound:
-such a candidate would lose its one battle in Φ's class, seeds nothing at
-the last level in any other, and the DFS ends at the root's MATCH, which
-reads Φ's class alone (DESIGN.md decision 33).
+Given the search's goal Φ (:func:`goal_key`), the last level admits a
+candidate at once only if it joins Φ's class, and **defers** every other.
+When the level ends with Φ's class in the library, the DFS ends at the
+root's MATCH, which reads that class alone, so the deferred candidates are
+dropped (counted in ``goal_cut``).  When it ends without, they are replayed
+through the ordinary admission path in their original order: no candidate
+was admitted before them, so the library is the goal-less one, node for node
+(DESIGN.md decision 33).  Membership is exact — the composed battery's key,
+or the executed tensor's raw entries, battery or canonical key — and a
+candidate without a composed battery first meets a refute-only float test
+(:meth:`StubEnumerator._refutes_goal`) that spares the symbolic execution
+of most non-members.  Once Φ's class exists, a candidate, argument pair or
+unary operand that costs more than its champion could beat is skipped
+unbuilt: it would lose its one battle in that class.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 import sympy as sp
 
 from repro.cost.base import CostModel
 from repro.errors import TypeInferenceError
+from repro.ir.evaluator import random_inputs
 from repro.ir.nodes import Call, Const, Input, Node
+from repro.ir.ops import get_op
 from repro.ir.parser import Program
 from repro.ir.types import DType
 from repro.obs.metrics import bump
@@ -153,14 +163,28 @@ def _terminals(program: Program, config: SynthesisConfig) -> list[Node]:
     return nodes
 
 
-def goal_key(goal: SymTensor | None) -> tuple | None:
-    """The value-tier key of the search's goal Φ; None where no cut may use it:
-    no goal, a constant Φ (the DFS builds it before any MATCH) or a Φ without
-    a residue battery (MATCH then reads more than one class)."""
+class Goal(NamedTuple):
+    """Φ's class as MATCH finds it: by ``key``, Φ's residue key, or, for a Φ
+    without a battery (``weak``), its canonical key.  Both start with Φ's
+    shape and dtype."""
+
+    key: tuple
+    weak: bool
+
+
+def goal_key(goal: SymTensor | None) -> Goal | None:
+    """How the last level recognises the members of Φ's class, the one class
+    the root's MATCH reads once it exists; None for no goal or a constant Φ,
+    which the DFS builds before any MATCH.  A battery Φ's class is its value
+    class.  A weak one's is the weak class of its canonical key, which MATCH
+    finds through its bucket: :func:`repro.synth.library.build_library`
+    checks that it does."""
     if goal is None or not goal.input_names():
         return None
     res = _res.tensor_residues(goal)
-    return None if res is None else _res.residue_key(goal.shape, goal.dtype, res)
+    if res is None:
+        return Goal(canonical_key(goal), True)
+    return Goal(_res.residue_key(goal.shape, goal.dtype, res), False)
 
 
 def _axes_for(rank: int) -> list[int | None]:
@@ -190,19 +214,25 @@ class StubEnumerator:
         config: SynthesisConfig,
         cost_model: CostModel | None = None,
         budget=None,
-        goal: tuple | None = None,
+        goal: Goal | None = None,
     ) -> None:
         self.program = program
         self.config = config
         self.cost_model = cost_model
         self.budget = budget  # repro.resilience.Budget | None
-        #: Φ's value-tier key (:func:`goal_key`), and its class once admitted.
+        #: Φ's class key (:func:`goal_key`; Φ is ``program``'s spec), and its
+        #: class once admitted.
         self._goal_key = goal
         self._goal: _StubClass | None = None
-        #: A bound on the last-level candidates skipped as unable to beat
-        #: Φ's champion; each might have been a class of its own.
+        #: The last-level candidates skipped or dropped as outside Φ's
+        #: class or unable to beat its champion; each might have been a
+        #: class of its own.
         self.goal_cut = 0
-        self._last_level = False
+        #: Whether the level admits only Φ's members, and the others, in order.
+        self._deferring = False
+        self._deferred: list[tuple[Node, np.ndarray | None]] = []
+        #: Float values at one seeded point (None: no value), per node.
+        self._floats: dict[Node, np.ndarray | None] = {}
         #: Admission-ordered behavioral classes (the deduped library).
         self._classes: list[_StubClass] = []
         #: Battery-weak classes by value bucket (``None``: the evaluator had
@@ -261,22 +291,14 @@ class StubEnumerator:
                 else None
             )
             new_level: list[StubEntry] = []
-            expired = False
-            self._last_level = depth == self.config.max_depth - 1
+            self._deferring = depth == self.config.max_depth - 1 and self._goal_key is not None
             cut = self.goal_cut
-            for i, candidate in enumerate(self._grow()):
-                # A skipped candidate counts toward the cap: the goal-less
-                # enumeration it stands for might have stopped there.
-                if self.stub_count + self.goal_cut >= self.config.max_stubs:
-                    break
-                # Graceful degradation: an expired budget stops enumeration
-                # with a partial (still sound) library rather than raising.
-                if self.budget is not None and i % 32 == 0 and self.budget.expired():
-                    expired = True
-                    break
-                entry = self._admit(candidate)
-                if entry is not None:
-                    new_level.append(entry)
+            stop = self._admit_all(self._grow(), new_level, self._admit)
+            if stop is None and self._deferring and self._goal is None:
+                stop = self._replay(new_level)  # no Φ class: the goal-less level
+            if self._goal is not None:
+                self.goal_cut += len(self._deferred)  # dropped: MATCH reads Φ's class
+            self._deferring, self._deferred, self._floats = False, [], {}
             if level_span is not None:
                 tracer.end(
                     level_span,
@@ -284,16 +306,48 @@ class StubEnumerator:
                     stubs=self.stub_count,
                     cut=self.goal_cut - cut,
                 )
-            if expired:
-                return [c.entry for c in self._classes]
-            if not new_level:
+            # Graceful degradation: an expired budget stops enumeration
+            # with a partial (still sound) library rather than raising.
+            if stop == "expired" or not new_level:
                 break
             self._levels.append(new_level)
         return [c.entry for c in self._classes]
 
+    def _admit_all(self, candidates: Iterable[Node], new_level: list, admit) -> str | None:
+        """Pass ``candidates`` to ``admit`` in order, the admitted into
+        ``new_level``; ``"capped"`` or ``"expired"`` where that stops early."""
+        cap = self.config.max_stubs
+        for i, candidate in enumerate(candidates):
+            # Skipped and deferred candidates count toward the cap: the
+            # goal-less enumeration they stand for might have stopped there.
+            if self.stub_count + self.goal_cut + len(self._deferred) >= cap:
+                if self._goal is not None or not self._deferred:
+                    return "capped"  # a cut library: built again without the goal
+                stop = self._replay(new_level)
+                if stop is not None or self.stub_count >= cap:
+                    return stop or "capped"
+            if self.budget is not None and i % 32 == 0 and self.budget.expired():
+                return "expired"
+            entry = admit(candidate)
+            if entry is not None:
+                new_level.append(entry)
+        return None
+
+    def _replay(self, new_level: list) -> str | None:
+        """Admit the deferred candidates as the goal-less level would have,
+        and the rest of the level with them: Φ's class is not in, so nothing
+        of the level was admitted before them."""
+        deferred, self._deferred, self._deferring = self._deferred, [], False
+        return self._admit_all(deferred, new_level, lambda item: self._settle(*item))
+
     @property
     def stub_count(self) -> int:
         return len(self._classes)
+
+    @property
+    def goal_champion(self) -> StubEntry | None:
+        """The champion of Φ's class, None while it has none."""
+        return None if self._goal is None else self._goal.entry
 
     # -- internals -------------------------------------------------------------
 
@@ -377,16 +431,31 @@ class StubEnumerator:
             if node in self._seen_nodes:
                 return None
             self._seen_nodes.add(node)
-        if self._goal is not None and self._last_level and self._cut(self._cost(node)):
+        if self._deferring and self._goal is not None and self._cut(self._cost(node)):
             return None  # seen, as a lost battle leaves it
+        return self._settle(node)
+
+    def _settle(self, node: Node, res=None) -> StubEntry | None:
+        """:meth:`_admit` past the seen set and constant folding (``res``: the
+        composed battery, if a deferral computed it).  A level that admits
+        only Φ's members defers every other candidate as soon as one tier
+        shows that it is not one."""
+        goal = self._goal_key if self._deferring else None
+        if goal is not None and goal.key[:2] != (node.type.shape, node.type.dtype):
+            return self._defer(node)
         if isinstance(node, Call):
-            res = self._batteries.compose(node)
+            res = self._batteries.compose(node) if res is None else res
             if res is not None:
+                if goal is not None and not self._joins_goal(node, res):
+                    return self._defer(node, res)
                 return self._admit_value(node, res, None)
             if node.op == "divide" and self._divides_by_zero(node):
                 # Every entry of x / 0 executes to zoo (or nan for 0/0), so
                 # the undefined-entry check would reject it — skip symexec.
-                return None
+                return None if goal is None else self._defer(node)
+        if goal is not None and self._refutes_goal(node):
+            bump("enum.goal_refuted")
+            return self._defer(node)
         try:
             tensor = symbolic_execute(node, cache=self._symexec_cache)
         except Exception:
@@ -398,11 +467,71 @@ class StubEnumerator:
         if cls is None:
             res = _res.tensor_residues(tensor)
             if res is not None:
+                if goal is not None and not self._joins_goal(node, res):
+                    return self._defer(node)
                 return self._admit_value(node, res, tensor, raw)
+            if goal is not None and not self._weak_goal(tensor):
+                return self._defer(node)
             return self._admit_weak(node, tensor, raw)
+        if goal is not None and cls is not self._goal:
+            return self._defer(node)
         self.sketch_sources.append(node)
         self._battle(cls, node, tensor)
         return None
+
+    def _defer(self, node: Node, res=None) -> None:
+        self._deferred.append((node, res))
+
+    def _joins_goal(self, node: Node, res) -> bool:
+        """Whether a candidate of battery ``res`` is in Φ's value class."""
+        goal = self._goal_key
+        return not goal.weak and _res.residue_key(node.type.shape, node.type.dtype, res) == goal.key
+
+    def _weak_goal(self, tensor: SymTensor) -> bool:
+        """Whether a battery-weak tensor has a weak Φ's canonical key."""
+        goal = self._goal_key
+        try:
+            return goal.weak and same_canonical_key(tensor, goal.key)
+        except Exception:
+            return False  # a canonical form that cannot be computed
+
+    def _float(self, node: Node) -> np.ndarray | None:
+        """``node``'s float value at one seeded point in ``[0.5, 2)``, from
+        its arguments' (one NumPy op); None on any error."""
+        if node in self._floats:
+            return self._floats[node]
+        value = None
+        if isinstance(node, Input):
+            value = self._point[node.name]
+        elif isinstance(node, Const):
+            value = np.asarray(node.value)
+        else:
+            args = [self._float(a) for a in node.args]
+            if all(a is not None for a in args):
+                try:
+                    with np.errstate(all="ignore"):
+                        value = np.asarray(get_op(node.op).eval(args, dict(node.attrs)))
+                except Exception:
+                    pass
+        self._floats[node] = value
+        return value
+
+    @cached_property
+    def _point(self) -> dict[str, np.ndarray]:
+        return random_inputs(self.program.input_types)
+
+    def _refutes_goal(self, node: Node) -> bool:
+        """Refute-only: whether ``node``, of Φ's type, differs from Φ (the
+        program) at the float point.  Booleans compare exactly, finite floats
+        beyond ``1e-6·(1+|Φ|)``; an error, a NaN or an inf is no opinion."""
+        value, goal = self._float(node), self._float(self.program.node)
+        if value is None or goal is None or value.shape != goal.shape:
+            return False
+        if value.dtype == np.bool_ or goal.dtype == np.bool_:
+            return value.dtype == goal.dtype and bool((value != goal).any())
+        if not (np.isfinite(value).all() and np.isfinite(goal).all()):
+            return False
+        return bool((np.abs(value - goal) > 1e-6 * (1 + np.abs(goal))).any())
 
     def _divides_by_zero(self, node: Call) -> bool:
         """True when the denominator stub is the identically-zero tensor.
@@ -450,8 +579,8 @@ class StubEnumerator:
             node, tensor, res=res, exec_cache=self._symexec_cache
         )
         cls = _StubClass(entry)
-        if val_key == self._goal_key:
-            self._goal = cls
+        if self._deferring or self._goal_key == (val_key, False):
+            self._goal = cls  # only Φ's members reach here while deferring
         self._by_val[val_key] = cls
         if raw is not None:
             self._by_raw[raw] = cls
@@ -488,6 +617,10 @@ class StubEnumerator:
             return None
         entry = StubEntry(node, tensor)
         cls = _StubClass(entry)
+        if self._deferring or (
+            self._goal is None and self._goal_key is not None and self._weak_goal(tensor)
+        ):
+            self._goal = cls
         self._weak.setdefault(bucket, []).append(cls)
         self._by_raw[raw] = cls
         self._classes.append(cls)
@@ -526,7 +659,7 @@ class StubEnumerator:
         if an in-band replacement raises the bound: true past the terminal
         level unless ``grow_both_args``."""
         terminals = [e.node for e in self._levels[0]]
-        cut = self._last_level and not self.config.grow_both_args and len(self._levels) > 1
+        cut = self._deferring and not self.config.grow_both_args and len(self._levels) > 1
         new = [e.node for e in self._levels[-1]]
         if self.config.grow_both_args:
             old = [e.node for level in self._levels for e in level]

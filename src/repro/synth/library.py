@@ -227,12 +227,13 @@ def build_library(
 ) -> Library:
     """Enumerate stubs for ``program``; sketches follow as SOLVE reads them.
 
-    ``goal`` is the search's spec Φ: the last level then skips what cannot
-    beat the champion of Φ's class (:mod:`repro.synth.enumerator`), so the
-    library is only good for a search of Φ itself and is cached under a key
-    of its own.  A model whose estimates are timing runs prices only what
-    battles, so it gets no cut.  Where the skipped candidates could have
-    filled ``max_stubs``, the library is enumerated again without the goal.
+    ``goal`` is the search's spec Φ: if Φ's class is reached, the last level
+    keeps only its members (:mod:`repro.synth.enumerator`), so the library is
+    only good for a search of Φ itself and is cached under a key of its own.
+    A model whose estimates are timing runs prices only what battles, so it
+    gets no goal.  The library is enumerated again without the goal where
+    what the level dropped could have filled ``max_stubs``, and where a weak
+    Φ's MATCH (:meth:`Library.match_weak`) would not read its class.
 
     With a :class:`~repro.synth.cache.PersistentCache`, the admitted stubs
     and sketch sources are stored per program signature as a node table: a
@@ -253,19 +254,23 @@ def build_library(
                 return library
             cache.library_reject(cache_key)  # undecodable: a miss, to be replaced
     enumerator = StubEnumerator(program, config, cost_model=cost_model, budget=budget, goal=key)
-    stubs = enumerator.enumerate()
-    if enumerator.goal_cut and enumerator.stub_count + enumerator.goal_cut >= config.max_stubs:
-        enumerator = StubEnumerator(program, config, cost_model=cost_model, budget=budget)
-        stubs = enumerator.enumerate()
-    if enumerator.goal_cut:
-        bump("enum.goal_cut", enumerator.goal_cut)
-    library = _assemble_library(stubs, enumerator.sketch_sources, cost_model)
+    library = _assemble_library(enumerator.enumerate(), enumerator.sketch_sources, cost_model)
     if budget is not None and budget.expired():
         return library  # partial: do not poison the persistent cache with it
+    if enumerator.goal_cut and (
+        enumerator.stub_count + enumerator.goal_cut >= config.max_stubs
+        or (key.weak and library.match_weak(goal, key.key) is not enumerator.goal_champion)
+    ):
+        enumerator = StubEnumerator(program, config, cost_model=cost_model, budget=budget)
+        library = _assemble_library(enumerator.enumerate(), enumerator.sketch_sources, cost_model)
+        if budget is not None and budget.expired():
+            return library
+    if enumerator.goal_cut:
+        bump("enum.goal_cut", enumerator.goal_cut)
     if cache is not None and cache_key is not None:
         cache.library_put(
             cache_key,
-            dump_library([e.node for e in stubs], enumerator.sketch_sources),
+            dump_library([e.node for e in library.stubs], enumerator.sketch_sources),
         )
     return library
 

@@ -262,12 +262,15 @@ def superoptimize_source(
     name: str = "program",
     shrink: int | None = 3,
     cache: "PersistentCache | str | None" = None,
+    program: Program | None = None,
 ) -> SynthesisResult:
     """Superoptimize NumPy source, synthesizing at shrunken shapes.
 
     ``shrink`` caps every tensor dimension during synthesis (None disables).
     The synthesized program is rejected unless it verifies at the *original*
     shapes too, guarding against rewrites only valid at the shrunken sizes.
+    ``program`` is the source as parsed at ``inputs``, where the caller has
+    it; it is parsed here otherwise.
     """
     config = config or DEFAULT_CONFIG
     types = {n: _as_type(t) for n, t in inputs.items()}
@@ -282,7 +285,7 @@ def superoptimize_source(
     if result.improved and shrunk:
         # Re-verify at original shapes; programs with embedded (shrunken)
         # shape attributes cannot be transported and are rejected outright.
-        full_program = parse(source, types, name=name)
+        full_program = program or parse(source, types, name=name)
         try:
             candidate = parse(to_expression(result.optimized), types).node
         except StensoError:

@@ -23,7 +23,9 @@ moves; acted.
 * ``lattice-normal-form``: the evaluated ``sp.Max`` / ``sp.Min``;
   ``max_stack``, the one kernel that calls it; nothing; ``checked.lattice``.
 * ``representative-weak-bucket``: every entry at its own order points; all;
-  ``equiv.weak_*``, ``equiv.intern_*``; ``checked.bucket``.
+  ``equiv.weak_*``, ``equiv.intern_*``, ``equiv.order_*`` (the buckets
+  decide which canonical keys are compared, and a relational entry's asks
+  the order tier); ``checked.bucket``.
 * ``representative-undefined-check``: every entry checked; all; nothing;
   ``checked.undefined``.
 * ``branch-and-bound``: ``use_branch_and_bound=False``; the search kernels
@@ -64,10 +66,16 @@ moves; acted.
   ``enum.goal_cut``; ``enum.goal_cut``.  The stubs it leaves out are ones
   the search never reads, so its library is not compared; the program, its
   costs and every ``search.*`` / ``solver.*`` counter are.
+* ``goal-float-refuter``: ``_refutes_goal`` says "maybe Φ" for every
+  candidate, so every last-level candidate of Φ's type without a composed
+  battery takes the exact path; all; ``symexec.*``,
+  ``equiv.residue_batteries``, ``equiv.intern_*``, ``enum.goal_refuted``;
+  ``enum.goal_refuted``.  Its cut libraries are compared node for node.
 * ``all-off``: every row's targets at once; the kernels every row runs or
   never acts on (``synth_1``, ``synth_5``, ``synth_11``, ``synth_12``,
-  ``vec_lerp``); the union of the rows' ``moves`` but ``goal-cut``'s, which
-  never acts on a search kernel; every row's ``acted`` is zero.
+  ``vec_lerp``); the union of the rows' ``moves`` but those of the rows
+  that act only with a goal, whose last level keeps no cut on a search
+  kernel, only their ``acted``; every row's ``acted`` is zero.
 """
 
 from __future__ import annotations
@@ -100,7 +108,7 @@ superoptimizer = importlib.import_module("repro.synth.superoptimizer")
 SEARCH_KERNELS = ("diag_dot", "sum_diag_dot", "synth_1", "synth_5", "synth_11", "synth_12", "vec_lerp")
 
 #: The counters a run reports and a row is compared on.
-COUNTERS = ("search.", "solver.", "equiv.", "analysis.", "symexec.", "enum.goal_cut")
+COUNTERS = ("search.", "solver.", "equiv.", "analysis.", "symexec.", "enum.goal_")
 
 
 # -- the no-opinion values -----------------------------------------------------------
@@ -178,7 +186,8 @@ def _every_stub_executed(self, stubs, names):
 class Refuter:
     """One layer: ``targets`` are ``(module, attribute, no-opinion value)``;
     ``kernels`` None is every suite kernel; ``moves`` are counter prefixes;
-    ``cuts_library``: the layer leaves out stubs the search never reads."""
+    ``cuts_library``: the layer leaves out stubs the search never reads;
+    ``goal``: the layer acts only where the enumeration has a goal."""
 
     name: str
     targets: tuple
@@ -187,6 +196,7 @@ class Refuter:
     acted: tuple[str, ...] = ()
     library: bool = False
     cuts_library: bool = False
+    goal: bool = False
 
     def off(self, patch) -> None:
         """Switch the layer off through ``patch`` (a ``pytest.MonkeyPatch``)."""
@@ -206,7 +216,7 @@ _ROWS = (
             acted=("checked.lattice",)),
     Refuter(
         "representative-weak-bucket", ((residues, "_bucket_values", _per_entry_values),), None,
-        ("equiv.weak_", "equiv.intern_"), ("checked.bucket",),
+        ("equiv.weak_", "equiv.intern_", "equiv.order_"), ("checked.bucket",),
     ),
     Refuter(
         "representative-undefined-check", ((enumerator, "_undefined", _every_entry_undefined),),
@@ -268,14 +278,17 @@ _ROWS = (
     Refuter("order-tier", ((residues, "less", sp.Lt),), ("max_stack",), ("equiv.order_",),
             ("equiv.order_asked", "equiv.order_refuted"), library=True),
     Refuter("goal-cut", ((superoptimizer, "build_library", _goalless_build),), None,
-            ("equiv.", "symexec.", "enum.goal_cut"), ("enum.goal_cut",), cuts_library=True),
+            ("equiv.", "symexec.", "enum.goal_"), ("enum.goal_cut",), cuts_library=True),
+    Refuter("goal-float-refuter", ((StubEnumerator, "_refutes_goal", lambda self, node: False),), None,
+            ("symexec.", "equiv.residue_batteries", "equiv.intern_", "enum.goal_refuted"), ("enum.goal_refuted",),
+            goal=True),
 )
 REFUTERS = {row.name: row for row in _ROWS}
 REFUTERS["all-off"] = Refuter(
     "all-off",
     tuple(t for row in _ROWS for t in row.targets),
     UNBOUNDED,
-    tuple(m for row in _ROWS if not row.cuts_library for m in row.moves),
+    tuple(m for row in _ROWS for m in (row.acted if row.cuts_library or row.goal else row.moves)),
     tuple(a for row in _ROWS for a in row.acted),
 )
 

@@ -1,8 +1,10 @@
-"""The goal-directed last level (DESIGN.md decision 33): what it skips never
-changes the champion of Φ's class, the one stub the root's MATCH reads.
+"""The goal-directed last level (DESIGN.md decision 33): what it skips or
+drops never changes the champion of Φ's class, the one stub the root's MATCH
+reads, and where Φ's class is never reached the library is the goal-less one.
 
-The refuter row ``goal-cut`` of ``tests/refuters.py`` checks the whole
-pipeline on every suite kernel; these are the edges it does not reach.
+The refuter rows ``goal-cut`` and ``goal-float-refuter`` of
+``tests/refuters.py`` check the whole pipeline on every suite kernel; these
+are the edges they do not reach.
 """
 
 import numpy as np
@@ -52,6 +54,13 @@ def _nodes(library):
     return [e.node for e in library.stubs]
 
 
+def _library(enumerator):
+    """Stub nodes, batteries and sketch sources, in order."""
+    stubs = [c.entry for c in enumerator._classes]
+    batteries = [None if e.res is None else e.res.tobytes() for e in stubs]
+    return [e.node for e in stubs], batteries, enumerator.sketch_sources
+
+
 def test_a_champion_replaced_inside_the_band_is_the_same_with_the_goal():
     # Φ = A + 2, first admitted as A plus a 2x2 constant (pinned, cost 1),
     # then replaced by the shape-polymorphic A + 2.0 at cost 1.04: inside the
@@ -63,11 +72,11 @@ def test_a_champion_replaced_inside_the_band_is_the_same_with_the_goal():
     assert key is not None
     full = _enumerated(program, config, ScalarSurcharge())
     cut = _enumerated(program, config, ScalarSurcharge(), goal=key)
-    champion = full._by_val[key].entry.node
+    champion = full._by_val[key.key].entry.node
     assert champion == Call("add", (a, Const(2.0)))
     assert full._cost(champion) > full._cost(program.node)  # the bound rose
     assert cut.goal_cut > 0 and full.goal_cut == 0
-    assert cut._by_val[key].entry.node == champion
+    assert cut._by_val[key.key].entry.node == champion
 
 
 def test_skipped_candidates_reaching_max_stubs_rebuild_without_the_goal():
@@ -89,10 +98,65 @@ def test_goal_cut_acts_on_log_exp_1_and_on_no_search_kernel():
     outcome = ModuleOptimizer(cost_model=FlopsCostModel()).search(spec)
     assert outcome.improved
     assert outcome.metrics["counters"]["enum.goal_cut"] > 0
+    # No search kernel reaches Φ's class: every last-level candidate was
+    # deferred and is replayed in its own order, so the library is the
+    # goal-less one, node for node.
     for name in SEARCH_KERNELS:
         program, model = _kernel(name)
         enumerator = _enumerated(program, DEFAULT_CONFIG, model, goal=goal_key(_spec(program)))
-        assert enumerator.goal_cut == 0, name
+        assert enumerator.goal_cut == 0 and enumerator.goal_champion is None, name
+        assert _library(enumerator) == _library(_enumerated(program, DEFAULT_CONFIG, model)), name
+
+
+def test_the_goal_cuts_where_phi_arrives_late_or_has_no_battery():
+    # trace_dot's Φ class arrives in the last level's unary phase; max_stack's
+    # and synth_3's Φ have no battery, so MATCH finds them by canonical key.
+    for name, weak in (("trace_dot", False), ("max_stack", True), ("synth_3", True)):
+        program, model = _kernel(name)
+        spec = _spec(program)
+        assert goal_key(spec).weak is weak, name
+        before = PROCESS_COUNTERS.get("enum.goal_cut", 0)
+        library = build_library(program, DEFAULT_CONFIG, model, goal=spec)
+        assert PROCESS_COUNTERS.get("enum.goal_cut", 0) > before, name  # not built again
+        goalless = build_library(program, DEFAULT_CONFIG, model)
+        assert library.stub_count < goalless.stub_count, name
+        if weak:
+            key = goal_key(spec).key
+            assert library.match_weak(spec, key).node == goalless.match_weak(spec, key).node, name
+
+
+def test_a_member_without_a_finite_float_value_is_admitted():
+    # Φ = A**1000; sqrt(A**2000) reaches it in the last level, but A**2000
+    # overflows at the float point: the refuter has no opinion.
+    a = Input("A", float_tensor(3, 3))
+    power = Call("power", (a, Const(500.0)))
+    program = Program("p", Call("multiply", (power, power)), (a,))
+    config = SynthesisConfig(extra_constants=(2000.0,))
+    key = goal_key(_spec(program))
+    cut = _enumerated(program, config, None, goal=key)
+    member = Call("sqrt", (Call("power", (a, Const(2000.0))),))
+    assert not np.isfinite(cut._float(member)).all() and np.isfinite(cut._float(program.node)).all()
+    assert not cut._refutes_goal(member)
+    assert cut.goal_cut > 0 and cut.goal_champion.node == member
+    assert _enumerated(program, config, None)._by_val[key.key].entry.node == member
+
+
+def test_deferred_candidates_reaching_max_stubs_are_replayed(monkeypatch):
+    program, model = _kernel("synth_11")  # 4 terminals, 25 + 271 stubs; Φ never reached
+    config = SynthesisConfig(max_stubs=150)
+    replayed = []
+    real_replay = StubEnumerator._replay
+
+    def replay(self, new_level):
+        replayed.append(len(self._deferred))
+        assert self.stub_count + len(self._deferred) >= config.max_stubs
+        return real_replay(self, new_level)
+
+    monkeypatch.setattr(StubEnumerator, "_replay", replay)
+    cut = _enumerated(program, config, model, goal=goal_key(_spec(program)))
+    assert replayed and replayed[0] > 0
+    assert cut.stub_count == config.max_stubs
+    assert _library(cut) == _library(_enumerated(program, config, model))
 
 
 def test_a_goalless_build_never_restores_a_cut_library(tmp_path):

@@ -203,3 +203,13 @@ class TestParseOnce:
         # Re-verification parses both programs at the spec's types, the rule
         # both at the synthesis types.
         assert len(calls) == 4
+
+    def test_search(self, monkeypatch):
+        opt = optimizer()
+        calls = self.counting(monkeypatch)
+        outcome = opt.search(self.SPEC)
+        assert outcome.improved and outcome.optimized_source == "def k(A, B):\n    return (A + B)\n"
+        # The spec's types, the synthesis types, the candidate at the spec's
+        # types for the re-verification, and the printed program: the
+        # re-verification reads the spec's own parse.
+        assert len(calls) == 4

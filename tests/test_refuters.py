@@ -1,6 +1,6 @@
 """Every row of ``tests/refuters.py`` off, in turn, against one layer-on run per kernel.
 
-The layer-on run checks the layers where they answer: every class-wise tensor
+The layer-on runs check the layers where they answer: every class-wise tensor
 is the entrywise rule's, ``srepr`` for ``srepr``; every unevaluated ``Max`` /
 ``Min`` is the evaluated one; the undefined check on the representative agrees
 with checking every entry; every ``_cancel`` input is ``sp.cancel``'s; the weak
@@ -69,34 +69,49 @@ def _checked_layers(patch, seen: dict, cancelled: set) -> None:
 def test_every_refuter_off_gives_the_same_synthesis():
     kernels = benchmark_names()
     assert len(kernels) == 33
-    on, cancelled = {}, set()
-    for kernel in kernels:
-        seen = dict.fromkeys(("checked." + k for k in ("classwise", "lattice", "bucket", "undefined")), 0)
+    cancelled = set()
+    checks = ("checked." + k for k in ("classwise", "lattice", "bucket", "undefined"))
+    seen = dict.fromkeys(checks, 0)
+
+    def checked(kernel, **kwargs):
+        """One layer-on run with every layer checked where it answers."""
+        counts = dict.fromkeys(seen, 0)
         with pytest.MonkeyPatch.context() as patch:
-            _checked_layers(patch, seen, cancelled)
-            on[kernel] = run(kernel)
-        on[kernel].counters.update(seen)
-        counts = on[kernel].enumerated
+            _checked_layers(patch, counts, cancelled)
+            out = run(kernel, **kwargs)
+        return out, counts
+
+    on = {}
+    for kernel in kernels:
+        on[kernel], counts = checked(kernel)
+        on[kernel].counters.update(counts)
+    # A library row compares whole libraries: each enumerated once more,
+    # without the goal.  The layers are checked on those runs, where the last
+    # level admits every candidate, not only Φ's class.
+    whole = {}
+    for kernel in kernels:
+        whole[kernel], counts = checked(kernel, enumeration_only=True)
+        for name, count in counts.items():
+            seen[name] += count
+        counts = whole[kernel].enumerated
         assert not counts.get("equiv.weak_unbucketed"), kernel
         assert sum(counts.get(k, 0) for k in WEAK_COUNTERS) == counts["equiv.fingerprint_weak"] > 0, kernel
-    assert {k for k in kernels if on[k].enumerated.get("equiv.weak_confirmed")} == {"max_stack"}
-    checked = {name: sum(on[k].counters[name] for k in kernels) for name in seen}
-    assert checked["checked.classwise"] > 1000 and checked["checked.undefined"] > 1000
-    assert checked["checked.lattice"] > 100
+    assert {k for k in kernels if whole[k].enumerated.get("equiv.weak_confirmed")} == {"max_stack"}
+    assert seen["checked.classwise"] > 1000 and seen["checked.undefined"] > 1000
+    assert seen["checked.lattice"] > 100
     assert len(cancelled) > 200  # and most are derived in the fraction field
     assert sum(solver._generators(expr) is not None for expr in cancelled) > len(cancelled) // 2
     for expr in cancelled:
         got, want = solver._cancel(expr), sp.cancel(expr)
         assert got == want and sp.srepr(got) == sp.srepr(want), expr
 
-    # A library row compares whole libraries: each enumerated once more, without the goal.
-    whole = {k: run(k, enumeration_only=True) for k in kernels}
     for row in REFUTERS.values():
         row_kernels = row.kernels or kernels
-        off = [run_off(row, kernel, (whole if row.library else on)[kernel]) for kernel in row_kernels]
+        base = whole if row.library else on
+        off = [run_off(row, kernel, base[kernel]) for kernel in row_kernels]
         left_out = [k for k in kernels if k not in row_kernels and k not in TIME_CAPPED]
         for name in row.acted:
             if row.name != "all-off":  # each row acts on its kernels, and on no other
-                assert sum(on[k].counters.get(name, 0) for k in row_kernels) > 0, (row.name, name)
-                assert not any(on[k].counters.get(name) for k in left_out), (row.name, name)
+                assert sum(base[k].counters.get(name, 0) for k in row_kernels) > 0, (row.name, name)
+                assert not any(base[k].counters.get(name) for k in left_out), (row.name, name)
             assert not any(o.counters.get(name) for o in off), (row.name, name)
