@@ -28,6 +28,7 @@ claim directly observable (see ``tests/test_pipeline.py``).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -51,6 +52,11 @@ from repro.synth.superoptimizer import (
 )
 
 log = get_logger(__name__)
+
+# What the imports above built (SymPy's and NumPy's modules, classes and
+# singletons, ~60k tracked objects) lives as long as the process: a full
+# collection would traverse all of it again each time it runs.
+gc.freeze()
 
 
 @dataclass(frozen=True)

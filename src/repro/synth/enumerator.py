@@ -36,9 +36,9 @@ was admitted before them, so the library is the goal-less one, node for node
 or the executed tensor's raw entries, battery or canonical key — and a
 candidate without a composed battery first meets a refute-only float test
 (:meth:`StubEnumerator._refutes_goal`) that spares the symbolic execution
-of most non-members.  Once Φ's class exists, a candidate, argument pair or
-unary operand that costs more than its champion could beat is skipped
-unbuilt: it would lose its one battle in that class.
+of most non-members.  Deferred candidates count toward ``max_stubs``: a
+level that reaches it counts them in ``goal_cut`` too, and
+:func:`repro.synth.library.build_library` enumerates again without the goal.
 """
 
 from __future__ import annotations
@@ -224,13 +224,12 @@ class StubEnumerator:
         #: class once admitted.
         self._goal_key = goal
         self._goal: _StubClass | None = None
-        #: The last-level candidates skipped or dropped as outside Φ's
-        #: class or unable to beat its champion; each might have been a
-        #: class of its own.
+        #: The last-level candidates dropped as outside Φ's class; each
+        #: might have been a class of its own.
         self.goal_cut = 0
         #: Whether the level admits only Φ's members, and the others, in order.
         self._deferring = False
-        self._deferred: list[tuple[Node, np.ndarray | None]] = []
+        self._deferred: list[Node] = []
         #: Float values at one seeded point (None: no value), per node.
         self._floats: dict[Node, np.ndarray | None] = {}
         #: Admission-ordered behavioral classes (the deduped library).
@@ -294,11 +293,16 @@ class StubEnumerator:
             self._deferring = depth == self.config.max_depth - 1 and self._goal_key is not None
             cut = self.goal_cut
             stop = self._admit_all(self._grow(), new_level, self._admit)
+            deferred, self._deferred, self._floats = self._deferred, [], {}
             if stop is None and self._deferring and self._goal is None:
-                stop = self._replay(new_level)  # no Φ class: the goal-less level
-            if self._goal is not None:
-                self.goal_cut += len(self._deferred)  # dropped: MATCH reads Φ's class
-            self._deferring, self._deferred, self._floats = False, [], {}
+                # No Φ class: the goal-less level, as its candidates came.
+                self._deferring = False
+                stop = self._admit_all(deferred, new_level, self._settle)
+            else:
+                # Dropped: MATCH reads Φ's class.  Or capped: counted, so
+                # that build_library enumerates again without the goal.
+                self.goal_cut += len(deferred)
+            self._deferring = False
             if level_span is not None:
                 tracer.end(
                     level_span,
@@ -313,32 +317,20 @@ class StubEnumerator:
             self._levels.append(new_level)
         return [c.entry for c in self._classes]
 
-    def _admit_all(self, candidates: Iterable[Node], new_level: list, admit) -> str | None:
+    def _admit_all(self, candidates: Iterable, new_level: list, admit) -> str | None:
         """Pass ``candidates`` to ``admit`` in order, the admitted into
         ``new_level``; ``"capped"`` or ``"expired"`` where that stops early."""
-        cap = self.config.max_stubs
         for i, candidate in enumerate(candidates):
-            # Skipped and deferred candidates count toward the cap: the
-            # goal-less enumeration they stand for might have stopped there.
-            if self.stub_count + self.goal_cut + len(self._deferred) >= cap:
-                if self._goal is not None or not self._deferred:
-                    return "capped"  # a cut library: built again without the goal
-                stop = self._replay(new_level)
-                if stop is not None or self.stub_count >= cap:
-                    return stop or "capped"
+            # Deferred candidates count toward the cap: the goal-less
+            # enumeration they stand for might have stopped there.
+            if self.stub_count + len(self._deferred) >= self.config.max_stubs:
+                return "capped"
             if self.budget is not None and i % 32 == 0 and self.budget.expired():
                 return "expired"
             entry = admit(candidate)
             if entry is not None:
                 new_level.append(entry)
         return None
-
-    def _replay(self, new_level: list) -> str | None:
-        """Admit the deferred candidates as the goal-less level would have,
-        and the rest of the level with them: Φ's class is not in, so nothing
-        of the level was admitted before them."""
-        deferred, self._deferred, self._deferring = self._deferred, [], False
-        return self._admit_all(deferred, new_level, lambda item: self._settle(*item))
 
     @property
     def stub_count(self) -> int:
@@ -391,15 +383,6 @@ class StubEnumerator:
             self._facts(old) & _PINNED, old.num_nodes, old_cost
         )
 
-    def _cut(self, cost: float, candidates: int = 1) -> bool:
-        """Whether last-level work costing at least ``cost`` is skipped, as
-        ``candidates`` candidates: :meth:`_prefer` would keep Φ's champion
-        against any of them.  Only called once Φ's class exists."""
-        if cost <= 1.05 * self._cost(self._goal.entry.node):
-            return False
-        self.goal_cut += candidates
-        return True
-
     def _admit(self, node: Node) -> StubEntry | None:
         """Type-check, constant-fold, evaluate, and dedupe.
 
@@ -431,23 +414,20 @@ class StubEnumerator:
             if node in self._seen_nodes:
                 return None
             self._seen_nodes.add(node)
-        if self._deferring and self._goal is not None and self._cut(self._cost(node)):
-            return None  # seen, as a lost battle leaves it
         return self._settle(node)
 
-    def _settle(self, node: Node, res=None) -> StubEntry | None:
-        """:meth:`_admit` past the seen set and constant folding (``res``: the
-        composed battery, if a deferral computed it).  A level that admits
+    def _settle(self, node: Node) -> StubEntry | None:
+        """:meth:`_admit` past the seen set and constant folding.  A level that admits
         only Φ's members defers every other candidate as soon as one tier
         shows that it is not one."""
         goal = self._goal_key if self._deferring else None
         if goal is not None and goal.key[:2] != (node.type.shape, node.type.dtype):
             return self._defer(node)
         if isinstance(node, Call):
-            res = self._batteries.compose(node) if res is None else res
+            res = self._batteries.compose(node)
             if res is not None:
                 if goal is not None and not self._joins_goal(node, res):
-                    return self._defer(node, res)
+                    return self._defer(node)
                 return self._admit_value(node, res, None)
             if node.op == "divide" and self._divides_by_zero(node):
                 # Every entry of x / 0 executes to zoo (or nan for 0/0), so
@@ -479,8 +459,8 @@ class StubEnumerator:
         self._battle(cls, node, tensor)
         return None
 
-    def _defer(self, node: Node, res=None) -> None:
-        self._deferred.append((node, res))
+    def _defer(self, node: Node) -> None:
+        self._deferred.append(node)
 
     def _joins_goal(self, node: Node, res) -> bool:
         """Whether a candidate of battery ``res`` is in Φ's value class."""
@@ -651,15 +631,7 @@ class StubEnumerator:
             )
 
     def _grow(self) -> Iterator[Node]:
-        """The candidates of the next level.  At the last level, once Φ's
-        class exists, an argument pair or unary operand whose summed cost
-        already fails :meth:`_cut` is skipped before any call is built: a
-        program's cost is its non-negative op costs summed.  That needs each
-        pair and operand to come once, so that one skipped stays skipped even
-        if an in-band replacement raises the bound: true past the terminal
-        level unless ``grow_both_args``."""
         terminals = [e.node for e in self._levels[0]]
-        cut = self._deferring and not self.config.grow_both_args and len(self._levels) > 1
         new = [e.node for e in self._levels[-1]]
         if self.config.grow_both_args:
             old = [e.node for level in self._levels for e in level]
@@ -692,10 +664,7 @@ class StubEnumerator:
         binary_ops = ("add", "subtract", "multiply", "divide", "dot") + tuple(
             self.config.extra_grammar_ops
         )
-        per_pair = len(binary_ops) + 2  # and tensordot, less
         for a, b in pairs():
-            if cut and self._goal is not None and self._cut(self._cost(a) + self._cost(b), per_pair):
-                continue
             for op in binary_ops:
                 yield from self._try(op, (a, b))
             if a.type.rank + b.type.rank == self.program.node.type.rank:
@@ -703,9 +672,6 @@ class StubEnumerator:
             if self.enable_boolean:
                 yield from self._try("less", (a, b))
         for a in float_new:
-            per_operand = len(const_scalars) + 5 + a.type.rank + len(self.shapes)
-            if cut and self._goal is not None and self._cut(self._cost(a), per_operand):
-                continue
             for c in const_scalars:
                 yield from self._try("power", (a, c))
             yield from self._try("sqrt", (a,))

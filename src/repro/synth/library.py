@@ -76,50 +76,93 @@ class Library:
     sketch_sources: list[Node]
     cost_model: CostModel
     from_cache: bool = False
-    #: Residue-battery index: residue_key -> stub (the value tier of MATCH).
-    stubs_by_val: dict[tuple, StubEntry] = field(default_factory=dict)
+    #: Residue-battery index: residue_key -> stub (the value tier of MATCH),
+    #: the pending constants left out until their signature is asked for.
+    _by_val: dict[tuple, StubEntry] = field(default_factory=dict, repr=False)
+    #: Restored constants whose battery is not derived yet, by signature.
+    _pending: dict[tuple, list[StubEntry]] = field(default_factory=dict, repr=False)
     #: Sketches derived so far and the seconds it took: 0 until a SOLVE reads one.
     sketch_count: int = 0
     derive_seconds: float = 0.0
     _streams: dict = field(default_factory=dict, repr=False)
     _retyped: dict = field(default_factory=dict, repr=False)
 
+    def _resolve(self, sig: tuple | None = None) -> None:
+        """Derive the batteries of the pending constants of ``sig`` (None:
+        all), so that every index reads as if they had been derived at once."""
+        sigs = list(self._pending) if sig is None else [sig] if sig in self._pending else []
+        for key in sigs:
+            for entry in self._pending.pop(key):
+                if entry.res is None:  # a weak constant: rebuild the weak views
+                    self.__dict__.pop("_weak_by_bucket", None)
+                    self.__dict__.pop("_weak_by_key", None)
+        if sigs:
+            self._by_val = _value_index(self.stubs)
+
+    @property
+    def stubs_by_val(self) -> dict[tuple, StubEntry]:
+        """The residue-battery index of every stub."""
+        self._resolve()
+        return self._by_val
+
+    def value_stub(self, key: tuple) -> StubEntry | None:
+        """The stub whose residue key is ``key``, if any (MATCH's value tier)."""
+        self._resolve(key[:2])
+        return self._by_val.get(key)
+
     def stubs_with_signature(self, shape: tuple[int, ...], dtype: DType) -> list[StubEntry]:
         """Stubs sharing shape/dtype — candidates for slow-path matching."""
+        self._resolve((shape, dtype))
         return self.stubs_by_sig.get((shape, dtype), [])
 
-    @cached_property
+    @property
     def weak_by_bucket(self) -> dict[tuple | None, list[StubEntry]]:
-        """Battery-weak stubs by value bucket, built on the first weak probe.
+        """Battery-weak stubs by value bucket."""
+        self._resolve()
+        return self._weak_by_bucket
+
+    @property
+    def weak_by_key(self) -> dict[tuple, StubEntry]:
+        """Exact-key view of the battery-weak stubs; reading it keys them all."""
+        self._resolve()
+        return self._weak_by_key
+
+    @cached_property
+    def _weak_by_bucket(self) -> dict[tuple | None, list[StubEntry]]:
+        """The weak stubs of the derived batteries by value bucket, built on
+        the first weak probe.
 
         No canonical key is computed to build it: a restored library keys a
         weak stub only when a spec lands in its bucket.
         """
         buckets: dict[tuple | None, list[StubEntry]] = {}
-        for entry in self.stubs:
+        for entry in _derived(self.stubs):
             if entry.res is None:
                 buckets.setdefault(weak_bucket(entry.tensor), []).append(entry)
         return buckets
 
     @cached_property
-    def weak_by_key(self) -> dict[tuple, StubEntry]:
-        """Exact-key view of the battery-weak stubs; reading it keys them all.
+    def _weak_by_key(self) -> dict[tuple, StubEntry]:
+        """The weak stubs of the derived batteries by canonical key.
 
         MATCH goes through :meth:`match_weak`, which reads it only for a
         spec that has no bucket.
         """
-        return {entry.key: entry for entry in self.stubs if entry.res is None}
+        return {entry.key: entry for entry in _derived(self.stubs) if entry.res is None}
 
     def match_weak(self, spec: SymTensor, key: tuple) -> StubEntry | None:
         """The battery-weak stub whose canonical key is ``key``, if any.
 
         The spec's bucket only narrows where to look: a hit is always an
         equal canonical key (compared entry by entry), never an equal bucket.
+        A bucket and a key both start with the spec's shape and dtype, so
+        only the constants of that signature need their batteries.
         """
+        self._resolve((spec.shape, spec.dtype))
         bucket = weak_bucket(spec)
         if bucket is None:
-            return self.weak_by_key.get(key)
-        for entry in self.weak_by_bucket.get(bucket, ()):
+            return self._weak_by_key.get(key)
+        for entry in self._weak_by_bucket.get(bucket, ()):
             if entry.has_key(key):
                 return entry
         return None
@@ -287,6 +330,51 @@ def _library_from_payload(payload: dict, program: Program, cost_model: CostModel
     return library
 
 
+class _PendingConstant(StubEntry):
+    """A restored float constant that no restored stub reads: its exact value
+    (``sp.nsimplify`` of the float, milliseconds for a non-integer) and its
+    battery are derived on the first read of ``res``."""
+
+    __slots__ = ()
+
+    def __init__(self, node: Const, exec_cache: dict) -> None:
+        super().__init__(node, res=_PENDING, exec_cache=exec_cache)
+
+    @property
+    def res(self):
+        res = _RES.__get__(self)
+        if res is _PENDING:
+            res = tensor_residues(self.tensor)
+            _RES.__set__(self, res)
+        return res
+
+    @res.setter
+    def res(self, value) -> None:
+        _RES.__set__(self, value)
+
+    @property
+    def derived(self) -> bool:
+        return _RES.__get__(self) is not _PENDING
+
+
+_RES = StubEntry.res  # the slot the property stands in front of
+_PENDING = object()
+
+
+def _derived(stubs: Iterable[StubEntry]) -> Iterator[StubEntry]:
+    """``stubs`` but the pending constants."""
+    return (e for e in stubs if not isinstance(e, _PendingConstant) or e.derived)
+
+
+def _value_index(stubs: list[StubEntry]) -> dict[tuple, StubEntry]:
+    """residue_key -> stub over the stubs with a derived battery, in order."""
+    return {
+        residue_key(e.node.type.shape, e.node.type.dtype, e.res): e
+        for e in _derived(stubs)
+        if e.res is not None
+    }
+
+
 def _restore_stubs(nodes: list[Node]) -> list[StubEntry]:
     """Stub entries for cached stub ``nodes``, identities derived afresh.
 
@@ -296,7 +384,9 @@ def _restore_stubs(nodes: list[Node]) -> list[StubEntry]:
     :meth:`BatteryTable.compose` has no opinion on (irrational values,
     booleans, non-integer constants) are symbolically executed and take
     ``tensor_residues`` or, battery-weak, keep that tensor and leave their
-    canonical key for whoever first asks.  Nothing but IR structure is
+    canonical key for whoever first asks.  A float constant no other stub
+    reads (the folded constants of the last level) waits for its signature
+    to be asked for (:class:`_PendingConstant`).  Nothing but IR structure is
     trusted from disk.
     """
     shared: dict[Node, SymTensor] = {}
@@ -320,10 +410,19 @@ def _restore_stubs(nodes: list[Node]) -> list[StubEntry]:
             out = done[node] = (res, tensor)
         return out
 
-    stubs = []
+    def waits(node: Node) -> bool:
+        return isinstance(node, Const) and node.type.dtype is DType.FLOAT
+
     for node in nodes:
-        res, tensor = derive(node)
-        stubs.append(StubEntry(node, tensor, res=res, exec_cache=shared))
+        if not waits(node):
+            derive(node)
+    stubs: list[StubEntry] = []
+    for node in nodes:
+        if node in done:
+            res, tensor = done[node]
+            stubs.append(StubEntry(node, tensor, res=res, exec_cache=shared))
+        else:
+            stubs.append(_PendingConstant(node, shared))
     return stubs
 
 
@@ -331,19 +430,20 @@ def _assemble_library(
     stubs: list[StubEntry], sketch_sources: list[Node], cost_model: CostModel
 ) -> Library:
     stubs_by_sig: dict[tuple, list[StubEntry]] = {}
-    stubs_by_val: dict[tuple, StubEntry] = {}
+    pending: dict[tuple, list[StubEntry]] = {}
     for entry in stubs:
         # Signature from the IR type, not the tensor: residue-admitted stubs
         # keep their symbolic tensors lazy through assembly.
         sig = (entry.node.type.shape, entry.node.type.dtype)
         stubs_by_sig.setdefault(sig, []).append(entry)
-        if entry.res is not None:
-            stubs_by_val[residue_key(sig[0], sig[1], entry.res)] = entry
+        if isinstance(entry, _PendingConstant):
+            pending.setdefault(sig, []).append(entry)
 
     return Library(
         stubs=stubs,
         stubs_by_sig=stubs_by_sig,
         sketch_sources=sketch_sources,
         cost_model=cost_model,
-        stubs_by_val=stubs_by_val,
+        _by_val=_value_index(stubs),
+        _pending=pending,
     )

@@ -461,7 +461,7 @@ def _match_base_case(spec: SymTensor, key: tuple, ctx: SearchContext):
     res = tensor_residues(spec)
     entry = None
     if res is not None:
-        entry = ctx.library.stubs_by_val.get(residue_key(spec.shape, spec.dtype, res))
+        entry = ctx.library.value_stub(residue_key(spec.shape, spec.dtype, res))
     if entry is None:
         # Exact tier: battery-weak stubs dedupe by canonical key; a keyed
         # probe is sound for any spec — key equality is equivalence — and

@@ -20,8 +20,10 @@ from repro.pipeline import KernelSpec, ModuleOptimizer
 from repro.symexec.canonical import canonical
 from repro.symexec.engine import symbolic_execute
 from repro.synth import DEFAULT_CONFIG, PersistentCache, SynthesisConfig, build_library
+from repro.synth import library as library_module
 from repro.synth.cache import library_key
 from repro.synth.enumerator import StubEnumerator, goal_key
+from repro.synth.library import Library
 from tests.refuters import SEARCH_KERNELS
 
 
@@ -141,22 +143,45 @@ def test_a_member_without_a_finite_float_value_is_admitted():
     assert _enumerated(program, config, None)._by_val[key.key].entry.node == member
 
 
-def test_deferred_candidates_reaching_max_stubs_are_replayed(monkeypatch):
+def test_deferred_candidates_reaching_max_stubs_rebuild_without_the_goal():
     program, model = _kernel("synth_11")  # 4 terminals, 25 + 271 stubs; Φ never reached
     config = SynthesisConfig(max_stubs=150)
-    replayed = []
-    real_replay = StubEnumerator._replay
-
-    def replay(self, new_level):
-        replayed.append(len(self._deferred))
-        assert self.stub_count + len(self._deferred) >= config.max_stubs
-        return real_replay(self, new_level)
-
-    monkeypatch.setattr(StubEnumerator, "_replay", replay)
     cut = _enumerated(program, config, model, goal=goal_key(_spec(program)))
-    assert replayed and replayed[0] > 0
-    assert cut.stub_count == config.max_stubs
-    assert _library(cut) == _library(_enumerated(program, config, model))
+    assert cut.goal_champion is None and cut.goal_cut > 0  # the deferred, counted at the cap
+    assert cut.stub_count + cut.goal_cut >= config.max_stubs
+    before = PROCESS_COUNTERS.get("enum.goal_cut", 0)
+    rebuilt = build_library(program, config, model, goal=_spec(program))
+    assert PROCESS_COUNTERS.get("enum.goal_cut", 0) == before
+    goalless = build_library(program, config, model)
+    assert rebuilt.stub_count == config.max_stubs
+    assert _nodes(rebuilt) == _nodes(goalless) and rebuilt.sketch_sources == goalless.sketch_sources
+
+
+def test_a_weak_goal_match_does_not_read_is_built_again(monkeypatch):
+    program, model = _kernel("max_stack")
+    spec = _spec(program)
+    goals = []
+
+    class Recording(StubEnumerator):
+        def __init__(self, *args, goal=None, **kwargs):
+            goals.append(goal)
+            super().__init__(*args, goal=goal, **kwargs)
+
+    real_match_weak = Library.match_weak
+
+    def another_entry(self, spec, key):
+        entry = real_match_weak(self, spec, key)
+        return next(e for e in self.stubs if e is not entry)
+
+    monkeypatch.setattr(library_module, "StubEnumerator", Recording)
+    monkeypatch.setattr(Library, "match_weak", another_entry)
+    before = PROCESS_COUNTERS.get("enum.goal_cut", 0)
+    rebuilt = build_library(program, DEFAULT_CONFIG, model, goal=spec)
+    assert goals == [goal_key(spec), None]
+    assert PROCESS_COUNTERS.get("enum.goal_cut", 0) == before
+    monkeypatch.undo()
+    goalless = build_library(program, DEFAULT_CONFIG, model)
+    assert _nodes(rebuilt) == _nodes(goalless) and rebuilt.sketch_sources == goalless.sketch_sources
 
 
 def test_a_goalless_build_never_restores_a_cut_library(tmp_path):

@@ -20,8 +20,9 @@ from repro.ir.nodes import Call, Const
 from repro.ir.parser import parse
 from repro.ir.types import DType, float_tensor
 from repro.pipeline import KernelSpec, ModuleOptimizer
-from repro.symexec.canonical import canonical
+from repro.symexec.canonical import canonical, canonical_key
 from repro.symexec.engine import symbolic_execute
+from repro.symexec.residues import residue_key, tensor_residues
 from repro.synth import PersistentCache, SynthesisConfig
 from repro.synth import library as library_mod
 from repro.synth.cache import dump_library, load_library, synthesis_fingerprint
@@ -95,6 +96,25 @@ def _assert_same_library(cold, warm):
 def test_restored_library_equals_cold(name, tmp_path):
     cold, warm = _cold_then_warm(name, tmp_path)
     assert not cold.from_cache and warm.from_cache
+    _assert_same_library(cold, warm)
+
+
+def test_a_restored_constant_no_stub_reads_waits_for_its_signature(tmp_path):
+    # The last level's folded constants: their nsimplify and battery wait
+    # until a MATCH asks for their shape and dtype; diag_dot's never does.
+    cold, warm = _cold_then_warm("diag_dot", tmp_path)
+    pending = [e for e in warm.stubs if isinstance(e, library_mod._PendingConstant)]
+    assert pending and all(e.node.type.shape == () for e in pending)
+    assert not any(e.derived for e in pending)
+    spec = symbolic_execute(_program("diag_dot").node).map(canonical)
+    warm.value_stub(residue_key(spec.shape, spec.dtype, tensor_residues(spec)))
+    warm.match_weak(spec, canonical_key(spec))
+    warm.stubs_with_signature(spec.shape, spec.dtype)
+    assert not any(e.derived for e in pending)
+    # A scalar probe derives them all and finds each by its battery.
+    cold_res = {e.node: e.res for e in cold.stubs}
+    assert warm.value_stub(residue_key((), DType.FLOAT, cold_res[pending[0].node])) is pending[0]
+    assert all(e.derived for e in pending)
     _assert_same_library(cold, warm)
 
 

@@ -85,9 +85,13 @@ def test_every_refuter_off_gives_the_same_synthesis():
     for kernel in kernels:
         on[kernel], counts = checked(kernel)
         on[kernel].counters.update(counts)
+        counts = on[kernel].enumerated
+        assert not counts.get("equiv.weak_unbucketed"), kernel
+        assert sum(counts.get(k, 0) for k in WEAK_COUNTERS) == counts.get("equiv.fingerprint_weak", 0), kernel
+    assert {k for k in kernels if on[k].enumerated.get("equiv.weak_confirmed")} == {"max_stack"}
     # A library row compares whole libraries: each enumerated once more,
-    # without the goal.  The layers are checked on those runs, where the last
-    # level admits every candidate, not only Φ's class.
+    # without the goal.  The layers are checked on those runs as well: the
+    # goal runs admit few last-level candidates, these every one.
     whole = {}
     for kernel in kernels:
         whole[kernel], counts = checked(kernel, enumeration_only=True)
@@ -109,6 +113,8 @@ def test_every_refuter_off_gives_the_same_synthesis():
         row_kernels = row.kernels or kernels
         base = whole if row.library else on
         off = [run_off(row, kernel, base[kernel]) for kernel in row_kernels]
+        if row.goal_moves:  # held unmoved where the whole last level is admitted
+            off += [run_off(row, kernel, whole[kernel], goalless=True) for kernel in row_kernels]
         left_out = [k for k in kernels if k not in row_kernels and k not in TIME_CAPPED]
         for name in row.acted:
             if row.name != "all-off":  # each row acts on its kernels, and on no other
