@@ -40,6 +40,7 @@ from repro.analysis.domains import (
     Interval,
 )
 from repro.ir.nodes import Call, Const, Input, Node
+from repro.ir.ops import fill, get_op
 from repro.ir.types import DType
 
 __all__ = ["abstract_eval", "expr_interval", "node_hazards"]
@@ -61,28 +62,17 @@ def _hull_with_zero_if(iv: Interval, cond: bool) -> Interval:
 # ---------------------------------------------------------------------------
 # IR transfer functions
 # ---------------------------------------------------------------------------
-# Each transfer receives the Call node plus the abstract values of its
-# arguments and returns (range, own_hazards).  Hazards of the children are
-# unioned in by the driver.
-
-_Transfer = Callable[[Call, list[AbstractValue]], tuple[Interval, frozenset[Hazard]]]
-_TRANSFER: dict[str, _Transfer] = {}
+# Each transfer, the op table's ``transfer`` column (filled here), receives
+# the Call node plus the abstract values of its arguments and returns (range,
+# own_hazards).  Hazards of the children are unioned in by the driver.
 
 
-def _transfer(name: str):
-    def deco(fn: _Transfer) -> _Transfer:
-        _TRANSFER[name] = fn
-        return fn
-
-    return deco
-
-
-@_transfer("add")
+@fill("transfer", "add")
 def _t_add(node, args):
     return args[0].range + args[1].range, NO_HAZARDS
 
 
-@_transfer("subtract")
+@fill("transfer", "subtract")
 def _t_subtract(node, args):
     if node.args[0] == node.args[1]:
         # Relational refinement: x - x is exactly zero for every input.
@@ -90,18 +80,18 @@ def _t_subtract(node, args):
     return args[0].range - args[1].range, NO_HAZARDS
 
 
-@_transfer("multiply")
+@fill("transfer", "multiply")
 def _t_multiply(node, args):
     return args[0].range * args[1].range, NO_HAZARDS
 
 
-@_transfer("divide")
+@fill("transfer", "divide")
 def _t_divide(node, args):
     hazards = frozenset({Hazard.DIV_ZERO}) if args[1].range.contains_zero() else NO_HAZARDS
     return args[0].range / args[1].range, hazards
 
 
-@_transfer("power")
+@fill("transfer", "power")
 def _t_power(node, args):
     base, expo = args[0].range, args[1].range
     hazards: set[Hazard] = set()
@@ -121,71 +111,71 @@ def _t_power(node, args):
     return TOP, frozenset(hazards)
 
 
-@_transfer("sqrt")
+@fill("transfer", "sqrt")
 def _t_sqrt(node, args):
     hazards = frozenset({Hazard.SQRT_NEG}) if args[0].range.may_be_negative() else NO_HAZARDS
     return args[0].range.sqrt(), hazards
 
 
-@_transfer("exp")
+@fill("transfer", "exp")
 def _t_exp(node, args):
     return args[0].range.exp(), NO_HAZARDS
 
 
-@_transfer("log")
+@fill("transfer", "log")
 def _t_log(node, args):
     hazards = frozenset({Hazard.LOG_DOM}) if args[0].range.may_be_nonpositive() else NO_HAZARDS
     return args[0].range.log(), hazards
 
 
-@_transfer("negative")
+@fill("transfer", "negative")
 def _t_negative(node, args):
     return -args[0].range, NO_HAZARDS
 
 
-@_transfer("abs")
+@fill("transfer", "abs")
 def _t_abs(node, args):
     return args[0].range.abs(), NO_HAZARDS
 
 
-@_transfer("maximum")
+@fill("transfer", "maximum")
 def _t_maximum(node, args):
     return args[0].range.max_(args[1].range), NO_HAZARDS
 
 
-@_transfer("minimum")
+@fill("transfer", "minimum")
 def _t_minimum(node, args):
     return args[0].range.min_(args[1].range), NO_HAZARDS
 
 
-@_transfer("less")
+@fill("transfer", "less")
 def _t_less(node, args):
     return UNIT_BOOL, NO_HAZARDS
 
 
-@_transfer("where")
+@fill("transfer", "where")
 def _t_where(node, args):
     return args[1].range.hull(args[2].range), NO_HAZARDS
 
 
-@_transfer("full")
+@fill("transfer", "full")
 def _t_full(node, args):
     return args[0].range, NO_HAZARDS
 
 
-@_transfer("triu")
+@fill("transfer", "triu")
 def _t_triu(node, args):
     shape = node.type.shape
     return _hull_with_zero_if(args[0].range, len(shape) >= 2 and shape[-2] >= 2), NO_HAZARDS
 
 
-@_transfer("tril")
+@fill("transfer", "tril")
 def _t_tril(node, args):
     shape = node.type.shape
     return _hull_with_zero_if(args[0].range, len(shape) >= 2 and shape[-1] >= 2), NO_HAZARDS
 
 
-@_transfer("sum")
+@fill("transfer", "sum")
 def _t_sum(node, args):
     out_size = _size(node.type.shape)
     if out_size == 0:
@@ -194,14 +184,14 @@ def _t_sum(node, args):
     return args[0].range.scale(k), NO_HAZARDS
 
 
-@_transfer("trace")
+@fill("transfer", "trace")
 def _t_trace(node, args):
     shape = args[0].type.shape
     k = min(shape) if shape else 1
     return args[0].range.scale(k), NO_HAZARDS
 
 
-@_transfer("dot")
+@fill("transfer", "dot")
 def _t_dot(node, args):
     a, b = args
     if a.type.shape == () or b.type.shape == ():
@@ -210,7 +200,7 @@ def _t_dot(node, args):
     return (a.range * b.range).scale(k), NO_HAZARDS
 
 
-@_transfer("tensordot")
+@fill("transfer", "tensordot")
 def _t_tensordot(node, args):
     a, b = args
     out_size = _size(node.type.shape)
@@ -222,7 +212,7 @@ def _t_tensordot(node, args):
     return (a.range * b.range).scale(k), NO_HAZARDS
 
 
-@_transfer("diag")
+@fill("transfer", "diag")
 def _t_diag(node, args):
     src_rank = len(args[0].type.shape)
     if src_rank == 1:  # vector -> matrix: off-diagonal entries are zero
@@ -231,7 +221,7 @@ def _t_diag(node, args):
     return args[0].range, NO_HAZARDS
 
 
-@_transfer("stack")
+@fill("transfer", "stack")
 def _t_stack(node, args):
     iv = args[0].range
     for a in args[1:]:
@@ -239,12 +229,9 @@ def _t_stack(node, args):
     return iv, NO_HAZARDS
 
 
+@fill("transfer", "transpose", "reshape", "index", "max", "min")
 def _t_identity(node, args):
     return args[0].range, NO_HAZARDS
-
-
-for _name in ("transpose", "reshape", "index", "max", "min"):
-    _TRANSFER[_name] = _t_identity
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +284,7 @@ def abstract_eval(
             child_hazards: frozenset[Hazard] = NO_HAZARDS
             for a in args:
                 child_hazards |= a.hazards
-            transfer = _TRANSFER.get(n.op)
+            transfer = get_op(n.op).transfer
             if transfer is None:
                 iv, own = TOP, ALL_HAZARDS
             else:

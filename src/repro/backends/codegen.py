@@ -18,26 +18,7 @@ from typing import Callable
 import numpy as np
 
 from repro.ir.nodes import Call, Const, Input, Node
-from repro.ir.ops import get_op
-from repro.ir.printer import _format_const  # shared constant formatting
-
-
-def _emit_call(node: Call, operands: list[str]) -> str:
-    spec = get_op(node.op)
-    if node.op == "index":
-        return f"{operands[0]}[{node.attr('i')}]"
-    if node.op == "reshape":
-        return f"np.reshape({operands[0]}, {tuple(node.attr('shape'))})"
-    if node.op == "full":
-        return f"np.full({tuple(node.attr('shape'))}, {operands[0]})"
-    if node.op == "stack":
-        return f"np.stack([{', '.join(operands)}], axis={node.attr('axis', 0)})"
-    parts = list(operands)
-    for name in spec.attr_names:
-        value = node.attr(name)
-        if value is not None:
-            parts.append(f"{name}={value!r}")
-    return f"{spec.numpy_name}({', '.join(parts)})"
+from repro.ir.printer import _format_const, spell
 
 
 def generate_source(node: Node, input_names: list[str], fn_name: str = "_compiled") -> str:
@@ -60,7 +41,7 @@ def generate_source(node: Node, input_names: list[str], fn_name: str = "_compile
             operands = [go(a) for a in n.args]
             name = f"t{counter}"
             counter += 1
-            lines.append(f"    {name} = {_emit_call(n, operands)}")
+            lines.append(f"    {name} = {spell(n, operands, infix=False)}")
         names[n] = name
         return name
 

@@ -159,10 +159,13 @@ def _infer_type(op: str, args: tuple["Node", ...], attrs: tuple) -> TensorType:
     inferred = _TYPE_MEMO.get(type_key)
     if inferred is None:
         spec = get_op(op)
-        try:
-            inferred = spec.infer([a.type for a in args], dict(attrs))
-        except TypeInferenceError as exc:
-            inferred = str(exc)
+        if spec.arity >= 0 and len(args) != spec.arity:
+            inferred = f"{op} takes {spec.arity} operand(s), got {len(args)}"
+        else:
+            try:
+                inferred = spec.infer([a.type for a in args], dict(attrs))
+            except TypeInferenceError as exc:
+                inferred = str(exc)
         _TYPE_MEMO[type_key] = inferred
     if isinstance(inferred, str):
         raise TypeInferenceError(inferred)
@@ -174,7 +177,7 @@ class Call(Node):
 
     ``op`` is the registry name of the operation (see :mod:`repro.ir.ops`).
     The node's type is inferred eagerly at construction, so an ill-typed tree
-    can never be built.
+    (a wrong argument count included) can never be built.
     """
 
     __slots__ = ("op", "args", "attrs", "type")

@@ -1,7 +1,13 @@
 """Operation registry for the tensor IR.
 
 Every operation the system understands is described by an :class:`OpSpec`
-holding its type-inference rule, NumPy evaluation function, and FLOP count.
+row holding its type-inference rule, NumPy evaluation function, and FLOP count.
+The rest of the row is the op's place in each other layer — its SymPy rule,
+residue battery, SOLVE inverse, interval transfer, boolean trigger and NumPy
+spelling (:data:`COLUMNS`).  Each of those columns is filled at import by the
+module that owns it, through :func:`fill`, and read only there or in a module
+importing it, so no reader sees a column before it is filled; an empty cell
+(None) means the layer has no rule for the op (``docs/ops.md``).
 The registry covers two layers:
 
 * the **synthesis grammar** of Fig. 3 in the paper (``in_grammar=True``):
@@ -51,10 +57,28 @@ class OpSpec:
     eval: EvalFn
     flops: FlopsFn
     in_grammar: bool = False
-    commutative: bool = False
     elementwise: bool = False
     attr_names: tuple[str, ...] = ()
     result_dtype: DType = DType.FLOAT
+    # The columns other modules fill (:func:`fill`); None is "no rule".
+    #: ``repro.symexec.engine``: the rule run on SymPy entries where ``eval``'s fails.
+    symbolic: EvalFn | None = field(default=None, compare=False, repr=False)
+    #: ``repro.symexec.residues``: the battery of the op from its arguments'.
+    battery: Callable | None = field(default=None, compare=False, repr=False)
+    #: ``repro.synth.solver``: the hole's target from the op's, and whether
+    #: SOLVE normalizes what it builds.
+    inverse: Callable | None = field(default=None, compare=False, repr=False)
+    normalizes: bool | None = field(default=None, compare=False, repr=False)
+    #: ``repro.analysis.interp``: the interval and hazards of the op's value.
+    transfer: Callable | None = field(default=None, compare=False, repr=False)
+    #: ``repro.synth.enumerator``: the op in a program turns on the boolean grammar.
+    boolean_trigger: bool | None = field(default=None, compare=False, repr=False)
+    #: ``repro.ir.printer``: how NumPy source writes a call of the op.
+    spelling: Any = field(default=None, compare=False, repr=False)
+
+
+#: The columns of :class:`OpSpec` that :func:`fill` sets.
+COLUMNS = ("symbolic", "battery", "inverse", "normalizes", "transfer", "boolean_trigger", "spelling")
 
 
 _REGISTRY: dict[str, OpSpec] = {}
@@ -85,6 +109,28 @@ def all_ops() -> list[OpSpec]:
 def grammar_ops() -> list[OpSpec]:
     """Operations available to the synthesizer (Fig. 3 grammar)."""
     return [spec for spec in _REGISTRY.values() if spec.in_grammar]
+
+
+def fill(column: str, *names: str, **also: Any) -> Callable:
+    """Decorator: the decorated value becomes ``column`` of each named row,
+    and each ``also`` keyword the column it names.  Called directly on a value
+    that is not a definition: ``fill("battery", "add")(rule)``.
+
+    Only the module that owns a column fills it, once per row, at import.
+    """
+
+    def deco(value):
+        for name in names:
+            spec = get_op(name)
+            for col, v in ((column, value), *also.items()):
+                if col not in COLUMNS:
+                    raise ValueError(f"{col!r} is not an op table column")
+                if getattr(spec, col) is not None:
+                    raise ValueError(f"{name}.{col} is filled twice")
+                object.__setattr__(spec, col, v)
+        return value
+
+    return deco
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +180,7 @@ def _flops_input_size(types: list[TensorType], out: TensorType, attrs: dict[str,
 # ---------------------------------------------------------------------------
 
 
-def _binary(name: str, numpy_name: str, fn: Callable, commutative: bool) -> None:
+def _binary(name: str, numpy_name: str, fn: Callable, in_grammar: bool = True) -> None:
     register(
         OpSpec(
             name=name,
@@ -143,18 +189,17 @@ def _binary(name: str, numpy_name: str, fn: Callable, commutative: bool) -> None
             infer=_infer_elementwise_binary(DType.FLOAT),
             eval=lambda args, attrs, fn=fn: fn(args[0], args[1]),
             flops=_flops_per_output(),
-            in_grammar=True,
-            commutative=commutative,
+            in_grammar=in_grammar,
             elementwise=True,
         )
     )
 
 
-_binary("add", "np.add", np.add, commutative=True)
-_binary("subtract", "np.subtract", np.subtract, commutative=False)
-_binary("multiply", "np.multiply", np.multiply, commutative=True)
-_binary("divide", "np.divide", np.divide, commutative=False)
-_binary("power", "np.power", np.power, commutative=False)
+_binary("add", "np.add", np.add)
+_binary("subtract", "np.subtract", np.subtract)
+_binary("multiply", "np.multiply", np.multiply)
+_binary("divide", "np.divide", np.divide)
+_binary("power", "np.power", np.power)
 
 
 register(
@@ -360,6 +405,8 @@ register(
 def _tensordot_axes(a: TensorType, b: TensorType, attrs: dict[str, Any]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     axes = attrs.get("axes", 2)
     if isinstance(axes, int):
+        if axes > min(a.rank, b.rank):
+            raise TypeInferenceError(f"tensordot: axes={axes} for ranks {a.rank} and {b.rank}")
         a_axes = tuple(range(a.rank - axes, a.rank))
         b_axes = tuple(range(axes))
     else:
@@ -436,23 +483,8 @@ _unary("negative", "np.negative", np.negative)
 _unary("abs", "np.abs", np.abs)
 
 
-def _binary_extra(name: str, numpy_name: str, fn: Callable) -> None:
-    register(
-        OpSpec(
-            name=name,
-            numpy_name=numpy_name,
-            arity=2,
-            infer=_infer_elementwise_binary(DType.FLOAT),
-            eval=lambda args, attrs, fn=fn: fn(args[0], args[1]),
-            flops=_flops_per_output(),
-            commutative=True,
-            elementwise=True,
-        )
-    )
-
-
-_binary_extra("maximum", "np.maximum", np.maximum)
-_binary_extra("minimum", "np.minimum", np.minimum)
+_binary("maximum", "np.maximum", np.maximum, in_grammar=False)
+_binary("minimum", "np.minimum", np.minimum, in_grammar=False)
 
 
 def _infer_diag(types: list[TensorType], attrs: dict[str, Any]) -> TensorType:

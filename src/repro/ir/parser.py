@@ -20,6 +20,7 @@ program is rejected with :class:`ParseError`.
 from __future__ import annotations
 
 import ast
+import operator
 import textwrap
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -28,32 +29,27 @@ import numpy as np
 
 from repro.errors import ParseError, TypeInferenceError, UnsupportedOpError
 from repro.ir.nodes import Call, Const, Input, Node
-from repro.ir.ops import all_ops
+from repro.ir.ops import OpSpec, all_ops
+from repro.ir.printer import Spelling
 from repro.ir.types import TensorType
 
-# NumPy function name -> registry op name: every ``np.*`` op under its own
-# name, plus the NumPy aliases the suite spells.
+# NumPy function name -> registry op: every ``np.*`` op under its own name
+# and under the aliases its spelling lists.
 _NUMPY_FUNCS = {
-    spec.numpy_name.removeprefix("np."): spec.name
+    alias: spec
     for spec in all_ops()
     if spec.numpy_name.startswith("np.")
-} | {
-    "true_divide": "divide",
-    "absolute": "abs",
-    "amax": "max",
-    "amin": "min",
-    "matmul": "dot",
-    "inner": "dot",
-    "diagonal": "diag",
+    for alias in (spec.numpy_name.removeprefix("np."), *spec.spelling.aliases)
 }
 
+#: Python operator -> (registry op, its fold of two Python scalars).
 _BINOPS = {
-    ast.Add: "add",
-    ast.Sub: "subtract",
-    ast.Mult: "multiply",
-    ast.Div: "divide",
-    ast.Pow: "power",
-    ast.MatMult: "dot",
+    ast.Add: ("add", operator.add),
+    ast.Sub: ("subtract", operator.sub),
+    ast.Mult: ("multiply", operator.mul),
+    ast.Div: ("divide", operator.truediv),
+    ast.Pow: ("power", operator.pow),
+    ast.MatMult: ("dot", operator.matmul),
 }
 
 
@@ -88,7 +84,10 @@ class _ExprParser:
         if isinstance(value, Node):
             return value
         if isinstance(value, (int, float, bool, np.ndarray)):
-            return Const(value)
+            try:
+                return Const(value)
+            except OverflowError as exc:
+                raise ParseError(f"constant does not fit a float: {exc}") from exc
         raise ParseError(f"expected a tensor value, got {value!r}")
 
     def _as_literal(self, value: Any, what: str) -> Any:
@@ -105,7 +104,10 @@ class _ExprParser:
         method = getattr(self, f"_parse_{type(node).__name__}", None)
         if method is None:
             raise ParseError(f"unsupported syntax: {ast.dump(node)[:120]}")
-        return method(node)
+        try:
+            return method(node)
+        except TypeInferenceError as exc:
+            raise ParseError(str(exc)) from exc
 
     def _parse_Constant(self, node: ast.Constant) -> Any:
         if isinstance(node.value, (int, float, bool)):
@@ -135,23 +137,20 @@ class _ExprParser:
         raise ParseError(f"unsupported unary operator {type(node.op).__name__}")
 
     def _parse_BinOp(self, node: ast.BinOp) -> Any:
-        op = _BINOPS.get(type(node.op))
-        if op is None:
+        if type(node.op) not in _BINOPS:
             raise ParseError(f"unsupported operator {type(node.op).__name__}")
+        op, fold = _BINOPS[type(node.op)]
         left, right = self.parse(node.left), self.parse(node.right)
         if isinstance(left, (int, float)) and isinstance(right, (int, float)):
             try:
-                folded = _fold_python_binop(op, left, right)
-            except ArithmeticError:
+                folded = fold(left, right)
+            except (ArithmeticError, TypeError):  # TypeError: ``@`` of two scalars
                 folded = None
             # A scalar Python cannot fold to a real (``0.5 / 0.0``, a negative
             # base to a fractional power) stays a call, evaluated by NumPy.
             if isinstance(folded, (int, float)):
                 return folded
-        try:
-            return Call(op, (self._as_node(left), self._as_node(right)))
-        except TypeInferenceError as exc:
-            raise ParseError(str(exc)) from exc
+        return Call(op, (self._as_node(left), self._as_node(right)))
 
     def _parse_Compare(self, node: ast.Compare) -> Any:
         if len(node.ops) != 1 or not isinstance(node.ops[0], ast.Lt):
@@ -176,7 +175,7 @@ class _ExprParser:
         index = self.parse(node.slice)
         if not isinstance(index, int):
             raise ParseError("only integer subscripts on the leading axis are supported")
-        if index < 0:
+        if index < 0 and value.type.rank:
             index += value.type.shape[0]
         return Call("index", (value,), i=index)
 
@@ -205,69 +204,47 @@ class _ExprParser:
         if not (isinstance(func, tuple) and func[0] == "numpy_func"):
             raise ParseError("only np.<func>(...) calls are supported")
         fname = func[1]
-        op = _NUMPY_FUNCS.get(fname)
-        if op is None:
+        spec = _NUMPY_FUNCS.get(fname)
+        if spec is None:
             raise UnsupportedOpError(f"unsupported NumPy function np.{fname}")
         args = [self.parse(a) for a in node.args]
         kwargs = {kw.arg: self.parse(kw.value) for kw in node.keywords if kw.arg}
-        return self._build_call(op, fname, args, kwargs)
+        try:
+            return self._build_call(spec, args, kwargs)
+        except (TypeInferenceError, ParseError) as exc:
+            raise ParseError(f"np.{fname}: {exc}") from exc
 
     # -- call lowering -------------------------------------------------------
 
-    def _build_call(self, op: str, fname: str, args: list[Any], kwargs: dict[str, Any]) -> Node:
+    def _build_call(self, spec: OpSpec, args: list[Any], kwargs: dict[str, Any]) -> Node:
+        """Place the call's arguments by the op's :class:`Spelling`."""
+        spelling: Spelling = spec.spelling
+        params = spelling.params
+        if len(args) > len(params):
+            raise ParseError(f"takes at most {len(params)} positional arguments, got {len(args)}")
+        given = dict(zip(params, args))
+        for name, value in kwargs.items():
+            if name not in spelling.optional:
+                raise ParseError(f"unsupported keyword argument {name!r}")
+            if name in given:
+                raise ParseError(f"got {name!r} twice")
+            given[name] = value
+        operands: list[Node] = []
         attrs: dict[str, Any] = {}
-        try:
-            if op in ("sum", "max", "min"):
-                if len(args) > 1:
-                    kwargs.setdefault("axis", args.pop())
-                if "axis" in kwargs:
-                    attrs["axis"] = self._as_literal(kwargs.pop("axis"), "axis")
-                (arg,) = args
-                return Call(op, (self._as_node(arg),), **attrs)
-            if op == "transpose":
-                if len(args) > 1:
-                    kwargs.setdefault("axes", args.pop())
-                if "axes" in kwargs:
-                    attrs["axes"] = self._as_literal(kwargs.pop("axes"), "axes")
-                (arg,) = args
-                return Call(op, (self._as_node(arg),), **attrs)
-            if op == "reshape":
-                arg, shape = args
-                return Call(op, (self._as_node(arg),), shape=self._as_literal(shape, "shape"))
-            if op == "full":
-                shape, fill = args
-                return Call(op, (self._as_node(fill),), shape=self._as_literal(shape, "shape"))
-            if op == "tensordot":
-                a, b = args[0], args[1]
-                axes = args[2] if len(args) > 2 else kwargs.pop("axes", 2)
-                return Call(op, (self._as_node(a), self._as_node(b)),
-                            axes=self._as_literal(axes, "axes"))
-            if op == "stack":
-                axis = kwargs.pop("axis", args.pop() if len(args) > 1 else 0)
-                (operands,) = args
-                if isinstance(operands, Node):
-                    raise ParseError("np.stack requires a list of tensors")
-                nodes = tuple(self._as_node(v) for v in operands)
-                return Call(op, nodes, axis=self._as_literal(axis, "axis"))
-            if kwargs:
-                raise ParseError(f"unsupported keyword args for np.{fname}: {sorted(kwargs)}")
-            return Call(op, tuple(self._as_node(a) for a in args))
-        except TypeInferenceError as exc:
-            raise ParseError(f"np.{fname}: {exc}") from exc
-
-
-def _fold_python_binop(op: str, left: float, right: float) -> float:
-    if op == "add":
-        return left + right
-    if op == "subtract":
-        return left - right
-    if op == "multiply":
-        return left * right
-    if op == "divide":
-        return left / right
-    if op == "power":
-        return left ** right
-    raise ParseError(f"cannot fold python scalars through {op}")
+        for param in params:
+            if param not in given:
+                if param not in spelling.optional:
+                    raise ParseError(f"missing argument {param!r}")
+                attrs[param] = spelling.optional[param]
+            elif param == "*":
+                if not isinstance(given[param], (list, tuple)):
+                    raise ParseError("requires a list of tensors")
+                operands.extend(self._as_node(v) for v in given[param])
+            elif isinstance(param, int):
+                operands.append(self._as_node(given[param]))
+            else:
+                attrs[param] = self._as_literal(given[param], param)
+        return Call(spec.name, operands, **attrs)
 
 
 def parse_expression(source: str, inputs: Mapping[str, TensorType], name: str = "program") -> Program:

@@ -10,11 +10,12 @@ each source, and this engine to the evaluator (DESIGN.md, decision 28).
 
 The op registry is the rule table: NumPy runs an op's :class:`OpSpec` rule
 (a contraction, a reduction, ``a + b`` …) on object arrays of SymPy
-expressions unchanged.  :data:`_RULES` holds a SymPy rule only for the ops whose NumPy
-rule fails there: ``sqrt`` / ``exp`` / ``log`` look the function up as a
-method of each entry, ``maximum`` / ``minimum`` / ``less`` / ``where`` and
-the ``max`` / ``min`` reductions force a truth value, and ``triu`` / ``tril``
-fill with a Python ``0`` rather than ``sp.S.Zero``.
+expressions unchanged.  This module fills the table's ``symbolic`` column
+only for the ops whose NumPy rule fails there: ``sqrt`` / ``exp`` / ``log``
+look the function up as a method of each entry, ``maximum`` / ``minimum`` /
+``less`` / ``where`` and the ``max`` / ``min`` reductions force a truth value,
+and ``triu`` / ``tril`` fill with a Python ``0`` rather than ``sp.S.Zero``.
+A row without a SymPy rule runs its ``eval``.
 
 Each elementwise op runs once per index class (DESIGN.md, decision 26).
 Unbound float inputs of non-scalar shape are index-class tensors
@@ -38,7 +39,7 @@ import sympy as sp
 
 from repro.errors import SymbolicExecutionError
 from repro.ir.nodes import Call, Const, Input, Node
-from repro.ir.ops import get_op
+from repro.ir.ops import OpSpec, fill, get_op
 from repro.ir.types import DType, TensorType
 from repro.obs.metrics import bump
 from repro.symexec import residues
@@ -91,33 +92,26 @@ def _reduction(fn):
     return rule
 
 
-#: The SymPy rules, one per op NumPy cannot evaluate on SymPy entries; every
-#: other op runs its registry rule.  ``less`` and ``where`` bind late, so a
-#: patch of ``residues.less`` or ``_symbolic_where`` takes effect.
-_RULES = {
-    "sqrt": _entrywise(sp.sqrt, 1),
-    "exp": _entrywise(sp.exp, 1),
-    "log": _entrywise(sp.log, 1),
-    "maximum": _entrywise(sp.Max, 2),
-    "minimum": _entrywise(sp.Min, 2),
-    "less": _entrywise(lambda x, y: residues.less(x, y), 2),
-    "where": _entrywise(lambda c, x, y: _symbolic_where(c, x, y), 3),
-    "triu": _masked("triu"),
-    "tril": _masked("tril"),
-    "max": _reduction(sp.Max),
-    "min": _reduction(sp.Min),
-}
+# ``less`` and ``where`` bind late, so a patch of ``residues.less`` or
+# ``_symbolic_where`` takes effect.
+fill("symbolic", "sqrt")(_entrywise(sp.sqrt, 1))
+fill("symbolic", "exp")(_entrywise(sp.exp, 1))
+fill("symbolic", "log")(_entrywise(sp.log, 1))
+fill("symbolic", "maximum")(_entrywise(sp.Max, 2))
+fill("symbolic", "minimum")(_entrywise(sp.Min, 2))
+fill("symbolic", "less")(_entrywise(lambda x, y: residues.less(x, y), 2))
+fill("symbolic", "where")(_entrywise(lambda c, x, y: _symbolic_where(c, x, y), 3))
+fill("symbolic", "triu")(_masked("triu"))
+fill("symbolic", "tril")(_masked("tril"))
+fill("symbolic", "max")(_reduction(sp.Max))
+fill("symbolic", "min")(_reduction(sp.Min))
 
 
-def _rule(op: str):
-    return _RULES.get(op) or get_op(op).eval
-
-
-def _classwise(op: str, args: list[SymTensor], attrs: dict, out: TensorType) -> SymTensor | None:
-    """``op(*args)`` built on the entry-0 arguments and renamed into every
+def _classwise(spec: OpSpec, args: list[SymTensor], attrs: dict, out: TensorType) -> SymTensor | None:
+    """``spec``'s op built on the entry-0 arguments and renamed into every
     other entry, or ``None`` (no opinion: run the entrywise rule)."""
     shape = out.shape
-    if not (shape and 0 not in shape and get_op(op).elementwise):
+    if not (shape and 0 not in shape and spec.elementwise):
         return None
     heads = []
     for a in args:
@@ -127,7 +121,7 @@ def _classwise(op: str, args: list[SymTensor], attrs: dict, out: TensorType) -> 
             heads.append(a.data)
         else:
             return None
-    rep = np.asarray(_rule(op)(heads, attrs), dtype=object).reshape(-1)[0]
+    rep = np.asarray((spec.symbolic or spec.eval)(heads, attrs), dtype=object).reshape(-1)[0]
     return from_representative(rep, shape, out.dtype)
 
 
@@ -166,13 +160,13 @@ def symbolic_execute(
             value = SymTensor.from_value(n.value, n.type.dtype)
         else:
             assert isinstance(n, Call)
-            args, attrs = [go(a) for a in n.args], dict(n.attrs)
-            value = _classwise(n.op, args, attrs, n.type)
+            args, attrs, spec = [go(a) for a in n.args], dict(n.attrs), get_op(n.op)
+            value = _classwise(spec, args, attrs, n.type)
             if value is not None:
                 bump("symexec.classwise")
             else:
                 bump("symexec.entrywise")
-                data = _rule(n.op)([a.data for a in args], attrs)
+                data = (spec.symbolic or spec.eval)([a.data for a in args], attrs)
                 value = SymTensor(np.asarray(data, dtype=object), n.type.dtype)
                 if value.shape != n.type.shape:
                     raise SymbolicExecutionError(

@@ -116,7 +116,7 @@ import numpy as np
 import sympy as sp
 
 from repro.ir.nodes import Call, Const, Node
-from repro.ir.ops import get_op
+from repro.ir.ops import fill, get_op
 from repro.ir.types import DType
 from repro.obs.metrics import bump
 from repro.symexec.symtensor import (
@@ -660,28 +660,41 @@ def _inv_battery(b: np.ndarray) -> np.ndarray:
     return _pow_mod(b, [q - 2 for q in _PRIMES])
 
 
+# Each battery rule takes ``(args, attrs, arg_nodes, inverse)``: the argument
+# batteries, the call's attrs, its argument nodes (None when unknown) and
+# ``inverse(k)``, the modular inverse of ``args[k]``.  It raises
+# :class:`_Unsupported` where the battery cannot be composed.
+
+
 def _c_elementwise(op: str):
     """``add`` / ``subtract`` / ``multiply`` / ``negative``: the registry rule, reduced."""
     rule = get_op(op).eval
-    return lambda args, attrs: _mod(rule(_bcast(*args), attrs))
+    return lambda args, attrs, arg_nodes=None, inverse=None: _mod(rule(_bcast(*args), attrs))
 
 
-def _c_divide(args, inverse):
+for _op in ("add", "subtract", "multiply", "negative"):
+    fill("battery", _op)(_c_elementwise(_op))
+_c_multiply = get_op("multiply").battery
+
+
+@fill("battery", "divide")
+def _c_divide(args, attrs, arg_nodes, inverse):
     """``a * inverse(1)``: one inverse per denominator node, shared (``BatteryTable``)."""
     if not args[1].all():
         # A vanishing denominator residue: the symbolic entry is either
         # genuinely undefined or merely weak at this point — both are for
         # the exact path to decide.
         raise _Unsupported
-    return _COMPOSE["multiply"]([args[0], inverse(1)], {})
+    return _c_multiply([args[0], inverse(1)], {})
 
 
-def _c_dot(args, attrs):
+@fill("battery", "dot")
+def _c_dot(args, attrs, arg_nodes, inverse):
     a, b = args
     ra, rb = a.ndim - 2, b.ndim - 2
     if ra == 0 or rb == 0:
         # np.dot multiplies elementwise when either side is scalar.
-        return _COMPOSE["multiply"](args, attrs)
+        return _c_multiply(args, attrs)
     if ra > 2 or rb > 2:
         raise _Unsupported  # np.dot's stacked-axes semantics: not mirrored
     x = a if ra == 2 else a.reshape(a.shape[:2] + (1,) + a.shape[2:])
@@ -696,7 +709,8 @@ def _c_dot(args, attrs):
     return _mod(out)
 
 
-def _c_tensordot(args, attrs):
+@fill("battery", "tensordot")
+def _c_tensordot(args, attrs, arg_nodes, inverse):
     if attrs.get("axes", 2) != 0:
         raise _Unsupported
     a, b = args
@@ -706,7 +720,8 @@ def _c_tensordot(args, attrs):
     return _mod(x * y)
 
 
-def _c_transpose(args, attrs):
+@fill("battery", "transpose")
+def _c_transpose(args, attrs, arg_nodes, inverse):
     a = args[0]
     r = a.ndim - 2
     axes = attrs.get("axes")
@@ -717,7 +732,8 @@ def _c_transpose(args, attrs):
     return np.ascontiguousarray(np.transpose(a, perm))
 
 
-def _c_sum(args, attrs):
+@fill("battery", "sum")
+def _c_sum(args, attrs, arg_nodes, inverse):
     a = args[0]
     r = a.ndim - 2
     axis = attrs.get("axis")
@@ -733,6 +749,7 @@ def _c_sum(args, attrs):
     return _mod(a.sum(axis=reduce_over))
 
 
+@fill("battery", "power")
 def _c_power(args, attrs, arg_nodes, inverse):
     """``power`` composes only for a literal scalar integer exponent.
 
@@ -761,7 +778,8 @@ def _c_power(args, attrs, arg_nodes, inverse):
     return _pow_mod(base, [c] * _NP)
 
 
-def _c_full(args, attrs):
+@fill("battery", "full")
+def _c_full(args, attrs, arg_nodes, inverse):
     shape = tuple(attrs["shape"])
     a = args[0]
     return np.ascontiguousarray(
@@ -769,53 +787,34 @@ def _c_full(args, attrs):
     )
 
 
-_COMPOSE = {
-    **{op: _c_elementwise(op) for op in ("add", "subtract", "multiply", "negative")},
-    "dot": _c_dot,
-    "tensordot": _c_tensordot,
-    "transpose": _c_transpose,
-    "sum": _c_sum,
-    "full": _c_full,
-}
-
-
 def compose(
     op: str, attrs: dict, args: list[np.ndarray], arg_nodes=None, inverse=None
 ) -> np.ndarray | None:
     """Battery of ``op(*args)`` from argument batteries, or ``None``.
 
-    ``None`` (op not mirrored, zero denominator, oversized contraction)
-    means the caller must build the symbolic tensor and take the exact
-    path — exactly the set of candidates whose *own* ``tensor_residues``
-    could disagree with composition, so the two entry points always agree
-    whenever both are defined.
+    ``None`` (no ``battery`` rule in the op's row, zero denominator,
+    oversized contraction) means the caller must build the symbolic tensor
+    and take the exact path — exactly the set of candidates whose *own*
+    ``tensor_residues`` could disagree with composition, so the two entry
+    points always agree whenever both are defined.
 
     ``arg_nodes`` optionally passes the argument IR nodes alongside their
     batteries; ops whose result is not a function of residues alone
     (``power``: the literal exponent matters) require it.  ``inverse(k)``,
     the modular inverse of ``args[k]``, is computed afresh unless supplied.
     """
+    rule = get_op(op).battery
+    if rule is None:
+        return None
     if inverse is None:
         def inverse(k):
             return _inv_battery(args[k])
     try:
-        if op == "power":
-            out = _c_power(args, attrs, arg_nodes, inverse)
-        elif op == "divide":
-            out = _c_divide(args, inverse)
-        elif op in _COMPOSE:
-            out = _COMPOSE[op](args, attrs)
-        else:
-            return None
+        out = rule(args, attrs, arg_nodes, inverse)
     except _Unsupported:
         return None
     bump("equiv.residue_batteries")
     return out
-
-
-def supported_op(op: str) -> bool:
-    """Whether ``op`` has a compositional battery rule."""
-    return op in ("power", "divide") or op in _COMPOSE
 
 
 _NO_ATTRS: dict = {}

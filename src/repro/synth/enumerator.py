@@ -53,7 +53,7 @@ from repro.cost.base import CostModel
 from repro.errors import TypeInferenceError
 from repro.ir.evaluator import random_inputs
 from repro.ir.nodes import Call, Const, Input, Node
-from repro.ir.ops import get_op
+from repro.ir.ops import fill, get_op, has_op
 from repro.ir.parser import Program
 from repro.ir.types import DType
 from repro.obs.metrics import bump
@@ -63,8 +63,9 @@ from repro.symexec.engine import symbolic_execute
 from repro.symexec.symtensor import SymTensor, index_class
 from repro.synth.config import SynthesisConfig
 
-#: Ops in the input program that signal predicate/masking/extremum structure.
-_BOOLEAN_TRIGGERS = {"less", "where", "max", "min", "maximum", "minimum", "triu", "tril"}
+#: Ops in the input program that signal predicate/masking/extremum structure:
+#: the op table's ``boolean_trigger`` column, filled here.
+fill("boolean_trigger", "less", "where", "max", "min", "maximum", "minimum", "triu", "tril")(True)
 
 #: Reject stubs whose symbolic tensor has more elements than this.
 #: Intermediate blow-ups (e.g. a (24,24) outer product while synthesizing a
@@ -262,7 +263,12 @@ class StubEnumerator:
         self._levels: list[list[StubEntry]] = []
         program_ops = {n.op for n in program.node.walk() if isinstance(n, Call)}
         has_bool_input = any(i.type.dtype is DType.BOOL for i in program.inputs)
-        self.enable_boolean = bool(program_ops & _BOOLEAN_TRIGGERS) or has_bool_input
+        self.enable_boolean = (
+            any(get_op(op).boolean_trigger for op in program_ops) or has_bool_input
+        )
+        for op in config.extra_grammar_ops:
+            if not (has_op(op) and get_op(op).arity == 2 and get_op(op).result_dtype is DType.FLOAT):
+                raise ValueError(f"extra_grammar_ops: {op!r} is not a registered binary float op")
         # Shapes available for `full` (program input shapes + output shape).
         shapes = {inp.type.shape for inp in program.inputs if inp.type.shape}
         shapes.add(program.node.type.shape)

@@ -7,9 +7,10 @@ to Φ — and if so, computes that expression (the *hole specification*):
     ∃ expr . sketch(expr, arg_1, ...) = Φ
 
 The solver walks the path from the sketch root to the hole, inverting one
-operation per step.  Each grammar op registers a local inverter; ops whose
-inversion is not purely algebraic (``dot``, ``tensordot``, ``sum``) use
-coefficient extraction or index-hinted term splitting, each *verified
+operation per step.  Each grammar op but ``less`` has a local inverter, the
+``inverse`` column of its op-table row, filled here; ops whose inversion is
+not purely algebraic (``dot``, ``tensordot``, ``sum``) use coefficient
+extraction or index-hinted term splitting, each *verified
 symbolically* before being returned, so heuristic extraction can never
 produce an unsound decomposition.  When no chain of local inverters reaches
 the hole, a generic fallback binds the hole to fresh unknowns and calls
@@ -18,7 +19,6 @@ the hole, a generic fallback binds the hole to fresh unknowns and calls
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -31,6 +31,7 @@ from sympy.polys.polyerrors import CoercionFailed
 from sympy.polys.polyutils import _sort_gens
 
 from repro.ir.nodes import Call, Input, Node
+from repro.ir.ops import fill, get_op
 from repro.ir.types import DType, TensorType
 from repro.obs.metrics import bump
 from repro.obs.trace import NULL_TRACER
@@ -41,29 +42,16 @@ from repro.symexec.symtensor import SymTensor, input_symbols_of, symbol_origin
 from repro.synth.config import SynthesisConfig
 from repro.synth.sketch import Sketch
 
-# An inverter takes (call, hole_position, sibling values, target, hole_type)
-# and returns the target for the hole subtree, as built (SOLVE normalizes it
-# afterwards, see _NORMALIZES), or None if no solution exists.
+# An inverter, the ``inverse`` column of an op's row, takes (call,
+# hole_position, sibling values, target, hole_type) and returns the target for
+# the hole subtree, as built, or None if no solution exists.  The row's
+# ``normalizes`` flag is set where the inverter builds new entries: SOLVE runs
+# :func:`_normalize` on the hole spec it returns (see
+# :meth:`SketchSolver._derive_raw`).  The others only move or mask the target's
+# entries and hand them back as they are.
 Inverter = Callable[
     [Call, int, list[SymTensor | None], SymTensor, TensorType], SymTensor | None
 ]
-
-_INVERTERS: dict[str, Inverter] = {}
-
-#: Ops whose inverter builds new entries: SOLVE runs :func:`_normalize` on
-#: the hole spec it returns (see :meth:`SketchSolver._derive_raw`).  The others
-#: only move or mask the target's entries and hand them back as they are.
-_NORMALIZES: set[str] = set()
-
-
-def _inverter(name: str, normalizes: bool = True):
-    def deco(fn):
-        _INVERTERS[name] = fn
-        if normalizes:
-            _NORMALIZES.add(name)
-        return fn
-
-    return deco
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +346,7 @@ def _elementwise_invert(entry_fn, call, pos, target, other, hole_type) -> SymTen
 # ---------------------------------------------------------------------------
 
 
+@fill("inverse", "add", "subtract", "multiply", "divide", normalizes=True)
 def _invert_arithmetic(call, pos, args, target, hole_type):
     """``add``/``subtract``/``multiply``/``divide``: one table row per entry."""
     return _elementwise_invert(
@@ -365,11 +354,7 @@ def _invert_arithmetic(call, pos, args, target, hole_type):
     )
 
 
-for _op in ("add", "subtract", "multiply", "divide"):
-    _inverter(_op)(_invert_arithmetic)
-
-
-@_inverter("power")
+@fill("inverse", "power", normalizes=True)
 def _invert_power(call, pos, args, target, hole_type):
     if pos == 0:
         exponent = args[1]
@@ -399,23 +384,11 @@ def _invert_power(call, pos, args, target, hole_type):
     return _elementwise_invert(invert_exponent, call, pos, target, base, hole_type)
 
 
-#: ``op -> f``: the hole entry ``f(t)`` of a unary elementwise op's spec entry ``t``.
-UNARY_INVERSES: dict[str, Callable[[object], object]] = {
-    "sqrt": lambda t: t**2,
-    "negative": operator.neg,
-    "exp": sp.log,
-    "log": sp.exp,
-}
-
-
-def _invert_unary(call, pos, args, target, hole_type):
+@fill("inverse", "sqrt", normalizes=True)
+def _invert_sqrt(call, pos, args, target, hole_type):
     if target.shape != hole_type.shape:
         return None
-    return _hole_tensor(np.frompyfunc(UNARY_INVERSES[call.op], 1, 1)(target.data))
-
-
-for _op in UNARY_INVERSES:
-    _inverter(_op)(_invert_unary)
+    return _hole_tensor(np.frompyfunc(lambda t: t**2, 1, 1)(target.data))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +396,7 @@ for _op in UNARY_INVERSES:
 # ---------------------------------------------------------------------------
 
 
-@_inverter("transpose", normalizes=False)
+@fill("inverse", "transpose", normalizes=False)
 def _invert_transpose(call, pos, args, target, hole_type):
     axes = call.attr("axes")
     rank = len(hole_type.shape)
@@ -439,15 +412,7 @@ def _invert_transpose(call, pos, args, target, hole_type):
     return SymTensor(np.transpose(target.data, axes=inverse), target.dtype)
 
 
-@_inverter("reshape", normalizes=False)
-def _invert_reshape(call, pos, args, target, hole_type):
-    if target.size != hole_type.size:
-        return None
-    return SymTensor(np.reshape(target.data, hole_type.shape), target.dtype)
-
-
-@_inverter("triu", normalizes=False)
-@_inverter("tril", normalizes=False)
+@fill("inverse", "triu", "tril", normalizes=False)
 def _invert_triangle(call, pos, args, target, hole_type):
     """The target itself, if it is zero where the op masks (below the
     diagonal for ``triu``, above it for ``tril``)."""
@@ -459,7 +424,7 @@ def _invert_triangle(call, pos, args, target, hole_type):
     return target
 
 
-@_inverter("full", normalizes=False)
+@fill("inverse", "full", normalizes=False)
 def _invert_full(call, pos, args, target, hole_type):
     entries = [canonical(e) for e in target.entries()]
     first = entries[0]
@@ -468,7 +433,7 @@ def _invert_full(call, pos, args, target, hole_type):
     return SymTensor(np.array(first, dtype=object), target.dtype)
 
 
-@_inverter("where")
+@fill("inverse", "where", normalizes=True)
 def _invert_where(call, pos, args, target, hole_type):
     if pos == 0:
         return None  # synthesizing conditions is out of scope
@@ -537,7 +502,7 @@ def _term_position_hints(term: sp.Expr, positions: list[tuple[int, ...]],
     return hints
 
 
-@_inverter("sum")
+@fill("inverse", "sum", normalizes=True)
 def _invert_sum(call, pos, args, target, hole_type):
     axis = call.attr("axis")
     hole_shape = hole_type.shape
@@ -595,7 +560,7 @@ def _verify_tensor_equal(candidate: np.ndarray, target: SymTensor) -> bool:
     return True
 
 
-@_inverter("dot")
+@fill("inverse", "dot", normalizes=True)
 def _invert_dot(call, pos, args, target, hole_type):
     other = args[1 - pos]
     if other is None:
@@ -660,7 +625,7 @@ def _invert_dot(call, pos, args, target, hole_type):
     return _hole_tensor(hole)
 
 
-@_inverter("tensordot")
+@fill("inverse", "tensordot", normalizes=True)
 def _invert_tensordot(call, pos, args, target, hole_type):
     other = args[1 - pos]
     if other is None:
@@ -840,7 +805,7 @@ class SketchSolver:
         that meets an op without an inverter goes to the generic solve.
         Either way the result is heuristic until :meth:`_decomposition_holds`
         confirms it.  ``pending`` is set when the last inverter on the path
-        is one that normalizes (:data:`_NORMALIZES`) and its
+        is one that normalizes (its row's ``normalizes``) and its
         :func:`_normalize` is left to the caller.
         """
         target = spec
@@ -850,7 +815,8 @@ class SketchSolver:
         for i, step in enumerate(sketch.hole_path):
             if not isinstance(node, Call):
                 return None
-            inverter = _INVERTERS.get(node.op)
+            row = get_op(node.op)
+            inverter = row.inverse
             if inverter is None:
                 hole_spec = self._traced_generic_solve(sketch, spec)
                 return None if hole_spec is None else (hole_spec, False)
@@ -861,7 +827,7 @@ class SketchSolver:
             step_start = time.monotonic() if tracer.enabled else 0.0
             try:
                 result = inverter(node, step, siblings, target, hole_like.type)
-                pending = result is not None and node.op in _NORMALIZES
+                pending = result is not None and row.normalizes
                 if pending and i < last:  # the next inverter's target
                     result, pending = result.map(_normalize), False
             except Exception:

@@ -75,10 +75,10 @@ def memoised():
         out = triples[(cond, x, y)] = real_where(cond, x, y)
         return out
 
-    def recording_classwise(op, args, attrs, type):
-        out = real_classwise(op, args, attrs, type)
-        if out is not None and op in ("less", "where"):
-            classwise.append((op, args, out))
+    def recording_classwise(spec, args, attrs, type):
+        out = real_classwise(spec, args, attrs, type)
+        if out is not None and spec.name in ("less", "where"):
+            classwise.append((spec.name, args, out))
         return out
 
     with pytest.MonkeyPatch.context() as patch:

@@ -28,6 +28,14 @@ class TestEnumeration:
         )
 
 
+    @pytest.mark.parametrize("op", ["exp", "reshape", "nosuch", "less"])
+    def test_extension_must_be_a_binary_float_op(self, op):
+        program = parse("np.max(np.stack([A, B]), axis=0)", TYPES)
+        config = SynthesisConfig(extra_grammar_ops=(op,), max_depth=1)
+        with pytest.raises(ValueError, match=f"'{op}' is not a registered binary float op"):
+            StubEnumerator(program, config, FlopsCostModel())
+
+
 class TestSynthesis:
     def test_max_stack_reaches_maximum(self):
         program = parse("np.max(np.stack([A, B]), axis=0)", TYPES, name="max_stack")

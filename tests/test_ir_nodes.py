@@ -68,6 +68,11 @@ class TestCall:
         with pytest.raises(TypeInferenceError):
             Call("dot", (a, c))
 
+    @pytest.mark.parametrize("op, arity", [("exp", 2), ("add", 1), ("where", 2), ("add", 3)])
+    def test_wrong_argument_count_rejected(self, a, b, op, arity):
+        with pytest.raises(TypeInferenceError, match=f"{op} takes"):
+            Call(op, (a, b, a)[:arity])
+
     def test_attrs_sorted_and_hashable(self, a):
         node = Call("sum", (a,), axis=1)
         assert node.attr("axis") == 1

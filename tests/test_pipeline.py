@@ -165,6 +165,19 @@ class TestModule:
         assert "rule cache" in result.summary()
 
 
+class TestUserSourceErrors:
+    @pytest.mark.parametrize(
+        "source",
+        ["np.tensordot(A, A, axes=5)", "A[5]", "np.sum(A, 0, 1)", "A + 10**400"],
+    )
+    def test_bad_source_is_a_parse_error(self, source):
+        """A client's source is outside input: what it gets wrong is reported
+        as a ``ParseError``, never as a Python exception from inside the IR."""
+        (outcome,) = optimizer().optimize_module([KernelSpec("bad", source, {"A": (2, 2)})]).outcomes
+        assert outcome.status == "error"
+        assert outcome.error.startswith("ParseError: "), outcome.error
+
+
 class TestParseOnce:
     """``synthesis_types`` hands its parse to the caller, who parses no further."""
 

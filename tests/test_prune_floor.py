@@ -18,7 +18,6 @@ forced zero floor reproduce every outcome; (d) what has no opinion; (e) ``global
 mode; and the trace says why a floor-pruned sketch was dropped.
 """
 
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +28,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from repro.bench.suite import get_benchmark
 from repro.cost import make_cost_model
 from repro.ir.nodes import Call, Const, Input
+from repro.ir.ops import get_op
 from repro.ir.types import DType, TensorType
 from repro.obs.trace import Tracer, install_tracer
 from repro.symexec import residues
@@ -271,10 +271,10 @@ def test_a_random_exact_floor_is_below_its_normalization(e1, e2):
         assert exact_floor(raw, mode) <= spec_complexity(normalized, mode), (e1, e2, mode)
 
 
-#: Each table op applied to its operands in hole order (``tensordot(axes=0)``
-#: is a product per entry).
-_OP = {"add": operator.add, "subtract": operator.sub, "multiply": operator.mul,
-       "divide": operator.truediv, "tensordot": operator.mul}
+def _applied(op: str, args) -> sp.Expr:
+    """The op's own NumPy rule on the entry operands, in hole order
+    (``tensordot(axes=0)`` is a product per entry)."""
+    return np.asarray(get_op(op).eval(list(args), {"axes": 0})).item()
 
 
 #: Rational entries with exact values (no ``zoo``), zero among them.
@@ -296,7 +296,7 @@ def test_every_table_row_is_an_inverse(t, o):
             assert h is None, (op, pos, t, o, h)
             continue
         args = (h, o) if pos == 0 else (o, h)
-        assert sp.cancel(_OP[op](*args) - t) == 0, (op, pos, t, o, h)
+        assert sp.cancel(_applied(op, args) - t) == 0, (op, pos, t, o, h)
         if moved_values(h) is None:
             continue  # a denominator of h vanishes at an order point
         (h0, h_moved), (t0, t_moved), (o0, o_moved) = map(moved_values, (h, t, o))

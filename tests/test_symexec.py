@@ -16,7 +16,7 @@ from repro.symexec import (
     equivalent,
     symbolic_execute,
 )
-from repro.ir.ops import get_op
+from repro.ir.ops import all_ops, get_op
 from repro.symexec import engine
 from repro.obs.metrics import PROCESS_COUNTERS
 from repro.symexec.symtensor import element_symbol, index_class, rename, representative, symbol_origin
@@ -95,14 +95,14 @@ def test_symbolic_matches_numeric(source):
     assert np.allclose(got, expected)
 
 
-@pytest.mark.parametrize("op", sorted(engine._RULES))
+@pytest.mark.parametrize("op", sorted(spec.name for spec in all_ops() if spec.symbolic))
 def test_every_sympy_rule_is_needed(op):
     """On element symbols the registry's NumPy rule raises, or yields some
     entry other than the engine's SymPy rule does."""
     A, B = (SymTensor.from_input(name, float_tensor(2, 3)).data for name in "AB")
-    args = [engine._RULES["less"]([A, B], {}), A, B] if op == "where" else [A, B]
+    args = [get_op("less").symbolic([A, B], {}), A, B] if op == "where" else [A, B]
     args = args[: get_op(op).arity]
-    want = engine._RULES[op](args, {})
+    want = get_op(op).symbolic(args, {})
     try:
         got = get_op(op).eval(args, {})
     except TypeError:
