@@ -244,6 +244,8 @@ class _ExprParser:
                 operands.append(self._as_node(given[param]))
             else:
                 attrs[param] = self._as_literal(given[param], param)
+        if type(attrs.get("shape")) is int:  # NumPy reads ``n`` as ``(n,)``
+            attrs["shape"] = (attrs["shape"],)
         return Call(spec.name, operands, **attrs)
 
 

@@ -7,7 +7,7 @@ from repro.synth.cache import (
     synthesis_fingerprint,
 )
 from repro.synth.complexity import prune_verdict, spec_complexity
-from repro.synth.config import DEFAULT_CONFIG, SIMPLIFICATION_ONLY, SynthesisConfig
+from repro.synth.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.synth.enumerator import StubEntry, StubEnumerator, program_constants
 from repro.synth.library import Library, build_library
 from repro.synth.search import SearchContext, SearchStats, dfs
@@ -23,7 +23,6 @@ from repro.synth.superoptimizer import (
 
 __all__ = [
     "DEFAULT_CONFIG",
-    "SIMPLIFICATION_ONLY",
     "CacheStats",
     "Hole",
     "Library",

@@ -78,6 +78,3 @@ class SynthesisConfig:
 
 #: Configuration matching the paper's main evaluated setup.
 DEFAULT_CONFIG = SynthesisConfig()
-
-#: Simplification objective only — the "no branch-and-bound" ablation of Fig. 5.
-SIMPLIFICATION_ONLY = SynthesisConfig(use_branch_and_bound=False)

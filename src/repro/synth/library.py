@@ -1,12 +1,12 @@
 """Sketch library construction (the left side of Fig. 2).
 
-A :class:`Library` holds the enumerated stubs — indexed by residue battery
-(and, for battery-weak stubs, by value bucket on the first weak MATCH probe)
-for the base-case MATCH of Algorithm 2 — and the sources the sketches are
-derived from.  The sketches of a type are derived and priced by the active
-cost model as SOLVE reads them, cheapest first: a search that ends at the
-base-case MATCH derives none, and one that stops at the bound derives little
-past it.
+A :class:`Library` holds what the search reads: the enumerated stubs but the
+float constants — indexed by residue battery (and, for battery-weak stubs, by
+value bucket on the first weak MATCH probe) for the base-case MATCH of
+Algorithm 2 — and the call sources the sketches are derived from.  The
+sketches of a type are derived and priced by the active cost model as SOLVE
+reads them, cheapest first: a search that ends at the base-case MATCH
+derives none, and one that stops at the bound derives little past it.
 """
 
 from __future__ import annotations
@@ -72,97 +72,58 @@ class Library:
 
     stubs: list[StubEntry]
     stubs_by_sig: dict[tuple, list[StubEntry]]
-    #: What :meth:`sketches_of` derives sketches from, in enumeration order.
-    sketch_sources: list[Node]
+    #: The calls :meth:`sketches_of` derives sketches from, in enumeration order.
+    sketch_sources: list[Call]
     cost_model: CostModel
     from_cache: bool = False
-    #: Residue-battery index: residue_key -> stub (the value tier of MATCH),
-    #: the pending constants left out until their signature is asked for.
-    _by_val: dict[tuple, StubEntry] = field(default_factory=dict, repr=False)
-    #: Restored constants whose battery is not derived yet, by signature.
-    _pending: dict[tuple, list[StubEntry]] = field(default_factory=dict, repr=False)
+    #: Residue-battery index: residue_key -> stub (the value tier of MATCH).
+    stubs_by_val: dict[tuple, StubEntry] = field(default_factory=dict, repr=False)
     #: Sketches derived so far and the seconds it took: 0 until a SOLVE reads one.
     sketch_count: int = 0
     derive_seconds: float = 0.0
     _streams: dict = field(default_factory=dict, repr=False)
     _retyped: dict = field(default_factory=dict, repr=False)
 
-    def _resolve(self, sig: tuple | None = None) -> None:
-        """Derive the batteries of the pending constants of ``sig`` (None:
-        all), so that every index reads as if they had been derived at once."""
-        sigs = list(self._pending) if sig is None else [sig] if sig in self._pending else []
-        for key in sigs:
-            for entry in self._pending.pop(key):
-                if entry.res is None:  # a weak constant: rebuild the weak views
-                    self.__dict__.pop("_weak_by_bucket", None)
-                    self.__dict__.pop("_weak_by_key", None)
-        if sigs:
-            self._by_val = _value_index(self.stubs)
-
-    @property
-    def stubs_by_val(self) -> dict[tuple, StubEntry]:
-        """The residue-battery index of every stub."""
-        self._resolve()
-        return self._by_val
-
     def value_stub(self, key: tuple) -> StubEntry | None:
         """The stub whose residue key is ``key``, if any (MATCH's value tier)."""
-        self._resolve(key[:2])
-        return self._by_val.get(key)
+        return self.stubs_by_val.get(key)
 
     def stubs_with_signature(self, shape: tuple[int, ...], dtype: DType) -> list[StubEntry]:
         """Stubs sharing shape/dtype — candidates for slow-path matching."""
-        self._resolve((shape, dtype))
         return self.stubs_by_sig.get((shape, dtype), [])
 
-    @property
-    def weak_by_bucket(self) -> dict[tuple | None, list[StubEntry]]:
-        """Battery-weak stubs by value bucket."""
-        self._resolve()
-        return self._weak_by_bucket
-
-    @property
-    def weak_by_key(self) -> dict[tuple, StubEntry]:
-        """Exact-key view of the battery-weak stubs; reading it keys them all."""
-        self._resolve()
-        return self._weak_by_key
-
     @cached_property
-    def _weak_by_bucket(self) -> dict[tuple | None, list[StubEntry]]:
-        """The weak stubs of the derived batteries by value bucket, built on
-        the first weak probe.
+    def weak_by_bucket(self) -> dict[tuple | None, list[StubEntry]]:
+        """Battery-weak stubs by value bucket, built on the first weak probe.
 
         No canonical key is computed to build it: a restored library keys a
         weak stub only when a spec lands in its bucket.
         """
         buckets: dict[tuple | None, list[StubEntry]] = {}
-        for entry in _derived(self.stubs):
+        for entry in self.stubs:
             if entry.res is None:
                 buckets.setdefault(weak_bucket(entry.tensor), []).append(entry)
         return buckets
 
     @cached_property
-    def _weak_by_key(self) -> dict[tuple, StubEntry]:
-        """The weak stubs of the derived batteries by canonical key.
+    def weak_by_key(self) -> dict[tuple, StubEntry]:
+        """Exact-key view of the battery-weak stubs; reading it keys them all.
 
         MATCH goes through :meth:`match_weak`, which reads it only for a
         spec that has no bucket.
         """
-        return {entry.key: entry for entry in _derived(self.stubs) if entry.res is None}
+        return {entry.key: entry for entry in self.stubs if entry.res is None}
 
     def match_weak(self, spec: SymTensor, key: tuple) -> StubEntry | None:
         """The battery-weak stub whose canonical key is ``key``, if any.
 
         The spec's bucket only narrows where to look: a hit is always an
         equal canonical key (compared entry by entry), never an equal bucket.
-        A bucket and a key both start with the spec's shape and dtype, so
-        only the constants of that signature need their batteries.
         """
-        self._resolve((spec.shape, spec.dtype))
         bucket = weak_bucket(spec)
         if bucket is None:
-            return self._weak_by_key.get(key)
-        for entry in self._weak_by_bucket.get(bucket, ()):
+            return self.weak_by_key.get(key)
+        for entry in self.weak_by_bucket.get(bucket, ()):
             if entry.has_key(key):
                 return entry
         return None
@@ -172,8 +133,7 @@ class Library:
         """The call sources with their indices, by type: their sketches' type."""
         by_type: dict[TensorType, list[tuple[int, Call]]] = {}
         for index, source in enumerate(self.sketch_sources):
-            if isinstance(source, Call):
-                by_type.setdefault(source.type, []).append((index, source))
+            by_type.setdefault(source.type, []).append((index, source))
         return by_type
 
     def sketches_of(self, type: TensorType) -> Growing:
@@ -278,11 +238,10 @@ def build_library(
     what the level dropped could have filled ``max_stubs``, and where a weak
     Φ's MATCH (:meth:`Library.match_weak`) would not read its class.
 
-    With a :class:`~repro.synth.cache.PersistentCache`, the admitted stubs
-    and sketch sources are stored per program signature as a node table: a
-    warm run skips candidate generation and observational deduplication
-    entirely and only re-derives the admitted stubs' identities (see
-    :func:`_restore_stubs`).  A :class:`~repro.resilience.Budget` bounds
+    With a :class:`~repro.synth.cache.PersistentCache`, what the library
+    holds is stored per program signature as a node table: a warm run skips
+    candidate generation and observational deduplication entirely and only
+    re-derives the admitted stubs' identities (see :func:`_restore_stubs`).  A :class:`~repro.resilience.Budget` bounds
     enumeration: on expiry the partial library is returned (and not cached —
     it is sound but smaller than a full enumeration would produce).
     """
@@ -313,16 +272,20 @@ def build_library(
     if cache is not None and cache_key is not None:
         cache.library_put(
             cache_key,
-            dump_library([e.node for e in library.stubs], enumerator.sketch_sources),
+            dump_library([e.node for e in library.stubs], library.sketch_sources),
         )
     return library
 
 
 def _library_from_payload(payload: dict, program: Program, cost_model: CostModel) -> Library | None:
-    """Rebuild a library from a cached node table (None on any failure)."""
+    """Rebuild a library from a cached node table (None on any failure).
+
+    A table may list float constants as stubs (one written before the
+    library dropped them): they are left out before anything is derived.
+    """
     try:
         nodes, sources = load_library(payload, program.input_types)
-        stubs = _restore_stubs(nodes)
+        stubs = _restore_stubs([n for n in nodes if _searchable(n)])
     except Exception:  # noqa: BLE001 — the cache is an accelerator: re-enumerate
         return None
     library = _assemble_library(stubs, sources, cost_model)
@@ -330,49 +293,11 @@ def _library_from_payload(payload: dict, program: Program, cost_model: CostModel
     return library
 
 
-class _PendingConstant(StubEntry):
-    """A restored float constant that no restored stub reads: its exact value
-    (``sp.nsimplify`` of the float, milliseconds for a non-integer) and its
-    battery are derived on the first read of ``res``."""
-
-    __slots__ = ()
-
-    def __init__(self, node: Const, exec_cache: dict) -> None:
-        super().__init__(node, res=_PENDING, exec_cache=exec_cache)
-
-    @property
-    def res(self):
-        res = _RES.__get__(self)
-        if res is _PENDING:
-            res = tensor_residues(self.tensor)
-            _RES.__set__(self, res)
-        return res
-
-    @res.setter
-    def res(self, value) -> None:
-        _RES.__set__(self, value)
-
-    @property
-    def derived(self) -> bool:
-        return _RES.__get__(self) is not _PENDING
-
-
-_RES = StubEntry.res  # the slot the property stands in front of
-_PENDING = object()
-
-
-def _derived(stubs: Iterable[StubEntry]) -> Iterator[StubEntry]:
-    """``stubs`` but the pending constants."""
-    return (e for e in stubs if not isinstance(e, _PendingConstant) or e.derived)
-
-
-def _value_index(stubs: list[StubEntry]) -> dict[tuple, StubEntry]:
-    """residue_key -> stub over the stubs with a derived battery, in order."""
-    return {
-        residue_key(e.node.type.shape, e.node.type.dtype, e.res): e
-        for e in _derived(stubs)
-        if e.res is not None
-    }
+def _searchable(node: Node) -> bool:
+    """Whether MATCH may return stub ``node``.  A float constant it never
+    does: a spec that reads no input is built as a constant before MATCH
+    runs, and every other spec reads an input a constant does not."""
+    return not (isinstance(node, Const) and node.type.dtype is DType.FLOAT)
 
 
 def _restore_stubs(nodes: list[Node]) -> list[StubEntry]:
@@ -384,9 +309,7 @@ def _restore_stubs(nodes: list[Node]) -> list[StubEntry]:
     :meth:`BatteryTable.compose` has no opinion on (irrational values,
     booleans, non-integer constants) are symbolically executed and take
     ``tensor_residues`` or, battery-weak, keep that tensor and leave their
-    canonical key for whoever first asks.  A float constant no other stub
-    reads (the folded constants of the last level) waits for its signature
-    to be asked for (:class:`_PendingConstant`).  Nothing but IR structure is
+    canonical key for whoever first asks.  Nothing but IR structure is
     trusted from disk.
     """
     shared: dict[Node, SymTensor] = {}
@@ -410,40 +333,35 @@ def _restore_stubs(nodes: list[Node]) -> list[StubEntry]:
             out = done[node] = (res, tensor)
         return out
 
-    def waits(node: Node) -> bool:
-        return isinstance(node, Const) and node.type.dtype is DType.FLOAT
-
-    for node in nodes:
-        if not waits(node):
-            derive(node)
     stubs: list[StubEntry] = []
     for node in nodes:
-        if node in done:
-            res, tensor = done[node]
-            stubs.append(StubEntry(node, tensor, res=res, exec_cache=shared))
-        else:
-            stubs.append(_PendingConstant(node, shared))
+        res, tensor = derive(node)
+        stubs.append(StubEntry(node, tensor, res=res, exec_cache=shared))
     return stubs
 
 
 def _assemble_library(
     stubs: list[StubEntry], sketch_sources: list[Node], cost_model: CostModel
 ) -> Library:
+    """The library of what the search reads: the stubs but the float
+    constants (:func:`_searchable`) and the call sources, which are all
+    that sketches are derived from."""
+    stubs = [e for e in stubs if _searchable(e.node)]
     stubs_by_sig: dict[tuple, list[StubEntry]] = {}
-    pending: dict[tuple, list[StubEntry]] = {}
     for entry in stubs:
         # Signature from the IR type, not the tensor: residue-admitted stubs
         # keep their symbolic tensors lazy through assembly.
         sig = (entry.node.type.shape, entry.node.type.dtype)
         stubs_by_sig.setdefault(sig, []).append(entry)
-        if isinstance(entry, _PendingConstant):
-            pending.setdefault(sig, []).append(entry)
 
     return Library(
         stubs=stubs,
         stubs_by_sig=stubs_by_sig,
-        sketch_sources=sketch_sources,
+        sketch_sources=[s for s in sketch_sources if isinstance(s, Call)],
         cost_model=cost_model,
-        _by_val=_value_index(stubs),
-        _pending=pending,
+        stubs_by_val={
+            residue_key(e.node.type.shape, e.node.type.dtype, e.res): e
+            for e in stubs
+            if e.res is not None
+        },
     )

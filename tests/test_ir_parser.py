@@ -89,6 +89,14 @@ class TestExpressions:
     def test_full(self):
         roundtrip("np.full((3, 4), a) + A")
 
+    @pytest.mark.parametrize(
+        "integer, spelled",
+        [("np.reshape(A, 12)", "np.reshape(A, (12,))"), ("np.full(3, 1.0)", "np.full((3,), 1.0)")],
+    )
+    def test_an_integer_shape_is_a_one_tuple(self, integer, spelled):
+        # As in NumPy: ``np.reshape(A, 12)`` is ``np.reshape(A, (12,))``.
+        assert roundtrip(integer).node == parse(spelled, TYPES).node
+
     def test_stack_literal_list(self):
         roundtrip("np.stack([A, A, A])")
         roundtrip("np.stack([A, A], axis=1)")

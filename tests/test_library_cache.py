@@ -19,14 +19,16 @@ from repro.cost import make_cost_model
 from repro.ir.nodes import Call, Const
 from repro.ir.parser import parse
 from repro.ir.types import DType, float_tensor
+from repro.obs.metrics import PROCESS_COUNTERS
 from repro.pipeline import KernelSpec, ModuleOptimizer
-from repro.symexec.canonical import canonical, canonical_key
+from repro.symexec import symtensor
+from repro.symexec.canonical import canonical
 from repro.symexec.engine import symbolic_execute
-from repro.symexec.residues import residue_key, tensor_residues
 from repro.synth import PersistentCache, SynthesisConfig
 from repro.synth import library as library_mod
 from repro.synth.cache import dump_library, load_library, synthesis_fingerprint
 from repro.synth.config import DEFAULT_CONFIG
+from repro.synth.enumerator import StubEnumerator
 from repro.synth.library import build_library
 from tests.cachefile import read_section, rewrite_section
 
@@ -99,23 +101,73 @@ def test_restored_library_equals_cold(name, tmp_path):
     _assert_same_library(cold, warm)
 
 
-def test_a_restored_constant_no_stub_reads_waits_for_its_signature(tmp_path):
-    # The last level's folded constants: their nsimplify and battery wait
-    # until a MATCH asks for their shape and dtype; diag_dot's never does.
-    cold, warm = _cold_then_warm("diag_dot", tmp_path)
-    pending = [e for e in warm.stubs if isinstance(e, library_mod._PendingConstant)]
-    assert pending and all(e.node.type.shape == () for e in pending)
-    assert not any(e.derived for e in pending)
-    spec = symbolic_execute(_program("diag_dot").node).map(canonical)
-    warm.value_stub(residue_key(spec.shape, spec.dtype, tensor_residues(spec)))
-    warm.match_weak(spec, canonical_key(spec))
-    warm.stubs_with_signature(spec.shape, spec.dtype)
-    assert not any(e.derived for e in pending)
-    # A scalar probe derives them all and finds each by its battery.
-    cold_res = {e.node: e.res for e in cold.stubs}
-    assert warm.value_stub(residue_key((), DType.FLOAT, cold_res[pending[0].node])) is pending[0]
-    assert all(e.derived for e in pending)
+def _holds_what_the_search_reads(library):
+    floats = [e.node for e in library.stubs if isinstance(e.node, Const)]
+    floats = [n for n in floats if n.type.dtype is DType.FLOAT]
+    return not floats and all(isinstance(s, Call) for s in library.sketch_sources)
+
+
+def _nodes(library):
+    return [e.node for e in library.stubs]
+
+
+def _enumerated(name):
+    """The goal-less enumerator of ``name``, float constants and all."""
+    enumerator = StubEnumerator(_program(name), CONFIG, cost_model=make_cost_model("flops"))
+    return enumerator, enumerator.enumerate()
+
+
+def test_the_library_holds_what_the_search_reads(tmp_path):
+    # MATCH never returns a float constant: a spec that reads no input is
+    # built as a constant before it runs.  The enumerator keeps them as
+    # terminals; the library, cold, cut or restored, leaves them out, and
+    # the sources that are no call.
+    enumerator, stubs = _enumerated("exp_log")
+    assert any(isinstance(e.node, Const) for e in stubs)
+    assert not all(isinstance(s, Call) for s in enumerator.sketch_sources)
+    cold, warm = _cold_then_warm("exp_log", tmp_path)
+    program, model = _program("exp_log"), make_cost_model("flops")
+    before = PROCESS_COUNTERS.get("enum.goal_cut", 0)
+    cut = build_library(program, CONFIG, model, goal=symbolic_execute(program.node).map(canonical))
+    assert PROCESS_COUNTERS.get("enum.goal_cut", 0) > before
+    assert warm.from_cache
+    for library in (cold, cut, warm):
+        assert _holds_what_the_search_reads(library)
+    assert _nodes(cold) == [e.node for e in stubs if library_mod._searchable(e.node)]
+
+
+def test_a_restore_derives_no_constant_no_stub_reads(tmp_path, monkeypatch):
+    # diag_dot's folded constants of the last level: no restored stub reads
+    # them, so the restore never pays ``nsimplify`` for them.
+    _, stubs = _enumerated("diag_dot")
+    cold, _ = _cold_then_warm("diag_dot", tmp_path)
+    monkeypatch.setattr(symtensor, "_FROM_VALUE_MEMO", {})
+    made = []
+    real = symtensor._constant
+    monkeypatch.setattr(symtensor, "_constant", lambda v: made.append(float(v)) or real(v))
+    warm = build_library(
+        _program("diag_dot"), CONFIG, make_cost_model("flops"),
+        cache=PersistentCache(tmp_path), fingerprint="fp",
+    )
+    assert warm.from_cache and made
+    consts = [n for e in warm.stubs for n in e.node.walk() if isinstance(n, Const)]
+    read = {float(v) for n in consts for v in n.value.flat}
+    unread = {float(e.node.value) for e in stubs if isinstance(e.node, Const)} - read
+    assert unread and set(made) <= read
     _assert_same_library(cold, warm)
+
+
+def test_a_payload_listing_the_float_constants_restores_to_the_same_library(tmp_path):
+    # A table written while the library still held them.
+    enumerator, stubs = _enumerated("diag_dot")
+    table = dump_library([e.node for e in stubs], enumerator.sketch_sources)
+    payload = json.loads(json.dumps(table))
+    cold, _ = _cold_then_warm("diag_dot", tmp_path)
+    model = make_cost_model("flops")
+    restored = library_mod._library_from_payload(payload, _program("diag_dot"), model)
+    assert restored is not None and restored.from_cache
+    assert _holds_what_the_search_reads(restored)
+    _assert_same_library(cold, restored)
 
 
 def test_weak_and_boolean_kernels_exercise_the_key_route(tmp_path):
